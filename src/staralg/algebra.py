@@ -41,6 +41,7 @@ __all__ = [
     "generate_algebra",
     "join",
     "commutant",
+    "commutators",
     "mutually_commute",
     "center_and_factor",
     "matrix_units",
@@ -95,6 +96,14 @@ class MatrixStarAlgebra:
 
     def contains_algebra(self, other: "MatrixStarAlgebra", tol: Tolerances = DEFAULT_TOL) -> bool:
         return all(self.contains(b, tol) for b in other.basis)
+
+    @cached_property
+    def expectation(self) -> np.ndarray:
+        """(n^2, n^2) superoperator of the HS-orthogonal projection onto the span.
+
+        This is the trace-compatible conditional expectation onto the algebra.
+        """
+        return self.basis_vecs.T @ self.basis_vecs.conj()
 
     @cached_property
     def hermitian_basis(self) -> np.ndarray:
@@ -191,7 +200,7 @@ def join(
     """Algebra generated by the union of the two spans.
 
     For commuting pairs the join equals the span of the pairwise products
-    X.Y, which is asserted.
+    X.Y, which is checked.
     """
     _check_same_ambient(a1, a2)
     out = generate_algebra(
@@ -201,9 +210,10 @@ def join(
         n = a1.ambient_dim
         prods = np.einsum("aij,bjk->abik", a1.basis, a2.basis).reshape(-1, n, n)
         prod_dim = orthonormalize(prods).shape[0]
-        assert prod_dim == out.dim, (
-            f"commuting join must equal the span of products ({prod_dim} vs {out.dim})"
-        )
+        if prod_dim != out.dim:
+            raise IllConditioned(
+                f"commuting join must equal the span of products ({prod_dim} vs {out.dim})"
+            )
     return out
 
 
@@ -223,17 +233,21 @@ def commutant(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixStar
     return MatrixStarAlgebra(n, mats)
 
 
+def commutators(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra) -> np.ndarray:
+    """[b_a, c_b] for every pair of basis elements, shape (dim1, dim2, n, n)."""
+    _check_same_ambient(a1, a2)
+    left = np.einsum("aij,bjk->abik", a1.basis, a2.basis)
+    right = np.einsum("bij,ajk->abik", a2.basis, a1.basis)
+    return left - right
+
+
 def mutually_commute(
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
     tol: Tolerances = DEFAULT_TOL,
 ) -> bool:
     """True when every pair of basis elements commutes within eps_algebra."""
-    _check_same_ambient(a1, a2)
-    left = np.einsum("aij,bjk->abik", a1.basis, a2.basis)
-    right = np.einsum("bij,ajk->abik", a2.basis, a1.basis)
-    resid = np.abs(left - right).max()
-    return bool(resid <= tol.eps_algebra)
+    return bool(np.abs(commutators(a1, a2)).max() <= tol.eps_algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +297,7 @@ def center_and_factor(
     idempotent, central and complete.
     """
     n, d = a.ambient_dim, a.dim
-    comm = np.einsum("aij,bjk->abik", a.basis, a.basis) - np.einsum(
-        "bij,ajk->abik", a.basis, a.basis
-    )
+    comm = commutators(a, a)
     # coefficient-space kernel: sum_i c_i [b_i, b_j] = 0 for all j
     k_mat = comm.transpose(1, 2, 3, 0).reshape(d * n * n, d)
     coeffs = null_space(k_mat, scale=1.0)
@@ -550,6 +562,4 @@ def conditional_expectation(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL)
     """
     from .channels import build_channel
 
-    v = a.basis_vecs
-    action = v.T @ v.conj()
-    return build_channel(full_matrix_algebra(a.ambient_dim), a.ambient_dim, action, tol)
+    return build_channel(full_matrix_algebra(a.ambient_dim), a.ambient_dim, a.expectation, tol)

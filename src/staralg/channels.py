@@ -47,6 +47,7 @@ __all__ = [
     "superop_from_kraus",
     "build_channel",
     "channel_from_kraus",
+    "channel_on_algebra",
     "identity_channel",
     "choi_matrix",
     "choi",
@@ -319,6 +320,14 @@ def channel_from_kraus(
     return _certify(full_matrix_algebra(in_dim), out_dim, superop_from_kraus(ws), tol)
 
 
+def channel_on_algebra(
+    a: MatrixStarAlgebra, kraus: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> ChannelMap:
+    """Certified channel acting by the Kraus family on the algebra, zero off its span."""
+    action = superop_from_kraus(kraus) @ a.expectation
+    return build_channel(a, a.ambient_dim, action, tol)
+
+
 def identity_channel(n: int) -> ChannelMap:
     channel = ChannelMap(
         full_matrix_algebra(n),
@@ -466,12 +475,10 @@ def extend_to_ambient(channel: ChannelMap, tol: Tolerances = DEFAULT_TOL) -> Cha
     re-certifies; this is the canonical extension and preserves complete
     positivity, unitality, and faithfulness.
     """
-    v = channel.domain.basis_vecs
-    expectation = v.T @ v.conj()
     return _certify(
         full_matrix_algebra(channel.in_dim),
         channel.out_dim,
-        channel.action @ expectation,
+        channel.action @ channel.domain.expectation,
         tol,
     )
 

@@ -43,12 +43,13 @@ from .channels import (
     ChannelMap,
     ProjectiveMeasurement,
     build_channel,
+    channel_from_kraus,
+    channel_on_algebra,
     choi,
     dual_on_states,
     luders_operation,
     map_from_choi,
     state_prep_operation,
-    superop_from_kraus,
 )
 from .errors import (
     IllConditioned,
@@ -57,6 +58,7 @@ from .errors import (
     ValidationError,
 )
 from .independence import (
+    ANNIHILATION_CUT,
     VERDICT_KEYS,
     FactorSearchOutcome,
     IndependenceReport,
@@ -261,6 +263,18 @@ def _check_keys(node: dict, allowed: set[str], where: str) -> None:
             raise ParseError(f"{where}: unknown field '{key}'")
 
 
+def _is_int(value: Any) -> bool:
+    """An integer that is not a bool (bool subclasses int in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_name(name: Any, pool: dict, kind: str, where: str) -> None:
+    if not isinstance(name, str):
+        raise ParseError(f"{where}: {kind} names must be strings, got {name!r}")
+    if name not in pool:
+        raise ParseError(f"{where}: unknown {kind} '{name}'")
+
+
 _TOL_FIELDS = ("eps_herm", "eps_psd", "eps_algebra", "eps_verify")
 
 
@@ -290,7 +304,7 @@ def load_instance(path: str) -> dict:
     if version != SCHEMA_VERSION:
         raise ParseError(f"{path}: schema_version: unsupported version {version!r}")
     n = _require(doc, "ambient_dim", path)
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParseError(f"{path}: ambient_dim: must be a positive integer")
 
     algebras = doc.get("algebras", {})
@@ -311,9 +325,7 @@ def load_instance(path: str) -> dict:
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: must be an object")
         _check_keys(entry, {"algebra", "density"}, where)
-        alg = _require(entry, "algebra", where)
-        if alg not in algebras:
-            raise ParseError(f"{where}.algebra: unknown algebra '{alg}'")
+        _check_name(_require(entry, "algebra", where), algebras, "algebra", f"{where}.algebra")
         _matrix_in(_require(entry, "density", where), n, f"{where}.density")
 
     operations = doc.get("operations", {})
@@ -324,9 +336,8 @@ def load_instance(path: str) -> dict:
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: must be an object")
         _check_keys(entry, {"algebra", "kind", "kraus", "projections", "density"}, where)
-        alg = entry.get("algebra")
-        if alg is not None and alg not in algebras:
-            raise ParseError(f"{where}.algebra: unknown algebra '{alg}'")
+        if entry.get("algebra") is not None:
+            _check_name(entry["algebra"], algebras, "algebra", f"{where}.algebra")
         kind = entry.get("kind", "kraus")
         if kind == "kraus":
             _matrix_list_in(_require(entry, "kraus", where), n, f"{where}.kraus")
@@ -357,24 +368,18 @@ def load_instance(path: str) -> dict:
                 f"{where}.check: unknown check '{kind}' (known: {', '.join(_CHECK_NAMES)})"
             )
         if kind == "extend_state":
-            names = _require(entry, "states", where)
-            pool: dict = states
-            label = "states"
+            label, pool, noun = "states", states, "state"
         elif kind == "joint_operation":
-            names = _require(entry, "operations", where)
-            pool = operations
-            label = "operations"
+            label, pool, noun = "operations", operations, "operation"
         else:
-            names = _require(entry, "algebras", where)
-            pool = algebras
-            label = "algebras"
+            label, pool, noun = "algebras", algebras, "algebra"
+        names = _require(entry, label, where)
         if not isinstance(names, list) or len(names) != 2:
             raise ParseError(f"{where}.{label}: expected a list of two names")
         for nm in names:
-            if nm not in pool:
-                raise ParseError(f"{where}.{label}: unknown name '{nm}'")
+            _check_name(nm, pool, noun, f"{where}.{label}")
         for key in ("samples", "op_samples", "seed", "max_iter"):
-            if key in entry and (not isinstance(entry[key], int) or entry[key] < 0):
+            if key in entry and (not _is_int(entry[key]) or entry[key] < 0):
                 raise ParseError(f"{where}.{key}: must be a non-negative integer")
 
     tols = doc.get("tolerances", {})
@@ -382,7 +387,7 @@ def load_instance(path: str) -> dict:
         raise ParseError(f"{path}: tolerances: must be an object")
     _check_keys(tols, set(_TOL_FIELDS), f"{path}: tolerances")
     for key, value in tols.items():
-        if not isinstance(value, (int, float)) or value <= 0:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
             raise ParseError(f"{path}: tolerances.{key}: must be a positive number")
     return doc
 
@@ -419,19 +424,6 @@ def _resolve_tol(doc: dict, args: argparse.Namespace) -> Tolerances:
     return Tolerances(**{k: float(v) for k, v in fields.items()})
 
 
-def _span_projection(a: MatrixStarAlgebra) -> np.ndarray:
-    """Superoperator for the HS-orthogonal projection onto the span."""
-    return a.basis_vecs.T @ a.basis_vecs.conj()
-
-
-def _operation_on_algebra(
-    a: MatrixStarAlgebra, kraus: np.ndarray, tol: Tolerances
-) -> ChannelMap:
-    """Channel acting by the Kraus family on the algebra, zero off its span."""
-    action = superop_from_kraus(kraus) @ _span_projection(a)
-    return build_channel(a, a.ambient_dim, action, tol)
-
-
 def _build_operation(
     name: str,
     entry: dict,
@@ -446,16 +438,14 @@ def _build_operation(
     if kind == "kraus":
         kraus = np.stack([_matrix_in(m, n, where) for m in entry["kraus"]])
         if a is None:
-            channel = build_channel(
-                full_matrix_algebra(n), n, superop_from_kraus(kraus), tol
-            )
+            channel = channel_from_kraus(kraus, n, n, tol)
         else:
             for k, w in enumerate(kraus):
                 if a.distance_to_span(w) > tol.eps_algebra * n:
                     raise ValidationError(
                         f"{where}: Kraus operator {k} does not lie in algebra '{alg_name}'"
                     )
-            channel = _operation_on_algebra(a, kraus, tol)
+            channel = channel_on_algebra(a, kraus, tol)
         return _ParsedOperation(channel, "kraus", alg_name)
     if kind == "luders":
         projs = np.stack([_matrix_in(m, n, where) for m in entry["projections"]])
@@ -469,7 +459,7 @@ def _build_operation(
                     f"{where}: projection {k} does not lie in algebra '{alg_name}'"
                 )
         return _ParsedOperation(
-            _operation_on_algebra(a, projs, tol), "luders", alg_name
+            channel_on_algebra(a, projs, tol), "luders", alg_name
         )
     # state_prep
     rho = _matrix_in(entry["density"], n, where)
@@ -1111,10 +1101,10 @@ def _verify_verdict(
             z1 = _array_in(payload["projection1"])
             z2 = _array_in(payload["projection2"])
             for z in (z1, z2):
-                if np.abs(z @ z - z).max() > 1e-7:
+                if np.abs(z @ z - z).max() > ANNIHILATION_CUT:
                     raise ValidationError("witness is not a projection")
             worst = float(np.abs(z1 @ z2).max())
-            if worst > 1e-7:
+            if worst > ANNIHILATION_CUT:
                 raise ValidationError(f"projections do not annihilate ({worst:.3e})")
             return f"central projections annihilate (max entry {worst:.3e})"
         log.attempt(f"{target} projections", revalidate_projections)

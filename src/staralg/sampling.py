@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MatrixStarAlgebra, full_matrix_algebra
-from .channels import ChannelMap, build_channel, superop_from_kraus
+from .algebra import MatrixStarAlgebra, center_and_factor, full_matrix_algebra
+from .channels import ChannelMap, channel_on_algebra
 from .errors import UnknownFamily
-from .numerics import DEFAULT_TOL, Tolerances, dagger, _haar_from_rng, vec
+from .independence import state_preparation
+from .numerics import DEFAULT_TOL, Tolerances, dagger, _haar_from_rng
 from .states import AlgebraState, state_from_density
 
 __all__ = [
@@ -211,13 +212,6 @@ def noncommuting_pair(n: int, rng: np.random.Generator) -> PairInstance:
     raise UnknownFamily("failed to sample a non-commuting pair")  # pragma: no cover
 
 
-def _central_projections_cached(a: MatrixStarAlgebra, tol: Tolerances):
-    from .algebra import center_and_factor
-
-    _, _, projs = center_and_factor(a, tol)
-    return projs
-
-
 def sample_state_pairs(
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
@@ -233,8 +227,8 @@ def sample_state_pairs(
     """
     n = a1.ambient_dim
     pairs: list[tuple[AlgebraState, AlgebraState]] = []
-    projs1 = _central_projections_cached(a1, tol)
-    projs2 = _central_projections_cached(a2, tol)
+    _, _, projs1 = center_and_factor(a1, tol)
+    _, _, projs2 = center_and_factor(a2, tol)
     for z1 in projs1:
         for z2 in projs2:
             if len(pairs) >= count:
@@ -260,13 +254,6 @@ def _expi(h: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ dagger(v)
 
 
-def _algebra_action(a: MatrixStarAlgebra, kraus: np.ndarray, tol: Tolerances) -> ChannelMap:
-    v = a.basis_vecs
-    action = superop_from_kraus(kraus) @ (v.T @ v.conj())
-    channel = build_channel(a, a.ambient_dim, action, tol)
-    return channel
-
-
 def random_faithful_nonselective_channel(
     a: MatrixStarAlgebra,
     rng: np.random.Generator,
@@ -286,7 +273,7 @@ def random_faithful_nonselective_channel(
     for k in range(n_terms):
         h = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
         kraus.append(np.sqrt(p[k]) * _expi(h))
-    return _algebra_action(a, np.stack(kraus), tol)
+    return channel_on_algebra(a, np.stack(kraus), tol)
 
 
 def random_prep_channel(
@@ -299,9 +286,7 @@ def random_prep_channel(
     n = a.ambient_dim
     rho = random_density(n, rng) if faithful else random_pure_density(n, rng)
     state = state_from_density(a, rho)
-    rep = np.tensordot(state.expect_basis(), dagger(a.basis), axes=(0, 0))
-    action = np.outer(vec(np.eye(n)), vec(rep).conj())
-    return build_channel(a, n, action, tol), state
+    return state_preparation(state, tol), state
 
 
 def random_luders_channel(
@@ -321,7 +306,7 @@ def random_luders_channel(
             cols = v[:, start:i]
             projections.append(cols @ dagger(cols))
             start = i
-    return _algebra_action(a, np.stack(projections), tol)
+    return channel_on_algebra(a, np.stack(projections), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import array_from_json, array_to_json, twist_isomorphism
 from staralg.cli import load_instance, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -51,6 +52,23 @@ def assert_structurally_equal(got, want, path="$"):
         assert abs(got - want) <= 1e-6 + 1e-6 * abs(want), f"{path}: {got} != {want}"
 
 
+# (field named in the error, path of the edit, bad value): names that are
+# not strings, and bools where an integer or a tolerance is expected
+MALFORMED_FIELDS = [
+    ("states.phi_left.algebra", ("states", "phi_left", "algebra"), []),
+    ("operations.prep_left.algebra", ("operations", "prep_left", "algebra"), {"a": 1}),
+    ("checks[0].algebras", ("checks", 0, "algebras"), [[], "right"]),
+    ("checks[1].states", ("checks", 1, "states"), ["phi_left", []]),
+    ("checks[2].operations", ("checks", 2, "operations"), [{"a": 1}, "rotate_right"]),
+    ("ambient_dim", ("ambient_dim",), True),
+    ("checks[0].samples", ("checks", 0, "samples"), True),
+    ("checks[0].op_samples", ("checks", 0, "op_samples"), True),
+    ("checks[0].seed", ("checks", 0, "seed"), False),
+    ("checks[0].max_iter", ("checks", 0, "max_iter"), True),
+    ("tolerances.eps_verify", ("tolerances",), {"eps_verify": True}),
+]
+
+
 class TestLoadInstance:
     def test_rejects_missing_ambient_dim(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -80,6 +98,20 @@ class TestLoadInstance:
 
         with pytest.raises((ParseError, ValidationError)):
             load_instance(str(p))
+
+    @pytest.mark.parametrize(
+        "field,path,value", MALFORMED_FIELDS, ids=[case[0] for case in MALFORMED_FIELDS]
+    )
+    def test_malformed_field_exits_2_naming_it(self, field, path, value, tmp_path, capsys):
+        doc = json.loads((INSTANCES / "tensor_pair_m6.json").read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["analyze", str(bad)]) == 2
+        assert field in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["analyze", "no_such_file.json"]) == 2
@@ -248,16 +280,41 @@ class TestVerifyReport:
         assert rep["all_ok"] is True
         assert all(item["ok"] for item in rep["items"])
 
-    def test_tampered_certificate_is_caught(self, tmp_path):
-        doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
+    @staticmethod
+    def corrupt_extension_density(doc):
         ext = next(c for c in doc["checks"] if c["check"] == "extend_state")
         density = ext["outcome"]["density"]
         density[0][0][0] = density[0][0][0] + 0.2  # corrupt the real part
+        return "extend_state"
+
+    @staticmethod
+    def twist_product_isomorphism(doc):
+        # still mutually inverse, unital and adjoint-preserving, but not the
+        # multiplication map of the two recorded factor bases
+        hierarchy = next(c for c in doc["checks"] if c["check"] == "hierarchy")
+        iso = hierarchy["verdicts"]["cstar_product_sense"]["isomorphism"]
+        left, right = (doc["instance"]["algebras"][name]["basis"] for name in hierarchy["algebras"])
+        to_tensor, from_tensor = twist_isomorphism(
+            array_from_json(left),
+            len(right),
+            array_from_json(iso["to_tensor"]),
+            array_from_json(iso["from_tensor"]),
+        )
+        iso["to_tensor"] = array_to_json(to_tensor)
+        iso["from_tensor"] = array_to_json(from_tensor)
+        return "isomorphism"
+
+    @pytest.mark.parametrize("tamper", ["corrupt_extension_density", "twist_product_isomorphism"])
+    def test_tampered_certificate_is_caught(self, tamper, tmp_path):
+        doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
+        target = getattr(self, tamper)(doc)
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(doc))
         code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
         assert code == 2
         assert rep["all_ok"] is False
+        failed = [item["target"] for item in rep["items"] if not item["ok"]]
+        assert failed and all(t.endswith(target) for t in failed), failed
 
 
 class TestGoldenSchema:

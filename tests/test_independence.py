@@ -9,13 +9,26 @@ re-validated through their separating witnesses.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import diag_algebra, left_factor, matrix_unit, right_factor
+from conftest import (
+    array_from_json,
+    diag_algebra,
+    left_factor,
+    matrix_unit,
+    right_factor,
+    twist_isomorphism,
+)
 from staralg import (
+    IllConditioned,
+    MatrixStarAlgebra,
     NoProductIsomorphism,
     NotCommuting,
+    ProductIsomorphism,
     Verdict,
     build_channel,
     canonical_block_algebra,
@@ -88,6 +101,26 @@ class TestCheckProductSense:
         nc = noncommuting_pair(2, np.random.default_rng(307))
         with pytest.raises(NotCommuting):
             check_product_sense(nc.a1, nc.a2)
+
+    def test_validate_rejects_an_isomorphism_that_is_not_the_multiplication_map(self):
+        # the pair twisted in the tampered-report test of verify-report
+        golden = Path(__file__).resolve().parent.parent / "instances" / "golden"
+        doc = json.loads((golden / "tensor_pair_m6.report.json").read_text())
+        hierarchy = next(c for c in doc["checks"] if c["check"] == "hierarchy")
+        a1, a2 = (
+            MatrixStarAlgebra(6, array_from_json(doc["instance"]["algebras"][name]["basis"]))
+            for name in hierarchy["algebras"]
+        )
+        recorded = hierarchy["verdicts"]["cstar_product_sense"]["isomorphism"]
+        jn = MatrixStarAlgebra(6, array_from_json(recorded["join_basis"]))
+        to_tensor = array_from_json(recorded["to_tensor"])
+        from_tensor = array_from_json(recorded["from_tensor"])
+        ProductIsomorphism(a1, a2, jn, to_tensor, from_tensor).validate()
+        twisted = ProductIsomorphism(
+            a1, a2, jn, *twist_isomorphism(a1.basis, a2.dim, to_tensor, from_tensor)
+        )
+        with pytest.raises(IllConditioned):
+            twisted.validate()
 
 
 class TestCStarIndependence:
