@@ -24,7 +24,6 @@ from .errors import (
     NotCP,
     NotNonselective,
     NotPSD,
-    NotUnital,
     ShapeMismatch,
 )
 from .numerics import (

@@ -24,21 +24,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
-from .algebra import (
-    MatrixStarAlgebra,
-    full_matrix_algebra,
-    generate_algebra,
-    join,
-)
+from .algebra import MatrixStarAlgebra, full_matrix_algebra, generate_algebra
 from .channels import (
     ChannelMap,
     ProjectiveMeasurement,
@@ -58,13 +55,12 @@ from .errors import (
     ValidationError,
 )
 from .independence import (
-    ANNIHILATION_CUT,
     VERDICT_KEYS,
     FactorSearchOutcome,
-    IndependenceReport,
     InterpolatingFactor,
     ProductIsomorphism,
     Verdict,
+    annihilating_projections,
     check_cstar_independence,
     check_product_sense,
     check_spatial_product_sense,
@@ -76,14 +72,15 @@ from .independence import (
     joint_operation,
     run_hierarchy_checks,
     state_preparation,
+    verify_faithful_product_state,
     verify_interpolating_factor,
+    verify_multiplication_relation,
 )
-from .numerics import DEFAULT_TOL, Tolerances, dagger, hs_norm
+from .numerics import Tolerances, dagger
 from .sampling import fuzz_instances, random_density, random_pure_density
 from .states import (
     AlgebraState,
     ExtensionOutcome,
-    canonical_trace_state,
     extend_state,
     marginal_residual,
     state_from_density,
@@ -202,13 +199,6 @@ def _jsonable(x: Any) -> Any:
         }
     if isinstance(x, AlgebraState):
         return {"density": _jsonable(x.density)}
-    if isinstance(x, IndependenceReport):
-        return {
-            "verdicts": _jsonable(x.verdicts),
-            "seed": x.seed,
-            "sample_counts": _jsonable(x.sample_counts),
-            "notes": list(x.notes),
-        }
     raise TypeError(f"cannot serialize object of type {type(x).__name__}")
 
 
@@ -275,7 +265,53 @@ def _check_name(name: Any, pool: dict, kind: str, where: str) -> None:
         raise ParseError(f"{where}: unknown {kind} '{name}'")
 
 
+def _two_names(entry: dict, key: str, pool: dict, kind: str, where: str) -> list[str]:
+    """The list of two names under ``key``, each naming an entry of ``pool``."""
+    names = _require(entry, key, where)
+    if not isinstance(names, list) or len(names) != 2:
+        raise ParseError(f"{where}.{key}: expected a list of two names")
+    for nm in names:
+        _check_name(nm, pool, kind, f"{where}.{key}")
+    return names
+
+
+def _object(node: Any, where: str) -> dict:
+    if not isinstance(node, dict):
+        raise ParseError(f"{where}: must be an object")
+    return node
+
+
 _TOL_FIELDS = ("eps_herm", "eps_psd", "eps_algebra", "eps_verify")
+
+
+def _positive(value: Any, where: str) -> float:
+    """A finite positive number (bools are not numbers here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ParseError(f"{where}: must be a positive number")
+    return float(value)
+
+
+def _tolerances(fields: Any, where: str, flag: float | None) -> Tolerances:
+    """The defaults, updated by the tolerance object ``fields`` and then by ``--tol``.
+
+    ``where`` names the object in error messages.
+    """
+    _check_keys(_object(fields, where), set(_TOL_FIELDS), where)
+    values = {key: _positive(value, f"{where}.{key}") for key, value in fields.items()}
+    if flag is not None:
+        values["eps_verify"] = _positive(flag, "--tol")
+    return Tolerances(**values)
+
+
+def _read_json(path: str) -> Any:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read file: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_instance(path: str) -> dict:
@@ -285,14 +321,7 @@ def load_instance(path: str) -> dict:
     validation) happens separately so every complaint carries the path and
     field that caused it.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read file: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     _check_keys(
@@ -307,34 +336,25 @@ def load_instance(path: str) -> dict:
     if not _is_int(n) or n < 1:
         raise ParseError(f"{path}: ambient_dim: must be a positive integer")
 
-    algebras = doc.get("algebras", {})
-    if not isinstance(algebras, dict):
-        raise ParseError(f"{path}: algebras: must be an object of named algebras")
+    algebras = _object(doc.get("algebras", {}), f"{path}: algebras")
     for name, entry in algebras.items():
         where = f"{path}: algebras.{name}"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: must be an object")
+        _object(entry, where)
         _check_keys(entry, {"generators"}, where)
         _matrix_list_in(_require(entry, "generators", where), n, f"{where}.generators")
 
-    states = doc.get("states", {})
-    if not isinstance(states, dict):
-        raise ParseError(f"{path}: states: must be an object of named states")
+    states = _object(doc.get("states", {}), f"{path}: states")
     for name, entry in states.items():
         where = f"{path}: states.{name}"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: must be an object")
+        _object(entry, where)
         _check_keys(entry, {"algebra", "density"}, where)
         _check_name(_require(entry, "algebra", where), algebras, "algebra", f"{where}.algebra")
         _matrix_in(_require(entry, "density", where), n, f"{where}.density")
 
-    operations = doc.get("operations", {})
-    if not isinstance(operations, dict):
-        raise ParseError(f"{path}: operations: must be an object of named operations")
+    operations = _object(doc.get("operations", {}), f"{path}: operations")
     for name, entry in operations.items():
         where = f"{path}: operations.{name}"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: must be an object")
+        _object(entry, where)
         _check_keys(entry, {"algebra", "kind", "kraus", "projections", "density"}, where)
         if entry.get("algebra") is not None:
             _check_name(entry["algebra"], algebras, "algebra", f"{where}.algebra")
@@ -355,10 +375,8 @@ def load_instance(path: str) -> dict:
         raise ParseError(f"{path}: checks: must be a list")
     for k, entry in enumerate(checks):
         where = f"{path}: checks[{k}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: must be an object")
         _check_keys(
-            entry,
+            _object(entry, where),
             {"check", "algebras", "states", "operations", "samples", "op_samples", "seed", "max_iter"},
             where,
         )
@@ -368,27 +386,16 @@ def load_instance(path: str) -> dict:
                 f"{where}.check: unknown check '{kind}' (known: {', '.join(_CHECK_NAMES)})"
             )
         if kind == "extend_state":
-            label, pool, noun = "states", states, "state"
+            _two_names(entry, "states", states, "state", where)
         elif kind == "joint_operation":
-            label, pool, noun = "operations", operations, "operation"
+            _two_names(entry, "operations", operations, "operation", where)
         else:
-            label, pool, noun = "algebras", algebras, "algebra"
-        names = _require(entry, label, where)
-        if not isinstance(names, list) or len(names) != 2:
-            raise ParseError(f"{where}.{label}: expected a list of two names")
-        for nm in names:
-            _check_name(nm, pool, noun, f"{where}.{label}")
+            _two_names(entry, "algebras", algebras, "algebra", where)
         for key in ("samples", "op_samples", "seed", "max_iter"):
             if key in entry and (not _is_int(entry[key]) or entry[key] < 0):
                 raise ParseError(f"{where}.{key}: must be a non-negative integer")
 
-    tols = doc.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ParseError(f"{path}: tolerances: must be an object")
-    _check_keys(tols, set(_TOL_FIELDS), f"{path}: tolerances")
-    for key, value in tols.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            raise ParseError(f"{path}: tolerances.{key}: must be a positive number")
+    _tolerances(doc.get("tolerances", {}), f"{path}: tolerances", None)
     return doc
 
 
@@ -416,16 +423,7 @@ class _Instance:
     tol: Tolerances
 
 
-def _resolve_tol(doc: dict, args: argparse.Namespace) -> Tolerances:
-    fields = {name: getattr(DEFAULT_TOL, name) for name in _TOL_FIELDS}
-    fields.update(doc.get("tolerances", {}))
-    if getattr(args, "tol", None) is not None:
-        fields["eps_verify"] = args.tol
-    return Tolerances(**{k: float(v) for k, v in fields.items()})
-
-
 def _build_operation(
-    name: str,
     entry: dict,
     n: int,
     algebras: dict[str, MatrixStarAlgebra],
@@ -435,47 +433,32 @@ def _build_operation(
     alg_name = entry.get("algebra")
     kind = entry.get("kind", "kraus")
     a = algebras[alg_name] if alg_name is not None else None
-    if kind == "kraus":
-        kraus = np.stack([_matrix_in(m, n, where) for m in entry["kraus"]])
+    if kind not in ("kraus", "luders"):  # state_prep
+        rho = _matrix_in(entry["density"], n, where)
         if a is None:
-            channel = channel_from_kraus(kraus, n, n, tol)
-        else:
-            for k, w in enumerate(kraus):
-                if a.distance_to_span(w) > tol.eps_algebra * n:
-                    raise ValidationError(
-                        f"{where}: Kraus operator {k} does not lie in algebra '{alg_name}'"
-                    )
-            channel = channel_on_algebra(a, kraus, tol)
-        return _ParsedOperation(channel, "kraus", alg_name)
+            sigma = state_from_density(full_matrix_algebra(n), rho, tol)
+            return _ParsedOperation(state_prep_operation(rho, tol), "state_prep", None, sigma)
+        st = state_from_density(a, rho, tol)
+        return _ParsedOperation(state_preparation(st, tol), "state_prep", alg_name, st)
+    key, label = ("kraus", "Kraus operator") if kind == "kraus" else ("projections", "projection")
+    mats = np.stack([_matrix_in(m, n, where) for m in entry[key]])
     if kind == "luders":
-        projs = np.stack([_matrix_in(m, n, where) for m in entry["projections"]])
-        measurement = ProjectiveMeasurement(projs)
+        measurement = ProjectiveMeasurement(mats)
         measurement.validate(tol)
-        if a is None:
-            return _ParsedOperation(luders_operation(measurement, tol), "luders", None)
-        for k, p in enumerate(projs):
-            if a.distance_to_span(p) > tol.eps_algebra * n:
-                raise ValidationError(
-                    f"{where}: projection {k} does not lie in algebra '{alg_name}'"
-                )
-        return _ParsedOperation(
-            channel_on_algebra(a, projs, tol), "luders", alg_name
-        )
-    # state_prep
-    rho = _matrix_in(entry["density"], n, where)
     if a is None:
-        sigma = state_from_density(full_matrix_algebra(n), rho, tol)
-        return _ParsedOperation(
-            state_prep_operation(rho, tol), "state_prep", None, sigma
-        )
-    st = state_from_density(a, rho, tol)
-    return _ParsedOperation(state_preparation(st, tol), "state_prep", alg_name, st)
+        if kind == "luders":
+            return _ParsedOperation(luders_operation(measurement, tol), kind, None)
+        return _ParsedOperation(channel_from_kraus(mats, n, n, tol), kind, None)
+    for k, m in enumerate(mats):
+        if a.distance_to_span(m) > tol.eps_algebra * n:
+            raise ValidationError(f"{where}: {label} {k} does not lie in algebra '{alg_name}'")
+    return _ParsedOperation(channel_on_algebra(a, mats, tol), kind, alg_name)
 
 
 def _build_instance(path: str, args: argparse.Namespace) -> _Instance:
     doc = load_instance(path)
     n = doc["ambient_dim"]
-    tol = _resolve_tol(doc, args)
+    tol = _tolerances(doc.get("tolerances", {}), f"{path}: tolerances", args.tol)
     algebras: dict[str, MatrixStarAlgebra] = {}
     for name, entry in doc.get("algebras", {}).items():
         where = f"{path}: algebras.{name}"
@@ -496,7 +479,7 @@ def _build_instance(path: str, args: argparse.Namespace) -> _Instance:
     for name, entry in doc.get("operations", {}).items():
         where = f"{path}: operations.{name}"
         try:
-            operations[name] = _build_operation(name, entry, n, algebras, tol, where)
+            operations[name] = _build_operation(entry, n, algebras, tol, where)
         except ToolkitError as exc:
             if isinstance(exc, (ParseError, ValidationError)):
                 raise
@@ -540,15 +523,29 @@ def _effective(entry: dict, args: argparse.Namespace, key: str, default: int) ->
     return entry.get(key, default)
 
 
-def _strip_iso(verdict: Verdict) -> Verdict:
-    if verdict.iso is None:
-        return verdict
-    return Verdict(
-        status=verdict.status,
-        certificate=verdict.certificate,
-        witness=verdict.witness,
-        reason=verdict.reason,
-    )
+def _joint_extension(
+    t1: _ParsedOperation, t2: _ParsedOperation, names: list[str], tol: Tolerances, status_key: str
+) -> tuple[dict, ChannelMap | None]:
+    """Report section for the joint extension of two operations, and the channel.
+
+    A refusal (any toolkit error but ``IllConditioned``) is reported under
+    ``status_key`` with its diagnostic, and the channel is then None.
+    """
+    try:
+        joint = joint_operation(t1.channel, t2.channel, tol=tol)
+    except IllConditioned:
+        raise
+    except ToolkitError as exc:
+        return {status_key: type(exc).__name__, "operations": list(names), "diagnostic": str(exc)}, None
+    return {
+        status_key: "Extended",
+        "operations": list(names),
+        "choi": choi(joint),
+        "residuals": joint_extension_residuals(joint, t1.channel, t2.channel, tol),
+        "completely_positive": joint.cp_certified,
+        "unital": joint.unital,
+        "faithful": joint.faithful,
+    }, joint
 
 
 def _run_check(entry: dict, inst: _Instance, args: argparse.Namespace) -> dict:
@@ -570,27 +567,8 @@ def _run_check(entry: dict, inst: _Instance, args: argparse.Namespace) -> dict:
     if kind == "joint_operation":
         names = entry["operations"]
         t1, t2 = inst.operations[names[0]], inst.operations[names[1]]
-        try:
-            joint = joint_operation(t1.channel, t2.channel, tol=tol)
-        except IllConditioned:
-            raise
-        except ToolkitError as exc:
-            return {
-                "check": kind,
-                "operations": list(names),
-                "outcome": type(exc).__name__,
-                "diagnostic": str(exc),
-            }
-        return {
-            "check": kind,
-            "operations": list(names),
-            "outcome": "Extended",
-            "choi": choi(joint),
-            "residuals": joint_extension_residuals(joint, t1.channel, t2.channel, tol),
-            "completely_positive": joint.cp_certified,
-            "unital": joint.unital,
-            "faithful": joint.faithful,
-        }
+        section, _ = _joint_extension(t1, t2, names, tol, "outcome")
+        return {"check": kind, **section}
 
     names = entry["algebras"]
     a1, a2 = inst.algebras[names[0]], inst.algebras[names[1]]
@@ -605,7 +583,7 @@ def _run_check(entry: dict, inst: _Instance, args: argparse.Namespace) -> dict:
         # the nine verdicts share one product isomorphism; serialize it only
         # on the verdict that asserts it so reports stay auditable but small
         verdicts = {
-            key: v if key == "cstar_product_sense" else _strip_iso(v)
+            key: v if key == "cstar_product_sense" else replace(v, iso=None)
             for key, v in report.verdicts.items()
         }
         result.update(
@@ -759,6 +737,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _transition_residuals(
+    dual: ChannelMap, rho: np.ndarray, prescribed1: AlgebraState, prescribed2: AlgebraState
+) -> tuple[float, float]:
+    """Marginal residuals of one input pushed through a joint preparation's dual."""
+    out = dual.apply(rho)
+    return marginal_residual(out, (prescribed1,)), marginal_residual(out, (prescribed2,))
+
+
 def _product_transition_table(
     joint: ChannelMap,
     prescribed1: AlgebraState,
@@ -780,9 +766,7 @@ def _product_transition_table(
     probes += [(f"random_pure_{k}", random_pure_density(n, rng)) for k in range(2)]
     rows = []
     for label, rho in probes:
-        out = dual.apply(rho)
-        r1 = marginal_residual(out, (prescribed1,))
-        r2 = marginal_residual(out, (prescribed2,))
+        r1, r2 = _transition_residuals(dual, rho, prescribed1, prescribed2)
         rows.append(
             {
                 "probe": label,
@@ -830,34 +814,11 @@ def cmd_extend(args: argparse.Namespace) -> int:
         if name not in inst.operations:
             raise ValidationError(f"{inst.path}: unknown operation '{name}'")
     t1, t2 = inst.operations[args.op1], inst.operations[args.op2]
-    tol = inst.tol
-    try:
-        joint = joint_operation(t1.channel, t2.channel, tol=tol)
-    except ToolkitError as exc:
-        if not isinstance(exc, IllConditioned):
-            section: dict[str, Any] = {
-                "status": type(exc).__name__,
-                "operations": [args.op1, args.op2],
-                "diagnostic": str(exc),
-            }
-            report = _base_report("extend", args)
-            report["instance"] = _instance_section(inst)
-            report["joint_extension"] = section
-            return _finish(report, args, _human_extend, started)
-        raise
-    section = {
-        "status": "Extended",
-        "operations": [args.op1, args.op2],
-        "choi": choi(joint),
-        "residuals": joint_extension_residuals(joint, t1.channel, t2.channel, tol),
-        "completely_positive": joint.cp_certified,
-        "unital": joint.unital,
-        "faithful": joint.faithful,
-    }
-    if t1.kind == "state_prep" and t2.kind == "state_prep":
+    section, joint = _joint_extension(t1, t2, [args.op1, args.op2], inst.tol, "status")
+    if joint is not None and t1.kind == "state_prep" and t2.kind == "state_prep":
         seed = args.seed if args.seed is not None else 0
         section["product_transition"] = _product_transition_table(
-            joint, t1.prep_state, t2.prep_state, seed, tol
+            joint, t1.prep_state, t2.prep_state, seed, inst.tol
         )
     report = _base_report("extend", args)
     report["instance"] = _instance_section(inst)
@@ -940,7 +901,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     seed = args.seed if args.seed is not None else 0
     samples = args.samples if args.samples is not None else 12
-    tol = DEFAULT_TOL if args.tol is None else Tolerances(eps_verify=args.tol)
+    tol = _tolerances({}, "tolerances", args.tol)
     summary = _fuzz_summary(args.family, args.count, seed, samples, tol)
     report = _base_report("fuzz", args)
     report.update(summary)
@@ -950,14 +911,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verify-report
 # ---------------------------------------------------------------------------
-
-
-def _complex_in(node: Any) -> complex:
-    if node is None:
-        return complex(float("nan"))
-    if isinstance(node, (int, float)):
-        return complex(node)
-    return complex(node[0], node[1])
+#
+# This section only decodes.  Each certificate is re-checked by the library
+# function that its constructor also calls, so what makes a certificate
+# valid is written once, next to the code that builds it.
 
 
 def _array_in(node: Any) -> np.ndarray:
@@ -980,34 +937,168 @@ class _VerifyLog:
             self.check(target, True, fn())
         except ToolkitError as exc:
             self.check(target, False, f"{type(exc).__name__}: {exc}")
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
             self.check(target, False, f"malformed certificate ({type(exc).__name__}: {exc})")
 
 
-def _rebuild_algebras(
-    doc: dict, tol: Tolerances, log: _VerifyLog
-) -> tuple[int, dict[str, MatrixStarAlgebra]]:
-    inst = doc["instance"]
-    n = inst["ambient_dim"]
-    algebras: dict[str, MatrixStarAlgebra] = {}
-    for name, entry in inst["algebras"].items():
-        def build(name=name, entry=entry) -> str:
-            a = MatrixStarAlgebra(n, _array_in(entry["basis"]))
-            a.validate(tol)
-            algebras[name] = a
-            return f"orthonormal basis of dimension {a.dim} revalidated"
-        log.attempt(f"algebra {name}", build)
-    return n, algebras
+def _algebra_in(node: Any, n: int, tol: Tolerances) -> MatrixStarAlgebra:
+    """An algebra from its serialized basis, re-checked to be one."""
+    a = MatrixStarAlgebra(n, _array_in(node))
+    a.validate(tol)
+    return a
 
 
-def _verify_density(rho: np.ndarray, tol: Tolerances) -> None:
-    evals = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    if np.abs(rho - dagger(rho)).max() > tol.eps_herm * 10:
-        raise ValidationError("density is not Hermitian")
-    if evals[0] < -tol.eps_psd * max(1.0, evals[-1]):
-        raise ValidationError(f"density is not positive (eigenvalue {evals[0]:.3e})")
-    if abs(float(np.trace(rho).real) - 1.0) > 1e-8:
-        raise ValidationError("density does not have unit trace")
+def _rebuild_instance(
+    doc: dict, where: str, tol: Tolerances, log: _VerifyLog, with_states: bool
+) -> _Instance:
+    """Rebuild what a report's ``instance`` echo declares, one logged item each.
+
+    The returned ``doc`` holds the echoed sections, so names can be checked
+    against them; an object whose rebuild failed is left out.
+    """
+    inst = _object(_require(doc, "instance", where), f"{where}: instance")
+    n = _require(inst, "ambient_dim", f"{where}: instance")
+    if not _is_int(n) or n < 1:
+        raise ParseError(f"{where}: instance.ambient_dim: must be a positive integer")
+    declared = {
+        key: _object(inst.get(key, {}), f"{where}: instance.{key}")
+        for key in ("algebras", "states", "operations")
+    }
+    out = _Instance(where, declared, n, {}, {}, {}, tol)
+    for name, entry in declared["algebras"].items():
+        def algebra(name=name, entry=entry) -> str:
+            out.algebras[name] = _algebra_in(entry["basis"], n, tol)
+            return f"orthonormal basis of dimension {out.algebras[name].dim} revalidated"
+        log.attempt(f"algebra {name}", algebra)
+    for name, entry in declared["states"].items() if with_states else ():
+        def state(name=name, entry=entry) -> str:
+            a = out.algebras[entry["algebra"]]
+            out.states[name] = state_from_density(a, _array_in(entry["density"]), tol)
+            return "density revalidated"
+        log.attempt(f"state {name}", state)
+    for name, entry in declared["operations"].items():
+        def operation(name=name, entry=entry) -> str:
+            out.operations[name] = _build_operation(entry, n, out.algebras, tol, "operation")
+            return f"{out.operations[name].kind} operation rebuilt"
+        log.attempt(f"operation {name}", operation)
+    return out
+
+
+@dataclass(eq=False)
+class _Pair:
+    """The algebra pair of one check entry, and the join its isomorphism records.
+
+    ``iso_doc`` is the entry's serialized product isomorphism: the one on
+    ``cstar_product_sense`` in a hierarchy, or the verdict's own.
+    """
+
+    a1: MatrixStarAlgebra
+    a2: MatrixStarAlgebra
+    tol: Tolerances
+    iso_doc: Any
+
+    @cached_property
+    def join(self) -> MatrixStarAlgebra:
+        if self.iso_doc is None:
+            raise ValidationError("the check entry records no product isomorphism")
+        return self.algebra_in(self.iso_doc["join_basis"])
+
+    def algebra_in(self, node: Any) -> MatrixStarAlgebra:
+        return _algebra_in(node, self.a1.ambient_dim, self.tol)
+
+    def witness_states(self, cert: dict) -> tuple[AlgebraState, AlgebraState]:
+        w1, w2 = cert["witness_states"]
+        return (
+            state_from_density(self.a1, _array_in(w1["density"]), self.tol),
+            state_from_density(self.a2, _array_in(w2["density"]), self.tol),
+        )
+
+
+def _check_isomorphism(iso_doc: dict, pair: _Pair) -> str:
+    jn = pair.join if iso_doc is pair.iso_doc else pair.algebra_in(iso_doc["join_basis"])
+    iso = ProductIsomorphism(
+        pair.a1, pair.a2, jn, _array_in(iso_doc["to_tensor"]), _array_in(iso_doc["from_tensor"])
+    )
+    worst = max(iso.validate(pair.tol).values())
+    return f"product isomorphism revalidated (max residual {worst:.3e})"
+
+
+def _check_factor(fdoc: dict, pair: _Pair) -> str:
+    factor = verify_interpolating_factor(
+        pair.algebra_in(fdoc["factor_basis"]),
+        _array_in(fdoc["unitary"]), fdoc["d1"], fdoc["d2"], pair.a1, pair.a2, pair.tol,
+    )
+    worst = max(factor.residuals.values())
+    return f"interpolating factor revalidated (max residual {worst:.3e})"
+
+
+def _check_product_state(cert: dict, pair: _Pair) -> str:
+    residual = verify_faithful_product_state(
+        _array_in(cert["density"]), pair.a1, pair.a2, pair.join, pair.tol
+    )
+    return (
+        "faithful on the recorded join, product of the tracial states "
+        f"(product residual {residual:.3e})"
+    )
+
+
+def _check_projections(cert: dict, pair: _Pair) -> str:
+    z1, z2 = _array_in(cert["projection1"]), _array_in(cert["projection2"])
+    if not annihilating_projections(z1, z2, pair.a1, pair.a2):
+        raise ValidationError("not nonzero projections of the two algebras with z1 z2 = 0")
+    return "nonzero projections of the two algebras annihilate"
+
+
+def _check_relation(cert: dict, pair: _Pair) -> str:
+    s1, s2 = pair.witness_states(cert)
+    _, value = verify_multiplication_relation(_array_in(cert["relation_coefficients"]), s1, s2)
+    if not abs(value - complex(_array_in(cert["product_value"]))) <= pair.tol.eps_verify:
+        raise ValidationError("the recorded product value does not reproduce")
+    return f"relation refutes product extension (product value {abs(value):.3e})"
+
+
+def _check_deficit(cert: dict, pair: _Pair) -> str:
+    dim_join = (check_product_sense(pair.a1, pair.a2, pair.tol).witness or {}).get("dim_join")
+    if dim_join != cert["dim_join"]:
+        raise ValidationError(f"recomputed join dimension deficit at {dim_join}, not {cert['dim_join']!r}")
+    return f"join dimension deficit confirmed ({dim_join} < {pair.a1.dim * pair.a2.dim})"
+
+
+def _refused_again(s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> None:
+    rerun = extend_state(s1, s2, tol=tol)
+    if rerun.status != "InfeasibleCertified":
+        raise ValidationError(f"re-run returned {rerun.status}")
+
+
+def _check_refusal(cert: dict, pair: _Pair) -> str:
+    _refused_again(*pair.witness_states(cert), pair.tol)
+    return "refused marginal pair reproduced"
+
+
+#: certificate kind -> (item label, re-check through the library)
+_CERTIFICATE_CHECKS: dict[str, tuple[str, Callable[[dict, _Pair], str]]] = {
+    "factorizing_unitary": ("factor", lambda cert, pair: _check_factor(cert["factor"], pair)),
+    "faithful_product_state": ("product state", _check_product_state),
+    "annihilating_central_projections": ("projections", _check_projections),
+    "multiplication_relation": ("relation", _check_relation),
+    "dimension_deficit": ("dimensions", _check_deficit),
+    "refused_marginal_pair": ("refusal", _check_refusal),
+    "inconsistent_constraints": ("refusal", _check_refusal),
+    "separating_observable": ("refusal", _check_refusal),
+}
+
+
+def _verify_verdicts(vdocs: dict[str, dict], pair: _Pair, log: _VerifyLog) -> None:
+    """Re-check the isomorphism and certificate of each verdict, keyed by target."""
+    for target, vdoc in vdocs.items():
+        iso_doc = vdoc.get("isomorphism")
+        if iso_doc is not None:
+            log.attempt(f"{target} isomorphism", lambda: _check_isomorphism(iso_doc, pair))
+        cert = vdoc.get("certificate") or vdoc.get("witness")
+        kind = cert.get("kind") if isinstance(cert, dict) else None
+        if isinstance(kind, str) and kind in _CERTIFICATE_CHECKS:
+            label, check = _CERTIFICATE_CHECKS[kind]
+            log.attempt(f"{target} {label}", lambda: check(cert, pair))
 
 
 def _verify_extension_outcome(
@@ -1015,15 +1106,15 @@ def _verify_extension_outcome(
     outcome: dict,
     s1: AlgebraState,
     s2: AlgebraState,
+    n: int,
     tol: Tolerances,
     log: _VerifyLog,
 ) -> None:
     status = outcome["status"]
     if status == "Feasible":
         def feasible() -> str:
-            rho = _array_in(outcome["density"])
-            _verify_density(rho, tol)
-            res = marginal_residual(rho, (s1, s2))
+            joint = state_from_density(full_matrix_algebra(n), _array_in(outcome["density"]), tol)
+            res = marginal_residual(joint.density, (s1, s2))
             if res > tol.eps_verify:
                 raise ValidationError(f"marginal residual {res:.3e} exceeds tolerance")
             return f"joint density PSD with marginal residual {res:.3e}"
@@ -1034,253 +1125,127 @@ def _verify_extension_outcome(
             cert = outcome["certificate"]
             if cert["kind"] == "separating_observable":
                 h = _array_in(cert["observable"])
-                lam = float(np.linalg.eigvalsh(0.5 * (h + dagger(h)))[-1])
-                if abs(lam - cert["max_eigenvalue"]) > 1e-8:
+                lam = float(np.linalg.eigvalsh((h + dagger(h)) / 2)[-1])
+                if abs(lam - cert["max_eigenvalue"]) > tol.eps_verify:
                     raise ValidationError("recorded largest eigenvalue does not match")
                 gap = cert["forced_value"] - lam
                 if gap < 10 * tol.eps_verify:
                     raise ValidationError(f"separation gap {gap:.3e} too small")
-            rerun = extend_state(s1, s2, tol=tol)
-            if rerun.status != "InfeasibleCertified":
-                raise ValidationError(f"re-run returned {rerun.status}")
+            _refused_again(s1, s2, tol)
             return f"infeasibility reproduced ({cert['kind']})"
         log.attempt(target, infeasible)
         return
     log.check(target, True, f"status {status}: nothing to re-validate")
 
 
-def _verify_verdict(
-    target: str,
-    vdoc: dict,
-    a1: MatrixStarAlgebra,
-    a2: MatrixStarAlgebra,
-    n: int,
-    tol: Tolerances,
-    log: _VerifyLog,
+def _verify_joint(
+    target: str, section: dict, where: str, inst: _Instance, log: _VerifyLog
 ) -> None:
-    iso_doc = vdoc.get("isomorphism")
-    if iso_doc is not None:
-        def revalidate_iso() -> str:
-            jn = MatrixStarAlgebra(n, _array_in(iso_doc["join_basis"]))
-            jn.validate(tol)
-            iso = ProductIsomorphism(
-                a1, a2, jn, _array_in(iso_doc["to_tensor"]), _array_in(iso_doc["from_tensor"])
-            )
-            residuals = iso.validate(tol)
-            worst = max(residuals.values())
-            return f"product isomorphism revalidated (max residual {worst:.3e})"
-        log.attempt(f"{target} isomorphism", revalidate_iso)
-    payload = vdoc.get("certificate") or vdoc.get("witness")
-    if not isinstance(payload, dict):
-        return
-    kind = payload.get("kind")
-    if kind == "factorizing_unitary":
-        def revalidate_factor() -> str:
-            fdoc = payload["factor"]
-            m = MatrixStarAlgebra(n, _array_in(fdoc["factor_basis"]))
-            m.validate(tol)
-            factor = verify_interpolating_factor(
-                m, _array_in(fdoc["unitary"]), fdoc["d1"], fdoc["d2"], a1, a2, tol
-            )
-            worst = max(factor.residuals.values())
-            return f"interpolating factor revalidated (max residual {worst:.3e})"
-        log.attempt(f"{target} factor", revalidate_factor)
-    elif kind == "faithful_product_state":
-        def revalidate_state() -> str:
-            rho = _array_in(payload["density"])
-            _verify_density(rho, tol)
-            res = marginal_residual(
-                rho, (canonical_trace_state(a1), canonical_trace_state(a2))
-            )
-            if res > tol.eps_verify:
-                raise ValidationError(f"tracial marginal residual {res:.3e}")
-            return f"product-state density PSD with tracial marginals ({res:.3e})"
-        log.attempt(f"{target} product state", revalidate_state)
-    elif kind == "annihilating_central_projections":
-        def revalidate_projections() -> str:
-            z1 = _array_in(payload["projection1"])
-            z2 = _array_in(payload["projection2"])
-            for z in (z1, z2):
-                if np.abs(z @ z - z).max() > ANNIHILATION_CUT:
-                    raise ValidationError("witness is not a projection")
-            worst = float(np.abs(z1 @ z2).max())
-            if worst > ANNIHILATION_CUT:
-                raise ValidationError(f"projections do not annihilate ({worst:.3e})")
-            return f"central projections annihilate (max entry {worst:.3e})"
-        log.attempt(f"{target} projections", revalidate_projections)
-    elif kind == "multiplication_relation":
-        def revalidate_relation() -> str:
-            rel = _array_in(payload["relation_coefficients"])
-            element = np.einsum("ab,aij,bjk->ik", rel, a1.basis, a2.basis, optimize=True)
-            norm = float(np.abs(element).max())
-            if norm > max(1e-8, 10 * payload["relation_element_norm"] + 1e-12):
-                raise ValidationError(f"relation element does not vanish ({norm:.3e})")
-            w1, w2 = payload["witness_states"]
-            v1 = np.einsum("ij,aji->a", _array_in(w1["density"]), a1.basis)
-            v2 = np.einsum("ij,aji->a", _array_in(w2["density"]), a2.basis)
-            value = complex(v1 @ rel @ v2)
-            recorded = _complex_in(payload["product_value"])
-            if abs(value - recorded) > 1e-8 or abs(value) < 1e-9:
-                raise ValidationError("witness product value does not reproduce")
-            return f"vanishing relation with nonzero product value {abs(value):.3e}"
-        log.attempt(f"{target} relation", revalidate_relation)
-    elif kind == "dimension_deficit":
-        def revalidate_deficit() -> str:
-            jn = join(a1, a2, tol)
-            if jn.dim != payload["dim_join"]:
-                raise ValidationError(
-                    f"join dimension {jn.dim} differs from recorded {payload['dim_join']}"
-                )
-            if jn.dim >= a1.dim * a2.dim:
-                raise ValidationError("recorded deficit but join has full dimension")
-            return f"join dimension deficit confirmed ({jn.dim} < {a1.dim * a2.dim})"
-        log.attempt(f"{target} dimensions", revalidate_deficit)
-    elif kind in ("refused_marginal_pair", "inconsistent_constraints", "separating_observable"):
-        def revalidate_refusal() -> str:
-            w1, w2 = payload["witness_states"]
-            s1 = state_from_density(a1, _array_in(w1["density"]), tol)
-            s2 = state_from_density(a2, _array_in(w2["density"]), tol)
-            rerun = extend_state(s1, s2, tol=tol)
-            if rerun.status != "InfeasibleCertified":
-                raise ValidationError(f"re-run returned {rerun.status}")
-            return "refused marginal pair reproduced"
-        log.attempt(f"{target} refusal", revalidate_refusal)
-
-
-def _verify_joint_entry(
-    target: str,
-    entry: dict,
-    operations: dict[str, _ParsedOperation],
-    n: int,
-    tol: Tolerances,
-    log: _VerifyLog,
-) -> None:
-    if entry.get("outcome", entry.get("status")) != "Extended":
+    """Rebuild a joint extension from its Choi matrix once; re-check it and its transition table."""
+    if section.get("outcome", section.get("status")) != "Extended":
         log.check(target, True, "no extension claimed: nothing to re-validate")
         return
+    names = _two_names(section, "operations", inst.doc["operations"], "operation", where)
+    n, tol = inst.ambient_dim, inst.tol
 
-    def revalidate() -> str:
-        action = map_from_choi(_array_in(entry["choi"]), n, n)
-        joint = build_channel(full_matrix_algebra(n), n, action, tol)
-        if not (joint.cp_certified and joint.unital):
+    @cache
+    def joint() -> ChannelMap:
+        action = map_from_choi(_array_in(section["choi"]), n, n)
+        channel = build_channel(full_matrix_algebra(n), n, action, tol)
+        if not (channel.cp_certified and channel.unital):
             raise ValidationError("rebuilt joint map is not a nonselective operation")
-        names = entry["operations"]
-        t1, t2 = operations[names[0]], operations[names[1]]
-        residuals = joint_extension_residuals(joint, t1.channel, t2.channel, tol)
+        return channel
+
+    def extension() -> str:
+        t1, t2 = (inst.operations[nm] for nm in names)
+        residuals = joint_extension_residuals(joint(), t1.channel, t2.channel, tol)
         worst = max(residuals.values())
         if worst > tol.eps_verify:
             raise ValidationError(f"extension residual {worst:.3e} exceeds tolerance")
         return f"joint extension rebuilt from Choi matrix (max residual {worst:.3e})"
 
-    log.attempt(target, revalidate)
+    log.attempt(target, extension)
+    if not section.get("product_transition"):
+        return
 
-
-def _verify_transition_table(
-    target: str,
-    section: dict,
-    operations: dict[str, _ParsedOperation],
-    n: int,
-    tol: Tolerances,
-    log: _VerifyLog,
-) -> None:
-    def revalidate() -> str:
-        action = map_from_choi(_array_in(section["choi"]), n, n)
-        joint = build_channel(full_matrix_algebra(n), n, action, tol)
-        dual = dual_on_states(joint, tol)
-        names = section["operations"]
-        prep1 = operations[names[0]].prep_state
-        prep2 = operations[names[1]].prep_state
+    def transitions() -> str:
+        prep1, prep2 = (inst.operations[nm].prep_state for nm in names)
         if prep1 is None or prep2 is None:
             raise ValidationError("transition table present but operations are not preparations")
-        worst = 0.0
-        for row in section["product_transition"]["rows"]:
-            out = dual.apply(_array_in(row["input_density"]))
-            worst = max(
-                worst,
-                marginal_residual(out, (prep1,)),
-                marginal_residual(out, (prep2,)),
-            )
+        dual = dual_on_states(joint(), tol)
+        rows = section["product_transition"]["rows"]
+        worst = max(
+            (max(_transition_residuals(dual, _array_in(row["input_density"]), prep1, prep2))
+             for row in rows),
+            default=0,
+        )
         if worst > tol.eps_verify:
             raise ValidationError(f"transition residual {worst:.3e} exceeds tolerance")
-        return f"product transitions reproduced on {len(section['product_transition']['rows'])} probes (worst {worst:.3e})"
+        return f"product transitions reproduced on {len(rows)} probes (worst {worst:.3e})"
 
-    log.attempt(target, revalidate)
+    log.attempt("product_transition", transitions)
 
 
-def _verify_analyze(doc: dict, tol: Tolerances, log: _VerifyLog) -> None:
-    n, algebras = _rebuild_algebras(doc, tol, log)
-    inst = doc["instance"]
-    states: dict[str, AlgebraState] = {}
-    for name, entry in inst.get("states", {}).items():
-        def build(name=name, entry=entry) -> str:
-            states[name] = state_from_density(
-                algebras[entry["algebra"]], _array_in(entry["density"]), tol
-            )
-            return "density revalidated"
-        log.attempt(f"state {name}", build)
-    operations: dict[str, _ParsedOperation] = {}
-    for name, entry in inst.get("operations", {}).items():
-        def build_op(name=name, entry=entry) -> str:
-            operations[name] = _build_operation(name, entry, n, algebras, tol, f"operation {name}")
-            return f"{entry.get('kind', 'kraus')} operation rebuilt"
-        log.attempt(f"operation {name}", build_op)
-    for idx, entry in enumerate(doc.get("checks", [])):
-        kind = entry["check"]
+def _verify_analyze(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:
+    inst = _rebuild_instance(doc, where, tol, log, with_states=True)
+    checks = doc.get("checks", [])
+    if not isinstance(checks, list):
+        raise ParseError(f"{where}: checks: must be a list")
+    for idx, entry in enumerate(checks):
+        at = f"{where}: checks[{idx}]"
+        kind = _require(_object(entry, at), "check", at)
+        if kind not in _CHECK_NAMES:
+            raise ParseError(f"{at}.check: unknown check {kind!r}")
         target = f"checks[{idx}] {kind}"
         if kind == "extend_state":
-            names = entry["states"]
-            if names[0] in states and names[1] in states:
-                _verify_extension_outcome(
-                    target, entry["outcome"], states[names[0]], states[names[1]], tol, log
-                )
+            names = _two_names(entry, "states", inst.doc["states"], "state", at)
+            outcome = _object(_require(entry, "outcome", at), f"{at}.outcome")
+            _require(outcome, "status", f"{at}.outcome")
+            if all(nm in inst.states for nm in names):
+                s1, s2 = (inst.states[nm] for nm in names)
+                _verify_extension_outcome(target, outcome, s1, s2, inst.ambient_dim, tol, log)
             continue
         if kind == "joint_operation":
-            _verify_joint_entry(target, entry, operations, n, tol, log)
+            _verify_joint(target, entry, at, inst, log)
             continue
-        names = entry["algebras"]
-        if names[0] not in algebras or names[1] not in algebras:
-            continue
-        a1, a2 = algebras[names[0]], algebras[names[1]]
-        if "verdicts" in entry:
-            if entry["implication_violations"]:
+        names = _two_names(entry, "algebras", inst.doc["algebras"], "algebra", at)
+        vdocs: dict[str, dict] = {}
+        if kind == "interpolating_factor":
+            factor = _object(_require(entry, "outcome", at), f"{at}.outcome").get("factor")
+        elif kind == "hierarchy":
+            verdicts = _object(_require(entry, "verdicts", at), f"{at}.verdicts")
+            for key, vdoc in verdicts.items():
+                vdocs[f"{target} {key}"] = _object(vdoc, f"{at}.verdicts.{key}")
+            if _require(entry, "implication_violations", at):
                 log.check(f"{target} implications", False, "report records implication violations")
-            for key, vdoc in entry["verdicts"].items():
-                _verify_verdict(f"{target} {key}", vdoc, a1, a2, n, tol, log)
-        elif "verdict" in entry:
-            _verify_verdict(target, entry["verdict"], a1, a2, n, tol, log)
-        elif kind == "interpolating_factor":
-            outcome = entry["outcome"]
-            if outcome.get("factor"):
-                _verify_verdict(
-                    target,
-                    {"certificate": {"kind": "factorizing_unitary", "factor": outcome["factor"]}},
-                    a1,
-                    a2,
-                    n,
-                    tol,
-                    log,
-                )
+        else:
+            vdocs[target] = _object(_require(entry, "verdict", at), f"{at}.verdict")
+        if not all(nm in inst.algebras for nm in names):
+            continue
+        iso_doc = next(
+            (v["isomorphism"] for v in vdocs.values() if v.get("isomorphism") is not None), None
+        )
+        a1, a2 = (inst.algebras[nm] for nm in names)
+        pair = _Pair(a1, a2, tol, iso_doc)
+        if kind == "interpolating_factor":
+            if factor:
+                log.attempt(f"{target} factor", lambda: _check_factor(factor, pair))
+        else:
+            _verify_verdicts(vdocs, pair, log)
 
 
-def _verify_extend(doc: dict, tol: Tolerances, log: _VerifyLog) -> None:
-    n, algebras = _rebuild_algebras(doc, tol, log)
-    inst = doc["instance"]
-    operations: dict[str, _ParsedOperation] = {}
-    for name, entry in inst.get("operations", {}).items():
-        def build_op(name=name, entry=entry) -> str:
-            operations[name] = _build_operation(name, entry, n, algebras, tol, f"operation {name}")
-            return f"{entry.get('kind', 'kraus')} operation rebuilt"
-        log.attempt(f"operation {name}", build_op)
-    section = doc["joint_extension"]
-    _verify_joint_entry("joint_extension", section, operations, n, tol, log)
-    if section.get("product_transition"):
-        _verify_transition_table("product_transition", section, operations, n, tol, log)
+def _verify_extend(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:
+    inst = _rebuild_instance(doc, where, tol, log, with_states=False)
+    at = f"{where}: joint_extension"
+    section = _object(_require(doc, "joint_extension", where), at)
+    _verify_joint("joint_extension", section, at, inst, log)
 
 
-def _verify_fuzz(doc: dict, tol: Tolerances, log: _VerifyLog) -> None:
-    # the replay must use the tolerance of the original run, not an override
-    recorded = doc.get("flags", {}).get("tol")
-    tol = DEFAULT_TOL if recorded is None else Tolerances(eps_verify=recorded)
+def _verify_fuzz(doc: dict, where: str, _: Tolerances, log: _VerifyLog) -> None:
+    # the replay uses the tolerance of the original run, never an override
+    recorded = _object(doc.get("flags", {}), f"{where}: flags").get("tol")
+    fields = {} if recorded is None else {"eps_verify": recorded}
+    tol = _tolerances(fields, f"{where}: flags.tol", None)
 
     def regenerate() -> str:
         summary = _fuzz_summary(
@@ -1299,31 +1264,18 @@ def cmd_verify_report(args: argparse.Namespace) -> int:
     """Re-validate the certificates in a machine-readable report."""
     started = time.perf_counter()
     path = args.report
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "command" not in doc:
         raise ParseError(f"{path}: not a toolkit report (missing 'command')")
-    tol_fields = doc.get("instance", {}).get("tolerances", {})
-    tol = Tolerances(**{k: tol_fields.get(k, getattr(DEFAULT_TOL, k)) for k in _TOL_FIELDS})
-    if args.tol is not None:
-        tol = Tolerances(
-            **{**{k: getattr(tol, k) for k in _TOL_FIELDS}, "eps_verify": args.tol}
-        )
+    inst = _object(doc.get("instance", {}), f"{path}: instance")
+    tol = _tolerances(inst.get("tolerances", {}), f"{path}: instance.tolerances", args.tol)
     log = _VerifyLog()
     command = doc["command"]
+    verify = {"analyze": _verify_analyze, "extend": _verify_extend, "fuzz": _verify_fuzz}
+    if not isinstance(command, str) or command not in verify:
+        raise ParseError(f"{path}: unknown report command {command!r}")
     try:
-        if command == "analyze":
-            _verify_analyze(doc, tol, log)
-        elif command == "extend":
-            _verify_extend(doc, tol, log)
-        elif command == "fuzz":
-            _verify_fuzz(doc, tol, log)
-        else:
-            raise ParseError(f"{path}: unknown report command '{command}'")
+        verify[command](doc, path, tol, log)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: malformed report ({type(exc).__name__}: {exc})") from exc
     all_ok = all(item["ok"] for item in log.items)

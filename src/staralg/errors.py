@@ -54,20 +54,12 @@ class NotCP(ToolkitError):
     """Map expected to be completely positive is not."""
 
 
-class NotUnital(ToolkitError):
-    """Map expected to send the unit to the unit does not."""
-
-
 class NotNonselective(ToolkitError):
     """Operation expected to be nonselective (unit preserving) is not."""
 
 
 class InvalidMeasurement(ToolkitError):
     """Projection family is not an orthogonal resolution of the identity."""
-
-
-class InvalidOperation(ToolkitError):
-    """A map does not send its declared algebra into itself."""
 
 
 class NoProductIsomorphism(ToolkitError):

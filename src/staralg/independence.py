@@ -53,6 +53,7 @@ from .states import (
     extend_state_batch,
     is_faithful,
     marginal_residual,
+    product_residual,
     product_state,
     state_from_density,
 )
@@ -70,6 +71,9 @@ __all__ = [
     "check_cstar_independence",
     "check_wstar_independence",
     "check_wstar_product_sense",
+    "annihilating_projections",
+    "verify_faithful_product_state",
+    "verify_multiplication_relation",
     "joint_operation",
     "state_preparation",
     "verify_interpolating_factor",
@@ -118,6 +122,17 @@ NOT_APPLICABLE = "not applicable: the spans do not mutually commute"
 #: passes it is not trusted alone: ``check_cstar_independence`` reports
 #: Fails on this route only with the solver's refusal certificate.
 ANNIHILATION_CUT = 1e-7
+
+#: Largest condition number of the multiplication map accepted as an
+#: isomorphism when the dimensions match: its inverse ``to_tensor`` loses
+#: about log10(cond) of the sixteen digits, and beyond 1e10 too few remain
+#: for the eps_verify residuals of ``ProductIsomorphism.validate``.
+MULTIPLICATION_MAP_MAX_COND = 1e10
+
+#: Smallest |sum_ab R[a,b] phi1(b_a) phi2(c_b)| that counts as a nonzero
+#: product value.  The relation and the state values are unit-scale, so a
+#: value below this is rounding left over from a vanishing one.
+RELATION_VALUE_CUT = 1e-9
 
 
 @dataclass(eq=False)
@@ -235,13 +250,6 @@ class ProductIsomorphism:
         return residuals
 
 
-def _product_basis_values(
-    rho: np.ndarray, a1: MatrixStarAlgebra, a2: MatrixStarAlgebra
-) -> np.ndarray:
-    """Expectations tr(rho b_a c_b) on all basis pairs, shape (dim1, dim2)."""
-    return np.einsum("ij,ajk,bki->ab", rho, a1.basis, a2.basis, optimize=True)
-
-
 def check_product_sense(
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
@@ -272,7 +280,7 @@ def check_product_sense(
             }
         )
     cond = np.linalg.cond(mult_map)
-    if cond > 1e10:
+    if cond > MULTIPLICATION_MAP_MAX_COND:
         raise IllConditioned(
             f"multiplication map condition number {cond:.3e} despite matching "
             "dimensions"
@@ -291,6 +299,28 @@ def check_product_sense(
     return Verdict.holds(certificate, iso=iso)
 
 
+def annihilating_projections(
+    z1: np.ndarray, z2: np.ndarray, a1: MatrixStarAlgebra, a2: MatrixStarAlgebra
+) -> bool:
+    """Whether z1 in A1 and z2 in A2 are nonzero projections with z1 z2 = 0.
+
+    Each residual (the entries of z1 z2, z^2 - z and z - z*, and the
+    distance of z to its algebra) must stay below ANNIHILATION_CUT; a
+    nonzero projection has trace at least one.
+    """
+    if np.abs(z1 @ z2).max() >= ANNIHILATION_CUT:
+        return False
+    for z, a in ((z1, a1), (z2, a2)):
+        worst = max(
+            float(np.abs(z @ z - z).max()),
+            float(np.abs(z - dagger(z)).max()),
+            a.distance_to_span(z),
+        )
+        if worst >= ANNIHILATION_CUT or np.trace(z).real < 0.5:
+            return False
+    return True
+
+
 def _annihilating_central_pair(
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
@@ -301,7 +331,7 @@ def _annihilating_central_pair(
     _, _, projs2 = center_and_factor(a2, tol)
     for z1 in projs1:
         for z2 in projs2:
-            if np.abs(z1 @ z2).max() < ANNIHILATION_CUT:
+            if annihilating_projections(z1, z2, a1, a2):
                 return z1, z2
     return None
 
@@ -475,6 +505,56 @@ def _perturbed_state_family(
     return states
 
 
+def verify_faithful_product_state(
+    density: np.ndarray,
+    a1: MatrixStarAlgebra,
+    a2: MatrixStarAlgebra,
+    jn: MatrixStarAlgebra,
+    tol: Tolerances,
+) -> float:
+    """Check a faithful-product-state certificate; return its product residual.
+
+    The density must be a state whose restrictions to both algebras are
+    their normalized traces, which acts as the product of those traces on
+    every product x y, and which is faithful on the join ``jn``.
+    """
+    state = state_from_density(jn, density, tol)
+    traces = (canonical_trace_state(a1), canonical_trace_state(a2))
+    marginal = marginal_residual(state.density, traces)
+    residual = product_residual(state.density, *traces)
+    if max(marginal, residual) > tol.eps_verify:
+        raise IllConditioned(
+            f"not a product of the tracial states: marginal residual "
+            f"{marginal:.3e}, product residual {residual:.3e}"
+        )
+    if not state.is_faithful(tol):
+        raise IllConditioned("product state is not faithful on the join")
+    return residual
+
+
+def verify_multiplication_relation(
+    rel: np.ndarray, state1: AlgebraState, state2: AlgebraState
+) -> tuple[float, complex]:
+    """Check a multiplication-relation witness; return (element size, product value).
+
+    With E = sum_ab R[a,b] b_a c_b, a product state extending the pair
+    would give E the value v = sum_ab R[a,b] phi1(b_a) phi2(c_b).  No state
+    gives E a value beyond its operator norm, so |v| > ||E|| (and above
+    RELATION_VALUE_CUT) shows that no product state extends the pair.  The
+    element size is the largest entry of E.
+    """
+    a1, a2 = state1.algebra, state2.algebra
+    element = np.einsum("ab,aij,bjk->ik", rel, a1.basis, a2.basis, optimize=True)
+    value = complex(state1.expect_basis() @ rel @ state2.expect_basis())
+    bound = max(RELATION_VALUE_CUT, float(np.linalg.norm(element, 2)))
+    if not abs(value) > bound:
+        raise IllConditioned(
+            f"product value {abs(value):.3e} does not exceed the relation "
+            f"element's norm or the cut ({bound:.3e})"
+        )
+    return float(np.abs(element).max()), value
+
+
 def check_wstar_product_sense(
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
@@ -498,46 +578,38 @@ def check_wstar_product_sense(
     if ps.status == "Holds":
         t1, t2 = canonical_trace_state(a1), canonical_trace_state(a2)
         joint = product_state(t1, t2, ps.iso, tol)
-        faithful = is_faithful(joint, ps.iso.join, tol)
-        prods = _product_basis_values(joint.density, a1, a2)
-        outer = np.outer(t1.expect_basis(), t2.expect_basis())
         certificate = {
             "kind": "faithful_product_state",
             "density": joint.density,
-            "faithful": faithful,
-            "product_residual": float(np.abs(prods - outer).max()),
+            "faithful": True,
+            "product_residual": verify_faithful_product_state(
+                joint.density, a1, a2, ps.iso.join, tol
+            ),
             "dim_join": ps.iso.join.dim,
         }
-        if not faithful:
-            raise IllConditioned(
-                "tracial product state failed the faithfulness check"
-            )
         return Verdict.holds(certificate, iso=ps.iso)
 
     mult_map = ps.witness["multiplication_map"]
     _, _, vt = np.linalg.svd(mult_map)
     relation = vt[-1].conj()  # mult_map @ relation = 0
     rel_matrix = relation.reshape(a1.dim, a2.dim)
-    rel_element = np.einsum(
-        "ab,aij,bjk->ik", rel_matrix, a1.basis, a2.basis, optimize=True
-    )
     fam1 = _perturbed_state_family(a1, tol)
     fam2 = _perturbed_state_family(a2, tol)
     vals1 = np.stack([s.expect_basis() for s in fam1])
     vals2 = np.stack([s.expect_basis() for s in fam2])
     table = vals1 @ rel_matrix @ vals2.T
     i, j = np.unravel_index(np.abs(table).argmax(), table.shape)
-    value = complex(table[i, j])
-    if abs(value) < 1e-9:
+    if abs(table[i, j]) < RELATION_VALUE_CUT:
         return Verdict.undecided(
             "found a multiplication relation but no state pair giving it a "
             "nonzero product value"
         )
+    element_norm, value = verify_multiplication_relation(rel_matrix, fam1[i], fam2[j])
     return Verdict.fails(
         {
             "kind": "multiplication_relation",
             "relation_coefficients": rel_matrix,
-            "relation_element_norm": float(np.abs(rel_element).max()),
+            "relation_element_norm": element_norm,
             "product_value": value,
             "witness_states": (fam1[i], fam2[j]),
             "reasoning": (
@@ -620,15 +692,11 @@ def joint_extension_residuals(
 ) -> dict[str, float]:
     """Restriction and cross-multiplicativity residuals of a joint extension."""
     a1, a2 = t1.domain, t2.domain
-    res1 = max(
-        float(np.abs(joint.apply(b) - t1.apply(b)).max()) for b in a1.basis
-    )
-    res2 = max(
-        float(np.abs(joint.apply(c) - t2.apply(c)).max()) for c in a2.basis
-    )
-    mult = 0.0
     images1 = [joint.apply(b) for b in a1.basis]
     images2 = [joint.apply(c) for c in a2.basis]
+    res1 = max(float(np.abs(tb - t1.apply(b)).max()) for b, tb in zip(a1.basis, images1))
+    res2 = max(float(np.abs(tc - t2.apply(c)).max()) for c, tc in zip(a2.basis, images2))
+    mult = 0.0
     for b, tb in zip(a1.basis, images1):
         for c, tc in zip(a2.basis, images2):
             mult = max(mult, float(np.abs(joint.apply(b @ c) - tb @ tc).max()))
@@ -656,19 +724,15 @@ def verify_product_transition(
     """
     from .sampling import random_density
 
-    a1, a2 = state1.algebra, state2.algebra
     generator = _as_rng(rng)
     dual = dual_on_states(joint)
-    expected = np.outer(state1.expect_basis(), state2.expect_basis())
     densities = [state.density] + [
         random_density(joint.domain.ambient_dim, generator) for _ in range(sweep)
     ]
-    for rho in densities:
-        out = dual.apply(rho)
-        got = _product_basis_values(out, a1, a2)
-        if np.abs(got - expected).max() > tol.eps_verify:
-            return False
-    return True
+    return all(
+        product_residual(dual.apply(rho), state1, state2) <= tol.eps_verify
+        for rho in densities
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -718,43 +782,29 @@ def verify_interpolating_factor(
     tol: Tolerances,
 ) -> InterpolatingFactor:
     n = a1.ambient_dim
+
+    def off_leg(mats: np.ndarray, first: bool) -> float:
+        """Largest entry of U x U* off the first (or the second) tensor leg."""
+        worst = 0.0
+        for x in mats:
+            img = u @ x @ dagger(u)
+            if first:
+                leg = np.kron(_first_leg(img, d1, d2), np.eye(d2))
+            else:
+                leg = np.kron(np.eye(d1), _second_leg(img, d1, d2))
+            worst = max(worst, float(np.abs(img - leg).max()))
+        return worst
+
     residuals = {
         "unitarity_residual": float(np.abs(u @ dagger(u) - np.eye(n)).max()),
         "containment_residual": max(
             float(m.distance_to_span(b)) for b in a1.basis
         ),
+        "commutant_residual": float(np.abs(commutators(m, a2)).max()),
+        "embedding_residual_1": off_leg(a1.basis, True),
+        "embedding_residual_2": off_leg(a2.basis, False),
+        "factor_embedding_residual": off_leg(m.basis, True),
     }
-    comm = 0.0
-    for x in m.basis:
-        comm = max(comm, float(np.abs(
-            np.einsum("ij,ajk->aik", x, a2.basis)
-            - np.einsum("aij,jk->aik", a2.basis, x)
-        ).max()))
-    residuals["commutant_residual"] = comm
-    worst1 = 0.0
-    for b in a1.basis:
-        img = u @ b @ dagger(u)
-        worst1 = max(
-            worst1,
-            float(np.abs(img - np.kron(_first_leg(img, d1, d2), np.eye(d2))).max()),
-        )
-    worst2 = 0.0
-    for c in a2.basis:
-        img = u @ c @ dagger(u)
-        worst2 = max(
-            worst2,
-            float(np.abs(img - np.kron(np.eye(d1), _second_leg(img, d1, d2))).max()),
-        )
-    worst_m = 0.0
-    for x in m.basis:
-        img = u @ x @ dagger(u)
-        worst_m = max(
-            worst_m,
-            float(np.abs(img - np.kron(_first_leg(img, d1, d2), np.eye(d2))).max()),
-        )
-    residuals["embedding_residual_1"] = worst1
-    residuals["embedding_residual_2"] = worst2
-    residuals["factor_embedding_residual"] = worst_m
     worst = max(residuals.values())
     if worst > tol.eps_verify:
         raise IllConditioned(
@@ -1011,6 +1061,16 @@ def _lift_refusal_to_operations(witness: dict) -> dict:
     }
 
 
+def _lift_plain_verdicts(verdicts: dict[str, Verdict], open_reason: str) -> None:
+    """op_cstar and op_wstar from the plain verdicts: a refusal lifts, else open."""
+    for plain, op_key in (("cstar_independent", "op_cstar"), ("wstar_independent", "op_wstar")):
+        witness = verdicts[plain].witness
+        if verdicts[plain].status == "Fails":
+            verdicts[op_key] = Verdict.fails(_lift_refusal_to_operations(witness))
+        else:
+            verdicts[op_key] = Verdict.undecided(open_reason)
+
+
 def _operational_product_holds(
     iso: ProductIsomorphism,
     rng: np.random.Generator,
@@ -1049,13 +1109,7 @@ def _operational_product_holds(
     probe = canonical_trace_state(ambient)
     recovered = dual_on_states(prep).apply(probe.density)
     rec_state = state_from_density(iso.join, recovered, tol)
-    product_recovered = bool(
-        np.abs(
-            _product_basis_values(recovered, a1, a2)
-            - np.outer(s1.expect_basis(), s2.expect_basis())
-        ).max()
-        <= tol.eps_verify
-    )
+    product_recovered = product_residual(recovered, s1, s2) <= tol.eps_verify
     return {
         "kind": "joint_operation_extensions",
         "operation_samples": op_samples,
@@ -1140,24 +1194,12 @@ def run_hierarchy_checks(
             }
             verdicts["op_cstar_product"] = Verdict.fails(equiv_witness)
             verdicts["op_wstar_product"] = Verdict.fails(dict(equiv_witness))
-            for plain, op_key in (
-                ("cstar_independent", "op_cstar"),
-                ("wstar_independent", "op_wstar"),
-            ):
-                plain_verdict = verdicts[plain]
-                if plain_verdict.status == "Fails":
-                    verdicts[op_key] = Verdict.fails(
-                        _lift_refusal_to_operations(plain_verdict.witness)
-                    )
-                elif plain_verdict.status == "Holds":  # pragma: no cover
-                    verdicts[op_key] = Verdict.undecided(
-                        "plain independence holds but the pair is not in "
-                        "product position; no construction is available"
-                    )
-                else:  # pragma: no cover - commuting pairs decide the plain notion
-                    verdicts[op_key] = Verdict.undecided(
-                        "depends on the unresolved plain independence verdict"
-                    )
+            # commuting pairs decide the plain notions, which fail out of product position
+            _lift_plain_verdicts(
+                verdicts,
+                "plain independence is not refuted but the pair is not in "
+                "product position; no construction is available",
+            )
     else:
         for key in (
             "cstar_product_sense",
@@ -1180,21 +1222,12 @@ def run_hierarchy_checks(
         )
         verdicts["wstar_independent"] = _annotate_normal(verdicts["cstar_independent"])
         sample_counts["state_pairs"] = samples
-        for plain, op_key in (
-            ("cstar_independent", "op_cstar"),
-            ("wstar_independent", "op_wstar"),
-        ):
-            plain_verdict = verdicts[plain]
-            if plain_verdict.status == "Fails":
-                verdicts[op_key] = Verdict.fails(
-                    _lift_refusal_to_operations(plain_verdict.witness)
-                )
-            else:
-                verdicts[op_key] = Verdict.undecided(
-                    "no sampled refusal certificate; the joint-extension "
-                    "question for operations on a non-commuting pair is open "
-                    "at this sampling budget"
-                )
+        _lift_plain_verdicts(
+            verdicts,
+            "no sampled refusal certificate; the joint-extension question "
+            "for operations on a non-commuting pair is open at this sampling "
+            "budget",
+        )
         notes.append(
             "the product-sense family requires a commuting pair and is "
             "marked not applicable here"

@@ -22,8 +22,12 @@ then check each with ``staralg verify-report`` and re-run the suite.
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +102,30 @@ MALFORMED_FIELDS = [
 ]
 
 
+# (field named in the error, path of the edit, bad value) in the
+# tensor_pair_m6 golden report: shapes that verify-report must refuse
+MALFORMED_REPORT_FIELDS = [
+    ("checks[0].algebras", ("checks", 0, "algebras"), []),
+    ("checks[1].states", ("checks", 1, "states"), ["phi_left"]),
+    ("instance.states", ("instance", "states"), []),
+    ("checks[0].verdicts", ("checks", 0, "verdicts"), []),
+    ("instance.tolerances", ("instance", "tolerances"), "x"),
+    ("instance.tolerances.eps_verify", ("instance", "tolerances"), {"eps_verify": "a"}),
+]
+
+
+def write_edited(src, path, value, tmp_path):
+    """Copy of the JSON file ``src`` with the node at ``path`` replaced."""
+    doc = json.loads(src.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
 class TestLoadInstance:
     def test_rejects_missing_ambient_dim(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -132,13 +160,7 @@ class TestLoadInstance:
         "field,path,value", MALFORMED_FIELDS, ids=[case[0] for case in MALFORMED_FIELDS]
     )
     def test_malformed_field_exits_2_naming_it(self, field, path, value, tmp_path, capsys):
-        doc = json.loads((INSTANCES / "tensor_pair_m6.json").read_text())
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad = write_edited(INSTANCES / "tensor_pair_m6.json", path, value, tmp_path)
         assert main(["analyze", str(bad)]) == 2
         assert field in capsys.readouterr().err
 
@@ -309,6 +331,16 @@ class TestVerifyReport:
         assert rep["all_ok"] is True
         assert all(item["ok"] for item in rep["items"])
 
+    @pytest.mark.parametrize(
+        "field,path,value",
+        MALFORMED_REPORT_FIELDS,
+        ids=[case[0] for case in MALFORMED_REPORT_FIELDS],
+    )
+    def test_malformed_report_exits_2_naming_it(self, field, path, value, tmp_path, capsys):
+        bad = write_edited(GOLDEN / "tensor_pair_m6.report.json", path, value, tmp_path)
+        assert main(["verify-report", str(bad)]) == 2
+        assert field in capsys.readouterr().err
+
     @staticmethod
     def corrupt_extension_density(doc):
         ext = next(c for c in doc["checks"] if c["check"] == "extend_state")
@@ -333,9 +365,62 @@ class TestVerifyReport:
         iso["from_tensor"] = array_to_json(from_tensor)
         return "isomorphism"
 
-    @pytest.mark.parametrize("tamper", ["corrupt_extension_density", "twist_product_isomorphism"])
+    @staticmethod
+    def correlate_product_state(doc):
+        # both marginals are still the normalized traces, but the density is
+        # correlated across the factors and has rank 4 of 6
+        hierarchy = next(c for c in doc["checks"] if c["check"] == "hierarchy")
+        cert = hierarchy["verdicts"]["wstar_product_sense"]["certificate"]
+        rho = 0.5 * (
+            np.kron(np.diag([1.0, 0.0]), np.diag([2.0, 1.0, 0.0]) / 3)
+            + np.kron(np.diag([0.0, 1.0]), np.diag([0.0, 1.0, 2.0]) / 3)
+        )
+        cert["density"] = array_to_json(rho.astype(complex))
+        return "product state"
+
+    @staticmethod
+    def change_relation_value(doc):
+        witness = doc["checks"][0]["verdicts"]["wstar_product_sense"]["witness"]
+        witness["product_value"][0] += 0.1
+        return "relation"
+
+    @staticmethod
+    def spoil_annihilating_projection(doc):
+        # 2 z still annihilates the other projection, but is not idempotent
+        witness = doc["checks"][0]["verdicts"]["cstar_independent"]["witness"]
+        witness["projection1"] = array_to_json(2 * array_from_json(witness["projection1"]))
+        return "projections"
+
+    @staticmethod
+    def shift_join_dimension(doc):
+        witness = doc["checks"][0]["verdicts"]["cstar_product_sense"]["witness"]
+        witness["dim_join"] += 1
+        return "dimensions"
+
+    @staticmethod
+    def perturb_factor_unitary(doc):
+        entry = next(c for c in doc["checks"] if c["check"] == "interpolating_factor")
+        factor = entry["outcome"]["factor"]
+        unitary = array_from_json(factor["unitary"])
+        unitary[0, 0] += 1e-3
+        factor["unitary"] = array_to_json(unitary)
+        return "factor"
+
+    # tamper -> the golden report it edits
+    TAMPERS = {
+        "corrupt_extension_density": "tensor_pair_m6",
+        "twist_product_isomorphism": "tensor_pair_m6",
+        "correlate_product_state": "tensor_pair_m6",
+        "change_relation_value": "same_algebra_m2",
+        "spoil_annihilating_projection": "same_algebra_m2",
+        "shift_join_dimension": "same_algebra_m2",
+        "perturb_factor_unitary": "tensor_pair_m6",
+    }
+
+    @pytest.mark.parametrize("tamper", list(TAMPERS))
     def test_tampered_certificate_is_caught(self, tamper, tmp_path):
-        doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
+        golden = GOLDEN / f"{self.TAMPERS[tamper]}.report.json"
+        doc = json.loads(golden.read_text())
         target = getattr(self, tamper)(doc)
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(doc))
@@ -403,3 +488,87 @@ class TestGoldenSchema:
             (GOLDEN / "fuzz_tensor_split_5_seed7.report.json").read_text()
         )
         assert_structurally_equal(doc, want)
+
+
+def structural_children(node):
+    """Keys or indices below a node; a numeric array is one node and has none."""
+    if isinstance(node, dict):
+        return list(node)
+    if isinstance(node, list) and not is_numeric_array(node):
+        return list(range(len(node)))
+    return []
+
+
+def is_numeric_array(node):
+    if isinstance(node, list):
+        return bool(node) and all(is_numeric_array(v) for v in node)
+    return node is None or (isinstance(node, (int, float)) and not isinstance(node, bool))
+
+
+def is_int(node):
+    return isinstance(node, int) and not isinstance(node, bool)
+
+
+# a value of another type for each JSON type; none is larger than what it replaces
+SWAPPED_TYPE = {dict: [], list: {}, str: 1, int: "1", float: "1", bool: "true", type(None): []}
+
+# mutation name -> (which nodes it applies to, the edit of the parent container)
+MUTATIONS = {
+    "drop_key": (lambda parent, value: isinstance(parent, dict), None),
+    "swap_type": (lambda parent, value: True, lambda value: SWAPPED_TYPE[type(value)]),
+    "empty_list": (lambda parent, value: isinstance(value, list), lambda value: []),
+    "shorten_list": (lambda parent, value: bool(isinstance(value, list) and value), lambda value: value[:-1]),
+    "bool_for_int": (lambda parent, value: is_int(value), lambda value: True),
+    "negative_int": (lambda parent, value: is_int(value), lambda value: -1),
+}
+
+
+class TestMutationFuzz:
+    """Structure-only mutations of an instance and a report never escape as exceptions.
+
+    Magnitudes are never raised, so no case asks for more work than the
+    file it mutates.
+    """
+
+    CASES = 300
+
+    @staticmethod
+    def mutate(doc, rng):
+        """Walk down from the root to a random node and apply one mutation that fits it.
+
+        The walk stops at each level with probability 0.4, so the top-level
+        sections, the check entries and the verdicts are hit far more often
+        than a uniform choice among the thousands of leaves would hit them.
+        """
+        parent, key = doc, rng.choice(structural_children(doc))
+        while structural_children(parent[key]) and rng.random() < 0.6:
+            parent, key = parent[key], rng.choice(structural_children(parent[key]))
+        value = parent[key]
+        name = rng.choice(sorted(m for m, (applies, _) in MUTATIONS.items() if applies(parent, value)))
+        edit = MUTATIONS[name][1]
+        if edit is None:
+            del parent[key]
+        else:
+            parent[key] = edit(value)
+        return f"{name} at {key!r}"
+
+    def test_exit_codes_stay_in_0_2_3(self, tmp_path):
+        rng = random.Random(20261018)
+        sources = [
+            ("analyze", INSTANCES / "same_algebra_m2.json"),
+            ("verify-report", GOLDEN / "same_algebra_m2.report.json"),
+        ]
+        originals = [(verb, json.loads(src.read_text())) for verb, src in sources]
+        bad = tmp_path / "mutated.json"
+        for case in range(self.CASES):
+            verb, original = originals[case % 2]
+            doc = copy.deepcopy(original)
+            what = self.mutate(doc, rng)
+            bad.write_text(json.dumps(doc))
+            sink = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    code = main([verb, str(bad)])
+            except Exception as exc:
+                pytest.fail(f"case {case} ({verb}, {what}) raised {exc!r}")
+            assert code in (0, 2, 3), f"case {case} ({verb}, {what}): exit {code}"

@@ -62,6 +62,7 @@ from staralg import (
     verify_product_transition,
 )
 from staralg.channels import superop_from_function
+from staralg.independence import annihilating_projections, verify_multiplication_relation
 from staralg.numerics import dagger, haar_unitary, hs_norm, kron
 
 
@@ -186,6 +187,26 @@ class TestWStarMirrors:
         # functional does not
         assert v.witness["relation_element_norm"] <= 1e-9
         assert abs(v.witness["product_value"]) > 1e-9
+
+
+class TestCertificateChecks:
+    """Checks that the constructors and verify-report share."""
+
+    def test_zero_projection_does_not_certify_annihilation(self):
+        d = diag_algebra(2)
+        z0, z1 = matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)
+        assert annihilating_projections(z0, z1, d, d)
+        # 0 z1 = 0, but no state gives the zero projection expectation 1
+        assert not annihilating_projections(np.zeros((2, 2), dtype=complex), z1, d, d)
+
+    def test_relation_value_within_the_element_norm_is_refused(self):
+        # b_0 b_0 is nonzero, and no state's value on it exceeds its norm
+        d = diag_algebra(2)
+        rel = np.zeros((2, 2), dtype=complex)
+        rel[0, 0] = 1.0
+        phi = canonical_trace_state(d)
+        with pytest.raises(IllConditioned):
+            verify_multiplication_relation(rel, phi, phi)
 
 
 class TestJointOperation:
