@@ -202,22 +202,17 @@ def join(
 ) -> MatrixStarAlgebra:
     """Algebra generated by the union of the two spans.
 
-    For commuting pairs the join equals the span of the pairwise products
-    X.Y, which is checked.
+    For a commuting pair this is the span of the products b_a c_b (the image
+    of the multiplication map), built directly: it holds the unit and is
+    closed under adjoints and products because the factors commute.  Other
+    pairs are closed by ``generate_algebra``.  The basis is canonical.
     """
     _check_same_ambient(a1, a2)
-    out = generate_algebra(
-        np.concatenate([a1.basis, a2.basis], axis=0), a1.ambient_dim, tol
-    )
+    n = a1.ambient_dim
     if mutually_commute(a1, a2, tol):
-        n = a1.ambient_dim
         prods = np.einsum("aij,bjk->abik", a1.basis, a2.basis).reshape(-1, n, n)
-        prod_dim = orthonormalize(prods).shape[0]
-        if prod_dim != out.dim:
-            raise IllConditioned(
-                f"commuting join must equal the span of products ({prod_dim} vs {out.dim})"
-            )
-    return out
+        return MatrixStarAlgebra(n, canonical_basis(orthonormalize(prods)))
+    return generate_algebra(np.concatenate([a1.basis, a2.basis], axis=0), n, tol)
 
 
 def commutant(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixStarAlgebra:
@@ -231,9 +226,8 @@ def commutant(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixStar
     eye = np.eye(n)
     blocks = [np.kron(eye, b) - np.kron(b.T, eye) for b in a.basis]
     kernel = null_space(np.concatenate(blocks, axis=0), scale=1.0)
-    mats = np.stack(
-        [kernel[:, k].reshape((n, n), order="F") for k in range(kernel.shape[1])]
-    ) if kernel.shape[1] else np.zeros((0, n, n), dtype=complex)
+    # column k is the column-stacked vec(X_k); a row-major reshape gives X_k^T
+    mats = kernel.T.reshape(-1, n, n).transpose(0, 2, 1)
     return MatrixStarAlgebra(n, canonical_basis(mats))
 
 
@@ -291,7 +285,6 @@ class StructureDecomposition:
 def center_and_factor(
     a: MatrixStarAlgebra,
     tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
 ):
     """Center of the algebra, factor flag, and minimal central projections.
 
@@ -309,7 +302,7 @@ def center_and_factor(
     center = MatrixStarAlgebra(n, center_basis)
     if center.dim == 1:
         return center, True, [np.eye(n, dtype=complex)]
-    projections = _minimal_projections_of_abelian(center, tol, seed)
+    projections = _minimal_projections_of_abelian(center, tol)
     return center, False, projections
 
 
@@ -327,12 +320,11 @@ def _cluster_sorted(values: np.ndarray, gap: float) -> list[np.ndarray]:
 def _minimal_projections_of_abelian(
     center: MatrixStarAlgebra,
     tol: Tolerances,
-    seed: int,
 ) -> list[np.ndarray]:
     """Minimal idempotents of an abelian algebra via a generic element."""
     n, c = center.ambient_dim, center.dim
     herm = center.hermitian_basis
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(24):
         z = np.tensordot(rng.standard_normal(c), herm, axes=(0, 0))
         w, v = np.linalg.eigh(z)
@@ -347,34 +339,18 @@ def _minimal_projections_of_abelian(
         )
         if intra > 0 and inter < 1e3 * intra:
             continue
-        projections = []
-        ok = True
-        for g in groups:
-            cols = v[:, g]
-            p = cols @ dagger(cols)
-            if center.distance_to_span(p) > tol.eps_algebra * n:
-                ok = False
-                break
-            projections.append(p)
-        if not ok:
+        projections = [v[:, g] @ dagger(v[:, g]) for g in groups]
+        if any(center.distance_to_span(p) > tol.eps_algebra * n for p in projections):
             continue
-        total = sum(projections)
-        if hs_norm(total - np.eye(n)) > tol.eps_algebra * n:
+        if hs_norm(sum(projections) - np.eye(n)) > tol.eps_algebra * n:
             continue
         return projections
     raise IllConditioned("could not separate the central spectrum into clusters")
 
 
-def _block_compression(a: MatrixStarAlgebra, z: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the span of z.b over the algebra basis."""
-    cut = np.einsum("ij,ajk->aik", z, a.basis)
-    return orthonormalize(cut)
-
-
 def matrix_units(
     a: MatrixStarAlgebra,
     tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
 ) -> list[AlgebraBlock]:
     """Matrix units for every central block of the algebra.
 
@@ -384,11 +360,12 @@ def matrix_units(
     normalized corners give the off-diagonal partial isometries.
     """
     n = a.ambient_dim
-    _, _, projections = center_and_factor(a, tol, seed)
+    _, _, projections = center_and_factor(a, tol)
     blocks = []
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(1)
     for z in projections:
-        block_basis = _block_compression(a, z)
+        # orthonormal basis of the block algebra z.A
+        block_basis = orthonormalize(np.einsum("ij,ajk->aik", z, a.basis))
         bdim = block_basis.shape[0]
         size = isqrt(bdim)
         if size * size != bdim:
@@ -433,13 +410,8 @@ def _minimal_block_projections(block_basis, z, size, mult, rng, tol):
         if len(groups) != size or any(g.size != mult for g in groups):
             continue
         projections = [vz[:, g] @ dagger(vz[:, g]) for g in groups]
-        vecs = block_basis.transpose(0, 2, 1).reshape(block_basis.shape[0], -1)
-
-        def in_span(p: np.ndarray) -> bool:
-            proj = np.tensordot(vecs.conj() @ vec(p), block_basis, axes=(0, 0))
-            return hs_norm(p - proj) <= tol.eps_algebra * n
-
-        if all(in_span(p) for p in projections):
+        block = MatrixStarAlgebra(n, block_basis)
+        if all(block.distance_to_span(p) <= tol.eps_algebra * n for p in projections):
             return projections
     raise IllConditioned("could not isolate minimal projections of a factor block")
 
@@ -491,7 +463,6 @@ def _verify_units(units, z, tol):
 def structure_decomposition(
     a: MatrixStarAlgebra,
     tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
 ) -> StructureDecomposition:
     """Block decomposition of the algebra with an explicit intertwiner.
 
@@ -503,7 +474,7 @@ def structure_decomposition(
     # the full algebra needs no work and the identity is the natural witness
     if a.dim == n * n:
         return StructureDecomposition([(n, 1)], np.eye(n, dtype=complex), [0])
-    blocks = matrix_units(a, tol, seed)
+    blocks = matrix_units(a, tol)
     columns = []
     block_dims = []
     offsets = []

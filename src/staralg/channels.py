@@ -186,14 +186,13 @@ def superop_from_kraus(kraus: np.ndarray) -> np.ndarray:
 
 
 def choi_matrix(action: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
-    """Block matrix sum_ij E_ij (x) T(E_ij) of a raw superoperator."""
+    """Block matrix sum_ij E_ij (x) T(E_ij) of a raw superoperator.
+
+    Entry (i m + k, j m + l) is T(E_ij)[k, l] = action[l m + k, j n + i], so
+    it swaps the outermost and innermost index; ``map_from_choi`` swaps back.
+    """
     n, m = in_dim, out_dim
-    c = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            block = unvec(action[:, j * n + i], m)
-            c[i * m : (i + 1) * m, j * m : (j + 1) * m] = block
-    return c
+    return np.reshape(action, (m, m, n, n)).transpose(3, 1, 2, 0).reshape(n * m, n * m)
 
 
 def choi(channel: ChannelMap) -> np.ndarray:
@@ -213,11 +212,7 @@ def map_from_choi(c: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
     c = np.asarray(c, dtype=complex)
     if c.shape != (n * m, n * m):
         raise ShapeMismatch(f"Choi matrix shape {c.shape}, expected {(n * m, n * m)}")
-    action = np.zeros((m * m, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            action[:, j * n + i] = vec(c[i * m : (i + 1) * m, j * m : (j + 1) * m])
-    return action
+    return c.reshape(n, m, n, m).transpose(3, 1, 2, 0).reshape(m * m, n * n)
 
 
 def kraus_from_choi(
@@ -225,13 +220,15 @@ def kraus_from_choi(
 ) -> KrausSet:
     """Kraus family from the positive part of a Choi block matrix.
 
-    Raises NotCP when the matrix has a significantly negative eigenvalue,
-    NotPSD wrapped beneath if it is not even Hermitian.
+    The one complete-positivity test: raises NotCP when the matrix is not
+    Hermitian or has an eigenvalue below -10 eps_psd times its spectral
+    scale.  Eigenvalues up to eps_psd times the scale are dropped.
     """
     n, m = in_dim, out_dim
+    c = np.asarray(c, dtype=complex)
     if not is_hermitian(c, tol):
         raise NotCP("Choi block matrix is not Hermitian")
-    w, v = eig_hermitian(c, tol)
+    w, v = np.linalg.eigh(c)
     scale = max(1.0, float(np.abs(w).max()))
     if w[0] < -tol.eps_psd * scale * 10:
         raise NotCP(f"Choi block matrix has negative eigenvalue {w[0]:.3e}")
@@ -253,12 +250,12 @@ def is_completely_positive(channel: ChannelMap, tol: Tolerances = DEFAULT_TOL) -
     with the completely positive expectation onto the span, and the map is
     completely positive on the span exactly when that composition is.
     """
-    c = choi_matrix(channel.action, channel.in_dim, channel.out_dim)
-    if not is_hermitian(c, tol):
+    n, m = channel.in_dim, channel.out_dim
+    try:
+        kraus_from_choi(choi_matrix(channel.action, n, m), n, m, tol)
+    except NotCP:
         return False
-    w = np.linalg.eigvalsh(0.5 * (c + dagger(c)))
-    scale = max(1.0, float(np.abs(w).max()))
-    return bool(w[0] >= -tol.eps_psd * scale * 10)
+    return True
 
 
 def is_faithful_map(channel: ChannelMap, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -281,11 +278,12 @@ def _certify(
     channel = ChannelMap(domain, out_dim, action)
     one_out = unvec(action @ vec(np.eye(n)), out_dim)
     channel.unital = hs_norm(one_out - np.eye(out_dim)) <= tol.eps_verify * out_dim
-    channel.cp_certified = is_completely_positive(channel, tol)
-    if channel.cp_certified:
-        c = choi_matrix(action, n, out_dim)
-        channel.kraus = kraus_from_choi(c, n, out_dim, tol)
-        channel.faithful = is_faithful_map(channel, tol)
+    try:
+        channel.kraus = kraus_from_choi(choi_matrix(action, n, out_dim), n, out_dim, tol)
+    except NotCP:
+        return channel
+    channel.cp_certified = True
+    channel.faithful = is_faithful_map(channel, tol)
     return channel
 
 

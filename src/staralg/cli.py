@@ -1301,9 +1301,16 @@ def cmd_verify_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of seeds and counts; argparse names the flag on error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="seed overriding per-check defaults")
-    sub.add_argument("--samples", type=int, default=None, help="sample count overriding per-check defaults")
+    sub.add_argument("--seed", type=_non_negative_int, default=None, help="seed overriding per-check defaults")
+    sub.add_argument("--samples", type=_non_negative_int, default=None, help="sample count overriding per-check defaults")
     sub.add_argument("--tol", type=float, default=None, help="override the certification tolerance eps_verify")
     sub.add_argument("--out", default=None, help="write the machine-readable report to this path")
     sub.add_argument("--json", action="store_true", help="print the machine-readable report to stdout")
@@ -1336,7 +1343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fuzz = subs.add_parser("fuzz", help="sweep a randomized instance family")
     fuzz.add_argument("family", help="instance family name")
-    fuzz.add_argument("count", type=int, help="number of instances")
+    fuzz.add_argument("count", type=_non_negative_int, help="number of instances")
     _add_common(fuzz)
     fuzz.set_defaults(func=cmd_fuzz)
 

@@ -134,6 +134,16 @@ MULTIPLICATION_MAP_MAX_COND = 1e10
 #: value below this is rounding left over from a vanishing one.
 RELATION_VALUE_CUT = 1e-9
 
+#: Largest distance of rank(z_i w_j) / (n_i m_j) from an integer accepted
+#: for a joint cell.  The rank is the trace of a product of projections that
+#: hold to eps_algebra times the ambient dimension, so an honest count is
+#: within about 1e-8 of an integer.
+CELL_RANK_CUT = 1e-6
+
+#: Eigenvalue cut on the corner e_00 f_00 of a cell: a projection, so its
+#: eigenvalues are 0 or 1 up to rounding, and the midpoint has most margin.
+CORNER_EIGENVALUE_CUT = 0.5
+
 
 @dataclass(eq=False)
 class Verdict:
@@ -896,7 +906,7 @@ def find_interpolating_factor(
             rank = float(np.trace(cell).real)
             cells_dim = sizes1[i] * sizes2[j]
             count = rank / cells_dim
-            if abs(count - round(count)) > 1e-6:
+            if abs(count - round(count)) > CELL_RANK_CUT:
                 raise IllConditioned(
                     f"joint cell ({i},{j}) has rank {rank:.6f}, not a "
                     f"multiple of {cells_dim}"
@@ -935,7 +945,7 @@ def find_interpolating_factor(
         for j, blk2 in enumerate(blocks2):
             corner = blk1.units[0, 0] @ blk2.units[0, 0]
             w, v = np.linalg.eigh(corner)
-            xi = v[:, w > 0.5]
+            xi = v[:, w > CORNER_EIGENVALUE_CUT]
             if xi.shape[1] != mu[i, j]:
                 raise IllConditioned(
                     f"corner of cell ({i},{j}) has rank {xi.shape[1]}, "

@@ -154,6 +154,9 @@ def null_space(
     rank.  The cut must be clean: the smallest kept singular value has to
     exceed the largest discarded one by ``gap_factor``, otherwise
     :class:`IllConditioned` is raised rather than guessing a rank.
+
+    Tall or square input gets a thin SVD, whose right-singular vectors
+    already span the domain; wide input needs the full SVD for its kernel.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2:
@@ -161,10 +164,8 @@ def null_space(
     n = mat.shape[1]
     if mat.shape[0] == 0:
         return np.eye(n, dtype=complex)
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < n)
     smax = s[0] if s.size else 0.0
-    if max(smax, scale) == 0.0:
-        return np.eye(n, dtype=complex)
     thresh = rel_tol * max(smax, scale)
     if smax <= thresh:
         return np.eye(n, dtype=complex)

@@ -63,6 +63,17 @@ __all__ = [
 
 ExtensionStatus = Literal["Feasible", "InfeasibleCertified", "Undecided"]
 
+#: Largest |tr(density) - 1| accepted for a state.  A normalized density
+#: misses unit trace by about n * 1e-16 (one sum of n diagonal entries), so
+#: the cut passes any desk-scale n and still rejects unnormalized input.
+UNIT_TRACE_CUT = 1e-10
+
+#: Relative singular-value cut for the rank of the stacked constraint
+#: observables.  Both Hermitian bases are orthonormal, so a direction the two
+#: algebras share (the unit, at least) leaves a singular value at rounding
+#: level, which must not be inverted in the affine projection.
+CONSTRAINT_RANK_CUT = 1e-12
+
 
 @dataclass(eq=False)
 class AlgebraState:
@@ -90,7 +101,7 @@ class AlgebraState:
         evals = np.linalg.eigvalsh(0.5 * (self.density + dagger(self.density)))
         if evals[0] < -tol.eps_psd * max(1.0, evals[-1]):
             raise InvalidState(f"density is not positive (eigenvalue {evals[0]:.3e})")
-        if abs(float(np.real(np.trace(self.density))) - 1.0) > 1e-10:
+        if abs(float(np.real(np.trace(self.density))) - 1.0) > UNIT_TRACE_CUT:
             raise InvalidState("density does not have unit trace")
 
     def is_faithful(self, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -104,8 +115,9 @@ def is_faithful(
 ) -> bool:
     """Nondegeneracy of the inner product phi(x* y) over the algebra basis."""
     algebra = state.algebra if algebra is None else algebra
-    basis = algebra.basis
-    gram = np.einsum("ij,akj,bki->ab", state.density, basis.conj(), basis)
+    # gram[a, b] = tr(b_a* b_b rho), the HS inner product of b_a with b_b rho
+    moved = (algebra.basis @ state.density).transpose(0, 2, 1).reshape(algebra.dim, -1)
+    gram = algebra.basis_vecs.conj() @ moved.T
     gram = 0.5 * (gram + dagger(gram))
     evals = np.linalg.eigvalsh(gram)
     return bool(evals[0] > tol.eps_psd * max(1.0, evals[-1]))
@@ -272,7 +284,7 @@ def extend_state_batch(
         ]
     )
     u_svd, s_svd, vt_svd = np.linalg.svd(c_mat, full_matrices=False)
-    rank = int(np.count_nonzero(s_svd > 1e-12 * s_svd[0]))
+    rank = int(np.count_nonzero(s_svd > CONSTRAINT_RANK_CUT * s_svd[0]))
     u_r, s_r, vt_r = u_svd[:, :rank], s_svd[:rank], vt_svd[:rank]
 
     b = len(pairs)

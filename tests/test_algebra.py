@@ -28,6 +28,7 @@ from staralg import (
     structure_decomposition,
 )
 from staralg.numerics import dagger, hs_norm, is_psd, kron, vec
+from staralg.sampling import cell_pair, tensor_pair
 
 
 def monomial_closure_rank(generators, n, max_length=8):
@@ -99,6 +100,24 @@ class TestJoin:
     def test_tensor_factors_generate_everything(self):
         j = join(left_factor(2, 2), right_factor(2, 2))
         assert j.dim == 16
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            lambda rng: tensor_pair(2, 3, rng),
+            lambda rng: cell_pair(np.array([[1, 1], [1, 1]]), [1, 2], [1, 2], rng),
+            lambda rng: cell_pair(np.array([[1, 1], [0, 1]]), [1, 2], [2, 1], rng),
+        ],
+        ids=["tensor_pair", "cell_pair", "shared_block"],
+    )
+    def test_commuting_join_is_the_generated_algebra(self, pair):
+        inst = pair(np.random.default_rng(53))
+        j = join(inst.a1, inst.a2)
+        j.validate()
+        # oracle: product closure of the union of the two spans
+        union = np.concatenate([inst.a1.basis, inst.a2.basis], axis=0)
+        closed = generate_algebra(union, inst.a1.ambient_dim)
+        assert np.abs(j.expectation - closed.expectation).max() <= 1e-9
 
 
 class TestCommutant:

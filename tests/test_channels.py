@@ -35,7 +35,7 @@ from staralg import (
     superop_from_kraus,
     tensor_channel,
 )
-from staralg.channels import superop_from_function
+from staralg.channels import choi_matrix, superop_from_function
 from staralg.numerics import dagger, hs_norm, is_psd, kron
 from staralg.sampling import (
     random_density,
@@ -80,6 +80,19 @@ class TestChoi:
         assert abs(evals.min() + 1.0) <= 1e-6
         assert not is_completely_positive(t)
         assert not t.cp_certified
+
+    def test_block_layout_of_a_map_between_different_sizes(self):
+        n, m = 2, 3
+        rng = np.random.default_rng(127)
+        action = rng.standard_normal((m * m, n * n)) + 1j * rng.standard_normal((m * m, n * n))
+        # oracle: block (i, j) is T(E_ij), whose vec is column j*n + i
+        blocks = np.zeros((n * m, n * m), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                image = action[:, j * n + i].reshape((m, m), order="F")
+                blocks[i * m : (i + 1) * m, j * m : (j + 1) * m] = image
+        assert np.array_equal(choi_matrix(action, n, m), blocks)
+        assert np.array_equal(map_from_choi(blocks, n, m), action)
 
 
 class TestKrausFromChoi:

@@ -170,6 +170,22 @@ class TestLoadInstance:
     def test_unknown_fuzz_family_exits_2(self, capsys):
         assert main(["fuzz", "bogus_family", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,argv",
+        [
+            ("--seed", ["analyze", "instances/same_algebra_m2.json", "--seed", "-1"]),
+            ("--seed", ["fuzz", "tensor_split", "1", "--seed", "-3"]),
+            ("--samples", ["analyze", "instances/same_algebra_m2.json", "--samples", "-1"]),
+            ("count", ["fuzz", "tensor_split", "-1"]),
+        ],
+        ids=["analyze_seed", "fuzz_seed", "analyze_samples", "fuzz_count"],
+    )
+    def test_negative_count_exits_2_naming_the_flag(self, flag, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a non-negative integer" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_tensor_instance_all_checks_hold(self, tmp_path):

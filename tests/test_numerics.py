@@ -162,6 +162,18 @@ class TestNullSpace:
         assert ns.shape == (5, 3)
         np.testing.assert_allclose(dagger(ns) @ ns, np.eye(3), atol=1e-10)
 
+    def test_tall_rank_deficient_kernel(self):
+        rng = np.random.default_rng(19)
+        left = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        right = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        a = left @ right
+        # oracle: an 8 x 3 product through C^2 has rank 2, so a 1-dim kernel
+        assert np.linalg.matrix_rank(a) == 2
+        ns = null_space(a)
+        assert ns.shape == (3, 1)
+        np.testing.assert_allclose(dagger(ns) @ ns, np.eye(1), atol=1e-12)
+        assert hs_norm(a @ ns) <= 1e-12 * hs_norm(a)
+
 
 class TestOrthonormalize:
     def test_drops_dependent_rows(self):
