@@ -42,6 +42,7 @@ __all__ = [
     "generate_algebra",
     "join",
     "commutant",
+    "products",
     "commutators",
     "mutually_commute",
     "center_and_factor",
@@ -49,6 +50,23 @@ __all__ = [
     "structure_decomposition",
     "conditional_expectation",
 ]
+
+#: Relative singular-value cut for the rank of the Hermitian part: the 2d
+#: candidates span exactly d real dimensions, so the extra values are
+#: rounding of unit-scale entries, far below 1e-10.
+HERMITIAN_RANK_CUT = 1e-10
+
+#: Relative gap that splits a sorted spectrum into clusters.  Eigenvalues of
+#: a random combination of orthonormal elements are spread on unit scale, so
+#: one cluster's spread is rounding while distinct clusters differ by far
+#: more than 1e-6 of the range (the draw is retried when they do not).
+CLUSTER_GAP = 1e-6
+
+#: Smallest HS norm of a corner p c e_11 accepted as nonzero.  Over an
+#: orthonormal basis c of a block M_k (x) 1 the squared corner norms sum to
+#: dim(p A e_11) = 1, so the best corner has norm at least 1/k, while a
+#: vanishing one is rounding; 1e-8 leaves margin either way.
+CORNER_NORM_CUT = 1e-8
 
 
 @dataclass(eq=False)
@@ -117,7 +135,7 @@ class MatrixStarAlgebra:
         k = (self.basis - dagger(self.basis)) / 2j
         cand = hermitian_to_rvec(np.concatenate([h, k], axis=0))
         _, s, vt = np.linalg.svd(cand, full_matrices=False)
-        rank = int(np.count_nonzero(s > 1e-10 * s[0]))
+        rank = int(np.count_nonzero(s > HERMITIAN_RANK_CUT * s[0]))
         if rank != self.dim:
             raise IllConditioned(
                 f"Hermitian part has ambiguous rank {rank}, expected {self.dim}"
@@ -125,19 +143,30 @@ class MatrixStarAlgebra:
         return rvec_to_hermitian(vt[:rank], self.ambient_dim)
 
     def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
-        """Re-check orthonormality, the unit, adjoint and product closure."""
+        """Re-check orthonormality, the unit, adjoint and product closure.
+
+        Closure is checked in batches: the distances of all adjoints at
+        once, then of the products b_a b_c one row a at a time, so only d
+        products are held at once.
+        """
         n, d = self.ambient_dim, self.dim
-        gram = self.basis_vecs.conj() @ self.basis_vecs.T
+        flat = self.basis.reshape(d, n * n)
+        gram = flat.conj() @ flat.T
         if np.abs(gram - np.eye(d)).max() > tol.eps_algebra:
             raise ValidationError("basis is not HS-orthonormal")
         if not self.contains(np.eye(n), tol):
             raise ValidationError("identity is not in the span")
-        for b in self.basis:
-            if self.distance_to_span(dagger(b)) > tol.eps_algebra:
-                raise ValidationError("span is not closed under adjoints")
-        prods = np.einsum("aij,bjk->abik", self.basis, self.basis).reshape(-1, n, n)
-        for p in prods:
-            if self.distance_to_span(p) > tol.eps_algebra * max(1.0, hs_norm(p)):
+
+        def distances(rows: np.ndarray) -> np.ndarray:
+            """HS distance of each row (a flattened matrix) to the span."""
+            return np.linalg.norm(rows - (rows @ flat.conj().T) @ flat, axis=1)
+
+        if distances(dagger(self.basis).reshape(d, n * n)).max() > tol.eps_algebra:
+            raise ValidationError("span is not closed under adjoints")
+        for a in range(d):
+            rows = products(self.basis[a : a + 1], self.basis).reshape(d, n * n)
+            scale = np.maximum(1.0, np.linalg.norm(rows, axis=1))
+            if np.any(distances(rows) > tol.eps_algebra * scale):
                 raise ValidationError("span is not closed under products")
 
 
@@ -179,7 +208,7 @@ def generate_algebra(
     basis = orthonormalize(np.stack(mats))
     stable = 0
     while stable < 2:
-        prods = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, n, n)
+        prods = products(basis, basis).reshape(-1, n, n)
         new_basis = orthonormalize(np.concatenate([basis, prods], axis=0))
         stable = stable + 1 if new_basis.shape[0] == basis.shape[0] else 0
         basis = new_basis
@@ -210,7 +239,7 @@ def join(
     _check_same_ambient(a1, a2)
     n = a1.ambient_dim
     if mutually_commute(a1, a2, tol):
-        prods = np.einsum("aij,bjk->abik", a1.basis, a2.basis).reshape(-1, n, n)
+        prods = products(a1.basis, a2.basis).reshape(-1, n, n)
         return MatrixStarAlgebra(n, canonical_basis(orthonormalize(prods)))
     return generate_algebra(np.concatenate([a1.basis, a2.basis], axis=0), n, tol)
 
@@ -231,12 +260,21 @@ def commutant(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixStar
     return MatrixStarAlgebra(n, canonical_basis(mats))
 
 
+def products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_a y_b for every pair of matrices in two stacks, shape (dx, dy, n, n).
+
+    One GEMM: the rows (a, i) of x against the columns (b, k) of y.
+    """
+    dx, n, _ = x.shape
+    dy = y.shape[0]
+    flat = x.reshape(dx * n, n) @ y.transpose(1, 0, 2).reshape(n, dy * n)
+    return flat.reshape(dx, n, dy, n).transpose(0, 2, 1, 3)
+
+
 def commutators(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra) -> np.ndarray:
     """[b_a, c_b] for every pair of basis elements, shape (dim1, dim2, n, n)."""
     _check_same_ambient(a1, a2)
-    left = np.einsum("aij,bjk->abik", a1.basis, a2.basis)
-    right = np.einsum("bij,ajk->abik", a2.basis, a1.basis)
-    return left - right
+    return products(a1.basis, a2.basis) - products(a2.basis, a1.basis).transpose(1, 0, 2, 3)
 
 
 def mutually_commute(
@@ -329,7 +367,7 @@ def _minimal_projections_of_abelian(
         z = np.tensordot(rng.standard_normal(c), herm, axes=(0, 0))
         w, v = np.linalg.eigh(z)
         spread = max(w[-1] - w[0], 1.0)
-        groups = _cluster_sorted(w, 1e-6 * spread)
+        groups = _cluster_sorted(w, CLUSTER_GAP * spread)
         if len(groups) != c:
             continue
         intra = max(float(w[g].max() - w[g].min()) for g in groups)
@@ -406,7 +444,7 @@ def _minimal_block_projections(block_basis, z, size, mult, rng, tol):
         if wz.size != size * mult:
             continue
         spread = max(float(wz[-1] - wz[0]), 1.0)
-        groups = _cluster_sorted(wz, 1e-6 * spread)
+        groups = _cluster_sorted(wz, CLUSTER_GAP * spread)
         if len(groups) != size or any(g.size != mult for g in groups):
             continue
         projections = [vz[:, g] @ dagger(vz[:, g]) for g in groups]
@@ -429,7 +467,7 @@ def _corner_isometries(block_basis, diag, mult, rng):
             if norm > best:
                 best, v = norm, cand
         for _ in range(8):
-            if best > 1e-8:
+            if best > CORNER_NORM_CUT:
                 break
             c = np.tensordot(
                 rng.standard_normal(block_basis.shape[0])
@@ -440,7 +478,7 @@ def _corner_isometries(block_basis, diag, mult, rng):
             cand = p @ c @ e11
             if hs_norm(cand) > best:
                 best, v = hs_norm(cand), cand
-        if v is None or best <= 1e-8:
+        if v is None or best <= CORNER_NORM_CUT:
             raise IllConditioned("vanishing corner while building matrix units")
         lam = hs_norm(v) ** 2 / mult
         corners.append(v / np.sqrt(lam))

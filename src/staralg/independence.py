@@ -35,6 +35,7 @@ from .algebra import (
     join,
     matrix_units,
     mutually_commute,
+    products,
     structure_decomposition,
 )
 from .channels import ChannelMap, build_channel, dual_on_states
@@ -51,7 +52,6 @@ from .states import (
     AlgebraState,
     canonical_trace_state,
     extend_state_batch,
-    is_faithful,
     marginal_residual,
     product_residual,
     product_state,
@@ -184,8 +184,7 @@ def _multiplication_map(
     product's component orthogonal to the join.
     """
     d1, d2 = a1.dim, a2.dim
-    prods = np.einsum("aij,bjk->abik", a1.basis, a2.basis).reshape(d1 * d2, *a1.basis.shape[1:])
-    prod_vecs = prods.transpose(0, 2, 1).reshape(d1 * d2, -1)
+    prod_vecs = products(a1.basis, a2.basis).transpose(0, 1, 3, 2).reshape(d1 * d2, -1)
     mult_map = jn.basis_vecs.conj() @ prod_vecs.T
     outside = float(np.abs(prod_vecs.T - jn.basis_vecs.T @ mult_map).max())
     return mult_map, outside
@@ -309,6 +308,24 @@ def check_product_sense(
     return Verdict.holds(certificate, iso=iso)
 
 
+#: Holds certificate of every notion that product position implies.  It
+#: rests on the check entry's ProductIsomorphism, validated exactly, and on
+#: the theorem it states; nothing is sampled.
+IMPLIED_BY_PRODUCT_ISOMORPHISM = {
+    "kind": "implied_by_product_isomorphism",
+    "reasoning": (
+        "the pair commutes and the multiplication map iso: A1 (x) A2 -> join "
+        "is a *-isomorphism (the entry's product isomorphism), so every "
+        "marginal pair (phi1, phi2) extends to the product state "
+        "(phi1 (x) phi2) . iso^-1, and every pair of nonselective operations "
+        "(T1, T2) extends to iso . (T1 (x) T2) . iso^-1 composed with the "
+        "conditional expectation onto the join, which is unital, completely "
+        "positive and multiplicative across the pair (Roos, Commun. Math. "
+        "Phys. 16 (1970) 238)"
+    ),
+}
+
+
 def annihilating_projections(
     z1: np.ndarray, z2: np.ndarray, a1: MatrixStarAlgebra, a2: MatrixStarAlgebra
 ) -> bool:
@@ -371,16 +388,18 @@ def check_cstar_independence(
 ) -> Verdict:
     """Does every marginal pair admit a joint state?
 
-    Three routes, in order.  (i) A pair of minimal central projections with
-    z1 z2 = 0 refutes: states concentrated on them satisfy phi(z1) =
-    phi(z2) = 1, and any joint state would be supported under both, forcing
-    phi(z1 z2) = 1 against z1 z2 = 0; the solver's refusal certificate for
-    that pair is attached as an independent confirmation.  (ii) A commuting
-    pair in product position verifies constructively: the product state
-    through the isomorphism extends every marginal pair, and a sample of
-    constructed extensions is attached.  (iii) Otherwise the extension
-    solver runs over sampled pairs; a refusal falsifies, while feasibility
-    on samples alone leaves the verdict honestly undecided.
+    Three routes, in order.  (i) A commuting pair in product position
+    verifies exactly: the certificate is the pair's product isomorphism,
+    through which every marginal pair extends to the product state (see
+    ``IMPLIED_BY_PRODUCT_ISOMORPHISM``).  (ii) A pair of minimal central
+    projections with z1 z2 = 0 refutes: states concentrated on them satisfy
+    phi(z1) = phi(z2) = 1, and any joint state would be supported under
+    both, forcing phi(z1 z2) = 1 against z1 z2 = 0; the solver's refusal
+    certificate for that pair is attached as an independent confirmation.
+    (iii) Otherwise the extension solver runs over sampled pairs; a refusal
+    falsifies, while feasibility on samples alone leaves the verdict
+    honestly undecided.  Only route (iii) draws from ``rng`` or reads
+    ``samples``.
 
     ``product_sense`` accepts the precomputed :func:`check_product_sense`
     verdict for this pair so callers running several checks do not pay for
@@ -390,7 +409,11 @@ def check_cstar_independence(
         raise AmbientMismatch("the two algebras live in different ambient spaces")
     from .sampling import sample_state_pairs
 
-    generator = _as_rng(rng)
+    if mutually_commute(a1, a2, tol):
+        ps = product_sense if product_sense is not None else check_product_sense(a1, a2, tol)
+        if ps.status == "Holds":
+            return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM), iso=ps.iso)
+
     annih = _annihilating_central_pair(a1, a2, tol)
     if annih is not None:
         z1, z2 = annih
@@ -414,30 +437,7 @@ def check_cstar_independence(
             )
         # the projections only annihilate within noise; fall through
 
-    commuting = mutually_commute(a1, a2, tol)
-    if commuting:
-        ps = product_sense if product_sense is not None else check_product_sense(a1, a2, tol)
-        if ps.status == "Holds":
-            k = min(samples, 12)
-            pairs = sample_state_pairs(a1, a2, k, generator, tol)
-            worst = 0.0
-            for s1, s2 in pairs:
-                joint = product_state(s1, s2, ps.iso, tol)
-                worst = max(worst, marginal_residual(joint.density, (s1, s2)))
-            return Verdict.holds(
-                {
-                    "kind": "constructive_product_extension",
-                    "sampled_pairs": k,
-                    "max_marginal_residual": worst,
-                    "reasoning": (
-                        "the pair commutes and is in product position, so "
-                        "every marginal pair extends to the corresponding "
-                        "product state on the join"
-                    ),
-                },
-                iso=ps.iso,
-            )
-
+    generator = _as_rng(rng)
     pairs = sample_state_pairs(a1, a2, samples, generator, tol)
     counts = {"Feasible": 0, "InfeasibleCertified": 0, "Undecided": 0}
     # small chunks so a refusal (most likely among the leading
@@ -1020,11 +1020,10 @@ def check_spatial_product_sense(
 
 @dataclass(eq=False)
 class IndependenceReport:
-    """All nine verdicts for one pair, with sampling metadata and notes."""
+    """All nine verdicts for one pair, with the seed and notes."""
 
     verdicts: dict[str, Verdict]
     seed: int | None = None
-    sample_counts: dict[str, int] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
 
@@ -1081,55 +1080,6 @@ def _lift_plain_verdicts(verdicts: dict[str, Verdict], open_reason: str) -> None
             verdicts[op_key] = Verdict.undecided(open_reason)
 
 
-def _operational_product_holds(
-    iso: ProductIsomorphism,
-    rng: np.random.Generator,
-    op_samples: int,
-    tol: Tolerances,
-) -> dict:
-    """Certificate for the operational product notions on a product pair.
-
-    Exercises both directions of the equivalence with product position:
-    joint extensions are built for sampled faithful nonselective pairs
-    (forward), and a faithful product state is recovered from the joint
-    extension of two state preparations applied to a faithful input
-    (the converse route).
-    """
-    from .sampling import random_faithful_nonselective_channel
-
-    a1, a2 = iso.factor1, iso.factor2
-    worst: dict[str, float] = {
-        "restriction_residual_1": 0.0,
-        "restriction_residual_2": 0.0,
-        "multiplicativity_residual": 0.0,
-    }
-    faithful_all = True
-    for _ in range(op_samples):
-        t1 = random_faithful_nonselective_channel(a1, rng, tol=tol)
-        t2 = random_faithful_nonselective_channel(a2, rng, tol=tol)
-        joint = joint_operation(t1, t2, tol=tol, iso=iso)
-        res = joint_extension_residuals(joint, t1, t2, tol)
-        for key in worst:
-            worst[key] = max(worst[key], res[key])
-        faithful_all = faithful_all and joint.faithful
-
-    s1, s2 = canonical_trace_state(a1), canonical_trace_state(a2)
-    prep = joint_operation(state_preparation(s1, tol), state_preparation(s2, tol), tol=tol, iso=iso)
-    ambient = full_matrix_algebra(a1.ambient_dim)
-    probe = canonical_trace_state(ambient)
-    recovered = dual_on_states(prep).apply(probe.density)
-    rec_state = state_from_density(iso.join, recovered, tol)
-    product_recovered = product_residual(recovered, s1, s2) <= tol.eps_verify
-    return {
-        "kind": "joint_operation_extensions",
-        "operation_samples": op_samples,
-        **worst,
-        "joint_faithful_for_faithful_inputs": faithful_all,
-        "recovered_product_state_faithful": is_faithful(rec_state, iso.join, tol),
-        "recovered_state_is_product": product_recovered,
-    }
-
-
 def run_hierarchy_checks(
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
@@ -1143,11 +1093,15 @@ def run_hierarchy_checks(
     Commuting pairs are decided completely: the product-sense family and
     the split property come from the joint cell structure, and the plain
     notions follow from the equivalence of product position with joint
-    extendability in finite dimension.  For non-commuting pairs the
-    product-sense family is marked not applicable, the split property fails
-    outright, and the plain notions are semi-decided by sampling.  The
-    assembled verdicts are checked against the implication table; a
-    violation raises instead of being reported.
+    extendability in finite dimension.  In product position every other
+    notion Holds by ``IMPLIED_BY_PRODUCT_ISOMORPHISM``, so nothing is
+    sampled and ``seed`` and ``samples`` do not matter.  For non-commuting
+    pairs the product-sense family is marked not applicable, the split
+    property fails outright, and the plain notions are semi-decided by
+    sampling.  The assembled verdicts are checked against the implication
+    table; a violation raises instead of being reported.
+
+    ``op_samples`` is accepted and has no effect: no operation is sampled.
     """
     if a1.ambient_dim != a2.ambient_dim:
         raise AmbientMismatch("the two algebras live in different ambient spaces")
@@ -1160,7 +1114,6 @@ def run_hierarchy_checks(
         "scope; verdicts here exercise only the implications, never the "
         "strictness of the hierarchy",
     ]
-    sample_counts = {"state_pairs": 0, "operation_pairs": 0}
 
     commuting = mutually_commute(a1, a2, tol)
     if commuting:
@@ -1173,25 +1126,10 @@ def run_hierarchy_checks(
             a1, a2, rng, samples, tol, product_sense=ps
         )
         verdicts["wstar_independent"] = _annotate_normal(verdicts["cstar_independent"])
-        sample_counts["state_pairs"] = min(samples, 12) if ps.status == "Holds" else samples
         verdicts["split"] = check_spatial_product_sense(a1, a2, tol)
         if ps.status == "Holds":
-            cert = _operational_product_holds(ps.iso, rng, op_samples, tol)
-            sample_counts["operation_pairs"] = op_samples
-            verdicts["op_cstar_product"] = Verdict.holds(cert, iso=ps.iso)
-            verdicts["op_wstar_product"] = Verdict.holds(
-                {**cert, "normality_note": "normal and plain readings coincide"},
-                iso=ps.iso,
-            )
-            implied = {
-                "kind": "implied_by_product_extension",
-                "reasoning": (
-                    "the multiplicative joint extension built for the "
-                    "product notion is in particular a joint extension"
-                ),
-            }
-            verdicts["op_cstar"] = Verdict.holds(implied, iso=ps.iso)
-            verdicts["op_wstar"] = Verdict.holds(dict(implied), iso=ps.iso)
+            for key in ("op_cstar", "op_wstar", "op_cstar_product", "op_wstar_product"):
+                verdicts[key] = Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM), iso=ps.iso)
         else:
             equiv_witness = {
                 "kind": "product_position_failure",
@@ -1231,7 +1169,6 @@ def run_hierarchy_checks(
             a1, a2, rng, samples, tol
         )
         verdicts["wstar_independent"] = _annotate_normal(verdicts["cstar_independent"])
-        sample_counts["state_pairs"] = samples
         _lift_plain_verdicts(
             verdicts,
             "no sampled refusal certificate; the joint-extension question "
@@ -1247,9 +1184,7 @@ def run_hierarchy_checks(
     violations = implication_violations(verdicts)
     if violations:  # pragma: no cover - guarded by construction
         raise IllConditioned(f"implication violations in report: {violations}")
-    return IndependenceReport(
-        verdicts=verdicts, seed=seed, sample_counts=sample_counts, notes=notes
-    )
+    return IndependenceReport(verdicts=verdicts, seed=seed, notes=notes)
 
 
 def _propagate(verdicts: dict[str, Verdict]) -> None:

@@ -27,6 +27,7 @@ from staralg import (
     scalar_algebra,
     structure_decomposition,
 )
+from staralg.algebra import products
 from staralg.numerics import dagger, hs_norm, is_psd, kron, vec
 from staralg.sampling import cell_pair, tensor_pair
 
@@ -325,3 +326,34 @@ class TestValidation:
         )
         with pytest.raises(ValidationError):
             MatrixStarAlgebra(3, basis).validate()
+
+    def test_span_missing_one_product_is_not_closed(self):
+        # an orthonormal basis of the diagonal algebra of M_3; dropping its
+        # last element leaves {1, h}, which misses the product h h
+        full = np.stack(
+            [
+                np.eye(3, dtype=complex) / np.sqrt(3),
+                np.diag([1.0, -1.0, 0.0]).astype(complex) / np.sqrt(2),
+                np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(6),
+            ]
+        )
+        MatrixStarAlgebra(3, full).validate()
+        with pytest.raises(ValidationError, match="not closed under products"):
+            MatrixStarAlgebra(3, full[:2]).validate()
+
+    def test_span_missing_an_adjoint_is_not_closed(self):
+        basis = np.stack([np.eye(2, dtype=complex) / np.sqrt(2), matrix_unit(2, 0, 1)])
+        with pytest.raises(ValidationError, match="not closed under adjoints"):
+            MatrixStarAlgebra(2, basis).validate()
+
+
+class TestProducts:
+    @pytest.mark.parametrize("dx,dy", [(3, 5), (4, 1), (1, 2)])
+    def test_matches_einsum_on_rectangular_stacks(self, dx, dy):
+        rng = np.random.default_rng(dx * 10 + dy)
+        n = 4
+        x = rng.standard_normal((dx, n, n)) + 1j * rng.standard_normal((dx, n, n))
+        y = rng.standard_normal((dy, n, n)) + 1j * rng.standard_normal((dy, n, n))
+        got = products(x, y)
+        assert got.shape == (dx, dy, n, n)
+        np.testing.assert_allclose(got, np.einsum("aij,bjk->abik", x, y), atol=1e-12)

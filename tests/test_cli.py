@@ -422,6 +422,13 @@ class TestVerifyReport:
         factor["unitary"] = array_to_json(unitary)
         return "factor"
 
+    @staticmethod
+    def drop_product_isomorphism(doc):
+        # the implied Holds verdicts rest on it; the product state does not
+        hierarchy = next(c for c in doc["checks"] if c["check"] == "hierarchy")
+        del hierarchy["verdicts"]["cstar_product_sense"]["isomorphism"]
+        return "product isomorphism"
+
     # tamper -> the golden report it edits
     TAMPERS = {
         "corrupt_extension_density": "tensor_pair_m6",
@@ -431,6 +438,7 @@ class TestVerifyReport:
         "spoil_annihilating_projection": "same_algebra_m2",
         "shift_join_dimension": "same_algebra_m2",
         "perturb_factor_unitary": "tensor_pair_m6",
+        "drop_product_isomorphism": "tensor_pair_m6",
     }
 
     @pytest.mark.parametrize("tamper", list(TAMPERS))
@@ -445,6 +453,18 @@ class TestVerifyReport:
         assert rep["all_ok"] is False
         failed = [item["target"] for item in rep["items"] if not item["ok"]]
         assert failed and all(t.endswith(target) for t in failed), failed
+
+    def test_dropped_isomorphism_fails_exactly_the_implied_verdicts(self, tmp_path):
+        doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
+        self.drop_product_isomorphism(doc)
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
+        assert code == 2
+        implied = ("cstar_independent", "wstar_independent", "op_cstar", "op_wstar",
+                   "op_cstar_product", "op_wstar_product")
+        failed = {item["target"] for item in rep["items"] if not item["ok"]}
+        assert failed == {f"checks[0] hierarchy {key} product isomorphism" for key in implied}
 
 
 class TestGoldenSchema:

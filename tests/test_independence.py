@@ -9,6 +9,7 @@ re-validated through their separating witnesses.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -128,7 +129,8 @@ class TestCStarIndependence:
     def test_tensor_pair_holds_constructively(self):
         v = check_cstar_independence(left_factor(2, 2), right_factor(2, 2))
         assert v.status == "Holds"
-        assert v.certificate["kind"] == "constructive_product_extension"
+        assert v.certificate["kind"] == "implied_by_product_isomorphism"
+        assert v.iso is not None
 
     def test_same_algebra_fails_with_pure_witnesses(self):
         d = diag_algebra(2)
@@ -306,6 +308,45 @@ class TestHierarchy:
                     inst.a1, inst.a2, seed=5, samples=4, op_samples=2
                 )
                 assert implication_violations(report.verdicts) == []
+
+    @staticmethod
+    def plain(x):
+        """Certificates and witnesses as plain data, arrays as nested lists."""
+        if isinstance(x, dict):
+            return {k: TestHierarchy.plain(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [TestHierarchy.plain(v) for v in x]
+        if isinstance(x, np.ndarray):
+            return x.tolist()
+        if dataclasses.is_dataclass(x):
+            return {f.name: TestHierarchy.plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+        return x
+
+    def verdict_data(self, report):
+        return {
+            key: (v.status, self.plain(v.certificate), self.plain(v.witness), v.reason)
+            for key, v in report.verdicts.items()
+        }
+
+    def test_product_pair_does_not_depend_on_seed_or_samples(self):
+        inst = tensor_pair(2, 3, np.random.default_rng(359))
+        runs = [
+            self.verdict_data(run_hierarchy_checks(inst.a1, inst.a2, seed=seed, samples=samples))
+            for seed in (0, 1)
+            for samples in (2, 50)
+        ]
+        assert all(v[0] == "Holds" for v in runs[0].values())
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_op_samples_has_no_effect(self):
+        d = diag_algebra(2)
+        inst = tensor_pair(2, 2, np.random.default_rng(361))
+        for a1, a2 in ((inst.a1, inst.a2), (d, d)):
+            runs = [
+                self.verdict_data(run_hierarchy_checks(a1, a2, seed=3, samples=4, op_samples=k))
+                for k in (0, 5)
+            ]
+            assert runs[0] == runs[1]
 
     def test_violation_detection_on_artificial_verdicts(self):
         verdicts = {
