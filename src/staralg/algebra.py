@@ -459,13 +459,9 @@ def _corner_isometries(block_basis, diag, mult, rng):
     e11 = diag[0]
     corners = [e11]
     for p in diag[1:]:
-        v = None
-        best = 0.0
-        for c in block_basis:
-            cand = p @ c @ e11
-            norm = hs_norm(cand)
-            if norm > best:
-                best, v = norm, cand
+        cands = p @ block_basis @ e11
+        norms = np.linalg.norm(cands, axis=(1, 2))
+        best, v = float(norms.max()), cands[np.argmax(norms)]
         for _ in range(8):
             if best > CORNER_NORM_CUT:
                 break
@@ -478,7 +474,7 @@ def _corner_isometries(block_basis, diag, mult, rng):
             cand = p @ c @ e11
             if hs_norm(cand) > best:
                 best, v = hs_norm(cand), cand
-        if v is None or best <= CORNER_NORM_CUT:
+        if best <= CORNER_NORM_CUT:
             raise IllConditioned("vanishing corner while building matrix units")
         lam = hs_norm(v) ** 2 / mult
         corners.append(v / np.sqrt(lam))
@@ -488,14 +484,12 @@ def _corner_isometries(block_basis, diag, mult, rng):
 def _verify_units(units, z, tol):
     size = units.shape[0]
     n = z.shape[0]
-    total = sum(units[alpha, alpha] for alpha in range(size))
-    if hs_norm(total - z) > tol.eps_verify * n:
+    diag = units[np.arange(size), np.arange(size)]
+    if hs_norm(diag.sum(axis=0) - z) > tol.eps_verify * n:
         raise IllConditioned("diagonal matrix units do not resolve the block unit")
-    for a in range(size):
-        for b in range(size):
-            lhs = units[a, b] @ units[b, a]
-            if hs_norm(lhs - units[a, a]) > tol.eps_verify * n:
-                raise IllConditioned("matrix-unit relations fail numerically")
+    lhs = units @ units.transpose(1, 0, 2, 3)
+    if np.linalg.norm(lhs - diag[:, None], axis=(2, 3)).max() > tol.eps_verify * n:
+        raise IllConditioned("matrix-unit relations fail numerically")
 
 
 def structure_decomposition(
@@ -539,31 +533,26 @@ def structure_decomposition(
 
 
 def _verify_structure(a, decomp, tol):
-    n = a.ambient_dim
+    """Check W* b W = sum_k x_k (x) 1_{m_k} for the whole basis stack at once."""
+    n, d = a.ambient_dim, a.dim
     w = decomp.intertwiner
     if sum(nk * mk for nk, mk in decomp.blocks) != n:
         raise IllConditioned("block dimensions do not add up to the ambient dimension")
-    if sum(nk * nk for nk, mk in decomp.blocks) != a.dim:
+    if sum(nk * nk for nk, mk in decomp.blocks) != d:
         raise IllConditioned("block dimensions do not add up to the algebra dimension")
-    for b in a.basis:
-        rotated = dagger(w) @ b @ w
-        resid = _block_form_residual(rotated, decomp)
-        if resid > tol.eps_verify * max(1.0, hs_norm(b)):
-            raise IllConditioned(
-                f"conjugated basis element is not in block form (residual {resid:.2e})"
-            )
-
-
-def _block_form_residual(rotated, decomp):
-    """Distance of W*bW from the direct-sum-of-x(x)1 form."""
-    n = rotated.shape[0]
+    rotated = dagger(w) @ a.basis @ w
     model = np.zeros_like(rotated)
     for (nk, mk), off in zip(decomp.blocks, decomp.offsets):
-        sub = rotated[off : off + nk * mk, off : off + nk * mk]
-        cube = sub.reshape(nk, mk, nk, mk)
-        x = np.einsum("asbs->ab", cube) / mk
-        model[off : off + nk * mk, off : off + nk * mk] = np.kron(x, np.eye(mk))
-    return hs_norm(rotated - model)
+        cut = slice(off, off + nk * mk)
+        x = np.einsum("kasbs->kab", rotated[:, cut, cut].reshape(d, nk, mk, nk, mk)) / mk
+        model[:, cut, cut] = (x[:, :, None, :, None] * np.eye(mk)[:, None, :]).reshape(d, nk * mk, -1)
+    resid = np.linalg.norm((rotated - model).reshape(d, n * n), axis=1)
+    bound = tol.eps_verify * np.maximum(1.0, np.linalg.norm(a.basis.reshape(d, n * n), axis=1))
+    bad = resid > bound
+    if np.any(bad):
+        raise IllConditioned(
+            f"conjugated basis element is not in block form (residual {resid[bad][0]:.2e})"
+        )
 
 
 def conditional_expectation(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL):

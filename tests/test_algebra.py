@@ -13,6 +13,7 @@ import pytest
 
 from conftest import diag_algebra, left_factor, matrix_unit, right_factor
 from staralg import (
+    IllConditioned,
     MatrixStarAlgebra,
     ValidationError,
     center_and_factor,
@@ -27,9 +28,9 @@ from staralg import (
     scalar_algebra,
     structure_decomposition,
 )
-from staralg.algebra import products
-from staralg.numerics import dagger, hs_norm, is_psd, kron, vec
-from staralg.sampling import cell_pair, tensor_pair
+from staralg.algebra import StructureDecomposition, _verify_structure, products
+from staralg.numerics import DEFAULT_TOL, dagger, hs_norm, is_psd, kron, vec
+from staralg.sampling import canonical_block_algebra, cell_pair, tensor_pair
 
 
 def monomial_closure_rank(generators, n, max_length=8):
@@ -255,6 +256,16 @@ class TestStructureDecomposition:
             t = dagger(w) @ b @ w
             x = t[::m, ::m]
             assert hs_norm(t - kron(x, np.eye(m))) <= 1e-8
+
+    def test_intertwiner_with_columns_swapped_across_blocks_is_refused(self):
+        # M_2 (+) C (x) 1_3: column 0 lies in the first block, column 2 in the second
+        a = canonical_block_algebra([(2, 1), (1, 3)], 5)
+        sd = structure_decomposition(a)
+        assert sd.blocks == [(2, 1), (1, 3)]
+        swapped = sd.intertwiner[:, [2, 1, 0, 3, 4]]
+        bad = StructureDecomposition(sd.blocks, swapped, sd.offsets)
+        with pytest.raises(IllConditioned, match="not in block form"):
+            _verify_structure(a, bad, DEFAULT_TOL)
 
 
 class TestConditionalExpectation:

@@ -30,6 +30,7 @@ from staralg import (
     NoProductIsomorphism,
     NotCommuting,
     ProductIsomorphism,
+    ShapeMismatch,
     Verdict,
     build_channel,
     canonical_block_algebra,
@@ -45,6 +46,7 @@ from staralg import (
     extend_state,
     find_interpolating_factor,
     full_matrix_algebra,
+    fuzz_instances,
     generate_algebra,
     implication_violations,
     is_faithful,
@@ -60,11 +62,12 @@ from staralg import (
     state_from_density,
     state_preparation,
     tensor_pair,
+    verify_interpolating_factor,
     verify_product_transition,
 )
 from staralg.channels import superop_from_function
 from staralg.independence import annihilating_projections, verify_multiplication_relation
-from staralg.numerics import dagger, haar_unitary, hs_norm, kron
+from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, kron
 
 
 def identity_on(algebra):
@@ -418,3 +421,86 @@ class TestInterpolatingFactor:
             found = find_interpolating_factor(a1, a2).status == "Found"
             holds = check_spatial_product_sense(a1, a2).status == "Holds"
             assert found == holds
+
+
+def reference_split_residuals(a1, a2, factor):
+    """The split-certificate residuals, one basis element or pair at a time."""
+    m, u, d1, d2 = factor.algebra, factor.unitary, factor.d1, factor.d2
+    eye1, eye2 = np.eye(d1), np.eye(d2)
+
+    def first_leg(x):
+        return np.einsum("asbs->ab", x.reshape(d1, d2, d1, d2)) / d2
+
+    def second_leg(x):
+        return np.einsum("sasb->ab", x.reshape(d1, d2, d1, d2)) / d1
+
+    def off_leg(mats, first):
+        worst = 0.0
+        for x in mats:
+            img = u @ x @ dagger(u)
+            leg = kron(first_leg(img), eye2) if first else kron(eye1, second_leg(img))
+            worst = max(worst, float(np.abs(img - leg).max()))
+        return worst
+
+    product = 0.0
+    for b in a1.basis:
+        left = first_leg(u @ b @ dagger(u))
+        for c in a2.basis:
+            right = second_leg(u @ c @ dagger(u))
+            img = u @ (b @ c) @ dagger(u)
+            product = max(product, float(np.abs(img - kron(left, right)).max()))
+    return {
+        "unitarity_residual": float(np.abs(u @ dagger(u) - np.eye(d1 * d2)).max()),
+        "containment_residual": max(m.distance_to_span(b) for b in a1.basis),
+        "commutant_residual": max(
+            float(np.abs(x @ c - c @ x).max()) for x in m.basis for c in a2.basis
+        ),
+        "embedding_residual_1": off_leg(a1.basis, True),
+        "embedding_residual_2": off_leg(a2.basis, False),
+        "factor_embedding_residual": off_leg(m.basis, True),
+        "product_factorization_residual": product,
+    }
+
+
+def split_cases():
+    cell = fuzz_instances("tensor_split", 2, 1)[1]
+    return {
+        "haar_2x3": tensor_pair(2, 3, np.random.default_rng(61)),
+        "haar_3x4": tensor_pair(3, 4, np.random.default_rng(62)),
+        "cell_assembly_3x3": cell,
+    }
+
+
+class TestStackedSplitResiduals:
+    @pytest.mark.parametrize("case", sorted(split_cases()))
+    def test_stacked_residuals_match_the_per_element_loops(self, case):
+        pair = split_cases()[case]
+        v = check_spatial_product_sense(pair.a1, pair.a2)
+        assert v.status == "Holds"
+        factor = v.certificate["factor"]
+        if case.startswith("cell"):
+            assert v.certificate["search_note"] == "assembled from the joint cell structure"
+        got = {**factor.residuals,
+               "product_factorization_residual": v.certificate["product_factorization_residual"]}
+        want = reference_split_residuals(pair.a1, pair.a2, factor)
+        assert set(got) == set(want)
+        for key in want:
+            assert abs(got[key] - want[key]) <= 1e-12, key
+
+    def test_swapped_legs_are_refused(self):
+        pair = tensor_pair(3, 3, np.random.default_rng(63))
+        factor = find_interpolating_factor(pair.a1, pair.a2).factor
+        swap = np.eye(9)[[3 * j + i for i in range(3) for j in range(3)]]
+        with pytest.raises(IllConditioned):
+            verify_interpolating_factor(
+                factor.algebra, swap @ factor.unitary, 3, 3, pair.a1, pair.a2, DEFAULT_TOL
+            )
+
+    @pytest.mark.parametrize("d1,d2", [(1, 1), (2, 2), (0, 6), (2.0, 3), (True, 6)])
+    def test_legs_that_do_not_split_the_ambient_space_are_refused(self, d1, d2):
+        pair = tensor_pair(2, 3, np.random.default_rng(64))
+        factor = find_interpolating_factor(pair.a1, pair.a2).factor
+        with pytest.raises(ShapeMismatch):
+            verify_interpolating_factor(
+                factor.algebra, factor.unitary, d1, d2, pair.a1, pair.a2, DEFAULT_TOL
+            )
