@@ -27,7 +27,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable
@@ -36,7 +36,6 @@ import numpy as np
 
 from . import __version__
 from .algebra import MatrixStarAlgebra, full_matrix_algebra, generate_algebra
-from .algebra import join as algebra_join
 from .channels import (
     ChannelMap,
     ProjectiveMeasurement,
@@ -59,7 +58,6 @@ from .independence import (
     VERDICT_KEYS,
     FactorSearchOutcome,
     InterpolatingFactor,
-    ProductIsomorphism,
     Verdict,
     annihilating_projections,
     check_cstar_independence,
@@ -166,20 +164,11 @@ def _jsonable(x: Any) -> Any:
             out["witness"] = _jsonable(x.witness)
         if x.reason is not None:
             out["reason"] = x.reason
-        if x.iso is not None:
-            out["isomorphism"] = _jsonable(x.iso)
         return out
-    if isinstance(x, ProductIsomorphism):
-        return {
-            "to_tensor": _jsonable(x.to_tensor),
-            "from_tensor": _jsonable(x.from_tensor),
-            "join_basis": _jsonable(x.join.basis),
-        }
     if isinstance(x, InterpolatingFactor):
         return {
             "d1": x.d1,
             "d2": x.d2,
-            "factor_basis": _jsonable(x.algebra.basis),
             "unitary": _jsonable(x.unitary),
             "residuals": _jsonable(x.residuals),
         }
@@ -316,6 +305,12 @@ def _read_json(path: str) -> Any:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _check_schema_version(doc: dict, where: str) -> None:
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if not (_is_int(version) and version == SCHEMA_VERSION):
+        raise ParseError(f"{where}: schema_version: unsupported version {version!r}")
+
+
 def load_instance(path: str) -> dict:
     """Parse and structurally validate an instance file.
 
@@ -332,9 +327,7 @@ def load_instance(path: str) -> dict:
         path,
         sep=": ",
     )
-    version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ParseError(f"{path}: schema_version: unsupported version {version!r}")
+    _check_schema_version(doc, path)
     n = _require(doc, "ambient_dim", path)
     if not _is_int(n) or n < 1:
         raise ParseError(f"{path}: ambient_dim: must be a positive integer")
@@ -580,17 +573,11 @@ def _run_check(entry: dict, inst: _Instance, args: argparse.Namespace) -> dict:
         seed = _effective(entry, args, "seed", 0)
         samples = _effective(entry, args, "samples", 50)
         report = run_hierarchy_checks(a1, a2, seed=seed, samples=samples, tol=tol)
-        # the nine verdicts share one product isomorphism; serialize it only
-        # on the verdict that asserts it so reports stay auditable but small
-        verdicts = {
-            key: v if key == "cstar_product_sense" else replace(v, iso=None)
-            for key, v in report.verdicts.items()
-        }
         result.update(
             {
                 "seed": seed,
                 "samples": samples,
-                "verdicts": verdicts,
+                "verdicts": report.verdicts,
                 "notes": report.notes,
                 "implication_violations": [list(v) for v in implication_violations(report.verdicts)],
             }
@@ -676,6 +663,17 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _verdict_summary(verdict: dict) -> str:
+    """Status, then the certificate or witness kind, then the reason."""
+    line = verdict["status"]
+    evidence = verdict.get("certificate") or verdict.get("witness")
+    if evidence:
+        line += f"  [{evidence['kind']}]"
+    if verdict.get("reason"):
+        line += f"  ({verdict['reason']})"
+    return line
+
+
 def _human_analyze(data: dict) -> None:
     inst = data["instance"]
     dims = ", ".join(
@@ -690,19 +688,11 @@ def _human_analyze(data: dict) -> None:
         if "verdicts" in entry:
             print(f"{head}:")
             for key in VERDICT_KEYS:
-                verdict = entry["verdicts"][key]
-                line = f"  {key:<22} {verdict['status']}"
-                if verdict.get("reason"):
-                    line += f"  ({verdict['reason']})"
-                print(line)
+                print(f"  {key:<22} {_verdict_summary(entry['verdicts'][key])}")
             violations = entry["implication_violations"]
             print(f"  implication violations: {len(violations)}")
         elif "verdict" in entry:
-            verdict = entry["verdict"]
-            line = f"{head}: {verdict['status']}"
-            if verdict.get("reason"):
-                line += f"  ({verdict['reason']})"
-            print(line)
+            print(f"{head}: {_verdict_summary(entry['verdict'])}")
         elif kind == "extend_state":
             outcome = entry["outcome"]
             line = f"{head}: {outcome['status']}"
@@ -937,13 +927,6 @@ class _VerifyLog:
             self.check(target, False, f"malformed certificate ({type(exc).__name__}: {exc})")
 
 
-def _algebra_in(node: Any, n: int, tol: Tolerances) -> MatrixStarAlgebra:
-    """An algebra from its serialized basis, re-checked to be one."""
-    a = MatrixStarAlgebra(n, _array_in(node))
-    a.validate(tol)
-    return a
-
-
 def _rebuild_instance(
     doc: dict, where: str, tol: Tolerances, log: _VerifyLog, with_states: bool
 ) -> _Instance:
@@ -963,8 +946,10 @@ def _rebuild_instance(
     out = _Instance(where, declared, n, {}, {}, {}, tol)
     for name, entry in declared["algebras"].items():
         def algebra(name=name, entry=entry) -> str:
-            out.algebras[name] = _algebra_in(entry["basis"], n, tol)
-            return f"orthonormal basis of dimension {out.algebras[name].dim} revalidated"
+            a = MatrixStarAlgebra(n, _array_in(entry["basis"]))
+            a.validate(tol)
+            out.algebras[name] = a
+            return f"orthonormal basis of dimension {a.dim} revalidated"
         log.attempt(f"algebra {name}", algebra)
     for name, entry in declared["states"].items() if with_states else ():
         def state(name=name, entry=entry) -> str:
@@ -982,26 +967,27 @@ def _rebuild_instance(
 
 @dataclass(eq=False)
 class _Pair:
-    """The algebra pair of one check entry, and the isomorphism it records.
-
-    ``iso_doc`` is the entry's serialized product isomorphism: the one on
-    ``cstar_product_sense`` in a hierarchy, or the verdict's own.
-    """
+    """The echoed algebra pair of one check entry."""
 
     a1: MatrixStarAlgebra
     a2: MatrixStarAlgebra
     tol: Tolerances
-    iso_doc: Any
 
     @cached_property
-    def iso_residual(self) -> float:
-        """Largest residual of the recorded isomorphism, validated once per entry."""
-        if self.iso_doc is None:
-            raise ValidationError("the check entry records no product isomorphism")
-        return _validated_isomorphism(self.iso_doc, self)
+    def product_sense(self) -> Verdict:
+        """The pair's product-sense verdict, rebuilt once per entry by the builder's code."""
+        return check_product_sense(self.a1, self.a2, self.tol)
 
-    def algebra_in(self, node: Any) -> MatrixStarAlgebra:
-        return _algebra_in(node, self.a1.ambient_dim, self.tol)
+    def rebuilt(self, cert: dict, status: str, dims: tuple[str, ...]) -> Verdict:
+        """The rebuilt verdict, which must have ``status`` and reproduce the recorded ``dims``."""
+        ps = self.product_sense
+        if ps.status != status:
+            raise ValidationError(f"the pair's product sense is rebuilt as {ps.status}, not {status}")
+        recomputed = ps.certificate or ps.witness
+        for key in dims:
+            if not (_is_int(cert[key]) and cert[key] == recomputed[key]):
+                raise ValidationError(f"recorded {key} {cert[key]!r}, recomputed {recomputed[key]}")
+        return ps
 
     def witness_states(self, cert: dict) -> tuple[AlgebraState, AlgebraState]:
         w1, w2 = cert["witness_states"]
@@ -1011,38 +997,35 @@ class _Pair:
         )
 
 
-def _validated_isomorphism(iso_doc: dict, pair: _Pair) -> float:
-    """Validate a serialized product isomorphism of the pair; return its largest residual."""
-    iso = ProductIsomorphism(
-        pair.a1,
-        pair.a2,
-        pair.algebra_in(iso_doc["join_basis"]),
-        _array_in(iso_doc["to_tensor"]),
-        _array_in(iso_doc["from_tensor"]),
-    )
-    return max(iso.validate(pair.tol).values())
+_DIMS = ("dim_join", "dim_factor1", "dim_factor2")
 
 
-def _check_isomorphism(iso_doc: dict, pair: _Pair) -> str:
-    worst = pair.iso_residual if iso_doc is pair.iso_doc else _validated_isomorphism(iso_doc, pair)
-    return f"product isomorphism revalidated (max residual {worst:.3e})"
+def _iso_residual(pair: _Pair, cert: dict, dims: tuple[str, ...]) -> float:
+    """Largest residual of the product isomorphism rebuilt from the pair."""
+    residuals = pair.rebuilt(cert, "Holds", dims).certificate
+    return max(residuals["inverse_residual"], residuals["multiplicativity_residual"])
+
+
+def _check_isomorphism(cert: dict, pair: _Pair) -> str:
+    worst = _iso_residual(pair, cert, _DIMS)
+    return f"product isomorphism rebuilt from the pair (max residual {worst:.3e})"
 
 
 def _check_implied(cert: dict, pair: _Pair) -> str:
-    return f"implied by the entry's product isomorphism (max residual {pair.iso_residual:.3e})"
+    worst = _iso_residual(pair, cert, ())
+    return f"implied by the product isomorphism rebuilt from the pair (max residual {worst:.3e})"
 
 
 def _check_factor(fdoc: dict, pair: _Pair) -> str:
     factor = verify_interpolating_factor(
-        pair.algebra_in(fdoc["factor_basis"]),
-        _array_in(fdoc["unitary"]), fdoc["d1"], fdoc["d2"], pair.a1, pair.a2, pair.tol,
+        _array_in(fdoc["unitary"]), fdoc["d1"], fdoc["d2"], pair.a1, pair.a2, pair.tol
     )
     worst = max(factor.residuals.values())
     return f"interpolating factor revalidated (max residual {worst:.3e})"
 
 
 def _check_product_state(cert: dict, pair: _Pair) -> str:
-    jn = algebra_join(pair.a1, pair.a2, pair.tol)
+    jn = pair.rebuilt(cert, "Holds", ("dim_join",)).iso.join
     residual = verify_faithful_product_state(_array_in(cert["density"]), pair.a1, pair.a2, jn, pair.tol)
     return (
         "faithful on the join rebuilt from the pair, product of the tracial states "
@@ -1066,10 +1049,8 @@ def _check_relation(cert: dict, pair: _Pair) -> str:
 
 
 def _check_deficit(cert: dict, pair: _Pair) -> str:
-    dim_join = (check_product_sense(pair.a1, pair.a2, pair.tol).witness or {}).get("dim_join")
-    if dim_join != cert["dim_join"]:
-        raise ValidationError(f"recomputed join dimension deficit at {dim_join}, not {cert['dim_join']!r}")
-    return f"join dimension deficit confirmed ({dim_join} < {pair.a1.dim * pair.a2.dim})"
+    pair.rebuilt(cert, "Fails", _DIMS)
+    return f"join dimension deficit confirmed ({cert['dim_join']} < {pair.a1.dim * pair.a2.dim})"
 
 
 def _refused_again(s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> None:
@@ -1086,6 +1067,7 @@ def _check_refusal(cert: dict, pair: _Pair) -> str:
 #: certificate kind -> (item label, re-check through the library)
 _CERTIFICATE_CHECKS: dict[str, tuple[str, Callable[[dict, _Pair], str]]] = {
     "factorizing_unitary": ("factor", lambda cert, pair: _check_factor(cert["factor"], pair)),
+    "product_isomorphism": ("isomorphism", _check_isomorphism),
     "implied_by_product_isomorphism": ("product isomorphism", _check_implied),
     "faithful_product_state": ("product state", _check_product_state),
     "annihilating_central_projections": ("projections", _check_projections),
@@ -1098,11 +1080,8 @@ _CERTIFICATE_CHECKS: dict[str, tuple[str, Callable[[dict, _Pair], str]]] = {
 
 
 def _verify_verdicts(vdocs: dict[str, dict], pair: _Pair, log: _VerifyLog) -> None:
-    """Re-check the isomorphism and certificate of each verdict, keyed by target."""
+    """Re-check the certificate of each verdict, keyed by target."""
     for target, vdoc in vdocs.items():
-        iso_doc = vdoc.get("isomorphism")
-        if iso_doc is not None:
-            log.attempt(f"{target} isomorphism", lambda: _check_isomorphism(iso_doc, pair))
         cert = vdoc.get("certificate") or vdoc.get("witness")
         kind = cert.get("kind") if isinstance(cert, dict) else None
         if isinstance(kind, str) and kind in _CERTIFICATE_CHECKS:
@@ -1231,11 +1210,7 @@ def _verify_analyze(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> 
             vdocs[target] = _object(_require(entry, "verdict", at), f"{at}.verdict")
         if not all(nm in inst.algebras for nm in names):
             continue
-        iso_doc = next(
-            (v["isomorphism"] for v in vdocs.values() if v.get("isomorphism") is not None), None
-        )
-        a1, a2 = (inst.algebras[nm] for nm in names)
-        pair = _Pair(a1, a2, tol, iso_doc)
+        pair = _Pair(*(inst.algebras[nm] for nm in names), tol)
         if kind == "interpolating_factor":
             if factor:
                 log.attempt(f"{target} factor", lambda: _check_factor(factor, pair))
@@ -1255,6 +1230,11 @@ def _verify_fuzz(doc: dict, where: str, _: Tolerances, log: _VerifyLog) -> None:
     recorded = _object(doc.get("flags", {}), f"{where}: flags").get("tol")
     fields = {} if recorded is None else {"eps_verify": recorded}
     tol = _tolerances(fields, f"{where}: flags.tol", None)
+    if not isinstance(_require(doc, "family", where), str):
+        raise ParseError(f"{where}: family: must be a string")
+    for key in ("count", "seed", "samples"):
+        if not _is_int(_require(doc, key, where)) or doc[key] < 0:
+            raise ParseError(f"{where}: {key}: must be a non-negative integer")
 
     def regenerate() -> str:
         summary = _fuzz_summary(
@@ -1276,6 +1256,7 @@ def cmd_verify_report(args: argparse.Namespace) -> int:
     doc = _read_json(path)
     if not isinstance(doc, dict) or "command" not in doc:
         raise ParseError(f"{path}: not a toolkit report (missing 'command')")
+    _check_schema_version(doc, path)
     inst = _object(doc.get("instance", {}), f"{path}: instance")
     tol = _tolerances(inst.get("tolerances", {}), f"{path}: instance.tolerances", args.tol)
     log = _VerifyLog()

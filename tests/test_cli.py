@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import array_from_json, array_to_json, twist_isomorphism
+from conftest import array_from_json, array_to_json
 import staralg
 from staralg.cli import load_instance, main
 
@@ -102,15 +102,17 @@ MALFORMED_FIELDS = [
 ]
 
 
-# (field named in the error, path of the edit, bad value) in the
-# tensor_pair_m6 golden report: shapes that verify-report must refuse
+# (field named in the error, golden report edited, path of the edit, bad
+# value): shapes that verify-report must refuse
 MALFORMED_REPORT_FIELDS = [
-    ("checks[0].algebras", ("checks", 0, "algebras"), []),
-    ("checks[1].states", ("checks", 1, "states"), ["phi_left"]),
-    ("instance.states", ("instance", "states"), []),
-    ("checks[0].verdicts", ("checks", 0, "verdicts"), []),
-    ("instance.tolerances", ("instance", "tolerances"), "x"),
-    ("instance.tolerances.eps_verify", ("instance", "tolerances"), {"eps_verify": "a"}),
+    ("checks[0].algebras", "tensor_pair_m6", ("checks", 0, "algebras"), []),
+    ("checks[1].states", "tensor_pair_m6", ("checks", 1, "states"), ["phi_left"]),
+    ("instance.states", "tensor_pair_m6", ("instance", "states"), []),
+    ("checks[0].verdicts", "tensor_pair_m6", ("checks", 0, "verdicts"), []),
+    ("instance.tolerances", "tensor_pair_m6", ("instance", "tolerances"), "x"),
+    ("instance.tolerances.eps_verify", "tensor_pair_m6", ("instance", "tolerances"), {"eps_verify": "a"}),
+    ("schema_version", "tensor_pair_m6", ("schema_version",), 99),
+    ("samples", "fuzz_tensor_split_5_seed7", ("samples",), "x"),
 ]
 
 
@@ -227,6 +229,12 @@ class TestAnalyze:
         assert main([*argv, "--out", str(out1), "--json"]) == 0
         assert main([*argv, "--out", str(out2), "--json"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_human_summary_names_each_verdict_kind(self, capsys):
+        assert main(["analyze", "instances/same_algebra_m2.json"]) == 0
+        out = capsys.readouterr().out
+        assert "cstar_product_sense    Fails  [dimension_deficit]" in out
+        assert "split                  Fails  [no_interpolating_factor]" in out
 
     def test_tolerances_are_echoed(self, tmp_path):
         code, doc = run_json(
@@ -348,12 +356,12 @@ class TestVerifyReport:
         assert all(item["ok"] for item in rep["items"])
 
     @pytest.mark.parametrize(
-        "field,path,value",
+        "field,golden,path,value",
         MALFORMED_REPORT_FIELDS,
         ids=[case[0] for case in MALFORMED_REPORT_FIELDS],
     )
-    def test_malformed_report_exits_2_naming_it(self, field, path, value, tmp_path, capsys):
-        bad = write_edited(GOLDEN / "tensor_pair_m6.report.json", path, value, tmp_path)
+    def test_malformed_report_exits_2_naming_it(self, field, golden, path, value, tmp_path, capsys):
+        bad = write_edited(GOLDEN / f"{golden}.report.json", path, value, tmp_path)
         assert main(["verify-report", str(bad)]) == 2
         assert field in capsys.readouterr().err
 
@@ -363,23 +371,6 @@ class TestVerifyReport:
         density = ext["outcome"]["density"]
         density[0][0][0] = density[0][0][0] + 0.2  # corrupt the real part
         return "extend_state"
-
-    @staticmethod
-    def twist_product_isomorphism(doc):
-        # still mutually inverse, unital and adjoint-preserving, but not the
-        # multiplication map of the two recorded factor bases
-        hierarchy = next(c for c in doc["checks"] if c["check"] == "hierarchy")
-        iso = hierarchy["verdicts"]["cstar_product_sense"]["isomorphism"]
-        left, right = (doc["instance"]["algebras"][name]["basis"] for name in hierarchy["algebras"])
-        to_tensor, from_tensor = twist_isomorphism(
-            array_from_json(left),
-            len(right),
-            array_from_json(iso["to_tensor"]),
-            array_from_json(iso["from_tensor"]),
-        )
-        iso["to_tensor"] = array_to_json(to_tensor)
-        iso["from_tensor"] = array_to_json(from_tensor)
-        return "isomorphism"
 
     @staticmethod
     def correlate_product_state(doc):
@@ -408,6 +399,13 @@ class TestVerifyReport:
         return "projections"
 
     @staticmethod
+    def shift_isomorphism_dimension(doc):
+        # the pair still Holds; only the recorded join dimension is wrong
+        cert = doc["checks"][0]["verdicts"]["cstar_product_sense"]["certificate"]
+        cert["dim_join"] += 1
+        return "isomorphism"
+
+    @staticmethod
     def shift_join_dimension(doc):
         witness = doc["checks"][0]["verdicts"]["cstar_product_sense"]["witness"]
         witness["dim_join"] += 1
@@ -429,23 +427,15 @@ class TestVerifyReport:
         entry["outcome"]["factor"]["d1"] = entry["outcome"]["factor"]["d2"] = 1
         return "factor"
 
-    @staticmethod
-    def drop_product_isomorphism(doc):
-        # the implied Holds verdicts rest on it; the product state does not
-        hierarchy = next(c for c in doc["checks"] if c["check"] == "hierarchy")
-        del hierarchy["verdicts"]["cstar_product_sense"]["isomorphism"]
-        return "product isomorphism"
-
     # tamper -> the golden report it edits
     TAMPERS = {
         "corrupt_extension_density": "tensor_pair_m6",
-        "twist_product_isomorphism": "tensor_pair_m6",
+        "shift_isomorphism_dimension": "tensor_pair_m6",
         "correlate_product_state": "tensor_pair_m6",
         "change_relation_value": "same_algebra_m2",
         "spoil_annihilating_projection": "same_algebra_m2",
         "shift_join_dimension": "same_algebra_m2",
         "perturb_factor_unitary": "tensor_pair_m6",
-        "drop_product_isomorphism": "tensor_pair_m6",
         "collapse_factor_legs": "tensor_pair_m6",
     }
 
@@ -462,9 +452,13 @@ class TestVerifyReport:
         failed = [item["target"] for item in rep["items"] if not item["ok"]]
         assert failed and all(t.endswith(target) for t in failed), failed
 
-    def test_dropped_isomorphism_fails_exactly_the_implied_verdicts(self, tmp_path):
+    def test_noncommuting_echo_fails_exactly_what_reads_the_pair(self, tmp_path):
+        # left's basis is still an algebra, but it does not commute with
+        # left, so every certificate rebuilt from the pair fails; so do the
+        # operation on right and the checks that read it
         doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
-        self.drop_product_isomorphism(doc)
+        algebras = doc["instance"]["algebras"]
+        algebras["right"]["basis"] = algebras["left"]["basis"]
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(doc))
         code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
@@ -472,7 +466,16 @@ class TestVerifyReport:
         implied = ("cstar_independent", "wstar_independent", "op_cstar", "op_wstar",
                    "op_cstar_product", "op_wstar_product")
         failed = {item["target"] for item in rep["items"] if not item["ok"]}
-        assert failed == {f"checks[0] hierarchy {key} product isomorphism" for key in implied}
+        assert failed == {
+            "operation rotate_right",
+            *(f"checks[0] hierarchy {key} product isomorphism" for key in implied),
+            "checks[0] hierarchy cstar_product_sense isomorphism",
+            "checks[0] hierarchy wstar_product_sense product state",
+            "checks[0] hierarchy split factor",
+            "checks[1] extend_state",
+            "checks[2] joint_operation",
+            "checks[3] interpolating_factor factor",
+        }
 
 
 class TestGoldenSchema:
@@ -491,6 +494,13 @@ class TestGoldenSchema:
         assert code == 0
         want = json.loads((GOLDEN / golden).read_text())
         assert_structurally_equal(doc, want)
+
+    def test_tensor_pair_report_stays_small(self, tmp_path):
+        # the product isomorphism and the factor basis are rebuilt by
+        # verify-report, not serialized
+        code, _ = run_json(["analyze", "instances/tensor_pair_m6.json"], tmp_path)
+        assert code == 0
+        assert (tmp_path / "out.json").stat().st_size <= 120_000
 
     def test_extend_matches_golden(self, tmp_path):
         code, doc = run_json(
