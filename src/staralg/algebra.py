@@ -23,6 +23,7 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
+    _span_svd,
     canonical_basis,
     dagger,
     hermitian_to_rvec,
@@ -237,11 +238,23 @@ def join(
     pairs are closed by ``generate_algebra``.  The basis is canonical.
     """
     _check_same_ambient(a1, a2)
-    n = a1.ambient_dim
     if mutually_commute(a1, a2, tol):
-        prods = products(a1.basis, a2.basis).reshape(-1, n, n)
-        return MatrixStarAlgebra(n, canonical_basis(orthonormalize(prods)))
-    return generate_algebra(np.concatenate([a1.basis, a2.basis], axis=0), n, tol)
+        return _commuting_join(a1, a2)[0]
+    return generate_algebra(np.concatenate([a1.basis, a2.basis], axis=0), a1.ambient_dim, tol)
+
+
+def _commuting_join(
+    a1: MatrixStarAlgebra, a2: MatrixStarAlgebra
+) -> tuple[MatrixStarAlgebra, np.ndarray]:
+    """Join of a commuting pair, and the singular values of its product stack.
+
+    The join is the span of the products b_a c_b.  The join basis is
+    orthonormal, so the singular values of the stack are those of the
+    multiplication map b_a (x) c_b -> b_a c_b in join coordinates.
+    """
+    n = a1.ambient_dim
+    span, sigma = _span_svd(products(a1.basis, a2.basis).reshape(-1, n, n))
+    return MatrixStarAlgebra(n, canonical_basis(span)), sigma
 
 
 def commutant(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixStarAlgebra:

@@ -1144,9 +1144,15 @@ def _verify_joint(
             raise ValidationError("rebuilt joint map is not a nonselective operation")
         return channel
 
+    def rebuilt(attr: str) -> tuple:
+        for nm in names:
+            if nm not in inst.operations:
+                raise ValidationError(f"operation {nm} did not rebuild; see its own item")
+        return tuple(getattr(inst.operations[nm], attr) for nm in names)
+
     def extension() -> str:
-        t1, t2 = (inst.operations[nm] for nm in names)
-        residuals = joint_extension_residuals(joint(), t1.channel, t2.channel, tol)
+        t1, t2 = rebuilt("channel")
+        residuals = joint_extension_residuals(joint(), t1, t2, tol)
         worst = max(residuals.values())
         if worst > tol.eps_verify:
             raise ValidationError(f"extension residual {worst:.3e} exceeds tolerance")
@@ -1157,7 +1163,7 @@ def _verify_joint(
         return
 
     def transitions() -> str:
-        prep1, prep2 = (inst.operations[nm].prep_state for nm in names)
+        prep1, prep2 = rebuilt("prep_state")
         if prep1 is None or prep2 is None:
             raise ValidationError("transition table present but operations are not preparations")
         dual = dual_on_states(joint(), tol)
@@ -1311,7 +1317,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; ``parse_args`` does not mutate it."""
     parser = argparse.ArgumentParser(
         prog="staralg",
         description="checks for independence of commuting matrix *-algebras, with certificates",

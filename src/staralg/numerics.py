@@ -196,19 +196,29 @@ def orthonormalize(
     The basis is the SVD's right-singular vectors, so inside a degenerate
     singular subspace it is an arbitrary unitary rotation (which one may
     depend on the BLAS build and thread count).  Pass it through
-    :func:`canonical_basis` where the basis itself must be reproducible.
+    :func:`canonical_basis` where the basis itself must be reproducible;
+    a span of rank r = n*m needs no eigensolve there.
     """
+    return _span_svd(mats, rel_tol, gap_factor)[0]
+
+
+def _span_svd(
+    mats: np.ndarray,
+    rel_tol: float = 1e-10,
+    gap_factor: float = 1e3,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`orthonormalize`'s basis together with the stack's singular values."""
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3:
         raise ShapeMismatch("orthonormalize expects an array of shape (k, n, m)")
     k, n, m = mats.shape
     if k == 0:
-        return np.zeros((0, n, m), dtype=complex)
+        return np.zeros((0, n, m), dtype=complex), np.zeros(0)
     rows = mats.reshape(k, n * m)
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
-        return np.zeros((0, n, m), dtype=complex)
+        return np.zeros((0, n, m), dtype=complex), s
     kept = s > rel_tol * smax
     rank = int(np.count_nonzero(kept))
     if rank < s.size:
@@ -218,12 +228,13 @@ def orthonormalize(
                 "span rank is ambiguous: "
                 f"sigma_kept={s[rank - 1]:.3e}, sigma_dropped={largest_below:.3e}"
             )
-    return vh[:rank, :].reshape(rank, n, m)
+    return vh[:rank, :].reshape(rank, n, m), s
 
 
 # Canonical gauge of a span.  The probe is a diagonal operator on vec space
 # (one real weight in [-1, 1] per matrix entry), so its compression onto an
-# r-dimensional span costs one r x r eigh and never an (nm) x (nm) matrix.
+# r-dimensional span costs one r x r eigh and never an (nm) x (nm) matrix, and
+# a span that fills its space (r = nm) needs no eigh at all.
 GAUGE_SEED = 0
 # Smallest eigenvalue gap accepted in a compressed probe.  Eigenvector errors
 # scale as eps / gap, so for a probe of unit norm they stay near 1e-10.
@@ -255,6 +266,12 @@ def canonical_basis(basis: np.ndarray) -> np.ndarray:
     gap below ``GAUGE_MIN_GAP``, or whose anchor overlaps fall below
     ``GAUGE_MIN_OVERLAP / sqrt(nm)``, is replaced by the next seeded one;
     :class:`IllConditioned` is raised when all ``GAUGE_ATTEMPTS`` fail.
+
+    A span of rank r = n*m is the whole space, so the compression is the
+    probe itself: its eigenvectors are the unit matrices E_ij ordered by
+    weight, and the anchor fixes E_ij's phase to that of anchor_ij.  That
+    closed form is the same basis, with the same gap and overlap tests and
+    the same retries, and needs no r x r eigh.
     """
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim != 3:
@@ -263,14 +280,20 @@ def canonical_basis(basis: np.ndarray) -> np.ndarray:
     if r == 0:
         return basis
     rows = basis.reshape(r, -1)
+    full = r == rows.shape[1]
     min_overlap = GAUGE_MIN_OVERLAP / np.sqrt(rows.shape[1])
     for attempt in range(GAUGE_ATTEMPTS):
         weights, anchor = _gauge_probe(basis.shape[1:], attempt)
-        compression = (rows.conj() * weights.reshape(-1)) @ rows.T
-        w, v = np.linalg.eigh(0.5 * (compression + dagger(compression)))
+        weights = weights.reshape(-1)
+        if full:
+            order = np.argsort(weights)
+            w, out = weights[order], np.eye(r, dtype=complex)[order]
+        else:
+            compression = (rows.conj() * weights) @ rows.T
+            w, v = np.linalg.eigh(0.5 * (compression + dagger(compression)))
+            out = v.T @ rows
         if r > 1 and np.diff(w).min() < GAUGE_MIN_GAP:
             continue
-        out = v.T @ rows
         overlaps = out @ anchor.reshape(-1).conj()
         size = np.abs(overlaps)
         if size.min() < min_overlap:

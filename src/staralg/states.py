@@ -113,13 +113,23 @@ def is_faithful(
     algebra: MatrixStarAlgebra | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> bool:
-    """Nondegeneracy of the inner product phi(x* y) over the algebra basis."""
+    """Nondegeneracy of the inner product phi(x* y) on the algebra B.
+
+    Decided from the n x n spectrum of sigma = E_B(rho), the HS projection
+    of the density onto B, not from the dim x dim Gram matrix
+    G[a, b] = tr(b_a* b_b rho).  B is unital, so E_B is the trace-preserving
+    conditional expectation: it fixes B and is a B-bimodule map, hence
+    tr(rho x* y) = tr(sigma x* y) for x, y in B, and G is the matrix of
+    right multiplication x -> x sigma on B.  In block form
+    B = sum_k M_{n_k} (x) 1_{m_k} with sigma = sum_k sigma_k (x) 1_{m_k},
+    G has the eigenvalues of the sigma_k (each n_k times) and sigma has the
+    same ones (each m_k times).  So the smallest and largest Gram
+    eigenvalues equal those of sigma, and the test
+    lambda_min > eps_psd * max(1, lambda_max) gives the same answer.
+    """
     algebra = state.algebra if algebra is None else algebra
-    # gram[a, b] = tr(b_a* b_b rho), the HS inner product of b_a with b_b rho
-    moved = (algebra.basis @ state.density).transpose(0, 2, 1).reshape(algebra.dim, -1)
-    gram = algebra.basis_vecs.conj() @ moved.T
-    gram = 0.5 * (gram + dagger(gram))
-    evals = np.linalg.eigvalsh(gram)
+    sigma = algebra.project(state.density)
+    evals = np.linalg.eigvalsh(0.5 * (sigma + dagger(sigma)))
     return bool(evals[0] > tol.eps_psd * max(1.0, evals[-1]))
 
 

@@ -477,6 +477,19 @@ class TestVerifyReport:
             "checks[3] interpolating_factor factor",
         }
 
+    def test_an_operation_that_did_not_rebuild_is_named_not_malformed(self, tmp_path):
+        doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
+        algebras = doc["instance"]["algebras"]
+        algebras["right"]["basis"] = algebras["left"]["basis"]
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
+        assert code == 2
+        (item,) = [it for it in rep["items"] if it["target"] == "checks[2] joint_operation"]
+        assert not item["ok"]
+        assert "operation rotate_right did not rebuild; see its own item" in item["detail"]
+        assert "KeyError" not in item["detail"]
+
 
 class TestGoldenSchema:
     @pytest.mark.parametrize(

@@ -125,6 +125,68 @@ class TestCheckProductSense:
             twisted.validate()
 
 
+class TestProductSenseWork:
+    # the condition number is read off the join's SVD of the product stack;
+    # the oracle is numpy's own condition number of the multiplication map
+
+    @staticmethod
+    def unequal_products_pair():
+        # P and Q diagonal of ranks 3 and 2 in M_5: the four products PQ,
+        # P(1-Q), (1-P)Q, (1-P)(1-Q) are nonzero of ranks 1, 2, 1, 1, so the
+        # pair is in product position but its basis products are not
+        # orthonormal (up to one scale)
+        u = haar_unitary(5, seed=13)
+        p = np.diag([1, 1, 1, 0, 0]).astype(complex)
+        q = np.diag([1, 0, 0, 1, 0]).astype(complex)
+        return (conjugate_algebra(generate_algebra([p], 5), u),
+                conjugate_algebra(generate_algebra([q], 5), u))
+
+    def test_condition_number_is_that_of_the_multiplication_map(self):
+        tensor = tensor_pair(2, 3, np.random.default_rng(17))
+        conds = []
+        for a1, a2 in ((tensor.a1, tensor.a2), self.unequal_products_pair()):
+            v = check_product_sense(a1, a2)
+            assert v.status == "Holds"
+            want = np.linalg.cond(v.iso.from_tensor)
+            assert abs(v.certificate["condition_number"] - want) <= 1e-9
+            conds.append(want)
+        assert abs(conds[0] - 1.0) <= 1e-9
+        assert conds[1] > 1.1
+
+    def test_one_map_no_cond_no_join_sized_eigensolve(self, monkeypatch):
+        from staralg import independence
+
+        pair = tensor_pair(3, 4, np.random.default_rng(19))
+        n = pair.a1.ambient_dim
+        calls = {"map": 0, "cond": 0}
+        eig_sizes = []
+        build_map = independence._multiplication_map
+
+        def counted_map(*args):
+            calls["map"] += 1
+            return build_map(*args)
+
+        def counted_cond(*args, **kwargs):
+            calls["cond"] += 1
+            return cond(*args, **kwargs)
+
+        def sized(solver):
+            def run(a, *args, **kwargs):
+                eig_sizes.append(np.shape(a)[-1])
+                return solver(a, *args, **kwargs)
+            return run
+
+        cond = np.linalg.cond
+        monkeypatch.setattr(independence, "_multiplication_map", counted_map)
+        monkeypatch.setattr(np.linalg, "cond", counted_cond)
+        monkeypatch.setattr(np.linalg, "eigh", sized(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", sized(np.linalg.eigvalsh))
+        v = check_product_sense(pair.a1, pair.a2)
+        assert v.status == "Holds"
+        assert calls == {"map": 1, "cond": 0}
+        assert all(size < n * n for size in eig_sizes), eig_sizes
+
+
 class TestCStarIndependence:
     def test_tensor_pair_holds_constructively(self):
         v = check_cstar_independence(left_factor(2, 2), right_factor(2, 2))

@@ -288,6 +288,72 @@ class TestCanonicalBasis:
             canonical_basis(random_orthonormal_basis(3, 2, seed=41))
 
 
+def compression_reference(basis):
+    """The canonical gauge by compressing each seeded probe and diagonalizing it."""
+    r = basis.shape[0]
+    rows = basis.reshape(r, -1)
+    for attempt in range(numerics.GAUGE_ATTEMPTS):
+        weights, anchor = numerics._gauge_probe(basis.shape[1:], attempt)
+        compression = (rows.conj() * weights.reshape(-1)) @ rows.T
+        w, v = np.linalg.eigh(0.5 * (compression + dagger(compression)))
+        if r > 1 and np.diff(w).min() < numerics.GAUGE_MIN_GAP:
+            continue
+        out = v.T @ rows
+        overlaps = out @ anchor.reshape(-1).conj()
+        if np.abs(overlaps).min() < numerics.GAUGE_MIN_OVERLAP / np.sqrt(rows.shape[1]):
+            continue
+        return (out * (overlaps.conj() / np.abs(overlaps))[:, None]).reshape(basis.shape)
+    raise AssertionError("reference found no probe")
+
+
+class TestFullSpanGauge:
+    # a span that fills its whole space takes the closed form: unit matrices
+    # ordered by weight, each with its anchor phase
+
+    @staticmethod
+    def full_basis(shape, seed):
+        rng = np.random.default_rng(seed)
+        mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return orthonormalize(mats)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (9, 3, 3), (6, 2, 3)])
+    def test_closed_form_equals_the_compression_reference(self, shape):
+        basis = self.full_basis(shape, seed=sum(shape))
+        assert basis.shape == shape
+        for seed in (1, 2):
+            mixed = mix(basis, seed)
+            assert np.abs(canonical_basis(mixed) - compression_reference(mixed)).max() <= 1e-12
+
+    @pytest.mark.parametrize("spoil", ["flat_weights", "null_anchor"])
+    def test_a_spoiled_first_probe_is_retried_once(self, spoil, monkeypatch):
+        probe = numerics._gauge_probe
+        attempts = []
+
+        def spoiled(shape, attempt):
+            attempts.append(attempt)
+            return getattr(TestCanonicalBasis, spoil)(shape, attempt, probe)
+
+        basis = self.full_basis((9, 3, 3), seed=43)
+        want = compression_reference(basis)
+        monkeypatch.setattr(numerics, "_gauge_probe", spoiled)
+        out = canonical_basis(basis)
+        assert attempts == [0, 1]
+        # the second probe's closed form, which the unspoiled reference tries first
+        monkeypatch.setattr(numerics, "_gauge_probe", lambda shape, attempt: probe(shape, attempt + 1))
+        assert np.abs(out - compression_reference(basis)).max() <= 1e-12
+        assert np.abs(out - want).max() > 0.1
+
+    def test_raises_when_every_probe_is_flat(self, monkeypatch):
+        probe = numerics._gauge_probe
+
+        def flat(shape, attempt):
+            return np.ones(shape), probe(shape, attempt)[1]
+
+        monkeypatch.setattr(numerics, "_gauge_probe", flat)
+        with pytest.raises(IllConditioned):
+            canonical_basis(self.full_basis((4, 2, 2), seed=47))
+
+
 class TestHaarUnitary:
     def test_scalar_case_has_unit_modulus(self):
         u = haar_unitary(1, seed=0)

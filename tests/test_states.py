@@ -13,9 +13,12 @@ import pytest
 
 from conftest import diag_algebra, left_factor, matrix_unit, right_factor
 from staralg import (
+    AlgebraState,
     InvalidState,
+    canonical_block_algebra,
     canonical_trace_state,
     check_product_sense,
+    conjugate_algebra,
     extend_state,
     extend_state_batch,
     full_matrix_algebra,
@@ -30,7 +33,7 @@ from staralg import (
     state_from_density,
     state_from_values,
 )
-from staralg.numerics import dagger, hs_norm, kron
+from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, kron
 from staralg.sampling import random_density, sample_state_pairs, tensor_pair
 
 
@@ -133,6 +136,57 @@ class TestIsFaithful:
         # oracle: strictly positive minimum eigenvalue
         assert np.linalg.eigvalsh(rho).min() > 0
         assert is_faithful(state_from_density(full_matrix_algebra(4), rho))
+
+
+def gram_faithful(density, algebra, tol=DEFAULT_TOL):
+    """Oracle: the Gram matrix tr(b_a* b_b rho) is positive definite on the same scale."""
+    gram = np.array([[np.trace(dagger(x) @ y @ density) for y in algebra.basis]
+                     for x in algebra.basis])
+    evals = np.linalg.eigvalsh(0.5 * (gram + dagger(gram)))
+    return bool(evals[0] > tol.eps_psd * max(1.0, evals[-1]))
+
+
+class TestFaithfulFromConditionalExpectation:
+    # is_faithful reads the spectrum of E_B(rho); the oracle diagonalizes
+    # the Gram matrix over the algebra basis
+
+    @staticmethod
+    def algebras():
+        u = haar_unitary(4, seed=53)
+        return {
+            "block": conjugate_algebra(canonical_block_algebra([(1, 2), (2, 1)], 4), u),
+            "abelian": conjugate_algebra(diag_algebra(4), u),
+            "factor": left_factor(2, 2),
+            "full": full_matrix_algebra(4),
+        }
+
+    @staticmethod
+    def densities(algebra):
+        rng = np.random.default_rng(59)
+        out = [random_density(4, rng, rank=k) for k in (1, 2, 3, 4)]
+        # inside the algebra: its trace and a rank-deficient element of it
+        out.append(np.eye(4, dtype=complex) / 4)
+        b = algebra.basis[0]
+        w, v = np.linalg.eigh(b @ dagger(b))
+        p = v[:, w > 1e-9] @ dagger(v[:, w > 1e-9])
+        out.append(p / np.trace(p))
+        return out
+
+    def test_agrees_with_the_gram_oracle(self):
+        seen = set()
+        for name, algebra in self.algebras().items():
+            for rho in self.densities(algebra):
+                want = gram_faithful(rho, algebra)
+                assert is_faithful(AlgebraState(algebra, rho)) == want, name
+                seen.add((name, want))
+        # every algebra meets a faithful density, and all but the abelian one an unfaithful one
+        assert {name for name, ok in seen if ok} == set(self.algebras())
+        assert {name for name, ok in seen if not ok} >= {"block", "factor", "full"}
+
+    def test_plus_state_is_faithful_on_the_diagonal_not_on_m2(self):
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        assert is_faithful(AlgebraState(diag_algebra(2), plus))
+        assert not is_faithful(AlgebraState(full_matrix_algebra(2), plus))
 
 
 class TestExtendState:
