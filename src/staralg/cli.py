@@ -55,6 +55,7 @@ from .errors import (
     ValidationError,
 )
 from .independence import (
+    EVIDENCE_STATUS,
     VERDICT_KEYS,
     FactorSearchOutcome,
     InterpolatingFactor,
@@ -1074,9 +1075,36 @@ _CERTIFICATE_CHECKS: dict[str, tuple[str, Callable[[dict, _Pair], str]]] = {
     "multiplication_relation": ("relation", _check_relation),
     "dimension_deficit": ("dimensions", _check_deficit),
     "refused_marginal_pair": ("refusal", _check_refusal),
-    "inconsistent_constraints": ("refusal", _check_refusal),
-    "separating_observable": ("refusal", _check_refusal),
 }
+
+#: the field a verdict of each status must carry
+_EVIDENCE_FIELD = {"Holds": "certificate", "Fails": "witness", "Undecided": "reason"}
+
+
+def _check_status(vdoc: dict) -> str:
+    """The recorded status must carry its evidence, of a kind that supports it."""
+    status = vdoc["status"]
+    if status not in _EVIDENCE_FIELD:
+        raise ValidationError(f"unknown status {status!r}")
+    if not vdoc.get(_EVIDENCE_FIELD[status]):
+        raise ValidationError(f"{status} verdict without a {_EVIDENCE_FIELD[status]}")
+    kinds = [vdoc[key]["kind"] for key in ("certificate", "witness") if vdoc.get(key) is not None]
+    for kind in kinds:
+        if EVIDENCE_STATUS.get(kind) != status:
+            raise ValidationError(f"a {kind!r} cannot support {status}")
+    return f"{status} carried by {', '.join(kinds) or 'its reason'}"
+
+
+def _check_implications(verdicts: dict[str, dict], recorded: Any) -> str:
+    """The implication audit, re-run on the recorded statuses."""
+    violations = implication_violations({key: Verdict(v["status"]) for key, v in verdicts.items()})
+    if violations:
+        raise ValidationError(
+            "recorded statuses violate " + ", ".join(f"{p} => {q}" for p, q in violations)
+        )
+    if recorded:
+        raise ValidationError(f"report records implication violations {recorded}")
+    return "recorded statuses satisfy the implication table"
 
 
 def _verify_verdicts(vdocs: dict[str, dict], pair: _Pair, log: _VerifyLog) -> None:
@@ -1210,10 +1238,12 @@ def _verify_analyze(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> 
             verdicts = _object(_require(entry, "verdicts", at), f"{at}.verdicts")
             for key, vdoc in verdicts.items():
                 vdocs[f"{target} {key}"] = _object(vdoc, f"{at}.verdicts.{key}")
-            if _require(entry, "implication_violations", at):
-                log.check(f"{target} implications", False, "report records implication violations")
+            recorded = _require(entry, "implication_violations", at)
+            log.attempt(f"{target} implications", lambda: _check_implications(verdicts, recorded))
         else:
             vdocs[target] = _object(_require(entry, "verdict", at), f"{at}.verdict")
+        for vtarget, vdoc in vdocs.items():
+            log.attempt(f"{vtarget} status", lambda: _check_status(vdoc))
         if not all(nm in inst.algebras for nm in names):
             continue
         pair = _Pair(*(inst.algebras[nm] for nm in names), tol)

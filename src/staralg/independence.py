@@ -8,15 +8,20 @@ factor (the split property).  Every verdict is one of ``Holds`` with a
 checkable certificate, ``Fails`` with an explicit witness, or ``Undecided``
 with the reason spelled out.
 
-For mutually commuting pairs all nine verdicts are decided exactly.  The
-engine behind this is the joint block structure: products of the two
-centers' minimal projections cut the ambient space into cells, the joint
-multiplicity pattern of which decides product position (no vanishing
-cell), and whose integer rank-one factorizability decides the split
-property; both tests are exact integer computations on projection ranks.
-For non-commuting pairs the product-sense family is not applicable and the
-plain notions are semi-decided by the extension solver (a refusal
-certificate falsifies; sampling alone never verifies).
+For mutually commuting pairs all nine verdicts are decided exactly, and
+never ``Undecided``.  Product position is decided by a dimension count:
+the multiplication map b_a (x) c_b -> b_a c_b is onto the join, so it is
+an isomorphism iff the product span has dimension dim(A1) dim(A2).  What
+makes that count complete is the cell theorem: with z_i, w_j the minimal
+central projections of the two algebras (blocks M_{n_i} and M_{m_j}), the
+join is the direct sum of M_{n_i} (x) M_{m_j} over the nonzero cells
+z_i w_j.  A pair out of product position therefore has some z_i w_j = 0,
+whose concentrated states no joint state extends, and the split property
+holds iff the integer cell multiplicity matrix mu factors as an outer
+product of positive integer vectors.  For non-commuting pairs the
+product-sense family is not applicable and the plain notions are
+semi-decided by the extension solver (a refusal certificate falsifies;
+sampling alone never verifies).
 """
 from __future__ import annotations
 
@@ -30,7 +35,6 @@ from .algebra import (
     MatrixStarAlgebra,
     _commuting_join,
     center_and_factor,
-    commutant,
     commutators,
     full_matrix_algebra,
     matrix_units,
@@ -67,6 +71,7 @@ __all__ = [
     "FactorSearchOutcome",
     "VERDICT_KEYS",
     "IMPLICATIONS",
+    "EVIDENCE_STATUS",
     "implication_violations",
     "check_product_sense",
     "check_cstar_independence",
@@ -113,6 +118,23 @@ IMPLICATIONS = (
     ("op_wstar", "wstar_independent"),
     ("split", "wstar_product_sense"),
 )
+
+#: evidence kind -> the one status it supports: a Holds certificate or a
+#: Fails witness.  An Undecided verdict carries a reason and no evidence.
+EVIDENCE_STATUS: dict[str, VerdictStatus] = {
+    "product_isomorphism": "Holds",
+    "implied_by_product_isomorphism": "Holds",
+    "faithful_product_state": "Holds",
+    "factorizing_unitary": "Holds",
+    "dimension_deficit": "Fails",
+    "annihilating_central_projections": "Fails",
+    "refused_marginal_pair": "Fails",
+    "multiplication_relation": "Fails",
+    "product_position_failure": "Fails",
+    "state_preparation_pair": "Fails",
+    "no_interpolating_factor": "Fails",
+    "noncommuting_elements": "Fails",
+}
 
 NOT_APPLICABLE = "not applicable: the spans do not mutually commute"
 
@@ -378,10 +400,13 @@ def check_cstar_independence(
     phi(z1) = phi(z2) = 1, and any joint state would be supported under
     both, forcing phi(z1 z2) = 1 against z1 z2 = 0; the solver's refusal
     certificate for that pair is attached as an independent confirmation.
-    (iii) Otherwise the extension solver runs over sampled pairs; a refusal
-    falsifies, while feasibility on samples alone leaves the verdict
-    honestly undecided.  Only route (iii) draws from ``rng`` or reads
-    ``samples``.
+    By the cell theorem (module docstring) a commuting pair out of product
+    position always has such a pair, so (i)-(ii) decide every commuting
+    pair, and one they leave open raises IllConditioned.  (iii) For a
+    non-commuting pair the extension solver runs over sampled pairs; a
+    refusal falsifies, while feasibility on samples alone leaves the
+    verdict honestly undecided.  Only route (iii) draws from ``rng`` or
+    reads ``samples``.
 
     ``product_sense`` accepts the precomputed :func:`check_product_sense`
     verdict for this pair so callers running several checks do not pay for
@@ -389,9 +414,8 @@ def check_cstar_independence(
     """
     if a1.ambient_dim != a2.ambient_dim:
         raise AmbientMismatch("the two algebras live in different ambient spaces")
-    from .sampling import sample_state_pairs
-
-    if mutually_commute(a1, a2, tol):
+    commuting = mutually_commute(a1, a2, tol)
+    if commuting:
         ps = product_sense if product_sense is not None else check_product_sense(a1, a2, tol)
         if ps.status == "Holds":
             return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM), iso=ps.iso)
@@ -417,7 +441,13 @@ def check_cstar_independence(
                     ),
                 }
             )
-        # the projections only annihilate within noise; fall through
+    if commuting:
+        raise IllConditioned(
+            "commuting pair out of product position without a certified pair "
+            "of annihilating central projections"
+        )
+
+    from .sampling import sample_state_pairs
 
     generator = _as_rng(rng)
     pairs = sample_state_pairs(a1, a2, samples, generator, tol)
@@ -464,19 +494,14 @@ def check_wstar_independence(
 
 def _annotate_normal(verdict: Verdict) -> Verdict:
     """Copy of a plain-extension verdict with the normality note attached."""
-    note = "all states are normal in finite dimension; decided by the same routes"
-    out = Verdict(
+    note = {"normality_note": "all states are normal in finite dimension; decided by the same routes"}
+    return Verdict(
         verdict.status,
-        certificate=None if verdict.certificate is None else {**verdict.certificate},
-        witness=None if verdict.witness is None else {**verdict.witness},
+        certificate=None if verdict.certificate is None else {**verdict.certificate, **note},
+        witness=None if verdict.witness is None else {**verdict.witness, **note},
         reason=verdict.reason,
         iso=verdict.iso,
     )
-    if out.certificate is not None:
-        out.certificate["normality_note"] = note
-    if out.witness is not None:
-        out.witness["normality_note"] = note
-    return out
 
 
 def _perturbed_state_family(
@@ -560,9 +585,12 @@ def check_wstar_product_sense(
     join).  Otherwise the multiplication map has a kernel; a kernel element
     sum_ab R[a,b] b_a c_b = 0 together with a marginal pair whose product
     functional takes a nonzero value on it shows no product state can
-    extend that pair, which is the failure witness.  ``product_sense``
-    accepts the precomputed plain verdict to avoid rebuilding the
-    isomorphism.
+    extend that pair, which is the failure witness.  The relation is a
+    nonzero form, so by ``_perturbed_state_family`` some pair of the two
+    families gives it a nonzero value; a table that stays below
+    RELATION_VALUE_CUT means rounding hid it, and raises IllConditioned.
+    ``product_sense`` accepts the precomputed plain verdict to avoid
+    rebuilding the isomorphism.
     """
     if not mutually_commute(a1, a2, tol):
         raise NotCommuting("product-sense independence requires a commuting pair")
@@ -592,9 +620,9 @@ def check_wstar_product_sense(
     table = vals1 @ rel_matrix @ vals2.T
     i, j = np.unravel_index(np.abs(table).argmax(), table.shape)
     if abs(table[i, j]) < RELATION_VALUE_CUT:
-        return Verdict.undecided(
-            "found a multiplication relation but no state pair giving it a "
-            "nonzero product value"
+        raise IllConditioned(
+            f"no state pair gives the multiplication relation a product value "
+            f"above {RELATION_VALUE_CUT:.0e} (largest {abs(table[i, j]):.3e})"
         )
     element_norm, value = verify_multiplication_relation(rel_matrix, fam1[i], fam2[j])
     return Verdict.fails(
@@ -750,7 +778,7 @@ class InterpolatingFactor:
 
 @dataclass(eq=False)
 class FactorSearchOutcome:
-    status: Literal["Found", "NotFound", "Undecided"]
+    status: Literal["Found", "NotFound"]
     factor: InterpolatingFactor | None = None
     reason: str | None = None
 
@@ -817,42 +845,19 @@ def verify_interpolating_factor(
     return InterpolatingFactor(m, u, d1, d2, residuals)
 
 
-def _factor_via_structure(
-    m: MatrixStarAlgebra,
-    a1: MatrixStarAlgebra,
-    a2: MatrixStarAlgebra,
-    tol: Tolerances,
-) -> InterpolatingFactor:
-    dec = structure_decomposition(m, tol)
-    if len(dec.blocks) != 1:
-        raise IllConditioned("structure decomposition of a factor has one block")
-    d1, d2 = dec.blocks[0]
-    return verify_interpolating_factor(dagger(dec.intertwiner), d1, d2, a1, a2, tol)
-
-
 def _integer_rank_one_factorization(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Positive integer vectors a, b with mu = outer(a, b), or None.
 
     For a positive integer matrix, exactness of the cross-ratio identities
-    mu[i,j] mu[k,l] = mu[i,l] mu[k,j] is equivalent to rank one, and the
-    normalized factorization below is then automatically integral.
+    mu[i,j] mu[0,0] = mu[i,0] mu[0,j] is equivalent to rank one.  The
+    normalized factorization is then integral: a = mu[:,0] / gcd has
+    coprime entries and a_0 divides every a_i mu[0,j] = a_0 mu[i,j], so a_0
+    divides mu[0,j].
     """
-    if np.any(mu <= 0):
+    if np.any(mu <= 0) or np.any(mu * mu[0, 0] != np.outer(mu[:, 0], mu[0, :])):
         return None
-    for i in range(mu.shape[0]):
-        for j in range(mu.shape[1]):
-            if mu[i, j] * mu[0, 0] != mu[i, 0] * mu[0, j]:
-                return None
-    g = math.gcd(*mu[:, 0]) if mu.shape[0] > 1 else int(mu[0, 0])
-    a = mu[:, 0] // g
-    if np.any(a * g != mu[:, 0]):  # pragma: no cover - gcd guarantees this
-        return None
-    b, rem = np.divmod(mu[0, :], a[0])
-    if np.any(rem != 0):
-        return None
-    if np.any(np.outer(a, b) != mu):
-        return None
-    return a.astype(int), b.astype(int)
+    a = mu[:, 0] // math.gcd(*mu[:, 0])
+    return a, mu[0, :] // a[0]
 
 
 def find_interpolating_factor(
@@ -862,8 +867,8 @@ def find_interpolating_factor(
 ) -> FactorSearchOutcome:
     """Search for a factor M with A1 inside M inside the commutant of A2.
 
-    Fast paths: A1 itself, then the commutant of A2.  Otherwise the joint
-    cell structure decides completely: with z_i, w_j the minimal central
+    Fast path: A1 itself, when it is a factor.  Otherwise the joint cell
+    structure decides completely: with z_i, w_j the minimal central
     projections of the two algebras, every product z_i w_j must be nonzero
     with rank divisible by the product of the block sizes, giving the joint
     multiplicity matrix mu.  An interpolating factor exists iff mu is a
@@ -876,18 +881,15 @@ def find_interpolating_factor(
 
     _, is_factor1, _ = center_and_factor(a1, tol)
     if is_factor1:
+        dec = structure_decomposition(a1, tol)
+        if len(dec.blocks) != 1:
+            raise IllConditioned("structure decomposition of a factor has one block")
+        d1, d2 = dec.blocks[0]
         return FactorSearchOutcome(
-            "Found", _factor_via_structure(a1, a1, a2, tol),
+            "Found",
+            verify_interpolating_factor(dagger(dec.intertwiner), d1, d2, a1, a2, tol),
             reason="the first algebra is itself a factor",
         )
-    c2 = commutant(a2, tol)
-    _, is_factor2, _ = center_and_factor(c2, tol)
-    if is_factor2:
-        return FactorSearchOutcome(
-            "Found", _factor_via_structure(c2, a1, a2, tol),
-            reason="the commutant of the second algebra is a factor",
-        )
-
     blocks1 = matrix_units(a1, tol)
     blocks2 = matrix_units(a2, tol)
     sizes1 = [blk.size for blk in blocks1]
@@ -976,8 +978,6 @@ def check_spatial_product_sense(
     entries (0.3 MB at n = 12).
     """
     outcome = find_interpolating_factor(a1, a2, tol)
-    if outcome.status == "Undecided":  # pragma: no cover - search is complete
-        return Verdict.undecided(outcome.reason or "factor search exhausted")
     if outcome.status == "NotFound":
         return Verdict.fails({"kind": "no_interpolating_factor", "reason": outcome.reason})
     factor = outcome.factor
@@ -1037,33 +1037,35 @@ def _noncommuting_witness(
     }
 
 
-def _lift_refusal_to_operations(witness: dict) -> dict:
-    """Turn a refused marginal pair into an operational-independence witness.
+def _operational_verdict(plain: Verdict) -> Verdict:
+    """op_cstar or op_wstar from the plain verdict of the same reading.
 
-    If T jointly extended the two state preparations, then composing any
-    state omega with T would extend both refused marginals, against the
-    refusal certificate; so no joint extension of those preparations exists.
+    Holds in product position, by ``IMPLIED_BY_PRODUCT_ISOMORPHISM``.  A
+    refused marginal pair lifts to Fails: if T jointly extended the two
+    state preparations, then composing any state omega with T would extend
+    both refused marginals, against the refusal certificate.  Otherwise the
+    pair does not commute and the question stays open.
     """
-    return {
-        "kind": "state_preparation_pair",
-        "refused_pair": witness.get("witness_states"),
-        "underlying_witness": witness,
-        "reasoning": (
-            "a nonselective joint extension T of the two state preparations "
-            "would make omega . T a joint extension of the refused marginal "
-            "pair for any state omega"
-        ),
-    }
-
-
-def _lift_plain_verdicts(verdicts: dict[str, Verdict], open_reason: str) -> None:
-    """op_cstar and op_wstar from the plain verdicts: a refusal lifts, else open."""
-    for plain, op_key in (("cstar_independent", "op_cstar"), ("wstar_independent", "op_wstar")):
-        witness = verdicts[plain].witness
-        if verdicts[plain].status == "Fails":
-            verdicts[op_key] = Verdict.fails(_lift_refusal_to_operations(witness))
-        else:
-            verdicts[op_key] = Verdict.undecided(open_reason)
+    if plain.status == "Holds":
+        return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM), iso=plain.iso)
+    if plain.status == "Fails":
+        return Verdict.fails(
+            {
+                "kind": "state_preparation_pair",
+                "refused_pair": plain.witness.get("witness_states"),
+                "underlying_witness": plain.witness,
+                "reasoning": (
+                    "a nonselective joint extension T of the two state "
+                    "preparations would make omega . T a joint extension of "
+                    "the refused marginal pair for any state omega"
+                ),
+            }
+        )
+    return Verdict.undecided(
+        "no sampled refusal certificate; the joint-extension question "
+        "for operations on a non-commuting pair is open at this sampling "
+        "budget"
+    )
 
 
 def run_hierarchy_checks(
@@ -1076,23 +1078,26 @@ def run_hierarchy_checks(
 ) -> IndependenceReport:
     """Decide all nine independence notions for one pair and cross-check.
 
-    Commuting pairs are decided completely: the product-sense family and
-    the split property come from the joint cell structure, and the plain
-    notions follow from the equivalence of product position with joint
-    extendability in finite dimension.  In product position every other
-    notion Holds by ``IMPLIED_BY_PRODUCT_ISOMORPHISM``, so nothing is
-    sampled and ``seed`` and ``samples`` do not matter.  For non-commuting
-    pairs the product-sense family is marked not applicable, the split
-    property fails outright, and the plain notions are semi-decided by
-    sampling.  The assembled verdicts are checked against the implication
-    table; a violation raises instead of being reported.
+    One straight pass: each verdict is set once, by the check that decides
+    it, and nothing is propagated along the implication table afterwards.
+    Commuting pairs are decided completely (module docstring): product
+    position by the dimension count, the split property by the joint cell
+    structure, and the plain notions by the product isomorphism or an
+    annihilating pair of central projections.  In product position every
+    other notion Holds by ``IMPLIED_BY_PRODUCT_ISOMORPHISM``; out of it the
+    operational notions fail with the plain refusal.  Nothing is sampled
+    for a commuting pair, so ``seed`` and ``samples`` do not matter there.
+    For non-commuting pairs the product-sense family is marked not
+    applicable, the split property fails outright, and the plain notions
+    are semi-decided by sampling.  The assembled verdicts are audited
+    against the implication table; a violation raises instead of being
+    reported.
 
     ``op_samples`` is accepted and has no effect: no operation is sampled.
     """
     if a1.ambient_dim != a2.ambient_dim:
         raise AmbientMismatch("the two algebras live in different ambient spaces")
     rng = np.random.default_rng(seed)
-    verdicts: dict[str, Verdict] = {}
     notes = [
         "every state of a finite-dimensional algebra is normal, so the C* "
         "and W* readings of each notion are decided by the same procedure",
@@ -1101,47 +1106,37 @@ def run_hierarchy_checks(
         "strictness of the hierarchy",
     ]
 
-    commuting = mutually_commute(a1, a2, tol)
-    if commuting:
+    if mutually_commute(a1, a2, tol):
         ps = check_product_sense(a1, a2, tol)
-        verdicts["cstar_product_sense"] = ps
-        verdicts["wstar_product_sense"] = check_wstar_product_sense(
-            a1, a2, tol, product_sense=ps
-        )
-        verdicts["cstar_independent"] = check_cstar_independence(
-            a1, a2, rng, samples, tol, product_sense=ps
-        )
-        verdicts["wstar_independent"] = _annotate_normal(verdicts["cstar_independent"])
-        verdicts["split"] = check_spatial_product_sense(a1, a2, tol)
-        if ps.status == "Holds":
-            for key in ("op_cstar", "op_wstar", "op_cstar_product", "op_wstar_product"):
+        verdicts = {
+            "cstar_product_sense": ps,
+            "wstar_product_sense": check_wstar_product_sense(a1, a2, tol, product_sense=ps),
+            "cstar_independent": check_cstar_independence(
+                a1, a2, rng, samples, tol, product_sense=ps
+            ),
+            "split": check_spatial_product_sense(a1, a2, tol),
+        }
+        for key in ("op_cstar_product", "op_wstar_product"):
+            if ps.status == "Holds":
                 verdicts[key] = Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM), iso=ps.iso)
-        else:
-            equiv_witness = {
-                "kind": "product_position_failure",
-                "reasoning": (
-                    "for a commuting pair, multiplicative joint extensions "
-                    "of faithful nonselective operations exist exactly in "
-                    "product position"
-                ),
-                "dimension_witness": ps.witness,
-            }
-            verdicts["op_cstar_product"] = Verdict.fails(equiv_witness)
-            verdicts["op_wstar_product"] = Verdict.fails(dict(equiv_witness))
-            # commuting pairs decide the plain notions, which fail out of product position
-            _lift_plain_verdicts(
-                verdicts,
-                "plain independence is not refuted but the pair is not in "
-                "product position; no construction is available",
-            )
+            else:
+                verdicts[key] = Verdict.fails(
+                    {
+                        "kind": "product_position_failure",
+                        "reasoning": (
+                            "for a commuting pair, multiplicative joint "
+                            "extensions of faithful nonselective operations "
+                            "exist exactly in product position"
+                        ),
+                        "dimension_witness": ps.witness,
+                    }
+                )
     else:
-        for key in (
-            "cstar_product_sense",
-            "wstar_product_sense",
-            "op_cstar_product",
-            "op_wstar_product",
-        ):
-            verdicts[key] = Verdict.undecided(NOT_APPLICABLE)
+        verdicts = {
+            key: Verdict.undecided(NOT_APPLICABLE)
+            for key in ("cstar_product_sense", "wstar_product_sense",
+                        "op_cstar_product", "op_wstar_product")
+        }
         verdicts["split"] = Verdict.fails(
             {
                 **_noncommuting_witness(a1, a2),
@@ -1151,65 +1146,16 @@ def run_hierarchy_checks(
                 ),
             }
         )
-        verdicts["cstar_independent"] = check_cstar_independence(
-            a1, a2, rng, samples, tol
-        )
-        verdicts["wstar_independent"] = _annotate_normal(verdicts["cstar_independent"])
-        _lift_plain_verdicts(
-            verdicts,
-            "no sampled refusal certificate; the joint-extension question "
-            "for operations on a non-commuting pair is open at this sampling "
-            "budget",
-        )
+        verdicts["cstar_independent"] = check_cstar_independence(a1, a2, rng, samples, tol)
         notes.append(
             "the product-sense family requires a commuting pair and is "
             "marked not applicable here"
         )
+    verdicts["wstar_independent"] = _annotate_normal(verdicts["cstar_independent"])
+    verdicts["op_cstar"] = _operational_verdict(verdicts["cstar_independent"])
+    verdicts["op_wstar"] = _operational_verdict(verdicts["wstar_independent"])
 
-    _propagate(verdicts)
     violations = implication_violations(verdicts)
     if violations:  # pragma: no cover - guarded by construction
         raise IllConditioned(f"implication violations in report: {violations}")
     return IndependenceReport(verdicts=verdicts, seed=seed, notes=notes)
-
-
-def _propagate(verdicts: dict[str, Verdict]) -> None:
-    """Close verdicts under the implication table.
-
-    Holds flows along each implication and Fails flows against it, except
-    that "not applicable" entries are never overwritten: they record a
-    notion that is undefined for the pair rather than unknown.
-    """
-    changed = True
-    while changed:
-        changed = False
-        for premise, conclusion in IMPLICATIONS:
-            p, q = verdicts.get(premise), verdicts.get(conclusion)
-            if p is None or q is None:
-                continue
-            if (
-                p.status == "Holds"
-                and q.status == "Undecided"
-                and q.reason != NOT_APPLICABLE
-            ):
-                verdicts[conclusion] = Verdict.holds(
-                    {
-                        "kind": "implied",
-                        "implied_by": premise,
-                        "premise_certificate": p.certificate,
-                    }
-                )
-                changed = True
-            if (
-                q.status == "Fails"
-                and p.status == "Undecided"
-                and p.reason != NOT_APPLICABLE
-            ):
-                verdicts[premise] = Verdict.fails(
-                    {
-                        "kind": "implied",
-                        "refuted_via": conclusion,
-                        "conclusion_witness": q.witness,
-                    }
-                )
-                changed = True

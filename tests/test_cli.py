@@ -427,6 +427,21 @@ class TestVerifyReport:
         entry["outcome"]["factor"]["d1"] = entry["outcome"]["factor"]["d2"] = 1
         return "factor"
 
+    @staticmethod
+    def misstate_split_and_op_cstar(doc):
+        # both certificates still re-check; only the statuses contradict them
+        verdicts = doc["checks"][0]["verdicts"]
+        verdicts["split"]["status"] = "Fails"
+        verdicts["op_cstar"]["status"] = "Undecided"
+        return ("split status", "op_cstar status")
+
+    @staticmethod
+    def claim_op_cstar_holds(doc):
+        # a refusal witness cannot carry Holds, and op_cstar Holding while
+        # cstar_independent Fails breaks the implication table
+        doc["checks"][0]["verdicts"]["op_cstar"]["status"] = "Holds"
+        return ("op_cstar status", "implications")
+
     # tamper -> the golden report it edits
     TAMPERS = {
         "corrupt_extension_density": "tensor_pair_m6",
@@ -437,6 +452,8 @@ class TestVerifyReport:
         "shift_join_dimension": "same_algebra_m2",
         "perturb_factor_unitary": "tensor_pair_m6",
         "collapse_factor_legs": "tensor_pair_m6",
+        "misstate_split_and_op_cstar": "tensor_pair_m6",
+        "claim_op_cstar_holds": "same_algebra_m2",
     }
 
     @pytest.mark.parametrize("tamper", list(TAMPERS))
@@ -444,13 +461,47 @@ class TestVerifyReport:
         golden = GOLDEN / f"{self.TAMPERS[tamper]}.report.json"
         doc = json.loads(golden.read_text())
         target = getattr(self, tamper)(doc)
+        targets = (target,) if isinstance(target, str) else target
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(doc))
         code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
         assert code == 2
         assert rep["all_ok"] is False
         failed = [item["target"] for item in rep["items"] if not item["ok"]]
-        assert failed and all(t.endswith(target) for t in failed), failed
+        assert failed and all(t.endswith(targets) for t in failed), failed
+        assert all(any(t.endswith(want) for t in failed) for want in targets), failed
+
+    def test_refusal_reverifies_and_an_extendable_pair_is_caught(self, tmp_path):
+        # a haar_overlap pair, refused by the extension solver on a sampled
+        # marginal pair: no golden has this certificate kind
+        inst = staralg.fuzz_instances("haar_overlap", 1, 1)[0]
+        n = inst.a1.ambient_dim
+        instance = tmp_path / "overlap.json"
+        instance.write_text(json.dumps({
+            "schema_version": 1,
+            "ambient_dim": n,
+            "algebras": {
+                "left": {"generators": array_to_json(inst.a1.basis)},
+                "right": {"generators": array_to_json(inst.a2.basis)},
+            },
+        }))
+        code, doc = run_json(["analyze", str(instance)], tmp_path, "report.json")
+        assert code == 0
+        witness = doc["checks"][0]["verdicts"]["cstar_independent"]["witness"]
+        assert witness["kind"] == "refused_marginal_pair"
+        code, rep = run_json(["verify-report", str(tmp_path / "report.json")], tmp_path, "verify.json")
+        assert code == 0
+        refusals = [item for item in rep["items"] if item["target"].endswith(" refusal")]
+        assert len(refusals) == 2 and all(item["ok"] for item in refusals)
+        # the maximally mixed pair always extends, so the re-run cannot refuse it
+        for state in witness["witness_states"]:
+            state["density"] = array_to_json(np.eye(n, dtype=complex) / n)
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
+        assert code == 2
+        failed = [item["target"] for item in rep["items"] if not item["ok"]]
+        assert failed == ["checks[0] hierarchy cstar_independent refusal"]
 
     def test_noncommuting_echo_fails_exactly_what_reads_the_pair(self, tmp_path):
         # left's basis is still an algebra, but it does not commute with

@@ -25,16 +25,19 @@ from conftest import (
     twist_isomorphism,
 )
 from staralg import (
+    FUZZ_FAMILIES,
     IllConditioned,
     MatrixStarAlgebra,
     NoProductIsomorphism,
     NotCommuting,
     ProductIsomorphism,
     ShapeMismatch,
+    VERDICT_KEYS,
     Verdict,
     build_channel,
     canonical_block_algebra,
     canonical_trace_state,
+    cell_pair,
     check_cstar_independence,
     check_product_sense,
     check_spatial_product_sense,
@@ -65,8 +68,13 @@ from staralg import (
     verify_interpolating_factor,
     verify_product_transition,
 )
+from staralg import algebra, independence, sampling
 from staralg.channels import superop_from_function
-from staralg.independence import annihilating_projections, verify_multiplication_relation
+from staralg.independence import (
+    _integer_rank_one_factorization,
+    annihilating_projections,
+    verify_multiplication_relation,
+)
 from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, kron
 
 
@@ -562,3 +570,88 @@ class TestStackedSplitResiduals:
             verify_interpolating_factor(
                 factor.unitary, d1, d2, pair.a1, pair.a2, DEFAULT_TOL
             )
+
+
+# product position without the split property: mu is not an integer outer product
+PRODUCT_NOT_SPLIT = {
+    "mu_1112": ([[1, 1], [1, 2]], [1, 1], [1, 1]),
+    "mu_1221": ([[1, 2], [2, 1]], [1, 2], [2, 1]),
+}
+
+
+class TestProductButNotSplit:
+    @pytest.mark.parametrize("case", sorted(PRODUCT_NOT_SPLIT))
+    def test_every_notion_but_split_holds(self, case):
+        mu, sizes1, sizes2 = PRODUCT_NOT_SPLIT[case]
+        inst = cell_pair(np.array(mu), sizes1, sizes2)
+        verdicts = run_hierarchy_checks(inst.a1, inst.a2).verdicts
+        statuses = {key: v.status for key, v in verdicts.items()}
+        assert statuses == {**dict.fromkeys(VERDICT_KEYS, "Holds"), "split": "Fails"}
+        witness = verdicts["split"].witness
+        assert witness["kind"] == "no_interpolating_factor"
+        assert "no positive integer rank-one factorization" in witness["reason"]
+
+    @pytest.mark.parametrize(
+        "mu,want",
+        [
+            ([[4, 6], [6, 9]], ([2, 3], [2, 3])),
+            ([[6, 10], [9, 15]], ([2, 3], [3, 5])),
+            ([[3]], ([1], [3])),
+            ([[1, 1], [1, 2]], None),
+            ([[1, 0], [0, 1]], None),
+            ([[2, 2], [0, 2]], None),
+        ],
+    )
+    def test_integer_rank_one_factorization(self, mu, want):
+        got = _integer_rank_one_factorization(np.array(mu))
+        if want is None:
+            assert got is None
+        else:
+            assert [v.tolist() for v in got] == list(want)
+
+
+class TestCommutingPairsDecidedOnce:
+    """Every notion of a commuting pair is decided by one exact route."""
+
+    def test_factor_search_builds_no_commutant(self, monkeypatch):
+        calls = []
+
+        def counting(a, tol=DEFAULT_TOL):
+            calls.append(a.dim)
+            return commutant(a, tol)
+
+        monkeypatch.setattr(algebra, "commutant", counting)
+        monkeypatch.setattr(independence, "commutant", counting, raising=False)
+        shared = fuzz_instances("shared_block", 1, 1)[0]
+        cell = split_cases()["cell_assembly_3x3"]
+        assert find_interpolating_factor(shared.a1, shared.a2).status == "NotFound"
+        assert find_interpolating_factor(cell.a1, cell.a2).status == "Found"
+        assert calls == []
+
+    def test_a_relation_value_hidden_by_rounding_raises(self, monkeypatch):
+        # no table entry counts as nonzero, which only rounding could cause
+        monkeypatch.setattr(independence, "RELATION_VALUE_CUT", 1e9)
+        d = diag_algebra(2)  # the pair of same_algebra_m2
+        with pytest.raises(IllConditioned):
+            check_wstar_product_sense(d, d)
+
+    def test_a_commuting_pair_left_open_raises_without_sampling(self, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(independence, "_annihilating_central_pair", lambda *args: None)
+        monkeypatch.setattr(
+            sampling, "sample_state_pairs", lambda *args, **kw: sampled.append(args) or []
+        )
+        d = diag_algebra(2)
+        with pytest.raises(IllConditioned):
+            check_cstar_independence(d, d)
+        assert sampled == []
+
+    def test_no_commuting_pair_is_undecided(self):
+        pairs = [inst for family in FUZZ_FAMILIES for inst in fuzz_instances(family, 10, 1)]
+        pairs += [cell_pair(np.array(mu), s1, s2) for mu, s1, s2 in PRODUCT_NOT_SPLIT.values()]
+        commuting = [p for p in pairs if mutually_commute(p.a1, p.a2)]
+        assert len(commuting) == 32
+        for inst in commuting:
+            verdicts = run_hierarchy_checks(inst.a1, inst.a2).verdicts
+            undecided = [k for k, v in verdicts.items() if v.status == "Undecided"]
+            assert undecided == [], (inst.family, inst.meta)
