@@ -22,8 +22,10 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    GAUGE_ATTEMPTS,
+    GAUGE_MIN_GAP,
     Tolerances,
-    _span_svd,
+    _gauge_probe,
     canonical_basis,
     dagger,
     hermitian_to_rvec,
@@ -68,6 +70,11 @@ CLUSTER_GAP = 1e-6
 #: dim(p A e_11) = 1, so the best corner has norm at least 1/k, while a
 #: vanishing one is rounding; 1e-8 leaves margin either way.
 CORNER_NORM_CUT = 1e-8
+
+#: Largest distance from an integer accepted for a count read off a trace of
+#: projections (a block dimension n_k^2 = tr(z K), n_k m_k = rank z, a joint
+#: cell rank): they hold to eps_algebra times n, so honest counts are within 1e-8.
+COUNT_CUT = 1e-6
 
 
 @dataclass(eq=False)
@@ -142,6 +149,17 @@ class MatrixStarAlgebra:
                 f"Hermitian part has ambiguous rank {rank}, expected {self.dim}"
             )
         return rvec_to_hermitian(vt[:rank], self.ambient_dim)
+
+    def structure(self, tol: Tolerances = DEFAULT_TOL) -> "AlgebraStructure":
+        """Center, central projections, block sizes and matrix units, built once per ``tol``.
+
+        Every reader of the structure goes through this cache, so (as for
+        ``basis_vecs``) the basis must not change afterwards.
+        """
+        cache = self.__dict__.setdefault("_structures", {})
+        if tol not in cache:
+            cache[tol] = AlgebraStructure(self, tol)
+        return cache[tol]
 
     def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
         """Re-check orthonormality, the unit, adjoint and product closure.
@@ -239,22 +257,15 @@ def join(
     """
     _check_same_ambient(a1, a2)
     if mutually_commute(a1, a2, tol):
-        return _commuting_join(a1, a2)[0]
+        return _commuting_join(a1, a2)
     return generate_algebra(np.concatenate([a1.basis, a2.basis], axis=0), a1.ambient_dim, tol)
 
 
-def _commuting_join(
-    a1: MatrixStarAlgebra, a2: MatrixStarAlgebra
-) -> tuple[MatrixStarAlgebra, np.ndarray]:
-    """Join of a commuting pair, and the singular values of its product stack.
-
-    The join is the span of the products b_a c_b.  The join basis is
-    orthonormal, so the singular values of the stack are those of the
-    multiplication map b_a (x) c_b -> b_a c_b in join coordinates.
-    """
+def _commuting_join(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra) -> MatrixStarAlgebra:
+    """Join of a commuting pair: the span of the products b_a c_b, in canonical gauge."""
     n = a1.ambient_dim
-    span, sigma = _span_svd(products(a1.basis, a2.basis).reshape(-1, n, n))
-    return MatrixStarAlgebra(n, canonical_basis(span)), sigma
+    span = orthonormalize(products(a1.basis, a2.basis).reshape(-1, n, n))
+    return MatrixStarAlgebra(n, canonical_basis(span))
 
 
 def commutant(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixStarAlgebra:
@@ -333,39 +344,110 @@ class StructureDecomposition:
     offsets: list[int] = field(default_factory=list)
 
 
-def center_and_factor(
-    a: MatrixStarAlgebra,
-    tol: Tolerances = DEFAULT_TOL,
-):
-    """Center of the algebra, factor flag, and minimal central projections.
+@dataclass(eq=False)
+class AlgebraStructure:
+    """Central structure of one algebra at one tolerance (``MatrixStarAlgebra.structure``).
 
-    Returns (center, is_factor, projections).  The projections are obtained
-    from the spectral clusters of a generic Hermitian central element; the
-    draw is retried until the clusters are unambiguous, then verified to be
-    idempotent, central and complete.
+    ``projections``: the minimal central projections z_k, from the spectral
+    clusters of a generic Hermitian central element, in :func:`_gauge_order`.
+    ``sizes[k]``: n_k for the block z_k A = M_{n_k} (x) 1; multiplication by
+    z_k is an HS-orthogonal projection of A, so n_k^2 = dim(z_k A) =
+    sum_a <b_a, z_k b_a> = tr(z_k K), K = sum_a b_a b_a*.  ``blocks``: the
+    matrix units, built on first use.
     """
-    n, d = a.ambient_dim, a.dim
-    comm = commutators(a, a)
-    # coefficient-space kernel: sum_i c_i [b_i, b_j] = 0 for all j
-    k_mat = comm.transpose(1, 2, 3, 0).reshape(d * n * n, d)
-    coeffs = null_space(k_mat, scale=1.0)
-    center_basis = np.tensordot(coeffs.T, a.basis, axes=(1, 0))
-    center = MatrixStarAlgebra(n, center_basis)
-    if center.dim == 1:
-        return center, True, [np.eye(n, dtype=complex)]
-    projections = _minimal_projections_of_abelian(center, tol)
-    return center, False, projections
+
+    algebra: MatrixStarAlgebra
+    tol: Tolerances
+
+    def __post_init__(self) -> None:
+        a = self.algebra
+        n, d = a.ambient_dim, a.dim
+        prods = products(a.basis, a.basis)
+        comm = (prods - prods.transpose(1, 0, 2, 3)).reshape(d, -1)  # row i: [b_i, b_j] for all j
+        # the kernel sum_i c_i [b_i, b_j] = 0 for all j is that of the d x d Gram matrix of the
+        # rows, whose eigenvalues are the squared singular values: null_space's cut sits at 3e-5
+        # of the largest singular value, far below any block's commutators and far above rounding
+        coeffs = null_space(comm.conj() @ comm.T, scale=1.0)
+        self.is_factor = coeffs.shape[1] == 1
+        if self.is_factor:
+            self.projections = [np.eye(n, dtype=complex)]
+        else:
+            center = MatrixStarAlgebra(n, np.tensordot(coeffs.T, a.basis, axes=(1, 0)))
+            self.projections = _gauge_order(_minimal_projections_of_abelian(center, self.tol))
+        gram = np.einsum("aij,akj->ik", a.basis, a.basis.conj())
+        self.sizes = []
+        for z in self.projections:
+            square, rank = float(np.vdot(z, gram).real), float(np.trace(z).real)
+            size = isqrt(round(square))
+            off = max(abs(square - size**2), abs(rank / size - round(rank / size))) if size else 1.0
+            if off > COUNT_CUT:
+                raise IllConditioned(f"central block of dimension {square:.6f}, rank {rank:.6f}")
+            self.sizes.append(size)
+
+    @property
+    def center(self) -> MatrixStarAlgebra:
+        """The center, with the orthonormal basis z_k / sqrt(rank z_k)."""
+        z = np.stack(self.projections)
+        return MatrixStarAlgebra(z.shape[-1], z / np.sqrt(np.einsum("kii->k", z).real)[:, None, None])
+
+    @cached_property
+    def blocks(self) -> list[AlgebraBlock]:
+        """Matrix units of every block, in the order of ``projections``.
+
+        z.A is a full matrix factor M_{n_k} with some ambient multiplicity; a
+        generic Hermitian block element yields its minimal diagonal
+        projections, and polar-normalized corners give the partial isometries.
+        """
+        a, tol = self.algebra, self.tol
+        blocks = []
+        rng = np.random.default_rng(1)
+        for z, size in zip(self.projections, self.sizes):
+            # orthonormal basis of the block algebra z.A (A itself for a factor)
+            block_basis = a.basis if self.is_factor else orthonormalize(z @ a.basis)
+            if block_basis.shape[0] != size * size:
+                raise IllConditioned(f"central block dimension {block_basis.shape[0]} is not {size}^2")
+            mult = int(round(float(np.real(np.trace(z))))) // size
+            if size == 1:
+                blocks.append(AlgebraBlock(z, z[None, None, :, :].copy(), 1, mult))
+                continue
+            diag = _minimal_block_projections(block_basis, z, size, mult, rng, tol)
+            corners = np.stack(_corner_isometries(block_basis, diag, mult, rng))
+            units = corners[:, None] @ dagger(corners)[None, :]
+            _verify_units(units, z, tol)
+            blocks.append(AlgebraBlock(z, units, size, mult))
+        return blocks
+
+
+def center_and_factor(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL):
+    """(center, is_factor, minimal central projections), from the structure cache."""
+    s = a.structure(tol)
+    return s.center, s.is_factor, s.projections
+
+
+def _gauge_order(projections: list[np.ndarray]) -> list[np.ndarray]:
+    """The projections sorted by (rank, tr(H z)), an order that no basis gauge moves.
+
+    H = W + W^T + i (W - W^T) is Hermitian, from the seeded weights W of
+    :func:`numerics._gauge_probe`; a diagonal H could not tell apart equal
+    diagonals such as (1 +- sigma_x)/2.  Equal ranks with keys closer than
+    GAUGE_MIN_GAP move on to the next probe, up to GAUGE_ATTEMPTS.
+    """
+    stack = np.stack(projections)
+    n = stack.shape[-1]
+    ranks = np.rint(np.einsum("kii->k", stack).real).astype(int)
+    for attempt in range(GAUGE_ATTEMPTS):
+        w, _ = _gauge_probe((n, n), attempt)
+        keys = np.einsum("ij,kji->k", w + w.T + 1j * (w - w.T), stack).real
+        order = np.lexsort((keys, ranks))
+        tied = (np.diff(ranks[order]) == 0) & (np.diff(keys[order]) < GAUGE_MIN_GAP)
+        if not tied.any():
+            return [projections[k] for k in order]
+    raise IllConditioned(f"no probe of {GAUGE_ATTEMPTS} orders the {len(projections)} central projections")
 
 
 def _cluster_sorted(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Split sorted values into clusters at gaps larger than ``gap``."""
-    groups = []
-    start = 0
-    for i in range(1, values.size + 1):
-        if i == values.size or values[i] - values[i - 1] > gap:
-            groups.append(np.arange(start, i))
-            start = i
-    return groups
+    """Split sorted values into clusters (index arrays) at gaps larger than ``gap``."""
+    return np.split(np.arange(values.size), np.flatnonzero(np.diff(values) > gap) + 1)
 
 
 def _minimal_projections_of_abelian(
@@ -384,10 +466,7 @@ def _minimal_projections_of_abelian(
         if len(groups) != c:
             continue
         intra = max(float(w[g].max() - w[g].min()) for g in groups)
-        inter = min(
-            float(w[groups[i + 1]].min() - w[groups[i]].max())
-            for i in range(len(groups) - 1)
-        )
+        inter = min(float(w[b].min() - w[a].max()) for a, b in zip(groups, groups[1:]))
         if intra > 0 and inter < 1e3 * intra:
             continue
         projections = [v[:, g] @ dagger(v[:, g]) for g in groups]
@@ -403,53 +482,22 @@ def matrix_units(
     a: MatrixStarAlgebra,
     tol: Tolerances = DEFAULT_TOL,
 ) -> list[AlgebraBlock]:
-    """Matrix units for every central block of the algebra.
+    """Matrix units for every central block (``AlgebraStructure.blocks``), from the cache."""
+    return a.structure(tol).blocks
 
-    For each minimal central projection z the block algebra z.A is a full
-    matrix factor M_{n_k} with some ambient multiplicity; a generic Hermitian
-    block element yields its minimal diagonal projections, and polar-
-    normalized corners give the off-diagonal partial isometries.
-    """
-    n = a.ambient_dim
-    _, _, projections = center_and_factor(a, tol)
-    blocks = []
-    rng = np.random.default_rng(1)
-    for z in projections:
-        # orthonormal basis of the block algebra z.A
-        block_basis = orthonormalize(np.einsum("ij,ajk->aik", z, a.basis))
-        bdim = block_basis.shape[0]
-        size = isqrt(bdim)
-        if size * size != bdim:
-            raise IllConditioned(f"central block dimension {bdim} is not a square")
-        rank = int(round(float(np.real(np.trace(z)))))
-        if rank % size != 0:
-            raise IllConditioned("block rank is not divisible by the factor size")
-        mult = rank // size
-        if size == 1:
-            units = z[None, None, :, :].copy()
-            blocks.append(AlgebraBlock(z, units, 1, mult))
-            continue
-        diag = _minimal_block_projections(block_basis, z, size, mult, rng, tol)
-        corners = _corner_isometries(block_basis, diag, mult, rng)
-        units = np.zeros((size, size, n, n), dtype=complex)
-        for alpha in range(size):
-            for beta in range(size):
-                units[alpha, beta] = corners[alpha] @ dagger(corners[beta])
-        _verify_units(units, z, tol)
-        blocks.append(AlgebraBlock(z, units, size, mult))
-    return blocks
+
+def _generic_element(block_basis, rng):
+    """A complex Gaussian combination of the basis."""
+    k = block_basis.shape[0]
+    return np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), block_basis, axes=(0, 0))
 
 
 def _minimal_block_projections(block_basis, z, size, mult, rng, tol):
-    """Minimal projections of a factor block from a generic element."""
+    """Minimal projections of a factor block from a generic Hermitian element x + x*."""
     n = z.shape[0]
-    herm_part = orthonormalize(
-        np.concatenate([0.5 * (block_basis + dagger(block_basis)),
-                        (block_basis - dagger(block_basis)) / 2j], axis=0)
-    )
     for _ in range(24):
-        h = np.tensordot(rng.standard_normal(herm_part.shape[0]), herm_part, axes=(0, 0))
-        h = 0.5 * (h + dagger(h))
+        h = _generic_element(block_basis, rng)
+        h = h + dagger(h)
         shift = 2.0 * hs_norm(h) + 1.0
         w, v = np.linalg.eigh(h + shift * z)
         inside = w > shift / 2.0
@@ -478,13 +526,7 @@ def _corner_isometries(block_basis, diag, mult, rng):
         for _ in range(8):
             if best > CORNER_NORM_CUT:
                 break
-            c = np.tensordot(
-                rng.standard_normal(block_basis.shape[0])
-                + 1j * rng.standard_normal(block_basis.shape[0]),
-                block_basis,
-                axes=(0, 0),
-            )
-            cand = p @ c @ e11
+            cand = p @ _generic_element(block_basis, rng) @ e11
             if hs_norm(cand) > best:
                 best, v = hs_norm(cand), cand
         if best <= CORNER_NORM_CUT:
@@ -520,24 +562,18 @@ def structure_decomposition(
     if a.dim == n * n:
         return StructureDecomposition([(n, 1)], np.eye(n, dtype=complex), [0])
     blocks = matrix_units(a, tol)
+    block_dims = [(blk.size, blk.multiplicity) for blk in blocks]
+    offsets = np.cumsum([0] + [k * m for k, m in block_dims])[:-1].tolist()
     columns = []
-    block_dims = []
-    offsets = []
-    offset = 0
     for blk in blocks:
         e11 = blk.units[0, 0]
         w, v = np.linalg.eigh(0.5 * (e11 + dagger(e11)))
         chi = v[:, w > 0.5]
         if chi.shape[1] != blk.multiplicity:
             raise IllConditioned("range of the corner projection has wrong dimension")
-        for alpha in range(blk.size):
-            base = blk.units[alpha, 0] if alpha else e11
-            for s in range(blk.multiplicity):
-                columns.append(base @ chi[:, s])
-        block_dims.append((blk.size, blk.multiplicity))
-        offsets.append(offset)
-        offset += blk.size * blk.multiplicity
-    w_mat = np.stack(columns, axis=1)
+        # column (alpha, s) is e_{alpha 0} chi_s
+        columns.append((blk.units[:, 0] @ chi).transpose(1, 0, 2).reshape(n, -1))
+    w_mat = np.concatenate(columns, axis=1)
     if hs_norm(dagger(w_mat) @ w_mat - np.eye(n)) > tol.eps_verify * n:
         raise IllConditioned("assembled intertwiner is not unitary")
     decomp = StructureDecomposition(block_dims, w_mat, offsets)

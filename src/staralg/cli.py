@@ -59,6 +59,7 @@ from .independence import (
     VERDICT_KEYS,
     FactorSearchOutcome,
     InterpolatingFactor,
+    JointCells,
     Verdict,
     annihilating_projections,
     check_cstar_independence,
@@ -68,13 +69,13 @@ from .independence import (
     check_wstar_product_sense,
     find_interpolating_factor,
     implication_violations,
+    joint_cells,
     joint_extension_residuals,
     joint_operation,
     run_hierarchy_checks,
     state_preparation,
     verify_faithful_product_state,
     verify_interpolating_factor,
-    verify_multiplication_relation,
 )
 from .numerics import Tolerances, dagger
 from .sampling import fuzz_instances, random_density, random_pure_density
@@ -975,46 +976,32 @@ class _Pair:
     tol: Tolerances
 
     @cached_property
-    def product_sense(self) -> Verdict:
-        """The pair's product-sense verdict, rebuilt once per entry by the builder's code."""
-        return check_product_sense(self.a1, self.a2, self.tol)
-
-    def rebuilt(self, cert: dict, status: str, dims: tuple[str, ...]) -> Verdict:
-        """The rebuilt verdict, which must have ``status`` and reproduce the recorded ``dims``."""
-        ps = self.product_sense
-        if ps.status != status:
-            raise ValidationError(f"the pair's product sense is rebuilt as {ps.status}, not {status}")
-        recomputed = ps.certificate or ps.witness
-        for key in dims:
-            if not (_is_int(cert[key]) and cert[key] == recomputed[key]):
-                raise ValidationError(f"recorded {key} {cert[key]!r}, recomputed {recomputed[key]}")
-        return ps
-
-    def witness_states(self, cert: dict) -> tuple[AlgebraState, AlgebraState]:
-        w1, w2 = cert["witness_states"]
-        return (
-            state_from_density(self.a1, _array_in(w1["density"]), self.tol),
-            state_from_density(self.a2, _array_in(w2["density"]), self.tol),
-        )
+    def cells(self) -> JointCells:
+        """The pair's joint cell table, re-derived once per entry by the code that built it."""
+        return joint_cells(self.a1, self.a2, self.tol)
 
 
 _DIMS = ("dim_join", "dim_factor1", "dim_factor2")
 
 
-def _iso_residual(pair: _Pair, cert: dict, dims: tuple[str, ...]) -> float:
-    """Largest residual of the product isomorphism rebuilt from the pair."""
-    residuals = pair.rebuilt(cert, "Holds", dims).certificate
-    return max(residuals["inverse_residual"], residuals["multiplicativity_residual"])
-
-
-def _check_isomorphism(cert: dict, pair: _Pair) -> str:
-    worst = _iso_residual(pair, cert, _DIMS)
-    return f"product isomorphism rebuilt from the pair (max residual {worst:.3e})"
+def _check_dims(cert: dict, cells: JointCells, keys: tuple[str, ...]) -> None:
+    recomputed = cells.dims
+    for key in keys:
+        if not (_is_int(cert[key]) and cert[key] == recomputed[key]):
+            raise ValidationError(f"recorded {key} {cert[key]!r}, recomputed {recomputed[key]}")
 
 
 def _check_implied(cert: dict, pair: _Pair) -> str:
-    worst = _iso_residual(pair, cert, ())
-    return f"implied by the product isomorphism rebuilt from the pair (max residual {worst:.3e})"
+    """The pair's re-derived cell table has no zero cell."""
+    if pair.cells.zero_cells:
+        raise ValidationError(f"the re-derived cell table has zero cells {pair.cells.zero_cells}")
+    return f"cell table {pair.cells.mu.tolist()} re-derived from the pair has no zero cell"
+
+
+def _check_isomorphism(cert: dict, pair: _Pair) -> str:
+    pair.cells.check_table(cert["mu"])
+    _check_dims(cert, pair.cells, _DIMS)
+    return _check_implied(cert, pair)
 
 
 def _check_factor(fdoc: dict, pair: _Pair) -> str:
@@ -1026,12 +1013,9 @@ def _check_factor(fdoc: dict, pair: _Pair) -> str:
 
 
 def _check_product_state(cert: dict, pair: _Pair) -> str:
-    jn = pair.rebuilt(cert, "Holds", ("dim_join",)).iso.join
-    residual = verify_faithful_product_state(_array_in(cert["density"]), pair.a1, pair.a2, jn, pair.tol)
-    return (
-        "faithful on the join rebuilt from the pair, product of the tracial states "
-        f"(product residual {residual:.3e})"
-    )
+    _check_dims(cert, pair.cells, ("dim_join",))
+    residual = verify_faithful_product_state(_array_in(cert["density"]), pair.a1, pair.a2, pair.tol)
+    return f"full-rank product of the tracial states (product residual {residual:.3e})"
 
 
 def _check_projections(cert: dict, pair: _Pair) -> str:
@@ -1041,17 +1025,19 @@ def _check_projections(cert: dict, pair: _Pair) -> str:
     return "nonzero projections of the two algebras annihilate"
 
 
-def _check_relation(cert: dict, pair: _Pair) -> str:
-    s1, s2 = pair.witness_states(cert)
-    _, value = verify_multiplication_relation(_array_in(cert["relation_coefficients"]), s1, s2)
-    if not abs(value - complex(_array_in(cert["product_value"]))) <= pair.tol.eps_verify:
-        raise ValidationError("the recorded product value does not reproduce")
-    return f"relation refutes product extension (product value {abs(value):.3e})"
+def _check_zero_cell(cert: dict, pair: _Pair, dims: tuple[str, ...] = ()) -> str:
+    z1, z2 = _array_in(cert["projection1"]), _array_in(cert["projection2"])
+    pair.cells.check_zero_cell(cert["cell"], cert["mu"], z1, z2)
+    _check_dims(cert, pair.cells, dims)
+    return f"zero cell {cert['cell']} of the cell table re-derived from the pair"
 
 
-def _check_deficit(cert: dict, pair: _Pair) -> str:
-    pair.rebuilt(cert, "Fails", _DIMS)
-    return f"join dimension deficit confirmed ({cert['dim_join']} < {pair.a1.dim * pair.a2.dim})"
+def _check_no_factor(cert: dict, pair: _Pair) -> str:
+    pair.cells.check_table(cert["mu"])
+    outcome = find_interpolating_factor(pair.a1, pair.a2, pair.tol)
+    if outcome.status != "NotFound":
+        raise ValidationError("the factor search finds a factor for the pair")
+    return f"re-derived cell table {pair.cells.mu.tolist()}: {outcome.reason}"
 
 
 def _refused_again(s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> None:
@@ -1061,7 +1047,9 @@ def _refused_again(s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> None:
 
 
 def _check_refusal(cert: dict, pair: _Pair) -> str:
-    _refused_again(*pair.witness_states(cert), pair.tol)
+    w1, w2 = cert["witness_states"]
+    s1 = state_from_density(pair.a1, _array_in(w1["density"]), pair.tol)
+    _refused_again(s1, state_from_density(pair.a2, _array_in(w2["density"]), pair.tol), pair.tol)
     return "refused marginal pair reproduced"
 
 
@@ -1072,8 +1060,10 @@ _CERTIFICATE_CHECKS: dict[str, tuple[str, Callable[[dict, _Pair], str]]] = {
     "implied_by_product_isomorphism": ("product isomorphism", _check_implied),
     "faithful_product_state": ("product state", _check_product_state),
     "annihilating_central_projections": ("projections", _check_projections),
-    "multiplication_relation": ("relation", _check_relation),
-    "dimension_deficit": ("dimensions", _check_deficit),
+    "dimension_deficit": ("dimensions", lambda cert, pair: _check_zero_cell(cert, pair, _DIMS)),
+    "multiplication_relation": ("relation", _check_zero_cell),
+    "product_position_failure": ("zero cell", _check_zero_cell),
+    "no_interpolating_factor": ("cell table", _check_no_factor),
     "refused_marginal_pair": ("refusal", _check_refusal),
 }
 

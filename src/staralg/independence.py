@@ -9,16 +9,17 @@ checkable certificate, ``Fails`` with an explicit witness, or ``Undecided``
 with the reason spelled out.
 
 For mutually commuting pairs all nine verdicts are decided exactly, and
-never ``Undecided``.  Product position is decided by a dimension count:
-the multiplication map b_a (x) c_b -> b_a c_b is onto the join, so it is
-an isomorphism iff the product span has dimension dim(A1) dim(A2).  What
-makes that count complete is the cell theorem: with z_i, w_j the minimal
+never ``Undecided``, from one integer table.  With z_i, w_j the minimal
 central projections of the two algebras (blocks M_{n_i} and M_{m_j}), the
-join is the direct sum of M_{n_i} (x) M_{m_j} over the nonzero cells
-z_i w_j.  A pair out of product position therefore has some z_i w_j = 0,
-whose concentrated states no joint state extends, and the split property
-holds iff the integer cell multiplicity matrix mu factors as an outer
-product of positive integer vectors.  For non-commuting pairs the
+cell theorem says that the join is the direct sum of M_{n_i} (x) M_{m_j}
+over the nonzero cells z_i w_j (Davidson, C*-Algebras by Example, ch. III),
+each with multiplicity mu_ij = rank(z_i w_j) / (n_i m_j).  So the
+multiplication map b_a (x) c_b -> b_a c_b onto the join is an isomorphism
+(product position) iff no cell is zero; a zero cell, whose concentrated
+states no joint state extends, witnesses every product-sense failure; and
+the split property holds iff mu is an outer product of positive integer
+vectors.  The product isomorphism itself is built only on demand
+(``product_isomorphism``).  For non-commuting pairs the
 product-sense family is not applicable and the plain notions are
 semi-decided by the extension solver (a refusal certificate falsifies;
 sampling alone never verifies).
@@ -32,9 +33,9 @@ from typing import Literal
 import numpy as np
 
 from .algebra import (
+    COUNT_CUT,
     MatrixStarAlgebra,
     _commuting_join,
-    center_and_factor,
     commutators,
     full_matrix_algebra,
     matrix_units,
@@ -51,6 +52,7 @@ from .errors import (
     NotCP,
     NotNonselective,
     ShapeMismatch,
+    ValidationError,
 )
 from .numerics import DEFAULT_TOL, Tolerances, dagger, vec
 from .states import (
@@ -59,13 +61,13 @@ from .states import (
     extend_state_batch,
     marginal_residual,
     product_residual,
-    product_state,
     state_from_density,
 )
 
 __all__ = [
     "Verdict",
     "ProductIsomorphism",
+    "JointCells",
     "IndependenceReport",
     "InterpolatingFactor",
     "FactorSearchOutcome",
@@ -73,13 +75,14 @@ __all__ = [
     "IMPLICATIONS",
     "EVIDENCE_STATUS",
     "implication_violations",
+    "joint_cells",
+    "product_isomorphism",
     "check_product_sense",
     "check_cstar_independence",
     "check_wstar_independence",
     "check_wstar_product_sense",
     "annihilating_projections",
     "verify_faithful_product_state",
-    "verify_multiplication_relation",
     "joint_operation",
     "state_preparation",
     "verify_interpolating_factor",
@@ -138,30 +141,13 @@ EVIDENCE_STATUS: dict[str, VerdictStatus] = {
 
 NOT_APPLICABLE = "not applicable: the spans do not mutually commute"
 
-#: Largest entry of z1 z2 (or of z^2 - z) that still counts as zero for
-#: minimal central projections.  The projections come from eigenvectors of
-#: a generic central element and are only checked to eps_algebra times the
-#: ambient dimension, so the cut sits well above that noise.  A pair that
-#: passes it is not trusted alone: ``check_cstar_independence`` reports
-#: Fails on this route only with the solver's refusal certificate.
+#: Largest entry of z1 z2 (or of z^2 - z, or of a recorded minus a
+#: recomputed projection) that still counts as zero for minimal central
+#: projections, which hold to eps_algebra times the ambient dimension.  A
+#: pair that passes it is not trusted alone: a plain refusal adds the
+#: solver's certificate, and a product-sense witness must be a zero of the
+#: integer cell table (``JointCells.check_zero_cell``).
 ANNIHILATION_CUT = 1e-7
-
-#: Largest condition number of the multiplication map accepted as an
-#: isomorphism when the dimensions match: its inverse ``to_tensor`` loses
-#: about log10(cond) of the sixteen digits, and beyond 1e10 too few remain
-#: for the eps_verify residuals of ``ProductIsomorphism.validate``.
-MULTIPLICATION_MAP_MAX_COND = 1e10
-
-#: Smallest |sum_ab R[a,b] phi1(b_a) phi2(c_b)| that counts as a nonzero
-#: product value.  The relation and the state values are unit-scale, so a
-#: value below this is rounding left over from a vanishing one.
-RELATION_VALUE_CUT = 1e-9
-
-#: Largest distance of rank(z_i w_j) / (n_i m_j) from an integer accepted
-#: for a joint cell.  The rank is the trace of a product of projections that
-#: hold to eps_algebra times the ambient dimension, so an honest count is
-#: within about 1e-8 of an integer.
-CELL_RANK_CUT = 1e-6
 
 #: Eigenvalue cut on the corner e_00 f_00 of a cell: a projection, so its
 #: eigenvalues are 0 or 1 up to rounding, and the midpoint has most margin.
@@ -176,11 +162,10 @@ class Verdict:
     certificate: dict | None = None
     witness: dict | None = None
     reason: str | None = None
-    iso: "ProductIsomorphism | None" = None
 
     @classmethod
-    def holds(cls, certificate: dict, iso: "ProductIsomorphism | None" = None) -> "Verdict":
-        return cls("Holds", certificate=certificate, iso=iso)
+    def holds(cls, certificate: dict) -> "Verdict":
+        return cls("Holds", certificate=certificate)
 
     @classmethod
     def fails(cls, witness: dict) -> "Verdict":
@@ -232,22 +217,19 @@ class ProductIsomorphism:
         multiplication map, every product must lie in the join, and the
         factors must commute.
         """
-        return self._residuals(*_multiplication_map(self.factor1, self.factor2, self.join), tol)
+        skew = float(np.abs(commutators(self.factor1, self.factor2)).max())
+        return self._residuals(*_multiplication_map(self.factor1, self.factor2, self.join), skew, tol)
 
     def _residuals(
-        self, mult_map: np.ndarray, outside: float, tol: Tolerances
+        self, mult_map: np.ndarray, outside: float, skew: float, tol: Tolerances
     ) -> dict[str, float]:
-        """``validate`` against a multiplication map already built from the three bases."""
+        """``validate`` against a multiplication map and a largest commutator entry already at hand."""
         eye = np.eye(self.factor1.dim * self.factor2.dim)
         inverse_residual = max(
             float(np.abs(self.to_tensor @ self.from_tensor - eye).max()),
             float(np.abs(self.from_tensor @ self.to_tensor - eye).max()),
         )
-        mult_residual = max(
-            float(np.abs(self.from_tensor - mult_map).max()),
-            outside,
-            float(np.abs(commutators(self.factor1, self.factor2)).max()),
-        )
+        mult_residual = max(float(np.abs(self.from_tensor - mult_map).max()), outside, skew)
         residuals = {
             "inverse_residual": inverse_residual,
             "multiplicativity_residual": mult_residual,
@@ -261,6 +243,127 @@ class ProductIsomorphism:
         return residuals
 
 
+def product_isomorphism(
+    a1: MatrixStarAlgebra,
+    a2: MatrixStarAlgebra,
+    tol: Tolerances = DEFAULT_TOL,
+) -> ProductIsomorphism:
+    """The validated product isomorphism of a commuting pair in product position.
+
+    No verdict needs it; ``joint_operation`` carries operations through it.
+    The map is built once and inverted (an ill-conditioned one fails the
+    inverse residual), and one commutator stack serves both the commutation
+    test and the multiplicativity residual.
+    """
+    skew = float(np.abs(commutators(a1, a2)).max())
+    if skew > tol.eps_algebra:
+        raise NotCommuting("a product isomorphism requires a commuting pair")
+    jn, dims = _commuting_join(a1, a2), a1.dim * a2.dim
+    if jn.dim != dims:
+        raise NoProductIsomorphism(f"the pair is not in product position: dim(join) = {jn.dim} < {dims}")
+    mult_map, outside = _multiplication_map(a1, a2, jn)
+    iso = ProductIsomorphism(a1, a2, jn, np.linalg.inv(mult_map), mult_map)
+    iso._residuals(mult_map, outside, skew, tol)
+    return iso
+
+
+@dataclass(eq=False)
+class JointCells:
+    """The joint cell table of a commuting pair (module docstring).
+
+    z_i = ``projections1[i]`` has block M_{sizes1[i]} in A1 and w_j =
+    ``projections2[j]`` block M_{sizes2[j]} in A2, in the gauge-free order
+    of the structure cache; ``ranks[i, j]`` = tr(z_i w_j) and ``mu`` the
+    integer ranks / (n_i m_j).  Zero cells are listed row by row.
+    """
+
+    a1: MatrixStarAlgebra
+    a2: MatrixStarAlgebra
+    projections1: list[np.ndarray]
+    projections2: list[np.ndarray]
+    sizes1: np.ndarray
+    sizes2: np.ndarray
+    ranks: np.ndarray
+    mu: np.ndarray
+
+    @property
+    def zero_cells(self) -> list[tuple[int, int]]:
+        return [(int(i), int(j)) for i, j in np.argwhere(self.mu == 0)]
+
+    @property
+    def dims(self) -> dict[str, int]:
+        """dim_join (n_i^2 m_j^2 summed over the nonzero cells) and the factor dimensions."""
+        join_dim = int(np.outer(self.sizes1**2, self.sizes2**2)[self.mu > 0].sum())
+        return {"dim_join": join_dim, "dim_factor1": self.a1.dim, "dim_factor2": self.a2.dim}
+
+    def zero_cell_witness(self) -> dict:
+        i, j = self.zero_cells[0]
+        return {"cell": [i, j], "mu": self.mu,
+                "projection1": self.projections1[i], "projection2": self.projections2[j]}
+
+    def product_density(self) -> np.ndarray:
+        """The product of the two tracial states, for a table with no zero cell.
+
+        rho = sum_ij c_ij z_i w_j, c_ij = r_i s_j / (n^2 n_i m_j mu_ij) with
+        r_i = rank z_i, s_j = rank w_j.  On cell (i, j) = C^{n_i} (x) C^{m_j}
+        (x) C^{mu_ij}, x in block i of A1 and y in block j of A2 give
+        tr(z_i w_j x y) = mu_ij tr(x_i) tr(y_j), while tr x = (r_i / n_i) tr(x_i)
+        and tr y = (s_j / m_j) tr(y_j); so tr(rho x y) = (tr x / n)(tr y / n).
+        Every c_ij > 0 and the z_i w_j sum to 1, so rho has full rank.
+        """
+        n = self.a1.ambient_dim
+        c = np.outer(self.mu @ self.sizes2, self.sizes1 @ self.mu) / (n * n * self.mu)
+        z, w = np.stack(self.projections1), np.stack(self.projections2)
+        return np.einsum("ij,ikl,jlm->km", c, z, w)
+
+    def check_table(self, mu) -> None:
+        """A recorded table must be this one, integer entry for entry."""
+        mu = np.asarray(mu)
+        if mu.dtype.kind not in "iu" or mu.shape != self.mu.shape or np.any(mu != self.mu):
+            raise ValidationError(f"recorded cell table {mu.tolist()}, re-derived {self.mu.tolist()}")
+
+    def check_zero_cell(self, cell, mu, z1: np.ndarray, z2: np.ndarray) -> None:
+        """Check a ``zero_cell_witness``: this table, a zero cell (i, j) of it, z_i and w_j.
+
+        Then z1 z2 = 0 for nonzero projections of the algebras (``annihilating_projections``).
+        """
+        self.check_table(mu)
+        if tuple(cell) not in self.zero_cells:
+            raise ValidationError(f"cell {cell!r} is not a zero cell of {self.mu.tolist()}")
+        i, j = cell
+        far = max(np.abs(z1 - self.projections1[i]).max(), np.abs(z2 - self.projections2[j]).max())
+        if far >= ANNIHILATION_CUT:
+            raise ValidationError(f"recorded projections are {far:.3e} away from those of cell {cell}")
+        if not annihilating_projections(z1, z2, self.a1, self.a2):
+            raise ValidationError("not nonzero projections of the two algebras with z1 z2 = 0")
+
+
+def joint_cells(
+    a1: MatrixStarAlgebra,
+    a2: MatrixStarAlgebra,
+    tol: Tolerances = DEFAULT_TOL,
+) -> JointCells:
+    """The joint cell table of a commuting pair, from each algebra's cached structure."""
+    if not mutually_commute(a1, a2, tol):
+        raise NotCommuting("the joint cell table requires a commuting pair")
+    return _joint_cells(a1, a2, tol)
+
+
+def _joint_cells(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, tol: Tolerances) -> JointCells:
+    """``joint_cells`` of a commuting pair, where z_i w_j is a projection of rank tr(z_i w_j)."""
+    s1, s2 = a1.structure(tol), a2.structure(tol)
+    sizes1, sizes2 = np.array(s1.sizes), np.array(s2.sizes)
+    ranks = np.einsum("ikl,jlk->ij", np.stack(s1.projections), np.stack(s2.projections)).real
+    counts = ranks / np.outer(sizes1, sizes2)
+    mu = np.rint(counts).astype(int)
+    bad = np.argwhere(np.abs(counts - mu) > COUNT_CUT)
+    if bad.size:
+        i, j = bad[0]
+        raise IllConditioned(f"joint cell ({i},{j}) has rank {ranks[i, j]:.6f}, not a multiple "
+                             f"of {sizes1[i] * sizes2[j]}")
+    return JointCells(a1, a2, s1.projections, s2.projections, sizes1, sizes2, ranks, mu)
+
+
 def check_product_sense(
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
@@ -268,64 +371,36 @@ def check_product_sense(
 ) -> Verdict:
     """Is the join canonically isomorphic to the tensor product of the pair?
 
-    For a commuting pair the multiplication map b_a (x) c_b -> b_a c_b is a
-    surjective homomorphism onto the join, so the question reduces to a
-    dimension count: it is an isomorphism iff dim(join) = dim(A1)*dim(A2).
-    Holds carries the certified isomorphism; Fails carries the dimension
-    deficit (a nonzero multiplication relation exists).  The map is built
-    once, and its condition number comes from the singular values of the
-    join's own SVD of the product stack.
+    The multiplication map b_a (x) c_b -> b_a c_b of a commuting pair is onto
+    the join, so an isomorphism iff no joint cell is zero (module docstring).
+    Holds records the cell table and the dimensions, Fails the deficit and
+    the first zero cell.  No join is built.
     """
-    if not mutually_commute(a1, a2, tol):
-        raise NotCommuting("product-sense independence requires a commuting pair")
-    jn, sigma = _commuting_join(a1, a2)
-    d1, d2 = a1.dim, a2.dim
-    mult_map, outside = _multiplication_map(a1, a2, jn)
-    if jn.dim != d1 * d2:
-        return Verdict.fails(
-            {
-                "kind": "dimension_deficit",
-                "dim_join": jn.dim,
-                "dim_factor1": d1,
-                "dim_factor2": d2,
-                "deficit": d1 * d2 - jn.dim,
-                "multiplication_map": mult_map,
-            }
-        )
-    cond = sigma[0] / sigma[-1]
-    if cond > MULTIPLICATION_MAP_MAX_COND:
-        raise IllConditioned(
-            f"multiplication map condition number {cond:.3e} despite matching "
-            "dimensions"
-        )
-    to_tensor = np.linalg.inv(mult_map)
-    iso = ProductIsomorphism(a1, a2, jn, to_tensor, mult_map)
-    residuals = iso._residuals(mult_map, outside, tol)
-    certificate = {
-        "kind": "product_isomorphism",
-        "dim_join": jn.dim,
-        "dim_factor1": d1,
-        "dim_factor2": d2,
-        "condition_number": float(cond),
-        **residuals,
-    }
-    return Verdict.holds(certificate, iso=iso)
+    return _product_sense(joint_cells(a1, a2, tol))
+
+
+def _product_sense(cells: JointCells) -> Verdict:
+    dims = {**cells.dims, "mu": cells.mu}
+    if not cells.zero_cells:
+        return Verdict.holds({"kind": "product_isomorphism", **dims})
+    deficit = dims["dim_factor1"] * dims["dim_factor2"] - dims["dim_join"]
+    return Verdict.fails({"kind": "dimension_deficit", **dims, "deficit": deficit, **cells.zero_cell_witness()})
 
 
 #: Holds certificate of every notion that product position implies.  It
-#: rests on the check entry's ProductIsomorphism, validated exactly, and on
-#: the theorem it states; nothing is sampled.
+#: rests on the pair's cell table, which verify-report re-derives, and on the
+#: theorem it states; nothing is sampled.
 IMPLIED_BY_PRODUCT_ISOMORPHISM = {
     "kind": "implied_by_product_isomorphism",
     "reasoning": (
-        "the pair commutes and the multiplication map iso: A1 (x) A2 -> join "
-        "is a *-isomorphism (the entry's product isomorphism), so every "
-        "marginal pair (phi1, phi2) extends to the product state "
-        "(phi1 (x) phi2) . iso^-1, and every pair of nonselective operations "
-        "(T1, T2) extends to iso . (T1 (x) T2) . iso^-1 composed with the "
-        "conditional expectation onto the join, which is unital, completely "
-        "positive and multiplicative across the pair (Roos, Commun. Math. "
-        "Phys. 16 (1970) 238)"
+        "the pair commutes and its joint cell table has no zero cell, so the "
+        "multiplication map iso: A1 (x) A2 -> join is a *-isomorphism (the cell "
+        "theorem), every marginal pair (phi1, phi2) extends to the product "
+        "state (phi1 (x) phi2) . iso^-1, and every pair of nonselective "
+        "operations (T1, T2) extends to iso . (T1 (x) T2) . iso^-1 composed "
+        "with the conditional expectation onto the join, which is unital, "
+        "completely positive and multiplicative across the pair (Roos, "
+        "Commun. Math. Phys. 16 (1970) 238)"
     ),
 }
 
@@ -358,10 +433,8 @@ def _annihilating_central_pair(
     tol: Tolerances,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Minimal central projections with z1 z2 = 0, if any."""
-    _, _, projs1 = center_and_factor(a1, tol)
-    _, _, projs2 = center_and_factor(a2, tol)
-    for z1 in projs1:
-        for z2 in projs2:
+    for z1 in a1.structure(tol).projections:
+        for z2 in a2.structure(tol).projections:
             if annihilating_projections(z1, z2, a1, a2):
                 return z1, z2
     return None
@@ -388,37 +461,41 @@ def check_cstar_independence(
     rng: np.random.Generator | int | None = None,
     samples: int = 50,
     tol: Tolerances = DEFAULT_TOL,
-    product_sense: Verdict | None = None,
 ) -> Verdict:
     """Does every marginal pair admit a joint state?
 
-    Three routes, in order.  (i) A commuting pair in product position
-    verifies exactly: the certificate is the pair's product isomorphism,
-    through which every marginal pair extends to the product state (see
+    Three routes, in order.  (i) A commuting pair in product position (no
+    zero joint cell) verifies exactly: every marginal pair extends to the
+    product state through the product isomorphism (see
     ``IMPLIED_BY_PRODUCT_ISOMORPHISM``).  (ii) A pair of minimal central
     projections with z1 z2 = 0 refutes: states concentrated on them satisfy
     phi(z1) = phi(z2) = 1, and any joint state would be supported under
     both, forcing phi(z1 z2) = 1 against z1 z2 = 0; the solver's refusal
     certificate for that pair is attached as an independent confirmation.
-    By the cell theorem (module docstring) a commuting pair out of product
-    position always has such a pair, so (i)-(ii) decide every commuting
-    pair, and one they leave open raises IllConditioned.  (iii) For a
-    non-commuting pair the extension solver runs over sampled pairs; a
-    refusal falsifies, while feasibility on samples alone leaves the
-    verdict honestly undecided.  Only route (iii) draws from ``rng`` or
-    reads ``samples``.
-
-    ``product_sense`` accepts the precomputed :func:`check_product_sense`
-    verdict for this pair so callers running several checks do not pay for
-    the isomorphism twice.
+    A commuting pair out of product position has such a pair, its zero
+    cell, so (i)-(ii) decide every commuting pair, and one they leave open
+    raises IllConditioned.  (iii) For a non-commuting pair the extension
+    solver runs over sampled pairs; a refusal falsifies, while feasibility
+    on samples alone leaves the verdict honestly undecided.  Only route
+    (iii) draws from ``rng`` or reads ``samples``.
     """
     if a1.ambient_dim != a2.ambient_dim:
         raise AmbientMismatch("the two algebras live in different ambient spaces")
-    commuting = mutually_commute(a1, a2, tol)
-    if commuting:
-        ps = product_sense if product_sense is not None else check_product_sense(a1, a2, tol)
-        if ps.status == "Holds":
-            return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM), iso=ps.iso)
+    cells = _joint_cells(a1, a2, tol) if mutually_commute(a1, a2, tol) else None
+    return _plain_verdict(a1, a2, cells, rng, samples, tol)
+
+
+def _plain_verdict(
+    a1: MatrixStarAlgebra,
+    a2: MatrixStarAlgebra,
+    cells: JointCells | None,
+    rng: np.random.Generator | int | None,
+    samples: int,
+    tol: Tolerances,
+) -> Verdict:
+    """``check_cstar_independence`` given the cell table (None for a non-commuting pair)."""
+    if cells is not None and not cells.zero_cells:
+        return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM))
 
     annih = _annihilating_central_pair(a1, a2, tol)
     if annih is not None:
@@ -441,7 +518,7 @@ def check_cstar_independence(
                     ),
                 }
             )
-    if commuting:
+    if cells is not None:
         raise IllConditioned(
             "commuting pair out of product position without a certified pair "
             "of annihilating central projections"
@@ -481,7 +558,6 @@ def check_wstar_independence(
     rng: np.random.Generator | int | None = None,
     samples: int = 50,
     tol: Tolerances = DEFAULT_TOL,
-    product_sense: Verdict | None = None,
 ) -> Verdict:
     """Joint-extension property with normal states — same decision here.
 
@@ -489,7 +565,7 @@ def check_wstar_independence(
     matrix, hence normal, so this coincides with the plain extension
     property; the verdict is computed by the same routes and annotated.
     """
-    return _annotate_normal(check_cstar_independence(a1, a2, rng, samples, tol, product_sense))
+    return _annotate_normal(check_cstar_independence(a1, a2, rng, samples, tol))
 
 
 def _annotate_normal(verdict: Verdict) -> Verdict:
@@ -500,42 +576,23 @@ def _annotate_normal(verdict: Verdict) -> Verdict:
         certificate=None if verdict.certificate is None else {**verdict.certificate, **note},
         witness=None if verdict.witness is None else {**verdict.witness, **note},
         reason=verdict.reason,
-        iso=verdict.iso,
     )
-
-
-def _perturbed_state_family(
-    a: MatrixStarAlgebra, tol: Tolerances
-) -> list[AlgebraState]:
-    """The tracial state plus one perturbation per Hermitian basis direction.
-
-    The family's value vectors affinely span the whole Hermitian dual of the
-    algebra, so any nonzero bilinear form on value pairs is nonzero on some
-    pair from two such families.
-    """
-    n = a.ambient_dim
-    states = [canonical_trace_state(a)]
-    for h in a.hermitian_basis:
-        top = float(np.abs(np.linalg.eigvalsh(h)).max())
-        rho = np.eye(n, dtype=complex) / n + h / (4 * n * max(top, 1e-12))
-        states.append(state_from_density(a, rho / np.trace(rho).real, tol))
-    return states
 
 
 def verify_faithful_product_state(
     density: np.ndarray,
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
-    jn: MatrixStarAlgebra,
     tol: Tolerances,
 ) -> float:
     """Check a faithful-product-state certificate; return its product residual.
 
-    The density must be a state whose restrictions to both algebras are
-    their normalized traces, which acts as the product of those traces on
-    every product x y, and which is faithful on the join ``jn``.
+    The density must be a state of M_n of full rank, hence faithful on
+    every subalgebra and on the join in particular, whose restrictions to
+    both algebras are their normalized traces and which acts as the
+    product of those traces on every product x y.
     """
-    state = state_from_density(jn, density, tol)
+    state = state_from_density(a1, density, tol)
     traces = (canonical_trace_state(a1), canonical_trace_state(a2))
     marginal = marginal_residual(state.density, traces)
     residual = product_residual(state.density, *traces)
@@ -544,99 +601,49 @@ def verify_faithful_product_state(
             f"not a product of the tracial states: marginal residual "
             f"{marginal:.3e}, product residual {residual:.3e}"
         )
-    if not state.is_faithful(tol):
-        raise IllConditioned("product state is not faithful on the join")
+    evals = np.linalg.eigvalsh(0.5 * (state.density + dagger(state.density)))
+    if not evals[0] > tol.eps_psd * max(1.0, evals[-1]):
+        raise IllConditioned(f"product state is not of full rank (eigenvalue {evals[0]:.3e})")
     return residual
-
-
-def verify_multiplication_relation(
-    rel: np.ndarray, state1: AlgebraState, state2: AlgebraState
-) -> tuple[float, complex]:
-    """Check a multiplication-relation witness; return (element size, product value).
-
-    With E = sum_ab R[a,b] b_a c_b, a product state extending the pair
-    would give E the value v = sum_ab R[a,b] phi1(b_a) phi2(c_b).  No state
-    gives E a value beyond its operator norm, so |v| > ||E|| (and above
-    RELATION_VALUE_CUT) shows that no product state extends the pair.  The
-    element size is the largest entry of E.
-    """
-    a1, a2 = state1.algebra, state2.algebra
-    element = np.einsum("ab,aij,bjk->ik", rel, a1.basis, a2.basis, optimize=True)
-    value = complex(state1.expect_basis() @ rel @ state2.expect_basis())
-    bound = max(RELATION_VALUE_CUT, float(np.linalg.norm(element, 2)))
-    if not abs(value) > bound:
-        raise IllConditioned(
-            f"product value {abs(value):.3e} does not exceed the relation "
-            f"element's norm or the cut ({bound:.3e})"
-        )
-    return float(np.abs(element).max()), value
 
 
 def check_wstar_product_sense(
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
     tol: Tolerances = DEFAULT_TOL,
-    product_sense: Verdict | None = None,
 ) -> Verdict:
     """Existence of normal product extensions for all normal marginal pairs.
 
-    Holds exactly in product position, certified by a faithful product
-    state built from the tracial marginals (faithfulness re-checked on the
-    join).  Otherwise the multiplication map has a kernel; a kernel element
-    sum_ab R[a,b] b_a c_b = 0 together with a marginal pair whose product
-    functional takes a nonzero value on it shows no product state can
-    extend that pair, which is the failure witness.  The relation is a
-    nonzero form, so by ``_perturbed_state_family`` some pair of the two
-    families gives it a nonzero value; a table that stays below
-    RELATION_VALUE_CUT means rounding hid it, and raises IllConditioned.
-    ``product_sense`` accepts the precomputed plain verdict to avoid
-    rebuilding the isomorphism.
+    Holds exactly in product position, certified by the closed-form product
+    of the two tracial states (``JointCells.product_density``), a full-rank
+    state of M_n; no join is built.  Otherwise the first zero cell is the
+    witness: z_i (x) w_j is a multiplication relation (z_i w_j = 0) to which
+    the states concentrated on z_i and w_j give the product value 1.
     """
-    if not mutually_commute(a1, a2, tol):
-        raise NotCommuting("product-sense independence requires a commuting pair")
-    ps = product_sense if product_sense is not None else check_product_sense(a1, a2, tol)
-    if ps.status == "Holds":
-        t1, t2 = canonical_trace_state(a1), canonical_trace_state(a2)
-        joint = product_state(t1, t2, ps.iso, tol)
-        certificate = {
-            "kind": "faithful_product_state",
-            "density": joint.density,
-            "faithful": True,
-            "product_residual": verify_faithful_product_state(
-                joint.density, a1, a2, ps.iso.join, tol
-            ),
-            "dim_join": ps.iso.join.dim,
-        }
-        return Verdict.holds(certificate, iso=ps.iso)
+    return _wstar_product_sense(joint_cells(a1, a2, tol), tol)
 
-    mult_map = ps.witness["multiplication_map"]
-    _, _, vt = np.linalg.svd(mult_map)
-    relation = vt[-1].conj()  # mult_map @ relation = 0
-    rel_matrix = relation.reshape(a1.dim, a2.dim)
-    fam1 = _perturbed_state_family(a1, tol)
-    fam2 = _perturbed_state_family(a2, tol)
-    vals1 = np.stack([s.expect_basis() for s in fam1])
-    vals2 = np.stack([s.expect_basis() for s in fam2])
-    table = vals1 @ rel_matrix @ vals2.T
-    i, j = np.unravel_index(np.abs(table).argmax(), table.shape)
-    if abs(table[i, j]) < RELATION_VALUE_CUT:
-        raise IllConditioned(
-            f"no state pair gives the multiplication relation a product value "
-            f"above {RELATION_VALUE_CUT:.0e} (largest {abs(table[i, j]):.3e})"
+
+def _wstar_product_sense(cells: JointCells, tol: Tolerances) -> Verdict:
+    if cells.zero_cells:
+        return Verdict.fails(
+            {
+                "kind": "multiplication_relation",
+                **cells.zero_cell_witness(),
+                "reasoning": (
+                    "z_i (x) w_j maps to z_i w_j = 0, yet the states "
+                    "concentrated on z_i and w_j give it the product value 1, "
+                    "so no product state extends them"
+                ),
+            }
         )
-    element_norm, value = verify_multiplication_relation(rel_matrix, fam1[i], fam2[j])
-    return Verdict.fails(
+    density = cells.product_density()
+    return Verdict.holds(
         {
-            "kind": "multiplication_relation",
-            "relation_coefficients": rel_matrix,
-            "relation_element_norm": element_norm,
-            "product_value": value,
-            "witness_states": (fam1[i], fam2[j]),
-            "reasoning": (
-                "sum_ab R[a,b] b_a c_b = 0, yet the witness pair gives "
-                "sum_ab R[a,b] phi1(b_a) phi2(c_b) != 0, so no product "
-                "state extends it"
-            ),
+            "kind": "faithful_product_state",
+            "density": density,
+            "faithful": True,
+            "product_residual": verify_faithful_product_state(density, cells.a1, cells.a2, tol),
+            "dim_join": cells.dims["dim_join"],
         }
     )
 
@@ -683,14 +690,7 @@ def joint_operation(
     if a2.ambient_dim != n or (ambient_dim is not None and ambient_dim != n):
         raise AmbientMismatch("operation domains live in different ambient spaces")
     if iso is None:
-        ps = check_product_sense(a1, a2, tol)
-        if ps.status != "Holds":
-            raise NoProductIsomorphism(
-                "the pair is not in product position: "
-                f"dim(join) = {ps.witness['dim_join']} < "
-                f"{ps.witness['dim_factor1'] * ps.witness['dim_factor2']}"
-            )
-        iso = ps.iso
+        iso = product_isomorphism(a1, a2, tol)
     r1 = _coefficient_matrix(t1)
     r2 = _coefficient_matrix(t2)
     coeff = iso.from_tensor @ np.kron(r1, r2) @ iso.to_tensor
@@ -868,19 +868,18 @@ def find_interpolating_factor(
     """Search for a factor M with A1 inside M inside the commutant of A2.
 
     Fast path: A1 itself, when it is a factor.  Otherwise the joint cell
-    structure decides completely: with z_i, w_j the minimal central
-    projections of the two algebras, every product z_i w_j must be nonzero
-    with rank divisible by the product of the block sizes, giving the joint
-    multiplicity matrix mu.  An interpolating factor exists iff mu is a
-    product of positive integer vectors mu[i,j] = a_i b_j; the factorizing
-    unitary is assembled cell by cell from matrix units of both algebras
-    and an orthonormal basis of each corner range(e_00 f_00).
+    table decides completely (module docstring): an interpolating factor
+    exists iff no cell is zero and mu[i,j] = a_i b_j for positive integer
+    vectors a, b; the factorizing unitary is assembled cell by cell from
+    matrix units of both algebras and an orthonormal basis of each corner
+    range(e_00 f_00).
     """
-    if not mutually_commute(a1, a2, tol):
-        raise NotCommuting("an interpolating factor requires a commuting pair")
+    return _factor_search(joint_cells(a1, a2, tol), tol)
 
-    _, is_factor1, _ = center_and_factor(a1, tol)
-    if is_factor1:
+
+def _factor_search(cells: JointCells, tol: Tolerances) -> FactorSearchOutcome:
+    a1, a2, mu = cells.a1, cells.a2, cells.mu
+    if a1.structure(tol).is_factor:
         dec = structure_decomposition(a1, tol)
         if len(dec.blocks) != 1:
             raise IllConditioned("structure decomposition of a factor has one block")
@@ -890,25 +889,8 @@ def find_interpolating_factor(
             verify_interpolating_factor(dagger(dec.intertwiner), d1, d2, a1, a2, tol),
             reason="the first algebra is itself a factor",
         )
-    blocks1 = matrix_units(a1, tol)
-    blocks2 = matrix_units(a2, tol)
-    sizes1 = [blk.size for blk in blocks1]
-    sizes2 = [blk.size for blk in blocks2]
-    mu = np.zeros((len(blocks1), len(blocks2)), dtype=int)
-    for i, blk1 in enumerate(blocks1):
-        for j, blk2 in enumerate(blocks2):
-            cell = blk1.central_projection @ blk2.central_projection
-            rank = float(np.trace(cell).real)
-            cells_dim = sizes1[i] * sizes2[j]
-            count = rank / cells_dim
-            if abs(count - round(count)) > CELL_RANK_CUT:
-                raise IllConditioned(
-                    f"joint cell ({i},{j}) has rank {rank:.6f}, not a "
-                    f"multiple of {cells_dim}"
-                )
-            mu[i, j] = int(round(count))
-    if np.any(mu == 0):
-        i, j = map(int, np.argwhere(mu == 0)[0])
+    if cells.zero_cells:
+        i, j = cells.zero_cells[0]
         return FactorSearchOutcome(
             "NotFound",
             reason=(
@@ -927,34 +909,28 @@ def find_interpolating_factor(
             ),
         )
     avec, bvec = factorization
-    d1 = int(np.dot(avec, sizes1))
-    d2 = int(np.dot(bvec, sizes2))
-    n = a1.ambient_dim
+    sizes1, sizes2, n = cells.sizes1, cells.sizes2, a1.ambient_dim
+    d1, d2 = int(avec @ sizes1), int(bvec @ sizes2)
     if d1 * d2 != n:  # pragma: no cover - forced by the cell bookkeeping
         raise IllConditioned(f"cell bookkeeping failed: {d1}*{d2} != {n}")
 
-    off1 = np.concatenate([[0], np.cumsum(np.array(sizes1) * avec)])
-    off2 = np.concatenate([[0], np.cumsum(np.array(sizes2) * bvec)])
-    udag = np.zeros((n, n), dtype=complex)
+    blocks1, blocks2 = matrix_units(a1, tol), matrix_units(a2, tol)
+    off1 = np.concatenate([[0], np.cumsum(sizes1 * avec)])
+    off2 = np.concatenate([[0], np.cumsum(sizes2 * bvec)])
+    udag = np.zeros((n, d1, d2), dtype=complex)  # column (p, q) of U*, p*d2 + q
     for i, blk1 in enumerate(blocks1):
         for j, blk2 in enumerate(blocks2):
-            corner = blk1.units[0, 0] @ blk2.units[0, 0]
-            w, v = np.linalg.eigh(corner)
+            w, v = np.linalg.eigh(blk1.units[0, 0] @ blk2.units[0, 0])
             xi = v[:, w > CORNER_EIGENVALUE_CUT]
             if xi.shape[1] != mu[i, j]:
-                raise IllConditioned(
-                    f"corner of cell ({i},{j}) has rank {xi.shape[1]}, "
-                    f"expected {mu[i, j]}"
-                )
-            for alpha in range(sizes1[i]):
-                left = blk1.units[alpha, 0]
-                for beta in range(sizes2[j]):
-                    cols = left @ (blk2.units[beta, 0] @ xi)
-                    for s in range(avec[i]):
-                        p = off1[i] + alpha * avec[i] + s
-                        for t in range(bvec[j]):
-                            q = off2[j] + beta * bvec[j] + t
-                            udag[:, p * d2 + q] = cols[:, s * bvec[j] + t]
+                raise IllConditioned(f"corner of cell ({i},{j}) has rank {xi.shape[1]}, expected {mu[i, j]}")
+            # p = (alpha, s), q = (beta, t) inside the cell: e_{alpha 0} f_{beta 0} xi_{s b_j + t}
+            cols = blk1.units[:, None, 0] @ blk2.units[None, :, 0] @ xi
+            cols = cols.reshape(sizes1[i], sizes2[j], n, avec[i], bvec[j]).transpose(2, 0, 3, 1, 4)
+            udag[:, off1[i]:off1[i + 1], off2[j]:off2[j + 1]] = cols.reshape(
+                n, sizes1[i] * avec[i], sizes2[j] * bvec[j]
+            )
+    udag = udag.reshape(n, n)
     return FactorSearchOutcome(
         "Found",
         verify_interpolating_factor(dagger(udag), d1, d2, a1, a2, tol),
@@ -973,13 +949,19 @@ def check_spatial_product_sense(
     certificate carries the factor, the unitary, and the verified
     factorization of products U x y U* = (x-leg) (x) (y-leg).  All
     products of basis pairs are formed as one GEMM and compared with the
-    broadcast model (k1, k2, d1, d2, d1, d2) at once.  With a factor found,
-    dim A1 <= d1^2 and dim A2 <= d2^2, so the stack holds at most n^4
-    entries (0.3 MB at n = 12).
+    broadcast model (k1, k2, d1, d2, d1, d2) at once (at most n^4 entries,
+    since dim A1 <= d1^2 and dim A2 <= d2^2).  Fails records the cell table.
     """
-    outcome = find_interpolating_factor(a1, a2, tol)
+    cells = joint_cells(a1, a2, tol)
+    return _split_verdict(_factor_search(cells, tol), cells, tol)
+
+
+def _split_verdict(outcome: FactorSearchOutcome, cells: JointCells, tol: Tolerances) -> Verdict:
     if outcome.status == "NotFound":
-        return Verdict.fails({"kind": "no_interpolating_factor", "reason": outcome.reason})
+        return Verdict.fails(
+            {"kind": "no_interpolating_factor", "reason": outcome.reason, "mu": cells.mu}
+        )
+    a1, a2 = cells.a1, cells.a2
     factor = outcome.factor
     u, d1, d2 = factor.unitary, factor.d1, factor.d2
     _, left, _ = _legs(u, a1.basis, d1, d2)
@@ -1024,19 +1006,6 @@ def implication_violations(verdicts: dict[str, Verdict]) -> list[tuple[str, str]
     return bad
 
 
-def _noncommuting_witness(
-    a1: MatrixStarAlgebra, a2: MatrixStarAlgebra
-) -> dict:
-    flat = np.abs(commutators(a1, a2)).reshape(a1.dim, a2.dim, -1).max(axis=2)
-    i, j = np.unravel_index(flat.argmax(), flat.shape)
-    return {
-        "kind": "noncommuting_elements",
-        "element1": a1.basis[i],
-        "element2": a2.basis[j],
-        "commutator_norm": float(flat[i, j]),
-    }
-
-
 def _operational_verdict(plain: Verdict) -> Verdict:
     """op_cstar or op_wstar from the plain verdict of the same reading.
 
@@ -1047,7 +1016,7 @@ def _operational_verdict(plain: Verdict) -> Verdict:
     pair does not commute and the question stays open.
     """
     if plain.status == "Holds":
-        return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM), iso=plain.iso)
+        return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM))
     if plain.status == "Fails":
         return Verdict.fails(
             {
@@ -1078,20 +1047,18 @@ def run_hierarchy_checks(
 ) -> IndependenceReport:
     """Decide all nine independence notions for one pair and cross-check.
 
-    One straight pass: each verdict is set once, by the check that decides
-    it, and nothing is propagated along the implication table afterwards.
-    Commuting pairs are decided completely (module docstring): product
-    position by the dimension count, the split property by the joint cell
-    structure, and the plain notions by the product isomorphism or an
-    annihilating pair of central projections.  In product position every
-    other notion Holds by ``IMPLIED_BY_PRODUCT_ISOMORPHISM``; out of it the
-    operational notions fail with the plain refusal.  Nothing is sampled
-    for a commuting pair, so ``seed`` and ``samples`` do not matter there.
-    For non-commuting pairs the product-sense family is marked not
-    applicable, the split property fails outright, and the plain notions
-    are semi-decided by sampling.  The assembled verdicts are audited
-    against the implication table; a violation raises instead of being
-    reported.
+    One straight pass: commutation is tested once, and each verdict is set
+    once, by the check that decides it.  A commuting pair is decided by its
+    joint cell table (module docstring): without a zero cell every notion
+    but the split property Holds; with one, the product-sense family fails
+    on that cell and the plain notions on annihilating central projections
+    with the solver's refusal, which the operational notions inherit; the
+    split property is the integer factorization of the table.  Nothing is
+    sampled for a commuting pair, so ``seed`` and ``samples`` do not matter
+    there.  For non-commuting pairs the product-sense family is marked not
+    applicable, the split property fails on the largest commutator of two
+    basis elements, and the plain notions are semi-decided by sampling.  The
+    verdicts are audited against the implication table; a violation raises.
 
     ``op_samples`` is accepted and has no effect: no operation is sampled.
     """
@@ -1106,29 +1073,30 @@ def run_hierarchy_checks(
         "strictness of the hierarchy",
     ]
 
-    if mutually_commute(a1, a2, tol):
-        ps = check_product_sense(a1, a2, tol)
+    skew = np.abs(commutators(a1, a2)).reshape(a1.dim, a2.dim, -1).max(axis=2)
+    if skew.max() <= tol.eps_algebra:
+        cells = _joint_cells(a1, a2, tol)
+        ps = _product_sense(cells)
         verdicts = {
             "cstar_product_sense": ps,
-            "wstar_product_sense": check_wstar_product_sense(a1, a2, tol, product_sense=ps),
-            "cstar_independent": check_cstar_independence(
-                a1, a2, rng, samples, tol, product_sense=ps
-            ),
-            "split": check_spatial_product_sense(a1, a2, tol),
+            "wstar_product_sense": _wstar_product_sense(cells, tol),
+            "cstar_independent": _plain_verdict(a1, a2, cells, rng, samples, tol),
+            "split": _split_verdict(_factor_search(cells, tol), cells, tol),
         }
         for key in ("op_cstar_product", "op_wstar_product"):
             if ps.status == "Holds":
-                verdicts[key] = Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM), iso=ps.iso)
+                verdicts[key] = Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM))
             else:
                 verdicts[key] = Verdict.fails(
                     {
                         "kind": "product_position_failure",
+                        **cells.zero_cell_witness(),
                         "reasoning": (
                             "for a commuting pair, multiplicative joint "
                             "extensions of faithful nonselective operations "
-                            "exist exactly in product position"
+                            "exist exactly in product position, which the "
+                            "zero cell z_i w_j = 0 rules out"
                         ),
-                        "dimension_witness": ps.witness,
                     }
                 )
     else:
@@ -1137,16 +1105,20 @@ def run_hierarchy_checks(
             for key in ("cstar_product_sense", "wstar_product_sense",
                         "op_cstar_product", "op_wstar_product")
         }
+        i, j = np.unravel_index(skew.argmax(), skew.shape)
         verdicts["split"] = Verdict.fails(
             {
-                **_noncommuting_witness(a1, a2),
+                "kind": "noncommuting_elements",
+                "element1": a1.basis[i],
+                "element2": a2.basis[j],
+                "commutator_norm": float(skew[i, j]),
                 "reasoning": (
                     "an interpolating factor would force the first algebra "
                     "to commute with the second elementwise"
                 ),
             }
         )
-        verdicts["cstar_independent"] = check_cstar_independence(a1, a2, rng, samples, tol)
+        verdicts["cstar_independent"] = _plain_verdict(a1, a2, None, rng, samples, tol)
         notes.append(
             "the product-sense family requires a commuting pair and is "
             "marked not applicable here"

@@ -199,26 +199,17 @@ def orthonormalize(
     :func:`canonical_basis` where the basis itself must be reproducible;
     a span of rank r = n*m needs no eigensolve there.
     """
-    return _span_svd(mats, rel_tol, gap_factor)[0]
-
-
-def _span_svd(
-    mats: np.ndarray,
-    rel_tol: float = 1e-10,
-    gap_factor: float = 1e3,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`orthonormalize`'s basis together with the stack's singular values."""
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3:
         raise ShapeMismatch("orthonormalize expects an array of shape (k, n, m)")
     k, n, m = mats.shape
     if k == 0:
-        return np.zeros((0, n, m), dtype=complex), np.zeros(0)
+        return np.zeros((0, n, m), dtype=complex)
     rows = mats.reshape(k, n * m)
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
-        return np.zeros((0, n, m), dtype=complex), s
+        return np.zeros((0, n, m), dtype=complex)
     kept = s > rel_tol * smax
     rank = int(np.count_nonzero(kept))
     if rank < s.size:
@@ -228,7 +219,7 @@ def _span_svd(
                 "span rank is ambiguous: "
                 f"sigma_kept={s[rank - 1]:.3e}, sigma_dropped={largest_below:.3e}"
             )
-    return vh[:rank, :].reshape(rank, n, m), s
+    return vh[:rank, :].reshape(rank, n, m)
 
 
 # Canonical gauge of a span.  The probe is a diagonal operator on vec space

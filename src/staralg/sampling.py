@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MatrixStarAlgebra, center_and_factor, full_matrix_algebra
+from .algebra import MatrixStarAlgebra, full_matrix_algebra
 from .channels import ChannelMap, channel_on_algebra
 from .errors import UnknownFamily
 from .independence import state_preparation
@@ -227,10 +227,8 @@ def sample_state_pairs(
     """
     n = a1.ambient_dim
     pairs: list[tuple[AlgebraState, AlgebraState]] = []
-    _, _, projs1 = center_and_factor(a1, tol)
-    _, _, projs2 = center_and_factor(a2, tol)
-    for z1 in projs1:
-        for z2 in projs2:
+    for z1 in a1.structure(tol).projections:
+        for z2 in a2.structure(tol).projections:
             if len(pairs) >= count:
                 break
             s1 = state_from_density(a1, z1 / np.trace(z1).real)

@@ -475,7 +475,9 @@ def product_residual(
     every product x y of the two algebras.
     """
     a1, a2 = state1.algebra, state2.algebra
-    prods = np.einsum("ij,ajk,bki->ab", rho, a1.basis, a2.basis, optimize=True)
+    # tr(rho b_a c_b) = sum_ik (rho b_a)_ik (c_b^T)_ik, one GEMM over the flattened stacks
+    left = (np.asarray(rho, dtype=complex) @ a1.basis).reshape(a1.dim, -1)
+    prods = left @ a2.basis.transpose(0, 2, 1).reshape(a2.dim, -1).T
     return float(np.abs(prods - np.outer(state1.expect_basis(), state2.expect_basis())).max())
 
 

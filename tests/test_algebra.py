@@ -29,8 +29,8 @@ from staralg import (
     structure_decomposition,
 )
 from staralg.algebra import StructureDecomposition, _verify_structure, products
-from staralg.numerics import DEFAULT_TOL, dagger, hs_norm, is_psd, kron, vec
-from staralg.sampling import canonical_block_algebra, cell_pair, tensor_pair
+from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, is_psd, kron, vec
+from staralg.sampling import canonical_block_algebra, cell_pair, conjugate_algebra, tensor_pair
 
 
 def monomial_closure_rank(generators, n, max_length=8):
@@ -368,3 +368,41 @@ class TestProducts:
         got = products(x, y)
         assert got.shape == (dx, dy, n, n)
         np.testing.assert_allclose(got, np.einsum("aij,bjk->abik", x, y), atol=1e-12)
+
+
+class TestGaugeFreeCellOrder:
+    """The order of the minimal central projections depends on the algebra alone."""
+
+    @staticmethod
+    def projections(a):
+        # a fresh copy, so the structure cache of ``a`` is not read
+        return center_and_factor(MatrixStarAlgebra(a.ambient_dim, a.basis))[2]
+
+    def test_order_survives_a_rotated_hermitian_basis(self, monkeypatch):
+        # blocks of ranks 2, 2, 1, 1: ties in rank are broken by the probe
+        u = haar_unitary(6, seed=81)
+        a = conjugate_algebra(canonical_block_algebra([(1, 2), (2, 1), (1, 1), (1, 1)], 6), u)
+        want = self.projections(a)
+        assert [round(np.trace(p).real) for p in want] == [1, 1, 2, 2]
+        unrotated = MatrixStarAlgebra.hermitian_basis.func
+        rng = np.random.default_rng(82)
+
+        def rotated(alg):
+            herm = unrotated(alg)
+            q, _ = np.linalg.qr(rng.standard_normal((herm.shape[0], herm.shape[0])))
+            return np.tensordot(q, herm, axes=(1, 0))
+
+        monkeypatch.setattr(MatrixStarAlgebra, "hermitian_basis", property(rotated))
+        for _ in range(6):
+            got = self.projections(a)
+            assert len(got) == len(want)
+            for p, q in zip(got, want):
+                assert hs_norm(p - q) <= 1e-9
+
+    def test_projections_with_equal_diagonals_are_ordered(self):
+        # (1 +- sigma_x)/2 and (1 +- sigma_y)/2: no diagonal probe separates them
+        for off in (1.0, 1j):
+            g = np.array([[0, off], [np.conj(off), 0]], dtype=complex)
+            a = generate_algebra([g], 2)
+            got = self.projections(a)
+            assert len(got) == 2 and hs_norm(got[0] - got[1]) > 1

@@ -386,10 +386,26 @@ class TestVerifyReport:
         return "product state"
 
     @staticmethod
-    def change_relation_value(doc):
+    def swap_zero_cell(doc):
+        # the other zero cell of [[1, 0], [0, 1]]; its projections still
+        # annihilate, but they are not the recorded ones
         witness = doc["checks"][0]["verdicts"]["wstar_product_sense"]["witness"]
-        witness["product_value"][0] += 0.1
+        witness["cell"] = witness["cell"][::-1]
         return "relation"
+
+    @staticmethod
+    def edit_mu_entry(doc):
+        # still no zero cell, and every recorded dimension is right
+        cert = doc["checks"][0]["verdicts"]["cstar_product_sense"]["certificate"]
+        cert["mu"][0][0] += 1
+        return "isomorphism"
+
+    @staticmethod
+    def alter_no_factor_mu(doc):
+        # [[1, 1], [1, 1]] would factor as an integer outer product
+        witness = doc["checks"][0]["verdicts"]["split"]["witness"]
+        witness["mu"] = [[1, 1], [1, 1]]
+        return "split cell table"
 
     @staticmethod
     def spoil_annihilating_projection(doc):
@@ -447,7 +463,9 @@ class TestVerifyReport:
         "corrupt_extension_density": "tensor_pair_m6",
         "shift_isomorphism_dimension": "tensor_pair_m6",
         "correlate_product_state": "tensor_pair_m6",
-        "change_relation_value": "same_algebra_m2",
+        "swap_zero_cell": "same_algebra_m2",
+        "edit_mu_entry": "tensor_pair_m6",
+        "alter_no_factor_mu": "same_algebra_m2",
         "spoil_annihilating_projection": "same_algebra_m2",
         "shift_join_dimension": "same_algebra_m2",
         "perturb_factor_unitary": "tensor_pair_m6",

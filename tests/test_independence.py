@@ -54,10 +54,12 @@ from staralg import (
     implication_violations,
     is_faithful,
     join,
+    joint_cells,
     joint_extension_residuals,
     joint_operation,
     mutually_commute,
     noncommuting_pair,
+    product_isomorphism,
     random_density,
     random_faithful_nonselective_channel,
     random_luders_channel,
@@ -68,12 +70,12 @@ from staralg import (
     verify_interpolating_factor,
     verify_product_transition,
 )
-from staralg import algebra, independence, sampling
+from staralg import ValidationError, algebra, independence, sampling
+from staralg.algebra import products
 from staralg.channels import superop_from_function
 from staralg.independence import (
     _integer_rank_one_factorization,
     annihilating_projections,
-    verify_multiplication_relation,
 )
 from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, kron
 
@@ -90,7 +92,8 @@ class TestCheckProductSense:
         assert v.certificate["dim_join"] == 16
         assert v.certificate["dim_factor1"] == 4
         assert v.certificate["dim_factor2"] == 4
-        v.iso.validate()
+        assert v.certificate["mu"].tolist() == [[1]]
+        product_isomorphism(left_factor(2, 2), right_factor(2, 2)).validate()
 
     def test_same_algebra_fails_on_dimension_deficit(self):
         d = diag_algebra(2)
@@ -103,12 +106,12 @@ class TestCheckProductSense:
     def test_haar_conjugated_tensor_pair_holds(self):
         u = haar_unitary(6, seed=9)
         inst = tensor_pair(2, 3, np.random.default_rng(9))
-        v = check_product_sense(
-            conjugate_algebra(inst.a1, u), conjugate_algebra(inst.a2, u)
-        )
+        a1, a2 = conjugate_algebra(inst.a1, u), conjugate_algebra(inst.a2, u)
+        v = check_product_sense(a1, a2)
         assert v.status == "Holds"
-        for key in ("inverse_residual", "multiplicativity_residual"):
-            assert v.certificate[key] <= 1e-9
+        assert v.certificate["dim_join"] == 36
+        for value in product_isomorphism(a1, a2).validate().values():
+            assert value <= 1e-9
 
     def test_non_commuting_pair_is_rejected(self):
         nc = noncommuting_pair(2, np.random.default_rng(307))
@@ -124,7 +127,7 @@ class TestCheckProductSense:
             MatrixStarAlgebra(6, array_from_json(doc["instance"]["algebras"][name]["basis"]))
             for name in hierarchy["algebras"]
         )
-        iso = check_product_sense(a1, a2).iso
+        iso = product_isomorphism(a1, a2)
         iso.validate()
         twisted = ProductIsomorphism(
             a1, a2, iso.join, *twist_isomorphism(a1.basis, a2.dim, iso.to_tensor, iso.from_tensor)
@@ -134,32 +137,8 @@ class TestCheckProductSense:
 
 
 class TestProductSenseWork:
-    # the condition number is read off the join's SVD of the product stack;
-    # the oracle is numpy's own condition number of the multiplication map
-
-    @staticmethod
-    def unequal_products_pair():
-        # P and Q diagonal of ranks 3 and 2 in M_5: the four products PQ,
-        # P(1-Q), (1-P)Q, (1-P)(1-Q) are nonzero of ranks 1, 2, 1, 1, so the
-        # pair is in product position but its basis products are not
-        # orthonormal (up to one scale)
-        u = haar_unitary(5, seed=13)
-        p = np.diag([1, 1, 1, 0, 0]).astype(complex)
-        q = np.diag([1, 0, 0, 1, 0]).astype(complex)
-        return (conjugate_algebra(generate_algebra([p], 5), u),
-                conjugate_algebra(generate_algebra([q], 5), u))
-
-    def test_condition_number_is_that_of_the_multiplication_map(self):
-        tensor = tensor_pair(2, 3, np.random.default_rng(17))
-        conds = []
-        for a1, a2 in ((tensor.a1, tensor.a2), self.unequal_products_pair()):
-            v = check_product_sense(a1, a2)
-            assert v.status == "Holds"
-            want = np.linalg.cond(v.iso.from_tensor)
-            assert abs(v.certificate["condition_number"] - want) <= 1e-9
-            conds.append(want)
-        assert abs(conds[0] - 1.0) <= 1e-9
-        assert conds[1] > 1.1
+    # the product isomorphism is built on demand; its condition number is
+    # read off the join's SVD of the product stack
 
     def test_one_map_no_cond_no_join_sized_eigensolve(self, monkeypatch):
         from staralg import independence
@@ -189,10 +168,18 @@ class TestProductSenseWork:
         monkeypatch.setattr(np.linalg, "cond", counted_cond)
         monkeypatch.setattr(np.linalg, "eigh", sized(np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", sized(np.linalg.eigvalsh))
-        v = check_product_sense(pair.a1, pair.a2)
-        assert v.status == "Holds"
+        iso = product_isomorphism(pair.a1, pair.a2)
+        assert iso.join.dim == n * n
         assert calls == {"map": 1, "cond": 0}
         assert all(size < n * n for size in eig_sizes), eig_sizes
+
+    def test_the_isomorphism_forms_one_commutator_stack(self, monkeypatch):
+        pair = tensor_pair(2, 3, np.random.default_rng(23))
+        stacks = []
+        form = independence.commutators
+        monkeypatch.setattr(independence, "commutators", lambda *args: stacks.append(1) or form(*args))
+        product_isomorphism(pair.a1, pair.a2)
+        assert len(stacks) == 1
 
 
 class TestCStarIndependence:
@@ -200,16 +187,21 @@ class TestCStarIndependence:
         v = check_cstar_independence(left_factor(2, 2), right_factor(2, 2))
         assert v.status == "Holds"
         assert v.certificate["kind"] == "implied_by_product_isomorphism"
-        assert v.iso is not None
+        product_isomorphism(left_factor(2, 2), right_factor(2, 2)).validate()
 
     def test_same_algebra_fails_with_pure_witnesses(self):
         d = diag_algebra(2)
         v = check_cstar_independence(d, d)
         assert v.status == "Fails"
         s1, s2 = v.witness["witness_states"]
-        # the canonical refusal: e1-supported against e2-supported
-        np.testing.assert_allclose(s1.density, np.diag([1.0, 0.0]), atol=1e-9)
-        np.testing.assert_allclose(s2.density, np.diag([0.0, 1.0]), atol=1e-9)
+        # the canonical refusal, on the first zero cell in the gauge-free
+        # order of the central projections: e2-supported against e1-supported
+        np.testing.assert_allclose(s1.density, np.diag([0.0, 1.0]), atol=1e-9)
+        np.testing.assert_allclose(s2.density, np.diag([1.0, 0.0]), atol=1e-9)
+        cells = joint_cells(d, d)
+        i, j = cells.zero_cells[0]
+        np.testing.assert_allclose(s1.density, cells.projections1[i], atol=1e-9)
+        np.testing.assert_allclose(s2.density, cells.projections2[j], atol=1e-9)
 
     def test_noncommuting_pinned_seed_certifies_refusal(self):
         nc = noncommuting_pair(2, np.random.default_rng(0))
@@ -254,11 +246,18 @@ class TestWStarMirrors:
         assert join(a1, a2).dim == 2
         v = check_wstar_product_sense(a1, a2)
         assert v.status == "Fails"
-        assert v.witness["kind"] == "multiplication_relation"
-        # oracle: the relation element truly vanishes while its product
-        # functional does not
-        assert v.witness["relation_element_norm"] <= 1e-9
-        assert abs(v.witness["product_value"]) > 1e-9
+        witness = v.witness
+        assert witness["kind"] == "multiplication_relation"
+        # oracle: the relation z1 (x) z2 maps to z1 z2 = 0, while the states
+        # concentrated on the two projections give it the product value 1
+        z1, z2 = witness["projection1"], witness["projection2"]
+        assert np.abs(z1 @ z2).max() <= 1e-9
+        for z, a in ((z1, a1), (z2, a2)):
+            assert np.abs(z @ z - z).max() <= 1e-9 and a.distance_to_span(z) <= 1e-9
+        s1, s2 = state_from_density(a1, z1 / np.trace(z1)), state_from_density(a2, z2 / np.trace(z2))
+        assert abs(s1.expect(z1) * s2.expect(z2) - 1) <= 1e-9
+        i, j = witness["cell"]
+        assert witness["mu"][i, j] == 0
 
 
 class TestCertificateChecks:
@@ -272,13 +271,34 @@ class TestCertificateChecks:
         assert not annihilating_projections(np.zeros((2, 2), dtype=complex), z1, d, d)
 
     def test_relation_value_within_the_element_norm_is_refused(self):
-        # b_0 b_0 is nonzero, and no state's value on it exceeds its norm
+        # z_0 (x) z_0 maps to z_0 z_0 = z_0, of norm 1, and the states
+        # concentrated on z_0 give it the value 1, which does not exceed
+        # that norm: a nonzero cell is no relation witness
         d = diag_algebra(2)
-        rel = np.zeros((2, 2), dtype=complex)
-        rel[0, 0] = 1.0
-        phi = canonical_trace_state(d)
-        with pytest.raises(IllConditioned):
-            verify_multiplication_relation(rel, phi, phi)
+        cells = joint_cells(d, d)
+        z = cells.projections1[0]
+        assert cells.mu[0, 0] == 1
+        with pytest.raises(ValidationError, match="not a zero cell"):
+            cells.check_zero_cell([0, 0], cells.mu.tolist(), z, z)
+
+    def test_zero_cell_witness_is_tied_to_its_cell(self):
+        d = diag_algebra(2)
+        cells = joint_cells(d, d)
+        (i, j), _ = cells.zero_cells
+        z1, z2 = cells.projections1[i], cells.projections2[j]
+        cells.check_zero_cell([i, j], cells.mu.tolist(), z1, z2)
+        # the other zero cell, and the same projections swapped, still
+        # annihilate, but they are not the projections of the recorded cell
+        with pytest.raises(ValidationError, match="away from"):
+            cells.check_zero_cell([j, i], cells.mu.tolist(), z1, z2)
+        with pytest.raises(ValidationError, match="away from"):
+            cells.check_zero_cell([i, j], cells.mu.tolist(), z2, z1)
+        for bad in ([[1, 0], [0, 2]], [[1.0, 0.0], [0.0, 1.0]], [[1, 0]]):
+            with pytest.raises(ValidationError, match="cell table"):
+                cells.check_zero_cell([i, j], bad, z1, z2)
+        for cell in ([-1, j], [True, j], [i, 2]):
+            with pytest.raises(ValidationError, match="not a zero cell"):
+                cells.check_zero_cell(cell, cells.mu.tolist(), z1, z2)
 
 
 class TestJointOperation:
@@ -628,13 +648,6 @@ class TestCommutingPairsDecidedOnce:
         assert find_interpolating_factor(cell.a1, cell.a2).status == "Found"
         assert calls == []
 
-    def test_a_relation_value_hidden_by_rounding_raises(self, monkeypatch):
-        # no table entry counts as nonzero, which only rounding could cause
-        monkeypatch.setattr(independence, "RELATION_VALUE_CUT", 1e9)
-        d = diag_algebra(2)  # the pair of same_algebra_m2
-        with pytest.raises(IllConditioned):
-            check_wstar_product_sense(d, d)
-
     def test_a_commuting_pair_left_open_raises_without_sampling(self, monkeypatch):
         sampled = []
         monkeypatch.setattr(independence, "_annihilating_central_pair", lambda *args: None)
@@ -646,6 +659,36 @@ class TestCommutingPairsDecidedOnce:
             check_cstar_independence(d, d)
         assert sampled == []
 
+    def test_center_and_factor_works_once_per_algebra(self, monkeypatch):
+        # the structure cache: the center and its projections are computed
+        # once per algebra, however many checks of the hierarchy read them
+        work = []
+        compute = algebra.AlgebraStructure.__post_init__
+        monkeypatch.setattr(
+            algebra.AlgebraStructure, "__post_init__", lambda s: work.append(id(s.algebra)) or compute(s)
+        )
+        cases = [fuzz_instances(family, 1, 1)[0] for family in ("tensor_split", "shared_block", "factor_split")]
+        cases += [split_cases()["cell_assembly_3x3"], cell_pair(np.array([[1, 1], [1, 2]]), [1, 1], [1, 1])]
+        for inst in cases:
+            work.clear()
+            run_hierarchy_checks(inst.a1, inst.a2)
+            assert sorted(work) == sorted([id(inst.a1), id(inst.a2)]), inst.meta
+
+    def test_decided_without_join_inverse_or_map(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called on the decision path")
+
+        monkeypatch.setattr(algebra, "_commuting_join", refuse)
+        monkeypatch.setattr(independence, "_commuting_join", refuse)
+        monkeypatch.setattr(independence, "_multiplication_map", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        pairs = [inst for family in ("tensor_split", "shared_block", "factor_split")
+                 for inst in fuzz_instances(family, 10, 1)]
+        pairs += [cell_pair(np.array(mu), s1, s2) for mu, s1, s2 in PRODUCT_NOT_SPLIT.values()]
+        for inst in pairs:
+            statuses = {v.status for v in run_hierarchy_checks(inst.a1, inst.a2).verdicts.values()}
+            assert "Undecided" not in statuses, (inst.family, inst.meta)
+
     def test_no_commuting_pair_is_undecided(self):
         pairs = [inst for family in FUZZ_FAMILIES for inst in fuzz_instances(family, 10, 1)]
         pairs += [cell_pair(np.array(mu), s1, s2) for mu, s1, s2 in PRODUCT_NOT_SPLIT.values()]
@@ -655,3 +698,40 @@ class TestCommutingPairsDecidedOnce:
             verdicts = run_hierarchy_checks(inst.a1, inst.a2).verdicts
             undecided = [k for k, v in verdicts.items() if v.status == "Undecided"]
             assert undecided == [], (inst.family, inst.meta)
+
+
+def product_stack_rank(a1, a2):
+    """Reference dim(join): the rank of the stack of all products b_a c_b."""
+    n = a1.ambient_dim
+    stack = products(a1.basis, a2.basis).reshape(a1.dim * a2.dim, n * n)
+    sigma = np.linalg.svd(stack, compute_uv=False)
+    return int(np.count_nonzero(sigma > 1e-8 * sigma[0]))
+
+
+class TestCellTable:
+    def test_cell_verdict_equals_the_product_stack_count(self):
+        pairs = [inst for family in ("tensor_split", "shared_block", "factor_split")
+                 for seed in (1, 2) for inst in fuzz_instances(family, 20, seed)]
+        pairs += [cell_pair(np.array(mu), s1, s2) for mu, s1, s2 in PRODUCT_NOT_SPLIT.values()]
+        statuses = set()
+        for inst in pairs:
+            v = check_product_sense(inst.a1, inst.a2)
+            rank = product_stack_rank(inst.a1, inst.a2)
+            assert (v.certificate or v.witness)["dim_join"] == rank, inst.meta
+            assert (v.status == "Holds") == (rank == inst.a1.dim * inst.a2.dim), inst.meta
+            statuses.add(v.status)
+        assert statuses == {"Holds", "Fails"}
+
+    @pytest.mark.parametrize("case", sorted(PRODUCT_NOT_SPLIT))
+    def test_product_state_is_the_product_of_the_traces(self, case):
+        # oracle: both sides of phi(x y) = tau(x) tau(y) on every basis pair
+        mu, sizes1, sizes2 = PRODUCT_NOT_SPLIT[case]
+        inst = cell_pair(np.array(mu), sizes1, sizes2, np.random.default_rng(71))
+        cert = check_wstar_product_sense(inst.a1, inst.a2).certificate
+        rho, n = cert["density"], inst.a1.ambient_dim
+        assert abs(np.trace(rho) - 1) <= 1e-12
+        assert np.linalg.eigvalsh(rho).min() > 1e-3
+        for b in inst.a1.basis:
+            for c in inst.a2.basis:
+                want = np.trace(b) * np.trace(c) / n**2
+                assert abs(np.trace(rho @ b @ c) - want) <= 1e-12

@@ -27,6 +27,7 @@ from staralg import (
     is_product_across,
     join,
     marginal_residual,
+    product_isomorphism,
     product_state,
     restrict,
     scalar_algebra,
@@ -242,10 +243,10 @@ class TestProductState:
     def test_product_identity_on_basis_pairs(self):
         rng = np.random.default_rng(103)
         inst = tensor_pair(2, 2, rng)
-        ps = check_product_sense(inst.a1, inst.a2)
+        iso = product_isomorphism(inst.a1, inst.a2)
         phi1 = canonical_trace_state(inst.a1)
         phi2 = canonical_trace_state(inst.a2)
-        prod = product_state(phi1, phi2, ps.iso)
+        prod = product_state(phi1, phi2, iso)
         # oracle: direct evaluation of both sides on every basis pair
         for b1 in inst.a1.basis:
             for b2 in inst.a2.basis:
