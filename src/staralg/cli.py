@@ -61,7 +61,6 @@ from .independence import (
     InterpolatingFactor,
     JointCells,
     Verdict,
-    annihilating_projections,
     check_cstar_independence,
     check_product_sense,
     check_spatial_product_sense,
@@ -76,8 +75,9 @@ from .independence import (
     state_preparation,
     verify_faithful_product_state,
     verify_interpolating_factor,
+    verify_noncommuting_elements,
 )
-from .numerics import Tolerances, dagger
+from .numerics import Tolerances
 from .sampling import fuzz_instances, random_density, random_pure_density
 from .states import (
     AlgebraState,
@@ -85,6 +85,7 @@ from .states import (
     extend_state,
     marginal_residual,
     state_from_density,
+    verify_separating_pair,
 )
 
 __all__ = [
@@ -142,14 +143,8 @@ def _jsonable(x: Any) -> Any:
         return x if np.isfinite(x) else None
     if isinstance(x, complex):
         return _complex_out(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x) if np.isfinite(x) else None
-    if isinstance(x, np.complexfloating):
-        return _complex_out(complex(x))
+    if isinstance(x, np.generic):  # numpy scalars: their Python counterparts
+        return _jsonable(x.item())
     if isinstance(x, np.ndarray):
         if x.dtype.kind in "iub":
             return x.tolist()
@@ -920,13 +915,15 @@ class _VerifyLog:
     def check(self, target: str, ok: bool, detail: str) -> None:
         self.items.append({"target": target, "ok": bool(ok), "detail": detail})
 
-    def attempt(self, target: str, fn: Callable[[], str]) -> None:
+    def attempt(self, target: str, fn: Callable[[], str]) -> bool:
+        """Log the outcome of one re-check; return whether it passed."""
         try:
             self.check(target, True, fn())
         except ToolkitError as exc:
             self.check(target, False, f"{type(exc).__name__}: {exc}")
         except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
             self.check(target, False, f"malformed certificate ({type(exc).__name__}: {exc})")
+        return self.items[-1]["ok"]
 
 
 def _rebuild_instance(
@@ -1018,13 +1015,6 @@ def _check_product_state(cert: dict, pair: _Pair) -> str:
     return f"full-rank product of the tracial states (product residual {residual:.3e})"
 
 
-def _check_projections(cert: dict, pair: _Pair) -> str:
-    z1, z2 = _array_in(cert["projection1"]), _array_in(cert["projection2"])
-    if not annihilating_projections(z1, z2, pair.a1, pair.a2):
-        raise ValidationError("not nonzero projections of the two algebras with z1 z2 = 0")
-    return "nonzero projections of the two algebras annihilate"
-
-
 def _check_zero_cell(cert: dict, pair: _Pair, dims: tuple[str, ...] = ()) -> str:
     z1, z2 = _array_in(cert["projection1"]), _array_in(cert["projection2"])
     pair.cells.check_zero_cell(cert["cell"], cert["mu"], z1, z2)
@@ -1040,17 +1030,29 @@ def _check_no_factor(cert: dict, pair: _Pair) -> str:
     return f"re-derived cell table {pair.cells.mu.tolist()}: {outcome.reason}"
 
 
-def _refused_again(s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> None:
-    rerun = extend_state(s1, s2, tol=tol)
-    if rerun.status != "InfeasibleCertified":
-        raise ValidationError(f"re-run returned {rerun.status}")
+def _check_separating_pair(cert: dict, s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> str:
+    """A refusal of the marginal pair (s1, s2): a separating pair with its recorded gap."""
+    if cert["kind"] != "separating_pair":
+        raise ValidationError(f"a {cert['kind']!r} certificate is no refusal")
+    gap = verify_separating_pair(_array_in(cert["h1"]), _array_in(cert["h2"]), s1, s2, tol)
+    if not abs(gap - cert["gap"]) <= tol.eps_verify:
+        raise ValidationError(f"recorded gap {cert['gap']!r}, recomputed {gap:.3e}")
+    return f"separating pair with gap {gap:.3e} above the margin"
 
 
-def _check_refusal(cert: dict, pair: _Pair) -> str:
+def _check_witnessed_refusal(cert: dict, pair: _Pair) -> str:
     w1, w2 = cert["witness_states"]
     s1 = state_from_density(pair.a1, _array_in(w1["density"]), pair.tol)
-    _refused_again(s1, state_from_density(pair.a2, _array_in(w2["density"]), pair.tol), pair.tol)
-    return "refused marginal pair reproduced"
+    s2 = state_from_density(pair.a2, _array_in(w2["density"]), pair.tol)
+    return _check_separating_pair(cert, s1, s2, pair.tol)
+
+
+def _check_noncommuting(cert: dict, pair: _Pair) -> str:
+    x, y = _array_in(cert["element1"]), _array_in(cert["element2"])
+    norm = verify_noncommuting_elements(x, y, pair.a1, pair.a2, pair.tol)
+    if not abs(norm - cert["commutator_norm"]) <= pair.tol.eps_verify:
+        raise ValidationError(f"recorded commutator norm {cert['commutator_norm']!r}, recomputed {norm:.3e}")
+    return f"elements of the two algebras with commutator entry {norm:.3e}"
 
 
 #: certificate kind -> (item label, re-check through the library)
@@ -1059,13 +1061,16 @@ _CERTIFICATE_CHECKS: dict[str, tuple[str, Callable[[dict, _Pair], str]]] = {
     "product_isomorphism": ("isomorphism", _check_isomorphism),
     "implied_by_product_isomorphism": ("product isomorphism", _check_implied),
     "faithful_product_state": ("product state", _check_product_state),
-    "annihilating_central_projections": ("projections", _check_projections),
     "dimension_deficit": ("dimensions", lambda cert, pair: _check_zero_cell(cert, pair, _DIMS)),
     "multiplication_relation": ("relation", _check_zero_cell),
     "product_position_failure": ("zero cell", _check_zero_cell),
     "no_interpolating_factor": ("cell table", _check_no_factor),
-    "refused_marginal_pair": ("refusal", _check_refusal),
+    "separating_pair": ("refusal", _check_witnessed_refusal),
+    "noncommuting_elements": ("elements", _check_noncommuting),
 }
+
+#: kinds that refer to the plain refusal of their entry instead of copying it
+_REFERENCE_KINDS = ("normal_marginal_pair", "state_preparation_pair")
 
 #: the field a verdict of each status must carry
 _EVIDENCE_FIELD = {"Holds": "certificate", "Fails": "witness", "Undecided": "reason"}
@@ -1097,51 +1102,44 @@ def _check_implications(verdicts: dict[str, dict], recorded: Any) -> str:
     return "recorded statuses satisfy the implication table"
 
 
-def _verify_verdicts(vdocs: dict[str, dict], pair: _Pair, log: _VerifyLog) -> None:
-    """Re-check the certificate of each verdict, keyed by target."""
+def _check_reference(cert: dict, entry: str, refusals: dict[str, bool]) -> str:
+    """The referenced verdict of the entry is a refusal whose own item re-checked ok."""
+    if not refusals.get(f"{entry} {cert['plain']}"):
+        raise ValidationError(f"{cert['plain']!r} is not a re-checked refusal of this entry")
+    return f"refers to the refusal of {cert['plain']}"
+
+
+def _verify_verdicts(entry: str, vdocs: dict[str, dict], pair: _Pair, log: _VerifyLog) -> None:
+    """Re-check the evidence of each verdict of one check entry, keyed by target."""
+    refusals: dict[str, bool] = {}
+    references = []
     for target, vdoc in vdocs.items():
         cert = vdoc.get("certificate") or vdoc.get("witness")
         kind = cert.get("kind") if isinstance(cert, dict) else None
-        if isinstance(kind, str) and kind in _CERTIFICATE_CHECKS:
+        if kind in _REFERENCE_KINDS:
+            references.append((target, cert))
+        elif isinstance(kind, str) and kind in _CERTIFICATE_CHECKS:
             label, check = _CERTIFICATE_CHECKS[kind]
-            log.attempt(f"{target} {label}", lambda: check(cert, pair))
+            ok = log.attempt(f"{target} {label}", lambda: check(cert, pair))
+            refusals[target] = ok and kind == "separating_pair" and vdoc.get("status") == "Fails"
+    for target, cert in references:
+        log.attempt(f"{target} reference", lambda: _check_reference(cert, entry, refusals))
 
 
-def _verify_extension_outcome(
-    target: str,
-    outcome: dict,
-    s1: AlgebraState,
-    s2: AlgebraState,
-    n: int,
-    tol: Tolerances,
-    log: _VerifyLog,
-) -> None:
+def _check_extension(outcome: dict, s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> str:
+    """An ``extend_state`` outcome for the marginals (s1, s2): a joint density or a refusal."""
     status = outcome["status"]
-    if status == "Feasible":
-        def feasible() -> str:
-            joint = state_from_density(full_matrix_algebra(n), _array_in(outcome["density"]), tol)
-            res = marginal_residual(joint.density, (s1, s2))
-            if res > tol.eps_verify:
-                raise ValidationError(f"marginal residual {res:.3e} exceeds tolerance")
-            return f"joint density PSD with marginal residual {res:.3e}"
-        log.attempt(target, feasible)
-        return
     if status == "InfeasibleCertified":
-        def infeasible() -> str:
-            cert = outcome["certificate"]
-            if cert["kind"] == "separating_observable":
-                h = _array_in(cert["observable"])
-                lam = float(np.linalg.eigvalsh((h + dagger(h)) / 2)[-1])
-                if abs(lam - cert["max_eigenvalue"]) > tol.eps_verify:
-                    raise ValidationError("recorded largest eigenvalue does not match")
-                gap = cert["forced_value"] - lam
-                if gap < 10 * tol.eps_verify:
-                    raise ValidationError(f"separation gap {gap:.3e} too small")
-            _refused_again(s1, s2, tol)
-            return f"infeasibility reproduced ({cert['kind']})"
-        log.attempt(target, infeasible)
-        return
-    log.check(target, True, f"status {status}: nothing to re-validate")
+        return _check_separating_pair(outcome["certificate"], s1, s2, tol)
+    if status == "Undecided":
+        return "status Undecided: nothing to re-validate"
+    if status != "Feasible":
+        raise ValidationError(f"unknown status {status!r}")
+    joint = state_from_density(full_matrix_algebra(s1.algebra.ambient_dim), _array_in(outcome["density"]), tol)
+    res = marginal_residual(joint.density, (s1, s2))
+    if res > tol.eps_verify:
+        raise ValidationError(f"marginal residual {res:.3e} exceeds tolerance")
+    return f"joint density PSD with marginal residual {res:.3e}"
 
 
 def _verify_joint(
@@ -1214,8 +1212,7 @@ def _verify_analyze(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> 
             outcome = _object(_require(entry, "outcome", at), f"{at}.outcome")
             _require(outcome, "status", f"{at}.outcome")
             if all(nm in inst.states for nm in names):
-                s1, s2 = (inst.states[nm] for nm in names)
-                _verify_extension_outcome(target, outcome, s1, s2, inst.ambient_dim, tol, log)
+                log.attempt(target, lambda: _check_extension(outcome, *(inst.states[nm] for nm in names), tol))
             continue
         if kind == "joint_operation":
             _verify_joint(target, entry, at, inst, log)
@@ -1241,7 +1238,7 @@ def _verify_analyze(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> 
             if factor:
                 log.attempt(f"{target} factor", lambda: _check_factor(factor, pair))
         else:
-            _verify_verdicts(vdocs, pair, log)
+            _verify_verdicts(target, vdocs, pair, log)
 
 
 def _verify_extend(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:

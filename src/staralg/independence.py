@@ -22,7 +22,9 @@ vectors.  The product isomorphism itself is built only on demand
 (``product_isomorphism``).  For non-commuting pairs the
 product-sense family is not applicable and the plain notions are
 semi-decided by the extension solver (a refusal certificate falsifies;
-sampling alone never verifies).
+sampling alone never verifies).  Every plain refusal, on a zero cell or
+from the solver, is one kind of witness: a separating pair checked by
+``states.verify_separating_pair``.
 """
 from __future__ import annotations
 
@@ -61,6 +63,7 @@ from .states import (
     extend_state_batch,
     marginal_residual,
     product_residual,
+    separating_pair,
     state_from_density,
 )
 
@@ -83,6 +86,7 @@ __all__ = [
     "check_wstar_product_sense",
     "annihilating_projections",
     "verify_faithful_product_state",
+    "verify_noncommuting_elements",
     "joint_operation",
     "state_preparation",
     "verify_interpolating_factor",
@@ -130,10 +134,10 @@ EVIDENCE_STATUS: dict[str, VerdictStatus] = {
     "faithful_product_state": "Holds",
     "factorizing_unitary": "Holds",
     "dimension_deficit": "Fails",
-    "annihilating_central_projections": "Fails",
-    "refused_marginal_pair": "Fails",
+    "separating_pair": "Fails",
     "multiplication_relation": "Fails",
     "product_position_failure": "Fails",
+    "normal_marginal_pair": "Fails",
     "state_preparation_pair": "Fails",
     "no_interpolating_factor": "Fails",
     "noncommuting_elements": "Fails",
@@ -144,9 +148,8 @@ NOT_APPLICABLE = "not applicable: the spans do not mutually commute"
 #: Largest entry of z1 z2 (or of z^2 - z, or of a recorded minus a
 #: recomputed projection) that still counts as zero for minimal central
 #: projections, which hold to eps_algebra times the ambient dimension.  A
-#: pair that passes it is not trusted alone: a plain refusal adds the
-#: solver's certificate, and a product-sense witness must be a zero of the
-#: integer cell table (``JointCells.check_zero_cell``).
+#: pair that passes it is not trusted alone: a product-sense witness must
+#: also be a zero of the integer cell table (``JointCells.check_zero_cell``).
 ANNIHILATION_CUT = 1e-7
 
 #: Eigenvalue cut on the corner e_00 f_00 of a cell: a projection, so its
@@ -427,32 +430,10 @@ def annihilating_projections(
     return True
 
 
-def _annihilating_central_pair(
-    a1: MatrixStarAlgebra,
-    a2: MatrixStarAlgebra,
-    tol: Tolerances,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Minimal central projections with z1 z2 = 0, if any."""
-    for z1 in a1.structure(tol).projections:
-        for z2 in a2.structure(tol).projections:
-            if annihilating_projections(z1, z2, a1, a2):
-                return z1, z2
-    return None
-
-
 def _as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(0 if rng is None else rng)
-
-
-def _solver_summary(outcome) -> dict:
-    return {
-        "status": outcome.status,
-        "iterations": outcome.iterations,
-        "residual": outcome.residual,
-        "certificate": outcome.certificate,
-    }
 
 
 def check_cstar_independence(
@@ -467,17 +448,16 @@ def check_cstar_independence(
     Three routes, in order.  (i) A commuting pair in product position (no
     zero joint cell) verifies exactly: every marginal pair extends to the
     product state through the product isomorphism (see
-    ``IMPLIED_BY_PRODUCT_ISOMORPHISM``).  (ii) A pair of minimal central
-    projections with z1 z2 = 0 refutes: states concentrated on them satisfy
-    phi(z1) = phi(z2) = 1, and any joint state would be supported under
-    both, forcing phi(z1 z2) = 1 against z1 z2 = 0; the solver's refusal
-    certificate for that pair is attached as an independent confirmation.
-    A commuting pair out of product position has such a pair, its zero
-    cell, so (i)-(ii) decide every commuting pair, and one they leave open
-    raises IllConditioned.  (iii) For a non-commuting pair the extension
-    solver runs over sampled pairs; a refusal falsifies, while feasibility
-    on samples alone leaves the verdict honestly undecided.  Only route
-    (iii) draws from ``rng`` or reads ``samples``.
+    ``IMPLIED_BY_PRODUCT_ISOMORPHISM``).  (ii) A commuting pair out of
+    product position has a zero cell z_i w_j = 0, and (z_i, w_j) is a
+    separating pair for the states z / tr z concentrated on them: their
+    forced value 2 exceeds lambda_max(z_i + w_j) = 1, so the gap is 1 and no
+    solver runs.  (i)-(ii) decide every commuting pair.  (iii) For a
+    non-commuting pair the extension solver runs over sampled pairs; its
+    first refusal, a separating pair, falsifies, while feasibility on
+    samples alone leaves the verdict honestly undecided.  Only route (iii)
+    draws from ``rng`` or reads ``samples``.  Every Fails witness is a
+    ``separating_pair`` with the refused ``witness_states``.
     """
     if a1.ambient_dim != a2.ambient_dim:
         raise AmbientMismatch("the two algebras live in different ambient spaces")
@@ -494,35 +474,14 @@ def _plain_verdict(
     tol: Tolerances,
 ) -> Verdict:
     """``check_cstar_independence`` given the cell table (None for a non-commuting pair)."""
-    if cells is not None and not cells.zero_cells:
-        return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM))
-
-    annih = _annihilating_central_pair(a1, a2, tol)
-    if annih is not None:
-        z1, z2 = annih
-        s1 = state_from_density(a1, z1 / np.trace(z1).real)
-        s2 = state_from_density(a2, z2 / np.trace(z2).real)
-        outcome = extend_state_batch([(s1, s2)], tol)[0]
-        if outcome.status == "InfeasibleCertified":
-            return Verdict.fails(
-                {
-                    "kind": "annihilating_central_projections",
-                    "projection1": z1,
-                    "projection2": z2,
-                    "witness_states": (s1, s2),
-                    "solver_outcome": _solver_summary(outcome),
-                    "reasoning": (
-                        "z1 z2 = 0 while the witness states give both "
-                        "projections expectation 1; a joint state would "
-                        "force expectation 1 on the product"
-                    ),
-                }
-            )
     if cells is not None:
-        raise IllConditioned(
-            "commuting pair out of product position without a certified pair "
-            "of annihilating central projections"
-        )
+        if not cells.zero_cells:
+            return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM))
+        i, j = cells.zero_cells[0]
+        z1, z2 = cells.projections1[i], cells.projections2[j]
+        s1 = state_from_density(a1, z1 / np.trace(z1).real, tol)
+        s2 = state_from_density(a2, z2 / np.trace(z2).real, tol)
+        return Verdict.fails({**separating_pair(z1, z2, s1, s2, tol), "witness_states": (s1, s2)})
 
     from .sampling import sample_state_pairs
 
@@ -538,13 +497,7 @@ def _plain_verdict(
         for (s1, s2), out in zip(block, extend_state_batch(block, tol, max_iter=4000)):
             counts[out.status] += 1
             if out.status == "InfeasibleCertified":
-                return Verdict.fails(
-                    {
-                        "kind": "refused_marginal_pair",
-                        "witness_states": (s1, s2),
-                        "solver_outcome": _solver_summary(out),
-                    }
-                )
+                return Verdict.fails({**out.certificate, "witness_states": (s1, s2)})
     return Verdict.undecided(
         f"sampled-only evidence: {counts['Feasible']} of {len(pairs)} sampled "
         "marginal pairs extend and none was refused; sampling cannot verify "
@@ -1006,35 +959,59 @@ def implication_violations(verdicts: dict[str, Verdict]) -> list[tuple[str, str]
     return bad
 
 
-def _operational_verdict(plain: Verdict) -> Verdict:
-    """op_cstar or op_wstar from the plain verdict of the same reading.
+#: the verdict whose refusal the W* and operational readings refer to
+PLAIN = "cstar_independent"
 
-    Holds in product position, by ``IMPLIED_BY_PRODUCT_ISOMORPHISM``.  A
-    refused marginal pair lifts to Fails: if T jointly extended the two
-    state preparations, then composing any state omega with T would extend
-    both refused marginals, against the refusal certificate.  Otherwise the
-    pair does not commute and the question stays open.
+
+def _readings_of_plain(plain: Verdict) -> dict[str, Verdict]:
+    """wstar_independent, op_cstar and op_wstar from the plain verdict of the entry.
+
+    A refusal is referenced by key, not copied.  Every state of a
+    finite-dimensional algebra is normal, so the refused pair is a refused
+    normal pair.  It also lifts to the operations: if T jointly extended the
+    two state preparations, then omega . T would extend both refused
+    marginals for any state omega.  In product position all three Hold by
+    ``IMPLIED_BY_PRODUCT_ISOMORPHISM``; otherwise the pair does not commute
+    and the operational question stays open.
     """
-    if plain.status == "Holds":
-        return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM))
     if plain.status == "Fails":
-        return Verdict.fails(
-            {
-                "kind": "state_preparation_pair",
-                "refused_pair": plain.witness.get("witness_states"),
-                "underlying_witness": plain.witness,
-                "reasoning": (
-                    "a nonselective joint extension T of the two state "
-                    "preparations would make omega . T a joint extension of "
-                    "the refused marginal pair for any state omega"
-                ),
-            }
+        op = Verdict.fails({"kind": "state_preparation_pair", "plain": PLAIN})
+        normal = Verdict.fails({"kind": "normal_marginal_pair", "plain": PLAIN})
+        return {"wstar_independent": normal, "op_cstar": op, "op_wstar": op}
+    if plain.status == "Holds":
+        op = Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM))
+    else:
+        op = Verdict.undecided(
+            "no sampled refusal certificate; the joint-extension question "
+            "for operations on a non-commuting pair is open at this sampling "
+            "budget"
         )
-    return Verdict.undecided(
-        "no sampled refusal certificate; the joint-extension question "
-        "for operations on a non-commuting pair is open at this sampling "
-        "budget"
-    )
+    return {"wstar_independent": _annotate_normal(plain), "op_cstar": op, "op_wstar": op}
+
+
+def verify_noncommuting_elements(
+    x: np.ndarray,
+    y: np.ndarray,
+    a1: MatrixStarAlgebra,
+    a2: MatrixStarAlgebra,
+    tol: Tolerances = DEFAULT_TOL,
+) -> float:
+    """Check a ``noncommuting_elements`` witness; return the largest entry of [x, y].
+
+    x must lie in A1 and y in A2, and [x, y] must exceed eps_algebra, the
+    cut below which the pair counts as commuting; then no factor between A1
+    and the commutant of A2 exists.
+    """
+    n = a1.ambient_dim
+    for label, z, a in (("element1", x, a1), ("element2", y, a2)):
+        if np.shape(z) != (n, n):
+            raise ShapeMismatch(f"{label} has shape {np.shape(z)}, ambient {n}")
+        if not a.contains(z, tol):
+            raise IllConditioned(f"{label} is {a.distance_to_span(z):.3e} away from its algebra")
+    norm = float(np.abs(x @ y - y @ x).max())
+    if not norm > tol.eps_algebra:
+        raise IllConditioned(f"commutator entry {norm:.3e} does not exceed eps_algebra")
+    return norm
 
 
 def run_hierarchy_checks(
@@ -1051,14 +1028,16 @@ def run_hierarchy_checks(
     once, by the check that decides it.  A commuting pair is decided by its
     joint cell table (module docstring): without a zero cell every notion
     but the split property Holds; with one, the product-sense family fails
-    on that cell and the plain notions on annihilating central projections
-    with the solver's refusal, which the operational notions inherit; the
-    split property is the integer factorization of the table.  Nothing is
-    sampled for a commuting pair, so ``seed`` and ``samples`` do not matter
-    there.  For non-commuting pairs the product-sense family is marked not
-    applicable, the split property fails on the largest commutator of two
-    basis elements, and the plain notions are semi-decided by sampling.  The
-    verdicts are audited against the implication table; a violation raises.
+    on that cell and the plain notion on the separating pair of its two
+    projections; the split property is the integer factorization of the
+    table.  Nothing is sampled and no solver runs for a commuting pair, so
+    ``seed`` and ``samples`` do not matter there.  For non-commuting pairs
+    the product-sense family is marked not applicable, the split property
+    fails on the largest commutator of two basis elements, and the plain
+    notion is semi-decided by sampling.  A plain refusal is serialized once:
+    ``wstar_independent``, ``op_cstar`` and ``op_wstar`` refer to it by key
+    (``_readings_of_plain``).  The verdicts are audited against the
+    implication table; a violation raises.
 
     ``op_samples`` is accepted and has no effect: no operation is sampled.
     """
@@ -1111,7 +1090,7 @@ def run_hierarchy_checks(
                 "kind": "noncommuting_elements",
                 "element1": a1.basis[i],
                 "element2": a2.basis[j],
-                "commutator_norm": float(skew[i, j]),
+                "commutator_norm": verify_noncommuting_elements(a1.basis[i], a2.basis[j], a1, a2, tol),
                 "reasoning": (
                     "an interpolating factor would force the first algebra "
                     "to commute with the second elementwise"
@@ -1123,9 +1102,7 @@ def run_hierarchy_checks(
             "the product-sense family requires a commuting pair and is "
             "marked not applicable here"
         )
-    verdicts["wstar_independent"] = _annotate_normal(verdicts["cstar_independent"])
-    verdicts["op_cstar"] = _operational_verdict(verdicts["cstar_independent"])
-    verdicts["op_wstar"] = _operational_verdict(verdicts["wstar_independent"])
+    verdicts.update(_readings_of_plain(verdicts[PLAIN]))
 
     violations = implication_violations(verdicts)
     if violations:  # pragma: no cover - guarded by construction

@@ -13,10 +13,10 @@ and the spectahedron {rho >= 0, tr rho = 1}, and resolves each problem into
 
 * ``Feasible`` -- a joint density is produced and its marginal residual
   re-checked independently of the solver;
-* ``InfeasibleCertified`` -- an exact refusal witness is produced: either
-  an inconsistent linear relation among the constraint observables, or a
-  separating observable in their span whose forced expectation exceeds its
-  largest eigenvalue by more than 10x eps_verify;
+* ``InfeasibleCertified`` -- a separating pair is produced: Hermitian h1
+  in A1 and h2 in A2 whose forced expectation phi1(h1) + phi2(h2) exceeds
+  the largest eigenvalue of h1 + h2 by more than the certification margin
+  (``verify_separating_pair``, the Farkas dual of the extension problem);
 * ``Undecided`` -- the iteration stalled or hit max_iter without either.
 """
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 from .algebra import MatrixStarAlgebra, mutually_commute
 from .errors import (
     AmbientMismatch,
+    IllConditioned,
     InvalidIsomorphism,
     InvalidState,
     NotCommuting,
@@ -40,7 +41,6 @@ from .numerics import (
     Tolerances,
     dagger,
     hermitian_to_rvec,
-    hs_norm,
     is_hermitian,
     rvec_to_hermitian,
 )
@@ -55,6 +55,8 @@ __all__ = [
     "is_faithful",
     "extend_state",
     "extend_state_batch",
+    "separating_pair",
+    "verify_separating_pair",
     "marginal_residual",
     "product_state",
     "product_residual",
@@ -67,6 +69,11 @@ ExtensionStatus = Literal["Feasible", "InfeasibleCertified", "Undecided"]
 #: misses unit trace by about n * 1e-16 (one sum of n diagonal entries), so
 #: the cut passes any desk-scale n and still rejects unnormalized input.
 UNIT_TRACE_CUT = 1e-10
+
+#: A separating pair certifies a refusal when its gap exceeds this many
+#: eps_verify per unit of max(||h1||, ||h2||): far above the rounding of one
+#: eigvalsh and two expectations, and of a span distance within eps_algebra.
+SEPARATION_MARGIN = 10
 
 #: Relative singular-value cut for the rank of the stacked constraint
 #: observables.  Both Hermitian bases are orthonormal, so a direction the two
@@ -183,12 +190,9 @@ class ExtensionOutcome:
     """Result of a joint-extension problem.
 
     ``density`` is the joint density matrix when feasible.  ``certificate``
-    carries the infeasibility witness: kind ``inconsistent_constraints``
-    with an exact null relation among the constraint observables, or kind
-    ``separating_observable`` with the observable, its forced expectation,
-    its largest eigenvalue and the normalized gap; both kinds also carry
-    the marginal pair that was refused.  ``residual`` is the final marginal
-    residual (max norm).
+    is the refusal: a ``separating_pair`` {h1, h2, gap}, already checked by
+    ``verify_separating_pair`` against the two marginals.  ``residual`` is
+    the final marginal residual (max norm).
     """
 
     status: ExtensionStatus
@@ -196,6 +200,58 @@ class ExtensionOutcome:
     certificate: dict | None = None
     iterations: int = 0
     residual: float = float("nan")
+
+
+def verify_separating_pair(
+    h1: np.ndarray,
+    h2: np.ndarray,
+    state1: AlgebraState,
+    state2: AlgebraState,
+    tol: Tolerances = DEFAULT_TOL,
+) -> float:
+    """Check a refusal certificate for the marginals (phi1, phi2); return its gap.
+
+    h1 and h2 must be Hermitian elements of the two states' algebras with
+    gap = phi1(h1) + phi2(h2) - lambda_max(h1 + h2) above the certification
+    margin times max(||h1||, ||h2||) (operator norms).  A joint state omega
+    would give omega(h1 + h2) = phi1(h1) + phi2(h2) <= lambda_max(h1 + h2), so
+    none exists (Boyd and Vandenberghe, Convex Optimization, sec. 5.9).
+    """
+    n = state1.algebra.ambient_dim
+    for label, h, state in (("h1", h1, state1), ("h2", h2, state2)):
+        if np.shape(h) != (n, n):
+            raise ShapeMismatch(f"{label} has shape {np.shape(h)}, ambient {n}")
+        if not is_hermitian(h, tol):
+            raise IllConditioned(f"{label} is not Hermitian")
+        if not state.algebra.contains(h, tol):
+            raise IllConditioned(
+                f"{label} is {state.algebra.distance_to_span(h):.3e} away from its algebra"
+            )
+    forced = state1.expect(h1).real + state2.expect(h2).real
+    gap = float(forced - np.linalg.eigvalsh(h1 + h2)[-1])
+    scale = max(np.linalg.norm(h1, 2), np.linalg.norm(h2, 2))
+    if not gap > SEPARATION_MARGIN * tol.eps_verify * scale:
+        raise IllConditioned(f"separation gap {gap:.3e} does not clear the margin at scale {scale:.3e}")
+    return gap
+
+
+def separating_pair(
+    h1: np.ndarray,
+    h2: np.ndarray,
+    state1: AlgebraState,
+    state2: AlgebraState,
+    tol: Tolerances = DEFAULT_TOL,
+) -> dict:
+    """The refusal certificate of (h1, h2), scaled to max(||h1||, ||h2||) = 1 and checked.
+
+    Raises IllConditioned when the scaled pair fails ``verify_separating_pair``.
+    """
+    scale = max(np.linalg.norm(h1, 2), np.linalg.norm(h2, 2))
+    if not scale > 0:
+        raise IllConditioned("a separating pair needs a nonzero element")
+    h1, h2 = h1 / scale, h2 / scale
+    gap = verify_separating_pair(h1, h2, state1, state2, tol)
+    return {"kind": "separating_pair", "h1": h1, "h2": h2, "gap": gap}
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -300,34 +356,27 @@ def extend_state_batch(
     b = len(pairs)
     outcomes: list[ExtensionOutcome | None] = [None] * b
     active = np.ones(b, dtype=bool)
+    k1 = len(a1.hermitian_basis)
+    margin = SEPARATION_MARGIN * tol.eps_verify
 
-    # affine consistency first: an exact relation sum_k u_k h_k = 0 with
-    # sum_k u_k t_k != 0 rules out any solution, Hermitian or not
+    def refuse(i: int, u: np.ndarray, it: int) -> None:
+        """Certify problem i by the split of sum_k u_k h_k at dim A1, if it separates."""
+        h1 = np.tensordot(u[:k1], h_mats[:k1], axes=(0, 0))
+        h2 = np.tensordot(u[k1:], h_mats[k1:], axes=(0, 0))
+        try:
+            cert = separating_pair(h1, h2, *pairs[i], tol)
+        except IllConditioned:
+            return
+        outcomes[i] = ExtensionOutcome("InfeasibleCertified", certificate=cert, iterations=it)
+        active[i] = False
+
+    # affine consistency first: a relation sum_k u_k h_k = 0 with
+    # sum_k u_k t_k != 0 rules out any solution; oriented so that the forced
+    # value is positive, its split separates with lambda_max(h1 + h2) = 0
     x_ls = (targets @ u_r / s_r) @ vt_r
     resid_vec = x_ls @ c_mat.T - targets
-    bad = np.linalg.norm(resid_vec, axis=1) > 10 * tol.eps_verify
-    for i in np.nonzero(bad)[0]:
-        u = resid_vec[i]
-        rel_norm = float(hs_norm(np.tensordot(u, h_mats, axes=(0, 0))))
-        violation = float(u @ targets[i])
-        # sound refusal: densities have HS norm <= 1, so the relation must
-        # dominate its own observable residual to rule them all out
-        if rel_norm >= 0.1 * abs(violation):
-            continue
-        outcomes[i] = ExtensionOutcome(
-            status="InfeasibleCertified",
-            certificate={
-                "kind": "inconsistent_constraints",
-                "relation": u,
-                "relation_observable_norm": rel_norm,
-                "violation": violation,
-                # any unit-trace PSD matrix has HS norm <= 1, so it misses
-                # the forced value by at least this margin
-                "gap": abs(violation) - rel_norm,
-                "witness_states": (pairs[i][0], pairs[i][1]),
-            },
-        )
-        active[i] = False
+    for i in np.nonzero(np.linalg.norm(resid_vec, axis=1) > margin)[0]:
+        refuse(i, np.sign(resid_vec[i] @ targets[i]) * resid_vec[i], 0)
 
     x = np.tile(hermitian_to_rvec(np.eye(n) / n), (b, 1))
     p_corr = np.zeros_like(x)
@@ -362,18 +411,11 @@ def extend_state_batch(
                 active[i] = False
             live = ~done
             if live.any():
-                _try_certificates(
-                    a_pt[live] - b_pt[live],
-                    idx[live],
-                    pairs,
-                    targets,
-                    h_mats,
-                    (u_r, s_r, vt_r),
-                    outcomes,
-                    active,
-                    tol,
-                    it,
+                rows, coefs = _separating_directions(
+                    a_pt[live] - b_pt[live], targets[idx[live]], h_mats, (u_r, s_r, vt_r), margin
                 )
+                for j, u in zip(rows, coefs):
+                    refuse(idx[live][j], u, it)
             # stall: essentially no movement across four consecutive checks
             idx2 = np.nonzero(active)[0]
             change = np.linalg.norm(x[idx2] - prev[idx2], axis=1)
@@ -392,46 +434,25 @@ def extend_state_batch(
     return outcomes  # type: ignore[return-value]
 
 
-def _try_certificates(
-    deltas, idx, pairs, targets, h_mats, svd, outcomes, active, tol, it
-):
-    """Separating-observable test on the current affine/PSD gap directions.
+def _separating_directions(deltas, targets, h_mats, svd, margin):
+    """Rows of the affine/PSD gap directions that separate, and their coefficients.
 
     Each direction is replaced by an exact combination h = sum_k u_k h_k of
     constraint observables; any density matching the marginals must give h
     the expectation sum_k u_k t_k, which none can if that value exceeds the
-    largest eigenvalue of h by more than the certification margin.
+    largest eigenvalue of h by more than the margin per unit HS norm.  This
+    batched screen only proposes: ``refuse`` certifies the split of u.
     """
     u_r, s_r, vt_r = svd
     w = deltas @ vt_r.T
-    norms = np.linalg.norm(w, axis=1)
-    ok = norms > 1e-12
-    if not ok.any():
-        return
+    ok = np.nonzero(np.linalg.norm(w, axis=1) > 1e-12)[0]
     u_coef = (w[ok] / s_r) @ u_r.T
     h_dirs = np.tensordot(u_coef, h_mats, axes=(1, 0))
     h_norms = np.linalg.norm(hermitian_to_rvec(h_dirs), axis=1)
-    forced = np.einsum("bk,bk->b", u_coef, targets[idx[ok]])
+    forced = np.einsum("bk,bk->b", u_coef, targets[ok])
     lam_max = np.linalg.eigvalsh(h_dirs)[:, -1]
-    gaps = (forced - lam_max) / np.maximum(h_norms, 1e-300)
-    hit = gaps >= 10 * tol.eps_verify
-    for j in np.nonzero(hit)[0]:
-        i = idx[ok][j]
-        scale = h_norms[j]
-        outcomes[i] = ExtensionOutcome(
-            status="InfeasibleCertified",
-            certificate={
-                "kind": "separating_observable",
-                "observable": h_dirs[j] / scale,
-                "coefficients": u_coef[j] / scale,
-                "forced_value": float(forced[j] / scale),
-                "max_eigenvalue": float(lam_max[j] / scale),
-                "gap": float(gaps[j]),
-                "witness_states": (pairs[i][0], pairs[i][1]),
-            },
-            iterations=it,
-        )
-        active[i] = False
+    hit = forced - lam_max >= margin * h_norms
+    return ok[hit], u_coef[hit]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ import pytest
 
 from conftest import array_from_json, array_to_json
 import staralg
+from staralg import cli, independence, states
 from staralg.cli import load_instance, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -66,6 +67,23 @@ def run_json(argv, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main([*argv, "--out", str(out), "--json"])
     return code, json.loads(out.read_text())
+
+
+def overlap_report(tmp_path):
+    """Analyze report of a haar_overlap pair: the path, the parsed report and the pair."""
+    inst = staralg.fuzz_instances("haar_overlap", 1, 1)[0]
+    instance = tmp_path / "overlap.json"
+    instance.write_text(json.dumps({
+        "schema_version": 1,
+        "ambient_dim": inst.a1.ambient_dim,
+        "algebras": {
+            "left": {"generators": array_to_json(inst.a1.basis)},
+            "right": {"generators": array_to_json(inst.a2.basis)},
+        },
+    }))
+    code, doc = run_json(["analyze", str(instance)], tmp_path, "overlap.report.json")
+    assert code == 0
+    return tmp_path / "overlap.report.json", doc, inst
 
 
 def assert_structurally_equal(got, want, path="$"):
@@ -408,11 +426,36 @@ class TestVerifyReport:
         return "split cell table"
 
     @staticmethod
-    def spoil_annihilating_projection(doc):
-        # 2 z still annihilates the other projection, but is not idempotent
-        witness = doc["checks"][0]["verdicts"]["cstar_independent"]["witness"]
-        witness["projection1"] = array_to_json(2 * array_from_json(witness["projection1"]))
-        return "projections"
+    def move_h2_outside_a2(doc):
+        # still Hermitian with the same diagonal, so the gap alone would pass
+        cert = doc["checks"][1]["outcome"]["certificate"]
+        cert["h2"] = array_to_json(array_from_json(cert["h2"]) + np.array([[0, 1], [1, 0]]))
+        return "extend_state"
+
+    @staticmethod
+    def edit_refusal_gap(doc):
+        doc["checks"][1]["outcome"]["certificate"]["gap"] += 0.5
+        return "extend_state"
+
+    @staticmethod
+    def misspell_extension_status(doc):
+        doc["checks"][1]["outcome"]["status"] = "Infeasible"
+        return "extend_state"
+
+    @staticmethod
+    def integer_extension_status(doc):
+        doc["checks"][1]["outcome"]["status"] = 2
+        return "extend_state"
+
+    @staticmethod
+    def point_op_cstar_at_a_holds(doc):
+        # a Fails reference to the Holding plain verdict; the implication
+        # audit also sees op_cstar Fail below a Holding op_cstar_product
+        doc["checks"][0]["verdicts"]["op_cstar"] = {
+            "status": "Fails",
+            "witness": {"kind": "state_preparation_pair", "plain": "cstar_independent"},
+        }
+        return ("op_cstar reference", "implications")
 
     @staticmethod
     def shift_isomorphism_dimension(doc):
@@ -466,7 +509,11 @@ class TestVerifyReport:
         "swap_zero_cell": "same_algebra_m2",
         "edit_mu_entry": "tensor_pair_m6",
         "alter_no_factor_mu": "same_algebra_m2",
-        "spoil_annihilating_projection": "same_algebra_m2",
+        "move_h2_outside_a2": "same_algebra_m2",
+        "edit_refusal_gap": "same_algebra_m2",
+        "misspell_extension_status": "same_algebra_m2",
+        "integer_extension_status": "same_algebra_m2",
+        "point_op_cstar_at_a_holds": "tensor_pair_m6",
         "shift_join_dimension": "same_algebra_m2",
         "perturb_factor_unitary": "tensor_pair_m6",
         "collapse_factor_legs": "tensor_pair_m6",
@@ -491,35 +538,62 @@ class TestVerifyReport:
 
     def test_refusal_reverifies_and_an_extendable_pair_is_caught(self, tmp_path):
         # a haar_overlap pair, refused by the extension solver on a sampled
-        # marginal pair: no golden has this certificate kind
-        inst = staralg.fuzz_instances("haar_overlap", 1, 1)[0]
-        n = inst.a1.ambient_dim
-        instance = tmp_path / "overlap.json"
-        instance.write_text(json.dumps({
-            "schema_version": 1,
-            "ambient_dim": n,
-            "algebras": {
-                "left": {"generators": array_to_json(inst.a1.basis)},
-                "right": {"generators": array_to_json(inst.a2.basis)},
-            },
-        }))
-        code, doc = run_json(["analyze", str(instance)], tmp_path, "report.json")
-        assert code == 0
+        # marginal pair; the three other readings refer to that refusal
+        path, doc, inst = overlap_report(tmp_path)
         witness = doc["checks"][0]["verdicts"]["cstar_independent"]["witness"]
-        assert witness["kind"] == "refused_marginal_pair"
-        code, rep = run_json(["verify-report", str(tmp_path / "report.json")], tmp_path, "verify.json")
+        assert witness["kind"] == "separating_pair"
+        code, rep = run_json(["verify-report", str(path)], tmp_path, "verify.json")
         assert code == 0
-        refusals = [item for item in rep["items"] if item["target"].endswith(" refusal")]
-        assert len(refusals) == 2 and all(item["ok"] for item in refusals)
-        # the maximally mixed pair always extends, so the re-run cannot refuse it
+        refusal = "checks[0] hierarchy cstar_independent refusal"
+        references = {f"checks[0] hierarchy {key} reference" for key in ("wstar_independent", "op_cstar", "op_wstar")}
+        checked = {item["target"] for item in rep["items"] if item["ok"]}
+        assert {refusal, *references} <= checked
+        # the maximally mixed pair always extends, so the gap cannot clear
+        # the margin; the references fail with the refusal they rest on
+        n = inst.a1.ambient_dim
         for state in witness["witness_states"]:
             state["density"] = array_to_json(np.eye(n, dtype=complex) / n)
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(doc))
         code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
         assert code == 2
-        failed = [item["target"] for item in rep["items"] if not item["ok"]]
-        assert failed == ["checks[0] hierarchy cstar_independent refusal"]
+        failed = {item["target"]: item["detail"] for item in rep["items"] if not item["ok"]}
+        assert set(failed) == {refusal, *references}
+        assert "does not clear the margin" in failed[refusal]
+
+    def test_noncommuting_element_outside_its_algebra_is_caught(self, tmp_path):
+        path, doc, inst = overlap_report(tmp_path)
+        code, rep = run_json(["verify-report", str(path)], tmp_path, "verify.json")
+        target = "checks[0] hierarchy split elements"
+        assert code == 0 and target in {item["target"] for item in rep["items"] if item["ok"]}
+        # a Hermitian matrix orthogonal to the first algebra
+        witness = doc["checks"][0]["verdicts"]["split"]["witness"]
+        x = np.random.default_rng(5).standard_normal((inst.a1.ambient_dim,) * 2)
+        x = x + x.T
+        witness["element1"] = array_to_json(x - inst.a1.project(x))
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
+        assert code == 2
+        failed = {item["target"]: item["detail"] for item in rep["items"] if not item["ok"]}
+        assert list(failed) == [target]
+        assert "element1 is" in failed[target] and "away from its algebra" in failed[target]
+
+    def test_verify_report_never_runs_the_solver(self, tmp_path, monkeypatch):
+        overlap, _, _ = overlap_report(tmp_path)
+        calls = []
+
+        def solver(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("verify-report ran the extension solver")
+
+        for module, name in ((cli, "extend_state"), (states, "extend_state"),
+                             (states, "extend_state_batch"), (independence, "extend_state_batch")):
+            monkeypatch.setattr(module, name, solver)
+        for report in [overlap, *sorted(GOLDEN.glob("*.report.json"))]:
+            code, rep = run_json(["verify-report", str(report)], tmp_path, "verify.json")
+            assert code == 0 and rep["all_ok"], report
+        assert calls == []
 
     def test_noncommuting_echo_fails_exactly_what_reads_the_pair(self, tmp_path):
         # left's basis is still an algebra, but it does not commute with

@@ -69,8 +69,9 @@ from staralg import (
     tensor_pair,
     verify_interpolating_factor,
     verify_product_transition,
+    verify_separating_pair,
 )
-from staralg import ValidationError, algebra, independence, sampling
+from staralg import ValidationError, algebra, independence, sampling, states
 from staralg.algebra import products
 from staralg.channels import superop_from_function
 from staralg.independence import (
@@ -207,8 +208,11 @@ class TestCStarIndependence:
         nc = noncommuting_pair(2, np.random.default_rng(0))
         v = check_cstar_independence(nc.a1, nc.a2, rng=np.random.default_rng(100))
         assert v.status == "Fails"
-        assert v.witness["kind"] == "refused_marginal_pair"
+        assert v.witness["kind"] == "separating_pair"
         s1, s2 = v.witness["witness_states"]
+        h1, h2 = v.witness["h1"], v.witness["h2"]
+        assert verify_separating_pair(h1, h2, s1, s2) == v.witness["gap"]
+        assert max(np.linalg.norm(h1, 2), np.linalg.norm(h2, 2)) == pytest.approx(1)
         # oracle: re-run the feasibility solver on the refused pair
         again = extend_state(s1, s2)
         assert again.status == "InfeasibleCertified"
@@ -649,8 +653,9 @@ class TestCommutingPairsDecidedOnce:
         assert calls == []
 
     def test_a_commuting_pair_left_open_raises_without_sampling(self, monkeypatch):
+        # a margin above the zero cell's gap of 1 leaves the pair unrefuted
         sampled = []
-        monkeypatch.setattr(independence, "_annihilating_central_pair", lambda *args: None)
+        monkeypatch.setattr(states, "SEPARATION_MARGIN", 1e9)
         monkeypatch.setattr(
             sampling, "sample_state_pairs", lambda *args, **kw: sampled.append(args) or []
         )
@@ -658,6 +663,20 @@ class TestCommutingPairsDecidedOnce:
         with pytest.raises(IllConditioned):
             check_cstar_independence(d, d)
         assert sampled == []
+
+    def test_shared_block_pairs_never_call_the_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the extension solver ran on a commuting pair")
+
+        monkeypatch.setattr(independence, "extend_state_batch", refuse)
+        monkeypatch.setattr(states, "extend_state_batch", refuse)
+        for inst in fuzz_instances("shared_block", 10, 1):
+            report = run_hierarchy_checks(inst.a1, inst.a2)
+            witness = report.verdicts["cstar_independent"].witness
+            assert witness["kind"] == "separating_pair"
+            assert witness["gap"] == pytest.approx(1)
+            for key in ("wstar_independent", "op_cstar", "op_wstar"):
+                assert report.verdicts[key].witness["plain"] == "cstar_independent"
 
     def test_center_and_factor_works_once_per_algebra(self, monkeypatch):
         # the structure cache: the center and its projections are computed

@@ -14,6 +14,7 @@ import pytest
 from conftest import diag_algebra, left_factor, matrix_unit, right_factor
 from staralg import (
     AlgebraState,
+    IllConditioned,
     InvalidState,
     canonical_block_algebra,
     canonical_trace_state,
@@ -33,7 +34,9 @@ from staralg import (
     scalar_algebra,
     state_from_density,
     state_from_values,
+    verify_separating_pair,
 )
+from staralg.sampling import fuzz_instances
 from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, kron
 from staralg.sampling import random_density, sample_state_pairs, tensor_pair
 
@@ -237,6 +240,62 @@ class TestExtendState:
         for (s1, s2), o in zip(pairs, batch):
             single = extend_state(s1, s2, max_iter=2000)
             assert single.status == o.status
+
+
+class TestSeparatingPair:
+    """The one refusal certificate, checked without the solver."""
+
+    def test_contradictory_marginals_refuse_with_a_split_pair(self):
+        a = diag_algebra(2)
+        s1 = state_from_density(a, np.diag([1.0, 0.0]).astype(complex))
+        s2 = state_from_density(a, np.diag([0.0, 1.0]).astype(complex))
+        cert = extend_state(s1, s2).certificate
+        assert cert["kind"] == "separating_pair"
+        assert set(cert) == {"kind", "h1", "h2", "gap"}
+        # the inconsistent relation e1 - e2 on one side against e2 - e1 on the other
+        np.testing.assert_allclose(cert["h1"], np.diag([1.0, -1.0]), atol=1e-12)
+        np.testing.assert_allclose(cert["h2"], np.diag([-1.0, 1.0]), atol=1e-12)
+        assert cert["gap"] == pytest.approx(2)
+        assert verify_separating_pair(cert["h1"], cert["h2"], s1, s2) == cert["gap"]
+
+    def test_every_solver_refusal_is_a_normalized_pair_in_the_two_spans(self):
+        seen = 0
+        for family, seeds in (("haar_overlap", (1, 7)), ("shared_block", (1,))):
+            for seed in seeds:
+                for inst in fuzz_instances(family, 5, seed):
+                    pairs = sample_state_pairs(inst.a1, inst.a2, 6, np.random.default_rng(seed))
+                    for (s1, s2), out in zip(pairs, extend_state_batch(pairs, max_iter=4000)):
+                        if out.status != "InfeasibleCertified":
+                            continue
+                        seen += 1
+                        h1, h2 = out.certificate["h1"], out.certificate["h2"]
+                        assert max(np.linalg.norm(h1, 2), np.linalg.norm(h2, 2)) == pytest.approx(1)
+                        assert inst.a1.distance_to_span(h1) <= 1e-9
+                        assert inst.a2.distance_to_span(h2) <= 1e-9
+                        # oracle: no density gives h1 + h2 more than its top eigenvalue
+                        forced = s1.expect(h1).real + s2.expect(h2).real
+                        assert forced - np.linalg.eigvalsh(h1 + h2)[-1] == pytest.approx(out.certificate["gap"])
+                        assert out.certificate["gap"] > 1e-7
+        assert seen >= 10
+
+    def test_a_scaled_pair_still_separates_and_a_bad_one_does_not(self):
+        a = diag_algebra(2)
+        z1, z2 = matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)
+        s1, s2 = state_from_density(a, z1), state_from_density(a, z2)
+        assert verify_separating_pair(z1, z2, s1, s2) == pytest.approx(1)
+        # the margin scales with the pair, so 2 z1 is as good a certificate
+        assert verify_separating_pair(2 * z1, 2 * z2, s1, s2) == pytest.approx(2)
+        sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+        with pytest.raises(IllConditioned, match="h2 is .* away from its algebra"):
+            verify_separating_pair(z1, z2 + sigma_x, s1, s2)
+        with pytest.raises(IllConditioned, match="not Hermitian"):
+            verify_separating_pair(z1 + 1j * matrix_unit(2, 0, 1), z2, s1, s2)
+        # the tracial pair extends, so it has no separating pair
+        trace = state_from_density(a, np.eye(2, dtype=complex) / 2)
+        with pytest.raises(IllConditioned, match="does not clear the margin"):
+            verify_separating_pair(z1, z2, trace, trace)
+        with pytest.raises(IllConditioned, match="does not clear the margin"):
+            verify_separating_pair(0 * z1, 0 * z2, s1, s2)
 
 
 class TestProductState:
