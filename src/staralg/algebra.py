@@ -65,6 +65,10 @@ HERMITIAN_RANK_CUT = 1e-10
 #: more than 1e-6 of the range (the draw is retried when they do not).
 CLUSTER_GAP = 1e-6
 
+#: Smallest ratio of the narrowest gap between spectral clusters to the widest cluster
+#: accepted from a random central element; below it two clusters nearly merged.
+CLUSTER_CONTRAST = 1e3
+
 #: Smallest HS norm of a corner p c e_11 accepted as nonzero.  Over an
 #: orthonormal basis c of a block M_k (x) 1 the squared corner norms sum to
 #: dim(p A e_11) = 1, so the best corner has norm at least 1/k, while a
@@ -75,6 +79,10 @@ CORNER_NORM_CUT = 1e-8
 #: projections (a block dimension n_k^2 = tr(z K), n_k m_k = rank z, a joint
 #: cell rank): they hold to eps_algebra times n, so honest counts are within 1e-8.
 COUNT_CUT = 1e-6
+
+#: Eigenvalue cut on a corner e_00 f_00 of a joint cell: a projection, so its
+#: eigenvalues are 0 or 1 up to rounding, and the midpoint has most margin.
+CORNER_EIGENVALUE_CUT = 0.5
 
 
 @dataclass(eq=False)
@@ -120,9 +128,6 @@ class MatrixStarAlgebra:
     def contains(self, x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
         scale = max(1.0, hs_norm(x))
         return self.distance_to_span(x) <= tol.eps_algebra * scale
-
-    def contains_algebra(self, other: "MatrixStarAlgebra", tol: Tolerances = DEFAULT_TOL) -> bool:
-        return all(self.contains(b, tol) for b in other.basis)
 
     @cached_property
     def expectation(self) -> np.ndarray:
@@ -402,8 +407,8 @@ class AlgebraStructure:
         blocks = []
         rng = np.random.default_rng(1)
         for z, size in zip(self.projections, self.sizes):
-            # orthonormal basis of the block algebra z.A (A itself for a factor)
-            block_basis = a.basis if self.is_factor else orthonormalize(z @ a.basis)
+            # orthonormal basis of the block algebra z.A (A itself for a factor), fixed by its span
+            block_basis = canonical_basis(a.basis if self.is_factor else orthonormalize(z @ a.basis))
             if block_basis.shape[0] != size * size:
                 raise IllConditioned(f"central block dimension {block_basis.shape[0]} is not {size}^2")
             mult = int(round(float(np.real(np.trace(z))))) // size
@@ -467,7 +472,7 @@ def _minimal_projections_of_abelian(
             continue
         intra = max(float(w[g].max() - w[g].min()) for g in groups)
         inter = min(float(w[b].min() - w[a].max()) for a, b in zip(groups, groups[1:]))
-        if intra > 0 and inter < 1e3 * intra:
+        if intra > 0 and inter < CLUSTER_CONTRAST * intra:
             continue
         projections = [v[:, g] @ dagger(v[:, g]) for g in groups]
         if any(center.distance_to_span(p) > tol.eps_algebra * n for p in projections):
@@ -547,6 +552,23 @@ def _verify_units(units, z, tol):
         raise IllConditioned("matrix-unit relations fail numerically")
 
 
+def _cell_columns(e: np.ndarray, f: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal columns e_a0 f_b0 xi_s spanning one joint cell, shape (n, k, l, rank).
+
+    ``e`` (k, k, n, n) and ``f`` (l, l, n, n) are matrix units of commuting
+    blocks, so e_00 f_00 is a projection; xi is a basis of its range (the
+    symmetrized corner's eigenvectors above CORNER_EIGENVALUE_CUT) in the
+    canonical gauge, so the columns depend on the units alone.  With f the
+    unit 1 they are one block's columns of the structure decomposition.
+    """
+    corner = e[0, 0] @ f[0, 0]
+    w, v = np.linalg.eigh(0.5 * (corner + dagger(corner)))
+    xi = canonical_basis(v[:, w > CORNER_EIGENVALUE_CUT].T[:, :, None])[:, :, 0].T
+    if xi.shape[1] != rank:
+        raise IllConditioned(f"corner projection has rank {xi.shape[1]}, expected {rank}")
+    return (e[:, None, 0] @ f[None, :, 0] @ xi).transpose(2, 0, 1, 3)
+
+
 def structure_decomposition(
     a: MatrixStarAlgebra,
     tol: Tolerances = DEFAULT_TOL,
@@ -555,7 +577,8 @@ def structure_decomposition(
 
     Returns blocks [(n_k, m_k), ...] with sum n_k m_k = ambient_dim and
     sum n_k^2 = dim, plus the unitary W whose conjugation sends every
-    algebra element to a direct sum of x_k (x) 1_{m_k}.
+    algebra element to a direct sum of x_k (x) 1_{m_k}.  Column (alpha, s)
+    of block k is e_alpha0 xi_s (``_cell_columns`` with the unit 1).
     """
     n = a.ambient_dim
     # the full algebra needs no work and the identity is the natural witness
@@ -564,16 +587,8 @@ def structure_decomposition(
     blocks = matrix_units(a, tol)
     block_dims = [(blk.size, blk.multiplicity) for blk in blocks]
     offsets = np.cumsum([0] + [k * m for k, m in block_dims])[:-1].tolist()
-    columns = []
-    for blk in blocks:
-        e11 = blk.units[0, 0]
-        w, v = np.linalg.eigh(0.5 * (e11 + dagger(e11)))
-        chi = v[:, w > 0.5]
-        if chi.shape[1] != blk.multiplicity:
-            raise IllConditioned("range of the corner projection has wrong dimension")
-        # column (alpha, s) is e_{alpha 0} chi_s
-        columns.append((blk.units[:, 0] @ chi).transpose(1, 0, 2).reshape(n, -1))
-    w_mat = np.concatenate(columns, axis=1)
+    one = np.eye(n, dtype=complex)[None, None]
+    w_mat = np.concatenate([_cell_columns(b.units, one, b.multiplicity).reshape(n, -1) for b in blocks], axis=1)
     if hs_norm(dagger(w_mat) @ w_mat - np.eye(n)) > tol.eps_verify * n:
         raise IllConditioned("assembled intertwiner is not unitary")
     decomp = StructureDecomposition(block_dims, w_mat, offsets)

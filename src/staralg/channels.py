@@ -267,13 +267,14 @@ def is_faithful_map(channel: ChannelMap, tol: Tolerances = DEFAULT_TOL) -> bool:
     return bool(np.linalg.eigvalsh(0.5 * (gram + dagger(gram)))[0] > tol.eps_psd)
 
 
-def _certify(
+def build_channel(
     domain: MatrixStarAlgebra,
     out_dim: int,
     action: np.ndarray,
-    tol: Tolerances,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> ChannelMap:
-    """Assemble a ChannelMap and populate every flag from scratch."""
+    """Certified channel from a raw superoperator matrix: every flag is computed from scratch."""
+    action = np.asarray(action, dtype=complex)
     n = domain.ambient_dim
     channel = ChannelMap(domain, out_dim, action)
     one_out = unvec(action @ vec(np.eye(n)), out_dim)
@@ -285,16 +286,6 @@ def _certify(
     channel.cp_certified = True
     channel.faithful = is_faithful_map(channel, tol)
     return channel
-
-
-def build_channel(
-    domain: MatrixStarAlgebra,
-    out_dim: int,
-    action: np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-) -> ChannelMap:
-    """Certified channel from a raw superoperator matrix."""
-    return _certify(domain, out_dim, np.asarray(action, dtype=complex), tol)
 
 
 def channel_from_kraus(
@@ -314,7 +305,7 @@ def channel_from_kraus(
             f"Kraus stack of shape {ws.shape} does not map dimension "
             f"{in_dim} to {out_dim}"
         )
-    return _certify(full_matrix_algebra(in_dim), out_dim, superop_from_kraus(ws), tol)
+    return build_channel(full_matrix_algebra(in_dim), out_dim, superop_from_kraus(ws), tol)
 
 
 def channel_on_algebra(
@@ -367,7 +358,7 @@ def dual_on_states(channel: ChannelMap, tol: Tolerances = DEFAULT_TOL) -> Channe
     transpose of the stored action.  The dual of a unital completely
     positive map is completely positive and trace preserving.
     """
-    return _certify(
+    return build_channel(
         full_matrix_algebra(channel.out_dim),
         channel.in_dim,
         dagger(channel.action),
@@ -391,7 +382,7 @@ def state_prep_operation(
     if evals[0] < -tol.eps_psd or abs(float(np.real(np.trace(sigma))) - 1.0) > tol.eps_verify * n:
         raise NotPSD("prepared state is not a density matrix")
     action = np.outer(vec(np.eye(n)), vec(sigma).conj())
-    return _certify(full_matrix_algebra(n), n, action, tol)
+    return build_channel(full_matrix_algebra(n), n, action, tol)
 
 
 def luders_operation(
@@ -472,7 +463,7 @@ def extend_to_ambient(channel: ChannelMap, tol: Tolerances = DEFAULT_TOL) -> Cha
     re-certifies; this is the canonical extension and preserves complete
     positivity, unitality, and faithfulness.
     """
-    return _certify(
+    return build_channel(
         full_matrix_algebra(channel.in_dim),
         channel.out_dim,
         channel.action @ channel.domain.expectation,
@@ -487,4 +478,4 @@ def compose(outer: ChannelMap, inner: ChannelMap, tol: Tolerances = DEFAULT_TOL)
             f"cannot compose: inner output dimension {inner.out_dim} differs "
             f"from outer input dimension {outer.in_dim}"
         )
-    return _certify(inner.domain, outer.out_dim, outer.action @ inner.action, tol)
+    return build_channel(inner.domain, outer.out_dim, outer.action @ inner.action, tol)

@@ -155,8 +155,9 @@ def null_space(
     exceed the largest discarded one by ``gap_factor``, otherwise
     :class:`IllConditioned` is raised rather than guessing a rank.
 
-    Tall or square input gets a thin SVD, whose right-singular vectors
-    already span the domain; wide input needs the full SVD for its kernel.
+    Tall input is first reduced to the R of its QR factorization, which has
+    the same singular values and right-singular vectors; square input then
+    gets a thin SVD, while wide input needs the full SVD for its kernel.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2:
@@ -164,6 +165,7 @@ def null_space(
     n = mat.shape[1]
     if mat.shape[0] == 0:
         return np.eye(n, dtype=complex)
+    mat = np.linalg.qr(mat, mode="r") if mat.shape[0] > n else mat
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < n)
     smax = s[0] if s.size else 0.0
     thresh = rel_tol * max(smax, scale)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MatrixStarAlgebra, full_matrix_algebra
+from .algebra import MatrixStarAlgebra, _cluster_sorted, full_matrix_algebra
 from .channels import ChannelMap, channel_on_algebra
 from .errors import UnknownFamily
 from .independence import state_preparation
@@ -36,6 +36,11 @@ __all__ = [
     "FUZZ_FAMILIES",
     "fuzz_instances",
 ]
+
+#: Relative gap that splits a random observable's spectrum into Lüders
+#: eigenspaces: a repeated eigenvalue spreads by rounding, while distinct ones of
+#: a Gaussian combination are almost surely far more than 1e-8 of the spread apart.
+LUDERS_CLUSTER_GAP = 1e-8
 
 
 @dataclass(eq=False)
@@ -297,13 +302,7 @@ def random_luders_channel(
     h = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
     w, v = np.linalg.eigh(h)
     spread = max(float(w[-1] - w[0]), 1.0)
-    projections = []
-    start = 0
-    for i in range(1, w.size + 1):
-        if i == w.size or w[i] - w[i - 1] > 1e-8 * spread:
-            cols = v[:, start:i]
-            projections.append(cols @ dagger(cols))
-            start = i
+    projections = [v[:, g] @ dagger(v[:, g]) for g in _cluster_sorted(w, LUDERS_CLUSTER_GAP * spread)]
     return channel_on_algebra(a, np.stack(projections), tol)
 
 

@@ -81,6 +81,14 @@ SEPARATION_MARGIN = 10
 #: level, which must not be inverted in the affine projection.
 CONSTRAINT_RANK_CUT = 1e-12
 
+#: Largest HS movement of an iterate between two feasibility checks that counts as
+#: standing still (rounding, for a unit-trace density); four in a row end as Undecided.
+STALL_MOVE_CUT = 1e-12
+
+#: Smallest norm of a gap direction's component in the constraints' row
+#: space that is worth expanding: a smaller one is rounding of a zero gap.
+DIRECTION_NORM_CUT = 1e-12
+
 
 @dataclass(eq=False)
 class AlgebraState:
@@ -419,7 +427,7 @@ def extend_state_batch(
             # stall: essentially no movement across four consecutive checks
             idx2 = np.nonzero(active)[0]
             change = np.linalg.norm(x[idx2] - prev[idx2], axis=1)
-            quiet[idx2] = np.where(change < 1e-12, quiet[idx2] + 1, 0)
+            quiet[idx2] = np.where(change < STALL_MOVE_CUT, quiet[idx2] + 1, 0)
             for i in idx2[quiet[idx2] >= 4]:
                 resid = float(np.abs(x[i] @ c_mat.T - targets[i]).max())
                 outcomes[i] = ExtensionOutcome(
@@ -445,7 +453,7 @@ def _separating_directions(deltas, targets, h_mats, svd, margin):
     """
     u_r, s_r, vt_r = svd
     w = deltas @ vt_r.T
-    ok = np.nonzero(np.linalg.norm(w, axis=1) > 1e-12)[0]
+    ok = np.nonzero(np.linalg.norm(w, axis=1) > DIRECTION_NORM_CUT)[0]
     u_coef = (w[ok] / s_r) @ u_r.T
     h_dirs = np.tensordot(u_coef, h_mats, axes=(1, 0))
     h_norms = np.linalg.norm(hermitian_to_rvec(h_dirs), axis=1)

@@ -64,8 +64,10 @@ from staralg import (
     random_faithful_nonselective_channel,
     random_luders_channel,
     run_hierarchy_checks,
+    scalar_algebra,
     state_from_density,
     state_preparation,
+    structure_decomposition,
     tensor_pair,
     verify_interpolating_factor,
     verify_product_transition,
@@ -75,6 +77,7 @@ from staralg import ValidationError, algebra, independence, sampling, states
 from staralg.algebra import products
 from staralg.channels import superop_from_function
 from staralg.independence import (
+    SPLIT_IMPLIED_BOUND,
     _integer_rank_one_factorization,
     annihilating_projections,
 )
@@ -570,12 +573,15 @@ class TestStackedSplitResiduals:
         factor = v.certificate["factor"]
         if case.startswith("cell"):
             assert v.certificate["search_note"] == "assembled from the joint cell structure"
-        got = {**factor.residuals,
-               "product_factorization_residual": v.certificate["product_factorization_residual"]}
         want = reference_split_residuals(pair.a1, pair.a2, factor)
-        assert set(got) == set(want)
-        for key in want:
-            assert abs(got[key] - want[key]) <= 1e-12, key
+        certified = {"unitarity_residual", "embedding_residual_1", "embedding_residual_2"}
+        assert set(factor.residuals) == certified
+        for key in certified:
+            assert abs(factor.residuals[key] - want[key]) <= 1e-12, key
+        # the other three follow from the certified ones (verify_interpolating_factor)
+        bound = SPLIT_IMPLIED_BOUND * pair.a1.ambient_dim * max(factor.residuals.values())
+        for key in set(want) - certified:
+            assert want[key] <= bound, (key, want[key], bound)
 
     def test_swapped_legs_are_refused(self):
         pair = tensor_pair(3, 3, np.random.default_rng(63))
@@ -594,6 +600,90 @@ class TestStackedSplitResiduals:
             verify_interpolating_factor(
                 factor.unitary, d1, d2, pair.a1, pair.a2, DEFAULT_TOL
             )
+
+
+def mixed_in_clusters(rng, eigh, svd):
+    """``eigh`` and ``svd`` whose vectors are mixed by seeded unitaries inside each cluster of equal values.
+
+    Any orthonormal basis of a degenerate eigenspace (or singular subspace)
+    is an equally valid answer, so a result that must not depend on the
+    basis gauge has to survive this.  Real vectors get orthogonal mixers.
+    """
+    def mixers(values, vectors):
+        cut = 1e-9 * max(1.0, float(np.abs(values).max(initial=0.0)))
+        for group in np.split(np.arange(values.size), np.flatnonzero(np.abs(np.diff(values)) > cut) + 1):
+            z = rng.standard_normal((group.size, group.size))
+            if np.iscomplexobj(vectors):
+                z = z + 1j * rng.standard_normal(z.shape)
+            yield group, np.linalg.qr(z)[0]
+
+    def mixed_eigh(a, *args, **kwargs):
+        w, v = eigh(a, *args, **kwargs)
+        if np.ndim(a) == 2:
+            for group, q in list(mixers(w, v)):
+                v[:, group] = v[:, group] @ q
+        return w, v
+
+    def mixed_svd(a, full_matrices=True, compute_uv=True, hermitian=False):
+        out = svd(a, full_matrices=full_matrices, compute_uv=compute_uv, hermitian=hermitian)
+        if compute_uv and np.ndim(a) == 2:
+            u, s, vh = out
+            # A = (U Q) S (V Q)* whenever S is constant on the cluster
+            for group, q in list(mixers(s, vh)):
+                u[:, group] = u[:, group] @ q
+                vh[group] = dagger(q) @ vh[group]
+        return out
+
+    return mixed_eigh, mixed_svd
+
+
+def split_pair_m6():
+    doc = json.loads((Path(__file__).resolve().parent.parent / "instances" / "split_pair_m6.json").read_text())
+    n = doc["ambient_dim"]
+    return [generate_algebra(array_from_json(doc["algebras"][name]["generators"]), n)
+            for name in ("hidden_left", "hidden_right")]
+
+
+class TestFactorizingUnitary:
+    @pytest.mark.parametrize("case", ["split_pair_m6", "cell_pair_mu2"])
+    def test_unitary_does_not_follow_the_basis_gauge(self, case, monkeypatch):
+        if case == "split_pair_m6":
+            pair = split_pair_m6()
+        else:
+            inst = cell_pair(np.array([[2, 2], [2, 2]]), [2, 1], [1, 1], np.random.default_rng(73))
+            pair = [inst.a1, inst.a2]
+        want = find_interpolating_factor(*pair).factor.unitary
+        # another orthonormal basis of each span, and other bases of every degenerate subspace
+        mixed = [MatrixStarAlgebra(a.ambient_dim, np.tensordot(haar_unitary(a.dim, 7), a.basis, axes=(1, 0)))
+                 for a in pair]
+        eigh, svd = mixed_in_clusters(np.random.default_rng(5), np.linalg.eigh, np.linalg.svd)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        got = find_interpolating_factor(*mixed).factor.unitary
+        assert np.abs(got - want).max() <= 1e-10
+
+    def test_a_factor_is_split_by_its_structure_intertwiner(self):
+        inst = tensor_pair(2, 3, np.random.default_rng(67))
+        outcome = find_interpolating_factor(inst.a1, inst.a2)
+        assert outcome.reason == "the first algebra is itself a factor"
+        want = dagger(structure_decomposition(inst.a1).intertwiner)
+        assert np.abs(outcome.factor.unitary - want).max() <= 1e-12
+
+    def test_the_full_algebra_is_split_by_the_identity(self):
+        factor = find_interpolating_factor(full_matrix_algebra(3), scalar_algebra(3)).factor
+        assert (factor.d1, factor.d2) == (3, 1)
+        assert np.array_equal(factor.unitary, np.eye(3))
+
+    def test_a_factor_pair_is_split_without_the_structure_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("structure_decomposition ran in the split check")
+
+        monkeypatch.setattr(algebra, "structure_decomposition", refuse)
+        monkeypatch.setattr(independence, "structure_decomposition", refuse, raising=False)
+        inst = tensor_pair(2, 3, np.random.default_rng(67))
+        verdict = run_hierarchy_checks(inst.a1, inst.a2).verdicts["split"]
+        assert verdict.status == "Holds"
+        assert verdict.certificate["search_note"] == "the first algebra is itself a factor"
 
 
 # product position without the split property: mu is not an integer outer product

@@ -174,6 +174,19 @@ class TestNullSpace:
         np.testing.assert_allclose(dagger(ns) @ ns, np.eye(1), atol=1e-12)
         assert hs_norm(a @ ns) <= 1e-12 * hs_norm(a)
 
+        # the 2304 x 144 commutator stack of 1 (x) M_4 in M_12, as commutant
+        # builds it; its kernel is vec(M_3 (x) 1), of dimension 9
+        units = np.kron(np.eye(3), np.eye(16).reshape(16, 4, 4))
+        eye = np.eye(12)
+        stack = np.concatenate([np.kron(eye, b) - np.kron(b.T, eye) for b in units])
+        ns = null_space(stack, scale=1.0)
+        # reference: the thin-SVD kernel, with the same cut
+        _, sigma, vh = np.linalg.svd(stack, full_matrices=False)
+        ref = dagger(vh[np.count_nonzero(sigma > 1e-9 * sigma[0]):])
+        assert ns.shape == ref.shape == (144, 9)
+        np.testing.assert_allclose(dagger(ns) @ ns, np.eye(9), atol=1e-12)
+        np.testing.assert_allclose(ns @ dagger(ns), ref @ dagger(ref), atol=1e-12)
+
 
 class TestOrthonormalize:
     def test_drops_dependent_rows(self):
