@@ -255,22 +255,18 @@ def join(
 ) -> MatrixStarAlgebra:
     """Algebra generated by the union of the two spans.
 
-    For a commuting pair this is the span of the products b_a c_b (the image
-    of the multiplication map), built directly: it holds the unit and is
-    closed under adjoints and products because the factors commute.  Other
-    pairs are closed by ``generate_algebra``.  The basis is canonical.
+    For a commuting pair this is the span of the products b_a c_b, which the
+    normalized products of the two algebras' matrix units over the nonzero
+    joint cells already give orthonormally (``JointCells.cell_basis``).
+    Other pairs are closed by ``generate_algebra``.  The basis is canonical.
     """
     _check_same_ambient(a1, a2)
     if mutually_commute(a1, a2, tol):
-        return _commuting_join(a1, a2)
+        from .independence import _joint_cells
+
+        g, w, _, _ = _joint_cells(a1, a2, tol).cell_basis
+        return MatrixStarAlgebra(a1.ambient_dim, canonical_basis(g[w > 0]))
     return generate_algebra(np.concatenate([a1.basis, a2.basis], axis=0), a1.ambient_dim, tol)
-
-
-def _commuting_join(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra) -> MatrixStarAlgebra:
-    """Join of a commuting pair: the span of the products b_a c_b, in canonical gauge."""
-    n = a1.ambient_dim
-    span = orthonormalize(products(a1.basis, a2.basis).reshape(-1, n, n))
-    return MatrixStarAlgebra(n, canonical_basis(span))
 
 
 def commutant(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixStarAlgebra:

@@ -199,15 +199,16 @@ def _dump(report: dict) -> str:
 
 
 def _entry_in(node: Any, where: str) -> complex:
+    """One matrix entry; json reads NaN and Infinity, which no entry may be."""
     if isinstance(node, (int, float)):
-        return complex(node)
-    if (
-        isinstance(node, list)
-        and len(node) == 2
-        and all(isinstance(v, (int, float)) for v in node)
-    ):
-        return complex(node[0], node[1])
-    raise ParseError(f"{where}: matrix entry must be a number or an [re, im] pair")
+        value = complex(node)
+    elif isinstance(node, list) and len(node) == 2 and all(isinstance(v, (int, float)) for v in node):
+        value = complex(node[0], node[1])
+    else:
+        raise ParseError(f"{where}: matrix entry must be a number or an [re, im] pair")
+    if not np.isfinite(value):
+        raise ParseError(f"{where}: matrix entry {node!r} is not finite")
+    return value
 
 
 def _matrix_in(node: Any, n: int, where: str) -> np.ndarray:

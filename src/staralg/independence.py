@@ -19,8 +19,9 @@ multiplication map b_a (x) c_b -> b_a c_b onto the join is an isomorphism
 states no joint state extends, witnesses every product-sense failure; and
 the split property holds iff mu is an outer product of positive integer
 vectors.  The product isomorphism itself is built only on demand
-(``product_isomorphism``).  For non-commuting pairs the
-product-sense family is not applicable and the plain notions are
+(``product_isomorphism``), by the same rule, and written down from the
+matrix units of the cells (``JointCells.cell_basis``).  For non-commuting
+pairs the product-sense family is not applicable and the plain notions are
 semi-decided by the extension solver (a refusal certificate falsifies;
 sampling alone never verifies).  Every plain refusal, on a zero cell or
 from the solver, is one kind of witness: a separating pair checked by
@@ -39,7 +40,6 @@ from .algebra import (
     COUNT_CUT,
     MatrixStarAlgebra,
     _cell_columns,
-    _commuting_join,
     commutators,
     full_matrix_algebra,
     mutually_commute,
@@ -257,19 +257,26 @@ def product_isomorphism(
     """The validated product isomorphism of a commuting pair in product position.
 
     No verdict needs it; ``joint_operation`` carries operations through it.
-    The map is built once and inverted (an ill-conditioned one fails the
-    inverse residual), and one commutator stack serves both the commutation
-    test and the multiplicativity residual.
+    A zero joint cell raises NoProductIsomorphism naming it, the rule every
+    verdict uses.  Otherwise the join is the cell basis g, on which b_a c_b =
+    sum_kl C1[k, a] C2[l, b] w_kl g_kl (``JointCells.cell_basis``): the map is
+    diag(w) (C1 (x) C2), and its inverse (C1 (x) C2)* diag(1/w) as C1 and C2
+    are unitary.  The exact check of ``validate`` rebuilds the map from the
+    three bases, independently of this; one commutator stack serves it and
+    the commutation test.
     """
     skew = float(np.abs(commutators(a1, a2)).max())
     if skew > tol.eps_algebra:
         raise NotCommuting("a product isomorphism requires a commuting pair")
-    jn, dims = _commuting_join(a1, a2), a1.dim * a2.dim
-    if jn.dim != dims:
-        raise NoProductIsomorphism(f"the pair is not in product position: dim(join) = {jn.dim} < {dims}")
-    mult_map, outside = _multiplication_map(a1, a2, jn)
-    iso = ProductIsomorphism(a1, a2, jn, np.linalg.inv(mult_map), mult_map)
-    iso._residuals(mult_map, outside, skew, tol)
+    cells = _joint_cells(a1, a2, tol)
+    if cells.zero_cells:
+        i, j = cells.zero_cells[0]
+        raise NoProductIsomorphism(f"the pair is not in product position: joint cell ({i},{j}) is zero")
+    g, w, c1, c2 = cells.cell_basis
+    jn = MatrixStarAlgebra(a1.ambient_dim, g.reshape(-1, a1.ambient_dim, a1.ambient_dim))
+    w, coeffs = w.reshape(-1), np.kron(c1, c2)
+    iso = ProductIsomorphism(a1, a2, jn, dagger(coeffs) / w, w[:, None] * coeffs)
+    iso._residuals(*_multiplication_map(a1, a2, jn), skew, tol)
     return iso
 
 
@@ -280,7 +287,8 @@ class JointCells:
     z_i = ``projections1[i]`` has block M_{sizes1[i]} in A1 and w_j =
     ``projections2[j]`` block M_{sizes2[j]} in A2, in the gauge-free order
     of the structure cache; ``ranks[i, j]`` = tr(z_i w_j) and ``mu`` the
-    integer ranks / (n_i m_j).  Zero cells are listed row by row.
+    integer ranks / (n_i m_j).  Zero cells are listed row by row.  The cell
+    basis of the join is built on first use (``cell_basis``).
     """
 
     a1: MatrixStarAlgebra
@@ -291,6 +299,33 @@ class JointCells:
     sizes2: np.ndarray
     ranks: np.ndarray
     mu: np.ndarray
+    tol: Tolerances
+
+    @cached_property
+    def cell_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(g, w, C1, C2): the products u_k v_l = w_kl g_kl of unit bases, and the bases' coefficients.
+
+        u = e / sqrt(p_i) runs over the matrix units e = e_ab of the blocks i of
+        A1, with p_i = rank(z_i) / n_i the block's multiplicity, and v = f /
+        sqrt(q_j) over those of A2; as tr(e_aa) = p_i, these are orthonormal
+        bases of A1 and A2, so C1[k, a] = <u_k, b_a> and C2[l, b] = <v_l, c_b>
+        are unitary.  Since A1 and A2 commute, tr((e_ab f_cd)* e_a'b' f_c'd') =
+        tr(e_ba e_a'b' f_c'd' f_dc) vanishes unless the e share block i and the
+        f block j, and is then delta_aa' delta_dd' tr(e_bb' f_c'c).  On the cell
+        z_i w_j = C^{n_i} (x) C^{m_j} (x) C^{mu_ij} (module docstring), e_bb' =
+        E_bb' (x) 1 (x) 1 and f_c'c = 1 (x) E_c'c (x) 1, so that trace is
+        delta_bb' delta_cc' mu_ij.  So the u v are orthogonal with |u v|^2 =
+        mu_ij / (p_i q_j): those of a zero cell vanish (g = 0 there), and the
+        rest, which span the join as the u and the v span A1 and A2, normalize
+        to an orthonormal basis g of the join.
+        """
+        blocks = [a.structure(self.tol).blocks for a in (self.a1, self.a2)]
+        u, v = (np.concatenate([b.units.reshape(-1, *b.units.shape[2:]) / np.sqrt(b.multiplicity) for b in bs])
+                for bs in blocks)
+        c1, c2 = (x.reshape(len(x), -1).conj() @ a.basis.reshape(a.dim, -1).T for x, a in ((u, self.a1), (v, self.a2)))
+        p, q = (np.array([b.multiplicity for b in bs]) for bs in blocks)
+        w = np.repeat(np.repeat(np.sqrt(self.mu / np.outer(p, q)), self.sizes1**2, axis=0), self.sizes2**2, axis=1)
+        return products(u, v) * np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)[:, :, None, None], w, c1, c2
 
     @property
     def zero_cells(self) -> list[tuple[int, int]]:
@@ -367,7 +402,7 @@ def _joint_cells(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, tol: Tolerances) 
         i, j = bad[0]
         raise IllConditioned(f"joint cell ({i},{j}) has rank {ranks[i, j]:.6f}, not a multiple "
                              f"of {sizes1[i] * sizes2[j]}")
-    return JointCells(a1, a2, s1.projections, s2.projections, sizes1, sizes2, ranks, mu)
+    return JointCells(a1, a2, s1.projections, s2.projections, sizes1, sizes2, ranks, mu, tol)
 
 
 def check_product_sense(
@@ -462,8 +497,6 @@ def check_cstar_independence(
     draws from ``rng`` or reads ``samples``.  Every Fails witness is a
     ``separating_pair`` with the refused ``witness_states``.
     """
-    if a1.ambient_dim != a2.ambient_dim:
-        raise AmbientMismatch("the two algebras live in different ambient spaces")
     cells = _joint_cells(a1, a2, tol) if mutually_commute(a1, a2, tol) else None
     return _plain_verdict(a1, a2, cells, rng, samples, tol)
 
@@ -647,9 +680,7 @@ def joint_operation(
         raise AmbientMismatch("operation domains live in different ambient spaces")
     if iso is None:
         iso = product_isomorphism(a1, a2, tol)
-    r1 = _coefficient_matrix(t1)
-    r2 = _coefficient_matrix(t2)
-    coeff = iso.from_tensor @ np.kron(r1, r2) @ iso.to_tensor
+    coeff = iso.from_tensor @ np.kron(_coefficient_matrix(t1), _coefficient_matrix(t2)) @ iso.to_tensor
     jb = iso.join.basis_vecs
     action = jb.T @ coeff @ jb.conj()
     channel = build_channel(full_matrix_algebra(n), n, action, tol)
@@ -666,20 +697,21 @@ def joint_extension_residuals(
     t2: ChannelMap,
     tol: Tolerances = DEFAULT_TOL,
 ) -> dict[str, float]:
-    """Restriction and cross-multiplicativity residuals of a joint extension."""
-    a1, a2 = t1.domain, t2.domain
-    images1 = [joint.apply(b) for b in a1.basis]
-    images2 = [joint.apply(c) for c in a2.basis]
-    res1 = max(float(np.abs(tb - t1.apply(b)).max()) for b, tb in zip(a1.basis, images1))
-    res2 = max(float(np.abs(tc - t2.apply(c)).max()) for c, tc in zip(a2.basis, images2))
-    mult = 0.0
-    for b, tb in zip(a1.basis, images1):
-        for c, tc in zip(a2.basis, images2):
-            mult = max(mult, float(np.abs(joint.apply(b @ c) - tb @ tc).max()))
+    """Restriction and cross-multiplicativity residuals of a joint extension, each over one stack."""
+
+    def images(t: ChannelMap, mats: np.ndarray) -> np.ndarray:
+        """T(x) for every x of a stack, one GEMM with the action."""
+        k, m = len(mats), t.out_dim
+        return (mats.transpose(0, 2, 1).reshape(k, -1) @ t.action.T).reshape(k, m, m).transpose(0, 2, 1)
+
+    a1, a2, n = t1.domain, t2.domain, joint.in_dim
+    images1, images2 = images(joint, a1.basis), images(joint, a2.basis)
+    crossed = images(joint, products(a1.basis, a2.basis).reshape(-1, n, n))
     return {
-        "restriction_residual_1": res1,
-        "restriction_residual_2": res2,
-        "multiplicativity_residual": mult,
+        "restriction_residual_1": float(np.abs(images1 - images(t1, a1.basis)).max()),
+        "restriction_residual_2": float(np.abs(images2 - images(t2, a2.basis)).max()),
+        "multiplicativity_residual": float(np.abs(crossed.reshape(a1.dim, a2.dim, n, n)
+                                                  - products(images1, images2)).max()),
     }
 
 
@@ -701,7 +733,7 @@ def verify_product_transition(
     from .sampling import random_density
 
     generator = _as_rng(rng)
-    dual = dual_on_states(joint)
+    dual = dual_on_states(joint, tol)
     densities = [state.density] + [
         random_density(joint.domain.ambient_dim, generator) for _ in range(sweep)
     ]
@@ -1025,8 +1057,6 @@ def run_hierarchy_checks(
 
     ``op_samples`` is accepted and has no effect: no operation is sampled.
     """
-    if a1.ambient_dim != a2.ambient_dim:
-        raise AmbientMismatch("the two algebras live in different ambient spaces")
     rng = np.random.default_rng(seed)
     notes = [
         "every state of a finite-dimensional algebra is normal, so the C* "

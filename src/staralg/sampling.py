@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MatrixStarAlgebra, _cluster_sorted, full_matrix_algebra
+from .algebra import MatrixStarAlgebra, _cluster_sorted, full_matrix_algebra, mutually_commute
 from .channels import ChannelMap, channel_on_algebra
 from .errors import UnknownFamily
 from .independence import state_preparation
@@ -150,51 +150,24 @@ def cell_pair(
     """
     mu = np.asarray(mu, dtype=int)
     n_i, m_j = list(sizes1), list(sizes2)
-    cells = {}
-    offset = 0
-    for i, ni in enumerate(n_i):
-        for j, mj in enumerate(m_j):
-            cnt = int(mu[i, j])
-            if cnt == 0:
-                continue
-            cells[i, j] = offset
-            offset += ni * mj * cnt
-    n = offset
-    # cell (i, j) carries C^{n_i} (x) C^{m_j * mu_ij}; algebra one is the
-    # sum over j of E_pq (x) 1 per block row i, algebra two the mirror image
-    basis1 = []
-    for i, ni in enumerate(n_i):
-        weight = sum(m_j[j] * int(mu[i, j]) for j in range(len(m_j)) if (i, j) in cells)
-        for p in range(ni):
-            for q in range(ni):
-                g = np.zeros((n, n), dtype=complex)
-                for j, mj in enumerate(m_j):
-                    if (i, j) not in cells:
-                        continue
-                    off = cells[i, j]
-                    width = mj * int(mu[i, j])
-                    g[off + p * width : off + (p + 1) * width, off + q * width : off + (q + 1) * width] = np.eye(width)
-                basis1.append(g / np.sqrt(weight))
-    basis2 = []
-    for j, mj in enumerate(m_j):
-        weight = sum(n_i[i] * int(mu[i, j]) for i in range(len(n_i)) if (i, j) in cells)
-        for r in range(mj):
-            for s in range(mj):
-                g = np.zeros((n, n), dtype=complex)
-                unit = np.zeros((mj, mj))
-                unit[r, s] = 1.0
-                for i, ni in enumerate(n_i):
-                    if (i, j) not in cells:
-                        continue
-                    off = cells[i, j]
-                    cnt = int(mu[i, j])
-                    size = ni * mj * cnt
-                    g[off : off + size, off : off + size] = np.kron(
-                        np.eye(ni), np.kron(unit, np.eye(cnt))
-                    )
-                basis2.append(g / np.sqrt(weight))
-    a1 = MatrixStarAlgebra(n, np.stack(basis1))
-    a2 = MatrixStarAlgebra(n, np.stack(basis2))
+    cells = [(i, j) for i in range(len(n_i)) for j in range(len(m_j)) if mu[i, j]]
+    offsets = np.cumsum([0] + [n_i[i] * m_j[j] * mu[i, j] for i, j in cells])
+    n = int(offsets[-1])
+
+    def algebra(sizes: list[int], side: int) -> MatrixStarAlgebra:
+        """E_pq of block k in slot ``side`` of C^{n_i} (x) C^{m_j} (x) C^{mu_ij} on every cell of block k."""
+        basis = []
+        for k, size in enumerate(sizes):
+            g = np.zeros((size * size, n, n), dtype=complex)
+            for c, (i, j) in enumerate(cells):
+                if (i, j)[side] == k:
+                    legs = [np.eye(n_i[i])[None], np.eye(m_j[j])[None], np.eye(mu[i, j])[None]]
+                    legs[side] = np.eye(size * size).reshape(-1, size, size)
+                    g[:, offsets[c] : offsets[c + 1], offsets[c] : offsets[c + 1]] = np.kron(np.kron(*legs[:2]), legs[2])
+            basis.append(g / np.linalg.norm(g, axis=(1, 2))[:, None, None])
+        return MatrixStarAlgebra(n, np.concatenate(basis))
+
+    a1, a2 = algebra(n_i, 0), algebra(m_j, 1)
     a1.validate()
     a2.validate()
     meta = {"mu": mu, "sizes1": n_i, "sizes2": m_j}
@@ -210,8 +183,6 @@ def noncommuting_pair(n: int, rng: np.random.Generator) -> PairInstance:
     for _ in range(32):
         a1, blocks1 = random_subalgebra(n, rng)
         a2, blocks2 = random_subalgebra(n, rng)
-        from .algebra import mutually_commute
-
         if not mutually_commute(a1, a2):
             return PairInstance(a1, a2, "noncommuting", {"blocks1": blocks1, "blocks2": blocks2})
     raise UnknownFamily("failed to sample a non-commuting pair")  # pragma: no cover
@@ -236,8 +207,8 @@ def sample_state_pairs(
         for z2 in a2.structure(tol).projections:
             if len(pairs) >= count:
                 break
-            s1 = state_from_density(a1, z1 / np.trace(z1).real)
-            s2 = state_from_density(a2, z2 / np.trace(z2).real)
+            s1 = state_from_density(a1, z1 / np.trace(z1).real, tol)
+            s2 = state_from_density(a2, z2 / np.trace(z2).real, tol)
             pairs.append((s1, s2))
     while len(pairs) < count:
         draw = rng.integers(0, 4)
@@ -247,7 +218,7 @@ def sample_state_pairs(
             r1, r2 = np.eye(n, dtype=complex) / n, random_density(n, rng)
         else:
             r1, r2 = random_density(n, rng), random_density(n, rng)
-        pairs.append((state_from_density(a1, r1), state_from_density(a2, r2)))
+        pairs.append((state_from_density(a1, r1, tol), state_from_density(a2, r2, tol)))
     return pairs[:count]
 
 
@@ -288,7 +259,7 @@ def random_prep_channel(
     """Discard-and-prepare on the algebra: x -> phi(x) 1, for a random phi."""
     n = a.ambient_dim
     rho = random_density(n, rng) if faithful else random_pure_density(n, rng)
-    state = state_from_density(a, rho)
+    state = state_from_density(a, rho, tol)
     return state_preparation(state, tol), state
 
 

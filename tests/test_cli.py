@@ -104,7 +104,8 @@ def assert_structurally_equal(got, want, path="$"):
 
 
 # (field named in the error, path of the edit, bad value): names that are
-# not strings, and bools where an integer or a tolerance is expected
+# not strings, bools where an integer or a tolerance is expected, and
+# non-finite matrix entries (json reads NaN and Infinity)
 MALFORMED_FIELDS = [
     ("states.phi_left.algebra", ("states", "phi_left", "algebra"), []),
     ("operations.prep_left.algebra", ("operations", "prep_left", "algebra"), {"a": 1}),
@@ -117,6 +118,8 @@ MALFORMED_FIELDS = [
     ("checks[0].seed", ("checks", 0, "seed"), False),
     ("checks[0].max_iter", ("checks", 0, "max_iter"), True),
     ("tolerances.eps_verify", ("tolerances",), {"eps_verify": True}),
+    ("algebras.left.generators[0][0][3]", ("algebras", "left", "generators", 0, 0, 3), [float("nan"), 0.0]),
+    ("operations.rotate_right.kraus[0][0][0]", ("operations", "rotate_right", "kraus", 0, 0, 0), float("inf")),
 ]
 
 

@@ -81,7 +81,7 @@ from staralg.independence import (
     _integer_rank_one_factorization,
     annihilating_projections,
 )
-from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, kron
+from staralg.numerics import DEFAULT_TOL, canonical_basis, dagger, haar_unitary, hs_norm, kron, orthonormalize
 
 
 def identity_on(algebra):
@@ -141,8 +141,9 @@ class TestCheckProductSense:
 
 
 class TestProductSenseWork:
-    # the product isomorphism is built on demand; its condition number is
-    # read off the join's SVD of the product stack
+    # the product isomorphism is built on demand, written down from the
+    # matrix units of the joint cells; no condition number is needed, as
+    # the map and its inverse are diag(w) (C1 (x) C2) and its adjoint over w
 
     def test_one_map_no_cond_no_join_sized_eigensolve(self, monkeypatch):
         from staralg import independence
@@ -184,6 +185,28 @@ class TestProductSenseWork:
         monkeypatch.setattr(independence, "commutators", lambda *args: stacks.append(1) or form(*args))
         product_isomorphism(pair.a1, pair.a2)
         assert len(stacks) == 1
+
+    def test_warm_structures_need_no_svd_or_inverse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called with both structures warm")
+
+        pairs = [tensor_pair(3, 4, np.random.default_rng(29)), fuzz_instances("shared_block", 1, 1)[0]]
+        for inst in pairs:
+            for a in (inst.a1, inst.a2):
+                a.structure(DEFAULT_TOL).blocks
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        product_isomorphism(pairs[0].a1, pairs[0].a2)
+        for inst in pairs:
+            join(inst.a1, inst.a2)
+
+    def test_refusal_names_the_zero_cell(self):
+        inst = cell_pair(np.array([[1, 0], [1, 1]]), [1, 1], [1, 1])
+        cells = joint_cells(inst.a1, inst.a2)
+        assert len(cells.zero_cells) == 1
+        i, j = cells.zero_cells[0]
+        with pytest.raises(NoProductIsomorphism, match=rf"joint cell \({i},{j}\) is zero"):
+            product_isomorphism(inst.a1, inst.a2)
 
 
 class TestCStarIndependence:
@@ -336,6 +359,32 @@ class TestJointOperation:
         assert res["restriction_residual_1"] <= 1e-8
         assert res["restriction_residual_2"] <= 1e-8
         assert res["multiplicativity_residual"] <= 1e-8
+
+    def test_residuals_equal_the_per_pair_loop(self):
+        def loop(joint, t1, t2):
+            # reference: one application per basis element and per product
+            a1, a2 = t1.domain, t2.domain
+            images1, images2 = [joint.apply(b) for b in a1.basis], [joint.apply(c) for c in a2.basis]
+            return {
+                "restriction_residual_1": max(np.abs(x - t1.apply(b)).max() for b, x in zip(a1.basis, images1)),
+                "restriction_residual_2": max(np.abs(y - t2.apply(c)).max() for c, y in zip(a2.basis, images2)),
+                "multiplicativity_residual": max(
+                    np.abs(joint.apply(b @ c) - x @ y).max()
+                    for b, x in zip(a1.basis, images1) for c, y in zip(a2.basis, images2)
+                ),
+            }
+
+        rng = np.random.default_rng(337)
+        a1, a2 = left_factor(2, 3), right_factor(2, 3)
+        t1, t2 = random_luders_channel(a1, rng), random_faithful_nonselective_channel(a2, rng)
+        # a joint extension, and a unitary conjugation of M_6 that extends neither map
+        m6, u = full_matrix_algebra(6), haar_unitary(6, seed=337)
+        other = build_channel(m6, 6, superop_from_function(lambda x: dagger(u) @ x @ u, m6, 6))
+        for joint in (joint_operation(t1, t2), other):
+            got, want = joint_extension_residuals(joint, t1, t2), loop(joint, t1, t2)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
 
     def test_non_product_pair_is_refused(self):
         d = diag_algebra(2)
@@ -787,8 +836,6 @@ class TestCommutingPairsDecidedOnce:
         def refuse(*args, **kwargs):
             raise AssertionError("called on the decision path")
 
-        monkeypatch.setattr(algebra, "_commuting_join", refuse)
-        monkeypatch.setattr(independence, "_commuting_join", refuse)
         monkeypatch.setattr(independence, "_multiplication_map", refuse)
         monkeypatch.setattr(np.linalg, "inv", refuse)
         pairs = [inst for family in ("tensor_split", "shared_block", "factor_split")
@@ -818,6 +865,20 @@ def product_stack_rank(a1, a2):
 
 
 class TestCellTable:
+    def test_commuting_join_equals_the_product_stack_span(self):
+        # reference: the span of all products b_a c_b by an SVD of their
+        # stack, in the canonical gauge
+        pairs = [inst for family in ("tensor_split", "shared_block", "factor_split")
+                 for inst in fuzz_instances(family, 10, 1)]
+        pairs += [cell_pair(np.array(mu), s1, s2) for mu, s1, s2 in PRODUCT_NOT_SPLIT.values()]
+        for inst in pairs:
+            n = inst.a1.ambient_dim
+            stack = products(inst.a1.basis, inst.a2.basis).reshape(-1, n, n)
+            want = canonical_basis(orthonormalize(stack))
+            got = join(inst.a1, inst.a2).basis
+            assert got.shape == want.shape, inst.meta
+            assert np.abs(got - want).max() <= 1e-10, inst.meta
+
     def test_cell_verdict_equals_the_product_stack_count(self):
         pairs = [inst for family in ("tensor_split", "shared_block", "factor_split")
                  for seed in (1, 2) for inst in fuzz_instances(family, 20, seed)]
