@@ -24,6 +24,7 @@ from .numerics import (
     DEFAULT_TOL,
     GAUGE_ATTEMPTS,
     GAUGE_MIN_GAP,
+    GAUGE_SEED,
     Tolerances,
     _gauge_probe,
     canonical_basis,
@@ -349,11 +350,18 @@ class StructureDecomposition:
 class AlgebraStructure:
     """Central structure of one algebra at one tolerance (``MatrixStarAlgebra.structure``).
 
-    ``projections``: the minimal central projections z_k, from the spectral
-    clusters of a generic Hermitian central element, in :func:`_gauge_order`.
-    ``sizes[k]``: n_k for the block z_k A = M_{n_k} (x) 1; multiplication by
-    z_k is an HS-orthogonal projection of A, so n_k^2 = dim(z_k A) =
-    sum_a <b_a, z_k b_a> = tr(z_k K), K = sum_a b_a b_a*.  ``blocks``: the
+    ``projections``: the minimal central projections z_k, in :func:`_gauge_order`.
+    For the HS-orthonormal basis {b_a} of A = sum_k M_{n_k} (x) 1_{m_k}, Phi(x) =
+    sum_a b_a x b_a* does not depend on the orthonormal basis; left multiplication
+    by a unitary u of A maps one such basis to another, so u Phi(x) u* = Phi(x)
+    and Phi(x) lies in A'.  In the basis e_ij / sqrt(m_k) of matrix units,
+    e_ij h e_ji = (h_k)_jj e_ii for h = sum_k h_k (x) 1 in A, so Phi(h) =
+    sum_k (tr h_k / m_k) z_k is central.  The z_k are the spectral clusters of
+    Phi(h) for a seeded Hermitian h (``_centre_probe``) with distinct block
+    values; a coincidence merges two blocks into a cluster on which the next
+    probe is not constant, and then that probe is clustered instead
+    (``_central_clusters``).  Each probe costs O(d n^3).  ``sizes[k]``: n_k, as
+    n_k^2 = tr(z_k K) for K = Phi(1) = sum_k (n_k / m_k) z_k.  ``blocks``: the
     matrix units, built on first use.
     """
 
@@ -363,19 +371,23 @@ class AlgebraStructure:
     def __post_init__(self) -> None:
         a = self.algebra
         n, d = a.ambient_dim, a.dim
-        prods = products(a.basis, a.basis)
-        comm = (prods - prods.transpose(1, 0, 2, 3)).reshape(d, -1)  # row i: [b_i, b_j] for all j
-        # the kernel sum_i c_i [b_i, b_j] = 0 for all j is that of the d x d Gram matrix of the
-        # rows, whose eigenvalues are the squared singular values: null_space's cut sits at 3e-5
-        # of the largest singular value, far below any block's commutators and far above rounding
-        coeffs = null_space(comm.conj() @ comm.T, scale=1.0)
-        self.is_factor = coeffs.shape[1] == 1
-        if self.is_factor:
-            self.projections = [np.eye(n, dtype=complex)]
+        adjoints = dagger(a.basis).reshape(d * n, n)
+
+        def average(h: np.ndarray) -> np.ndarray:  # Phi(h), as one batched product and one GEMM
+            return (a.basis @ h).transpose(1, 0, 2).reshape(n, d * n) @ adjoints
+
+        phi = average(_centre_probe(a.basis, 0))
+        for attempt in range(1, GAUGE_ATTEMPTS + 1):
+            check = average(_centre_probe(a.basis, attempt))
+            projections = _central_clusters(phi, check)
+            if projections is not None:
+                break
+            phi = check
         else:
-            center = MatrixStarAlgebra(n, np.tensordot(coeffs.T, a.basis, axes=(1, 0)))
-            self.projections = _gauge_order(_minimal_projections_of_abelian(center, self.tol))
-        gram = np.einsum("aij,akj->ik", a.basis, a.basis.conj())
+            raise IllConditioned(f"no probe of {GAUGE_ATTEMPTS} separates the central blocks")
+        self.is_factor = len(projections) == 1
+        self.projections = [np.eye(n, dtype=complex)] if self.is_factor else _gauge_order(projections)
+        gram = average(np.eye(n, dtype=complex))
         self.sizes = []
         for z in self.projections:
             square, rank = float(np.vdot(z, gram).real), float(np.trace(z).real)
@@ -451,32 +463,29 @@ def _cluster_sorted(values: np.ndarray, gap: float) -> list[np.ndarray]:
     return np.split(np.arange(values.size), np.flatnonzero(np.diff(values) > gap) + 1)
 
 
-def _minimal_projections_of_abelian(
-    center: MatrixStarAlgebra,
-    tol: Tolerances,
-) -> list[np.ndarray]:
-    """Minimal idempotents of an abelian algebra via a generic element."""
-    n, c = center.ambient_dim, center.dim
-    herm = center.hermitian_basis
-    rng = np.random.default_rng(0)
-    for _ in range(24):
-        z = np.tensordot(rng.standard_normal(c), herm, axes=(0, 0))
-        w, v = np.linalg.eigh(z)
-        spread = max(w[-1] - w[0], 1.0)
-        groups = _cluster_sorted(w, CLUSTER_GAP * spread)
-        if len(groups) != c:
-            continue
-        intra = max(float(w[g].max() - w[g].min()) for g in groups)
-        inter = min(float(w[b].min() - w[a].max()) for a, b in zip(groups, groups[1:]))
-        if intra > 0 and inter < CLUSTER_CONTRAST * intra:
-            continue
-        projections = [v[:, g] @ dagger(v[:, g]) for g in groups]
-        if any(center.distance_to_span(p) > tol.eps_algebra * n for p in projections):
-            continue
-        if hs_norm(sum(projections) - np.eye(n)) > tol.eps_algebra * n:
-            continue
-        return projections
-    raise IllConditioned("could not separate the central spectrum into clusters")
+def _centre_probe(basis: np.ndarray, attempt: int) -> np.ndarray:
+    """The seeded Hermitian element x + x* of the span, x = sum_a c_a b_a for complex Gaussian c."""
+    c = np.random.default_rng([GAUGE_SEED, attempt]).standard_normal((2, len(basis)))
+    x = ((c[0] + 1j * c[1]) @ basis.reshape(len(basis), -1)).reshape(basis.shape[1:])
+    return x + dagger(x)
+
+
+def _central_clusters(phi: np.ndarray, check: np.ndarray) -> list[np.ndarray] | None:
+    """Spectral projections of the central ``phi``, or None when its clusters are not clean.
+
+    Clusters nearer than CLUSTER_CONTRAST times the widest one are not clean, nor
+    is one on which the central ``check`` is not constant: there two blocks merged.
+    """
+    w, v = np.linalg.eigh(phi)
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > CLUSTER_GAP * max(w[-1] - w[0], 1.0)) + 1, [w.size]))
+    sizes, rotated = np.diff(bounds), dagger(v) @ check @ v
+    diag = rotated.diagonal().real
+    inter = (w[bounds[1:-1]] - w[bounds[1:-1] - 1]).min(initial=np.inf)
+    means = np.repeat(np.add.reduceat(diag, bounds[:-1]) / sizes, sizes)
+    if inter < CLUSTER_CONTRAST * (w[bounds[1:] - 1] - w[bounds[:-1]]).max() or \
+            np.abs(rotated - np.diag(means)).max() > CLUSTER_GAP * max(diag.max() - diag.min(), 1.0):
+        return None
+    return [v[:, i:j] @ dagger(v[:, i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
 
 
 def matrix_units(

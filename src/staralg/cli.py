@@ -309,13 +309,26 @@ def _check_schema_version(doc: dict, where: str) -> None:
         raise ParseError(f"{where}: schema_version: unsupported version {version!r}")
 
 
-def load_instance(path: str) -> dict:
+def _operation_matrices(entry: dict, n: int, where: str) -> np.ndarray:
+    """The Kraus operators, the projections or the prepared density of an operation entry."""
+    kind = entry.get("kind", "kraus")
+    if kind == "state_prep":
+        return _matrix_in(_require(entry, "density", where), n, f"{where}.density")
+    if kind not in ("kraus", "luders"):
+        raise ParseError(f"{where}.kind: must be one of 'kraus', 'luders', 'state_prep'")
+    key = "kraus" if kind == "kraus" else "projections"
+    return _matrix_list_in(_require(entry, key, where), n, f"{where}.{key}")
+
+
+def load_instance(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Parse and structurally validate an instance file.
 
-    Returns the raw document; object construction (and hence numerical
-    validation) happens separately so every complaint carries the path and
-    field that caused it.
+    Returns the raw document and the matrices parsed from it, keyed by entry
+    ("algebras.left", "states.rho", "operations.swap"); object construction
+    (and hence numerical validation) happens separately so every complaint
+    carries the path and field that caused it.
     """
+    parsed: dict[str, np.ndarray] = {}
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -335,7 +348,7 @@ def load_instance(path: str) -> dict:
         where = f"{path}: algebras.{name}"
         _object(entry, where)
         _check_keys(entry, {"generators"}, where)
-        _matrix_list_in(_require(entry, "generators", where), n, f"{where}.generators")
+        parsed[f"algebras.{name}"] = _matrix_list_in(_require(entry, "generators", where), n, f"{where}.generators")
 
     states = _object(doc.get("states", {}), f"{path}: states")
     for name, entry in states.items():
@@ -343,7 +356,7 @@ def load_instance(path: str) -> dict:
         _object(entry, where)
         _check_keys(entry, {"algebra", "density"}, where)
         _check_name(_require(entry, "algebra", where), algebras, "algebra", f"{where}.algebra")
-        _matrix_in(_require(entry, "density", where), n, f"{where}.density")
+        parsed[f"states.{name}"] = _matrix_in(_require(entry, "density", where), n, f"{where}.density")
 
     operations = _object(doc.get("operations", {}), f"{path}: operations")
     for name, entry in operations.items():
@@ -352,17 +365,7 @@ def load_instance(path: str) -> dict:
         _check_keys(entry, {"algebra", "kind", "kraus", "projections", "density"}, where)
         if entry.get("algebra") is not None:
             _check_name(entry["algebra"], algebras, "algebra", f"{where}.algebra")
-        kind = entry.get("kind", "kraus")
-        if kind == "kraus":
-            _matrix_list_in(_require(entry, "kraus", where), n, f"{where}.kraus")
-        elif kind == "luders":
-            _matrix_list_in(_require(entry, "projections", where), n, f"{where}.projections")
-        elif kind == "state_prep":
-            _matrix_in(_require(entry, "density", where), n, f"{where}.density")
-        else:
-            raise ParseError(
-                f"{where}.kind: must be one of 'kraus', 'luders', 'state_prep'"
-            )
+        parsed[f"operations.{name}"] = _operation_matrices(entry, n, where)
 
     checks = doc.get("checks", [])
     if not isinstance(checks, list):
@@ -390,7 +393,7 @@ def load_instance(path: str) -> dict:
                 raise ParseError(f"{where}.{key}: must be a non-negative integer")
 
     _tolerances(doc.get("tolerances", {}), f"{path}: tolerances", None)
-    return doc
+    return doc, parsed
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +422,23 @@ class _Instance:
 
 def _build_operation(
     entry: dict,
-    n: int,
+    mats: np.ndarray,
     algebras: dict[str, MatrixStarAlgebra],
     tol: Tolerances,
     where: str,
 ) -> _ParsedOperation:
+    """The operation of an entry whose matrices (``_operation_matrices``) are already parsed."""
     alg_name = entry.get("algebra")
     kind = entry.get("kind", "kraus")
     a = algebras[alg_name] if alg_name is not None else None
-    if kind not in ("kraus", "luders"):  # state_prep
-        rho = _matrix_in(entry["density"], n, where)
+    n = mats.shape[-1]
+    if kind == "state_prep":
         if a is None:
-            sigma = state_from_density(full_matrix_algebra(n), rho, tol)
-            return _ParsedOperation(state_prep_operation(rho, tol), "state_prep", None, sigma)
-        st = state_from_density(a, rho, tol)
+            sigma = state_from_density(full_matrix_algebra(n), mats, tol)
+            return _ParsedOperation(state_prep_operation(mats, tol), "state_prep", None, sigma)
+        st = state_from_density(a, mats, tol)
         return _ParsedOperation(state_preparation(st, tol), "state_prep", alg_name, st)
-    key, label = ("kraus", "Kraus operator") if kind == "kraus" else ("projections", "projection")
-    mats = np.stack([_matrix_in(m, n, where) for m in entry[key]])
+    label = "Kraus operator" if kind == "kraus" else "projection"
     if kind == "luders":
         measurement = ProjectiveMeasurement(mats)
         measurement.validate(tol)
@@ -450,30 +453,28 @@ def _build_operation(
 
 
 def _build_instance(path: str, args: argparse.Namespace) -> _Instance:
-    doc = load_instance(path)
+    doc, parsed = load_instance(path)
     n = doc["ambient_dim"]
     tol = _tolerances(doc.get("tolerances", {}), f"{path}: tolerances", args.tol)
     algebras: dict[str, MatrixStarAlgebra] = {}
     for name, entry in doc.get("algebras", {}).items():
         where = f"{path}: algebras.{name}"
-        gens = _matrix_list_in(entry["generators"], n, where)
         try:
-            algebras[name] = generate_algebra(gens, n, tol)
+            algebras[name] = generate_algebra(parsed[f"algebras.{name}"], n, tol)
         except ToolkitError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
     states: dict[str, AlgebraState] = {}
     for name, entry in doc.get("states", {}).items():
         where = f"{path}: states.{name}"
-        rho = _matrix_in(entry["density"], n, where)
         try:
-            states[name] = state_from_density(algebras[entry["algebra"]], rho, tol)
+            states[name] = state_from_density(algebras[entry["algebra"]], parsed[f"states.{name}"], tol)
         except ToolkitError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
     operations: dict[str, _ParsedOperation] = {}
     for name, entry in doc.get("operations", {}).items():
         where = f"{path}: operations.{name}"
         try:
-            operations[name] = _build_operation(entry, n, algebras, tol, where)
+            operations[name] = _build_operation(entry, parsed[f"operations.{name}"], algebras, tol, where)
         except ToolkitError as exc:
             if isinstance(exc, (ParseError, ValidationError)):
                 raise
@@ -959,7 +960,8 @@ def _rebuild_instance(
         log.attempt(f"state {name}", state)
     for name, entry in declared["operations"].items():
         def operation(name=name, entry=entry) -> str:
-            out.operations[name] = _build_operation(entry, n, out.algebras, tol, "operation")
+            mats = _operation_matrices(entry, n, "operation")
+            out.operations[name] = _build_operation(entry, mats, out.algebras, tol, "operation")
             return f"{out.operations[name].kind} operation rebuilt"
         log.attempt(f"operation {name}", operation)
     return out
@@ -1324,7 +1326,7 @@ def _non_negative_int(text: str) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=_non_negative_int, default=None, help="seed overriding per-check defaults")
-    sub.add_argument("--samples", type=_non_negative_int, default=None, help="sample count overriding per-check defaults")
+    sub.add_argument("--samples", type=_non_negative_int, default=None, help="accepted and echoed; nothing is sampled")
     sub.add_argument("--tol", type=float, default=None, help="override the certification tolerance eps_verify")
     sub.add_argument("--out", default=None, help="write the machine-readable report to this path")
     sub.add_argument("--json", action="store_true", help="print the machine-readable report to stdout")

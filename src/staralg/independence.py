@@ -22,10 +22,10 @@ vectors.  The product isomorphism itself is built only on demand
 (``product_isomorphism``), by the same rule, and written down from the
 matrix units of the cells (``JointCells.cell_basis``).  For non-commuting
 pairs the product-sense family is not applicable and the plain notions are
-semi-decided by the extension solver (a refusal certificate falsifies;
-sampling alone never verifies).  Every plain refusal, on a zero cell or
-from the solver, is one kind of witness: a separating pair checked by
-``states.verify_separating_pair``.
+refused by a seeded search over minimal projections p, q with p ^ q = 0
+(``check_cstar_independence``); no extension solver runs.  Every plain
+refusal, on a zero cell or from the search, is one kind of witness: a
+separating pair checked by ``states.verify_separating_pair``.
 """
 from __future__ import annotations
 
@@ -58,9 +58,9 @@ from .errors import (
 )
 from .numerics import DEFAULT_TOL, Tolerances, dagger, vec
 from .states import (
+    SEPARATION_MARGIN,
     AlgebraState,
     canonical_trace_state,
-    extend_state_batch,
     marginal_residual,
     product_residual,
     separating_pair,
@@ -158,6 +158,10 @@ NONZERO_TRACE_CUT = 0.5
 
 #: c in the bound c n eps on what ``verify_interpolating_factor`` implies
 SPLIT_IMPLIED_BOUND = 20
+
+#: Seeded unit vectors, hence minimal projections, drawn per block of size > 1
+#: by the search of ``check_cstar_independence``; a block of size 1 has one.
+SEARCH_DRAWS = 4
 
 
 @dataclass(eq=False)
@@ -483,62 +487,67 @@ def check_cstar_independence(
 ) -> Verdict:
     """Does every marginal pair admit a joint state?
 
-    Three routes, in order.  (i) A commuting pair in product position (no
-    zero joint cell) verifies exactly: every marginal pair extends to the
-    product state through the product isomorphism (see
-    ``IMPLIED_BY_PRODUCT_ISOMORPHISM``).  (ii) A commuting pair out of
-    product position has a zero cell z_i w_j = 0, and (z_i, w_j) is a
-    separating pair for the states z / tr z concentrated on them: their
-    forced value 2 exceeds lambda_max(z_i + w_j) = 1, so the gap is 1 and no
-    solver runs.  (i)-(ii) decide every commuting pair.  (iii) For a
-    non-commuting pair the extension solver runs over sampled pairs; its
-    first refusal, a separating pair, falsifies, while feasibility on
-    samples alone leaves the verdict honestly undecided.  Only route (iii)
-    draws from ``rng`` or reads ``samples``.  Every Fails witness is a
-    ``separating_pair`` with the refused ``witness_states``.
+    Exactly when p ^ q != 0 for all minimal projections p of A1 and q of A2.
+    The extending pairs form the image of the states of M_n under rho ->
+    (rho|A1, rho|A2), a convex compact set, and the extreme points of
+    S(A1) x S(A2) are pairs of pure states.  A pure state of A1 has a
+    minimal support p, with p A1 p = C p, so every density under p restricts
+    to it.  So a pure pair with p ^ q != 0 extends to a density under p ^ q,
+    and then (Krein-Milman) every pair extends; a joint extension of a pure
+    pair lies under p and q, hence under p ^ q.  A refusal is the separating
+    pair (p, q) for the states p / tr p and q / tr q, whose forced value 2
+    exceeds lambda_max(p + q) = 1 + ||pq|| exactly when p ^ q = 0.
+
+    Three routes.  (i) A commuting pair in product position (no zero joint
+    cell) Holds by ``IMPLIED_BY_PRODUCT_ISOMORPHISM``.  (ii) A commuting
+    pair out of product position refuses on a zero cell z_i w_j = 0, with
+    gap 1.  (iii) A non-commuting pair is searched: minimal projections p =
+    sum_ab x_a conj(x_b) e_ab are drawn from ``rng`` in every block of each
+    algebra (SEARCH_DRAWS seeded unit vectors x per block), and the pair
+    with the smallest ||pq|| refuses if its gap clears the margin; else the
+    verdict is Undecided and records that ||pq||.  ``samples`` has no effect.
+    Every Fails witness is a ``separating_pair`` with its ``witness_states``.
     """
-    cells = _joint_cells(a1, a2, tol) if mutually_commute(a1, a2, tol) else None
-    return _plain_verdict(a1, a2, cells, rng, samples, tol)
+    if mutually_commute(a1, a2, tol):
+        return _plain_verdict(_joint_cells(a1, a2, tol), tol)
+    return _projection_search(a1, a2, _as_rng(rng), tol)
 
 
-def _plain_verdict(
-    a1: MatrixStarAlgebra,
-    a2: MatrixStarAlgebra,
-    cells: JointCells | None,
-    rng: np.random.Generator | int | None,
-    samples: int,
-    tol: Tolerances,
-) -> Verdict:
-    """``check_cstar_independence`` given the cell table (None for a non-commuting pair)."""
-    if cells is not None:
-        if not cells.zero_cells:
-            return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM))
-        i, j = cells.zero_cells[0]
-        z1, z2 = cells.projections1[i], cells.projections2[j]
-        s1 = state_from_density(a1, z1 / np.trace(z1).real, tol)
-        s2 = state_from_density(a2, z2 / np.trace(z2).real, tol)
-        return Verdict.fails({**separating_pair(z1, z2, s1, s2, tol), "witness_states": (s1, s2)})
+def _plain_verdict(cells: JointCells, tol: Tolerances) -> Verdict:
+    """Routes (i) and (ii) of ``check_cstar_independence``, from the cell table."""
+    if not cells.zero_cells:
+        return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM))
+    i, j = cells.zero_cells[0]
+    return _refusal(cells.a1, cells.a2, cells.projections1[i], cells.projections2[j], tol)
 
-    from .sampling import sample_state_pairs
 
-    generator = _as_rng(rng)
-    pairs = sample_state_pairs(a1, a2, samples, generator, tol)
-    counts = {"Feasible": 0, "InfeasibleCertified": 0, "Undecided": 0}
-    # small chunks so a refusal (most likely among the leading
-    # support-projection pairs) stops the sweep early; slow stragglers are
-    # cut off as Undecided, which never changes the verdict
-    chunk = 4
-    for start in range(0, len(pairs), chunk):
-        block = pairs[start : start + chunk]
-        for (s1, s2), out in zip(block, extend_state_batch(block, tol, max_iter=4000)):
-            counts[out.status] += 1
-            if out.status == "InfeasibleCertified":
-                return Verdict.fails({**out.certificate, "witness_states": (s1, s2)})
-    return Verdict.undecided(
-        f"sampled-only evidence: {counts['Feasible']} of {len(pairs)} sampled "
-        "marginal pairs extend and none was refused; sampling cannot verify "
-        "the universal statement"
-    )
+def _refusal(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, p: np.ndarray, q: np.ndarray, tol: Tolerances) -> Verdict:
+    """Fails on the separating pair (p, q) of projections, for the states p / tr p and q / tr q."""
+    s1, s2 = (state_from_density(a, x / np.trace(x).real, tol) for a, x in ((a1, p), (a2, q)))
+    return Verdict.fails({**separating_pair(p, q, s1, s2, tol), "witness_states": (s1, s2)})
+
+
+def _minimal_projections(a: MatrixStarAlgebra, rng: np.random.Generator, tol: Tolerances) -> np.ndarray:
+    """sum_ab x_a conj(x_b) e_ab for seeded unit vectors x in every block, from the cached matrix units."""
+    drawn = []
+    for blk in a.structure(tol).blocks:
+        shape = (SEARCH_DRAWS if blk.size > 1 else 1, blk.size)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        drawn.append(np.einsum("sa,sb->sab", x, x.conj()).reshape(shape[0], -1) @ blk.units.reshape(blk.size**2, -1))
+    return np.concatenate(drawn).reshape(-1, a.ambient_dim, a.ambient_dim)
+
+
+def _projection_search(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, rng: np.random.Generator,
+                       tol: Tolerances) -> Verdict:
+    """Route (iii) of ``check_cstar_independence``: the drawn pair with the smallest ||pq||."""
+    p, q = _minimal_projections(a1, rng, tol), _minimal_projections(a2, rng, tol)
+    norms = np.linalg.norm(products(p, q), 2, axis=(2, 3))
+    i, j = np.unravel_index(norms.argmin(), norms.shape)
+    if 1.0 - norms[i, j] > SEPARATION_MARGIN * tol.eps_verify:
+        return _refusal(a1, a2, p[i], q[j], tol)
+    return Verdict.undecided(f"no drawn minimal projections p, q have p ^ q = 0: the smallest ||pq|| over "
+                             f"{len(p)} x {len(q)} seeded draws is {norms[i, j]:.6f}, within the margin of 1")
 
 
 def check_wstar_independence(
@@ -998,9 +1007,8 @@ def _readings_of_plain(plain: Verdict) -> dict[str, Verdict]:
         op = Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM))
     else:
         op = Verdict.undecided(
-            "no sampled refusal certificate; the joint-extension question "
-            "for operations on a non-commuting pair is open at this sampling "
-            "budget"
+            "no refusal found; the joint-extension question for operations "
+            "on a non-commuting pair is left open"
         )
     return {"wstar_independent": _annotate_normal(plain), "op_cstar": op, "op_wstar": op}
 
@@ -1046,16 +1054,17 @@ def run_hierarchy_checks(
     but the split property Holds; with one, the product-sense family fails
     on that cell and the plain notion on the separating pair of its two
     projections; the split property is the integer factorization of the
-    table.  Nothing is sampled and no solver runs for a commuting pair, so
-    ``seed`` and ``samples`` do not matter there.  For non-commuting pairs
-    the product-sense family is marked not applicable, the split property
-    fails on the largest commutator of two basis elements, and the plain
-    notion is semi-decided by sampling.  A plain refusal is serialized once:
+    table.  Nothing is drawn for a commuting pair, so ``seed`` does not
+    matter there.  For non-commuting pairs the product-sense family is
+    marked not applicable, the split property fails on the largest
+    commutator of two basis elements, and the plain notion is refused by the
+    minimal-projection search (``check_cstar_independence``), whose draws
+    come from ``seed``.  No extension solver runs.  A plain refusal is serialized once:
     ``wstar_independent``, ``op_cstar`` and ``op_wstar`` refer to it by key
     (``_readings_of_plain``).  The verdicts are audited against the
     implication table; a violation raises.
 
-    ``op_samples`` is accepted and has no effect: no operation is sampled.
+    ``samples`` and ``op_samples`` are accepted and have no effect.
     """
     rng = np.random.default_rng(seed)
     notes = [
@@ -1073,7 +1082,7 @@ def run_hierarchy_checks(
         verdicts = {
             "cstar_product_sense": ps,
             "wstar_product_sense": _wstar_product_sense(cells, tol),
-            "cstar_independent": _plain_verdict(a1, a2, cells, rng, samples, tol),
+            "cstar_independent": _plain_verdict(cells, tol),
             "split": _split_verdict(_factor_search(cells, tol), cells),
         }
         for key in ("op_cstar_product", "op_wstar_product"):
@@ -1111,7 +1120,7 @@ def run_hierarchy_checks(
                 ),
             }
         )
-        verdicts["cstar_independent"] = _plain_verdict(a1, a2, None, rng, samples, tol)
+        verdicts["cstar_independent"] = _projection_search(a1, a2, rng, tol)
         notes.append(
             "the product-sense family requires a commuting pair and is "
             "marked not applicable here"

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import diag_algebra, left_factor, matrix_unit, right_factor
 from staralg import (
+    FUZZ_FAMILIES,
     IllConditioned,
     MatrixStarAlgebra,
     ValidationError,
@@ -21,6 +22,7 @@ from staralg import (
     commutant,
     conditional_expectation,
     full_matrix_algebra,
+    fuzz_instances,
     generate_algebra,
     join,
     matrix_units,
@@ -28,8 +30,9 @@ from staralg import (
     scalar_algebra,
     structure_decomposition,
 )
-from staralg.algebra import StructureDecomposition, _verify_structure, products
-from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, is_psd, kron, vec
+from staralg import algebra
+from staralg.algebra import StructureDecomposition, _central_clusters, _gauge_order, _verify_structure, products
+from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, is_psd, kron, null_space, vec
 from staralg.sampling import canonical_block_algebra, cell_pair, conjugate_algebra, tensor_pair
 
 
@@ -378,26 +381,20 @@ class TestGaugeFreeCellOrder:
         # a fresh copy, so the structure cache of ``a`` is not read
         return center_and_factor(MatrixStarAlgebra(a.ambient_dim, a.basis))[2]
 
-    def test_order_survives_a_rotated_hermitian_basis(self, monkeypatch):
+    def test_order_survives_a_rotated_hermitian_basis(self):
         # blocks of ranks 2, 2, 1, 1: ties in rank are broken by the probe
         u = haar_unitary(6, seed=81)
         a = conjugate_algebra(canonical_block_algebra([(1, 2), (2, 1), (1, 1), (1, 1)], 6), u)
         want = self.projections(a)
         assert [round(np.trace(p).real) for p in want] == [1, 1, 2, 2]
-        unrotated = MatrixStarAlgebra.hermitian_basis.func
         rng = np.random.default_rng(82)
-
-        def rotated(alg):
-            herm = unrotated(alg)
-            q, _ = np.linalg.qr(rng.standard_normal((herm.shape[0], herm.shape[0])))
-            return np.tensordot(q, herm, axes=(1, 0))
-
-        monkeypatch.setattr(MatrixStarAlgebra, "hermitian_basis", property(rotated))
         for _ in range(6):
-            got = self.projections(a)
+            # a rotated Hermitian basis is another orthonormal basis of the span
+            q, _ = np.linalg.qr(rng.standard_normal((a.dim, a.dim)))
+            got = self.projections(MatrixStarAlgebra(6, np.tensordot(q, a.hermitian_basis, axes=(1, 0))))
             assert len(got) == len(want)
-            for p, q in zip(got, want):
-                assert hs_norm(p - q) <= 1e-9
+            for p, r in zip(got, want):
+                assert hs_norm(p - r) <= 1e-9
 
     def test_projections_with_equal_diagonals_are_ordered(self):
         # (1 +- sigma_x)/2 and (1 +- sigma_y)/2: no diagonal probe separates them
@@ -406,3 +403,71 @@ class TestGaugeFreeCellOrder:
             a = generate_algebra([g], 2)
             got = self.projections(a)
             assert len(got) == 2 and hs_norm(got[0] - got[1]) > 1
+
+
+def commutator_stack_centre(a):
+    """Reference minimal central projections, from the commutator-stack centre.
+
+    The centre is the kernel of the d x d Gram matrix of the rows [b_i, b_j]
+    (all j); a generic Hermitian element of it has one spectral cluster per
+    minimal central projection, as many as the centre's dimension.
+    """
+    n, d = a.ambient_dim, a.dim
+    prods = products(a.basis, a.basis)
+    comm = (prods - prods.transpose(1, 0, 2, 3)).reshape(d, -1)
+    coeffs = null_space(comm.conj() @ comm.T, scale=1.0)
+    if coeffs.shape[1] == 1:
+        return [np.eye(n, dtype=complex)]
+    centre = MatrixStarAlgebra(n, np.tensordot(coeffs.T, a.basis, axes=(1, 0)))
+    rng = np.random.default_rng(0)
+    for _ in range(24):
+        w, v = np.linalg.eigh(np.tensordot(rng.standard_normal(centre.dim), centre.hermitian_basis, axes=(0, 0)))
+        groups = np.split(np.arange(n), np.flatnonzero(np.diff(w) > 1e-6 * max(w[-1] - w[0], 1.0)) + 1)
+        if len(groups) == centre.dim:
+            return _gauge_order([v[:, g] @ dagger(v[:, g]) for g in groups])
+    raise AssertionError("the reference centre did not separate")
+
+
+class TestCentreProbe:
+    """The minimal central projections from one averaged probe Phi(h) = sum_a b_a h b_a*."""
+
+    def test_projections_equal_the_commutator_stack_centre(self):
+        pairs = [inst for family in FUZZ_FAMILIES for seed in (1, 2) for inst in fuzz_instances(family, 20, seed)]
+        rng = np.random.default_rng(91)
+        for mu, sizes1, sizes2 in (([[1, 1], [1, 2]], [1, 1], [1, 1]), ([[1, 0], [0, 1]], [1, 2], [2, 1]),
+                                   ([[2, 1], [1, 1]], [1, 2], [2, 1]), ([[1, 1, 1], [1, 1, 1]], [2, 1], [1, 1, 2])):
+            pairs.append(cell_pair(np.array(mu), sizes1, sizes2, rng))
+        for inst in pairs:
+            for a in (inst.a1, inst.a2):
+                want = commutator_stack_centre(a)
+                got = MatrixStarAlgebra(a.ambient_dim, a.basis).structure().projections
+                assert len(got) == len(want), inst.meta
+                assert max(hs_norm(p - q) for p, q in zip(got, want)) <= 1e-9, inst.meta
+
+    def test_coinciding_block_values_are_retried_not_merged(self, monkeypatch):
+        # Phi(1) = sum_k (n_k / m_k) z_k takes the value 1 on both rank-one
+        # blocks, so a probe h = 1 merges them into one cluster; the next
+        # probe is not constant there, so the clusters of that probe are used
+        a = conjugate_algebra(canonical_block_algebra([(1, 1), (1, 1), (2, 1)], 4), haar_unitary(4, seed=93))
+        want = commutator_stack_centre(a)
+        drawn = []
+        probe = algebra._centre_probe
+
+        def coinciding_first(basis, attempt):
+            drawn.append(attempt)
+            return np.eye(basis.shape[-1], dtype=complex) if attempt == 0 else probe(basis, attempt)
+
+        monkeypatch.setattr(algebra, "_centre_probe", coinciding_first)
+        s = MatrixStarAlgebra(4, a.basis).structure()
+        assert drawn == [0, 1, 2]
+        assert s.sizes == [1, 1, 2] and len(s.projections) == 3
+        assert max(hs_norm(p - q) for p, q in zip(s.projections, want)) <= 1e-9
+        # the first probe's merged cluster is refused: the second is not constant on it
+        phi_one, phi_next = (sum(b @ h @ dagger(b) for b in a.basis) for h in (np.eye(4), probe(a.basis, 1)))
+        assert _central_clusters(phi_one, phi_next) is None
+
+    def test_factor_and_scalars_are_one_block(self):
+        for a in (full_matrix_algebra(3), scalar_algebra(3), left_factor(2, 3)):
+            s = MatrixStarAlgebra(a.ambient_dim, a.basis).structure()
+            assert s.is_factor and len(s.projections) == 1
+            np.testing.assert_array_equal(s.projections[0], np.eye(a.ambient_dim))

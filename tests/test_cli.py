@@ -22,6 +22,7 @@ then check each with ``staralg verify-report`` and re-run the suite.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import io
@@ -186,6 +187,14 @@ class TestLoadInstance:
         bad = write_edited(INSTANCES / "tensor_pair_m6.json", path, value, tmp_path)
         assert main(["analyze", str(bad)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_build_parses_each_matrix_entry_once(self, monkeypatch):
+        # the build reuses the matrices that load_instance validated
+        parsed = []
+        entry_in = cli._entry_in
+        monkeypatch.setattr(cli, "_entry_in", lambda node, where: parsed.append(where) or entry_in(node, where))
+        cli._build_instance(str(INSTANCES / "tensor_pair_m6.json"), argparse.Namespace(tol=None))
+        assert len(parsed) == len(set(parsed)) == 324
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["analyze", "no_such_file.json"]) == 2
@@ -354,6 +363,20 @@ class TestFuzz:
         for key in ("cstar_independent", "wstar_independent"):
             assert counts[key].get("Fails", 0) == 50
         assert rep["aggregate"]["implication_violation_count"] == 0
+
+    def test_haar_overlap_is_decided_and_replayed_without_the_solver(self, tmp_path, monkeypatch):
+        def solver(*args, **kwargs):
+            raise AssertionError("the extension solver ran")
+
+        for module in (states, independence, cli):
+            monkeypatch.setattr(module, "extend_state_batch", solver, raising=False)
+        for inst in staralg.fuzz_instances("haar_overlap", 5, 3):
+            verdicts = staralg.run_hierarchy_checks(inst.a1, inst.a2).verdicts
+            assert verdicts["cstar_independent"].status == "Fails"
+        code, rep = run_json(["fuzz", "haar_overlap", "10", "--seed", "7", "--samples", "4"], tmp_path, "fuzz.json")
+        assert code == 0 and rep["aggregate"]["verdict_counts"]["cstar_independent"]["Undecided"] == 0
+        code, audit = run_json(["verify-report", str(tmp_path / "fuzz.json")], tmp_path, "verify.json")
+        assert code == 0 and audit["all_ok"]
 
     def test_repeated_seed_is_byte_identical(self, tmp_path):
         argv = ["fuzz", "haar_overlap", "5", "--seed", "13"]
@@ -592,7 +615,7 @@ class TestVerifyReport:
 
         for module, name in ((cli, "extend_state"), (states, "extend_state"),
                              (states, "extend_state_batch"), (independence, "extend_state_batch")):
-            monkeypatch.setattr(module, name, solver)
+            monkeypatch.setattr(module, name, solver, raising=False)
         for report in [overlap, *sorted(GOLDEN.glob("*.report.json"))]:
             code, rep = run_json(["verify-report", str(report)], tmp_path, "verify.json")
             assert code == 0 and rep["all_ok"], report

@@ -47,6 +47,7 @@ from staralg import (
     conditional_expectation,
     conjugate_algebra,
     extend_state,
+    extend_state_batch,
     find_interpolating_factor,
     full_matrix_algebra,
     fuzz_instances,
@@ -64,6 +65,7 @@ from staralg import (
     random_faithful_nonselective_channel,
     random_luders_channel,
     run_hierarchy_checks,
+    sample_state_pairs,
     scalar_algebra,
     state_from_density,
     state_preparation,
@@ -79,6 +81,7 @@ from staralg.channels import superop_from_function
 from staralg.independence import (
     SPLIT_IMPLIED_BOUND,
     _integer_rank_one_factorization,
+    _projection_search,
     annihilating_projections,
 )
 from staralg.numerics import DEFAULT_TOL, canonical_basis, dagger, haar_unitary, hs_norm, kron, orthonormalize
@@ -807,7 +810,7 @@ class TestCommutingPairsDecidedOnce:
         def refuse(*args, **kwargs):
             raise AssertionError("the extension solver ran on a commuting pair")
 
-        monkeypatch.setattr(independence, "extend_state_batch", refuse)
+        monkeypatch.setattr(independence, "extend_state_batch", refuse, raising=False)
         monkeypatch.setattr(states, "extend_state_batch", refuse)
         for inst in fuzz_instances("shared_block", 10, 1):
             report = run_hierarchy_checks(inst.a1, inst.a2)
@@ -905,3 +908,41 @@ class TestCellTable:
             for c in inst.a2.basis:
                 want = np.trace(b) * np.trace(c) / n**2
                 assert abs(np.trace(rho @ b @ c) - want) <= 1e-12
+
+
+class TestProjectionSearch:
+    """Route (iii) of check_cstar_independence: minimal projections p, q with p ^ q = 0."""
+
+    def test_refuses_a_commuting_pair_exactly_on_a_zero_cell(self):
+        pairs = [inst for family in ("shared_block", "tensor_split", "factor_split")
+                 for inst in fuzz_instances(family, 10, 1)]
+        pairs += [cell_pair(np.array(mu), s1, s2) for mu, s1, s2 in PRODUCT_NOT_SPLIT.values()]
+        pairs += [cell_pair(np.array(mu), s1, s2, np.random.default_rng(95))
+                  for mu, s1, s2 in (([[0, 1, 1], [1, 1, 0]], [2, 1], [1, 2, 1]), ([[1, 2], [2, 0]], [2, 1], [1, 2]))]
+        zero = []
+        for k, inst in enumerate(pairs):
+            verdict = _projection_search(inst.a1, inst.a2, np.random.default_rng(k), DEFAULT_TOL)
+            zero.append(bool(joint_cells(inst.a1, inst.a2).zero_cells))
+            assert verdict.status == ("Fails" if zero[-1] else "Undecided"), inst.meta
+            if zero[-1]:
+                assert verdict.witness["gap"] == pytest.approx(1)
+        assert 0 < sum(zero) < len(pairs)
+
+    def test_every_solver_refusal_is_also_a_search_refusal(self):
+        # the old route, inline: the extension solver over sampled marginal
+        # pairs, in chunks of four, up to the first refusal
+        solver_refused = 0
+        for seed in (1, 2):
+            for idx, inst in enumerate(fuzz_instances("haar_overlap", 20, seed)):
+                pairs = sample_state_pairs(inst.a1, inst.a2, 12, np.random.default_rng(idx))
+                refused = any(out.status == "InfeasibleCertified"
+                              for start in range(0, len(pairs), 4)
+                              for out in extend_state_batch(pairs[start:start + 4], max_iter=4000))
+                solver_refused += refused
+                verdict = check_cstar_independence(inst.a1, inst.a2, rng=idx)
+                assert verdict.status == "Fails", (seed, idx)
+                witness = verdict.witness
+                gap = verify_separating_pair(witness["h1"], witness["h2"], *witness["witness_states"])
+                assert gap == pytest.approx(witness["gap"])
+        assert solver_refused > 0
+
