@@ -9,7 +9,7 @@ constructed matrix units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from math import isqrt
 
 import numpy as np
@@ -24,9 +24,9 @@ from .numerics import (
     DEFAULT_TOL,
     GAUGE_ATTEMPTS,
     GAUGE_MIN_GAP,
-    GAUGE_SEED,
     Tolerances,
     _gauge_probe,
+    _seeded_gaussian,
     canonical_basis,
     dagger,
     hermitian_to_rvec,
@@ -70,10 +70,10 @@ CLUSTER_GAP = 1e-6
 #: accepted from a random central element; below it two clusters nearly merged.
 CLUSTER_CONTRAST = 1e3
 
-#: Smallest HS norm of a corner p c e_11 accepted as nonzero.  Over an
-#: orthonormal basis c of a block M_k (x) 1 the squared corner norms sum to
-#: dim(p A e_11) = 1, so the best corner has norm at least 1/k, while a
-#: vanishing one is rounding; 1e-8 leaves margin either way.
+#: Smallest HS norm of a corner P_a x P_0 accepted as nonzero.  The corner
+#: P_a A P_0 is spanned by e_a0 / sqrt(m), so for x = E_A(G) it is that unit
+#: vector times a standard complex Gaussian coefficient of G: of order 1,
+#: while a vanishing one is rounding; 1e-8 leaves margin either way.
 CORNER_NORM_CUT = 1e-8
 
 #: Largest distance from an integer accepted for a count read off a trace of
@@ -125,6 +125,12 @@ class MatrixStarAlgebra:
 
     def distance_to_span(self, x: np.ndarray) -> float:
         return hs_norm(np.asarray(x, dtype=complex) - self.project(x))
+
+    def distances_to_span(self, mats: np.ndarray) -> np.ndarray:
+        """HS distance of each matrix of a stack (k, n, n) to the span, in two GEMMs."""
+        rows = mats.reshape(len(mats), -1)
+        flat = self.basis.reshape(self.dim, -1)
+        return np.linalg.norm(rows - (rows @ flat.conj().T) @ flat, axis=1)
 
     def contains(self, x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
         scale = max(1.0, hs_norm(x))
@@ -181,17 +187,12 @@ class MatrixStarAlgebra:
             raise ValidationError("basis is not HS-orthonormal")
         if not self.contains(np.eye(n), tol):
             raise ValidationError("identity is not in the span")
-
-        def distances(rows: np.ndarray) -> np.ndarray:
-            """HS distance of each row (a flattened matrix) to the span."""
-            return np.linalg.norm(rows - (rows @ flat.conj().T) @ flat, axis=1)
-
-        if distances(dagger(self.basis).reshape(d, n * n)).max() > tol.eps_algebra:
+        if self.distances_to_span(dagger(self.basis)).max() > tol.eps_algebra:
             raise ValidationError("span is not closed under adjoints")
         for a in range(d):
             rows = products(self.basis[a : a + 1], self.basis).reshape(d, n * n)
             scale = np.maximum(1.0, np.linalg.norm(rows, axis=1))
-            if np.any(distances(rows) > tol.eps_algebra * scale):
+            if np.any(self.distances_to_span(rows) > tol.eps_algebra * scale):
                 raise ValidationError("span is not closed under products")
 
 
@@ -405,28 +406,13 @@ class AlgebraStructure:
 
     @cached_property
     def blocks(self) -> list[AlgebraBlock]:
-        """Matrix units of every block, in the order of ``projections``.
-
-        z.A is a full matrix factor M_{n_k} with some ambient multiplicity; a
-        generic Hermitian block element yields its minimal diagonal
-        projections, and polar-normalized corners give the partial isometries.
-        """
-        a, tol = self.algebra, self.tol
+        """Matrix units of every block, in the order of ``projections``, from seeded elements
+        of A (:func:`_block_units`), which no choice of orthonormal basis moves."""
+        seeded = cache(partial(_seeded_elements, self.algebra))  # one pair per attempt, shared by the blocks
         blocks = []
-        rng = np.random.default_rng(1)
         for z, size in zip(self.projections, self.sizes):
-            # orthonormal basis of the block algebra z.A (A itself for a factor), fixed by its span
-            block_basis = canonical_basis(a.basis if self.is_factor else orthonormalize(z @ a.basis))
-            if block_basis.shape[0] != size * size:
-                raise IllConditioned(f"central block dimension {block_basis.shape[0]} is not {size}^2")
             mult = int(round(float(np.real(np.trace(z))))) // size
-            if size == 1:
-                blocks.append(AlgebraBlock(z, z[None, None, :, :].copy(), 1, mult))
-                continue
-            diag = _minimal_block_projections(block_basis, z, size, mult, rng, tol)
-            corners = np.stack(_corner_isometries(block_basis, diag, mult, rng))
-            units = corners[:, None] @ dagger(corners)[None, :]
-            _verify_units(units, z, tol)
+            units = z[None, None].copy() if size == 1 else _block_units(self.algebra, seeded, z, size, mult, self.tol)
             blocks.append(AlgebraBlock(z, units, size, mult))
         return blocks
 
@@ -465,8 +451,7 @@ def _cluster_sorted(values: np.ndarray, gap: float) -> list[np.ndarray]:
 
 def _centre_probe(basis: np.ndarray, attempt: int) -> np.ndarray:
     """The seeded Hermitian element x + x* of the span, x = sum_a c_a b_a for complex Gaussian c."""
-    c = np.random.default_rng([GAUGE_SEED, attempt]).standard_normal((2, len(basis)))
-    x = ((c[0] + 1j * c[1]) @ basis.reshape(len(basis), -1)).reshape(basis.shape[1:])
+    x = (_seeded_gaussian((len(basis),), attempt) @ basis.reshape(len(basis), -1)).reshape(basis.shape[1:])
     return x + dagger(x)
 
 
@@ -475,7 +460,11 @@ def _central_clusters(phi: np.ndarray, check: np.ndarray) -> list[np.ndarray] | 
 
     Clusters nearer than CLUSTER_CONTRAST times the widest one are not clean, nor
     is one on which the central ``check`` is not constant: there two blocks merged.
+    When both are scalar to CLUSTER_GAP, the one clean cluster 1 needs no eigh.
     """
+    n = len(phi)
+    if all(np.abs(c - np.trace(c) / n * np.eye(n)).max() <= CLUSTER_GAP for c in (phi, check)):
+        return [np.eye(n, dtype=complex)]
     w, v = np.linalg.eigh(phi)
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > CLUSTER_GAP * max(w[-1] - w[0], 1.0)) + 1, [w.size]))
     sizes, rotated = np.diff(bounds), dagger(v) @ check @ v
@@ -496,54 +485,48 @@ def matrix_units(
     return a.structure(tol).blocks
 
 
-def _generic_element(block_basis, rng):
-    """A complex Gaussian combination of the basis."""
-    k = block_basis.shape[0]
-    return np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), block_basis, axes=(0, 0))
+def _seeded_elements(a: MatrixStarAlgebra, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E_A(G + G*), E_A(G')) for the seeded Gaussians G, G' of one attempt.
+
+    E_A is the trace-preserving conditional expectation (``project``), which
+    does not depend on the orthonormal basis stored.
+    """
+    g = _seeded_gaussian((2, a.ambient_dim, a.ambient_dim), attempt)
+    return a.project(g[0] + dagger(g[0])), a.project(g[1])
 
 
-def _minimal_block_projections(block_basis, z, size, mult, rng, tol):
-    """Minimal projections of a factor block from a generic Hermitian element x + x*."""
-    n = z.shape[0]
-    for _ in range(24):
-        h = _generic_element(block_basis, rng)
-        h = h + dagger(h)
+def _block_units(a, seeded, z, size, mult, tol):
+    """Matrix units of the factor block z.A from the seeded elements h, x = seeded(t) of A.
+
+    The spectral clusters of h on z, size of them of rank mult each, are the
+    diagonal units P_a.  The corner P_a A P_0 is spanned by e_a0, so
+    e_a0 = P_a x P_0 / sqrt(lambda_a) with lambda_a = |P_a x P_0|^2 / mult, and
+    e_ab = e_a0 e_b0*.  When the clusters are wrong, leave A, or a corner
+    vanishes, attempt t + 1 is tried, up to GAUGE_ATTEMPTS.
+    """
+    for attempt in range(GAUGE_ATTEMPTS):
+        h, x = seeded(attempt)
         shift = 2.0 * hs_norm(h) + 1.0
         w, v = np.linalg.eigh(h + shift * z)
         inside = w > shift / 2.0
         wz, vz = w[inside], v[:, inside]
         if wz.size != size * mult:
             continue
-        spread = max(float(wz[-1] - wz[0]), 1.0)
-        groups = _cluster_sorted(wz, CLUSTER_GAP * spread)
+        groups = _cluster_sorted(wz, CLUSTER_GAP * max(float(wz[-1] - wz[0]), 1.0))
         if len(groups) != size or any(g.size != mult for g in groups):
             continue
-        projections = [vz[:, g] @ dagger(vz[:, g]) for g in groups]
-        block = MatrixStarAlgebra(n, block_basis)
-        if all(block.distance_to_span(p) <= tol.eps_algebra * n for p in projections):
-            return projections
-    raise IllConditioned("could not isolate minimal projections of a factor block")
-
-
-def _corner_isometries(block_basis, diag, mult, rng):
-    """Partial isometries u_a with u_a* u_a = e_11 and u_a u_a* = e_aa."""
-    e11 = diag[0]
-    corners = [e11]
-    for p in diag[1:]:
-        cands = p @ block_basis @ e11
-        norms = np.linalg.norm(cands, axis=(1, 2))
-        best, v = float(norms.max()), cands[np.argmax(norms)]
-        for _ in range(8):
-            if best > CORNER_NORM_CUT:
-                break
-            cand = p @ _generic_element(block_basis, rng) @ e11
-            if hs_norm(cand) > best:
-                best, v = hs_norm(cand), cand
-        if best <= CORNER_NORM_CUT:
-            raise IllConditioned("vanishing corner while building matrix units")
-        lam = hs_norm(v) ** 2 / mult
-        corners.append(v / np.sqrt(lam))
-    return corners
+        diag = np.stack([vz[:, g] @ dagger(vz[:, g]) for g in groups])
+        if a.distances_to_span(diag).max() > a.ambient_dim * tol.eps_algebra:
+            continue
+        corners = diag @ x @ diag[0]
+        norms = np.linalg.norm(corners, axis=(1, 2))
+        if norms.min() <= CORNER_NORM_CUT:
+            continue
+        corners *= (np.sqrt(mult) / norms)[:, None, None]
+        units = corners[:, None] @ dagger(corners)[None, :]
+        _verify_units(units, z, tol)
+        return units
+    raise IllConditioned(f"no seeded element of {GAUGE_ATTEMPTS} splits a factor block")
 
 
 def _verify_units(units, z, tol):

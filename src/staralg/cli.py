@@ -1263,6 +1263,8 @@ def _verify_fuzz(doc: dict, where: str, _: Tolerances, log: _VerifyLog) -> None:
             raise ParseError(f"{where}: {key}: must be a non-negative integer")
 
     def regenerate() -> str:
+        if doc["count"] != len(doc["instances"]):  # before the replay builds and decides ``count`` instances
+            raise ValidationError(f"count {doc['count']} differs from the {len(doc['instances'])} recorded instances")
         summary = _fuzz_summary(
             doc["family"], doc["count"], doc["seed"], doc["samples"], tol
         )

@@ -239,12 +239,26 @@ GAUGE_MIN_OVERLAP = 1e-3
 GAUGE_ATTEMPTS = 8
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only: a seeded draw depends on (shape, attempt) alone, so it is cached and shared."""
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=128)
 def _gauge_probe(shape: tuple[int, int], attempt: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded (weights, unit anchor), both of ``shape``, for one attempt."""
     rng = np.random.default_rng([GAUGE_SEED, attempt])
     weights = rng.uniform(-1.0, 1.0, shape)
     anchor = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return weights, anchor / np.linalg.norm(anchor)
+    return _frozen(weights), _frozen(anchor / np.linalg.norm(anchor))
+
+
+@lru_cache(maxsize=128)
+def _seeded_gaussian(shape: tuple[int, ...], attempt: int) -> np.ndarray:
+    """Seeded complex Gaussian array of ``shape`` for one attempt (real and imaginary parts standard)."""
+    g = np.random.default_rng([GAUGE_SEED, attempt]).standard_normal((2, *shape))
+    return _frozen(g[0] + 1j * g[1])
 
 
 def canonical_basis(basis: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from staralg import (
     scalar_algebra,
     structure_decomposition,
 )
-from staralg import algebra
+from staralg import algebra, numerics
 from staralg.algebra import StructureDecomposition, _central_clusters, _gauge_order, _verify_structure, products
 from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, is_psd, kron, null_space, vec
 from staralg.sampling import canonical_block_algebra, cell_pair, conjugate_algebra, tensor_pair
@@ -471,3 +471,94 @@ class TestCentreProbe:
             s = MatrixStarAlgebra(a.ambient_dim, a.basis).structure()
             assert s.is_factor and len(s.projections) == 1
             np.testing.assert_array_equal(s.projections[0], np.eye(a.ambient_dim))
+
+
+class TestSeededUnits:
+    """Matrix units from the seeded elements h = E_A(G_t + G_t*) and x = E_A(G'_t) of the algebra."""
+
+    @staticmethod
+    def units(a):
+        # a fresh copy, so the structure cache of ``a`` is not read
+        return [blk.units for blk in MatrixStarAlgebra(a.ambient_dim, a.basis).structure().blocks]
+
+    def test_units_do_not_depend_on_the_orthonormal_basis(self):
+        seeds = iter(range(1000, 2000))
+        worst = 0.0
+        for family in FUZZ_FAMILIES:
+            for inst in fuzz_instances(family, 20, 11):
+                for a in (inst.a1, inst.a2):
+                    # a unitary mixing of the coefficients is another orthonormal basis of the span
+                    mixed = np.tensordot(haar_unitary(a.dim, seed=next(seeds)), a.basis, axes=(1, 0))
+                    want, got = self.units(a), self.units(MatrixStarAlgebra(a.ambient_dim, mixed))
+                    assert [u.shape for u in got] == [u.shape for u in want], inst.meta
+                    worst = max([worst] + [np.abs(g - w).max() for g, w in zip(got, want)])
+        assert worst <= 1e-12
+
+    def test_a_degenerate_block_spectrum_is_retried_not_merged(self, monkeypatch):
+        # attempt 0 gets h = e_22 of the first block, whose eigenvalues are
+        # 0, 0, 1 there and 0 on the second block: merged diagonal units
+        a = conjugate_algebra(canonical_block_algebra([(3, 1), (2, 2)], 7), haar_unitary(7, seed=95))
+        seeded = algebra._seeded_elements
+        degenerate = a.structure().blocks[0].units[2, 2]
+        drawn = []
+
+        def degenerate_first(alg, attempt):
+            drawn.append(attempt)
+            h, x = seeded(alg, attempt)
+            return (degenerate if attempt == 0 else h), x
+
+        monkeypatch.setattr(algebra, "_seeded_elements", degenerate_first)
+        got = self.units(a)
+        assert drawn == [0, 1]
+        assert [u.shape[0] for u in got] == [3, 2]
+        # the units of the second attempt, which the unpatched structure tries first
+        monkeypatch.setattr(algebra, "_seeded_elements", lambda alg, attempt: seeded(alg, attempt + 1))
+        for g, w in zip(got, self.units(a)):
+            assert np.abs(g - w).max() <= 1e-12
+
+    def test_a_factor_structure_takes_no_eigh(self, monkeypatch):
+        u = haar_unitary(6, seed=97)
+        factors = [full_matrix_algebra(3), scalar_algebra(4), conjugate_algebra(left_factor(2, 3), u),
+                   conjugate_algebra(right_factor(2, 3), u)]
+        eigh, calls = np.linalg.eigh, []
+
+        def counting(m, *args, **kwargs):
+            calls.append(m.shape)
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for a in factors:
+            s = MatrixStarAlgebra(a.ambient_dim, a.basis).structure()
+            assert s.is_factor and len(s.projections) == 1
+        assert calls == []
+
+    def test_a_scalar_first_probe_of_two_blocks_is_not_a_factor(self, monkeypatch):
+        # Phi(1) = z_1 + z_2 = 1 is scalar, but the next probe is not, so the
+        # shortcut must not take the pair for one clean cluster
+        a = conjugate_algebra(canonical_block_algebra([(1, 1), (1, 1)], 2), haar_unitary(2, seed=99))
+        probe = algebra._centre_probe
+
+        def unit_first(basis, attempt):
+            return np.eye(basis.shape[-1], dtype=complex) if attempt == 0 else probe(basis, attempt)
+
+        monkeypatch.setattr(algebra, "_centre_probe", unit_first)
+        s = MatrixStarAlgebra(2, a.basis).structure()
+        assert not s.is_factor and s.sizes == [1, 1]
+        assert max(hs_norm(p - q) for p, q in zip(s.projections, commutator_stack_centre(a))) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: numerics._gauge_probe((3, 4), 2),
+            lambda: (numerics._seeded_gaussian((2, 5, 5), 1),),
+            lambda: (numerics._seeded_gaussian((7,), 0),),
+        ],
+        ids=["gauge_probe", "seeded_elements", "centre_coefficients"],
+    )
+    def test_seeded_draws_are_made_once_and_read_only(self, draw):
+        first, second = draw(), draw()
+        for a, b in zip(first, second):
+            assert a is b
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0

@@ -373,10 +373,24 @@ class TestFuzz:
         for inst in staralg.fuzz_instances("haar_overlap", 5, 3):
             verdicts = staralg.run_hierarchy_checks(inst.a1, inst.a2).verdicts
             assert verdicts["cstar_independent"].status == "Fails"
-        code, rep = run_json(["fuzz", "haar_overlap", "10", "--seed", "7", "--samples", "4"], tmp_path, "fuzz.json")
+        code, rep = run_json(["fuzz", "haar_overlap", "50", "--seed", "7", "--samples", "4"], tmp_path, "fuzz.json")
         assert code == 0 and rep["aggregate"]["verdict_counts"]["cstar_independent"]["Undecided"] == 0
         code, audit = run_json(["verify-report", str(tmp_path / "fuzz.json")], tmp_path, "verify.json")
         assert code == 0 and audit["all_ok"]
+
+    def test_count_is_checked_before_the_replay(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the fuzz summary was replayed")
+
+        for name in ("fuzz_instances", "run_hierarchy_checks"):
+            monkeypatch.setattr(cli, name, never)
+        golden = GOLDEN / "fuzz_tensor_split_5_seed7.report.json"
+        for count in (1_000_000, 4):
+            bad = write_edited(golden, ["count"], count, tmp_path)
+            code, audit = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
+            (item,) = audit["items"]
+            assert code == 2 and not audit["all_ok"]
+            assert item["target"] == "fuzz summary" and f"count {count} differs" in item["detail"]
 
     def test_repeated_seed_is_byte_identical(self, tmp_path):
         argv = ["fuzz", "haar_overlap", "5", "--seed", "13"]
