@@ -9,8 +9,7 @@ constructed matrix units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
-from math import isqrt
+from functools import cached_property
 
 import numpy as np
 
@@ -47,10 +46,8 @@ __all__ = [
     "join",
     "commutant",
     "products",
-    "commutators",
+    "commute_witness",
     "mutually_commute",
-    "center_and_factor",
-    "matrix_units",
     "structure_decomposition",
     "conditional_expectation",
 ]
@@ -66,19 +63,16 @@ HERMITIAN_RANK_CUT = 1e-10
 #: more than 1e-6 of the range (the draw is retried when they do not).
 CLUSTER_GAP = 1e-6
 
-#: Smallest ratio of the narrowest gap between spectral clusters to the widest cluster
-#: accepted from a random central element; below it two clusters nearly merged.
-CLUSTER_CONTRAST = 1e3
-
-#: Smallest HS norm of a corner P_a x P_0 accepted as nonzero.  The corner
-#: P_a A P_0 is spanned by e_a0 / sqrt(m), so for x = E_A(G) it is that unit
-#: vector times a standard complex Gaussian coefficient of G: of order 1,
-#: while a vanishing one is rounding; 1e-8 leaves margin either way.
+#: Smallest HS norm of a corner P_a x P_b accepted as nonzero.  For minimal
+#: projections of one block the corner P_a A P_b is spanned by e_ab / sqrt(m),
+#: so for x = E_A(G) it is that unit vector times a standard complex Gaussian
+#: coefficient of G: of order 1, while a vanishing one is rounding; 1e-8
+#: leaves margin either way.
 CORNER_NORM_CUT = 1e-8
 
 #: Largest distance from an integer accepted for a count read off a trace of
-#: projections (a block dimension n_k^2 = tr(z K), n_k m_k = rank z, a joint
-#: cell rank): they hold to eps_algebra times n, so honest counts are within 1e-8.
+#: projections (a joint cell rank): it holds to eps_algebra times n, so honest
+#: counts are within 1e-8.
 COUNT_CUT = 1e-6
 
 #: Eigenvalue cut on a corner e_00 f_00 of a joint cell: a projection, so its
@@ -218,10 +212,12 @@ def generate_algebra(
     """Smallest unital *-subalgebra of M_n containing the generators.
 
     The unit and all adjoints are adjoined, then the span is closed under
-    pairwise products; closure is declared once the dimension is stable for
-    two consecutive rounds.  The basis is then put in the canonical gauge of
-    its span, so it does not depend on the generators' order or the BLAS
-    schedule.
+    pairwise products, round by round.  The first round that adds no
+    dimension ends it: every product of two basis elements then lies in the
+    span, which contains 1 and is adjoint closed (the products of an
+    adjoint-closed span are), so the span is the algebra.  The basis is then
+    put in the canonical gauge of its span, so it does not depend on the
+    generators' order or the BLAS schedule.
     """
     n = ambient_dim
     mats = [np.eye(n, dtype=complex)]
@@ -232,12 +228,12 @@ def generate_algebra(
         mats.append(g)
         mats.append(dagger(g))
     basis = orthonormalize(np.stack(mats))
-    stable = 0
-    while stable < 2:
+    while True:
         prods = products(basis, basis).reshape(-1, n, n)
-        new_basis = orthonormalize(np.concatenate([basis, prods], axis=0))
-        stable = stable + 1 if new_basis.shape[0] == basis.shape[0] else 0
-        basis = new_basis
+        grown = orthonormalize(np.concatenate([basis, prods], axis=0))
+        if grown.shape[0] == basis.shape[0]:
+            break
+        basis = grown
         if basis.shape[0] > n * n:
             raise IllConditioned("closure exceeded the ambient dimension bound")
     return MatrixStarAlgebra(n, canonical_basis(basis))
@@ -298,10 +294,25 @@ def products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return flat.reshape(dx, n, dy, n).transpose(0, 2, 1, 3)
 
 
-def commutators(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra) -> np.ndarray:
-    """[b_a, c_b] for every pair of basis elements, shape (dim1, dim2, n, n)."""
+def commute_witness(
+    a1: MatrixStarAlgebra,
+    a2: MatrixStarAlgebra,
+    tol: Tolerances = DEFAULT_TOL,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(x, y, entry): the largest entry of [e_a0, c_b] over A1's first-column units and A2's basis.
+
+    The commutators are taken against the sum_k n_k <= n units e_a0 of A1's
+    structure, not its whole basis, and decide commutation exactly: the e_a0
+    and their adjoints generate A1 (e_ab = e_a0 e_b0*), and the span of A2 is
+    adjoint closed, with [e*, y] = -[e, y*]*.  So the pair commutes iff every
+    entry vanishes, and otherwise (x, y) is a pair of non-commuting elements.
+    """
     _check_same_ambient(a1, a2)
-    return products(a1.basis, a2.basis) - products(a2.basis, a1.basis).transpose(1, 0, 2, 3)
+    e = np.concatenate(a1.structure(tol).column_units)
+    comm = products(e, a2.basis) - products(a2.basis, e).transpose(1, 0, 2, 3)
+    skew = np.abs(comm).reshape(len(e), a2.dim, -1).max(axis=2)
+    i, j = np.unravel_index(skew.argmax(), skew.shape)
+    return e[i], a2.basis[j], float(skew[i, j])
 
 
 def mutually_commute(
@@ -309,8 +320,8 @@ def mutually_commute(
     a2: MatrixStarAlgebra,
     tol: Tolerances = DEFAULT_TOL,
 ) -> bool:
-    """True when every pair of basis elements commutes within eps_algebra."""
-    return bool(np.abs(commutators(a1, a2)).max() <= tol.eps_algebra)
+    """True when the two algebras commute within eps_algebra (``commute_witness``)."""
+    return commute_witness(a1, a2, tol)[2] <= tol.eps_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +360,36 @@ class StructureDecomposition:
 
 @dataclass(eq=False)
 class AlgebraStructure:
-    """Central structure of one algebra at one tolerance (``MatrixStarAlgebra.structure``).
+    """Central structure and matrix units of one algebra at one tolerance (``MatrixStarAlgebra.structure``).
 
-    ``projections``: the minimal central projections z_k, in :func:`_gauge_order`.
-    For the HS-orthonormal basis {b_a} of A = sum_k M_{n_k} (x) 1_{m_k}, Phi(x) =
-    sum_a b_a x b_a* does not depend on the orthonormal basis; left multiplication
-    by a unitary u of A maps one such basis to another, so u Phi(x) u* = Phi(x)
-    and Phi(x) lies in A'.  In the basis e_ij / sqrt(m_k) of matrix units,
-    e_ij h e_ji = (h_k)_jj e_ii for h = sum_k h_k (x) 1 in A, so Phi(h) =
-    sum_k (tr h_k / m_k) z_k is central.  The z_k are the spectral clusters of
-    Phi(h) for a seeded Hermitian h (``_centre_probe``) with distinct block
-    values; a coincidence merges two blocks into a cluster on which the next
-    probe is not constant, and then that probe is clustered instead
-    (``_central_clusters``).  Each probe costs O(d n^3).  ``sizes[k]``: n_k, as
-    n_k^2 = tr(z_k K) for K = Phi(1) = sum_k (n_k / m_k) z_k.  ``blocks``: the
-    matrix units, built on first use.
+    All of it comes from one eigh of the seeded Hermitian element h of
+    attempt t, read against the seeded x (``_seeded_elements``); a failed
+    check moves on to attempt t + 1, up to GAUGE_ATTEMPTS.  For A = sum_k
+    M_{n_k} (x) 1_{m_k}, h = sum_k h_k (x) 1, so each spectral cluster P_a of h
+    is a sum of minimal projections of A, one when the eigenvalues of h are
+    distinct; the clusters must lie in A.  Clusters a and b are related when
+    their corner P_a x P_b is nonzero; as x lies in A, related clusters share
+    a block, and for a generic x every two clusters of one block are related
+    (p A q is the line of a matrix unit for minimal p, q of one block).  The
+    relation must be an equivalence; its classes are taken as the blocks, and
+    every cluster of a class must have the rank of the class's first
+    (lowest) cluster P_0.  Then z_k = sum_a P_a over the class, n_k is its
+    number of clusters, m_k their rank, and e_a0 = P_a x P_0 sqrt(m_k) /
+    |P_a x P_0| (``column_units``), as P_a A P_0 is spanned by e_a0.
+
+    The count sum_k n_k^2 = dim A certifies the grouping.  Say class K has
+    p_K clusters holding N_Kk minimal projections of block k.  Every two of
+    its clusters share a block, so p_K (p_K - 1) <= sum_k N_Kk (N_Kk - 1),
+    and p_K <= sum_k N_Kk; so p_K^2 <= sum_k N_Kk^2, and summing over K,
+    sum_K p_K^2 <= sum_k n_k^2 = dim A.  Equality holds only when each
+    cluster is one minimal projection and each class one whole block.  For
+    instance, a merged cluster inside a block of several clusters also breaks
+    the equal-rank check, merging two one-cluster blocks lowers the count by
+    1, and splitting a block into p1 + p2 clusters lowers it by 2 p1 p2.
+
+    ``projections``: the z_k in :func:`_gauge_order`, exactly 1 for a factor.
+    ``sizes``, ``multiplicities``: n_k and m_k.  ``blocks``: the matrix units
+    e_ab = e_a0 e_b0*, built and verified on first use.
     """
 
     algebra: MatrixStarAlgebra
@@ -371,32 +397,21 @@ class AlgebraStructure:
 
     def __post_init__(self) -> None:
         a = self.algebra
-        n, d = a.ambient_dim, a.dim
-        adjoints = dagger(a.basis).reshape(d * n, n)
-
-        def average(h: np.ndarray) -> np.ndarray:  # Phi(h), as one batched product and one GEMM
-            return (a.basis @ h).transpose(1, 0, 2).reshape(n, d * n) @ adjoints
-
-        phi = average(_centre_probe(a.basis, 0))
-        for attempt in range(1, GAUGE_ATTEMPTS + 1):
-            check = average(_centre_probe(a.basis, attempt))
-            projections = _central_clusters(phi, check)
-            if projections is not None:
+        for attempt in range(GAUGE_ATTEMPTS):
+            found = _cluster_blocks(a, *_seeded_elements(a, attempt), self.tol)
+            if found is not None:
                 break
-            phi = check
         else:
-            raise IllConditioned(f"no probe of {GAUGE_ATTEMPTS} separates the central blocks")
-        self.is_factor = len(projections) == 1
-        self.projections = [np.eye(n, dtype=complex)] if self.is_factor else _gauge_order(projections)
-        gram = average(np.eye(n, dtype=complex))
-        self.sizes = []
-        for z in self.projections:
-            square, rank = float(np.vdot(z, gram).real), float(np.trace(z).real)
-            size = isqrt(round(square))
-            off = max(abs(square - size**2), abs(rank / size - round(rank / size))) if size else 1.0
-            if off > COUNT_CUT:
-                raise IllConditioned(f"central block of dimension {square:.6f}, rank {rank:.6f}")
-            self.sizes.append(size)
+            raise IllConditioned(f"no seeded element of {GAUGE_ATTEMPTS} resolves the blocks")
+        self.is_factor = len(found) == 1
+        if self.is_factor:
+            found = [(np.eye(a.ambient_dim, dtype=complex), *found[0][1:])]
+        else:
+            found = [found[k] for k in _gauge_order([z for z, _, _ in found])]
+        self.projections = [z for z, _, _ in found]
+        self.column_units = [e for _, e, _ in found]
+        self.sizes = [len(e) for e in self.column_units]
+        self.multiplicities = [m for _, _, m in found]
 
     @property
     def center(self) -> MatrixStarAlgebra:
@@ -406,25 +421,20 @@ class AlgebraStructure:
 
     @cached_property
     def blocks(self) -> list[AlgebraBlock]:
-        """Matrix units of every block, in the order of ``projections``, from seeded elements
-        of A (:func:`_block_units`), which no choice of orthonormal basis moves."""
-        seeded = cache(partial(_seeded_elements, self.algebra))  # one pair per attempt, shared by the blocks
+        """Matrix units of every block, in the order of ``projections``."""
         blocks = []
-        for z, size in zip(self.projections, self.sizes):
-            mult = int(round(float(np.real(np.trace(z))))) // size
-            units = z[None, None].copy() if size == 1 else _block_units(self.algebra, seeded, z, size, mult, self.tol)
-            blocks.append(AlgebraBlock(z, units, size, mult))
+        for z, e, mult in zip(self.projections, self.column_units, self.multiplicities):
+            if len(e) == 1:
+                units = z[None, None].copy()
+            else:
+                units = e[:, None] @ dagger(e)[None, :]
+                _verify_units(units, z, self.tol)
+            blocks.append(AlgebraBlock(z, units, len(e), mult))
         return blocks
 
 
-def center_and_factor(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL):
-    """(center, is_factor, minimal central projections), from the structure cache."""
-    s = a.structure(tol)
-    return s.center, s.is_factor, s.projections
-
-
-def _gauge_order(projections: list[np.ndarray]) -> list[np.ndarray]:
-    """The projections sorted by (rank, tr(H z)), an order that no basis gauge moves.
+def _gauge_order(projections: list[np.ndarray]) -> np.ndarray:
+    """The order of the projections by (rank, tr(H z)), which no basis gauge moves.
 
     H = W + W^T + i (W - W^T) is Hermitian, from the seeded weights W of
     :func:`numerics._gauge_probe`; a diagonal H could not tell apart equal
@@ -440,93 +450,47 @@ def _gauge_order(projections: list[np.ndarray]) -> list[np.ndarray]:
         order = np.lexsort((keys, ranks))
         tied = (np.diff(ranks[order]) == 0) & (np.diff(keys[order]) < GAUGE_MIN_GAP)
         if not tied.any():
-            return [projections[k] for k in order]
+            return order
     raise IllConditioned(f"no probe of {GAUGE_ATTEMPTS} orders the {len(projections)} central projections")
 
 
-def _cluster_sorted(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Split sorted values into clusters (index arrays) at gaps larger than ``gap``."""
-    return np.split(np.arange(values.size), np.flatnonzero(np.diff(values) > gap) + 1)
-
-
-def _centre_probe(basis: np.ndarray, attempt: int) -> np.ndarray:
-    """The seeded Hermitian element x + x* of the span, x = sum_a c_a b_a for complex Gaussian c."""
-    x = (_seeded_gaussian((len(basis),), attempt) @ basis.reshape(len(basis), -1)).reshape(basis.shape[1:])
-    return x + dagger(x)
-
-
-def _central_clusters(phi: np.ndarray, check: np.ndarray) -> list[np.ndarray] | None:
-    """Spectral projections of the central ``phi``, or None when its clusters are not clean.
-
-    Clusters nearer than CLUSTER_CONTRAST times the widest one are not clean, nor
-    is one on which the central ``check`` is not constant: there two blocks merged.
-    When both are scalar to CLUSTER_GAP, the one clean cluster 1 needs no eigh.
-    """
-    n = len(phi)
-    if all(np.abs(c - np.trace(c) / n * np.eye(n)).max() <= CLUSTER_GAP for c in (phi, check)):
-        return [np.eye(n, dtype=complex)]
-    w, v = np.linalg.eigh(phi)
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > CLUSTER_GAP * max(w[-1] - w[0], 1.0)) + 1, [w.size]))
-    sizes, rotated = np.diff(bounds), dagger(v) @ check @ v
-    diag = rotated.diagonal().real
-    inter = (w[bounds[1:-1]] - w[bounds[1:-1] - 1]).min(initial=np.inf)
-    means = np.repeat(np.add.reduceat(diag, bounds[:-1]) / sizes, sizes)
-    if inter < CLUSTER_CONTRAST * (w[bounds[1:] - 1] - w[bounds[:-1]]).max() or \
-            np.abs(rotated - np.diag(means)).max() > CLUSTER_GAP * max(diag.max() - diag.min(), 1.0):
-        return None
-    return [v[:, i:j] @ dagger(v[:, i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
-
-
-def matrix_units(
-    a: MatrixStarAlgebra,
-    tol: Tolerances = DEFAULT_TOL,
-) -> list[AlgebraBlock]:
-    """Matrix units for every central block (``AlgebraStructure.blocks``), from the cache."""
-    return a.structure(tol).blocks
-
-
 def _seeded_elements(a: MatrixStarAlgebra, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-    """(E_A(G + G*), E_A(G')) for the seeded Gaussians G, G' of one attempt.
+    """(E_A(G + G*), E_A(G')) for the seeded Gaussians G, G' of one attempt, in one projection.
 
     E_A is the trace-preserving conditional expectation (``project``), which
-    does not depend on the orthonormal basis stored.
+    does not depend on the orthonormal basis stored; it commutes with the
+    adjoint, as the span is adjoint closed, so E_A(G + G*) = E_A(G) + E_A(G)*.
     """
-    g = _seeded_gaussian((2, a.ambient_dim, a.ambient_dim), attempt)
-    return a.project(g[0] + dagger(g[0])), a.project(g[1])
+    n, flat = a.ambient_dim, a.basis.reshape(a.dim, -1)
+    g, x = ((_seeded_gaussian((2, n, n), attempt).reshape(2, -1) @ flat.conj().T) @ flat).reshape(2, n, n)
+    return g + dagger(g), x
 
 
-def _block_units(a, seeded, z, size, mult, tol):
-    """Matrix units of the factor block z.A from the seeded elements h, x = seeded(t) of A.
+def _cluster_blocks(a, h, x, tol):
+    """[(z_k, e_k0 stack, m_k)] of each block from one eigh of h (``AlgebraStructure``), or None.
 
-    The spectral clusters of h on z, size of them of rank mult each, are the
-    diagonal units P_a.  The corner P_a A P_0 is spanned by e_a0, so
-    e_a0 = P_a x P_0 / sqrt(lambda_a) with lambda_a = |P_a x P_0|^2 / mult, and
-    e_ab = e_a0 e_b0*.  When the clusters are wrong, leave A, or a corner
-    vanishes, attempt t + 1 is tried, up to GAUGE_ATTEMPTS.
+    The cluster projections P_a are one masked product of the eigenvectors
+    V, and the corner norms |P_a x P_b| = |V_a* x V_b| are the norms of the
+    cluster blocks of V* x V.
     """
-    for attempt in range(GAUGE_ATTEMPTS):
-        h, x = seeded(attempt)
-        shift = 2.0 * hs_norm(h) + 1.0
-        w, v = np.linalg.eigh(h + shift * z)
-        inside = w > shift / 2.0
-        wz, vz = w[inside], v[:, inside]
-        if wz.size != size * mult:
-            continue
-        groups = _cluster_sorted(wz, CLUSTER_GAP * max(float(wz[-1] - wz[0]), 1.0))
-        if len(groups) != size or any(g.size != mult for g in groups):
-            continue
-        diag = np.stack([vz[:, g] @ dagger(vz[:, g]) for g in groups])
-        if a.distances_to_span(diag).max() > a.ambient_dim * tol.eps_algebra:
-            continue
-        corners = diag @ x @ diag[0]
-        norms = np.linalg.norm(corners, axis=(1, 2))
-        if norms.min() <= CORNER_NORM_CUT:
-            continue
-        corners *= (np.sqrt(mult) / norms)[:, None, None]
-        units = corners[:, None] @ dagger(corners)[None, :]
-        _verify_units(units, z, tol)
-        return units
-    raise IllConditioned(f"no seeded element of {GAUGE_ATTEMPTS} splits a factor block")
+    w, v = np.linalg.eigh(h)
+    label = np.concatenate(([0], np.cumsum(np.diff(w) > CLUSTER_GAP * max(float(w[-1] - w[0]), 1.0))))
+    ranks = np.bincount(label)
+    diag = (v * (label == np.arange(len(ranks))[:, None])[:, None, :]) @ dagger(v)
+    if a.distances_to_span(diag).max() > a.ambient_dim * tol.eps_algebra:
+        return None
+    starts = np.cumsum(ranks) - ranks
+    y = dagger(v) @ x @ v
+    norms = np.sqrt(np.add.reduceat(np.add.reduceat(y.real**2 + y.imag**2, starts, axis=0), starts, axis=1))
+    related = norms > CORNER_NORM_CUT
+    first = related.argmax(axis=1)  # the first related cluster: P_0 of the class, if the relation is an equivalence
+    if not np.array_equal(related, first[:, None] == first) or np.any(ranks != ranks[first]):
+        return None
+    counts = np.bincount(first)
+    if counts @ counts != a.dim:
+        return None
+    units = diag @ x @ diag[first] * (np.sqrt(ranks) / norms[np.arange(len(first)), first])[:, None, None]
+    return [(diag[first == k].sum(axis=0), units[first == k], int(ranks[k])) for k in np.flatnonzero(counts)]
 
 
 def _verify_units(units, z, tol):
@@ -572,7 +536,7 @@ def structure_decomposition(
     # the full algebra needs no work and the identity is the natural witness
     if a.dim == n * n:
         return StructureDecomposition([(n, 1)], np.eye(n, dtype=complex), [0])
-    blocks = matrix_units(a, tol)
+    blocks = a.structure(tol).blocks
     block_dims = [(blk.size, blk.multiplicity) for blk in blocks]
     offsets = np.cumsum([0] + [k * m for k, m in block_dims])[:-1].tolist()
     one = np.eye(n, dtype=complex)[None, None]

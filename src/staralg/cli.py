@@ -28,7 +28,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from pathlib import Path
 from typing import Any, Callable
 
@@ -125,9 +125,13 @@ def _complex_out(z: complex) -> list[float] | None:
 
 
 def _array_out(a: np.ndarray) -> Any:
+    """Nested ``[re, im]`` lists in one numpy call; an entry with a non-finite part is null."""
     if a.ndim == 0:
         return _complex_out(complex(a))
-    return [_array_out(row) for row in a]
+    out = np.stack((a.real, a.imag), -1).tolist()
+    for *path, last in np.argwhere(~np.isfinite(a)).tolist():
+        reduce(list.__getitem__, path, out)[last] = None
+    return out
 
 
 def _jsonable(x: Any) -> Any:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MatrixStarAlgebra, _cluster_sorted, full_matrix_algebra, mutually_commute
+from .algebra import MatrixStarAlgebra, full_matrix_algebra, mutually_commute
 from .channels import ChannelMap, channel_on_algebra
 from .errors import UnknownFamily
 from .independence import state_preparation
@@ -273,7 +273,8 @@ def random_luders_channel(
     h = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
     w, v = np.linalg.eigh(h)
     spread = max(float(w[-1] - w[0]), 1.0)
-    projections = [v[:, g] @ dagger(v[:, g]) for g in _cluster_sorted(w, LUDERS_CLUSTER_GAP * spread)]
+    clusters = np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > LUDERS_CLUSTER_GAP * spread) + 1)
+    projections = [v[:, g] @ dagger(v[:, g]) for g in clusters]
     return channel_on_algebra(a, np.stack(projections), tol)
 
 

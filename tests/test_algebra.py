@@ -17,21 +17,21 @@ from staralg import (
     IllConditioned,
     MatrixStarAlgebra,
     ValidationError,
-    center_and_factor,
     choi,
     commutant,
+    commute_witness,
     conditional_expectation,
     full_matrix_algebra,
     fuzz_instances,
     generate_algebra,
     join,
-    matrix_units,
     mutually_commute,
     scalar_algebra,
     structure_decomposition,
 )
 from staralg import algebra, numerics
-from staralg.algebra import StructureDecomposition, _central_clusters, _gauge_order, _verify_structure, products
+from staralg.algebra import StructureDecomposition, _gauge_order, _verify_structure, products
+from staralg.independence import verify_noncommuting_elements
 from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, is_psd, kron, null_space, vec
 from staralg.sampling import canonical_block_algebra, cell_pair, conjugate_algebra, tensor_pair
 
@@ -158,27 +158,27 @@ class TestCommutant:
 
 class TestCenterAndFactor:
     def test_full_algebra_is_a_factor(self):
-        center, is_factor, projections = center_and_factor(full_matrix_algebra(4))
-        assert is_factor
-        assert center.dim == 1
-        assert len(projections) == 1
-        assert hs_norm(projections[0] - np.eye(4)) <= 1e-10
+        s = full_matrix_algebra(4).structure()
+        assert s.is_factor
+        assert s.center.dim == 1
+        assert len(s.projections) == 1
+        assert hs_norm(s.projections[0] - np.eye(4)) <= 1e-10
 
     def test_diagonal_algebra_is_its_own_center(self):
-        center, is_factor, projections = center_and_factor(diag_algebra(2))
-        assert not is_factor
-        assert center.dim == 2
-        got = sorted(tuple(np.round(np.diag(p).real).astype(int)) for p in projections)
+        s = diag_algebra(2).structure()
+        assert not s.is_factor
+        assert s.center.dim == 2
+        got = sorted(tuple(np.round(np.diag(p).real).astype(int)) for p in s.projections)
         assert got == [(0, 1), (1, 0)]
 
 
 class TestMatrixUnits:
     def test_full_algebra_single_block(self):
-        blocks = matrix_units(full_matrix_algebra(4))
+        blocks = full_matrix_algebra(4).structure().blocks
         assert [(b.size, b.multiplicity) for b in blocks] == [(4, 1)]
 
     def test_scalars_have_multiplicity_n(self):
-        blocks = matrix_units(scalar_algebra(3))
+        blocks = scalar_algebra(3).structure().blocks
         assert [(b.size, b.multiplicity) for b in blocks] == [(1, 3)]
 
     def test_diagonal_twin_block(self):
@@ -188,7 +188,7 @@ class TestMatrixUnits:
                 for i in range(2) for j in range(2)]
         a = generate_algebra(gens, 4)
         assert a.dim == 4
-        blocks = matrix_units(a)
+        blocks = a.structure().blocks
         assert [(b.size, b.multiplicity) for b in blocks] == [(2, 2)]
 
     def test_two_block_sum_in_m5(self):
@@ -205,14 +205,14 @@ class TestMatrixUnits:
                 m[2 + i, 2 + j] = 1.0
                 gens.append(m)
         a = generate_algebra(gens, 5)
-        blocks = matrix_units(a)
+        blocks = a.structure().blocks
         ranks = sorted(int(round(np.trace(b.central_projection).real)) for b in blocks)
         assert ranks == [2, 3]
         assert sorted((b.size, b.multiplicity) for b in blocks) == [(2, 1), (3, 1)]
 
     def test_units_satisfy_multiplication_rules(self):
         a = diag_algebra(3)
-        for block in matrix_units(a):
+        for block in a.structure().blocks:
             units = block.units
             k = block.size
             for i in range(k):
@@ -323,6 +323,43 @@ class TestMutuallyCommute:
             assert mutually_commute(a, commutant(a))
 
 
+def commutator_stack_entry(a1, a2):
+    """Reference: the largest entry of [b_a, c_b] over both whole bases."""
+    return np.abs(products(a1.basis, a2.basis) - products(a2.basis, a1.basis).transpose(1, 0, 2, 3)).max()
+
+
+class TestCommuteWitness:
+    """Commutation from A1's first-column matrix units against A2's basis."""
+
+    def test_agrees_with_the_full_commutator_stack(self):
+        from staralg.sampling import random_subalgebra
+
+        pairs = [(i.a1, i.a2) for family in FUZZ_FAMILIES for seed in (1, 2) for i in fuzz_instances(family, 20, seed)]
+        rng = np.random.default_rng(101)
+        for mu, sizes1, sizes2 in (([[1, 1], [1, 2]], [1, 1], [1, 1]), ([[1, 0], [0, 1]], [1, 2], [2, 1]),
+                                   ([[2, 1], [1, 1]], [1, 2], [2, 1])):
+            inst = cell_pair(np.array(mu), sizes1, sizes2, rng)
+            pairs.append((inst.a1, inst.a2))
+        for _ in range(5):
+            a, _ = random_subalgebra(int(rng.integers(2, 7)), rng)
+            pairs += [(a, commutant(a)), (commutant(a), a)]
+        # for j > 0, [e_a0, e_jj] = -delta_aj e_j0: only the unit e_j0 sees that C*(e_jj) does not commute
+        for a in (full_matrix_algebra(3), conjugate_algebra(canonical_block_algebra([(3, 1), (2, 2)], 7),
+                                                            haar_unitary(7, seed=103))):
+            for blk in a.structure().blocks:
+                pairs += [(a, generate_algebra([blk.units[j, j]], a.ambient_dim)) for j in range(1, blk.size)]
+        eps = DEFAULT_TOL.eps_algebra
+        commuting = 0
+        for a1, a2 in pairs:
+            x, y, entry = commute_witness(a1, a2)
+            assert (entry <= eps) == (commutator_stack_entry(a1, a2) <= eps)
+            if entry <= eps:
+                commuting += 1
+            else:
+                assert verify_noncommuting_elements(x, y, a1, a2) == pytest.approx(entry, abs=1e-12)
+        assert 0 < commuting < len(pairs)
+
+
 class TestValidation:
     def test_rejects_span_without_star_closure(self):
         basis = np.stack(
@@ -379,7 +416,7 @@ class TestGaugeFreeCellOrder:
     @staticmethod
     def projections(a):
         # a fresh copy, so the structure cache of ``a`` is not read
-        return center_and_factor(MatrixStarAlgebra(a.ambient_dim, a.basis))[2]
+        return MatrixStarAlgebra(a.ambient_dim, a.basis).structure().projections
 
     def test_order_survives_a_rotated_hermitian_basis(self):
         # blocks of ranks 2, 2, 1, 1: ties in rank are broken by the probe
@@ -424,12 +461,13 @@ def commutator_stack_centre(a):
         w, v = np.linalg.eigh(np.tensordot(rng.standard_normal(centre.dim), centre.hermitian_basis, axes=(0, 0)))
         groups = np.split(np.arange(n), np.flatnonzero(np.diff(w) > 1e-6 * max(w[-1] - w[0], 1.0)) + 1)
         if len(groups) == centre.dim:
-            return _gauge_order([v[:, g] @ dagger(v[:, g]) for g in groups])
+            projections = [v[:, g] @ dagger(v[:, g]) for g in groups]
+            return [projections[k] for k in _gauge_order(projections)]
     raise AssertionError("the reference centre did not separate")
 
 
 class TestCentreProbe:
-    """The minimal central projections from one averaged probe Phi(h) = sum_a b_a h b_a*."""
+    """The minimal central projections from one eigh of the seeded element h = E_A(G + G*)."""
 
     def test_projections_equal_the_commutator_stack_centre(self):
         pairs = [inst for family in FUZZ_FAMILIES for seed in (1, 2) for inst in fuzz_instances(family, 20, seed)]
@@ -445,26 +483,24 @@ class TestCentreProbe:
                 assert max(hs_norm(p - q) for p, q in zip(got, want)) <= 1e-9, inst.meta
 
     def test_coinciding_block_values_are_retried_not_merged(self, monkeypatch):
-        # Phi(1) = sum_k (n_k / m_k) z_k takes the value 1 on both rank-one
-        # blocks, so a probe h = 1 merges them into one cluster; the next
-        # probe is not constant there, so the clusters of that probe are used
+        # attempt 0 gets h = 1, whose one cluster merges all three blocks of
+        # C + C + M_2: one class of one cluster counts 1, not dim A = 6, so
+        # the next attempt is taken
         a = conjugate_algebra(canonical_block_algebra([(1, 1), (1, 1), (2, 1)], 4), haar_unitary(4, seed=93))
         want = commutator_stack_centre(a)
+        seeded = algebra._seeded_elements
         drawn = []
-        probe = algebra._centre_probe
 
-        def coinciding_first(basis, attempt):
+        def unit_first(alg, attempt):
             drawn.append(attempt)
-            return np.eye(basis.shape[-1], dtype=complex) if attempt == 0 else probe(basis, attempt)
+            h, x = seeded(alg, attempt)
+            return (np.eye(4, dtype=complex) if attempt == 0 else h), x
 
-        monkeypatch.setattr(algebra, "_centre_probe", coinciding_first)
+        monkeypatch.setattr(algebra, "_seeded_elements", unit_first)
         s = MatrixStarAlgebra(4, a.basis).structure()
-        assert drawn == [0, 1, 2]
+        assert drawn == [0, 1]
         assert s.sizes == [1, 1, 2] and len(s.projections) == 3
         assert max(hs_norm(p - q) for p, q in zip(s.projections, want)) <= 1e-9
-        # the first probe's merged cluster is refused: the second is not constant on it
-        phi_one, phi_next = (sum(b @ h @ dagger(b) for b in a.basis) for h in (np.eye(4), probe(a.basis, 1)))
-        assert _central_clusters(phi_one, phi_next) is None
 
     def test_factor_and_scalars_are_one_block(self):
         for a in (full_matrix_algebra(3), scalar_algebra(3), left_factor(2, 3)):
@@ -516,10 +552,11 @@ class TestSeededUnits:
         for g, w in zip(got, self.units(a)):
             assert np.abs(g - w).max() <= 1e-12
 
-    def test_a_factor_structure_takes_no_eigh(self, monkeypatch):
+    def test_a_clean_attempt_takes_one_eigh_of_size_n(self, monkeypatch):
         u = haar_unitary(6, seed=97)
-        factors = [full_matrix_algebra(3), scalar_algebra(4), conjugate_algebra(left_factor(2, 3), u),
-                   conjugate_algebra(right_factor(2, 3), u)]
+        algebras = [full_matrix_algebra(3), scalar_algebra(4), conjugate_algebra(left_factor(2, 3), u),
+                    conjugate_algebra(right_factor(2, 3), u), diag_algebra(3),
+                    conjugate_algebra(canonical_block_algebra([(3, 1), (2, 2)], 7), haar_unitary(7, seed=95))]
         eigh, calls = np.linalg.eigh, []
 
         def counting(m, *args, **kwargs):
@@ -527,23 +564,27 @@ class TestSeededUnits:
             return eigh(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        for a in factors:
-            s = MatrixStarAlgebra(a.ambient_dim, a.basis).structure()
-            assert s.is_factor and len(s.projections) == 1
-        assert calls == []
+        for a in algebras:
+            calls.clear()
+            MatrixStarAlgebra(a.ambient_dim, a.basis).structure().blocks
+            assert calls == [(a.ambient_dim, a.ambient_dim)]
 
-    def test_a_scalar_first_probe_of_two_blocks_is_not_a_factor(self, monkeypatch):
-        # Phi(1) = z_1 + z_2 = 1 is scalar, but the next probe is not, so the
-        # shortcut must not take the pair for one clean cluster
-        a = conjugate_algebra(canonical_block_algebra([(1, 1), (1, 1)], 2), haar_unitary(2, seed=99))
-        probe = algebra._centre_probe
+    def test_vanishing_corners_fail_the_count_and_are_retried(self, monkeypatch):
+        # with x = h every corner P_a h P_b, a != b, vanishes: each cluster of
+        # C + M_2 is its own class, and 1 + 1 + 1 clusters count 3, not 5
+        a = conjugate_algebra(canonical_block_algebra([(1, 1), (2, 1)], 3), haar_unitary(3, seed=99))
+        seeded = algebra._seeded_elements
+        drawn = []
 
-        def unit_first(basis, attempt):
-            return np.eye(basis.shape[-1], dtype=complex) if attempt == 0 else probe(basis, attempt)
+        def commuting_first(alg, attempt):
+            drawn.append(attempt)
+            h, x = seeded(alg, attempt)
+            return h, (h if attempt == 0 else x)
 
-        monkeypatch.setattr(algebra, "_centre_probe", unit_first)
-        s = MatrixStarAlgebra(2, a.basis).structure()
-        assert not s.is_factor and s.sizes == [1, 1]
+        monkeypatch.setattr(algebra, "_seeded_elements", commuting_first)
+        s = MatrixStarAlgebra(3, a.basis).structure()
+        assert drawn == [0, 1]
+        assert not s.is_factor and s.sizes == [1, 2]
         assert max(hs_norm(p - q) for p, q in zip(s.projections, commutator_stack_centre(a))) <= 1e-9
 
     @pytest.mark.parametrize(
@@ -551,9 +592,8 @@ class TestSeededUnits:
         [
             lambda: numerics._gauge_probe((3, 4), 2),
             lambda: (numerics._seeded_gaussian((2, 5, 5), 1),),
-            lambda: (numerics._seeded_gaussian((7,), 0),),
         ],
-        ids=["gauge_probe", "seeded_elements", "centre_coefficients"],
+        ids=["gauge_probe", "seeded_elements"],
     )
     def test_seeded_draws_are_made_once_and_read_only(self, draw):
         first, second = draw(), draw()

@@ -674,6 +674,14 @@ class TestVerifyReport:
         assert "KeyError" not in item["detail"]
 
 
+class TestSerialization:
+    def test_an_entry_with_a_non_finite_part_is_null(self):
+        a = np.array([[1 + 2j, np.nan], [1j * np.inf, -0.0]])
+        assert cli._jsonable(a) == [[[1.0, 2.0], None], [None, [-0.0, 0.0]]]
+        assert cli._jsonable(np.array([np.inf, 3.0])) == [None, [3.0, 0.0]]
+        assert cli._jsonable(np.array(np.nan)) is None
+
+
 class TestGoldenSchema:
     @pytest.mark.parametrize(
         "instance,golden,extra",

@@ -184,8 +184,8 @@ class TestProductSenseWork:
     def test_the_isomorphism_forms_one_commutator_stack(self, monkeypatch):
         pair = tensor_pair(2, 3, np.random.default_rng(23))
         stacks = []
-        form = independence.commutators
-        monkeypatch.setattr(independence, "commutators", lambda *args: stacks.append(1) or form(*args))
+        form = independence.commute_witness
+        monkeypatch.setattr(independence, "commute_witness", lambda *args: stacks.append(1) or form(*args))
         product_isomorphism(pair.a1, pair.a2)
         assert len(stacks) == 1
 
