@@ -9,7 +9,7 @@ constructed matrix units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .numerics import (
     GAUGE_ATTEMPTS,
     GAUGE_MIN_GAP,
     Tolerances,
+    _frozen,
     _gauge_probe,
     _seeded_gaussian,
     canonical_basis,
@@ -438,20 +439,29 @@ def _gauge_order(projections: list[np.ndarray]) -> np.ndarray:
 
     H = W + W^T + i (W - W^T) is Hermitian, from the seeded weights W of
     :func:`numerics._gauge_probe`; a diagonal H could not tell apart equal
-    diagonals such as (1 +- sigma_x)/2.  Equal ranks with keys closer than
-    GAUGE_MIN_GAP move on to the next probe, up to GAUGE_ATTEMPTS.
+    diagonals such as (1 +- sigma_x)/2.  The keys tr(H z) are one product
+    with the cached vec(H^T) (``_gauge_key``).  Equal ranks with keys closer
+    than GAUGE_MIN_GAP move on to the next probe, up to GAUGE_ATTEMPTS.
     """
     stack = np.stack(projections)
     n = stack.shape[-1]
+    flat = stack.reshape(len(stack), -1)
     ranks = np.rint(np.einsum("kii->k", stack).real).astype(int)
     for attempt in range(GAUGE_ATTEMPTS):
-        w, _ = _gauge_probe((n, n), attempt)
-        keys = np.einsum("ij,kji->k", w + w.T + 1j * (w - w.T), stack).real
+        keys = (flat @ _gauge_key(n, attempt)).real
         order = np.lexsort((keys, ranks))
-        tied = (np.diff(ranks[order]) == 0) & (np.diff(keys[order]) < GAUGE_MIN_GAP)
+        r, k = ranks[order], keys[order]
+        tied = (r[1:] == r[:-1]) & (k[1:] - k[:-1] < GAUGE_MIN_GAP)
         if not tied.any():
             return order
     raise IllConditioned(f"no probe of {GAUGE_ATTEMPTS} orders the {len(projections)} central projections")
+
+
+@lru_cache(maxsize=64)
+def _gauge_key(n: int, attempt: int) -> np.ndarray:
+    """vec(H^T) (row-major) for the H of ``_gauge_order``, so that tr(H z) = vec(z) . key; read-only."""
+    w, _ = _gauge_probe((n, n), attempt)
+    return _frozen((w + w.T + 1j * (w - w.T)).T.reshape(-1))
 
 
 def _seeded_elements(a: MatrixStarAlgebra, attempt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -471,10 +481,12 @@ def _cluster_blocks(a, h, x, tol):
 
     The cluster projections P_a are one masked product of the eigenvectors
     V, and the corner norms |P_a x P_b| = |V_a* x V_b| are the norms of the
-    cluster blocks of V* x V.
+    cluster blocks of V* x V.  One stable argsort of the class labels puts
+    the clusters class by class, so each z_k is one ``add.reduceat`` segment.
     """
     w, v = np.linalg.eigh(h)
-    label = np.concatenate(([0], np.cumsum(np.diff(w) > CLUSTER_GAP * max(float(w[-1] - w[0]), 1.0))))
+    label = np.zeros(len(w), dtype=np.intp)
+    np.cumsum(w[1:] - w[:-1] > CLUSTER_GAP * max(float(w[-1] - w[0]), 1.0), out=label[1:])
     ranks = np.bincount(label)
     diag = (v * (label == np.arange(len(ranks))[:, None])[:, None, :]) @ dagger(v)
     if a.distances_to_span(diag).max() > a.ambient_dim * tol.eps_algebra:
@@ -484,13 +496,18 @@ def _cluster_blocks(a, h, x, tol):
     norms = np.sqrt(np.add.reduceat(np.add.reduceat(y.real**2 + y.imag**2, starts, axis=0), starts, axis=1))
     related = norms > CORNER_NORM_CUT
     first = related.argmax(axis=1)  # the first related cluster: P_0 of the class, if the relation is an equivalence
-    if not np.array_equal(related, first[:, None] == first) or np.any(ranks != ranks[first]):
+    if (related != (first[:, None] == first)).any() or (ranks != ranks[first]).any():
         return None
     counts = np.bincount(first)
     if counts @ counts != a.dim:
         return None
     units = diag @ x @ diag[first] * (np.sqrt(ranks) / norms[np.arange(len(first)), first])[:, None, None]
-    return [(diag[first == k].sum(axis=0), units[first == k], int(ranks[k])) for k in np.flatnonzero(counts)]
+    leaders = np.flatnonzero(counts)
+    ends = np.cumsum(counts[leaders])
+    begins = ends - counts[leaders]
+    order = np.argsort(first, kind="stable")  # class by class, each in cluster order
+    z, units = np.add.reduceat(diag[order], begins, axis=0), units[order]
+    return [(z[k], units[b:e], int(ranks[lead])) for k, (lead, b, e) in enumerate(zip(leaders, begins, ends))]
 
 
 def _verify_units(units, z, tol):

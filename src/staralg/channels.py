@@ -232,15 +232,11 @@ def kraus_from_choi(
     scale = max(1.0, float(np.abs(w).max()))
     if w[0] < -tol.eps_psd * scale * 10:
         raise NotCP(f"Choi block matrix has negative eigenvalue {w[0]:.3e}")
-    ops = []
-    for lam, col in zip(w, v.T):
-        if lam <= tol.eps_psd * scale:
-            continue
-        w_star = unvec(np.sqrt(lam) * col, m, n)
-        ops.append(dagger(w_star))
-    if not ops:
-        ops.append(np.zeros((n, m), dtype=complex))
-    return KrausSet(np.stack(ops))
+    keep = w > tol.eps_psd * scale
+    if not keep.any():
+        return KrausSet(np.zeros((1, n, m), dtype=complex))
+    # a kept column is vec of W* (m x n, column-stacked), so its row-major (n, m) reshape is conj(W)
+    return KrausSet((v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, n, m).conj())
 
 
 def is_completely_positive(channel: ChannelMap, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -331,7 +331,7 @@ class JointCells:
         w = np.repeat(np.repeat(np.sqrt(self.mu / np.outer(p, q)), self.sizes1**2, axis=0), self.sizes2**2, axis=1)
         return products(u, v) * np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)[:, :, None, None], w, c1, c2
 
-    @property
+    @cached_property
     def zero_cells(self) -> list[tuple[int, int]]:
         return [(int(i), int(j)) for i, j in np.argwhere(self.mu == 0)]
 
@@ -502,10 +502,11 @@ def check_cstar_independence(
     cell) Holds by ``IMPLIED_BY_PRODUCT_ISOMORPHISM``.  (ii) A commuting
     pair out of product position refuses on a zero cell z_i w_j = 0, with
     gap 1.  (iii) A non-commuting pair is searched: minimal projections p =
-    sum_ab x_a conj(x_b) e_ab are drawn from ``rng`` in every block of each
-    algebra (SEARCH_DRAWS seeded unit vectors x per block), and the pair
-    with the smallest ||pq|| refuses if its gap clears the margin; else the
-    verdict is Undecided and records that ||pq||.  ``samples`` has no effect.
+    sum_ab x_a conj(x_b) e_ab (formed as u u*, ``_minimal_projections``) are
+    drawn from ``rng`` in every block of each algebra (SEARCH_DRAWS seeded
+    unit vectors x per block), and the pair with the smallest ||pq|| refuses
+    if its gap clears the margin; else the verdict is Undecided and records
+    that ||pq||.  ``samples`` has no effect.
     Every Fails witness is a ``separating_pair`` with its ``witness_states``.
     """
     if mutually_commute(a1, a2, tol):
@@ -528,26 +529,43 @@ def _refusal(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, p: np.ndarray, q: np.
 
 
 def _minimal_projections(a: MatrixStarAlgebra, rng: np.random.Generator, tol: Tolerances) -> np.ndarray:
-    """sum_ab x_a conj(x_b) e_ab for seeded unit vectors x in every block, from the cached matrix units."""
+    """u u* with u = sum_a x_a e_a0, for seeded unit vectors x in every block, from the cached column units.
+
+    The column units of a block are partial isometries from its first
+    cluster P_0 (a minimal projection of A) with e_a0* e_b0 = delta_ab P_0,
+    and its matrix units are e_ab = e_a0 e_b0* (``AlgebraStructure``).  So
+    u* u = sum_a |x_a|^2 P_0 = P_0: u is a partial isometry, u u* is a
+    projection of the rank of P_0, hence minimal, and u u* = sum_ab x_a
+    conj(x_b) e_a0 e_b0* = sum_ab x_a conj(x_b) e_ab.  The matrix units
+    themselves are never formed.
+    """
     drawn = []
-    for blk in a.structure(tol).blocks:
-        shape = (SEARCH_DRAWS if blk.size > 1 else 1, blk.size)
+    for e in a.structure(tol).column_units:
+        size = len(e)
+        shape = (SEARCH_DRAWS if size > 1 else 1, size)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        drawn.append(np.einsum("sa,sb->sab", x, x.conj()).reshape(shape[0], -1) @ blk.units.reshape(blk.size**2, -1))
-    return np.concatenate(drawn).reshape(-1, a.ambient_dim, a.ambient_dim)
+        drawn.append((x @ e.reshape(size, -1)).reshape(-1, *e.shape[1:]))
+    u = np.concatenate(drawn)
+    return u @ dagger(u)
 
 
 def _projection_search(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, rng: np.random.Generator,
                        tol: Tolerances) -> Verdict:
     """Route (iii) of ``check_cstar_independence``: the drawn pair with the smallest ||pq||."""
     p, q = _minimal_projections(a1, rng, tol), _minimal_projections(a2, rng, tol)
-    norms = np.linalg.norm(products(p, q), 2, axis=(2, 3))
+    norms = _product_norms(p, q)
     i, j = np.unravel_index(norms.argmin(), norms.shape)
     if 1.0 - norms[i, j] > SEPARATION_MARGIN * tol.eps_verify:
         return _refusal(a1, a2, p[i], q[j], tol)
     return Verdict.undecided(f"no drawn minimal projections p, q have p ^ q = 0: the smallest ||pq|| over "
                              f"{len(p)} x {len(q)} seeded draws is {norms[i, j]:.6f}, within the margin of 1")
+
+
+def _product_norms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """||p_i q_j|| for every pair of two stacks: ||pq||^2 = lambda_max((pq)(pq)*), one batched eigvalsh."""
+    pq = products(p, q)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(pq @ dagger(pq))[..., -1], 0.0))
 
 
 def check_wstar_independence(

@@ -210,6 +210,15 @@ class ExtensionOutcome:
     residual: float = float("nan")
 
 
+def _check_hermitian_pair(h1: np.ndarray, h2: np.ndarray, n: int, tol: Tolerances) -> None:
+    """Raise unless h1 and h2 are Hermitian n x n matrices: eigvalsh reads only one triangle."""
+    for label, h in (("h1", h1), ("h2", h2)):
+        if np.shape(h) != (n, n):
+            raise ShapeMismatch(f"{label} has shape {np.shape(h)}, ambient {n}")
+        if not is_hermitian(h, tol):
+            raise IllConditioned(f"{label} is not Hermitian")
+
+
 def verify_separating_pair(
     h1: np.ndarray,
     h2: np.ndarray,
@@ -223,21 +232,20 @@ def verify_separating_pair(
     gap = phi1(h1) + phi2(h2) - lambda_max(h1 + h2) above the certification
     margin times max(||h1||, ||h2||) (operator norms).  A joint state omega
     would give omega(h1 + h2) = phi1(h1) + phi2(h2) <= lambda_max(h1 + h2), so
-    none exists (Boyd and Vandenberghe, Convex Optimization, sec. 5.9).
+    none exists (Boyd and Vandenberghe, Convex Optimization, sec. 5.9).  One
+    eigvalsh of the stack (h1, h2, h1 + h2) gives both the gap and the scale,
+    as ||h|| = max |lambda| for a Hermitian h.
     """
-    n = state1.algebra.ambient_dim
+    _check_hermitian_pair(h1, h2, state1.algebra.ambient_dim, tol)
     for label, h, state in (("h1", h1, state1), ("h2", h2, state2)):
-        if np.shape(h) != (n, n):
-            raise ShapeMismatch(f"{label} has shape {np.shape(h)}, ambient {n}")
-        if not is_hermitian(h, tol):
-            raise IllConditioned(f"{label} is not Hermitian")
         if not state.algebra.contains(h, tol):
             raise IllConditioned(
                 f"{label} is {state.algebra.distance_to_span(h):.3e} away from its algebra"
             )
     forced = state1.expect(h1).real + state2.expect(h2).real
-    gap = float(forced - np.linalg.eigvalsh(h1 + h2)[-1])
-    scale = max(np.linalg.norm(h1, 2), np.linalg.norm(h2, 2))
+    w = np.linalg.eigvalsh(np.stack((h1, h2, h1 + h2)))
+    gap = float(forced - w[2, -1])
+    scale = float(np.abs(w[:2]).max())
     if not gap > SEPARATION_MARGIN * tol.eps_verify * scale:
         raise IllConditioned(f"separation gap {gap:.3e} does not clear the margin at scale {scale:.3e}")
     return gap
@@ -252,9 +260,12 @@ def separating_pair(
 ) -> dict:
     """The refusal certificate of (h1, h2), scaled to max(||h1||, ||h2||) = 1 and checked.
 
-    Raises IllConditioned when the scaled pair fails ``verify_separating_pair``.
+    The scale is read from one eigvalsh of (h1, h2), after both are checked
+    Hermitian.  Raises IllConditioned when the scaled pair fails
+    ``verify_separating_pair``.
     """
-    scale = max(np.linalg.norm(h1, 2), np.linalg.norm(h2, 2))
+    _check_hermitian_pair(h1, h2, state1.algebra.ambient_dim, tol)
+    scale = float(np.abs(np.linalg.eigvalsh(np.stack((h1, h2)))).max())
     if not scale > 0:
         raise IllConditioned("a separating pair needs a nonzero element")
     h1, h2 = h1 / scale, h2 / scale

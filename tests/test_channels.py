@@ -36,7 +36,7 @@ from staralg import (
     tensor_channel,
 )
 from staralg.channels import choi_matrix, superop_from_function
-from staralg.numerics import dagger, hs_norm, is_psd, kron
+from staralg.numerics import DEFAULT_TOL, dagger, hs_norm, is_psd, kron, unvec
 from staralg.sampling import (
     random_density,
     random_faithful_nonselective_channel,
@@ -123,6 +123,27 @@ class TestKrausFromChoi:
         assert len(ks.operators) == 4
         comp = sum(dagger(w) @ w for w in ks.operators)
         assert hs_norm(comp - np.eye(2)) <= 1e-10
+
+
+    def test_the_one_reshape_stack_equals_the_loop(self):
+        def by_loop(c, n, m):
+            # the per-eigenvalue loop, kept as the reference: W = (unvec of sqrt(lam) v, m x n)*
+            w, v = np.linalg.eigh(c)
+            scale = max(1.0, float(np.abs(w).max()))
+            return np.stack([dagger(unvec(np.sqrt(lam) * col, m, n))
+                             for lam, col in zip(w, v.T) if lam > DEFAULT_TOL.eps_psd * scale])
+
+        rng = np.random.default_rng(41)
+        rect = rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))
+        cases = [
+            (choi(state_prep_operation(random_density(3, rng))), 3, 3, 9),
+            (choi(random_kraus_channel(3, 3, rng)), 3, 3, 3),
+            (choi_matrix(superop_from_kraus(rect), 2, 3), 2, 3, 3),
+        ]
+        for c, n, m, rank in cases:
+            ops = kraus_from_choi(c, n, m).operators
+            assert ops.shape == (rank, n, m)
+            assert np.array_equal(ops, by_loop(c, n, m))
 
 
 class TestRoundTrips:

@@ -946,3 +946,38 @@ class TestProjectionSearch:
                 assert gap == pytest.approx(witness["gap"])
         assert solver_refused > 0
 
+
+    @staticmethod
+    def search_algebras():
+        yield from (algebra.full_matrix_algebra(3), algebra.scalar_algebra(3), diag_algebra(3))
+        for family in ("haar_overlap", "shared_block", "factor_split"):
+            for inst in fuzz_instances(family, 10, 1):
+                yield from (inst.a1, inst.a2)
+
+    def test_minimal_projections_are_the_matrix_unit_sums(self):
+        for k, a in enumerate(self.search_algebras()):
+            p = independence._minimal_projections(a, np.random.default_rng(k), DEFAULT_TOL)
+            # the reference: sum_ab x_a conj(x_b) e_ab from the full matrix units, same draws
+            rng, ref = np.random.default_rng(k), []
+            for blk in a.structure().blocks:
+                shape = (independence.SEARCH_DRAWS if blk.size > 1 else 1, blk.size)
+                x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                x /= np.linalg.norm(x, axis=1, keepdims=True)
+                ref.extend(np.einsum("a,b,abij->ij", xs, xs.conj(), blk.units) for xs in x)
+            assert p.shape == (len(ref), a.ambient_dim, a.ambient_dim)
+            assert np.abs(p - np.stack(ref)).max() <= 1e-12
+            assert np.abs(p @ p - p).max() <= 1e-12
+
+    def test_the_search_norms_are_operator_norms(self):
+        for k, inst in enumerate(fuzz_instances("haar_overlap", 20, 1)):
+            rng = np.random.default_rng(k)
+            p, q = (independence._minimal_projections(a, rng, DEFAULT_TOL) for a in (inst.a1, inst.a2))
+            ref = np.linalg.norm(products(p, q), 2, axis=(2, 3))
+            assert np.abs(independence._product_norms(p, q) - ref).max() <= 1e-12
+
+    def test_a_search_refusal_builds_no_matrix_units(self):
+        for idx, inst in enumerate(fuzz_instances("haar_overlap", 5, 1)):
+            report = run_hierarchy_checks(inst.a1, inst.a2, seed=idx)
+            assert report.verdicts["cstar_independent"].status == "Fails"
+            for a in (inst.a1, inst.a2):
+                assert "blocks" not in a.structure().__dict__

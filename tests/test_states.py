@@ -36,7 +36,10 @@ from staralg import (
     state_from_values,
     verify_separating_pair,
 )
+from staralg.independence import check_cstar_independence
+from staralg.numerics import Tolerances
 from staralg.sampling import fuzz_instances
+from staralg.states import SEPARATION_MARGIN, separating_pair
 from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, kron
 from staralg.sampling import random_density, sample_state_pairs, tensor_pair
 
@@ -296,6 +299,95 @@ class TestSeparatingPair:
             verify_separating_pair(z1, z2, trace, trace)
         with pytest.raises(IllConditioned, match="does not clear the margin"):
             verify_separating_pair(0 * z1, 0 * z2, s1, s2)
+
+    @staticmethod
+    def count_spectra(monkeypatch):
+        """Count np.linalg.eigvalsh and svd calls, including the svd inside np.linalg.norm(., 2)."""
+        calls = {"eigvalsh": 0, "svd": 0}
+        impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        svd = counted("svd", impl.svd)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(impl, "svd", svd)
+        np.linalg.norm(np.eye(2), 2)
+        assert calls == {"eigvalsh": 0, "svd": 1}, "the operator norm is not counted"
+        calls["svd"] = 0
+        return calls
+
+    @staticmethod
+    def search_refusals():
+        for family in ("haar_overlap", "shared_block"):
+            for idx, inst in enumerate(fuzz_instances(family, 20, 1)):
+                verdict = check_cstar_independence(inst.a1, inst.a2, rng=idx)
+                assert verdict.status == "Fails", (family, idx)
+                yield verdict.witness
+
+    def test_one_spectrum_per_call_and_no_svd(self, monkeypatch):
+        witness = next(self.search_refusals())
+        h1, h2, (s1, s2) = witness["h1"], witness["h2"], witness["witness_states"]
+        calls = self.count_spectra(monkeypatch)
+        verify_separating_pair(h1, h2, s1, s2)
+        assert calls == {"eigvalsh": 1, "svd": 0}
+        calls["eigvalsh"] = 0
+        separating_pair(3 * h1, 3 * h2, s1, s2)
+        # one for the scale, then the one of verify_separating_pair
+        assert calls == {"eigvalsh": 2, "svd": 0}
+
+    def test_gap_and_scale_match_the_operator_norm_reference(self):
+        seen = 0
+        for witness in self.search_refusals():
+            h1, h2, (s1, s2) = witness["h1"], witness["h2"], witness["witness_states"]
+            forced = s1.expect(h1).real + s2.expect(h2).real
+            gap = forced - np.linalg.eigvalsh(h1 + h2)[-1]
+            scale = max(np.linalg.norm(h1, 2), np.linalg.norm(h2, 2))
+            assert abs(witness["gap"] - gap) <= 1e-12
+            assert abs(scale - 1) <= 1e-12
+            assert abs(verify_separating_pair(h1, h2, s1, s2) - gap) <= 1e-12
+            # separating_pair divides by the operator-norm scale
+            cert = separating_pair(2.5 * h1, 2.5 * h2, s1, s2)
+            assert np.abs(cert["h1"] - h1).max() <= 1e-12 and np.abs(cert["h2"] - h2).max() <= 1e-12
+            # verify_separating_pair's margin is SEPARATION_MARGIN eps_verify times the same scale:
+            # the pair scaled by 4 clears it just below gap / scale and fails just above
+            edge = gap / (SEPARATION_MARGIN * scale)
+            assert verify_separating_pair(4 * h1, 4 * h2, s1, s2, Tolerances(eps_verify=edge * (1 - 1e-12))) > 0
+            with pytest.raises(IllConditioned, match="does not clear the margin"):
+                verify_separating_pair(4 * h1, 4 * h2, s1, s2, Tolerances(eps_verify=edge * (1 + 1e-12)))
+            seen += 1
+        assert seen == 40
+
+    def test_the_scale_is_the_largest_eigenvalue_in_modulus(self):
+        a = diag_algebra(2)
+        z1, z2 = matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)
+        s1, s2 = state_from_density(a, z1), state_from_density(a, z2)
+        # spectra {1, -3}: forced value 2, lambda_max(h1 + h2) = -2, operator norms 3
+        h1, h2 = z1 - 3 * z2, z2 - 3 * z1
+        assert verify_separating_pair(h1, h2, s1, s2) == pytest.approx(4)
+        edge = 4 / (SEPARATION_MARGIN * 3)
+        verify_separating_pair(h1, h2, s1, s2, Tolerances(eps_verify=edge * (1 - 1e-12)))
+        with pytest.raises(IllConditioned, match="at scale 3.000e"):
+            verify_separating_pair(h1, h2, s1, s2, Tolerances(eps_verify=edge * (1 + 1e-12)))
+        cert = separating_pair(h1, h2, s1, s2)
+        assert cert["gap"] == pytest.approx(4 / 3)
+        np.testing.assert_allclose(cert["h1"], h1 / 3, atol=1e-15)
+
+    def test_a_non_hermitian_pair_is_refused_before_its_spectrum(self):
+        a = diag_algebra(2)
+        z1, z2 = matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)
+        s1, s2 = state_from_density(a, z1), state_from_density(a, z2)
+        upper = 1j * matrix_unit(2, 0, 1)
+        for fn in (verify_separating_pair, separating_pair):
+            with pytest.raises(IllConditioned, match="h1 is not Hermitian"):
+                fn(z1 + upper, z2, s1, s2)
+            # eigvalsh reads the lower triangle only, where this h1 is zero
+            with pytest.raises(IllConditioned, match="h1 is not Hermitian"):
+                fn(upper, 0 * z2, s1, s2)
 
 
 class TestProductState:
