@@ -27,8 +27,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable
 
@@ -36,6 +36,8 @@ import numpy as np
 
 from . import __version__
 from .algebra import MatrixStarAlgebra, full_matrix_algebra, generate_algebra
+from .certificates import _array_in, _check_extension, _check_factor, _check_implications, _is_int, _jsonable
+from .certificates import _Pair, _verify_verdicts, _VerifyLog
 from .channels import (
     ChannelMap,
     ProjectiveMeasurement,
@@ -55,12 +57,7 @@ from .errors import (
     ValidationError,
 )
 from .independence import (
-    EVIDENCE_STATUS,
     VERDICT_KEYS,
-    FactorSearchOutcome,
-    InterpolatingFactor,
-    JointCells,
-    Verdict,
     check_cstar_independence,
     check_product_sense,
     check_spatial_product_sense,
@@ -68,24 +65,18 @@ from .independence import (
     check_wstar_product_sense,
     find_interpolating_factor,
     implication_violations,
-    joint_cells,
     joint_extension_residuals,
     joint_operation,
     run_hierarchy_checks,
     state_preparation,
-    verify_faithful_product_state,
-    verify_interpolating_factor,
-    verify_noncommuting_elements,
 )
 from .numerics import Tolerances
 from .sampling import fuzz_instances, random_density, random_pure_density
 from .states import (
     AlgebraState,
-    ExtensionOutcome,
     extend_state,
     marginal_residual,
     state_from_density,
-    verify_separating_pair,
 )
 
 __all__ = [
@@ -110,91 +101,6 @@ _CHECK_NAMES = (
     "extend_state",
     "joint_operation",
 )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def _complex_out(z: complex) -> list[float] | None:
-    re, im = float(np.real(z)), float(np.imag(z))
-    if not (np.isfinite(re) and np.isfinite(im)):
-        return None
-    return [re, im]
-
-
-def _array_out(a: np.ndarray) -> Any:
-    """Nested ``[re, im]`` lists in one numpy call; an entry with a non-finite part is null."""
-    if a.ndim == 0:
-        return _complex_out(complex(a))
-    out = np.stack((a.real, a.imag), -1).tolist()
-    for *path, last in np.argwhere(~np.isfinite(a)).tolist():
-        reduce(list.__getitem__, path, out)[last] = None
-    return out
-
-
-def _jsonable(x: Any) -> Any:
-    """Recursively convert toolkit objects to plain JSON data.
-
-    Complex entries become ``[re, im]`` pairs; non-finite floats become
-    null; matrices stay nested lists so certificates remain auditable by
-    other tools.
-    """
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    if isinstance(x, float):
-        return x if np.isfinite(x) else None
-    if isinstance(x, complex):
-        return _complex_out(x)
-    if isinstance(x, np.generic):  # numpy scalars: their Python counterparts
-        return _jsonable(x.item())
-    if isinstance(x, np.ndarray):
-        if x.dtype.kind in "iub":
-            return x.tolist()
-        return _array_out(np.asarray(x, dtype=complex))
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, Verdict):
-        out: dict[str, Any] = {"status": x.status}
-        if x.certificate is not None:
-            out["certificate"] = _jsonable(x.certificate)
-        if x.witness is not None:
-            out["witness"] = _jsonable(x.witness)
-        if x.reason is not None:
-            out["reason"] = x.reason
-        return out
-    if isinstance(x, InterpolatingFactor):
-        return {
-            "d1": x.d1,
-            "d2": x.d2,
-            "unitary": _jsonable(x.unitary),
-            "residuals": _jsonable(x.residuals),
-        }
-    if isinstance(x, FactorSearchOutcome):
-        out = {"status": x.status}
-        if x.reason is not None:
-            out["reason"] = x.reason
-        if x.factor is not None:
-            out["factor"] = _jsonable(x.factor)
-        return out
-    if isinstance(x, ExtensionOutcome):
-        return {
-            "status": x.status,
-            "density": _jsonable(x.density),
-            "certificate": _jsonable(x.certificate),
-            "iterations": x.iterations,
-            "residual": _jsonable(x.residual),
-        }
-    if isinstance(x, AlgebraState):
-        return {"density": _jsonable(x.density)}
-    raise TypeError(f"cannot serialize object of type {type(x).__name__}")
-
-
-def _dump(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +150,6 @@ def _check_keys(node: dict, allowed: set[str], where: str, sep: str = ".") -> No
     for key in node:
         if key not in allowed:
             raise ParseError(f"{where}{sep}{key}: unknown field")
-
-
-def _is_int(value: Any) -> bool:
-    """An integer that is not a bool (bool subclasses int in Python)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_name(name: Any, pool: dict, kind: str, where: str) -> None:
@@ -547,6 +448,13 @@ def _joint_extension(
     }, joint
 
 
+_UNSEEDED = {
+    "product_sense": check_product_sense,
+    "wstar_product_sense": check_wstar_product_sense,
+    "spatial_product_sense": check_spatial_product_sense,
+}
+
+
 def _run_check(entry: dict, inst: _Instance, args: argparse.Namespace) -> dict:
     kind = entry["check"]
     tol = inst.tol
@@ -572,41 +480,20 @@ def _run_check(entry: dict, inst: _Instance, args: argparse.Namespace) -> dict:
     names = entry["algebras"]
     a1, a2 = inst.algebras[names[0]], inst.algebras[names[1]]
     result = {"check": kind, "algebras": list(names)}
-    if kind == "hierarchy":
-        seed = _effective(entry, args, "seed", 0)
-        samples = _effective(entry, args, "samples", 50)
-        report = run_hierarchy_checks(a1, a2, seed=seed, samples=samples, tol=tol)
-        result.update(
-            {
-                "seed": seed,
-                "samples": samples,
-                "verdicts": report.verdicts,
-                "notes": report.notes,
-                "implication_violations": [list(v) for v in implication_violations(report.verdicts)],
-            }
-        )
-        return result
-    if kind in ("cstar_independence", "wstar_independence"):
-        seed = _effective(entry, args, "seed", 0)
-        samples = _effective(entry, args, "samples", 50)
-        fn = check_cstar_independence if kind == "cstar_independence" else check_wstar_independence
-        result.update(
-            {
-                "seed": seed,
-                "samples": samples,
-                "verdict": fn(a1, a2, rng=np.random.default_rng(seed), samples=samples, tol=tol),
-            }
-        )
-        return result
     if kind == "interpolating_factor":
         result["outcome"] = find_interpolating_factor(a1, a2, tol)
-        return result
-    fn = {
-        "product_sense": check_product_sense,
-        "wstar_product_sense": check_wstar_product_sense,
-        "spatial_product_sense": check_spatial_product_sense,
-    }[kind]
-    result["verdict"] = fn(a1, a2, tol)
+    elif kind in _UNSEEDED:
+        result["verdict"] = _UNSEEDED[kind](a1, a2, tol)
+    else:  # the hierarchy and the plain notions, which echo their seed and samples
+        seed = _effective(entry, args, "seed", 0)
+        result.update(seed=seed, samples=_effective(entry, args, "samples", 50))
+        if kind == "hierarchy":
+            report = run_hierarchy_checks(a1, a2, seed=seed, tol=tol)
+            violations = [list(v) for v in implication_violations(report.verdicts)]
+            result.update(verdicts=report.verdicts, notes=report.notes, implication_violations=violations)
+        else:
+            fn = check_cstar_independence if kind == "cstar_independence" else check_wstar_independence
+            result["verdict"] = fn(a1, a2, rng=np.random.default_rng(seed), tol=tol)
     return result
 
 
@@ -636,6 +523,10 @@ def _base_report(command: str, args: argparse.Namespace) -> dict:
             "tol": getattr(args, "tol", None),
         },
     }
+
+
+def _dump(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _finish(
@@ -901,35 +792,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 # verify-report
 # ---------------------------------------------------------------------------
 #
-# This section only decodes.  Each certificate is re-checked by the library
-# function that its constructor also calls, so what makes a certificate
-# valid is written once, next to the code that builds it.
-
-
-def _array_in(node: Any) -> np.ndarray:
-    """Read back a matrix serialized by :func:`_jsonable`."""
-    arr = np.asarray(node, dtype=float)
-    if arr.ndim >= 1 and arr.shape[-1] == 2:
-        return arr[..., 0] + 1j * arr[..., 1]
-    return arr.astype(complex)
-
-
-@dataclass
-class _VerifyLog:
-    items: list[dict] = field(default_factory=list)
-
-    def check(self, target: str, ok: bool, detail: str) -> None:
-        self.items.append({"target": target, "ok": bool(ok), "detail": detail})
-
-    def attempt(self, target: str, fn: Callable[[], str]) -> bool:
-        """Log the outcome of one re-check; return whether it passed."""
-        try:
-            self.check(target, True, fn())
-        except ToolkitError as exc:
-            self.check(target, False, f"{type(exc).__name__}: {exc}")
-        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-            self.check(target, False, f"malformed certificate ({type(exc).__name__}: {exc})")
-        return self.items[-1]["ok"]
+# This section only walks the report: the certificate format and the
+# re-check of every evidence kind live in ``staralg.certificates``.
 
 
 def _rebuild_instance(
@@ -971,190 +835,12 @@ def _rebuild_instance(
     return out
 
 
-@dataclass(eq=False)
-class _Pair:
-    """The echoed algebra pair of one check entry."""
-
-    a1: MatrixStarAlgebra
-    a2: MatrixStarAlgebra
-    tol: Tolerances
-
-    @cached_property
-    def cells(self) -> JointCells:
-        """The pair's joint cell table, re-derived once per entry by the code that built it."""
-        return joint_cells(self.a1, self.a2, self.tol)
-
-
-_DIMS = ("dim_join", "dim_factor1", "dim_factor2")
-
-
-def _check_dims(cert: dict, cells: JointCells, keys: tuple[str, ...]) -> None:
-    recomputed = cells.dims
-    for key in keys:
-        if not (_is_int(cert[key]) and cert[key] == recomputed[key]):
-            raise ValidationError(f"recorded {key} {cert[key]!r}, recomputed {recomputed[key]}")
-
-
-def _check_implied(cert: dict, pair: _Pair) -> str:
-    """The pair's re-derived cell table has no zero cell."""
-    if pair.cells.zero_cells:
-        raise ValidationError(f"the re-derived cell table has zero cells {pair.cells.zero_cells}")
-    return f"cell table {pair.cells.mu.tolist()} re-derived from the pair has no zero cell"
-
-
-def _check_isomorphism(cert: dict, pair: _Pair) -> str:
-    pair.cells.check_table(cert["mu"])
-    _check_dims(cert, pair.cells, _DIMS)
-    return _check_implied(cert, pair)
-
-
-def _check_factor(fdoc: dict, pair: _Pair) -> str:
-    factor = verify_interpolating_factor(
-        _array_in(fdoc["unitary"]), fdoc["d1"], fdoc["d2"], pair.a1, pair.a2, pair.tol
-    )
-    worst = max(factor.residuals.values())
-    return f"interpolating factor revalidated (max residual {worst:.3e})"
-
-
-def _check_product_state(cert: dict, pair: _Pair) -> str:
-    _check_dims(cert, pair.cells, ("dim_join",))
-    residual = verify_faithful_product_state(_array_in(cert["density"]), pair.a1, pair.a2, pair.tol)
-    return f"full-rank product of the tracial states (product residual {residual:.3e})"
-
-
-def _check_zero_cell(cert: dict, pair: _Pair, dims: tuple[str, ...] = ()) -> str:
-    z1, z2 = _array_in(cert["projection1"]), _array_in(cert["projection2"])
-    pair.cells.check_zero_cell(cert["cell"], cert["mu"], z1, z2)
-    _check_dims(cert, pair.cells, dims)
-    return f"zero cell {cert['cell']} of the cell table re-derived from the pair"
-
-
-def _check_no_factor(cert: dict, pair: _Pair) -> str:
-    pair.cells.check_table(cert["mu"])
-    outcome = find_interpolating_factor(pair.a1, pair.a2, pair.tol)
-    if outcome.status != "NotFound":
-        raise ValidationError("the factor search finds a factor for the pair")
-    return f"re-derived cell table {pair.cells.mu.tolist()}: {outcome.reason}"
-
-
-def _check_separating_pair(cert: dict, s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> str:
-    """A refusal of the marginal pair (s1, s2): a separating pair with its recorded gap."""
-    if cert["kind"] != "separating_pair":
-        raise ValidationError(f"a {cert['kind']!r} certificate is no refusal")
-    gap = verify_separating_pair(_array_in(cert["h1"]), _array_in(cert["h2"]), s1, s2, tol)
-    if not abs(gap - cert["gap"]) <= tol.eps_verify:
-        raise ValidationError(f"recorded gap {cert['gap']!r}, recomputed {gap:.3e}")
-    return f"separating pair with gap {gap:.3e} above the margin"
-
-
-def _check_witnessed_refusal(cert: dict, pair: _Pair) -> str:
-    w1, w2 = cert["witness_states"]
-    s1 = state_from_density(pair.a1, _array_in(w1["density"]), pair.tol)
-    s2 = state_from_density(pair.a2, _array_in(w2["density"]), pair.tol)
-    return _check_separating_pair(cert, s1, s2, pair.tol)
-
-
-def _check_noncommuting(cert: dict, pair: _Pair) -> str:
-    x, y = _array_in(cert["element1"]), _array_in(cert["element2"])
-    norm = verify_noncommuting_elements(x, y, pair.a1, pair.a2, pair.tol)
-    if not abs(norm - cert["commutator_norm"]) <= pair.tol.eps_verify:
-        raise ValidationError(f"recorded commutator norm {cert['commutator_norm']!r}, recomputed {norm:.3e}")
-    return f"elements of the two algebras with commutator entry {norm:.3e}"
-
-
-#: certificate kind -> (item label, re-check through the library)
-_CERTIFICATE_CHECKS: dict[str, tuple[str, Callable[[dict, _Pair], str]]] = {
-    "factorizing_unitary": ("factor", lambda cert, pair: _check_factor(cert["factor"], pair)),
-    "product_isomorphism": ("isomorphism", _check_isomorphism),
-    "implied_by_product_isomorphism": ("product isomorphism", _check_implied),
-    "faithful_product_state": ("product state", _check_product_state),
-    "dimension_deficit": ("dimensions", lambda cert, pair: _check_zero_cell(cert, pair, _DIMS)),
-    "multiplication_relation": ("relation", _check_zero_cell),
-    "product_position_failure": ("zero cell", _check_zero_cell),
-    "no_interpolating_factor": ("cell table", _check_no_factor),
-    "separating_pair": ("refusal", _check_witnessed_refusal),
-    "noncommuting_elements": ("elements", _check_noncommuting),
-}
-
-#: kinds that refer to the plain refusal of their entry instead of copying it
-_REFERENCE_KINDS = ("normal_marginal_pair", "state_preparation_pair")
-
-#: the field a verdict of each status must carry
-_EVIDENCE_FIELD = {"Holds": "certificate", "Fails": "witness", "Undecided": "reason"}
-
-
-def _check_status(vdoc: dict) -> str:
-    """The recorded status must carry its evidence, of a kind that supports it."""
-    status = vdoc["status"]
-    if status not in _EVIDENCE_FIELD:
-        raise ValidationError(f"unknown status {status!r}")
-    if not vdoc.get(_EVIDENCE_FIELD[status]):
-        raise ValidationError(f"{status} verdict without a {_EVIDENCE_FIELD[status]}")
-    kinds = [vdoc[key]["kind"] for key in ("certificate", "witness") if vdoc.get(key) is not None]
-    for kind in kinds:
-        if EVIDENCE_STATUS.get(kind) != status:
-            raise ValidationError(f"a {kind!r} cannot support {status}")
-    return f"{status} carried by {', '.join(kinds) or 'its reason'}"
-
-
-def _check_implications(verdicts: dict[str, dict], recorded: Any) -> str:
-    """The implication audit, re-run on the recorded statuses."""
-    violations = implication_violations({key: Verdict(v["status"]) for key, v in verdicts.items()})
-    if violations:
-        raise ValidationError(
-            "recorded statuses violate " + ", ".join(f"{p} => {q}" for p, q in violations)
-        )
-    if recorded:
-        raise ValidationError(f"report records implication violations {recorded}")
-    return "recorded statuses satisfy the implication table"
-
-
-def _check_reference(cert: dict, entry: str, refusals: dict[str, bool]) -> str:
-    """The referenced verdict of the entry is a refusal whose own item re-checked ok."""
-    if not refusals.get(f"{entry} {cert['plain']}"):
-        raise ValidationError(f"{cert['plain']!r} is not a re-checked refusal of this entry")
-    return f"refers to the refusal of {cert['plain']}"
-
-
-def _verify_verdicts(entry: str, vdocs: dict[str, dict], pair: _Pair, log: _VerifyLog) -> None:
-    """Re-check the evidence of each verdict of one check entry, keyed by target."""
-    refusals: dict[str, bool] = {}
-    references = []
-    for target, vdoc in vdocs.items():
-        cert = vdoc.get("certificate") or vdoc.get("witness")
-        kind = cert.get("kind") if isinstance(cert, dict) else None
-        if kind in _REFERENCE_KINDS:
-            references.append((target, cert))
-        elif isinstance(kind, str) and kind in _CERTIFICATE_CHECKS:
-            label, check = _CERTIFICATE_CHECKS[kind]
-            ok = log.attempt(f"{target} {label}", lambda: check(cert, pair))
-            refusals[target] = ok and kind == "separating_pair" and vdoc.get("status") == "Fails"
-    for target, cert in references:
-        log.attempt(f"{target} reference", lambda: _check_reference(cert, entry, refusals))
-
-
-def _check_extension(outcome: dict, s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> str:
-    """An ``extend_state`` outcome for the marginals (s1, s2): a joint density or a refusal."""
-    status = outcome["status"]
-    if status == "InfeasibleCertified":
-        return _check_separating_pair(outcome["certificate"], s1, s2, tol)
-    if status == "Undecided":
-        return "status Undecided: nothing to re-validate"
-    if status != "Feasible":
-        raise ValidationError(f"unknown status {status!r}")
-    joint = state_from_density(full_matrix_algebra(s1.algebra.ambient_dim), _array_in(outcome["density"]), tol)
-    res = marginal_residual(joint.density, (s1, s2))
-    if res > tol.eps_verify:
-        raise ValidationError(f"marginal residual {res:.3e} exceeds tolerance")
-    return f"joint density PSD with marginal residual {res:.3e}"
-
-
 def _verify_joint(
     target: str, section: dict, where: str, inst: _Instance, log: _VerifyLog
 ) -> None:
     """Rebuild a joint extension from its Choi matrix once; re-check it and its transition table."""
     if section.get("outcome", section.get("status")) != "Extended":
-        log.check(target, True, "no extension claimed: nothing to re-validate")
+        log.attempt(target, lambda: "no extension claimed: nothing to re-validate")
         return
     names = _two_names(section, "operations", inst.doc["operations"], "operation", where)
     n, tol = inst.ambient_dim, inst.tol
@@ -1225,27 +911,19 @@ def _verify_analyze(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> 
             _verify_joint(target, entry, at, inst, log)
             continue
         names = _two_names(entry, "algebras", inst.doc["algebras"], "algebra", at)
-        vdocs: dict[str, dict] = {}
+        pair = _Pair(*(inst.algebras[nm] for nm in names), tol) if all(nm in inst.algebras for nm in names) else None
         if kind == "interpolating_factor":
             factor = _object(_require(entry, "outcome", at), f"{at}.outcome").get("factor")
+            if pair and factor:
+                log.attempt(f"{target} factor", lambda: _check_factor(factor, pair))
         elif kind == "hierarchy":
             verdicts = _object(_require(entry, "verdicts", at), f"{at}.verdicts")
-            for key, vdoc in verdicts.items():
-                vdocs[f"{target} {key}"] = _object(vdoc, f"{at}.verdicts.{key}")
+            vdocs = {key: _object(vdoc, f"{at}.verdicts.{key}") for key, vdoc in verdicts.items()}
             recorded = _require(entry, "implication_violations", at)
             log.attempt(f"{target} implications", lambda: _check_implications(verdicts, recorded))
+            _verify_verdicts(f"{target} ", vdocs, pair, log)
         else:
-            vdocs[target] = _object(_require(entry, "verdict", at), f"{at}.verdict")
-        for vtarget, vdoc in vdocs.items():
-            log.attempt(f"{vtarget} status", lambda: _check_status(vdoc))
-        if not all(nm in inst.algebras for nm in names):
-            continue
-        pair = _Pair(*(inst.algebras[nm] for nm in names), tol)
-        if kind == "interpolating_factor":
-            if factor:
-                log.attempt(f"{target} factor", lambda: _check_factor(factor, pair))
-        else:
-            _verify_verdicts(target, vdocs, pair, log)
+            _verify_verdicts(f"checks[{idx}] ", {kind: _object(_require(entry, "verdict", at), f"{at}.verdict")}, pair, log)
 
 
 def _verify_extend(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:

@@ -76,7 +76,6 @@ __all__ = [
     "FactorSearchOutcome",
     "VERDICT_KEYS",
     "IMPLICATIONS",
-    "EVIDENCE_STATUS",
     "implication_violations",
     "joint_cells",
     "product_isomorphism",
@@ -125,23 +124,6 @@ IMPLICATIONS = (
     ("op_wstar", "wstar_independent"),
     ("split", "wstar_product_sense"),
 )
-
-#: evidence kind -> the one status it supports: a Holds certificate or a
-#: Fails witness.  An Undecided verdict carries a reason and no evidence.
-EVIDENCE_STATUS: dict[str, VerdictStatus] = {
-    "product_isomorphism": "Holds",
-    "implied_by_product_isomorphism": "Holds",
-    "faithful_product_state": "Holds",
-    "factorizing_unitary": "Holds",
-    "dimension_deficit": "Fails",
-    "separating_pair": "Fails",
-    "multiplication_relation": "Fails",
-    "product_position_failure": "Fails",
-    "normal_marginal_pair": "Fails",
-    "state_preparation_pair": "Fails",
-    "no_interpolating_factor": "Fails",
-    "noncommuting_elements": "Fails",
-}
 
 NOT_APPLICABLE = "not applicable: the spans do not mutually commute"
 
@@ -482,7 +464,6 @@ def check_cstar_independence(
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
     rng: np.random.Generator | int | None = None,
-    samples: int = 50,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Verdict:
     """Does every marginal pair admit a joint state?
@@ -506,7 +487,7 @@ def check_cstar_independence(
     drawn from ``rng`` in every block of each algebra (SEARCH_DRAWS seeded
     unit vectors x per block), and the pair with the smallest ||pq|| refuses
     if its gap clears the margin; else the verdict is Undecided and records
-    that ||pq||.  ``samples`` has no effect.
+    that ||pq||.
     Every Fails witness is a ``separating_pair`` with its ``witness_states``.
     """
     if mutually_commute(a1, a2, tol):
@@ -572,7 +553,6 @@ def check_wstar_independence(
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
     rng: np.random.Generator | int | None = None,
-    samples: int = 50,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Verdict:
     """Joint-extension property with normal states — same decision here.
@@ -581,7 +561,7 @@ def check_wstar_independence(
     matrix, hence normal, so this coincides with the plain extension
     property; the verdict is computed by the same routes and annotated.
     """
-    return _annotate_normal(check_cstar_independence(a1, a2, rng, samples, tol))
+    return _annotate_normal(check_cstar_independence(a1, a2, rng, tol))
 
 
 def _annotate_normal(verdict: Verdict) -> Verdict:

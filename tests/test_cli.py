@@ -38,7 +38,7 @@ import pytest
 
 from conftest import array_from_json, array_to_json
 import staralg
-from staralg import cli, independence, states
+from staralg import certificates, cli, independence, states
 from staralg.cli import load_instance, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -677,9 +677,83 @@ class TestVerifyReport:
 class TestSerialization:
     def test_an_entry_with_a_non_finite_part_is_null(self):
         a = np.array([[1 + 2j, np.nan], [1j * np.inf, -0.0]])
-        assert cli._jsonable(a) == [[[1.0, 2.0], None], [None, [-0.0, 0.0]]]
-        assert cli._jsonable(np.array([np.inf, 3.0])) == [None, [3.0, 0.0]]
-        assert cli._jsonable(np.array(np.nan)) is None
+        assert certificates._jsonable(a) == [[[1.0, 2.0], None], [None, [-0.0, 0.0]]]
+        assert certificates._jsonable(np.array([np.inf, 3.0])) == [None, [3.0, 0.0]]
+        assert certificates._jsonable(np.array(np.nan)) is None
+
+
+def evidence(vdoc):
+    """The certificate or witness of a verdict (a Verdict or its report object), or None."""
+    if isinstance(vdoc, staralg.Verdict):
+        return vdoc.certificate or vdoc.witness
+    return vdoc.get("certificate") or vdoc.get("witness")
+
+
+def report_verdicts(doc):
+    """(key, verdict object) for every verdict recorded in an analyze report."""
+    for entry in doc.get("checks", []):
+        yield from entry.get("verdicts", {}).items()
+        if "verdict" in entry:
+            yield entry["check"], entry["verdict"]
+
+
+class TestCertificates:
+    def hierarchies(self, count):
+        """(instance, in-memory hierarchy) for fuzz pairs of every family."""
+        for family in staralg.FUZZ_FAMILIES:
+            for idx, inst in enumerate(staralg.fuzz_instances(family, count, 1)):
+                yield inst, staralg.run_hierarchy_checks(inst.a1, inst.a2, seed=idx)
+
+    def test_the_kind_table_is_exact(self):
+        # every kind a builder emits has a row of its status, and every row
+        # is reached by a fuzz pair, a golden or a tampered golden
+        emitted = [(evidence(v)["kind"], v.status) for _, report in self.hierarchies(20)
+                   for v in report.verdicts.values() if evidence(v)]
+        goldens = [json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.report.json"))]
+        emitted += [(evidence(v)["kind"], v["status"]) for doc in goldens
+                    for _, v in report_verdicts(doc) if evidence(v)]
+        for kind, status in emitted:
+            assert certificates.KINDS[kind].status == status, kind
+        reached = {kind for kind, _ in emitted}
+        for tamper, golden in TestVerifyReport.TAMPERS.items():
+            doc = json.loads((GOLDEN / f"{golden}.report.json").read_text())
+            getattr(TestVerifyReport, tamper)(doc)
+            reached |= {evidence(v)["kind"] for _, v in report_verdicts(doc) if evidence(v)}
+        assert reached == set(certificates.KINDS)
+        assert staralg.EVIDENCE_STATUS == {kind: row.status for kind, row in certificates.KINDS.items()}
+
+    def test_library_items_are_the_verify_report_items(self, tmp_path):
+        prefix = "checks[0] hierarchy "
+        for inst, report in self.hierarchies(3):
+            items = certificates.check_verdicts(report.verdicts, inst.a1, inst.a2)
+            assert items and all(item["ok"] for item in items), items
+            doc = {
+                "schema_version": 1,
+                "command": "analyze",
+                "instance": {
+                    "ambient_dim": inst.a1.ambient_dim,
+                    "algebras": {"left": {"basis": inst.a1.basis}, "right": {"basis": inst.a2.basis}},
+                },
+                "checks": [{"check": "hierarchy", "algebras": ["left", "right"],
+                            "verdicts": report.verdicts, "implication_violations": []}],
+            }
+            path = tmp_path / "entry.report.json"
+            path.write_text(json.dumps(certificates._jsonable(doc)))
+            code, rep = run_json(["verify-report", str(path)], tmp_path, "verify.json")
+            assert code == 0, rep["items"]
+            logged = [{**item, "target": item["target"].removeprefix(prefix)} for item in rep["items"]
+                      if item["target"].startswith(prefix) and item["target"] != prefix + "implications"]
+            assert logged == items
+
+    def test_a_holds_verdict_carrying_a_refusal_fails_its_status(self):
+        inst = staralg.fuzz_instances("shared_block", 1, 1)[0]
+        refusal = staralg.run_hierarchy_checks(inst.a1, inst.a2).verdicts["cstar_independent"].witness
+        assert refusal["kind"] == "separating_pair"
+        verdicts = {"cstar_independent": staralg.Verdict("Holds", certificate=refusal)}
+        items = {item["target"]: item for item in certificates.check_verdicts(verdicts, inst.a1, inst.a2)}
+        assert not items["cstar_independent status"]["ok"]
+        assert "'separating_pair' cannot support Holds" in items["cstar_independent status"]["detail"]
+        assert items["cstar_independent refusal"]["ok"]
 
 
 class TestGoldenSchema:
