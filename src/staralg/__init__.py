@@ -5,245 +5,22 @@ operations on them, and decision procedures for the independence
 hierarchy of commuting algebra pairs: product position, faithful
 product states, joint extension of states and operations, and spatial
 splits through an interpolating tensor factor.
+
+The package re-exports the ``__all__`` of each public module, plus the
+numerical ``Tolerances`` and their default.
 """
 
-from .algebra import (
-    AlgebraBlock,
-    MatrixStarAlgebra,
-    StructureDecomposition,
-    commutant,
-    commute_witness,
-    conditional_expectation,
-    full_matrix_algebra,
-    generate_algebra,
-    join,
-    mutually_commute,
-    scalar_algebra,
-    structure_decomposition,
-)
-from .certificates import EVIDENCE_STATUS, check_verdicts
-from .channels import (
-    ChannelMap,
-    KrausSet,
-    ProjectiveMeasurement,
-    StinespringDilation,
-    build_channel,
-    channel_from_kraus,
-    choi,
-    choi_matrix,
-    compose,
-    dual_on_states,
-    extend_to_ambient,
-    identity_channel,
-    is_completely_positive,
-    is_faithful_map,
-    kraus_from_choi,
-    luders_operation,
-    map_from_choi,
-    slice_map,
-    state_prep_operation,
-    stinespring_dilation,
-    superop_from_kraus,
-    tensor_channel,
-)
-from .errors import (
-    AmbientMismatch,
-    DomainNotFull,
-    IllConditioned,
-    InvalidIsomorphism,
-    InvalidMeasurement,
-    InvalidState,
-    NoProductIsomorphism,
-    NonHermitian,
-    NotCP,
-    NotCommuting,
-    NotNonselective,
-    NotPSD,
-    NotSubalgebra,
-    ParseError,
-    ShapeMismatch,
-    ToolkitError,
-    UnknownFamily,
-    ValidationError,
-)
-from .independence import (
-    IMPLICATIONS,
-    VERDICT_KEYS,
-    FactorSearchOutcome,
-    IndependenceReport,
-    InterpolatingFactor,
-    JointCells,
-    ProductIsomorphism,
-    Verdict,
-    check_cstar_independence,
-    check_product_sense,
-    check_spatial_product_sense,
-    check_wstar_independence,
-    check_wstar_product_sense,
-    find_interpolating_factor,
-    implication_violations,
-    joint_cells,
-    joint_extension_residuals,
-    joint_operation,
-    product_isomorphism,
-    run_hierarchy_checks,
-    state_preparation,
-    verify_interpolating_factor,
-    verify_product_transition,
-)
+from . import algebra, certificates, channels, errors, independence, sampling, states
+from .algebra import *  # noqa: F401,F403
+from .certificates import *  # noqa: F401,F403
+from .channels import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .independence import *  # noqa: F401,F403
 from .numerics import DEFAULT_TOL, Tolerances
-from .sampling import (
-    FUZZ_FAMILIES,
-    PairInstance,
-    canonical_block_algebra,
-    cell_pair,
-    conjugate_algebra,
-    fuzz_instances,
-    noncommuting_pair,
-    random_density,
-    random_faithful_nonselective_channel,
-    random_luders_channel,
-    random_prep_channel,
-    random_pure_density,
-    random_subalgebra,
-    sample_state_pairs,
-    tensor_pair,
-)
-from .states import (
-    AlgebraState,
-    ExtensionOutcome,
-    canonical_trace_state,
-    extend_state,
-    extend_state_batch,
-    is_faithful,
-    is_product_across,
-    marginal_residual,
-    product_residual,
-    product_state,
-    restrict,
-    state_from_density,
-    state_from_values,
-    verify_separating_pair,
-)
+from .sampling import *  # noqa: F401,F403
+from .states import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # numerics
-    "Tolerances",
-    "DEFAULT_TOL",
-    # errors
-    "ToolkitError",
-    "ShapeMismatch",
-    "NonHermitian",
-    "IllConditioned",
-    "AmbientMismatch",
-    "NotSubalgebra",
-    "InvalidState",
-    "NotCommuting",
-    "InvalidIsomorphism",
-    "DomainNotFull",
-    "NotPSD",
-    "NotCP",
-    "NotNonselective",
-    "InvalidMeasurement",
-    "NoProductIsomorphism",
-    "UnknownFamily",
-    "ParseError",
-    "ValidationError",
-    # algebra
-    "MatrixStarAlgebra",
-    "StructureDecomposition",
-    "AlgebraBlock",
-    "full_matrix_algebra",
-    "scalar_algebra",
-    "generate_algebra",
-    "join",
-    "commutant",
-    "commute_witness",
-    "mutually_commute",
-    "structure_decomposition",
-    "conditional_expectation",
-    # channels
-    "KrausSet",
-    "StinespringDilation",
-    "ProjectiveMeasurement",
-    "ChannelMap",
-    "superop_from_kraus",
-    "build_channel",
-    "channel_from_kraus",
-    "identity_channel",
-    "choi_matrix",
-    "choi",
-    "map_from_choi",
-    "kraus_from_choi",
-    "is_completely_positive",
-    "is_faithful_map",
-    "stinespring_dilation",
-    "dual_on_states",
-    "state_prep_operation",
-    "luders_operation",
-    "slice_map",
-    "tensor_channel",
-    "extend_to_ambient",
-    "compose",
-    # states
-    "AlgebraState",
-    "ExtensionOutcome",
-    "canonical_trace_state",
-    "state_from_values",
-    "state_from_density",
-    "restrict",
-    "is_faithful",
-    "extend_state",
-    "extend_state_batch",
-    "marginal_residual",
-    "product_state",
-    "product_residual",
-    "is_product_across",
-    "verify_separating_pair",
-    # independence
-    "Verdict",
-    "ProductIsomorphism",
-    "JointCells",
-    "IndependenceReport",
-    "InterpolatingFactor",
-    "FactorSearchOutcome",
-    "VERDICT_KEYS",
-    "IMPLICATIONS",
-    "implication_violations",
-    "joint_cells",
-    "product_isomorphism",
-    "check_product_sense",
-    "check_cstar_independence",
-    "check_wstar_independence",
-    "check_wstar_product_sense",
-    "joint_operation",
-    "state_preparation",
-    "verify_interpolating_factor",
-    "joint_extension_residuals",
-    "verify_product_transition",
-    "find_interpolating_factor",
-    "check_spatial_product_sense",
-    "run_hierarchy_checks",
-    # certificates
-    "EVIDENCE_STATUS",
-    "check_verdicts",
-    # sampling
-    "PairInstance",
-    "random_density",
-    "random_pure_density",
-    "canonical_block_algebra",
-    "conjugate_algebra",
-    "random_subalgebra",
-    "tensor_pair",
-    "cell_pair",
-    "noncommuting_pair",
-    "sample_state_pairs",
-    "random_faithful_nonselective_channel",
-    "random_prep_channel",
-    "random_luders_channel",
-    "FUZZ_FAMILIES",
-    "fuzz_instances",
-]
+_MODULES = (errors, algebra, channels, states, independence, certificates, sampling)
+__all__ = ["__version__", "Tolerances", "DEFAULT_TOL"] + [n for m in _MODULES for n in m.__all__]

@@ -132,8 +132,8 @@ class ChannelMap:
 
     ``action`` maps vec coordinates of the domain's ambient algebra to vec
     coordinates of M_{out_dim}.  ``operation`` means completely positive and
-    unital (a nonselective operation read against observables).  ``normal``
-    is trivially true in finite dimension and recorded only for reporting.
+    unital (a nonselective operation read against observables).  Every such
+    map is normal in finite dimension, so normality is not recorded.
     """
 
     domain: MatrixStarAlgebra
@@ -142,7 +142,6 @@ class ChannelMap:
     cp_certified: bool = False
     unital: bool = False
     faithful: bool = False
-    normal: bool = True
     kraus: KrausSet | None = None
 
     def __post_init__(self) -> None:

@@ -42,13 +42,10 @@ from .channels import (
     ChannelMap,
     ProjectiveMeasurement,
     build_channel,
-    channel_from_kraus,
     channel_on_algebra,
     choi,
     dual_on_states,
-    luders_operation,
     map_from_choi,
-    state_prep_operation,
 )
 from .errors import (
     IllConditioned,
@@ -332,25 +329,21 @@ def _build_operation(
     tol: Tolerances,
     where: str,
 ) -> _ParsedOperation:
-    """The operation of an entry whose matrices (``_operation_matrices``) are already parsed."""
+    """The operation of an entry whose matrices (``_operation_matrices``) are already parsed.
+
+    An entry that names no algebra acts on the full matrix algebra, by the
+    same route as one that names it.
+    """
     alg_name = entry.get("algebra")
     kind = entry.get("kind", "kraus")
-    a = algebras[alg_name] if alg_name is not None else None
     n = mats.shape[-1]
+    a = algebras[alg_name] if alg_name is not None else full_matrix_algebra(n)
     if kind == "state_prep":
-        if a is None:
-            sigma = state_from_density(full_matrix_algebra(n), mats, tol)
-            return _ParsedOperation(state_prep_operation(mats, tol), "state_prep", None, sigma)
         st = state_from_density(a, mats, tol)
         return _ParsedOperation(state_preparation(st, tol), "state_prep", alg_name, st)
     label = "Kraus operator" if kind == "kraus" else "projection"
     if kind == "luders":
-        measurement = ProjectiveMeasurement(mats)
-        measurement.validate(tol)
-    if a is None:
-        if kind == "luders":
-            return _ParsedOperation(luders_operation(measurement, tol), kind, None)
-        return _ParsedOperation(channel_from_kraus(mats, n, n, tol), kind, None)
+        ProjectiveMeasurement(mats).validate(tol)
     for k, m in enumerate(mats):
         if a.distance_to_span(m) > tol.eps_algebra * n:
             raise ValidationError(f"{where}: {label} {k} does not lie in algebra '{alg_name}'")
@@ -462,9 +455,7 @@ def _run_check(entry: dict, inst: _Instance, args: argparse.Namespace) -> dict:
         names = entry["states"]
         s1, s2 = inst.states[names[0]], inst.states[names[1]]
         max_iter = entry.get("max_iter", 20000)
-        outcome = extend_state(
-            s1, s2, ambient_dim=inst.ambient_dim, tol=tol, max_iter=max_iter
-        )
+        outcome = extend_state(s1, s2, tol=tol, max_iter=max_iter)
         result = {"check": kind, "states": list(names), "outcome": outcome}
         if outcome.status == "Feasible":
             result["recomputed_marginal_residual"] = marginal_residual(
@@ -1034,32 +1025,29 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = subs.add_parser("analyze", help="run the checks named in an instance file")
     analyze.add_argument("instance", help="instance file (JSON)")
     _add_common(analyze)
-    analyze.set_defaults(func=cmd_analyze)
 
     extend = subs.add_parser("extend", help="jointly extend two named operations")
     extend.add_argument("instance", help="instance file (JSON)")
     extend.add_argument("op1", help="first operation name")
     extend.add_argument("op2", help="second operation name")
     _add_common(extend)
-    extend.set_defaults(func=cmd_extend)
 
     fuzz = subs.add_parser("fuzz", help="sweep a randomized instance family")
     fuzz.add_argument("family", help="instance family name")
     fuzz.add_argument("count", type=_non_negative_int, help="number of instances")
     _add_common(fuzz)
-    fuzz.set_defaults(func=cmd_fuzz)
 
     verify = subs.add_parser("verify-report", help="re-validate a report's certificates")
     verify.add_argument("report", help="machine-readable report file (JSON)")
     _add_common(verify)
-    verify.set_defaults(func=cmd_verify_report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one verb; its command is looked up by name at call time, so a wrapped ``cmd_*`` is the one run."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.verb.replace("-", "_")](args)
     except IllConditioned as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3

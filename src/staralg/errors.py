@@ -5,6 +5,27 @@ one base class.  The CLI maps parse/validation errors to exit code 2 and
 numerical-degeneracy errors to exit code 3.
 """
 
+__all__ = [
+    "ToolkitError",
+    "ShapeMismatch",
+    "NonHermitian",
+    "IllConditioned",
+    "AmbientMismatch",
+    "NotSubalgebra",
+    "InvalidState",
+    "NotCommuting",
+    "InvalidIsomorphism",
+    "DomainNotFull",
+    "NotPSD",
+    "NotCP",
+    "NotNonselective",
+    "InvalidMeasurement",
+    "NoProductIsomorphism",
+    "UnknownFamily",
+    "ParseError",
+    "ValidationError",
+]
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit errors."""

@@ -667,7 +667,6 @@ def state_preparation(state: AlgebraState, tol: Tolerances = DEFAULT_TOL) -> Cha
 def joint_operation(
     t1: ChannelMap,
     t2: ChannelMap,
-    ambient_dim: int | None = None,
     tol: Tolerances = DEFAULT_TOL,
     iso: ProductIsomorphism | None = None,
 ) -> ChannelMap:
@@ -683,7 +682,7 @@ def joint_operation(
     if not (t1.operation and t2.operation):
         raise NotNonselective("both inputs must be unital completely positive maps")
     n = a1.ambient_dim
-    if a2.ambient_dim != n or (ambient_dim is not None and ambient_dim != n):
+    if a2.ambient_dim != n:
         raise AmbientMismatch("operation domains live in different ambient spaces")
     if iso is None:
         iso = product_isomorphism(a1, a2, tol)
@@ -722,27 +721,32 @@ def joint_extension_residuals(
     }
 
 
+#: Random full-rank inputs on which ``verify_product_transition`` checks the
+#: output: the outputs are affine in the input, so a map that misses the
+#: product somewhere misses it on almost every random input, and 8 has margin.
+TRANSITION_SWEEP = 8
+
+
 def verify_product_transition(
     joint: ChannelMap,
     state: AlgebraState,
     state1: AlgebraState,
     state2: AlgebraState,
     rng: np.random.Generator | int | None = None,
-    sweep: int = 8,
     tol: Tolerances = DEFAULT_TOL,
 ) -> bool:
     """Does the transition map send every input to the prescribed product?
 
     For a joint extension of two state preparations, the output functional
     on products must be phi1(x) phi2(y) regardless of the input state; this
-    checks the given state and a seeded sweep of random full-rank inputs.
+    checks the given state and TRANSITION_SWEEP seeded random full-rank inputs.
     """
     from .sampling import random_density
 
     generator = _as_rng(rng)
     dual = dual_on_states(joint, tol)
     densities = [state.density] + [
-        random_density(joint.domain.ambient_dim, generator) for _ in range(sweep)
+        random_density(joint.domain.ambient_dim, generator) for _ in range(TRANSITION_SWEEP)
     ]
     return all(
         product_residual(dual.apply(rho), state1, state2) <= tol.eps_verify

@@ -140,20 +140,26 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def null_space(
-    mat: np.ndarray,
-    rel_tol: float = 1e-9,
-    gap_factor: float = 1e3,
-    scale: float = 0.0,
-) -> np.ndarray:
+#: Relative singular-value cut of :func:`null_space`: the kernel directions of
+#: stacked commutators of unit-scale matrices sit at rounding, the rest near 1.
+KERNEL_RANK_CUT = 1e-9
+#: Relative singular-value cut of :func:`orthonormalize`: products of
+#: orthonormal elements are redundant only up to rounding, far below 1e-10.
+SPAN_RANK_CUT = 1e-10
+#: Least ratio of the smallest kept to the largest dropped singular value at a
+#: rank cut; across a narrower gap the rank is a guess, so it is refused.
+RANK_GAP_FACTOR = 1e3
+
+
+def null_space(mat: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the kernel of ``mat`` (columns).
 
-    Singular values below rel_tol * max(sigma_max, scale) are treated as
-    zero.  Callers whose matrix entries are O(1)-normalized should pass
-    ``scale=1.0`` so an all-noise matrix reads as zero rather than as full
-    rank.  The cut must be clean: the smallest kept singular value has to
-    exceed the largest discarded one by ``gap_factor``, otherwise
-    :class:`IllConditioned` is raised rather than guessing a rank.
+    Singular values below KERNEL_RANK_CUT * max(sigma_max, scale) are
+    treated as zero.  Callers whose matrix entries are O(1)-normalized
+    should pass ``scale=1.0`` so an all-noise matrix reads as zero rather
+    than as full rank.  The cut must be clean: the smallest kept singular
+    value has to exceed the largest discarded one by RANK_GAP_FACTOR,
+    otherwise :class:`IllConditioned` is raised rather than guessing a rank.
 
     Tall input is first reduced to the R of its QR factorization, which has
     the same singular values and right-singular vectors; square input then
@@ -168,7 +174,7 @@ def null_space(
     mat = np.linalg.qr(mat, mode="r") if mat.shape[0] > n else mat
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < n)
     smax = s[0] if s.size else 0.0
-    thresh = rel_tol * max(smax, scale)
+    thresh = KERNEL_RANK_CUT * max(smax, scale)
     if smax <= thresh:
         return np.eye(n, dtype=complex)
     kept = s > thresh
@@ -176,7 +182,7 @@ def null_space(
     if 0 < rank < s.size:
         below = s[rank:]
         largest_below = below[0]
-        if largest_below > 0 and s[rank - 1] < gap_factor * largest_below:
+        if largest_below > 0 and s[rank - 1] < RANK_GAP_FACTOR * largest_below:
             raise IllConditioned(
                 "no clear spectral gap at the kernel threshold: "
                 f"sigma_kept={s[rank - 1]:.3e}, sigma_dropped={largest_below:.3e}"
@@ -184,16 +190,12 @@ def null_space(
     return dagger(vh[rank:, :]) if rank < n else np.zeros((n, 0), dtype=complex)
 
 
-def orthonormalize(
-    mats: np.ndarray,
-    rel_tol: float = 1e-10,
-    gap_factor: float = 1e3,
-) -> np.ndarray:
+def orthonormalize(mats: np.ndarray) -> np.ndarray:
     """Orthonormal basis (HS inner product) of the span of ``mats``.
 
     ``mats`` is an array of shape (k, n, m); the result has shape (r, n, m)
-    with r the numerical rank of the span.  The rank cut must show a clean
-    spectral gap, mirroring :func:`null_space`.
+    with r the numerical rank of the span, read at SPAN_RANK_CUT.  The rank
+    cut must show a clean spectral gap, mirroring :func:`null_space`.
 
     The basis is the SVD's right-singular vectors, so inside a degenerate
     singular subspace it is an arbitrary unitary rotation (which one may
@@ -212,11 +214,11 @@ def orthonormalize(
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return np.zeros((0, n, m), dtype=complex)
-    kept = s > rel_tol * smax
+    kept = s > SPAN_RANK_CUT * smax
     rank = int(np.count_nonzero(kept))
     if rank < s.size:
         largest_below = s[rank]
-        if largest_below > 0 and s[rank - 1] < gap_factor * largest_below:
+        if largest_below > 0 and s[rank - 1] < RANK_GAP_FACTOR * largest_below:
             raise IllConditioned(
                 "span rank is ambiguous: "
                 f"sigma_kept={s[rank - 1]:.3e}, sigma_dropped={largest_below:.3e}"

@@ -91,7 +91,7 @@ def canonical_block_algebra(blocks: list[tuple[int, int]], ambient_dim: int) -> 
 
 
 def conjugate_algebra(a: MatrixStarAlgebra, u: np.ndarray) -> MatrixStarAlgebra:
-    return MatrixStarAlgebra(a.ambient_dim, np.einsum("ij,ajk,lk->ail", u, a.basis, u.conj()))
+    return MatrixStarAlgebra(a.ambient_dim, u @ a.basis @ dagger(u))
 
 
 def _random_blocks(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -231,22 +231,21 @@ def _expi(h: np.ndarray) -> np.ndarray:
 def random_faithful_nonselective_channel(
     a: MatrixStarAlgebra,
     rng: np.random.Generator,
-    n_terms: int = 3,
     tol: Tolerances = DEFAULT_TOL,
 ) -> ChannelMap:
-    """Mixture of unitary conjugations by exponentials inside the algebra.
+    """Mixture of three unitary conjugations by exponentials inside the algebra.
 
     T(x) = sum_k p_k u_k* x u_k with u_k = exp(i h_k), h_k Hermitian in the
     span; such a map leaves the algebra invariant and is unital, completely
     positive and faithful.
     """
     herm = a.hermitian_basis
-    p = rng.random(n_terms) + 0.2
+    p = rng.random(3) + 0.2
     p /= p.sum()
-    kraus = []
-    for k in range(n_terms):
-        h = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
-        kraus.append(np.sqrt(p[k]) * _expi(h))
+    kraus = [
+        np.sqrt(pk) * _expi(np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0)))
+        for pk in p
+    ]
     return channel_on_algebra(a, np.stack(kraus), tol)
 
 

@@ -120,15 +120,11 @@ class AlgebraState:
             raise InvalidState("density does not have unit trace")
 
     def is_faithful(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return is_faithful(self, self.algebra, tol)
+        return is_faithful(self, tol)
 
 
-def is_faithful(
-    state: AlgebraState,
-    algebra: MatrixStarAlgebra | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> bool:
-    """Nondegeneracy of the inner product phi(x* y) on the algebra B.
+def is_faithful(state: AlgebraState, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Nondegeneracy of the inner product phi(x* y) on the state's algebra B.
 
     Decided from the n x n spectrum of sigma = E_B(rho), the HS projection
     of the density onto B, not from the dim x dim Gram matrix
@@ -142,8 +138,7 @@ def is_faithful(
     eigenvalues equal those of sigma, and the test
     lambda_min > eps_psd * max(1, lambda_max) gives the same answer.
     """
-    algebra = state.algebra if algebra is None else algebra
-    sigma = algebra.project(state.density)
+    sigma = state.algebra.project(state.density)
     evals = np.linalg.eigvalsh(0.5 * (sigma + dagger(sigma)))
     return bool(evals[0] > tol.eps_psd * max(1.0, evals[-1]))
 
@@ -237,6 +232,13 @@ def verify_separating_pair(
     as ||h|| = max |lambda| for a Hermitian h.
     """
     _check_hermitian_pair(h1, h2, state1.algebra.ambient_dim, tol)
+    return _separation_gap(h1, h2, state1, state2, tol)
+
+
+def _separation_gap(
+    h1: np.ndarray, h2: np.ndarray, state1: AlgebraState, state2: AlgebraState, tol: Tolerances
+) -> float:
+    """``verify_separating_pair`` for a pair already checked Hermitian and n x n."""
     for label, h, state in (("h1", h1, state1), ("h2", h2, state2)):
         if not state.algebra.contains(h, tol):
             raise IllConditioned(
@@ -261,15 +263,16 @@ def separating_pair(
     """The refusal certificate of (h1, h2), scaled to max(||h1||, ||h2||) = 1 and checked.
 
     The scale is read from one eigvalsh of (h1, h2), after both are checked
-    Hermitian.  Raises IllConditioned when the scaled pair fails
-    ``verify_separating_pair``.
+    Hermitian; scaling keeps them so, and the scaled pair's gap is checked
+    without checking them again.  Raises IllConditioned when the scaled pair
+    fails ``verify_separating_pair``.
     """
     _check_hermitian_pair(h1, h2, state1.algebra.ambient_dim, tol)
     scale = float(np.abs(np.linalg.eigvalsh(np.stack((h1, h2)))).max())
     if not scale > 0:
         raise IllConditioned("a separating pair needs a nonzero element")
     h1, h2 = h1 / scale, h2 / scale
-    gap = verify_separating_pair(h1, h2, state1, state2, tol)
+    gap = _separation_gap(h1, h2, state1, state2, tol)
     return {"kind": "separating_pair", "h1": h1, "h2": h2, "gap": gap}
 
 
@@ -312,7 +315,6 @@ def marginal_residual(rho: np.ndarray, states: Sequence[AlgebraState]) -> float:
 def extend_state(
     state1: AlgebraState,
     state2: AlgebraState,
-    ambient_dim: int | None = None,
     tol: Tolerances = DEFAULT_TOL,
     max_iter: int = 20000,
 ) -> ExtensionOutcome:
@@ -320,14 +322,7 @@ def extend_state(
 
     The solver is symmetric in its arguments and its feasible densities are
     re-checked against both marginals independently before being returned.
-    ``ambient_dim``, if given, must match the shared ambient of the two
-    algebras; it is only a cross-check.
     """
-    if ambient_dim is not None and ambient_dim != state1.algebra.ambient_dim:
-        raise AmbientMismatch(
-            f"requested ambient {ambient_dim}, marginals live in "
-            f"{state1.algebra.ambient_dim}"
-        )
     return extend_state_batch([(state1, state2)], tol, max_iter)[0]
 
 

@@ -196,6 +196,34 @@ class TestLoadInstance:
         cli._build_instance(str(INSTANCES / "tensor_pair_m6.json"), argparse.Namespace(tol=None))
         assert len(parsed) == len(set(parsed)) == 324
 
+    def test_an_operation_without_an_algebra_acts_as_the_library_route(self):
+        # an entry without an algebra is built on the full matrix algebra by
+        # the named-algebra route; the library's full-algebra builders are
+        # the reference
+        path = str(INSTANCES / "every_check_m6.json")
+        _, parsed = load_instance(path)
+        inst = cli._build_instance(path, argparse.Namespace(tol=None))
+        reference = {
+            "state_prep": staralg.state_prep_operation,
+            "kraus": lambda mats: staralg.channel_from_kraus(mats, 6, 6),
+            "luders": lambda mats: staralg.luders_operation(staralg.ProjectiveMeasurement(mats)),
+        }
+        kinds = []
+        for name, op in inst.operations.items():
+            assert op.algebra is None
+            kinds.append(op.kind)
+            want = reference[op.kind](parsed[f"operations.{name}"])
+            assert np.array_equal(op.channel.action, want.action), name
+        assert sorted(kinds) == sorted(reference)
+
+    def test_main_runs_the_command_named_by_the_verb(self, monkeypatch):
+        # the parser is cached, so a command bound into it would miss the patch
+        cli._build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.instance) or 0)
+        assert main(["analyze", "instances/same_algebra_m2.json"]) == 0
+        assert seen == ["instances/same_algebra_m2.json"]
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["analyze", "no_such_file.json"]) == 2
 
@@ -259,6 +287,16 @@ class TestAnalyze:
         assert main([*argv, "--out", str(out1), "--json"]) == 0
         assert main([*argv, "--out", str(out2), "--json"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_every_check_kind_reverifies(self, tmp_path):
+        code, doc = run_json(["analyze", "instances/every_check_m6.json"], tmp_path)
+        assert code == 0
+        assert [c["check"] for c in doc["checks"]] == list(cli._CHECK_NAMES)
+        code, rep = run_json(["verify-report", str(tmp_path / "out.json")], tmp_path, "verify.json")
+        assert code == 0 and rep["all_ok"]
+        assert rep["items"] and all(item["ok"] for item in rep["items"])
+        rebuilt = {item["target"] for item in rep["items"] if item["target"].startswith("operation ")}
+        assert rebuilt == {f"operation {name}" for name in doc["instance"]["operations"]}
 
     def test_human_summary_names_each_verdict_kind(self, capsys):
         assert main(["analyze", "instances/same_algebra_m2.json"]) == 0
@@ -672,6 +710,45 @@ class TestVerifyReport:
         assert not item["ok"]
         assert "operation rotate_right did not rebuild; see its own item" in item["detail"]
         assert "KeyError" not in item["detail"]
+
+
+class TestPackage:
+    EXPORTS = """
+        AlgebraBlock AlgebraState AmbientMismatch ChannelMap DEFAULT_TOL DomainNotFull
+        EVIDENCE_STATUS ExtensionOutcome FUZZ_FAMILIES FactorSearchOutcome IMPLICATIONS
+        IllConditioned IndependenceReport InterpolatingFactor InvalidIsomorphism
+        InvalidMeasurement InvalidState JointCells KINDS Kind KrausSet MatrixStarAlgebra
+        NoProductIsomorphism NonHermitian NotCP NotCommuting NotNonselective NotPSD
+        NotSubalgebra PairInstance ParseError ProductIsomorphism ProjectiveMeasurement
+        ShapeMismatch StinespringDilation StructureDecomposition Tolerances ToolkitError
+        UnknownFamily VERDICT_KEYS ValidationError Verdict __version__
+        annihilating_projections build_channel canonical_block_algebra canonical_trace_state
+        cell_pair channel_from_kraus channel_on_algebra check_cstar_independence
+        check_product_sense check_spatial_product_sense check_verdicts
+        check_wstar_independence check_wstar_product_sense choi choi_matrix commutant
+        commute_witness compose conditional_expectation conjugate_algebra dual_on_states
+        extend_state extend_state_batch extend_to_ambient find_interpolating_factor
+        full_matrix_algebra fuzz_instances generate_algebra identity_channel
+        implication_violations is_completely_positive is_faithful is_faithful_map
+        is_product_across join joint_cells joint_extension_residuals joint_operation
+        kraus_from_choi luders_operation map_from_choi marginal_residual mutually_commute
+        noncommuting_pair product_isomorphism product_residual product_state products
+        random_density random_faithful_nonselective_channel random_hermitian
+        random_luders_channel random_prep_channel random_pure_density random_subalgebra
+        restrict run_hierarchy_checks sample_state_pairs scalar_algebra separating_pair
+        slice_map state_from_density state_from_values state_prep_operation
+        state_preparation stinespring_dilation structure_decomposition superop_from_function
+        superop_from_kraus tensor_channel tensor_pair verify_faithful_product_state
+        verify_interpolating_factor verify_noncommuting_elements verify_product_transition
+        verify_separating_pair
+    """.split()
+
+    def test_the_package_exports_each_module_list_once(self):
+        assert len(self.EXPORTS) == 119
+        assert len(staralg.__all__) == len(set(staralg.__all__)) == 119
+        assert set(staralg.__all__) == set(self.EXPORTS)
+        for name in staralg.__all__:
+            assert hasattr(staralg, name), name
 
 
 class TestSerialization:

@@ -36,6 +36,7 @@ from staralg import (
     state_from_values,
     verify_separating_pair,
 )
+from staralg import states
 from staralg.independence import check_cstar_independence
 from staralg.numerics import Tolerances
 from staralg.sampling import fuzz_instances
@@ -339,6 +340,16 @@ class TestSeparatingPair:
         separating_pair(3 * h1, 3 * h2, s1, s2)
         # one for the scale, then the one of verify_separating_pair
         assert calls == {"eigvalsh": 2, "svd": 0}
+
+    def test_one_hermitian_check_per_element(self, monkeypatch):
+        witness = next(self.search_refusals())
+        h1, h2, (s1, s2) = witness["h1"], witness["h2"], witness["witness_states"]
+        checked = []
+        is_hermitian = states.is_hermitian
+        monkeypatch.setattr(states, "is_hermitian", lambda h, tol: checked.append(h) or is_hermitian(h, tol))
+        separating_pair(3 * h1, 3 * h2, s1, s2)
+        # scaling keeps the pair Hermitian, so the scaled copies are not checked again
+        assert len(checked) == 2
 
     def test_gap_and_scale_match_the_operator_norm_reference(self):
         seen = 0
