@@ -1,10 +1,12 @@
 """Linear maps between matrix algebras in the Heisenberg picture.
 
 A map is stored as its superoperator matrix on vec coordinates,
-``vec(T(x)) = action @ vec(x)``, together with certified flags.  When the
-domain is a proper subalgebra the stored matrix is the composition with the
-trace-compatible expectation onto the domain span, so applying it to an
-arbitrary ambient element first projects onto the span.
+``vec(T(x)) = action @ vec(x)``, together with flags and a Kraus family
+that only ``build_channel`` computes, from the action; every constructor
+here ends in it.  When the domain is a proper subalgebra the stored matrix
+is the composition with the trace-compatible expectation onto the domain
+span, so applying it to an arbitrary ambient element first projects onto
+the span.
 
 Complete positivity is decided through the block matrix
 ``C = sum_ij E_ij (x) T(E_ij)``; for ``T(x) = sum_k W_k* x W_k`` this equals
@@ -12,13 +14,12 @@ Complete positivity is decided through the block matrix
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import MatrixStarAlgebra, full_matrix_algebra
 from .errors import (
-    AmbientMismatch,
     DomainNotFull,
     InvalidMeasurement,
     NotCP,
@@ -30,7 +31,6 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerances,
     dagger,
-    eig_hermitian,
     hs_norm,
     is_hermitian,
     unvec,
@@ -58,10 +58,8 @@ __all__ = [
     "dual_on_states",
     "state_prep_operation",
     "luders_operation",
-    "slice_map",
     "tensor_channel",
     "extend_to_ambient",
-    "compose",
 ]
 
 
@@ -139,10 +137,10 @@ class ChannelMap:
     domain: MatrixStarAlgebra
     out_dim: int
     action: np.ndarray
-    cp_certified: bool = False
-    unital: bool = False
-    faithful: bool = False
-    kraus: KrausSet | None = None
+    cp_certified: bool = field(default=False, init=False)
+    unital: bool = field(default=False, init=False)
+    faithful: bool = field(default=False, init=False)
+    kraus: KrausSet | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         n = self.domain.ambient_dim
@@ -312,16 +310,8 @@ def channel_on_algebra(
 
 
 def identity_channel(n: int) -> ChannelMap:
-    channel = ChannelMap(
-        full_matrix_algebra(n),
-        n,
-        np.eye(n * n, dtype=complex),
-        cp_certified=True,
-        unital=True,
-        faithful=True,
-        kraus=KrausSet(np.eye(n, dtype=complex)[None]),
-    )
-    return channel
+    """Certified identity map on M_n, the channel of the single Kraus operator 1_n."""
+    return channel_from_kraus(np.eye(n, dtype=complex)[None], n)
 
 
 def stinespring_dilation(
@@ -392,29 +382,6 @@ def luders_operation(
     return channel
 
 
-def slice_map(
-    first_dim: int, sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> ChannelMap:
-    """Observable-picture dual of attaching an ancilla in state sigma.
-
-    Maps M_{n.r} down to M_n with Kraus W_k = sqrt(p_k) (1_n (x) v_k) from
-    the spectral decomposition sigma = sum_k p_k v_k v_k*, so that
-    x (x) y -> x tr(sigma y).
-    """
-    sigma = np.asarray(sigma, dtype=complex)
-    r = sigma.shape[0]
-    w, v = eig_hermitian(sigma, tol)
-    if w[0] < -tol.eps_psd:
-        raise NotPSD("ancilla state is not positive semidefinite")
-    eye = np.eye(first_dim)
-    ops = [
-        np.sqrt(p) * np.kron(eye, v[:, k : k + 1])
-        for k, p in enumerate(w)
-        if p > tol.eps_psd
-    ]
-    return channel_from_kraus(np.stack(ops), first_dim * r, first_dim, tol)
-
-
 def _tensor_superop(s1, n1, m1, s2, n2, m2) -> np.ndarray:
     """Superoperator of T1 (x) T2 from the factor superoperators.
 
@@ -431,24 +398,12 @@ def _tensor_superop(s1, n1, m1, s2, n2, m2) -> np.ndarray:
 def tensor_channel(
     c1: ChannelMap, c2: ChannelMap, tol: Tolerances = DEFAULT_TOL
 ) -> ChannelMap:
-    """Tensor product map on the Kronecker product of the domains."""
+    """Tensor product map on the Kronecker product of the domains, certified from scratch."""
     n1, n2 = c1.in_dim, c2.in_dim
     basis = np.einsum("aij,bkl->abikjl", c1.domain.basis, c2.domain.basis)
-    basis = basis.reshape(-1, n1 * n2, n1 * n2)
-    domain = MatrixStarAlgebra(n1 * n2, basis)
-    action = _tensor_superop(
-        c1.action, n1, c1.out_dim, c2.action, n2, c2.out_dim
-    )
-    out = ChannelMap(domain, c1.out_dim * c2.out_dim, action)
-    out.unital = c1.unital and c2.unital
-    out.cp_certified = c1.cp_certified and c2.cp_certified
-    if c1.kraus is not None and c2.kraus is not None:
-        ops = np.einsum(
-            "aij,bkl->abikjl", c1.kraus.operators, c2.kraus.operators
-        ).reshape(-1, n1 * n2, c1.out_dim * c2.out_dim)
-        out.kraus = KrausSet(ops)
-        out.faithful = is_faithful_map(out, tol)
-    return out
+    domain = MatrixStarAlgebra(n1 * n2, basis.reshape(-1, n1 * n2, n1 * n2))
+    action = _tensor_superop(c1.action, n1, c1.out_dim, c2.action, n2, c2.out_dim)
+    return build_channel(domain, c1.out_dim * c2.out_dim, action, tol)
 
 
 def extend_to_ambient(channel: ChannelMap, tol: Tolerances = DEFAULT_TOL) -> ChannelMap:
@@ -464,13 +419,3 @@ def extend_to_ambient(channel: ChannelMap, tol: Tolerances = DEFAULT_TOL) -> Cha
         channel.action @ channel.domain.expectation,
         tol,
     )
-
-
-def compose(outer: ChannelMap, inner: ChannelMap, tol: Tolerances = DEFAULT_TOL) -> ChannelMap:
-    """outer after inner; the inner map must land in the outer map's ambient."""
-    if inner.out_dim != outer.in_dim:
-        raise AmbientMismatch(
-            f"cannot compose: inner output dimension {inner.out_dim} differs "
-            f"from outer input dimension {outer.in_dim}"
-        )
-    return build_channel(inner.domain, outer.out_dim, outer.action @ inner.action, tol)

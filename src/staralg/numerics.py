@@ -22,7 +22,6 @@ __all__ = [
     "unvec",
     "hs_inner",
     "hs_norm",
-    "op_norm",
     "is_hermitian",
     "eig_hermitian",
     "is_psd",
@@ -100,11 +99,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 def hs_norm(a: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))
-
-
-def op_norm(a: np.ndarray) -> float:
-    """Operator (spectral) norm."""
-    return float(np.linalg.norm(a, 2))
 
 
 def is_hermitian(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

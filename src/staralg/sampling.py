@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MatrixStarAlgebra, full_matrix_algebra, mutually_commute
+from .algebra import MatrixStarAlgebra, mutually_commute
 from .channels import ChannelMap, channel_on_algebra
 from .errors import UnknownFamily
 from .independence import state_preparation
@@ -73,21 +73,12 @@ def canonical_block_algebra(blocks: list[tuple[int, int]], ambient_dim: int) -> 
     """Block-diagonal algebra with prescribed (size, multiplicity) blocks.
 
     Block k contributes matrix units of size n_k repeated m_k times along
-    the diagonal; the basis is orthonormal by construction.
+    the diagonal: the first algebra of the cell pair of (A, C 1), with
+    mu = [[m_k]], sizes1 = [n_k] and sizes2 = [1].
     """
     if sum(nk * mk for nk, mk in blocks) != ambient_dim:
         raise ValueError("block dimensions do not fill the ambient space")
-    basis = []
-    offset = 0
-    for nk, mk in blocks:
-        for i in range(nk):
-            for j in range(nk):
-                m = np.zeros((ambient_dim, ambient_dim), dtype=complex)
-                for s in range(mk):
-                    m[offset + i * mk + s, offset + j * mk + s] = 1.0 / np.sqrt(mk)
-                basis.append(m)
-        offset += nk * mk
-    return MatrixStarAlgebra(ambient_dim, np.stack(basis))
+    return cell_pair(np.array([[mk] for _, mk in blocks]), [nk for nk, _ in blocks], [1]).a1
 
 
 def conjugate_algebra(a: MatrixStarAlgebra, u: np.ndarray) -> MatrixStarAlgebra:
@@ -119,19 +110,12 @@ def random_subalgebra(
 def tensor_pair(
     d1: int, d2: int, rng: np.random.Generator | None = None
 ) -> PairInstance:
-    """The pair (M_d1 (x) 1, 1 (x) M_d2), optionally Haar-conjugated."""
-    n = d1 * d2
-    eye1, eye2 = np.eye(d1), np.eye(d2)
-    b1 = np.stack([np.kron(b, eye2 / np.sqrt(d2)) for b in full_matrix_algebra(d1).basis])
-    b2 = np.stack([np.kron(eye1 / np.sqrt(d1), b) for b in full_matrix_algebra(d2).basis])
-    a1 = MatrixStarAlgebra(n, b1)
-    a2 = MatrixStarAlgebra(n, b2)
+    """The pair (M_d1 (x) 1, 1 (x) M_d2), optionally Haar-conjugated: the cell pair of mu = [[1]]."""
+    inst = cell_pair(np.ones((1, 1), dtype=int), [d1], [d2], rng)
     meta: dict = {"d1": d1, "d2": d2}
     if rng is not None:
-        u = _haar_from_rng(n, rng)
-        a1, a2 = conjugate_algebra(a1, u), conjugate_algebra(a2, u)
         meta["conjugated"] = True
-    return PairInstance(a1, a2, "tensor", meta)
+    return PairInstance(inst.a1, inst.a2, "tensor", meta)
 
 
 def cell_pair(
@@ -145,11 +129,20 @@ def cell_pair(
     Cell (i, j) of the ambient space carries C^{sizes1[i]} (x) C^{sizes2[j]}
     (x) C^{mu[i,j]}, on which the first algebra acts in the first slot and
     the second algebra in the second; mu[i, j] = 0 deletes the cell, which
-    breaks product position.  This one constructor therefore produces
-    tensor pairs, annihilating pairs, and product-but-not-split pairs.
+    breaks product position.  This one constructor therefore produces tensor
+    pairs, block algebras, annihilating pairs, and product-but-not-split
+    pairs.  The bases are orthonormal by construction; only the input is checked.
     """
-    mu = np.asarray(mu, dtype=int)
+    mu = np.asarray(mu)
     n_i, m_j = list(sizes1), list(sizes2)
+    if mu.dtype.kind not in "iu" or mu.shape != (len(n_i), len(m_j)):
+        raise ValueError(f"mu must be an integer array of shape {(len(n_i), len(m_j))}, not {mu.dtype} {mu.shape}")
+    bad = [f"sizes{s}[{k}] = {size} is below 1" for s, sizes in ((1, n_i), (2, m_j)) for k, size in enumerate(sizes) if size < 1]
+    bad += [f"mu[{i}, {j}] = {mu[i, j]} is negative" for i, j in np.argwhere(mu < 0)]
+    bad += [f"row {i} of mu is zero" for i in np.flatnonzero(~mu.any(axis=1))]
+    bad += [f"column {j} of mu is zero" for j in np.flatnonzero(~mu.any(axis=0))]
+    if bad:
+        raise ValueError("no cell pair: " + "; ".join(bad))
     cells = [(i, j) for i in range(len(n_i)) for j in range(len(m_j)) if mu[i, j]]
     offsets = np.cumsum([0] + [n_i[i] * m_j[j] * mu[i, j] for i, j in cells])
     n = int(offsets[-1])
@@ -168,8 +161,6 @@ def cell_pair(
         return MatrixStarAlgebra(n, np.concatenate(basis))
 
     a1, a2 = algebra(n_i, 0), algebra(m_j, 1)
-    a1.validate()
-    a2.validate()
     meta = {"mu": mu, "sizes1": n_i, "sizes2": m_j}
     if rng is not None:
         u = _haar_from_rng(n, rng)
@@ -303,23 +294,20 @@ def fuzz_instances(family: str, count: int, seed: int) -> list[PairInstance]:
                 inst = cell_pair(
                     np.array([[1, 1], [1, 1]]), [1, 2], [1, 2], rng
                 )
-            inst.family = family
         elif family == "shared_block":
             mu = np.array([[1, 1], [0, 1]]) if rng.integers(0, 2) == 0 else np.array([[1, 0], [0, 1]])
             inst = cell_pair(mu, [1, 2], [2, 1], rng)
-            inst.family = family
             inst.meta["annihilating"] = True
         elif family == "haar_overlap":
             inst = noncommuting_pair(int(rng.integers(3, 6)), rng)
-            inst.family = family
         elif family == "factor_split":
             inst = tensor_pair(int(rng.integers(2, 4)), 2, rng)
-            inst.family = family
             inst.meta["factor_side"] = 1
         else:
             raise UnknownFamily(
                 f"unknown family {family!r}; known: {', '.join(FUZZ_FAMILIES)}"
             )
+        inst.family = family
         inst.meta["index"] = k
         out.append(inst)
     return out

@@ -4,7 +4,8 @@ A state is represented by an ambient density matrix: ``phi(x) = tr(density
 @ x)`` for x in the algebra.  Restriction keeps the density and merely
 points at the smaller algebra; construction from functional data uses the
 canonical in-span representer, whose ambient positivity is equivalent to
-positivity of the functional on the algebra.
+positivity of the functional on the algebra.  ``product_residual`` is the
+one test that a density acts as the product of two states.
 
 ``extend_state`` decides whether prescribed marginals on two subalgebras
 admit a joint density matrix on the ambient algebra.  It runs Dykstra's
@@ -26,13 +27,12 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .algebra import MatrixStarAlgebra, mutually_commute
+from .algebra import MatrixStarAlgebra
 from .errors import (
     AmbientMismatch,
     IllConditioned,
     InvalidIsomorphism,
     InvalidState,
-    NotCommuting,
     NotSubalgebra,
     ShapeMismatch,
 )
@@ -60,7 +60,6 @@ __all__ = [
     "marginal_residual",
     "product_state",
     "product_residual",
-    "is_product_across",
 ]
 
 ExtensionStatus = Literal["Feasible", "InfeasibleCertified", "Undecided"]
@@ -514,16 +513,3 @@ def product_residual(
     left = (np.asarray(rho, dtype=complex) @ a1.basis).reshape(a1.dim, -1)
     prods = left @ a2.basis.transpose(0, 2, 1).reshape(a2.dim, -1).T
     return float(np.abs(prods - np.outer(state1.expect_basis(), state2.expect_basis())).max())
-
-
-def is_product_across(
-    state: AlgebraState,
-    a1: MatrixStarAlgebra,
-    a2: MatrixStarAlgebra,
-    tol: Tolerances = DEFAULT_TOL,
-) -> bool:
-    """Whether phi(xy) = phi(x) phi(y) for all basis pairs of the algebras."""
-    if not mutually_commute(a1, a2, tol):
-        raise NotCommuting("product criterion needs mutually commuting algebras")
-    residual = product_residual(state.density, restrict(state, a1), restrict(state, a2))
-    return residual <= tol.eps_verify

@@ -1,6 +1,6 @@
 """Completely positive maps on subalgebras: Choi/Kraus/Stinespring
 calculus, duals on densities, measurement and preparation operations,
-tensor products, composition, and ambient extension.
+tensor products, ambient extension, and the one certification route.
 
 Oracles: round-trips re-apply the reconstructed map to matrix units;
 Choi positivity is recomputed from eigenvalues; the transpose map is the
@@ -14,11 +14,11 @@ import pytest
 
 from conftest import diag_algebra, left_factor, matrix_unit
 from staralg import (
+    ChannelMap,
     ProjectiveMeasurement,
     build_channel,
     channel_from_kraus,
     choi,
-    compose,
     dual_on_states,
     extend_to_ambient,
     full_matrix_algebra,
@@ -29,7 +29,6 @@ from staralg import (
     kraus_from_choi,
     luders_operation,
     map_from_choi,
-    slice_map,
     state_prep_operation,
     stinespring_dilation,
     superop_from_kraus,
@@ -41,6 +40,7 @@ from staralg.sampling import (
     random_density,
     random_faithful_nonselective_channel,
     random_luders_channel,
+    random_prep_channel,
 )
 
 
@@ -322,6 +322,41 @@ class TestTensorChannel:
         assert np.linalg.eigvalsh(comp).min() <= 1e-9
 
 
+    def test_flags_and_completeness_sum_of_criterion_3_draws(self):
+        """The flags certified from the tensor action are the conjunctions of the factors' flags.
+
+        The Kraus family comes from the Choi eigenbasis, and sum_k W_k W_k* does
+        not depend on the family, so it equals the Kronecker product of the
+        factors' sums.  The draws are those of acceptance criterion 3.
+        """
+        rng = np.random.default_rng(3001)
+        full2, full3 = full_matrix_algebra(2), full_matrix_algebra(3)
+        draws = [(random_faithful_nonselective_channel(full2, rng), random_faithful_nonselective_channel(full3, rng))
+                 for _ in range(50)]
+        draws += [(random_prep_channel(full2, rng, faithful=False)[0], random_faithful_nonselective_channel(full3, rng))
+                  for _ in range(50)]
+        for t1, t2 in draws:
+            tt = tensor_channel(t1, t2)
+            assert tt.cp_certified == (t1.cp_certified and t2.cp_certified)
+            assert tt.unital == (t1.unital and t2.unital)
+            assert tt.faithful == (t1.faithful and t2.faithful)
+            sums = [np.einsum("kij,klj->il", t.kraus.operators, t.kraus.operators.conj()) for t in (t1, t2, tt)]
+            assert np.abs(sums[2] - np.kron(sums[0], sums[1])).max() <= 1e-12
+
+
+class TestOneCertificationRoute:
+    def test_no_caller_can_assert_a_flag(self):
+        with pytest.raises(TypeError):
+            ChannelMap(full_matrix_algebra(2), 2, np.eye(4, dtype=complex), cp_certified=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_identity_channel_is_certified(self, n):
+        t = identity_channel(n)
+        assert np.array_equal(t.action, np.eye(n * n))
+        assert t.cp_certified and t.unital and t.faithful
+        assert t.kraus.rank == 1
+
+
 class TestIsFaithfulMap:
     def test_identity_is_faithful(self):
         assert is_faithful_map(identity_channel(3))
@@ -335,34 +370,6 @@ class TestIsFaithfulMap:
     def test_rank_deficient_prep_is_not_faithful(self):
         t = state_prep_operation(np.diag([1.0, 0.0]).astype(complex))
         assert not is_faithful_map(t)
-
-
-class TestSliceMap:
-    def test_collapses_second_factor_through_state(self):
-        rng = np.random.default_rng(197)
-        sigma = random_density(3, rng)
-        l = slice_map(2, sigma)
-        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        got = l.apply(kron(x, matrix_unit(3, 0, 0)))
-        assert hs_norm(got - np.trace(sigma @ matrix_unit(3, 0, 0)) * x) <= 1e-10
-
-    def test_unit_goes_to_unit(self):
-        l = slice_map(2, np.eye(2, dtype=complex) / 2)
-        assert hs_norm(l.apply(np.eye(4, dtype=complex)) - np.eye(2)) <= 1e-12
-
-    def test_intertwines_with_tensor_channels(self):
-        rng = np.random.default_rng(199)
-        sigma = random_density(2, rng)
-        t = random_kraus_channel(2, 2, rng)
-        l = slice_map(2, sigma)
-        t_tensor_id = tensor_channel(t, identity_channel(2))
-        # oracle: evaluation on random product elements
-        for _ in range(4):
-            x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            lhs = l.apply(t_tensor_id.apply(kron(x, y)))
-            rhs = t.apply(l.apply(kron(x, y)))
-            assert hs_norm(lhs - rhs) <= 1e-9
 
 
 class TestExtendToAmbient:
@@ -387,30 +394,6 @@ class TestExtendToAmbient:
         ext = extend_to_ambient(lud)
         for b in d.basis:
             assert hs_norm(ext.apply(b) - lud.apply(b)) <= 1e-9
-
-
-class TestCompose:
-    def test_identity_is_neutral(self):
-        rng = np.random.default_rng(223)
-        t = random_kraus_channel(2, 2, rng)
-        c = compose(identity_channel(2), t)
-        assert hs_norm(c.action - t.action) <= 1e-12
-
-    def test_luders_is_idempotent_under_composition(self):
-        m = ProjectiveMeasurement(
-            np.stack([np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)])
-        )
-        lud = luders_operation(m)
-        c = compose(lud, lud)
-        assert hs_norm(c.action - lud.action) <= 1e-12
-
-    def test_composition_choi_stays_psd(self):
-        rng = np.random.default_rng(227)
-        t1 = random_kraus_channel(3, 2, rng)
-        t2 = random_kraus_channel(3, 3, rng)
-        c = compose(t1, t2)
-        assert is_psd(choi(c))
-        assert c.cp_certified
 
 
 class TestChannelValidation:

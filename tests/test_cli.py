@@ -726,17 +726,17 @@ class TestPackage:
         cell_pair channel_from_kraus channel_on_algebra check_cstar_independence
         check_product_sense check_spatial_product_sense check_verdicts
         check_wstar_independence check_wstar_product_sense choi choi_matrix commutant
-        commute_witness compose conditional_expectation conjugate_algebra dual_on_states
+        commute_witness conditional_expectation conjugate_algebra dual_on_states
         extend_state extend_state_batch extend_to_ambient find_interpolating_factor
         full_matrix_algebra fuzz_instances generate_algebra identity_channel
         implication_violations is_completely_positive is_faithful is_faithful_map
-        is_product_across join joint_cells joint_extension_residuals joint_operation
+        join joint_cells joint_extension_residuals joint_operation
         kraus_from_choi luders_operation map_from_choi marginal_residual mutually_commute
         noncommuting_pair product_isomorphism product_residual product_state products
         random_density random_faithful_nonselective_channel random_hermitian
         random_luders_channel random_prep_channel random_pure_density random_subalgebra
         restrict run_hierarchy_checks sample_state_pairs scalar_algebra separating_pair
-        slice_map state_from_density state_from_values state_prep_operation
+        state_from_density state_from_values state_prep_operation
         state_preparation stinespring_dilation structure_decomposition superop_from_function
         superop_from_kraus tensor_channel tensor_pair verify_faithful_product_state
         verify_interpolating_factor verify_noncommuting_elements verify_product_transition
@@ -744,8 +744,8 @@ class TestPackage:
     """.split()
 
     def test_the_package_exports_each_module_list_once(self):
-        assert len(self.EXPORTS) == 119
-        assert len(staralg.__all__) == len(set(staralg.__all__)) == 119
+        assert len(self.EXPORTS) == 116
+        assert len(staralg.__all__) == len(set(staralg.__all__)) == 116
         assert set(staralg.__all__) == set(self.EXPORTS)
         for name in staralg.__all__:
             assert hasattr(staralg, name), name

@@ -25,7 +25,6 @@ from staralg.numerics import (
     is_psd,
     kron,
     null_space,
-    op_norm,
     orthonormalize,
     rvec_to_hermitian,
     unvec,
@@ -107,10 +106,6 @@ class TestHilbertSchmidt:
         frob2 = float(np.sum(np.abs(a) ** 2))
         assert abs(hs_inner(a, a).real - frob2) <= 1e-10
         assert abs(hs_norm(a) - np.sqrt(frob2)) <= 1e-10
-
-    def test_op_norm_of_projector(self):
-        p = np.diag([1.0, 0.0, 0.0])
-        assert abs(op_norm(p) - 1.0) <= 1e-14
 
 
 class TestVecConventions:

@@ -7,6 +7,8 @@ structural guarantees each family advertises.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from staralg import (
     sample_state_pairs,
     tensor_pair,
 )
-from staralg.numerics import dagger, haar_unitary, hs_norm, is_psd
+from staralg.numerics import _haar_from_rng, dagger, haar_unitary, hs_norm, is_psd
 
 
 class TestRandomSubalgebra:
@@ -73,6 +75,77 @@ class TestPairGenerators:
         b.validate()
         assert b.dim == a.dim
         assert commutant(b).dim == commutant(a).dim
+
+
+def kronecker_tensor_pair(d1, d2, rng):
+    """Reference: both bases as Kronecker products of matrix units, then one Haar conjugation."""
+    eye1, eye2 = np.eye(d1), np.eye(d2)
+    b1 = np.stack([np.kron(b, eye2 / np.sqrt(d2)) for b in full_matrix_algebra(d1).basis])
+    b2 = np.stack([np.kron(eye1 / np.sqrt(d1), b) for b in full_matrix_algebra(d2).basis])
+    if rng is not None:
+        u = _haar_from_rng(d1 * d2, rng)
+        b1, b2 = u @ b1 @ dagger(u), u @ b2 @ dagger(u)
+    return b1, b2
+
+
+def diagonal_block_basis(blocks, n):
+    """Reference: matrix units of size n_k, each repeated m_k times along the diagonal."""
+    basis = []
+    offset = 0
+    for nk, mk in blocks:
+        for i in range(nk):
+            for j in range(nk):
+                m = np.zeros((n, n), dtype=complex)
+                for s in range(mk):
+                    m[offset + i * mk + s, offset + j * mk + s] = 1.0 / np.sqrt(mk)
+                basis.append(m)
+        offset += nk * mk
+    return np.stack(basis)
+
+
+class TestCellPairIsTheOneConstructor:
+    @pytest.mark.parametrize("seed", [None, 307])
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 2)])
+    def test_tensor_pair_equals_the_kronecker_construction(self, d1, d2, seed):
+        rng, ref_rng = (None, None) if seed is None else (np.random.default_rng(seed), np.random.default_rng(seed))
+        inst = tensor_pair(d1, d2, rng)
+        b1, b2 = kronecker_tensor_pair(d1, d2, ref_rng)
+        assert np.array_equal(inst.a1.basis, b1) and np.array_equal(inst.a2.basis, b2)
+        assert inst.family == "tensor"
+        meta = [("d1", d1), ("d2", d2)] + ([] if seed is None else [("conjugated", True)])
+        assert list(inst.meta.items()) == meta
+        if seed is not None:
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("blocks", [[(2, 1), (1, 3)], [(1, 1)] * 3, [(3, 2)], [(2, 2), (1, 1)]])
+    def test_block_algebra_equals_the_diagonal_construction(self, blocks):
+        n = sum(nk * mk for nk, mk in blocks)
+        assert np.array_equal(canonical_block_algebra(blocks, n).basis, diagonal_block_basis(blocks, n))
+
+    @pytest.mark.parametrize("family", FUZZ_FAMILIES)
+    def test_every_fuzz_algebra_validates(self, family):
+        for seed in (1, 2):
+            for inst in fuzz_instances(family, 20, seed):
+                inst.a1.validate()
+                inst.a2.validate()
+
+    @pytest.mark.parametrize(
+        "mu, sizes1, sizes2, message",
+        [
+            ([[1, 0], [0, 0]], [1, 1], [1, 1], "row 1 of mu is zero"),
+            ([[1, 0], [1, 0]], [1, 1], [1, 1], "column 1 of mu is zero"),
+            ([[1, -1], [1, 1]], [1, 1], [1, 1], r"mu\[0, 1\] = -1 is negative"),
+            ([[1, 1]], [2], [0, 1], r"sizes2\[0\] = 0 is below 1"),
+            ([[1.0]], [1], [1], "integer array"),
+            ([[1, 1]], [1, 1], [2], r"shape \(2, 1\)"),
+        ],
+        ids=["zero_row", "zero_column", "negative_entry", "zero_size", "float_mu", "wrong_shape"],
+    )
+    def test_cell_pair_rejects_a_bad_layout_before_building(self, mu, sizes1, sizes2, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                cell_pair(np.array(mu), sizes1, sizes2)
 
 
 class TestRandomDensities:
