@@ -15,7 +15,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 import numpy as np
 
 from .algebra import MatrixStarAlgebra, full_matrix_algebra
-from .errors import ToolkitError, ValidationError
+from .errors import ParseError, ToolkitError, ValidationError
 from .independence import (
     FactorSearchOutcome,
     InterpolatingFactor,
@@ -82,12 +82,53 @@ def _jsonable(x: Any) -> Any:
     raise TypeError(f"cannot serialize object of type {type(x).__name__}")
 
 
-def _array_in(node: Any) -> np.ndarray:
-    """Read back a matrix serialized by :func:`_jsonable`."""
-    arr = np.asarray(node, dtype=float)
-    if arr.ndim >= 1 and arr.shape[-1] == 2:
-        return arr[..., 0] + 1j * arr[..., 1]
+def _array_in(node: Any, shape: tuple[int | None, ...], where: str) -> np.ndarray:
+    """Decode a matrix of ``shape`` (rows, cols), or a non-empty stack of them for (None, rows, cols).
+
+    Every entry is a finite number, or every entry a finite ``[re, im]``
+    pair, read bit for bit as ``complex(re, im)``.  Anything else, ``null``
+    (the encoder's mark of a non-finite entry) included, raises ParseError
+    naming the first bad entry; only then are the entries walked one by one.
+    """
+    try:
+        arr = np.array(node)
+    except ValueError:  # ragged rows, or numbers mixed with pairs
+        arr = np.array(None)
+    ndim = len(shape)
+    fits = arr.ndim >= ndim and arr.shape[ndim:] in ((), (2,)) and all(
+        size == want or (want is None and size > 0) for size, want in zip(arr.shape, shape))
+    if not (fits and arr.dtype.kind in "biuf" and np.isfinite(arr).all()):
+        _raise_bad_entry(node, shape, where)
+        arr = np.array(node, dtype=float)  # the walk passed: integers beyond 64 bits
+    if arr.ndim > ndim:
+        return arr.astype(float).view(np.complex128)[..., 0]
     return arr.astype(complex)
+
+
+def _raise_bad_entry(node: Any, shape: tuple[int | None, ...], where: str) -> None:
+    """The walk of :func:`_array_in`: raise ParseError at the first entry that breaks its format."""
+    rows, cols = shape[-2:]
+    mats = [(where, node)]
+    if len(shape) == 3:
+        if not isinstance(node, list) or not node:
+            raise ParseError(f"{where}: expected a non-empty list of matrices")
+        mats = [(f"{where}[{k}]", m) for k, m in enumerate(node)]
+    forms = set()
+    for at, m in mats:
+        if not isinstance(m, list) or len(m) != rows:
+            raise ParseError(f"{at}: expected a {rows}x{cols} matrix (list of {rows} rows)")
+        for i, row in enumerate(m):
+            if not isinstance(row, list) or len(row) != cols:
+                raise ParseError(f"{at}: row {i} must be a list of {cols} entries")
+            for j, v in enumerate(row):
+                parts = v if isinstance(v, list) and len(v) == 2 else [v]
+                if not all(isinstance(x, (int, float)) for x in parts):
+                    raise ParseError(f"{at}[{i}][{j}]: matrix entry must be a number or an [re, im] pair")
+                if not all(abs(x) <= float(np.finfo(float).max) for x in parts):  # NaN, inf, huge integers
+                    raise ParseError(f"{at}[{i}][{j}]: matrix entry {v!r} is not finite")
+                forms.add(len(parts))
+                if len(forms) > 1:
+                    raise ParseError(f"{at}[{i}][{j}]: a matrix mixes numbers and [re, im] pairs")
 
 
 def _is_int(value: Any) -> bool:
@@ -110,7 +151,7 @@ class _VerifyLog:
             detail, ok = fn(), True
         except ToolkitError as exc:
             detail, ok = f"{type(exc).__name__}: {exc}", False
-        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
             detail, ok = f"malformed certificate ({type(exc).__name__}: {exc})", False
         self.items.append({"target": target, "ok": ok, "detail": detail})
         return ok
@@ -155,8 +196,9 @@ def _check_isomorphism(cert: dict, pair: _Pair) -> str:
 
 
 def _check_factor(fdoc: dict, pair: _Pair) -> str:
+    n = pair.a1.ambient_dim
     factor = verify_interpolating_factor(
-        _array_in(fdoc["unitary"]), fdoc["d1"], fdoc["d2"], pair.a1, pair.a2, pair.tol
+        _array_in(fdoc["unitary"], (n, n), "factor.unitary"), fdoc["d1"], fdoc["d2"], pair.a1, pair.a2, pair.tol
     )
     worst = max(factor.residuals.values())
     return f"interpolating factor revalidated (max residual {worst:.3e})"
@@ -164,12 +206,13 @@ def _check_factor(fdoc: dict, pair: _Pair) -> str:
 
 def _check_product_state(cert: dict, pair: _Pair) -> str:
     _check_dims(cert, pair.cells, ("dim_join",))
-    residual = verify_faithful_product_state(_array_in(cert["density"]), pair.a1, pair.a2, pair.tol)
+    density = _array_in(cert["density"], (pair.a1.ambient_dim,) * 2, "density")
+    residual = verify_faithful_product_state(density, pair.a1, pair.a2, pair.tol)
     return f"full-rank product of the tracial states (product residual {residual:.3e})"
 
 
 def _check_zero_cell(cert: dict, pair: _Pair, dims: tuple[str, ...] = ()) -> str:
-    z1, z2 = _array_in(cert["projection1"]), _array_in(cert["projection2"])
+    z1, z2 = (_array_in(cert[key], (pair.a1.ambient_dim,) * 2, key) for key in ("projection1", "projection2"))
     pair.cells.check_zero_cell(cert["cell"], cert["mu"], z1, z2)
     _check_dims(cert, pair.cells, dims)
     return f"zero cell {cert['cell']} of the cell table re-derived from the pair"
@@ -188,7 +231,8 @@ def _check_separating_pair(cert: dict, s1: AlgebraState, s2: AlgebraState, tol: 
     kind = cert["kind"]
     if not (isinstance(kind, str) and kind in KINDS and KINDS[kind].check is _check_refusal):
         raise ValidationError(f"a {kind!r} certificate is no refusal")
-    gap = verify_separating_pair(_array_in(cert["h1"]), _array_in(cert["h2"]), s1, s2, tol)
+    h1, h2 = (_array_in(cert[key], (s1.algebra.ambient_dim,) * 2, key) for key in ("h1", "h2"))
+    gap = verify_separating_pair(h1, h2, s1, s2, tol)
     if not abs(gap - cert["gap"]) <= tol.eps_verify:
         raise ValidationError(f"recorded gap {cert['gap']!r}, recomputed {gap:.3e}")
     return f"separating pair with gap {gap:.3e} above the margin"
@@ -197,13 +241,14 @@ def _check_separating_pair(cert: dict, s1: AlgebraState, s2: AlgebraState, tol: 
 def _check_refusal(cert: dict, pair: _Pair) -> str:
     """A separating pair, against the refused marginals it records."""
     w1, w2 = cert["witness_states"]
-    s1 = state_from_density(pair.a1, _array_in(w1["density"]), pair.tol)
-    s2 = state_from_density(pair.a2, _array_in(w2["density"]), pair.tol)
+    n = pair.a1.ambient_dim
+    s1 = state_from_density(pair.a1, _array_in(w1["density"], (n, n), "witness_states[0].density"), pair.tol)
+    s2 = state_from_density(pair.a2, _array_in(w2["density"], (n, n), "witness_states[1].density"), pair.tol)
     return _check_separating_pair(cert, s1, s2, pair.tol)
 
 
 def _check_noncommuting(cert: dict, pair: _Pair) -> str:
-    x, y = _array_in(cert["element1"]), _array_in(cert["element2"])
+    x, y = (_array_in(cert[key], (pair.a1.ambient_dim,) * 2, key) for key in ("element1", "element2"))
     norm = verify_noncommuting_elements(x, y, pair.a1, pair.a2, pair.tol)
     if not abs(norm - cert["commutator_norm"]) <= pair.tol.eps_verify:
         raise ValidationError(f"recorded commutator norm {cert['commutator_norm']!r}, recomputed {norm:.3e}")
@@ -328,8 +373,9 @@ def _check_extension(outcome: dict, s1: AlgebraState, s2: AlgebraState, tol: Tol
         return "status Undecided: nothing to re-validate"
     if status != "Feasible":
         raise ValidationError(f"unknown status {status!r}")
-    joint = state_from_density(full_matrix_algebra(s1.algebra.ambient_dim), _array_in(outcome["density"]), tol)
+    n = s1.algebra.ambient_dim
+    joint = state_from_density(full_matrix_algebra(n), _array_in(outcome["density"], (n, n), "density"), tol)
     res = marginal_residual(joint.density, (s1, s2))
-    if res > tol.eps_verify:
+    if not res <= tol.eps_verify:
         raise ValidationError(f"marginal residual {res:.3e} exceeds tolerance")
     return f"joint density PSD with marginal residual {res:.3e}"

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -38,43 +37,16 @@ from . import __version__
 from .algebra import MatrixStarAlgebra, full_matrix_algebra, generate_algebra
 from .certificates import _array_in, _check_extension, _check_factor, _check_implications, _is_int, _jsonable
 from .certificates import _Pair, _verify_verdicts, _VerifyLog
-from .channels import (
-    ChannelMap,
-    ProjectiveMeasurement,
-    build_channel,
-    channel_on_algebra,
-    choi,
-    dual_on_states,
-    map_from_choi,
-)
-from .errors import (
-    IllConditioned,
-    ParseError,
-    ToolkitError,
-    ValidationError,
-)
-from .independence import (
-    VERDICT_KEYS,
-    check_cstar_independence,
-    check_product_sense,
-    check_spatial_product_sense,
-    check_wstar_independence,
-    check_wstar_product_sense,
-    find_interpolating_factor,
-    implication_violations,
-    joint_extension_residuals,
-    joint_operation,
-    run_hierarchy_checks,
-    state_preparation,
-)
+from .channels import ChannelMap, ProjectiveMeasurement, build_channel, channel_on_algebra, choi, dual_on_states
+from .channels import map_from_choi
+from .errors import IllConditioned, ParseError, ToolkitError, ValidationError
+from .independence import VERDICT_KEYS, check_cstar_independence, check_product_sense, check_spatial_product_sense
+from .independence import check_wstar_independence, check_wstar_product_sense, find_interpolating_factor
+from .independence import implication_violations, joint_extension_residuals, joint_operation, run_hierarchy_checks
+from .independence import state_preparation
 from .numerics import Tolerances
 from .sampling import fuzz_instances, random_density, random_pure_density
-from .states import (
-    AlgebraState,
-    extend_state,
-    marginal_residual,
-    state_from_density,
-)
+from .states import AlgebraState, extend_state, marginal_residual, state_from_density
 
 __all__ = [
     "main",
@@ -103,37 +75,6 @@ _CHECK_NAMES = (
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
-
-
-def _entry_in(node: Any, where: str) -> complex:
-    """One matrix entry; json reads NaN and Infinity, which no entry may be."""
-    if isinstance(node, (int, float)):
-        value = complex(node)
-    elif isinstance(node, list) and len(node) == 2 and all(isinstance(v, (int, float)) for v in node):
-        value = complex(node[0], node[1])
-    else:
-        raise ParseError(f"{where}: matrix entry must be a number or an [re, im] pair")
-    if not np.isfinite(value):
-        raise ParseError(f"{where}: matrix entry {node!r} is not finite")
-    return value
-
-
-def _matrix_in(node: Any, n: int, where: str) -> np.ndarray:
-    if not isinstance(node, list) or len(node) != n:
-        raise ParseError(f"{where}: expected a {n}x{n} matrix (list of {n} rows)")
-    out = np.zeros((n, n), dtype=complex)
-    for i, row in enumerate(node):
-        if not isinstance(row, list) or len(row) != n:
-            raise ParseError(f"{where}: row {i} must be a list of {n} entries")
-        for j, v in enumerate(row):
-            out[i, j] = _entry_in(v, f"{where}[{i}][{j}]")
-    return out
-
-
-def _matrix_list_in(node: Any, n: int, where: str) -> np.ndarray:
-    if not isinstance(node, list) or not node:
-        raise ParseError(f"{where}: expected a non-empty list of matrices")
-    return np.stack([_matrix_in(m, n, f"{where}[{k}]") for k, m in enumerate(node)])
 
 
 def _require(node: dict, key: str, where: str) -> Any:
@@ -177,7 +118,7 @@ _TOL_FIELDS = ("eps_herm", "eps_psd", "eps_algebra", "eps_verify")
 
 def _positive(value: Any, where: str) -> float:
     """A finite positive number (bools are not numbers here)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
         raise ParseError(f"{where}: must be a positive number")
     return float(value)
 
@@ -215,11 +156,11 @@ def _operation_matrices(entry: dict, n: int, where: str) -> np.ndarray:
     """The Kraus operators, the projections or the prepared density of an operation entry."""
     kind = entry.get("kind", "kraus")
     if kind == "state_prep":
-        return _matrix_in(_require(entry, "density", where), n, f"{where}.density")
+        return _array_in(_require(entry, "density", where), (n, n), f"{where}.density")
     if kind not in ("kraus", "luders"):
         raise ParseError(f"{where}.kind: must be one of 'kraus', 'luders', 'state_prep'")
     key = "kraus" if kind == "kraus" else "projections"
-    return _matrix_list_in(_require(entry, key, where), n, f"{where}.{key}")
+    return _array_in(_require(entry, key, where), (None, n, n), f"{where}.{key}")
 
 
 def load_instance(path: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -248,23 +189,20 @@ def load_instance(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     algebras = _object(doc.get("algebras", {}), f"{path}: algebras")
     for name, entry in algebras.items():
         where = f"{path}: algebras.{name}"
-        _object(entry, where)
-        _check_keys(entry, {"generators"}, where)
-        parsed[f"algebras.{name}"] = _matrix_list_in(_require(entry, "generators", where), n, f"{where}.generators")
+        _check_keys(_object(entry, where), {"generators"}, where)
+        parsed[f"algebras.{name}"] = _array_in(_require(entry, "generators", where), (None, n, n), f"{where}.generators")
 
     states = _object(doc.get("states", {}), f"{path}: states")
     for name, entry in states.items():
         where = f"{path}: states.{name}"
-        _object(entry, where)
-        _check_keys(entry, {"algebra", "density"}, where)
+        _check_keys(_object(entry, where), {"algebra", "density"}, where)
         _check_name(_require(entry, "algebra", where), algebras, "algebra", f"{where}.algebra")
-        parsed[f"states.{name}"] = _matrix_in(_require(entry, "density", where), n, f"{where}.density")
+        parsed[f"states.{name}"] = _array_in(_require(entry, "density", where), (n, n), f"{where}.density")
 
     operations = _object(doc.get("operations", {}), f"{path}: operations")
     for name, entry in operations.items():
         where = f"{path}: operations.{name}"
-        _object(entry, where)
-        _check_keys(entry, {"algebra", "kind", "kraus", "projections", "density"}, where)
+        _check_keys(_object(entry, where), {"algebra", "kind", "kraus", "projections", "density"}, where)
         if entry.get("algebra") is not None:
             _check_name(entry["algebra"], algebras, "algebra", f"{where}.algebra")
         parsed[f"operations.{name}"] = _operation_matrices(entry, n, where)
@@ -344,9 +282,9 @@ def _build_operation(
     label = "Kraus operator" if kind == "kraus" else "projection"
     if kind == "luders":
         ProjectiveMeasurement(mats).validate(tol)
-    for k, m in enumerate(mats):
-        if a.distance_to_span(m) > tol.eps_algebra * n:
-            raise ValidationError(f"{where}: {label} {k} does not lie in algebra '{alg_name}'")
+    outside = np.flatnonzero(~(a.distances_to_span(mats) <= tol.eps_algebra * n))
+    if outside.size:
+        raise ValidationError(f"{where}: {label} {outside[0]} does not lie in algebra '{alg_name}'")
     return _ParsedOperation(channel_on_algebra(a, mats, tol), kind, alg_name)
 
 
@@ -806,7 +744,7 @@ def _rebuild_instance(
     out = _Instance(where, declared, n, {}, {}, {}, tol)
     for name, entry in declared["algebras"].items():
         def algebra(name=name, entry=entry) -> str:
-            a = MatrixStarAlgebra(n, _array_in(entry["basis"]))
+            a = MatrixStarAlgebra(n, _array_in(entry["basis"], (None, n, n), f"instance.algebras.{name}.basis"))
             a.validate(tol)
             out.algebras[name] = a
             return f"orthonormal basis of dimension {a.dim} revalidated"
@@ -814,13 +752,14 @@ def _rebuild_instance(
     for name, entry in declared["states"].items() if with_states else ():
         def state(name=name, entry=entry) -> str:
             a = out.algebras[entry["algebra"]]
-            out.states[name] = state_from_density(a, _array_in(entry["density"]), tol)
+            rho = _array_in(entry["density"], (n, n), f"instance.states.{name}.density")
+            out.states[name] = state_from_density(a, rho, tol)
             return "density revalidated"
         log.attempt(f"state {name}", state)
     for name, entry in declared["operations"].items():
         def operation(name=name, entry=entry) -> str:
-            mats = _operation_matrices(entry, n, "operation")
-            out.operations[name] = _build_operation(entry, mats, out.algebras, tol, "operation")
+            at = f"instance.operations.{name}"
+            out.operations[name] = _build_operation(entry, _operation_matrices(entry, n, at), out.algebras, tol, at)
             return f"{out.operations[name].kind} operation rebuilt"
         log.attempt(f"operation {name}", operation)
     return out
@@ -838,7 +777,7 @@ def _verify_joint(
 
     @cache
     def joint() -> ChannelMap:
-        action = map_from_choi(_array_in(section["choi"]), n, n)
+        action = map_from_choi(_array_in(section["choi"], (n * n, n * n), "choi"), n, n)
         channel = build_channel(full_matrix_algebra(n), n, action, tol)
         if not (channel.cp_certified and channel.unital):
             raise ValidationError("rebuilt joint map is not a nonselective operation")
@@ -854,7 +793,7 @@ def _verify_joint(
         t1, t2 = rebuilt("channel")
         residuals = joint_extension_residuals(joint(), t1, t2, tol)
         worst = max(residuals.values())
-        if worst > tol.eps_verify:
+        if not worst <= tol.eps_verify:
             raise ValidationError(f"extension residual {worst:.3e} exceeds tolerance")
         return f"joint extension rebuilt from Choi matrix (max residual {worst:.3e})"
 
@@ -868,12 +807,10 @@ def _verify_joint(
             raise ValidationError("transition table present but operations are not preparations")
         dual = dual_on_states(joint(), tol)
         rows = section["product_transition"]["rows"]
-        worst = max(
-            (max(_transition_residuals(dual, _array_in(row["input_density"]), prep1, prep2))
-             for row in rows),
-            default=0,
-        )
-        if worst > tol.eps_verify:
+        inputs = [_array_in(row["input_density"], (n, n), f"rows[{k}].input_density") for k, row in enumerate(rows)]
+        # np.max, unlike max, returns a NaN wherever it stands
+        worst = float(np.max([_transition_residuals(dual, rho, prep1, prep2) for rho in inputs], initial=0.0))
+        if not worst <= tol.eps_verify:
             raise ValidationError(f"transition residual {worst:.3e} exceeds tolerance")
         return f"product transitions reproduced on {len(rows)} probes (worst {worst:.3e})"
 

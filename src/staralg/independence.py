@@ -227,7 +227,7 @@ class ProductIsomorphism:
             "multiplicativity_residual": mult_residual,
         }
         worst = max(residuals.values())
-        if worst > tol.eps_verify:
+        if not worst <= tol.eps_verify:
             raise IllConditioned(
                 f"product isomorphism residual {worst:.3e} exceeds "
                 f"{tol.eps_verify:.1e}"
@@ -401,9 +401,11 @@ def check_product_sense(
     The multiplication map b_a (x) c_b -> b_a c_b of a commuting pair is onto
     the join, so an isomorphism iff no joint cell is zero (module docstring).
     Holds records the cell table and the dimensions, Fails the deficit and
-    the first zero cell.  No join is built.
+    the first zero cell.  No join is built.  A non-commuting pair is Undecided.
     """
-    return _product_sense(joint_cells(a1, a2, tol))
+    if not mutually_commute(a1, a2, tol):
+        return Verdict.undecided(NOT_APPLICABLE)
+    return _product_sense(_joint_cells(a1, a2, tol))
 
 
 def _product_sense(cells: JointCells) -> Verdict:
@@ -592,7 +594,7 @@ def verify_faithful_product_state(
     traces = (canonical_trace_state(a1), canonical_trace_state(a2))
     marginal = marginal_residual(state.density, traces)
     residual = product_residual(state.density, *traces)
-    if max(marginal, residual) > tol.eps_verify:
+    if not (marginal <= tol.eps_verify and residual <= tol.eps_verify):
         raise IllConditioned(
             f"not a product of the tracial states: marginal residual "
             f"{marginal:.3e}, product residual {residual:.3e}"
@@ -615,8 +617,11 @@ def check_wstar_product_sense(
     state of M_n; no join is built.  Otherwise the first zero cell is the
     witness: z_i (x) w_j is a multiplication relation (z_i w_j = 0) to which
     the states concentrated on z_i and w_j give the product value 1.
+    A non-commuting pair is Undecided.
     """
-    return _wstar_product_sense(joint_cells(a1, a2, tol), tol)
+    if not mutually_commute(a1, a2, tol):
+        return Verdict.undecided(NOT_APPLICABLE)
+    return _wstar_product_sense(_joint_cells(a1, a2, tol), tol)
 
 
 def _wstar_product_sense(cells: JointCells, tol: Tolerances) -> Verdict:
@@ -841,7 +846,7 @@ def verify_interpolating_factor(
         "embedding_residual_2": off_leg(a2.basis, False),
     }
     worst = max(residuals.values())
-    if worst > tol.eps_verify:
+    if not worst <= tol.eps_verify:
         raise IllConditioned(
             f"interpolating-factor verification residual {worst:.3e}"
         )
@@ -876,9 +881,12 @@ def find_interpolating_factor(
     (``algebra._cell_columns``) and verified by ``verify_interpolating_factor``.
     A factor A1 = M_{n1} (x) 1 is itself M, assembled as the single cell of
     the pair (A1, C 1) with mu = [[n / n1]] and the one unit 1 of C 1, so U*
-    is A1's structure intertwiner (the identity for A1 = M_n).
+    is A1's structure intertwiner (the identity for A1 = M_n).  A
+    non-commuting pair has none (``_noncommuting_split``).
     """
-    return _factor_search(joint_cells(a1, a2, tol), tol)
+    if not mutually_commute(a1, a2, tol):
+        return FactorSearchOutcome("NotFound", reason=_NONCOMMUTING_REASON)
+    return _factor_search(_joint_cells(a1, a2, tol), tol)
 
 
 def _factor_search(cells: JointCells, tol: Tolerances) -> FactorSearchOutcome:
@@ -945,9 +953,12 @@ def check_spatial_product_sense(
     residuals (unitarity and the two tensor legs) imply A1 in M, M in A2'
     and the factorization U x y U* = (x-leg) (x) (y-leg) of every product
     (``verify_interpolating_factor``); no product is formed here.  Fails
-    records the cell table.
+    records the cell table, or the hierarchy's ``_noncommuting_split``.
     """
-    cells = joint_cells(a1, a2, tol)
+    x, y, skew = commute_witness(a1, a2, tol)
+    if not skew <= tol.eps_algebra:
+        return _noncommuting_split(x, y, a1, a2, tol)
+    cells = _joint_cells(a1, a2, tol)
     return _split_verdict(_factor_search(cells, tol), cells)
 
 
@@ -1040,6 +1051,17 @@ def verify_noncommuting_elements(
     return norm
 
 
+_NONCOMMUTING_REASON = "an interpolating factor would force the first algebra to commute with the second elementwise"
+
+
+def _noncommuting_split(x: np.ndarray, y: np.ndarray, a1: MatrixStarAlgebra, a2: MatrixStarAlgebra,
+                        tol: Tolerances) -> Verdict:
+    """The split property's refusal by ``commute_witness``'s elements x of A1 and y of A2."""
+    return Verdict.fails({"kind": "noncommuting_elements", "element1": x, "element2": y,
+                          "commutator_norm": verify_noncommuting_elements(x, y, a1, a2, tol),
+                          "reasoning": _NONCOMMUTING_REASON})
+
+
 def run_hierarchy_checks(
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
@@ -1110,18 +1132,7 @@ def run_hierarchy_checks(
             for key in ("cstar_product_sense", "wstar_product_sense",
                         "op_cstar_product", "op_wstar_product")
         }
-        verdicts["split"] = Verdict.fails(
-            {
-                "kind": "noncommuting_elements",
-                "element1": x,
-                "element2": y,
-                "commutator_norm": verify_noncommuting_elements(x, y, a1, a2, tol),
-                "reasoning": (
-                    "an interpolating factor would force the first algebra "
-                    "to commute with the second elementwise"
-                ),
-            }
-        )
+        verdicts["split"] = _noncommuting_split(x, y, a1, a2, tol)
         verdicts["cstar_independent"] = _projection_search(a1, a2, rng, tol)
         notes.append(
             "the product-sense family requires a commuting pair and is "

@@ -106,7 +106,8 @@ def assert_structurally_equal(got, want, path="$"):
 
 # (field named in the error, path of the edit, bad value): names that are
 # not strings, bools where an integer or a tolerance is expected, and
-# non-finite matrix entries (json reads NaN and Infinity)
+# matrix entries that are not finite numbers or pairs (json reads NaN and
+# Infinity), short rows and a matrix that mixes numbers with pairs
 MALFORMED_FIELDS = [
     ("states.phi_left.algebra", ("states", "phi_left", "algebra"), []),
     ("operations.prep_left.algebra", ("operations", "prep_left", "algebra"), {"a": 1}),
@@ -121,6 +122,12 @@ MALFORMED_FIELDS = [
     ("tolerances.eps_verify", ("tolerances",), {"eps_verify": True}),
     ("algebras.left.generators[0][0][3]", ("algebras", "left", "generators", 0, 0, 3), [float("nan"), 0.0]),
     ("operations.rotate_right.kraus[0][0][0]", ("operations", "rotate_right", "kraus", 0, 0, 0), float("inf")),
+    ("states.phi_left.density[1][2]: matrix entry must be", ("states", "phi_left", "density", 1, 2), None),
+    ("operations.prep_left.density[0][0]: matrix entry must be", ("operations", "prep_left", "density", 0, 0), "0.5"),
+    ("algebras.right.generators[0][1][1]", ("algebras", "right", "generators", 0, 1, 1), [10**400, 0.0]),
+    ("states.phi_right.density: row 3 must be a list of 6 entries", ("states", "phi_right", "density", 3), [[0.0, 0.0]] * 5),
+    ("operations.measure_left.projections[1][2][2]: a matrix mixes", ("operations", "measure_left", "projections", 1, 2, 2), 0.0),
+    ("tolerances.eps_verify: must be a positive number", ("tolerances",), {"eps_verify": 10**400}),
 ]
 
 
@@ -188,13 +195,14 @@ class TestLoadInstance:
         assert main(["analyze", str(bad)]) == 2
         assert field in capsys.readouterr().err
 
-    def test_build_parses_each_matrix_entry_once(self, monkeypatch):
-        # the build reuses the matrices that load_instance validated
-        parsed = []
-        entry_in = cli._entry_in
-        monkeypatch.setattr(cli, "_entry_in", lambda node, where: parsed.append(where) or entry_in(node, where))
+    def test_build_decodes_each_matrix_field_once(self, monkeypatch):
+        # the build reuses the matrices that load_instance decoded, one decoder call per field
+        decoded = []
+        array_in = cli._array_in
+        monkeypatch.setattr(cli, "_array_in", lambda node, shape, where: decoded.append(where) or array_in(node, shape, where))
+        doc = json.loads((INSTANCES / "tensor_pair_m6.json").read_text())
         cli._build_instance(str(INSTANCES / "tensor_pair_m6.json"), argparse.Namespace(tol=None))
-        assert len(parsed) == len(set(parsed)) == 324
+        assert len(decoded) == len(set(decoded)) == sum(len(doc[key]) for key in ("algebras", "states", "operations"))
 
     def test_an_operation_without_an_algebra_acts_as_the_library_route(self):
         # an entry without an algebra is built on the full matrix algebra by
@@ -303,6 +311,24 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "cstar_product_sense    Fails  [dimension_deficit]" in out
         assert "split                  Fails  [no_interpolating_factor]" in out
+
+    def test_single_checks_on_a_non_commuting_pair_give_the_hierarchy_verdicts(self, tmp_path):
+        # left does not commute with itself; no check of the file may be lost
+        doc = json.loads((INSTANCES / "tensor_pair_m6.json").read_text())
+        kinds = ("product_sense", "wstar_product_sense", "spatial_product_sense", "interpolating_factor", "hierarchy")
+        doc["checks"] = [{"check": kind, "algebras": ["left", "left"]} for kind in kinds]
+        instance = tmp_path / "noncommuting.json"
+        instance.write_text(json.dumps(doc))
+        code, rep = run_json(["analyze", str(instance)], tmp_path, "noncommuting.report.json")
+        assert code == 0
+        *single, hierarchy = rep["checks"]
+        verdicts = hierarchy["verdicts"]
+        assert [entry["verdict"] for entry in single[:3]] == [
+            verdicts["cstar_product_sense"], verdicts["wstar_product_sense"], verdicts["split"]]
+        assert single[0]["verdict"]["status"] == "Undecided" and verdicts["split"]["status"] == "Fails"
+        assert single[3]["outcome"] == {"status": "NotFound", "reason": verdicts["split"]["witness"]["reasoning"]}
+        code, verify = run_json(["verify-report", str(tmp_path / "noncommuting.report.json")], tmp_path, "verify.json")
+        assert code == 0 and verify["all_ok"] is True
 
     def test_tolerances_are_echoed(self, tmp_path):
         code, doc = run_json(
@@ -516,6 +542,12 @@ class TestVerifyReport:
         return "extend_state"
 
     @staticmethod
+    def overflow_refusal_gap(doc):
+        # an integer beyond float range, where a float is recorded
+        doc["checks"][1]["outcome"]["certificate"]["gap"] = 10**400
+        return "extend_state"
+
+    @staticmethod
     def misspell_extension_status(doc):
         doc["checks"][1]["outcome"]["status"] = "Infeasible"
         return "extend_state"
@@ -579,6 +611,19 @@ class TestVerifyReport:
         doc["checks"][0]["verdicts"]["op_cstar"]["status"] = "Holds"
         return ("op_cstar status", "implications")
 
+    @staticmethod
+    def null_split_unitary(doc):
+        # the encoder writes null for a non-finite entry; a NaN unitary is no factor
+        factor = doc["checks"][0]["verdicts"]["split"]["certificate"]["factor"]
+        factor["unitary"] = [[None] * len(row) for row in factor["unitary"]]
+        return "split factor"
+
+    @staticmethod
+    def null_transition_probe(doc):
+        row = doc["joint_extension"]["product_transition"]["rows"][0]
+        row["input_density"] = [[None] * len(r) for r in row["input_density"]]
+        return "product_transition"
+
     # tamper -> the golden report it edits
     TAMPERS = {
         "corrupt_extension_density": "tensor_pair_m6",
@@ -589,6 +634,7 @@ class TestVerifyReport:
         "alter_no_factor_mu": "same_algebra_m2",
         "move_h2_outside_a2": "same_algebra_m2",
         "edit_refusal_gap": "same_algebra_m2",
+        "overflow_refusal_gap": "same_algebra_m2",
         "misspell_extension_status": "same_algebra_m2",
         "integer_extension_status": "same_algebra_m2",
         "point_op_cstar_at_a_holds": "tensor_pair_m6",
@@ -597,6 +643,8 @@ class TestVerifyReport:
         "collapse_factor_legs": "tensor_pair_m6",
         "misstate_split_and_op_cstar": "tensor_pair_m6",
         "claim_op_cstar_holds": "same_algebra_m2",
+        "null_split_unitary": "tensor_pair_m6",
+        "null_transition_probe": "tensor_prep_extend",
     }
 
     @pytest.mark.parametrize("tamper", list(TAMPERS))
@@ -613,6 +661,18 @@ class TestVerifyReport:
         failed = [item["target"] for item in rep["items"] if not item["ok"]]
         assert failed and all(t.endswith(targets) for t in failed), failed
         assert all(any(t.endswith(want) for t in failed) for want in targets), failed
+
+    def test_a_null_entry_fails_the_item_that_names_it(self, tmp_path):
+        doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
+        doc["checks"][0]["verdicts"]["split"]["certificate"]["factor"]["unitary"][2][3] = None
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
+        assert code == 2
+        failed = {item["target"]: item["detail"] for item in rep["items"] if not item["ok"]}
+        assert list(failed) == ["checks[0] hierarchy split factor"]
+        assert failed["checks[0] hierarchy split factor"] == (
+            "ParseError: factor.unitary[2][3]: matrix entry must be a number or an [re, im] pair")
 
     def test_refusal_reverifies_and_an_extendable_pair_is_caught(self, tmp_path):
         # a haar_overlap pair, refused by the extension solver on a sampled
@@ -751,12 +811,69 @@ class TestPackage:
             assert hasattr(staralg, name), name
 
 
+# the fields that hold a stack of matrices; every other field of [re, im] pairs holds one matrix
+STACK_FIELDS = {"generators", "kraus", "projections", "basis"}
+
+
+def matrix_fields(node, key=None):
+    """(field name, node) for each matrix, or stack of matrices, of [re, im] pairs below node."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from matrix_fields(v, k)
+    elif isinstance(node, list):
+        if is_numeric_array(node) and np.ndim(node) == (4 if key in STACK_FIELDS else 3):
+            yield key, node
+        else:
+            for v in node:
+                yield from matrix_fields(v, key)
+
+
+def complex_entries(node, depth):
+    """complex(re, im) entry by entry: the reference the decoder must match bit for bit."""
+    if depth == 0:
+        return complex(*node) if isinstance(node, list) else complex(node)
+    return [complex_entries(v, depth - 1) for v in node]
+
+
 class TestSerialization:
     def test_an_entry_with_a_non_finite_part_is_null(self):
         a = np.array([[1 + 2j, np.nan], [1j * np.inf, -0.0]])
         assert certificates._jsonable(a) == [[[1.0, 2.0], None], [None, [-0.0, 0.0]]]
         assert certificates._jsonable(np.array([np.inf, 3.0])) == [None, [3.0, 0.0]]
         assert certificates._jsonable(np.array(np.nan)) is None
+
+    def test_the_decoder_reads_every_bundled_matrix_as_complex_re_im_bit_for_bit(self):
+        paths = [*sorted(INSTANCES.glob("*.json")), *sorted(GOLDEN.glob("*.report.json"))]
+        decoded = []
+        for path in paths:
+            for key, node in matrix_fields(json.loads(path.read_text())):
+                shape = np.shape(node)[:-1]
+                got = certificates._array_in(node, (None, *shape[1:]) if key in STACK_FIELDS else shape, key)
+                want = np.array(complex_entries(node, len(shape)), dtype=complex)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (path.name, key)
+                decoded.append(got)
+        assert len(decoded) >= 40
+        # signed zeros survive (tensor_pair_m6's rotate_right holds -0.0)
+        assert any(np.signbit(m.real[m.real == 0]).any() for m in decoded)
+
+    def test_the_decoder_reads_numbers_as_complex_of_each_entry(self):
+        # an integer beyond 64 bits takes the entry-by-entry walk, then the same conversion
+        for node in ([[1, -0.0], [2.5, -3]], [[1, -0.0], [2.5, 2**70]]):
+            got = certificates._array_in(node, (2, 2), "m")
+            assert got.tobytes() == np.array(complex_entries(node, 2), dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("node,shape,message", [
+        ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], 1.0]], (2, 2), "m[1][1]: a matrix mixes numbers and [re, im] pairs"),
+        ([[[1.0, 0.0]], [[1.0, 0.0]]], (2, 2), "m: row 0 must be a list of 2 entries"),
+        ([], (None, 2, 2), "m: expected a non-empty list of matrices"),
+        ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], (3, 3), "m: expected a 3x3 matrix (list of 3 rows)"),
+        ([[1.0, float("nan")], [0.0, 1.0]], (2, 2), "m[0][1]: matrix entry nan is not finite"),
+        ([[1.0, 10**400], [0.0, 1.0]], (2, 2), "m[0][1]: matrix entry 1000"),
+    ])
+    def test_the_decoder_names_the_first_bad_entry(self, node, shape, message):
+        with pytest.raises(staralg.ParseError) as exc:
+            certificates._array_in(node, shape, "m")
+        assert str(exc.value).startswith(message)
 
 
 def evidence(vdoc):

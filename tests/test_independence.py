@@ -79,6 +79,7 @@ from staralg import ValidationError, algebra, independence, sampling, states
 from staralg.algebra import products
 from staralg.channels import superop_from_function
 from staralg.independence import (
+    NOT_APPLICABLE,
     SPLIT_IMPLIED_BOUND,
     _integer_rank_one_factorization,
     _projection_search,
@@ -120,10 +121,18 @@ class TestCheckProductSense:
         for value in product_isomorphism(a1, a2).validate().values():
             assert value <= 1e-9
 
-    def test_non_commuting_pair_is_rejected(self):
+    def test_non_commuting_pair_is_not_applicable(self):
+        # the verdict the hierarchy gives the pair
         nc = noncommuting_pair(2, np.random.default_rng(307))
-        with pytest.raises(NotCommuting):
-            check_product_sense(nc.a1, nc.a2)
+        v = check_product_sense(nc.a1, nc.a2)
+        assert (v.status, v.reason) == ("Undecided", NOT_APPLICABLE)
+
+    def test_validate_refuses_a_nan_from_tensor(self):
+        # NaN compares false with every bound, so a gate must ask for worst <= bound
+        iso = product_isomorphism(left_factor(2, 2), right_factor(2, 2))
+        nan = np.full_like(iso.from_tensor, np.nan)
+        with pytest.raises(IllConditioned):
+            ProductIsomorphism(iso.factor1, iso.factor2, iso.join, iso.to_tensor, nan).validate()
 
     def test_validate_rejects_an_isomorphism_that_is_not_the_multiplication_map(self):
         # the golden's echoed pair, whose isomorphism verify-report rebuilds
@@ -643,6 +652,11 @@ class TestStackedSplitResiduals:
             verify_interpolating_factor(
                 swap @ factor.unitary, 3, 3, pair.a1, pair.a2, DEFAULT_TOL
             )
+
+    def test_a_nan_unitary_is_refused(self):
+        pair = tensor_pair(2, 3, np.random.default_rng(64))
+        with pytest.raises(IllConditioned):
+            verify_interpolating_factor(np.full((6, 6), np.nan), 2, 3, pair.a1, pair.a2, DEFAULT_TOL)
 
     @pytest.mark.parametrize("d1,d2", [(1, 1), (2, 2), (0, 6), (2.0, 3), (True, 6)])
     def test_legs_that_do_not_split_the_ambient_space_are_refused(self, d1, d2):
