@@ -7,10 +7,11 @@ product states, joint extension of states and operations, and spatial
 splits through an interpolating tensor factor.
 
 The package re-exports the ``__all__`` of each public module, plus the
-numerical ``Tolerances`` and their default.
+numerical ``Tolerances`` and their default; the instance format stays in
+``staralg.instances`` (``staralg.instances.load(path)``).
 """
 
-from . import algebra, certificates, channels, errors, independence, sampling, states
+from . import algebra, certificates, channels, errors, independence, instances, sampling, states
 from .algebra import *  # noqa: F401,F403
 from .certificates import *  # noqa: F401,F403
 from .channels import *  # noqa: F401,F403

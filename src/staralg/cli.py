@@ -26,7 +26,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 from typing import Any, Callable
@@ -34,312 +33,21 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .algebra import MatrixStarAlgebra, full_matrix_algebra, generate_algebra
+from .algebra import full_matrix_algebra
 from .certificates import _array_in, _check_extension, _check_factor, _check_implications, _is_int, _jsonable
 from .certificates import _Pair, _verify_verdicts, _VerifyLog
-from .channels import ChannelMap, ProjectiveMeasurement, build_channel, channel_on_algebra, choi, dual_on_states
-from .channels import map_from_choi
+from .channels import ChannelMap, build_channel, choi, dual_on_states, map_from_choi
 from .errors import IllConditioned, ParseError, ToolkitError, ValidationError
 from .independence import VERDICT_KEYS, check_cstar_independence, check_product_sense, check_spatial_product_sense
 from .independence import check_wstar_independence, check_wstar_product_sense, find_interpolating_factor
 from .independence import implication_violations, joint_extension_residuals, joint_operation, run_hierarchy_checks
-from .independence import state_preparation
+from .instances import _CHECK_SECTIONS, SCHEMA_VERSION, SECTIONS, Instance, Operation, _check_schema_version, _load
+from .instances import _instance_section, _object, _read_echo, _read_json, _require, _tolerances, _two_names
 from .numerics import Tolerances
 from .sampling import fuzz_instances, random_density, random_pure_density
-from .states import AlgebraState, extend_state, marginal_residual, state_from_density
+from .states import AlgebraState, extend_state, marginal_residual
 
-__all__ = [
-    "main",
-    "cmd_analyze",
-    "cmd_extend",
-    "cmd_fuzz",
-    "cmd_verify_report",
-    "load_instance",
-]
-
-SCHEMA_VERSION = 1
-
-_CHECK_NAMES = (
-    "hierarchy",
-    "product_sense",
-    "wstar_product_sense",
-    "cstar_independence",
-    "wstar_independence",
-    "spatial_product_sense",
-    "interpolating_factor",
-    "extend_state",
-    "joint_operation",
-)
-
-
-# ---------------------------------------------------------------------------
-# parsing
-# ---------------------------------------------------------------------------
-
-
-def _require(node: dict, key: str, where: str) -> Any:
-    if key not in node:
-        raise ParseError(f"{where}: missing required field '{key}'")
-    return node[key]
-
-
-def _check_keys(node: dict, allowed: set[str], where: str, sep: str = ".") -> None:
-    """Reject a key outside ``allowed``, naming it as ``<where><sep><key>``."""
-    for key in node:
-        if key not in allowed:
-            raise ParseError(f"{where}{sep}{key}: unknown field")
-
-
-def _check_name(name: Any, pool: dict, kind: str, where: str) -> None:
-    if not isinstance(name, str):
-        raise ParseError(f"{where}: {kind} names must be strings, got {name!r}")
-    if name not in pool:
-        raise ParseError(f"{where}: unknown {kind} '{name}'")
-
-
-def _two_names(entry: dict, key: str, pool: dict, kind: str, where: str) -> list[str]:
-    """The list of two names under ``key``, each naming an entry of ``pool``."""
-    names = _require(entry, key, where)
-    if not isinstance(names, list) or len(names) != 2:
-        raise ParseError(f"{where}.{key}: expected a list of two names")
-    for nm in names:
-        _check_name(nm, pool, kind, f"{where}.{key}")
-    return names
-
-
-def _object(node: Any, where: str) -> dict:
-    if not isinstance(node, dict):
-        raise ParseError(f"{where}: must be an object")
-    return node
-
-
-_TOL_FIELDS = ("eps_herm", "eps_psd", "eps_algebra", "eps_verify")
-
-
-def _positive(value: Any, where: str) -> float:
-    """A finite positive number (bools are not numbers here)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
-        raise ParseError(f"{where}: must be a positive number")
-    return float(value)
-
-
-def _tolerances(fields: Any, where: str, flag: float | None) -> Tolerances:
-    """The defaults, updated by the tolerance object ``fields`` and then by ``--tol``.
-
-    ``where`` names the object in error messages.
-    """
-    _check_keys(_object(fields, where), set(_TOL_FIELDS), where)
-    values = {key: _positive(value, f"{where}.{key}") for key, value in fields.items()}
-    if flag is not None:
-        values["eps_verify"] = _positive(flag, "--tol")
-    return Tolerances(**values)
-
-
-def _read_json(path: str) -> Any:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read file: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _check_schema_version(doc: dict, where: str) -> None:
-    version = doc.get("schema_version", SCHEMA_VERSION)
-    if not (_is_int(version) and version == SCHEMA_VERSION):
-        raise ParseError(f"{where}: schema_version: unsupported version {version!r}")
-
-
-def _operation_matrices(entry: dict, n: int, where: str) -> np.ndarray:
-    """The Kraus operators, the projections or the prepared density of an operation entry."""
-    kind = entry.get("kind", "kraus")
-    if kind == "state_prep":
-        return _array_in(_require(entry, "density", where), (n, n), f"{where}.density")
-    if kind not in ("kraus", "luders"):
-        raise ParseError(f"{where}.kind: must be one of 'kraus', 'luders', 'state_prep'")
-    key = "kraus" if kind == "kraus" else "projections"
-    return _array_in(_require(entry, key, where), (None, n, n), f"{where}.{key}")
-
-
-def load_instance(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse and structurally validate an instance file.
-
-    Returns the raw document and the matrices parsed from it, keyed by entry
-    ("algebras.left", "states.rho", "operations.swap"); object construction
-    (and hence numerical validation) happens separately so every complaint
-    carries the path and field that caused it.
-    """
-    parsed: dict[str, np.ndarray] = {}
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    _check_keys(
-        doc,
-        {"schema_version", "ambient_dim", "algebras", "states", "operations", "checks", "tolerances"},
-        path,
-        sep=": ",
-    )
-    _check_schema_version(doc, path)
-    n = _require(doc, "ambient_dim", path)
-    if not _is_int(n) or n < 1:
-        raise ParseError(f"{path}: ambient_dim: must be a positive integer")
-
-    algebras = _object(doc.get("algebras", {}), f"{path}: algebras")
-    for name, entry in algebras.items():
-        where = f"{path}: algebras.{name}"
-        _check_keys(_object(entry, where), {"generators"}, where)
-        parsed[f"algebras.{name}"] = _array_in(_require(entry, "generators", where), (None, n, n), f"{where}.generators")
-
-    states = _object(doc.get("states", {}), f"{path}: states")
-    for name, entry in states.items():
-        where = f"{path}: states.{name}"
-        _check_keys(_object(entry, where), {"algebra", "density"}, where)
-        _check_name(_require(entry, "algebra", where), algebras, "algebra", f"{where}.algebra")
-        parsed[f"states.{name}"] = _array_in(_require(entry, "density", where), (n, n), f"{where}.density")
-
-    operations = _object(doc.get("operations", {}), f"{path}: operations")
-    for name, entry in operations.items():
-        where = f"{path}: operations.{name}"
-        _check_keys(_object(entry, where), {"algebra", "kind", "kraus", "projections", "density"}, where)
-        if entry.get("algebra") is not None:
-            _check_name(entry["algebra"], algebras, "algebra", f"{where}.algebra")
-        parsed[f"operations.{name}"] = _operation_matrices(entry, n, where)
-
-    checks = doc.get("checks", [])
-    if not isinstance(checks, list):
-        raise ParseError(f"{path}: checks: must be a list")
-    for k, entry in enumerate(checks):
-        where = f"{path}: checks[{k}]"
-        _check_keys(
-            _object(entry, where),
-            {"check", "algebras", "states", "operations", "samples", "seed", "max_iter"},
-            where,
-        )
-        kind = _require(entry, "check", where)
-        if kind not in _CHECK_NAMES:
-            raise ParseError(
-                f"{where}.check: unknown check '{kind}' (known: {', '.join(_CHECK_NAMES)})"
-            )
-        if kind == "extend_state":
-            _two_names(entry, "states", states, "state", where)
-        elif kind == "joint_operation":
-            _two_names(entry, "operations", operations, "operation", where)
-        else:
-            _two_names(entry, "algebras", algebras, "algebra", where)
-        for key in ("samples", "seed", "max_iter"):
-            if key in entry and (not _is_int(entry[key]) or entry[key] < 0):
-                raise ParseError(f"{where}.{key}: must be a non-negative integer")
-
-    _tolerances(doc.get("tolerances", {}), f"{path}: tolerances", None)
-    return doc, parsed
-
-
-# ---------------------------------------------------------------------------
-# building module-level objects
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class _ParsedOperation:
-    channel: ChannelMap
-    kind: str
-    algebra: str | None
-    prep_state: AlgebraState | None = None
-
-
-@dataclass(eq=False)
-class _Instance:
-    path: str
-    doc: dict
-    ambient_dim: int
-    algebras: dict[str, MatrixStarAlgebra]
-    states: dict[str, AlgebraState]
-    operations: dict[str, _ParsedOperation]
-    tol: Tolerances
-
-
-def _build_operation(
-    entry: dict,
-    mats: np.ndarray,
-    algebras: dict[str, MatrixStarAlgebra],
-    tol: Tolerances,
-    where: str,
-) -> _ParsedOperation:
-    """The operation of an entry whose matrices (``_operation_matrices``) are already parsed.
-
-    An entry that names no algebra acts on the full matrix algebra, by the
-    same route as one that names it.
-    """
-    alg_name = entry.get("algebra")
-    kind = entry.get("kind", "kraus")
-    n = mats.shape[-1]
-    a = algebras[alg_name] if alg_name is not None else full_matrix_algebra(n)
-    if kind == "state_prep":
-        st = state_from_density(a, mats, tol)
-        return _ParsedOperation(state_preparation(st, tol), "state_prep", alg_name, st)
-    label = "Kraus operator" if kind == "kraus" else "projection"
-    if kind == "luders":
-        ProjectiveMeasurement(mats).validate(tol)
-    outside = np.flatnonzero(~(a.distances_to_span(mats) <= tol.eps_algebra * n))
-    if outside.size:
-        raise ValidationError(f"{where}: {label} {outside[0]} does not lie in algebra '{alg_name}'")
-    return _ParsedOperation(channel_on_algebra(a, mats, tol), kind, alg_name)
-
-
-def _build_instance(path: str, args: argparse.Namespace) -> _Instance:
-    doc, parsed = load_instance(path)
-    n = doc["ambient_dim"]
-    tol = _tolerances(doc.get("tolerances", {}), f"{path}: tolerances", args.tol)
-    algebras: dict[str, MatrixStarAlgebra] = {}
-    for name, entry in doc.get("algebras", {}).items():
-        where = f"{path}: algebras.{name}"
-        try:
-            algebras[name] = generate_algebra(parsed[f"algebras.{name}"], n, tol)
-        except ToolkitError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-    states: dict[str, AlgebraState] = {}
-    for name, entry in doc.get("states", {}).items():
-        where = f"{path}: states.{name}"
-        try:
-            states[name] = state_from_density(algebras[entry["algebra"]], parsed[f"states.{name}"], tol)
-        except ToolkitError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-    operations: dict[str, _ParsedOperation] = {}
-    for name, entry in doc.get("operations", {}).items():
-        where = f"{path}: operations.{name}"
-        try:
-            operations[name] = _build_operation(entry, parsed[f"operations.{name}"], algebras, tol, where)
-        except ToolkitError as exc:
-            if isinstance(exc, (ParseError, ValidationError)):
-                raise
-            raise ValidationError(f"{where}: {exc}") from exc
-    return _Instance(path, doc, n, algebras, states, operations, tol)
-
-
-def _instance_section(inst: _Instance) -> dict:
-    """Echo of the parsed instance, with orthonormal bases for round trips."""
-    return {
-        "path": inst.path,
-        "ambient_dim": inst.ambient_dim,
-        "algebras": {
-            name: {"dim": a.dim, "basis": a.basis}
-            for name, a in inst.algebras.items()
-        },
-        "states": {
-            name: {
-                "algebra": inst.doc["states"][name]["algebra"],
-                "density": st.density,
-            }
-            for name, st in inst.states.items()
-        },
-        "operations": {
-            name: dict(inst.doc.get("operations", {})[name])
-            for name in inst.operations
-        },
-        "tolerances": {k: getattr(inst.tol, k) for k in _TOL_FIELDS},
-    }
+__all__ = ["main", "cmd_analyze", "cmd_extend", "cmd_fuzz", "cmd_verify_report"]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +63,7 @@ def _effective(entry: dict, args: argparse.Namespace, key: str, default: int) ->
 
 
 def _joint_extension(
-    t1: _ParsedOperation, t2: _ParsedOperation, names: list[str], tol: Tolerances, status_key: str
+    t1: Operation, t2: Operation, names: list[str], tol: Tolerances, status_key: str
 ) -> tuple[dict, ChannelMap | None]:
     """Report section for the joint extension of two operations, and the channel.
 
@@ -386,53 +94,40 @@ _UNSEEDED = {
 }
 
 
-def _run_check(entry: dict, inst: _Instance, args: argparse.Namespace) -> dict:
-    kind = entry["check"]
-    tol = inst.tol
+def _run_check(entry: dict, inst: Instance, args: argparse.Namespace) -> dict:
+    kind, tol = entry["check"], inst.tol
+    section = _CHECK_SECTIONS[kind]
+    names = entry[section]
+    x1, x2 = (getattr(inst, section)[nm] for nm in names)
+    result = {"check": kind, section: list(names)}
     if kind == "extend_state":
-        names = entry["states"]
-        s1, s2 = inst.states[names[0]], inst.states[names[1]]
-        max_iter = entry.get("max_iter", 20000)
-        outcome = extend_state(s1, s2, tol=tol, max_iter=max_iter)
-        result = {"check": kind, "states": list(names), "outcome": outcome}
+        outcome = result["outcome"] = extend_state(x1, x2, tol=tol, max_iter=entry.get("max_iter", 20000))
         if outcome.status == "Feasible":
-            result["recomputed_marginal_residual"] = marginal_residual(
-                outcome.density, (s1, s2)
-            )
-        return result
-    if kind == "joint_operation":
-        names = entry["operations"]
-        t1, t2 = inst.operations[names[0]], inst.operations[names[1]]
-        section, _ = _joint_extension(t1, t2, names, tol, "outcome")
-        return {"check": kind, **section}
-
-    names = entry["algebras"]
-    a1, a2 = inst.algebras[names[0]], inst.algebras[names[1]]
-    result = {"check": kind, "algebras": list(names)}
-    if kind == "interpolating_factor":
-        result["outcome"] = find_interpolating_factor(a1, a2, tol)
+            result["recomputed_marginal_residual"] = marginal_residual(outcome.density, (x1, x2))
+    elif kind == "joint_operation":
+        result.update(_joint_extension(x1, x2, names, tol, "outcome")[0])
+    elif kind == "interpolating_factor":
+        result["outcome"] = find_interpolating_factor(x1, x2, tol)
     elif kind in _UNSEEDED:
-        result["verdict"] = _UNSEEDED[kind](a1, a2, tol)
+        result["verdict"] = _UNSEEDED[kind](x1, x2, tol)
     else:  # the hierarchy and the plain notions, which echo their seed and samples
         seed = _effective(entry, args, "seed", 0)
         result.update(seed=seed, samples=_effective(entry, args, "samples", 50))
         if kind == "hierarchy":
-            report = run_hierarchy_checks(a1, a2, seed=seed, tol=tol)
+            report = run_hierarchy_checks(x1, x2, seed=seed, tol=tol)
             violations = [list(v) for v in implication_violations(report.verdicts)]
             result.update(verdicts=report.verdicts, notes=report.notes, implication_violations=violations)
         else:
             fn = check_cstar_independence if kind == "cstar_independence" else check_wstar_independence
-            result["verdict"] = fn(a1, a2, rng=np.random.default_rng(seed), tol=tol)
+            result["verdict"] = fn(x1, x2, rng=np.random.default_rng(seed), tol=tol)
     return result
 
 
-def _default_checks(inst: _Instance) -> list[dict]:
+def _default_checks(inst: Instance) -> list[dict]:
     names = list(inst.algebras)
     if len(names) != 2:
-        raise ValidationError(
-            f"{inst.path}: no checks given and the file does not contain "
-            "exactly two algebras; nothing to do"
-        )
+        raise ValidationError(f"{inst.path}: no checks given and the file does not contain exactly two algebras; "
+                              "nothing to do")
     return [{"check": "hierarchy", "algebras": names}]
 
 
@@ -458,15 +153,8 @@ def _dump(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _finish(
-    report: dict,
-    args: argparse.Namespace,
-    human: Callable[[dict], None],
-    started: float,
-) -> int:
-    report["wall_clock_seconds"] = (
-        round(time.perf_counter() - started, 6) if args.timing else None
-    )
+def _finish(report: dict, args: argparse.Namespace, human: Callable[[dict], None], started: float) -> int:
+    report["wall_clock_seconds"] = round(time.perf_counter() - started, 6) if args.timing else None
     data = _jsonable(report)
     payload = _dump(data)
     if args.out:
@@ -499,23 +187,18 @@ def _verdict_summary(verdict: dict) -> str:
 
 def _human_analyze(data: dict) -> None:
     inst = data["instance"]
-    dims = ", ".join(
-        f"{name} (dim {entry['dim']})" for name, entry in sorted(inst["algebras"].items())
-    )
+    dims = ", ".join(f"{name} (dim {entry['dim']})" for name, entry in sorted(inst["algebras"].items()))
     print(f"staralg {data['toolkit_version']} analyze — {inst['path']}")
     print(f"ambient dimension {inst['ambient_dim']}; algebras: {dims}")
     for entry in data["checks"]:
         kind = entry["check"]
-        target = entry.get("algebras") or entry.get("states") or entry.get("operations")
-        head = f"check {kind} [{', '.join(target)}]"
+        head = f"check {kind} [{', '.join(entry[_CHECK_SECTIONS[kind]])}]"
         if "verdicts" in entry:
             print(f"{head}:")
             for key in VERDICT_KEYS:
                 print(f"  {key:<22} {_verdict_summary(entry['verdicts'][key])}")
             violations = entry["implication_violations"]
             print(f"  implication violations: {len(violations)}")
-        elif "verdict" in entry:
-            print(f"{head}: {_verdict_summary(entry['verdict'])}")
         elif kind == "extend_state":
             outcome = entry["outcome"]
             line = f"{head}: {outcome['status']}"
@@ -528,15 +211,15 @@ def _human_analyze(data: dict) -> None:
                 print(f"{head}: Extended  (max residual {_fmt(worst)})")
             else:
                 print(f"{head}: {entry['outcome']}  ({entry['diagnostic']})")
-        else:
-            print(f"{head}: {entry.get('outcome', {}).get('status', '?')}")
+        else:  # a single verdict, or the factor search's outcome
+            print(f"{head}: {_verdict_summary(entry.get('verdict') or entry['outcome'])}")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Run the checks named in an instance file and report the verdicts."""
     started = time.perf_counter()
-    inst = _build_instance(args.instance, args)
-    checks = inst.doc.get("checks") or _default_checks(inst)
+    inst = _load(args.instance, args.tol)
+    checks = inst.checks or _default_checks(inst)
     report = _base_report("analyze", args)
     report["instance"] = _instance_section(inst)
     report["checks"] = [_run_check(entry, inst, args) for entry in checks]
@@ -557,11 +240,7 @@ def _transition_residuals(
 
 
 def _product_transition_table(
-    joint: ChannelMap,
-    prescribed1: AlgebraState,
-    prescribed2: AlgebraState,
-    seed: int,
-    tol: Tolerances,
+    joint: ChannelMap, prescribed1: AlgebraState, prescribed2: AlgebraState, seed: int, tol: Tolerances
 ) -> dict:
     """Sweep input states through the dual of a joint preparation.
 
@@ -578,15 +257,8 @@ def _product_transition_table(
     rows = []
     for label, rho in probes:
         r1, r2 = _transition_residuals(dual, rho, prescribed1, prescribed2)
-        rows.append(
-            {
-                "probe": label,
-                "input_density": rho,
-                "marginal_residual_1": r1,
-                "marginal_residual_2": r2,
-                "matches_prescription": bool(max(r1, r2) <= tol.eps_verify),
-            }
-        )
+        rows.append({"probe": label, "input_density": rho, "marginal_residual_1": r1, "marginal_residual_2": r2,
+                     "matches_prescription": bool(max(r1, r2) <= tol.eps_verify)})
     return {
         "prescribed_values_1": prescribed1.expect_basis(),
         "prescribed_values_2": prescribed2.expect_basis(),
@@ -620,7 +292,7 @@ def _human_extend(data: dict) -> None:
 def cmd_extend(args: argparse.Namespace) -> int:
     """Jointly extend two named operations and certify the result."""
     started = time.perf_counter()
-    inst = _build_instance(args.instance, args)
+    inst = _load(args.instance, args.tol)
     for name in (args.op1, args.op2):
         if name not in inst.operations:
             raise ValidationError(f"{inst.path}: unknown operation '{name}'")
@@ -628,9 +300,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     section, joint = _joint_extension(t1, t2, [args.op1, args.op2], inst.tol, "status")
     if joint is not None and t1.kind == "state_prep" and t2.kind == "state_prep":
         seed = args.seed if args.seed is not None else 0
-        section["product_transition"] = _product_transition_table(
-            joint, t1.prep_state, t2.prep_state, seed, inst.tol
-        )
+        section["product_transition"] = _product_transition_table(joint, t1.prep_state, t2.prep_state, seed, inst.tol)
     report = _base_report("extend", args)
     report["instance"] = _instance_section(inst)
     report["joint_extension"] = section
@@ -722,57 +392,18 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 #
 # This section only walks the report: the certificate format and the
-# re-check of every evidence kind live in ``staralg.certificates``.
-
-
-def _rebuild_instance(
-    doc: dict, where: str, tol: Tolerances, log: _VerifyLog, with_states: bool
-) -> _Instance:
-    """Rebuild what a report's ``instance`` echo declares, one logged item each.
-
-    The returned ``doc`` holds the echoed sections, so names can be checked
-    against them; an object whose rebuild failed is left out.
-    """
-    inst = _object(_require(doc, "instance", where), f"{where}: instance")
-    n = _require(inst, "ambient_dim", f"{where}: instance")
-    if not _is_int(n) or n < 1:
-        raise ParseError(f"{where}: instance.ambient_dim: must be a positive integer")
-    declared = {
-        key: _object(inst.get(key, {}), f"{where}: instance.{key}")
-        for key in ("algebras", "states", "operations")
-    }
-    out = _Instance(where, declared, n, {}, {}, {}, tol)
-    for name, entry in declared["algebras"].items():
-        def algebra(name=name, entry=entry) -> str:
-            a = MatrixStarAlgebra(n, _array_in(entry["basis"], (None, n, n), f"instance.algebras.{name}.basis"))
-            a.validate(tol)
-            out.algebras[name] = a
-            return f"orthonormal basis of dimension {a.dim} revalidated"
-        log.attempt(f"algebra {name}", algebra)
-    for name, entry in declared["states"].items() if with_states else ():
-        def state(name=name, entry=entry) -> str:
-            a = out.algebras[entry["algebra"]]
-            rho = _array_in(entry["density"], (n, n), f"instance.states.{name}.density")
-            out.states[name] = state_from_density(a, rho, tol)
-            return "density revalidated"
-        log.attempt(f"state {name}", state)
-    for name, entry in declared["operations"].items():
-        def operation(name=name, entry=entry) -> str:
-            at = f"instance.operations.{name}"
-            out.operations[name] = _build_operation(entry, _operation_matrices(entry, n, at), out.algebras, tol, at)
-            return f"{out.operations[name].kind} operation rebuilt"
-        log.attempt(f"operation {name}", operation)
-    return out
+# re-check of every evidence kind live in ``staralg.certificates``, and
+# ``staralg.instances`` reads the instance echo back.
 
 
 def _verify_joint(
-    target: str, section: dict, where: str, inst: _Instance, log: _VerifyLog
+    target: str, section: dict, where: str, inst: Instance, log: _VerifyLog
 ) -> None:
     """Rebuild a joint extension from its Choi matrix once; re-check it and its transition table."""
     if section.get("outcome", section.get("status")) != "Extended":
         log.attempt(target, lambda: "no extension claimed: nothing to re-validate")
         return
-    names = _two_names(section, "operations", inst.doc["operations"], "operation", where)
+    names = _two_names(section, "operations", inst.declared["operations"], "operation", where)
     n, tol = inst.ambient_dim, inst.tol
 
     @cache
@@ -818,28 +449,30 @@ def _verify_joint(
 
 
 def _verify_analyze(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:
-    inst = _rebuild_instance(doc, where, tol, log, with_states=True)
+    inst = _read_echo(doc, where, tol, log, SECTIONS)
     checks = doc.get("checks", [])
     if not isinstance(checks, list):
         raise ParseError(f"{where}: checks: must be a list")
     for idx, entry in enumerate(checks):
         at = f"{where}: checks[{idx}]"
         kind = _require(_object(entry, at), "check", at)
-        if kind not in _CHECK_NAMES:
+        if not (isinstance(kind, str) and kind in _CHECK_SECTIONS):
             raise ParseError(f"{at}.check: unknown check {kind!r}")
         target = f"checks[{idx}] {kind}"
-        if kind == "extend_state":
-            names = _two_names(entry, "states", inst.doc["states"], "state", at)
-            outcome = _object(_require(entry, "outcome", at), f"{at}.outcome")
-            _require(outcome, "status", f"{at}.outcome")
-            if all(nm in inst.states for nm in names):
-                log.attempt(target, lambda: _check_extension(outcome, *(inst.states[nm] for nm in names), tol))
-            continue
         if kind == "joint_operation":
             _verify_joint(target, entry, at, inst, log)
             continue
-        names = _two_names(entry, "algebras", inst.doc["algebras"], "algebra", at)
-        pair = _Pair(*(inst.algebras[nm] for nm in names), tol) if all(nm in inst.algebras for nm in names) else None
+        section = _CHECK_SECTIONS[kind]
+        names = _two_names(entry, section, inst.declared[section], section[:-1], at)
+        built = getattr(inst, section)
+        objs = [built[nm] for nm in names if nm in built]
+        if kind == "extend_state":
+            outcome = _object(_require(entry, "outcome", at), f"{at}.outcome")
+            _require(outcome, "status", f"{at}.outcome")
+            if len(objs) == 2:
+                log.attempt(target, lambda: _check_extension(outcome, *objs, tol))
+            continue
+        pair = _Pair(*objs, tol) if len(objs) == 2 else None
         if kind == "interpolating_factor":
             factor = _object(_require(entry, "outcome", at), f"{at}.outcome").get("factor")
             if pair and factor:
@@ -855,7 +488,7 @@ def _verify_analyze(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> 
 
 
 def _verify_extend(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:
-    inst = _rebuild_instance(doc, where, tol, log, with_states=False)
+    inst = _read_echo(doc, where, tol, log, ("algebras", "operations"))
     at = f"{where}: joint_extension"
     section = _object(_require(doc, "joint_extension", where), at)
     _verify_joint("joint_extension", section, at, inst, log)

@@ -22,7 +22,6 @@ then check each with ``staralg verify-report`` and re-run the suite.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import copy
 import io
@@ -31,6 +30,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +38,8 @@ import pytest
 
 from conftest import array_from_json, array_to_json
 import staralg
-from staralg import certificates, cli, independence, states
-from staralg.cli import load_instance, main
+from staralg import certificates, cli, independence, instances, states
+from staralg.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCES = REPO / "instances"
@@ -164,7 +164,7 @@ class TestLoadInstance:
         from staralg import ParseError, ValidationError
 
         with pytest.raises((ParseError, ValidationError)):
-            load_instance(str(p))
+            instances.load(str(p))
 
     def test_rejects_malformed_matrix_row(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -176,7 +176,7 @@ class TestLoadInstance:
         from staralg import ParseError, ValidationError
 
         with pytest.raises((ParseError, ValidationError)):
-            load_instance(str(p))
+            instances.load(str(p))
 
     def test_rejects_unknown_field(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -185,7 +185,7 @@ class TestLoadInstance:
         from staralg import ParseError, ValidationError
 
         with pytest.raises((ParseError, ValidationError)):
-            load_instance(str(p))
+            instances.load(str(p))
 
     @pytest.mark.parametrize(
         "field,path,value", MALFORMED_FIELDS, ids=[case[0] for case in MALFORMED_FIELDS]
@@ -195,13 +195,23 @@ class TestLoadInstance:
         assert main(["analyze", str(bad)]) == 2
         assert field in capsys.readouterr().err
 
+    def test_a_huge_entry_is_named_in_a_short_message(self, tmp_path, monkeypatch, capsys):
+        # a 400-digit integer is named by its type and a cut of its repr that keeps the leading digits
+        path = ("algebras", "left", "generators", 0, 0, 0)
+        bad = write_edited(INSTANCES / "tensor_pair_m6.json", path, 10**400, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", bad.name]) == 2
+        message = capsys.readouterr().err.strip().removeprefix("error: ")
+        assert message.startswith("bad.json: algebras.left.generators[0][0][0]: matrix entry 1000"), message
+        assert "(int)" in message and len(message) <= 120, message
+
     def test_build_decodes_each_matrix_field_once(self, monkeypatch):
-        # the build reuses the matrices that load_instance decoded, one decoder call per field
+        # the build decodes each matrix field where it builds the object, one decoder call per field
         decoded = []
-        array_in = cli._array_in
-        monkeypatch.setattr(cli, "_array_in", lambda node, shape, where: decoded.append(where) or array_in(node, shape, where))
+        array_in = instances._array_in
+        monkeypatch.setattr(instances, "_array_in", lambda node, shape, where: decoded.append(where) or array_in(node, shape, where))
         doc = json.loads((INSTANCES / "tensor_pair_m6.json").read_text())
-        cli._build_instance(str(INSTANCES / "tensor_pair_m6.json"), argparse.Namespace(tol=None))
+        instances.load(str(INSTANCES / "tensor_pair_m6.json"))
         assert len(decoded) == len(set(decoded)) == sum(len(doc[key]) for key in ("algebras", "states", "operations"))
 
     def test_an_operation_without_an_algebra_acts_as_the_library_route(self):
@@ -209,8 +219,7 @@ class TestLoadInstance:
         # the named-algebra route; the library's full-algebra builders are
         # the reference
         path = str(INSTANCES / "every_check_m6.json")
-        _, parsed = load_instance(path)
-        inst = cli._build_instance(path, argparse.Namespace(tol=None))
+        inst = instances.load(path)
         reference = {
             "state_prep": staralg.state_prep_operation,
             "kraus": lambda mats: staralg.channel_from_kraus(mats, 6, 6),
@@ -220,7 +229,7 @@ class TestLoadInstance:
         for name, op in inst.operations.items():
             assert op.algebra is None
             kinds.append(op.kind)
-            want = reference[op.kind](parsed[f"operations.{name}"])
+            want = reference[op.kind](instances._operation_matrices(inst.declared["operations"][name], 6, name))
             assert np.array_equal(op.channel.action, want.action), name
         assert sorted(kinds) == sorted(reference)
 
@@ -299,7 +308,7 @@ class TestAnalyze:
     def test_every_check_kind_reverifies(self, tmp_path):
         code, doc = run_json(["analyze", "instances/every_check_m6.json"], tmp_path)
         assert code == 0
-        assert [c["check"] for c in doc["checks"]] == list(cli._CHECK_NAMES)
+        assert [c["check"] for c in doc["checks"]] == list(instances._CHECK_SECTIONS)
         code, rep = run_json(["verify-report", str(tmp_path / "out.json")], tmp_path, "verify.json")
         assert code == 0 and rep["all_ok"]
         assert rep["items"] and all(item["ok"] for item in rep["items"])
@@ -311,6 +320,11 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "cstar_product_sense    Fails  [dimension_deficit]" in out
         assert "split                  Fails  [no_interpolating_factor]" in out
+
+    def test_human_summary_gives_the_factor_search_reason(self, capsys):
+        assert main(["analyze", "instances/tensor_pair_m6.json"]) == 0
+        out = capsys.readouterr().out
+        assert "check interpolating_factor [left, right]: Found  (the first algebra is itself a factor)" in out
 
     def test_single_checks_on_a_non_commuting_pair_give_the_hierarchy_verdicts(self, tmp_path):
         # left does not commute with itself; no check of the file may be lost
@@ -770,6 +784,42 @@ class TestVerifyReport:
         assert not item["ok"]
         assert "operation rotate_right did not rebuild; see its own item" in item["detail"]
         assert "KeyError" not in item["detail"]
+
+    def test_a_huge_forged_entry_fails_its_items_without_warnings(self, tmp_path):
+        # the overflowed residuals are inf or NaN, which fail their gates; numpy stays silent
+        doc = json.loads((GOLDEN / "tensor_prep_extend.report.json").read_text())
+        doc["joint_extension"]["choi"][0][0] = [1e300, 0.0]
+        bad = tmp_path / "forged.json"
+        bad.write_text(json.dumps(doc))
+        code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict_code, strict = run_json(["verify-report", str(bad)], tmp_path, "strict.json")
+        assert code == strict_code == 2
+        assert [item for item in rep["items"] if not item["ok"]]
+        assert strict["items"] == rep["items"]
+
+
+class TestInstances:
+    @pytest.mark.parametrize("name", sorted(p.name for p in INSTANCES.glob("*.json")))
+    def test_an_instance_and_its_echo_build_the_same_objects(self, name, tmp_path):
+        path = f"instances/{name}"
+        inst = instances.load(path)
+        echo = json.loads(json.dumps(certificates._jsonable(instances._instance_section(inst))))
+        log = certificates._VerifyLog()
+        again = instances._read_echo({"instance": echo}, path, inst.tol, log, instances.SECTIONS)
+        assert log.items and all(item["ok"] for item in log.items), log.items
+        for section in instances.SECTIONS:
+            assert list(getattr(again, section)) == list(getattr(inst, section))
+        for key, a in inst.algebras.items():
+            assert np.array_equal(again.algebras[key].basis, a.basis), key
+        for key, st in inst.states.items():
+            assert np.array_equal(again.states[key].density, st.density), key
+        for key, op in inst.operations.items():
+            assert again.operations[key].kind == op.kind
+            assert np.array_equal(again.operations[key].channel.action, op.channel.action), key
+        code, report = run_json(["analyze", path], tmp_path)
+        assert code == 0 and report["instance"] == echo
 
 
 class TestPackage:
