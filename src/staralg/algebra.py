@@ -44,7 +44,6 @@ __all__ = [
     "full_matrix_algebra",
     "scalar_algebra",
     "generate_algebra",
-    "join",
     "commutant",
     "products",
     "commute_witness",
@@ -245,27 +244,6 @@ def _check_same_ambient(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra) -> None:
         raise AmbientMismatch(
             f"ambient dimensions differ: {a1.ambient_dim} vs {a2.ambient_dim}"
         )
-
-
-def join(
-    a1: MatrixStarAlgebra,
-    a2: MatrixStarAlgebra,
-    tol: Tolerances = DEFAULT_TOL,
-) -> MatrixStarAlgebra:
-    """Algebra generated by the union of the two spans.
-
-    For a commuting pair this is the span of the products b_a c_b, which the
-    normalized products of the two algebras' matrix units over the nonzero
-    joint cells already give orthonormally (``JointCells.cell_basis``).
-    Other pairs are closed by ``generate_algebra``.  The basis is canonical.
-    """
-    _check_same_ambient(a1, a2)
-    if mutually_commute(a1, a2, tol):
-        from .independence import _joint_cells
-
-        g, w, _, _ = _joint_cells(a1, a2, tol).cell_basis
-        return MatrixStarAlgebra(a1.ambient_dim, canonical_basis(g[w > 0]))
-    return generate_algebra(np.concatenate([a1.basis, a2.basis], axis=0), a1.ambient_dim, tol)
 
 
 def commutant(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixStarAlgebra:

@@ -41,7 +41,7 @@ from .errors import IllConditioned, ParseError, ToolkitError, ValidationError
 from .independence import VERDICT_KEYS, check_cstar_independence, check_product_sense, check_spatial_product_sense
 from .independence import check_wstar_independence, check_wstar_product_sense, find_interpolating_factor
 from .independence import implication_violations, joint_extension_residuals, joint_operation, run_hierarchy_checks
-from .instances import _CHECK_SECTIONS, SCHEMA_VERSION, SECTIONS, Instance, Operation, _check_schema_version, _load
+from .instances import _CHECK_SECTIONS, SCHEMA_VERSION, Instance, Operation, _check_schema_version, _load
 from .instances import _instance_section, _object, _read_echo, _read_json, _require, _tolerances, _two_names
 from .numerics import Tolerances
 from .sampling import fuzz_instances, random_density, random_pure_density
@@ -449,7 +449,7 @@ def _verify_joint(
 
 
 def _verify_analyze(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:
-    inst = _read_echo(doc, where, tol, log, SECTIONS)
+    inst = _read_echo(doc, where, tol, log)
     checks = doc.get("checks", [])
     if not isinstance(checks, list):
         raise ParseError(f"{where}: checks: must be a list")
@@ -488,7 +488,7 @@ def _verify_analyze(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> 
 
 
 def _verify_extend(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:
-    inst = _read_echo(doc, where, tol, log, ("algebras", "operations"))
+    inst = _read_echo(doc, where, tol, log)
     at = f"{where}: joint_extension"
     section = _object(_require(doc, "joint_extension", where), at)
     _verify_joint("joint_extension", section, at, inst, log)

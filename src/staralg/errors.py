@@ -14,7 +14,6 @@ __all__ = [
     "NotSubalgebra",
     "InvalidState",
     "NotCommuting",
-    "InvalidIsomorphism",
     "DomainNotFull",
     "NotPSD",
     "NotCP",
@@ -57,10 +56,6 @@ class InvalidState(ToolkitError):
 
 class NotCommuting(ToolkitError):
     """An operation requires mutually commuting algebras."""
-
-
-class InvalidIsomorphism(ToolkitError):
-    """A claimed product isomorphism fails its certification checks."""
 
 
 class DomainNotFull(ToolkitError):

@@ -18,14 +18,16 @@ multiplication map b_a (x) c_b -> b_a c_b onto the join is an isomorphism
 (product position) iff no cell is zero; a zero cell, whose concentrated
 states no joint state extends, witnesses every product-sense failure; and
 the split property holds iff mu is an outer product of positive integer
-vectors.  The product isomorphism itself is built only on demand
-(``product_isomorphism``), by the same rule, and written down from the
-matrix units of the cells (``JointCells.cell_basis``).  For non-commuting
-pairs the product-sense family is not applicable and the plain notions are
-refused by a seeded search over minimal projections p, q with p ^ q = 0
-(``check_cstar_independence``); no extension solver runs.  Every plain
-refusal, on a zero cell or from the search, is one kind of witness: a
-separating pair checked by ``states.verify_separating_pair``.
+vectors.  The join is written down once, from the matrix units of the cells
+(``JointCells.cell_basis``), and ``joint_operation`` extends operations on
+it.  ``product_isomorphism`` builds the same identification as a validated
+``ProductIsomorphism``; no program path calls it, and it serves as an
+independent reference.  For non-commuting pairs the product-sense family is
+not applicable and the plain notions are refused by a seeded search over
+minimal projections p, q with p ^ q = 0 (``check_cstar_independence``); no
+extension solver runs.  Every plain refusal, on a zero cell or from the
+search, is one kind of witness: a separating pair checked by
+``states.verify_separating_pair``.
 """
 from __future__ import annotations
 
@@ -175,7 +177,8 @@ def _multiplication_map(
 
     Column a*dim2 + b (the Kronecker order) holds the join-basis
     coefficients of b_a c_b; the float is the largest entry of any
-    product's component orthogonal to the join.
+    product's component orthogonal to the join.  Only the reference
+    ``ProductIsomorphism`` rebuilds it.
     """
     d1, d2 = a1.dim, a2.dim
     prod_vecs = products(a1.basis, a2.basis).transpose(0, 1, 3, 2).reshape(d1 * d2, -1)
@@ -193,7 +196,9 @@ class ProductIsomorphism:
     ``from_tensor`` is its inverse, realized by the multiplication map
     b_a (x) c_b -> b_a c_b.  For a commuting pair that map is a unital
     *-homomorphism by construction; ``validate`` rebuilds it from the three
-    bases and shows it is invertible, which makes it a *-isomorphism.
+    bases and shows it is invertible, which makes it a *-isomorphism.  No
+    program path builds one: it is the reference against which the cell
+    basis and ``joint_operation`` are checked.
     """
 
     factor1: MatrixStarAlgebra
@@ -242,12 +247,12 @@ def product_isomorphism(
 ) -> ProductIsomorphism:
     """The validated product isomorphism of a commuting pair in product position.
 
-    No verdict needs it; ``joint_operation`` carries operations through it.
-    A zero joint cell raises NoProductIsomorphism naming it, the rule every
-    verdict uses.  Otherwise the join is the cell basis g, on which b_a c_b =
-    sum_kl C1[k, a] C2[l, b] w_kl g_kl (``JointCells.cell_basis``): the map is
-    diag(w) (C1 (x) C2), and its inverse (C1 (x) C2)* diag(1/w) as C1 and C2
-    are unitary.  The exact check of ``validate`` rebuilds the map from the
+    No program path calls it: it is the independent reference for the cell
+    basis and ``joint_operation``.  A zero joint cell raises
+    NoProductIsomorphism naming it, the rule every verdict uses.  Otherwise
+    the join is the cell basis g, on which b_a c_b = sum_kl C1[k, a] C2[l, b]
+    w_kl g_kl (``JointCells.cell_basis``): the map is diag(w) (C1 (x) C2),
+    and its inverse (C1 (x) C2)* diag(1/w) as C1 and C2 are unitary.  The exact check of ``validate`` rebuilds the map from the
     three bases, independently of this; one ``commute_witness`` serves it
     and the commutation test.
     """
@@ -673,15 +678,18 @@ def joint_operation(
     t1: ChannelMap,
     t2: ChannelMap,
     tol: Tolerances = DEFAULT_TOL,
-    iso: ProductIsomorphism | None = None,
 ) -> ChannelMap:
     """Common nonselective extension of two operations, multiplicative across.
 
-    The pair of domains must be in product position; the extension carries
-    x y -> T1(x) T2(y) through the product isomorphism and is completed to
-    the ambient algebra by the expectation onto the join.  The result
-    restricts to T1 and T2 exactly and is again nonselective, completely
-    positive, and faithful whenever both inputs are.
+    The pair of domains must be in product position.  On the cell basis g of
+    the join, b_a c_b = sum_kl C1[k, a] C2[l, b] w_kl g_kl
+    (``JointCells.cell_basis``), so x y -> T1(x) T2(y) has the join
+    coefficients diag(w) (C1 (x) C2) (R1 (x) R2) (C1 (x) C2)* diag(1/w), R
+    the operations' coefficient matrices; the expectation onto the join
+    completes it to the ambient algebra (Roos 1970).  The result must restrict
+    to T1 and T2 and be multiplicative across within eps_verify
+    (``joint_extension_residuals``), else IllConditioned.  It is again
+    nonselective, completely positive, and faithful whenever both inputs are.
     """
     a1, a2 = t1.domain, t2.domain
     if not (t1.operation and t2.operation):
@@ -689,16 +697,24 @@ def joint_operation(
     n = a1.ambient_dim
     if a2.ambient_dim != n:
         raise AmbientMismatch("operation domains live in different ambient spaces")
-    if iso is None:
-        iso = product_isomorphism(a1, a2, tol)
-    coeff = iso.from_tensor @ np.kron(_coefficient_matrix(t1), _coefficient_matrix(t2)) @ iso.to_tensor
-    jb = iso.join.basis_vecs
-    action = jb.T @ coeff @ jb.conj()
-    channel = build_channel(full_matrix_algebra(n), n, action, tol)
+    if not mutually_commute(a1, a2, tol):
+        raise NotCommuting("a product isomorphism requires a commuting pair")
+    cells = _joint_cells(a1, a2, tol)
+    if cells.zero_cells:
+        i, j = cells.zero_cells[0]
+        raise NoProductIsomorphism(f"the pair is not in product position: joint cell ({i},{j}) is zero")
+    g, w, c1, c2 = cells.cell_basis
+    w, c = w.reshape(-1), np.kron(c1, c2)
+    coeff = (w[:, None] * c) @ np.kron(_coefficient_matrix(t1), _coefficient_matrix(t2)) @ (dagger(c) / w)
+    jb = MatrixStarAlgebra(n, g.reshape(-1, n, n)).basis_vecs
+    channel = build_channel(full_matrix_algebra(n), n, jb.T @ coeff @ jb.conj(), tol)
     if not channel.cp_certified:
         raise NotCP("joint extension failed the complete-positivity check")
     if not channel.unital:
         raise NotNonselective("joint extension failed the unitality check")
+    worst = max(joint_extension_residuals(channel, t1, t2, tol).values())
+    if not worst <= tol.eps_verify:
+        raise IllConditioned(f"joint extension residual {worst:.3e} exceeds {tol.eps_verify:.1e}")
     return channel
 
 

@@ -191,12 +191,11 @@ class Instance:
     operations: dict[str, Operation] = field(default_factory=dict)
 
 
-def _operation(entry: dict, algebras: dict[str, MatrixStarAlgebra], n: int, tol: Tolerances, where: str) -> Operation:
-    """The operation of an entry; one that names no algebra acts on M_n, by the same route."""
+def _operation(entry: dict, a: MatrixStarAlgebra, n: int, tol: Tolerances, where: str) -> Operation:
+    """The operation of an entry on its algebra ``a`` (M_n for one that names none)."""
     mats = _operation_matrices(entry, n, where)
     alg_name = entry.get("algebra")
     kind = entry.get("kind", "kraus")
-    a = algebras[alg_name] if alg_name is not None else full_matrix_algebra(n)
     if kind == "state_prep":
         st = state_from_density(a, mats, tol)
         return Operation(state_preparation(st, tol), kind, alg_name, st)
@@ -211,11 +210,10 @@ def _operation(entry: dict, algebras: dict[str, MatrixStarAlgebra], n: int, tol:
 
 def _build(
     inst: Instance,
-    sections: tuple[str, ...],
     make_algebra: Callable[[dict, str], MatrixStarAlgebra],
     attempt: Callable[[str, str, Callable[[str], str]], None],
 ) -> Instance:
-    """Build the declared objects of ``sections`` into ``inst``, section by section.
+    """Build the declared objects into ``inst``, section by section.
 
     ``make_algebra(entry, where)`` makes an algebra.  Each object's build is
     run as ``attempt(section, name, build)``; ``build(where)`` decodes the
@@ -228,17 +226,25 @@ def _build(
         a = inst.algebras[name] = make_algebra(entry, where)
         return f"orthonormal basis of dimension {a.dim} revalidated"
 
+    def built(name: Any, where: str) -> MatrixStarAlgebra:
+        _check_name(name, inst.declared["algebras"], "algebra", f"{where}.algebra")
+        if name not in inst.algebras:  # only an echo's algebra can fail and leave the build going
+            raise ValidationError(f"algebra {name} did not rebuild; see its own item")
+        return inst.algebras[name]
+
     def state(name: str, entry: dict, where: str) -> str:
-        a = inst.algebras[entry["algebra"]]
+        a = built(entry["algebra"], where)
         inst.states[name] = state_from_density(a, _array_in(entry["density"], (n, n), f"{where}.density"), tol)
         return "density revalidated"
 
     def operation(name: str, entry: dict, where: str) -> str:
-        op = inst.operations[name] = _operation(entry, inst.algebras, n, tol, where)
+        alg_name = entry.get("algebra")
+        a = full_matrix_algebra(n) if alg_name is None else built(alg_name, where)
+        op = inst.operations[name] = _operation(entry, a, n, tol, where)
         return f"{op.kind} operation rebuilt"
 
     steps = {"algebras": algebra, "states": state, "operations": operation}
-    for section in sections:
+    for section in SECTIONS:
         for name, entry in inst.declared[section].items():
             attempt(section, name, lambda where: steps[section](name, entry, where))
     return inst
@@ -291,7 +297,7 @@ def _load(path: str, eps_verify: float | None) -> Instance:
         except ToolkitError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
 
-    return _build(Instance(path, n, tol, declared, checks), SECTIONS, generated, attempt)
+    return _build(Instance(path, n, tol, declared, checks), generated, attempt)
 
 
 def load(path: str) -> Instance:
@@ -323,8 +329,8 @@ def _instance_section(inst: Instance) -> dict:
     }
 
 
-def _read_echo(doc: dict, where: str, tol: Tolerances, log: _VerifyLog, sections: tuple[str, ...]) -> Instance:
-    """Rebuild the objects of ``sections`` that a report's ``instance`` echo declares, one logged item each."""
+def _read_echo(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> Instance:
+    """Rebuild every object that a report's ``instance`` echo declares, one logged item each."""
     echo = _object(_require(doc, "instance", where), f"{where}: instance")
     n = _ambient_dim(echo, f"{where}: instance", ".")
 
@@ -336,4 +342,4 @@ def _read_echo(doc: dict, where: str, tol: Tolerances, log: _VerifyLog, sections
     def attempt(section: str, name: str, build: Callable[[str], str]) -> None:
         log.attempt(f"{section[:-1]} {name}", lambda: build(f"instance.{section}.{name}"))
 
-    return _build(Instance(where, n, tol, _sections(echo, f"{where}: instance.")), sections, revalidated, attempt)
+    return _build(Instance(where, n, tol, _sections(echo, f"{where}: instance.")), revalidated, attempt)

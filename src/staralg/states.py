@@ -31,7 +31,6 @@ from .algebra import MatrixStarAlgebra
 from .errors import (
     AmbientMismatch,
     IllConditioned,
-    InvalidIsomorphism,
     InvalidState,
     NotSubalgebra,
     ShapeMismatch,
@@ -58,7 +57,6 @@ __all__ = [
     "separating_pair",
     "verify_separating_pair",
     "marginal_residual",
-    "product_state",
     "product_residual",
 ]
 
@@ -471,33 +469,6 @@ def _separating_directions(deltas, targets, h_mats, svd, margin):
 # ---------------------------------------------------------------------------
 # product states
 # ---------------------------------------------------------------------------
-
-
-def product_state(
-    state1: AlgebraState,
-    state2: AlgebraState,
-    iso,
-    tol: Tolerances = DEFAULT_TOL,
-) -> AlgebraState:
-    """State on the join acting as phi1(x) phi2(y) on products x y.
-
-    ``iso`` is the product isomorphism between the join and the tensor
-    product of the two algebras; the resulting density is the canonical
-    in-span representer on the join, which extends both marginals and is
-    faithful there whenever both inputs are.
-    """
-    for factor, state in ((iso.factor1, state1), (iso.factor2, state2)):
-        if factor.ambient_dim != state.algebra.ambient_dim or not np.array_equal(
-            factor.basis, state.algebra.basis
-        ):
-            raise InvalidIsomorphism("isomorphism does not match the states' algebras")
-    vals1 = state1.expect_basis()
-    vals2 = state2.expect_basis()
-    joint_vals = iso.to_tensor.T @ np.kron(vals1, vals2)
-    rep = np.tensordot(joint_vals, dagger(iso.join.basis), axes=(0, 0))
-    state = AlgebraState(iso.join, rep)
-    state.validate(tol)
-    return state
 
 
 def product_residual(

@@ -8,8 +8,10 @@ from staralg import (
     MatrixStarAlgebra,
     full_matrix_algebra,
     generate_algebra,
+    joint_cells,
+    mutually_commute,
 )
-from staralg.numerics import dagger, kron
+from staralg.numerics import DEFAULT_TOL, canonical_basis, dagger, kron
 
 
 def diag_algebra(n: int) -> MatrixStarAlgebra:
@@ -30,6 +32,20 @@ def right_factor(d1: int, d2: int) -> MatrixStarAlgebra:
     full = full_matrix_algebra(d2)
     gens = [kron(np.eye(d1), b) for b in full.basis]
     return generate_algebra(gens, d1 * d2)
+
+
+def join(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, tol=DEFAULT_TOL) -> MatrixStarAlgebra:
+    """Reference join: the algebra generated by the union of the two spans, in the canonical gauge.
+
+    For a commuting pair it is the span of the products b_a c_b, which the
+    normalized products of the matrix units over the nonzero joint cells
+    give orthonormally (``JointCells.cell_basis``); other pairs are closed
+    by ``generate_algebra``.
+    """
+    if not mutually_commute(a1, a2, tol):
+        return generate_algebra(np.concatenate([a1.basis, a2.basis]), a1.ambient_dim, tol)
+    g, w, _, _ = joint_cells(a1, a2, tol).cell_basis
+    return MatrixStarAlgebra(a1.ambient_dim, canonical_basis(g[w > 0]))
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:

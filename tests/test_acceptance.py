@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import diag_algebra, matrix_unit
+from conftest import diag_algebra, join, matrix_unit
 from staralg import (
     NoProductIsomorphism,
     canonical_block_algebra,
@@ -45,7 +45,6 @@ from staralg import (
     kraus_from_choi,
     map_from_choi,
     marginal_residual,
-    product_isomorphism,
     random_density,
     random_prep_channel,
     random_pure_density,
@@ -211,11 +210,10 @@ def test_criterion_5_joint_operation_extensions():
     for k, inst in enumerate(instances):
         rng = np.random.default_rng(51000 + k)
         assert check_product_sense(inst.a1, inst.a2).status == "Holds"
-        iso = product_isomorphism(inst.a1, inst.a2)
         for _ in range(10):
             t1 = random_faithful_nonselective_channel(inst.a1, rng)
             t2 = random_faithful_nonselective_channel(inst.a2, rng)
-            joint = joint_operation(t1, t2, iso=iso)
+            joint = joint_operation(t1, t2)
             assert joint.cp_certified
             assert joint.unital
             assert joint.faithful
@@ -227,13 +225,11 @@ def test_criterion_5_joint_operation_extensions():
         n = inst.a1.ambient_dim
         phi1 = state_from_density(inst.a1, random_density(n, rng))
         phi2 = state_from_density(inst.a2, random_density(n, rng))
-        prep = joint_operation(
-            state_preparation(phi1), state_preparation(phi2), iso=iso
-        )
+        prep = joint_operation(state_preparation(phi1), state_preparation(phi2))
         sigma = dual_on_states(prep).apply(random_density(n, rng))
         assert marginal_residual(sigma, (phi1,)) <= EPS_VERIFY
         assert marginal_residual(sigma, (phi2,)) <= EPS_VERIFY
-        assert state_from_density(iso.join, sigma).is_faithful()
+        assert state_from_density(join(inst.a1, inst.a2), sigma).is_faithful()
 
     for k, inst in enumerate(fuzz_instances("shared_block", 20, seed=5103)):
         rng = np.random.default_rng(52000 + k)

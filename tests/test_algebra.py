@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import diag_algebra, left_factor, matrix_unit, right_factor
+from conftest import diag_algebra, join, left_factor, matrix_unit, right_factor
 from staralg import (
     FUZZ_FAMILIES,
     IllConditioned,
@@ -24,7 +24,6 @@ from staralg import (
     full_matrix_algebra,
     fuzz_instances,
     generate_algebra,
-    join,
     mutually_commute,
     scalar_algebra,
     structure_decomposition,

@@ -638,6 +638,11 @@ class TestVerifyReport:
         row["input_density"] = [[None] * len(r) for r in row["input_density"]]
         return "product_transition"
 
+    @staticmethod
+    def null_echoed_state(doc):
+        doc["instance"]["states"]["phi_left"]["density"] = None
+        return "state phi_left"
+
     # tamper -> the golden report it edits
     TAMPERS = {
         "corrupt_extension_density": "tensor_pair_m6",
@@ -659,6 +664,7 @@ class TestVerifyReport:
         "claim_op_cstar_holds": "same_algebra_m2",
         "null_split_unitary": "tensor_pair_m6",
         "null_transition_probe": "tensor_prep_extend",
+        "null_echoed_state": "tensor_prep_extend",
     }
 
     @pytest.mark.parametrize("tamper", list(TAMPERS))
@@ -785,6 +791,19 @@ class TestVerifyReport:
         assert "operation rotate_right did not rebuild; see its own item" in item["detail"]
         assert "KeyError" not in item["detail"]
 
+    def test_what_reads_an_algebra_that_did_not_rebuild_names_it(self, tmp_path):
+        doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
+        doc["instance"]["algebras"]["left"] = {"dim": 2}
+        doc["instance"]["states"]["phi_right"]["algebra"] = "nowhere"
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
+        assert code == 2
+        details = {item["target"]: item["detail"] for item in rep["items"]}
+        for target in ("state phi_left", "operation measure_left", "operation prep_left"):
+            assert details[target] == "ValidationError: algebra left did not rebuild; see its own item", target
+        assert details["state phi_right"] == "ParseError: instance.states.phi_right.algebra: unknown algebra 'nowhere'"
+
     def test_a_huge_forged_entry_fails_its_items_without_warnings(self, tmp_path):
         # the overflowed residuals are inf or NaN, which fail their gates; numpy stays silent
         doc = json.loads((GOLDEN / "tensor_prep_extend.report.json").read_text())
@@ -807,7 +826,7 @@ class TestInstances:
         inst = instances.load(path)
         echo = json.loads(json.dumps(certificates._jsonable(instances._instance_section(inst))))
         log = certificates._VerifyLog()
-        again = instances._read_echo({"instance": echo}, path, inst.tol, log, instances.SECTIONS)
+        again = instances._read_echo({"instance": echo}, path, inst.tol, log)
         assert log.items and all(item["ok"] for item in log.items), log.items
         for section in instances.SECTIONS:
             assert list(getattr(again, section)) == list(getattr(inst, section))
@@ -826,8 +845,8 @@ class TestPackage:
     EXPORTS = """
         AlgebraBlock AlgebraState AmbientMismatch ChannelMap DEFAULT_TOL DomainNotFull
         EVIDENCE_STATUS ExtensionOutcome FUZZ_FAMILIES FactorSearchOutcome IMPLICATIONS
-        IllConditioned IndependenceReport InterpolatingFactor InvalidIsomorphism
-        InvalidMeasurement InvalidState JointCells KINDS Kind KrausSet MatrixStarAlgebra
+        IllConditioned IndependenceReport InterpolatingFactor InvalidMeasurement
+        InvalidState JointCells KINDS Kind KrausSet MatrixStarAlgebra
         NoProductIsomorphism NonHermitian NotCP NotCommuting NotNonselective NotPSD
         NotSubalgebra PairInstance ParseError ProductIsomorphism ProjectiveMeasurement
         ShapeMismatch StinespringDilation StructureDecomposition Tolerances ToolkitError
@@ -840,9 +859,9 @@ class TestPackage:
         extend_state extend_state_batch extend_to_ambient find_interpolating_factor
         full_matrix_algebra fuzz_instances generate_algebra identity_channel
         implication_violations is_completely_positive is_faithful is_faithful_map
-        join joint_cells joint_extension_residuals joint_operation
+        joint_cells joint_extension_residuals joint_operation
         kraus_from_choi luders_operation map_from_choi marginal_residual mutually_commute
-        noncommuting_pair product_isomorphism product_residual product_state products
+        noncommuting_pair product_isomorphism product_residual products
         random_density random_faithful_nonselective_channel random_hermitian
         random_luders_channel random_prep_channel random_pure_density random_subalgebra
         restrict run_hierarchy_checks sample_state_pairs scalar_algebra separating_pair
@@ -854,8 +873,8 @@ class TestPackage:
     """.split()
 
     def test_the_package_exports_each_module_list_once(self):
-        assert len(self.EXPORTS) == 116
-        assert len(staralg.__all__) == len(set(staralg.__all__)) == 116
+        assert len(self.EXPORTS) == 113
+        assert len(staralg.__all__) == len(set(staralg.__all__)) == 113
         assert set(staralg.__all__) == set(self.EXPORTS)
         for name in staralg.__all__:
             assert hasattr(staralg, name), name

@@ -19,6 +19,7 @@ import pytest
 from conftest import (
     array_from_json,
     diag_algebra,
+    join,
     left_factor,
     matrix_unit,
     right_factor,
@@ -54,7 +55,6 @@ from staralg import (
     generate_algebra,
     implication_violations,
     is_faithful,
-    join,
     joint_cells,
     joint_extension_residuals,
     joint_operation,
@@ -402,6 +402,58 @@ class TestJointOperation:
         d = diag_algebra(2)
         with pytest.raises(NoProductIsomorphism):
             joint_operation(identity_on(d), identity_on(d))
+
+    @staticmethod
+    def isomorphism_route(t1, t2):
+        """Reference action: T1 (x) T2 carried through the validated product isomorphism onto its join."""
+        iso = product_isomorphism(t1.domain, t2.domain)
+
+        def coefficients(t):
+            basis = t.domain.basis
+            return np.einsum("pij,aij->pa", basis.conj(), np.stack([t.apply(b) for b in basis]))
+
+        coeff = iso.from_tensor @ np.kron(coefficients(t1), coefficients(t2)) @ iso.to_tensor
+        jb = iso.join.basis_vecs
+        return jb.T @ coeff @ jb.conj()
+
+    def test_equals_the_product_isomorphism_route(self):
+        pairs = [inst for family in ("tensor_split", "factor_split") for inst in fuzz_instances(family, 10, 1)]
+        pairs += [cell_pair(np.array(mu), s1, s2, np.random.default_rng(71)) for mu, s1, s2 in PRODUCT_NOT_SPLIT.values()]
+        rng = np.random.default_rng(359)
+        for inst in pairs:
+            n, algebras = inst.a1.ambient_dim, (inst.a1, inst.a2)
+            faithful = [random_faithful_nonselective_channel(a, rng) for a in algebras]
+            preparations = [state_preparation(state_from_density(a, random_density(n, rng))) for a in algebras]
+            for t1, t2 in (faithful, preparations):
+                got = joint_operation(t1, t2).action
+                assert np.abs(got - self.isomorphism_route(t1, t2)).max() <= 1e-12, inst.meta
+
+    def test_builds_no_product_isomorphism(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("joint_operation built a product isomorphism")
+
+        monkeypatch.setattr(independence, "product_isomorphism", refuse)
+        monkeypatch.setattr(independence, "_multiplication_map", refuse)
+        rng = np.random.default_rng(373)
+        inst = tensor_pair(2, 3, rng)
+        t1, t2 = (random_faithful_nonselective_channel(a, rng) for a in (inst.a1, inst.a2))
+        assert max(joint_extension_residuals(joint_operation(t1, t2), t1, t2).values()) <= 1e-12
+
+    def test_a_twisted_cell_basis_fails_the_residual_gate(self, monkeypatch):
+        # C1 precomposed with an inner automorphism of A1: the map on the join
+        # is still a unital CP map, but it no longer restricts to T1
+        cell_basis = independence.JointCells.cell_basis.func
+
+        def twisted(cells):
+            g, w, c1, c2 = cell_basis(cells)
+            return g, w, twist_isomorphism(cells.a1.basis, 1, np.eye(len(c1)), c1)[1], c2
+
+        monkeypatch.setattr(independence.JointCells, "cell_basis", property(twisted))
+        rng = np.random.default_rng(367)
+        inst = tensor_pair(2, 3, rng)
+        t1, t2 = (random_faithful_nonselective_channel(a, rng) for a in (inst.a1, inst.a2))
+        with pytest.raises(IllConditioned, match="joint extension residual"):
+            joint_operation(t1, t2)
 
     def test_non_commuting_pair_is_refused(self):
         nc = noncommuting_pair(2, np.random.default_rng(331))

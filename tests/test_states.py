@@ -25,11 +25,8 @@ from staralg import (
     full_matrix_algebra,
     generate_algebra,
     is_faithful,
-    join,
     marginal_residual,
-    product_isomorphism,
     product_residual,
-    product_state,
     restrict,
     scalar_algebra,
     state_from_density,
@@ -402,20 +399,6 @@ class TestSeparatingPair:
 
 
 class TestProductState:
-    def test_product_identity_on_basis_pairs(self):
-        rng = np.random.default_rng(103)
-        inst = tensor_pair(2, 2, rng)
-        iso = product_isomorphism(inst.a1, inst.a2)
-        phi1 = canonical_trace_state(inst.a1)
-        phi2 = canonical_trace_state(inst.a2)
-        prod = product_state(phi1, phi2, iso)
-        # oracle: direct evaluation of both sides on every basis pair
-        for b1 in inst.a1.basis:
-            for b2 in inst.a2.basis:
-                lhs = prod.expect(b1 @ b2)
-                rhs = phi1.expect(b1) * phi2.expect(b2)
-                assert abs(lhs - rhs) <= 1e-8
-
     def test_tensor_product_state_is_product_across(self):
         rng = np.random.default_rng(107)
         a1, a2 = left_factor(2, 2), right_factor(2, 2)
