@@ -222,10 +222,20 @@ def _check_zero_cell(cert: dict, pair: _Pair, dims: tuple[str, ...] = ()) -> str
 
 def _check_no_factor(cert: dict, pair: _Pair) -> str:
     pair.cells.check_table(cert["mu"])
-    outcome = find_interpolating_factor(pair.a1, pair.a2, pair.tol)
-    if outcome.status != "NotFound":
+    reason = _check_factor_outcome({"status": "NotFound"}, pair.a1, pair.a2, pair.tol)
+    return f"re-derived cell table {pair.cells.mu.tolist()}: {reason}"
+
+
+def _check_factor_outcome(outcome: dict, a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, tol: Tolerances) -> str:
+    """An ``interpolating_factor`` outcome: a recorded factor, or a NotFound that the search, re-run, gives again."""
+    if outcome["status"] == "Found":
+        return _check_factor(outcome["factor"], _Pair(a1, a2, tol))
+    if outcome["status"] != "NotFound":
+        raise ValidationError(f"unknown status {outcome['status']!r}")
+    again = find_interpolating_factor(a1, a2, tol)
+    if again.status != "NotFound":
         raise ValidationError("the factor search finds a factor for the pair")
-    return f"re-derived cell table {pair.cells.mu.tolist()}: {outcome.reason}"
+    return again.reason
 
 
 def _check_separating_pair(cert: dict, s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> str:

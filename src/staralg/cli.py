@@ -33,102 +33,18 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .algebra import full_matrix_algebra
-from .certificates import _array_in, _check_extension, _check_factor, _check_implications, _is_int, _jsonable
-from .certificates import _Pair, _verify_verdicts, _VerifyLog
-from .channels import ChannelMap, build_channel, choi, dual_on_states, map_from_choi
+from .certificates import _is_int, _jsonable, _VerifyLog
+from .channels import ChannelMap, dual_on_states
 from .errors import IllConditioned, ParseError, ToolkitError, ValidationError
-from .independence import VERDICT_KEYS, check_cstar_independence, check_product_sense, check_spatial_product_sense
-from .independence import check_wstar_independence, check_wstar_product_sense, find_interpolating_factor
-from .independence import implication_violations, joint_extension_residuals, joint_operation, run_hierarchy_checks
-from .instances import _CHECK_SECTIONS, SCHEMA_VERSION, Instance, Operation, _check_schema_version, _load
-from .instances import _instance_section, _object, _read_echo, _read_json, _require, _tolerances, _two_names
+from .independence import VERDICT_KEYS, implication_violations, run_hierarchy_checks
+from .instances import CHECKS, SCHEMA_VERSION, Instance, _check_name, _check_schema_version, _instance_section
+from .instances import _joint_extension, _load, _object, _read_json, _require, _tolerances, _transition_residuals
+from .instances import _verify_analyze, _verify_extend, run_check
 from .numerics import Tolerances
 from .sampling import fuzz_instances, random_density, random_pure_density
-from .states import AlgebraState, extend_state, marginal_residual
+from .states import AlgebraState
 
 __all__ = ["main", "cmd_analyze", "cmd_extend", "cmd_fuzz", "cmd_verify_report"]
-
-
-# ---------------------------------------------------------------------------
-# check runners
-# ---------------------------------------------------------------------------
-
-
-def _effective(entry: dict, args: argparse.Namespace, key: str, default: int) -> int:
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return entry.get(key, default)
-
-
-def _joint_extension(
-    t1: Operation, t2: Operation, names: list[str], tol: Tolerances, status_key: str
-) -> tuple[dict, ChannelMap | None]:
-    """Report section for the joint extension of two operations, and the channel.
-
-    A refusal (any toolkit error but ``IllConditioned``) is reported under
-    ``status_key`` with its diagnostic, and the channel is then None.
-    """
-    try:
-        joint = joint_operation(t1.channel, t2.channel, tol=tol)
-    except IllConditioned:
-        raise
-    except ToolkitError as exc:
-        return {status_key: type(exc).__name__, "operations": list(names), "diagnostic": str(exc)}, None
-    return {
-        status_key: "Extended",
-        "operations": list(names),
-        "choi": choi(joint),
-        "residuals": joint_extension_residuals(joint, t1.channel, t2.channel, tol),
-        "completely_positive": joint.cp_certified,
-        "unital": joint.unital,
-        "faithful": joint.faithful,
-    }, joint
-
-
-_UNSEEDED = {
-    "product_sense": check_product_sense,
-    "wstar_product_sense": check_wstar_product_sense,
-    "spatial_product_sense": check_spatial_product_sense,
-}
-
-
-def _run_check(entry: dict, inst: Instance, args: argparse.Namespace) -> dict:
-    kind, tol = entry["check"], inst.tol
-    section = _CHECK_SECTIONS[kind]
-    names = entry[section]
-    x1, x2 = (getattr(inst, section)[nm] for nm in names)
-    result = {"check": kind, section: list(names)}
-    if kind == "extend_state":
-        outcome = result["outcome"] = extend_state(x1, x2, tol=tol, max_iter=entry.get("max_iter", 20000))
-        if outcome.status == "Feasible":
-            result["recomputed_marginal_residual"] = marginal_residual(outcome.density, (x1, x2))
-    elif kind == "joint_operation":
-        result.update(_joint_extension(x1, x2, names, tol, "outcome")[0])
-    elif kind == "interpolating_factor":
-        result["outcome"] = find_interpolating_factor(x1, x2, tol)
-    elif kind in _UNSEEDED:
-        result["verdict"] = _UNSEEDED[kind](x1, x2, tol)
-    else:  # the hierarchy and the plain notions, which echo their seed and samples
-        seed = _effective(entry, args, "seed", 0)
-        result.update(seed=seed, samples=_effective(entry, args, "samples", 50))
-        if kind == "hierarchy":
-            report = run_hierarchy_checks(x1, x2, seed=seed, tol=tol)
-            violations = [list(v) for v in implication_violations(report.verdicts)]
-            result.update(verdicts=report.verdicts, notes=report.notes, implication_violations=violations)
-        else:
-            fn = check_cstar_independence if kind == "cstar_independence" else check_wstar_independence
-            result["verdict"] = fn(x1, x2, rng=np.random.default_rng(seed), tol=tol)
-    return result
-
-
-def _default_checks(inst: Instance) -> list[dict]:
-    names = list(inst.algebras)
-    if len(names) != 2:
-        raise ValidationError(f"{inst.path}: no checks given and the file does not contain exactly two algebras; "
-                              "nothing to do")
-    return [{"check": "hierarchy", "algebras": names}]
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +91,15 @@ def _fmt(value: Any) -> str:
 
 
 def _verdict_summary(verdict: dict) -> str:
-    """Status, then the certificate or witness kind, then the reason."""
+    """Status, then the certificate or witness kind, then the reason or an extension's residual."""
     line = verdict["status"]
     evidence = verdict.get("certificate") or verdict.get("witness")
     if evidence:
         line += f"  [{evidence['kind']}]"
     if verdict.get("reason"):
         line += f"  ({verdict['reason']})"
+    if verdict.get("residual") is not None:
+        line += f"  (residual {_fmt(verdict['residual'])}, {verdict['iterations']} iterations)"
     return line
 
 
@@ -192,27 +110,26 @@ def _human_analyze(data: dict) -> None:
     print(f"ambient dimension {inst['ambient_dim']}; algebras: {dims}")
     for entry in data["checks"]:
         kind = entry["check"]
-        head = f"check {kind} [{', '.join(entry[_CHECK_SECTIONS[kind]])}]"
-        if "verdicts" in entry:
-            print(f"{head}:")
-            for key in VERDICT_KEYS:
-                print(f"  {key:<22} {_verdict_summary(entry['verdicts'][key])}")
-            violations = entry["implication_violations"]
-            print(f"  implication violations: {len(violations)}")
-        elif kind == "extend_state":
-            outcome = entry["outcome"]
-            line = f"{head}: {outcome['status']}"
-            if outcome["residual"] is not None:
-                line += f"  (residual {_fmt(outcome['residual'])}, {outcome['iterations']} iterations)"
-            print(line)
-        elif kind == "joint_operation":
-            if entry["outcome"] == "Extended":
-                worst = max(entry["residuals"].values())
-                print(f"{head}: Extended  (max residual {_fmt(worst)})")
-            else:
-                print(f"{head}: {entry['outcome']}  ({entry['diagnostic']})")
-        else:  # a single verdict, or the factor search's outcome
-            print(f"{head}: {_verdict_summary(entry.get('verdict') or entry['outcome'])}")
+        head = f"check {kind} [{', '.join(entry[CHECKS[kind].section])}]"
+        if "verdicts" not in entry:  # a single verdict, or an outcome
+            outcome = entry.get("verdict") or entry["outcome"]
+            if isinstance(outcome, str):  # a joint extension, recorded by the name of its status
+                worst = "residuals" in entry and f"max residual {_fmt(max(entry['residuals'].values()))}"
+                outcome = {"status": outcome, "reason": worst or entry["diagnostic"]}
+            print(f"{head}: {_verdict_summary(outcome)}")
+            continue
+        print(f"{head}:")
+        for key in VERDICT_KEYS:
+            print(f"  {key:<22} {_verdict_summary(entry['verdicts'][key])}")
+        print(f"  implication violations: {len(entry['implication_violations'])}")
+
+
+def _default_checks(inst: Instance) -> list[dict]:
+    names = list(inst.algebras)
+    if len(names) != 2:
+        raise ValidationError(f"{inst.path}: no checks given and the file does not contain exactly two algebras; "
+                              "nothing to do")
+    return [{"check": "hierarchy", "algebras": names}]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -222,21 +139,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     checks = inst.checks or _default_checks(inst)
     report = _base_report("analyze", args)
     report["instance"] = _instance_section(inst)
-    report["checks"] = [_run_check(entry, inst, args) for entry in checks]
+    flags = {key: getattr(args, key) for key in ("seed", "samples") if getattr(args, key, None) is not None}
+    report["checks"] = [run_check({**entry, **flags}, inst) for entry in checks]
     return _finish(report, args, _human_analyze, started)
 
 
 # ---------------------------------------------------------------------------
 # extend
 # ---------------------------------------------------------------------------
-
-
-def _transition_residuals(
-    dual: ChannelMap, rho: np.ndarray, prescribed1: AlgebraState, prescribed2: AlgebraState
-) -> tuple[float, float]:
-    """Marginal residuals of one input pushed through a joint preparation's dual."""
-    out = dual.apply(rho)
-    return marginal_residual(out, (prescribed1,)), marginal_residual(out, (prescribed2,))
 
 
 def _product_transition_table(
@@ -294,10 +204,10 @@ def cmd_extend(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     inst = _load(args.instance, args.tol)
     for name in (args.op1, args.op2):
-        if name not in inst.operations:
-            raise ValidationError(f"{inst.path}: unknown operation '{name}'")
-    t1, t2 = inst.operations[args.op1], inst.operations[args.op2]
-    section, joint = _joint_extension(t1, t2, [args.op1, args.op2], inst.tol, "status")
+        _check_name(name, inst.operations, "operation", inst.path)
+    t1, t2 = inst.named("operations", [args.op1, args.op2])
+    section, joint = _joint_extension(t1, t2, inst.tol, "status")
+    section["operations"] = [args.op1, args.op2]
     if joint is not None and t1.kind == "state_prep" and t2.kind == "state_prep":
         seed = args.seed if args.seed is not None else 0
         section["product_transition"] = _product_transition_table(joint, t1.prep_state, t2.prep_state, seed, inst.tol)
@@ -392,106 +302,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 #
 # This section only walks the report: the certificate format and the
-# re-check of every evidence kind live in ``staralg.certificates``, and
-# ``staralg.instances`` reads the instance echo back.
-
-
-def _verify_joint(
-    target: str, section: dict, where: str, inst: Instance, log: _VerifyLog
-) -> None:
-    """Rebuild a joint extension from its Choi matrix once; re-check it and its transition table."""
-    if section.get("outcome", section.get("status")) != "Extended":
-        log.attempt(target, lambda: "no extension claimed: nothing to re-validate")
-        return
-    names = _two_names(section, "operations", inst.declared["operations"], "operation", where)
-    n, tol = inst.ambient_dim, inst.tol
-
-    @cache
-    def joint() -> ChannelMap:
-        action = map_from_choi(_array_in(section["choi"], (n * n, n * n), "choi"), n, n)
-        channel = build_channel(full_matrix_algebra(n), n, action, tol)
-        if not (channel.cp_certified and channel.unital):
-            raise ValidationError("rebuilt joint map is not a nonselective operation")
-        return channel
-
-    def rebuilt(attr: str) -> tuple:
-        for nm in names:
-            if nm not in inst.operations:
-                raise ValidationError(f"operation {nm} did not rebuild; see its own item")
-        return tuple(getattr(inst.operations[nm], attr) for nm in names)
-
-    def extension() -> str:
-        t1, t2 = rebuilt("channel")
-        residuals = joint_extension_residuals(joint(), t1, t2, tol)
-        worst = max(residuals.values())
-        if not worst <= tol.eps_verify:
-            raise ValidationError(f"extension residual {worst:.3e} exceeds tolerance")
-        return f"joint extension rebuilt from Choi matrix (max residual {worst:.3e})"
-
-    log.attempt(target, extension)
-    if not section.get("product_transition"):
-        return
-
-    def transitions() -> str:
-        prep1, prep2 = rebuilt("prep_state")
-        if prep1 is None or prep2 is None:
-            raise ValidationError("transition table present but operations are not preparations")
-        dual = dual_on_states(joint(), tol)
-        rows = section["product_transition"]["rows"]
-        inputs = [_array_in(row["input_density"], (n, n), f"rows[{k}].input_density") for k, row in enumerate(rows)]
-        # np.max, unlike max, returns a NaN wherever it stands
-        worst = float(np.max([_transition_residuals(dual, rho, prep1, prep2) for rho in inputs], initial=0.0))
-        if not worst <= tol.eps_verify:
-            raise ValidationError(f"transition residual {worst:.3e} exceeds tolerance")
-        return f"product transitions reproduced on {len(rows)} probes (worst {worst:.3e})"
-
-    log.attempt("product_transition", transitions)
-
-
-def _verify_analyze(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:
-    inst = _read_echo(doc, where, tol, log)
-    checks = doc.get("checks", [])
-    if not isinstance(checks, list):
-        raise ParseError(f"{where}: checks: must be a list")
-    for idx, entry in enumerate(checks):
-        at = f"{where}: checks[{idx}]"
-        kind = _require(_object(entry, at), "check", at)
-        if not (isinstance(kind, str) and kind in _CHECK_SECTIONS):
-            raise ParseError(f"{at}.check: unknown check {kind!r}")
-        target = f"checks[{idx}] {kind}"
-        if kind == "joint_operation":
-            _verify_joint(target, entry, at, inst, log)
-            continue
-        section = _CHECK_SECTIONS[kind]
-        names = _two_names(entry, section, inst.declared[section], section[:-1], at)
-        built = getattr(inst, section)
-        objs = [built[nm] for nm in names if nm in built]
-        if kind == "extend_state":
-            outcome = _object(_require(entry, "outcome", at), f"{at}.outcome")
-            _require(outcome, "status", f"{at}.outcome")
-            if len(objs) == 2:
-                log.attempt(target, lambda: _check_extension(outcome, *objs, tol))
-            continue
-        pair = _Pair(*objs, tol) if len(objs) == 2 else None
-        if kind == "interpolating_factor":
-            factor = _object(_require(entry, "outcome", at), f"{at}.outcome").get("factor")
-            if pair and factor:
-                log.attempt(f"{target} factor", lambda: _check_factor(factor, pair))
-        elif kind == "hierarchy":
-            verdicts = _object(_require(entry, "verdicts", at), f"{at}.verdicts")
-            vdocs = {key: _object(vdoc, f"{at}.verdicts.{key}") for key, vdoc in verdicts.items()}
-            recorded = _require(entry, "implication_violations", at)
-            log.attempt(f"{target} implications", lambda: _check_implications(verdicts, recorded))
-            _verify_verdicts(f"{target} ", vdocs, pair, log)
-        else:
-            _verify_verdicts(f"checks[{idx}] ", {kind: _object(_require(entry, "verdict", at), f"{at}.verdict")}, pair, log)
-
-
-def _verify_extend(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:
-    inst = _read_echo(doc, where, tol, log)
-    at = f"{where}: joint_extension"
-    section = _object(_require(doc, "joint_extension", where), at)
-    _verify_joint("joint_extension", section, at, inst, log)
+# re-check of every evidence kind live in ``staralg.certificates``;
+# ``staralg.instances`` reads the instance echo back and re-checks an
+# ``analyze`` or ``extend`` report by the rows of its ``CHECKS``.
 
 
 def _verify_fuzz(doc: dict, where: str, _: Tolerances, log: _VerifyLog) -> None:
@@ -621,10 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except IllConditioned as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

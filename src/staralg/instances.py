@@ -8,44 +8,42 @@ the file and builds each object.  A report echoes the built instance
 (``_instance_section``), each algebra as its orthonormal basis, and
 ``verify-report`` reads that echo back (``_read_echo``) through the same
 builder, logging one item per object.
+
+The check kinds are the rows of ``CHECKS``: the section a check's two
+names come from, the runner that fills its report entry (``run_check``),
+and the re-check that ``verify-report`` runs on that entry
+(``_verify_analyze``), which covers every outcome the runner can emit.
+The joint-operation row also builds and re-checks ``extend``'s section.
 """
 from __future__ import annotations
 
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cache, partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .algebra import MatrixStarAlgebra, full_matrix_algebra, generate_algebra
-from .certificates import _array_in, _is_int, _VerifyLog
-from .channels import ChannelMap, ProjectiveMeasurement, channel_on_algebra
-from .errors import ParseError, ToolkitError, ValidationError
-from .independence import state_preparation
+from .certificates import _array_in, _check_extension, _check_factor_outcome, _check_implications, _is_int, _Pair
+from .certificates import _verify_verdicts, _VerifyLog
+from .channels import ChannelMap, ProjectiveMeasurement, build_channel, channel_on_algebra, choi, dual_on_states
+from .channels import map_from_choi
+from .errors import IllConditioned, ParseError, ToolkitError, ValidationError
+from .independence import _joint_extension_gate, _joint_operation, check_cstar_independence, check_product_sense
+from .independence import check_spatial_product_sense, check_wstar_independence, check_wstar_product_sense
+from .independence import find_interpolating_factor, implication_violations, run_hierarchy_checks, state_preparation
 from .numerics import Tolerances
-from .states import AlgebraState, state_from_density
+from .states import AlgebraState, extend_state, marginal_residual, state_from_density
 
-__all__ = ["Instance", "Operation", "load"]
+__all__ = ["CHECKS", "Check", "Instance", "Operation", "load", "run_check"]
 
 SCHEMA_VERSION = 1
 
 #: the sections of named objects, in build order
 SECTIONS = ("algebras", "states", "operations")
-
-#: each check kind, and the section its two names come from
-_CHECK_SECTIONS = {
-    "hierarchy": "algebras",
-    "product_sense": "algebras",
-    "wstar_product_sense": "algebras",
-    "cstar_independence": "algebras",
-    "wstar_independence": "algebras",
-    "spatial_product_sense": "algebras",
-    "interpolating_factor": "algebras",
-    "extend_state": "states",
-    "joint_operation": "operations",
-}
 
 #: the fields an entry of each section may have, and those it must have
 _ENTRY_FIELDS = {
@@ -190,6 +188,14 @@ class Instance:
     states: dict[str, AlgebraState] = field(default_factory=dict)
     operations: dict[str, Operation] = field(default_factory=dict)
 
+    def named(self, section: str, names: list[str]) -> tuple:
+        """The built objects of ``section`` by name; ValidationError names one that did not rebuild."""
+        built = getattr(self, section)
+        for name in names:
+            if name not in built:  # only an echo's object can fail and leave the build going
+                raise ValidationError(f"{section[:-1]} {name} did not rebuild; see its own item")
+        return tuple(built[name] for name in names)
+
 
 def _operation(entry: dict, a: MatrixStarAlgebra, n: int, tol: Tolerances, where: str) -> Operation:
     """The operation of an entry on its algebra ``a`` (M_n for one that names none)."""
@@ -228,9 +234,7 @@ def _build(
 
     def built(name: Any, where: str) -> MatrixStarAlgebra:
         _check_name(name, inst.declared["algebras"], "algebra", f"{where}.algebra")
-        if name not in inst.algebras:  # only an echo's algebra can fail and leave the build going
-            raise ValidationError(f"algebra {name} did not rebuild; see its own item")
-        return inst.algebras[name]
+        return inst.named("algebras", [name])[0]
 
     def state(name: str, entry: dict, where: str) -> str:
         a = built(entry["algebra"], where)
@@ -274,11 +278,7 @@ def _load(path: str, eps_verify: float | None) -> Instance:
     for k, entry in enumerate(checks):
         where = f"{path}: checks[{k}]"
         _check_keys(_object(entry, where), {"check", *SECTIONS, "samples", "seed", "max_iter"}, where)
-        kind = _require(entry, "check", where)
-        if not (isinstance(kind, str) and kind in _CHECK_SECTIONS):
-            raise ParseError(f"{where}.check: unknown check '{kind}' (known: {', '.join(_CHECK_SECTIONS)})")
-        section = _CHECK_SECTIONS[kind]
-        _two_names(entry, section, declared[section], section[:-1], where)
+        _check_entry(entry, where, declared)
         for key in ("samples", "seed", "max_iter"):
             if key in entry and (not _is_int(entry[key]) or entry[key] < 0):
                 raise ParseError(f"{where}.{key}: must be a non-negative integer")
@@ -343,3 +343,204 @@ def _read_echo(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> Insta
         log.attempt(f"{section[:-1]} {name}", lambda: build(f"instance.{section}.{name}"))
 
     return _build(Instance(where, n, tol, _sections(echo, f"{where}: instance.")), revalidated, attempt)
+
+
+# ---------------------------------------------------------------------------
+# the check kinds: runners and re-checks (see ``Check``)
+# ---------------------------------------------------------------------------
+
+
+def _echo(entry: dict) -> dict:
+    """The seed (default 0) and the samples (default 50) that a seeded check echoes."""
+    return {"seed": entry.get("seed", 0), "samples": entry.get("samples", 50)}
+
+
+def _hierarchy(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, entry: dict, tol: Tolerances) -> dict:
+    report = run_hierarchy_checks(a1, a2, seed=entry.get("seed", 0), tol=tol)
+    violations = [list(v) for v in implication_violations(report.verdicts)]
+    return {**_echo(entry), "verdicts": report.verdicts, "notes": report.notes, "implication_violations": violations}
+
+
+def _verdict(check: Callable, seeded: bool = False) -> Callable[[Any, Any, dict, Tolerances], dict]:
+    """The runner of a single check; a seeded one draws from the entry's seed and echoes it."""
+    if not seeded:
+        return lambda a1, a2, entry, tol: {"verdict": check(a1, a2, tol)}
+    return lambda a1, a2, entry, tol: {
+        **_echo(entry), "verdict": check(a1, a2, rng=np.random.default_rng(entry.get("seed", 0)), tol=tol)}
+
+
+def _extension(s1: AlgebraState, s2: AlgebraState, entry: dict, tol: Tolerances) -> dict:
+    outcome = extend_state(s1, s2, tol=tol, max_iter=entry.get("max_iter", 20000))
+    if outcome.status != "Feasible":
+        return {"outcome": outcome}
+    return {"outcome": outcome, "recomputed_marginal_residual": marginal_residual(outcome.density, (s1, s2))}
+
+
+def _joint_extension(t1: Operation, t2: Operation, tol: Tolerances, status_key: str) -> tuple[dict, ChannelMap | None]:
+    """The report entry of the joint extension of two operations, and the channel (None for a refusal).
+
+    A refusal, any toolkit error but ``IllConditioned``, is recorded by its
+    error's name under ``status_key`` (``outcome`` or, in ``extend``, ``status``).
+    """
+    try:
+        joint, residuals = _joint_operation(t1.channel, t2.channel, tol)
+    except IllConditioned:
+        raise
+    except ToolkitError as exc:
+        return {status_key: type(exc).__name__, "diagnostic": str(exc)}, None
+    return {status_key: "Extended", "choi": choi(joint), "residuals": residuals,
+            "completely_positive": joint.cp_certified, "unital": joint.unital, "faithful": joint.faithful}, joint
+
+
+def _pair(objects: Callable[[], tuple], tol: Tolerances) -> _Pair | None:
+    """The entry's algebra pair, or None if one did not rebuild (the status items still stand)."""
+    try:
+        return _Pair(*objects(), tol)
+    except ValidationError:
+        return None
+
+
+def _recheck_hierarchy(entry: dict, at: str, target: str, objects: Callable, tol: Tolerances, log: _VerifyLog) -> None:
+    verdicts = _object(_require(entry, "verdicts", at), f"{at}.verdicts")
+    vdocs = {key: _object(vdoc, f"{at}.verdicts.{key}") for key, vdoc in verdicts.items()}
+    recorded = _require(entry, "implication_violations", at)
+    log.attempt(f"{target} implications", lambda: _check_implications(verdicts, recorded))
+    _verify_verdicts(f"{target} ", vdocs, _pair(objects, tol), log)
+
+
+def _recheck_verdict(entry: dict, at: str, target: str, objects: Callable, tol: Tolerances, log: _VerifyLog) -> None:
+    """Items ``checks[k] <kind> status`` and on: the verdict is keyed by its kind."""
+    kind, vdoc = entry["check"], _object(_require(entry, "verdict", at), f"{at}.verdict")
+    _verify_verdicts(target.removesuffix(kind), {kind: vdoc}, _pair(objects, tol), log)
+
+
+def _recheck_outcome(label: str, check: Callable[[dict, Any, Any, Tolerances], str]) -> Callable[..., None]:
+    """The re-check of an entry's ``outcome`` object by ``check(outcome, x1, x2, tol)``, item ``<target><label>``."""
+
+    def recheck(entry: dict, at: str, target: str, objects: Callable, tol: Tolerances, log: _VerifyLog) -> None:
+        outcome = _object(_require(entry, "outcome", at), f"{at}.outcome")
+        log.attempt(target + label, lambda: check(outcome, *objects(), tol))
+
+    return recheck
+
+
+def _transition_residuals(dual: ChannelMap, rho: np.ndarray, s1: AlgebraState, s2: AlgebraState) -> tuple[float, float]:
+    """Marginal residuals of one input pushed through a joint preparation's dual, against s1 and s2."""
+    out = dual.apply(rho)
+    return marginal_residual(out, (s1,)), marginal_residual(out, (s2,))
+
+
+def _recheck_joint(section: dict, at: str, target: str, objects: Callable, tol: Tolerances, log: _VerifyLog,
+                   status_key: str = "outcome") -> None:
+    """Re-derive a joint extension entry (or ``extend``'s section) with the builder's code.
+
+    ``Extended``: the map, rebuilt once from its Choi matrix, passes the
+    builder's gate, and a product-transition table is reproduced through
+    its dual.  Any other status names a refusal: the builder,
+    ``_joint_extension``, run on the rebuilt operations must record it too.
+    """
+    status = _require(section, status_key, at)
+
+    @cache
+    def joint() -> tuple[ChannelMap, str]:
+        """The rebuilt map, through the gate, and the detail of its item."""
+        t1, t2 = (op.channel for op in objects())
+        n = t1.in_dim
+        action = map_from_choi(_array_in(section["choi"], (n * n, n * n), "choi"), n, n)
+        channel = build_channel(full_matrix_algebra(n), n, action, tol)
+        worst = max(_joint_extension_gate(channel, t1, t2, tol).values())
+        return channel, f"joint extension rebuilt from Choi matrix (max residual {worst:.3e})"
+
+    def refusal() -> str:
+        again = _joint_extension(*objects(), tol, status_key)[0]
+        if again[status_key] != status:
+            raise ValidationError(f"the operations give {again[status_key]!r}, the report records {status!r}")
+        return f"refusal {status} re-derived: {again['diagnostic']}"
+
+    def transitions() -> str:
+        prep1, prep2 = (op.prep_state for op in objects())
+        if prep1 is None or prep2 is None:
+            raise ValidationError("transition table present but operations are not preparations")
+        dual, rows = dual_on_states(joint()[0], tol), section["product_transition"]["rows"]
+        n = dual.in_dim
+        inputs = [_array_in(row["input_density"], (n, n), f"rows[{k}].input_density") for k, row in enumerate(rows)]
+        # np.max, unlike max, returns a NaN wherever it stands
+        worst = float(np.max([_transition_residuals(dual, rho, prep1, prep2) for rho in inputs], initial=0.0))
+        if not worst <= tol.eps_verify:
+            raise ValidationError(f"transition residual {worst:.3e} exceeds tolerance")
+        return f"product transitions reproduced on {len(rows)} probes (worst {worst:.3e})"
+
+    if status != "Extended":
+        log.attempt(target, refusal)
+        return
+    log.attempt(target, lambda: joint()[1])
+    if section.get("product_transition"):
+        log.attempt("product_transition", transitions)
+
+
+class Check(NamedTuple):
+    """One check kind: the section its two names come from, its runner and its re-check.
+
+    ``run(x1, x2, entry, tol)`` takes a check entry's two named objects and
+    returns the fields it adds to the report entry.  ``recheck(entry, at,
+    target, objects, tol, log)`` logs the items of that report entry, named
+    ``target`` and after; ``objects()`` gives the two rebuilt objects or
+    raises ValidationError naming one that did not rebuild.
+    """
+
+    section: str
+    run: Callable[[Any, Any, dict, Tolerances], dict]
+    recheck: Callable[[dict, str, str, Callable, Tolerances, _VerifyLog], None]
+
+
+#: every check kind; the joint-operation row also serves ``extend``
+CHECKS: dict[str, Check] = {
+    "hierarchy": Check("algebras", _hierarchy, _recheck_hierarchy),
+    "product_sense": Check("algebras", _verdict(check_product_sense), _recheck_verdict),
+    "wstar_product_sense": Check("algebras", _verdict(check_wstar_product_sense), _recheck_verdict),
+    "cstar_independence": Check("algebras", _verdict(check_cstar_independence, seeded=True), _recheck_verdict),
+    "wstar_independence": Check("algebras", _verdict(check_wstar_independence, seeded=True), _recheck_verdict),
+    "spatial_product_sense": Check("algebras", _verdict(check_spatial_product_sense), _recheck_verdict),
+    "interpolating_factor": Check(
+        "algebras", lambda a1, a2, entry, tol: {"outcome": find_interpolating_factor(a1, a2, tol)},
+        _recheck_outcome(" factor", _check_factor_outcome)),
+    "extend_state": Check("states", _extension, _recheck_outcome("", _check_extension)),
+    "joint_operation": Check("operations", lambda t1, t2, entry, tol: _joint_extension(t1, t2, tol, "outcome")[0],
+                             _recheck_joint),
+}
+
+
+def run_check(entry: dict, inst: Instance) -> dict:
+    """The report entry of one check of ``inst``: its kind, its two names, and what its runner adds."""
+    row, names = _check_entry(entry, inst.path, inst.declared)
+    return {"check": entry["check"], row.section: names, **row.run(*inst.named(row.section, names), entry, inst.tol)}
+
+
+def _check_entry(entry: Any, where: str, declared: dict[str, dict]) -> tuple[Check, list[str]]:
+    """The row of a check entry's kind, and its two names, each declared in the row's section."""
+    kind = _require(_object(entry, where), "check", where)
+    if not (isinstance(kind, str) and kind in CHECKS):
+        raise ParseError(f"{where}.check: unknown check '{kind}' (known: {', '.join(CHECKS)})")
+    row = CHECKS[kind]
+    return row, _two_names(entry, row.section, declared[row.section], row.section[:-1], where)
+
+
+def _verify_analyze(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:
+    """Log the items of an ``analyze`` report: its echo, then each check entry by its row's re-check."""
+    inst = _read_echo(doc, where, tol, log)
+    checks = doc.get("checks", [])
+    if not isinstance(checks, list):
+        raise ParseError(f"{where}: checks: must be a list")
+    for idx, entry in enumerate(checks):
+        at = f"{where}: checks[{idx}]"
+        row, names = _check_entry(entry, at, inst.declared)
+        row.recheck(entry, at, f"checks[{idx}] {entry['check']}", partial(inst.named, row.section, names), tol, log)
+
+
+def _verify_extend(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:
+    """Log the items of an ``extend`` report: its echo, then its section by the joint-operation row's re-check."""
+    inst = _read_echo(doc, where, tol, log)
+    at = f"{where}: joint_extension"
+    section = _object(_require(doc, "joint_extension", where), at)
+    names = _two_names(section, "operations", inst.declared["operations"], "operation", at)
+    _recheck_joint(section, at, "joint_extension", partial(inst.named, "operations", names), tol, log, "status")

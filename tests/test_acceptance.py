@@ -263,8 +263,7 @@ def test_criterion_6_product_transition_marginals():
             out = dual.apply(rho)
             assert marginal_residual(out, (phi1,)) <= EPS_VERIFY
             assert marginal_residual(out, (phi2,)) <= EPS_VERIFY
-        entangled = state_from_density(full_matrix_algebra(n), probes[-1])
-        assert verify_product_transition(joint, entangled, phi1, phi2, rng=rng)
+        assert verify_product_transition(joint, phi1, phi2)
 
 
 def test_criterion_7_interpolating_factor_split():

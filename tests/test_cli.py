@@ -30,6 +30,7 @@ import os
 import random
 import subprocess
 import sys
+import typing
 import warnings
 from pathlib import Path
 
@@ -308,7 +309,7 @@ class TestAnalyze:
     def test_every_check_kind_reverifies(self, tmp_path):
         code, doc = run_json(["analyze", "instances/every_check_m6.json"], tmp_path)
         assert code == 0
-        assert [c["check"] for c in doc["checks"]] == list(instances._CHECK_SECTIONS)
+        assert [c["check"] for c in doc["checks"]] == list(instances.CHECKS)
         code, rep = run_json(["verify-report", str(tmp_path / "out.json")], tmp_path, "verify.json")
         assert code == 0 and rep["all_ok"]
         assert rep["items"] and all(item["ok"] for item in rep["items"])
@@ -446,7 +447,7 @@ class TestFuzz:
         def solver(*args, **kwargs):
             raise AssertionError("the extension solver ran")
 
-        for module in (states, independence, cli):
+        for module in (states, independence, instances):
             monkeypatch.setattr(module, "extend_state_batch", solver, raising=False)
         for inst in staralg.fuzz_instances("haar_overlap", 5, 3):
             verdicts = staralg.run_hierarchy_checks(inst.a1, inst.a2).verdicts
@@ -643,6 +644,46 @@ class TestVerifyReport:
         doc["instance"]["states"]["phi_left"]["density"] = None
         return "state phi_left"
 
+    @staticmethod
+    def deny_a_found_factor(doc):
+        # the pair splits, so the factor search, re-run, finds a factor
+        entry = next(c for c in doc["checks"] if c["check"] == "interpolating_factor")
+        entry["outcome"] = {"status": "NotFound", "reason": "no factor exists"}
+        return "interpolating_factor factor"
+
+    @staticmethod
+    def drop_the_found_factor(doc):
+        entry = next(c for c in doc["checks"] if c["check"] == "interpolating_factor")
+        entry["outcome"] = {"status": "Found"}
+        return "interpolating_factor factor"
+
+    @staticmethod
+    def misspell_factor_status(doc):
+        entry = next(c for c in doc["checks"] if c["check"] == "interpolating_factor")
+        entry["outcome"]["status"] = "Split"
+        return "interpolating_factor factor"
+
+    @staticmethod
+    def refuse_an_extended_operation(doc):
+        # the pair commutes, so joint_operation, re-run, extends it
+        entry = next(c for c in doc["checks"] if c["check"] == "joint_operation")
+        for key in ("choi", "residuals", "completely_positive", "unital", "faithful"):
+            del entry[key]
+        entry.update(outcome="NotCommuting", diagnostic="a joint operation requires a commuting pair of domains")
+        return "joint_operation"
+
+    @staticmethod
+    def swap_in_the_identity_map(doc):
+        # completely positive and unital, but it restricts to neither operation
+        entry = next(c for c in doc["checks"] if c["check"] == "joint_operation")
+        entry["choi"] = array_to_json(staralg.choi(staralg.identity_channel(doc["instance"]["ambient_dim"])))
+        return "joint_operation"
+
+    @staticmethod
+    def refuse_an_extended_preparation(doc):
+        doc["joint_extension"]["status"] = "NoProductIsomorphism"
+        return "joint_extension"
+
     # tamper -> the golden report it edits
     TAMPERS = {
         "corrupt_extension_density": "tensor_pair_m6",
@@ -665,6 +706,12 @@ class TestVerifyReport:
         "null_split_unitary": "tensor_pair_m6",
         "null_transition_probe": "tensor_prep_extend",
         "null_echoed_state": "tensor_prep_extend",
+        "deny_a_found_factor": "tensor_pair_m6",
+        "drop_the_found_factor": "tensor_pair_m6",
+        "misspell_factor_status": "tensor_pair_m6",
+        "refuse_an_extended_operation": "tensor_pair_m6",
+        "swap_in_the_identity_map": "tensor_pair_m6",
+        "refuse_an_extended_preparation": "tensor_prep_extend",
     }
 
     @pytest.mark.parametrize("tamper", list(TAMPERS))
@@ -745,7 +792,7 @@ class TestVerifyReport:
             calls.append(args)
             raise AssertionError("verify-report ran the extension solver")
 
-        for module, name in ((cli, "extend_state"), (states, "extend_state"),
+        for module, name in ((instances, "extend_state"), (states, "extend_state"),
                              (states, "extend_state_batch"), (independence, "extend_state_batch")):
             monkeypatch.setattr(module, name, solver, raising=False)
         for report in [overlap, *sorted(GOLDEN.glob("*.report.json"))]:
@@ -1017,6 +1064,104 @@ class TestCertificates:
         assert not items["cstar_independent status"]["ok"]
         assert "'separating_pair' cannot support Holds" in items["cstar_independent status"]["detail"]
         assert items["cstar_independent refusal"]["ok"]
+
+
+class TestCheckTable:
+    # the status of each outcome a row's runner can emit: the factor search's
+    # and the extension solver's Literals, and for a joint operation Extended
+    # or the name of the error that refused it
+    OUTCOMES = {
+        "interpolating_factor": set(typing.get_args(typing.get_type_hints(staralg.FactorSearchOutcome)["status"])),
+        "extend_state": set(typing.get_args(states.ExtensionStatus)),
+        "joint_operation": {"Extended", "NotNonselective", "AmbientMismatch", "NotCommuting",
+                            "NoProductIsomorphism", "NotCP"},
+    }
+    # refusals that operations built from one instance file cannot meet
+    # (inputs that are not operations, two ambient spaces) or meet only on a
+    # numerical failure (an extension that is not CP or not unital)
+    UNREACHED = ("NotNonselective", "AmbientMismatch", "NotCP")
+
+    @staticmethod
+    def outcomes(doc):
+        """(index of the entry, check kind, recorded status) for each outcome entry of a report."""
+        if doc["command"] == "extend":
+            yield None, "joint_operation", doc["joint_extension"]["status"]
+        for idx, entry in enumerate(doc.get("checks", [])):
+            outcome = entry.get("outcome")
+            if outcome is not None:
+                yield idx, entry["check"], outcome if isinstance(outcome, str) else outcome["status"]
+
+    def test_the_check_table_is_exact(self, tmp_path):
+        # every_check_m6 reaches every row, and every outcome status a row's
+        # runner can emit reaches that row's re-check, through a bundled
+        # report, a tampered golden, or (for the solver's Undecided and the
+        # unreached refusals) a report written here
+        assert [c["check"] for c in instances.load("instances/every_check_m6.json").checks] == list(instances.CHECKS)
+        docs = [json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.report.json"))]
+        for name in sorted(p.name for p in INSTANCES.glob("*.json")):
+            code, doc = run_json(["analyze", f"instances/{name}"], tmp_path)
+            assert code == 0
+            docs.append(doc)
+        for tamper, golden in TestVerifyReport.TAMPERS.items():
+            doc = json.loads((GOLDEN / f"{golden}.report.json").read_text())
+            getattr(TestVerifyReport, tamper)(doc)
+            docs.append(doc)
+        undecided = json.loads((INSTANCES / "every_check_m6.json").read_text())
+        next(c for c in undecided["checks"] if c["check"] == "extend_state")["max_iter"] = 1
+        (tmp_path / "undecided.json").write_text(json.dumps(undecided))
+        code, doc = run_json(["analyze", str(tmp_path / "undecided.json")], tmp_path)
+        assert code == 0
+        docs.append(doc)
+        for status in self.UNREACHED:
+            doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
+            TestVerifyReport.refuse_an_extended_operation(doc)
+            next(c for c in doc["checks"] if c["check"] == "joint_operation")["outcome"] = status
+            docs.append(doc)
+
+        reached = {kind: set() for kind in self.OUTCOMES}
+        for doc in docs:
+            fresh = [(idx, kind, status) for idx, kind, status in self.outcomes(doc) if status not in reached[kind]]
+            if not fresh:
+                continue
+            (tmp_path / "doc.json").write_text(json.dumps(doc))
+            code, audit = run_json(["verify-report", str(tmp_path / "doc.json")], tmp_path, "verify.json")
+            targets = [item["target"] for item in audit["items"]]
+            for idx, kind, status in fresh:
+                item = "joint_extension" if idx is None else f"checks[{idx}] {kind}"
+                assert any(t == item or t.startswith(f"{item} ") for t in targets), (kind, status, targets)
+                reached[kind].add(status)
+        for kind, statuses in self.OUTCOMES.items():
+            assert statuses <= reached[kind], (kind, statuses - reached[kind])
+
+    def test_a_refusal_is_re_derived_by_its_name(self, tmp_path):
+        code, doc = run_json(["analyze", "instances/every_check_m6.json"], tmp_path)
+        (idx, entry), = [(k, c) for k, c in enumerate(doc["checks"]) if c["check"] == "joint_operation"]
+        assert code == 0 and entry["outcome"] == "NotCommuting"
+        assert entry["diagnostic"] == "a joint operation requires a commuting pair of domains"
+        target = f"checks[{idx}] joint_operation"
+        code, audit = run_json(["verify-report", str(tmp_path / "out.json")], tmp_path, "verify.json")
+        assert code == 0 and {item["target"]: item["ok"] for item in audit["items"]}[target]
+        entry["outcome"] = "NoProductIsomorphism"
+        bad = tmp_path / "renamed.json"
+        bad.write_text(json.dumps(doc))
+        code, audit = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
+        failed = {item["target"]: item["detail"] for item in audit["items"] if not item["ok"]}
+        assert code == 2 and list(failed) == [target]
+        assert "the operations give 'NotCommuting', the report records 'NoProductIsomorphism'" in failed[target]
+
+    def test_the_residuals_are_computed_once_per_extension(self, tmp_path, monkeypatch):
+        calls = []
+        residuals = independence.joint_extension_residuals
+        monkeypatch.setattr(independence, "joint_extension_residuals",
+                            lambda *args, **kwargs: calls.append(args) or residuals(*args, **kwargs))
+        code, doc = run_json(["analyze", "instances/tensor_pair_m6.json"], tmp_path)
+        assert code == 0 and [c["outcome"] for c in doc["checks"] if c["check"] == "joint_operation"] == ["Extended"]
+        assert len(calls) == 1
+        for ops in (["prep_left", "prep_right"], ["measure_left", "rotate_right"]):
+            calls.clear()
+            code, doc = run_json(["extend", "instances/tensor_pair_m6.json", *ops], tmp_path)
+            assert code == 0 and doc["joint_extension"]["status"] == "Extended"
+            assert len(calls) == 1, ops
 
 
 class TestGoldenSchema:

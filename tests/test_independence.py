@@ -47,6 +47,7 @@ from staralg import (
     commutant,
     conditional_expectation,
     conjugate_algebra,
+    dual_on_states,
     extend_state,
     extend_state_batch,
     find_interpolating_factor,
@@ -61,6 +62,7 @@ from staralg import (
     mutually_commute,
     noncommuting_pair,
     product_isomorphism,
+    product_residual,
     random_density,
     random_faithful_nonselective_channel,
     random_luders_channel,
@@ -468,10 +470,11 @@ class TestProductTransition:
         phi1 = state_from_density(a1, kron(random_density(2, rng), np.eye(3) / 3))
         phi2 = state_from_density(a2, kron(np.eye(2) / 2, random_density(3, rng)))
         joint = joint_operation(state_preparation(phi1), state_preparation(phi2))
-        full = full_matrix_algebra(6)
+        assert verify_product_transition(joint, phi1, phi2)
+        # the exact check agrees with random inputs pushed through the dual
+        dual = dual_on_states(joint)
         for _ in range(5):
-            phi = state_from_density(full, random_density(6, rng))
-            assert verify_product_transition(joint, phi, phi1, phi2, rng=rng)
+            assert product_residual(dual.apply(random_density(6, rng)), phi1, phi2) <= 1e-10
 
     def test_entangled_input_still_yields_product_output(self):
         rng = np.random.default_rng(347)
@@ -480,19 +483,28 @@ class TestProductTransition:
         phi2 = state_from_density(a2, kron(np.eye(2) / 2, random_density(2, rng)))
         joint = joint_operation(state_preparation(phi1), state_preparation(phi2))
         v = (np.eye(4)[0] + np.eye(4)[3]) / np.sqrt(2)
-        entangled = state_from_density(
-            full_matrix_algebra(4), np.outer(v, v.conj()).astype(complex)
-        )
-        assert verify_product_transition(joint, entangled, phi1, phi2, rng=rng)
+        entangled = np.outer(v, v.conj()).astype(complex)
+        assert verify_product_transition(joint, phi1, phi2)
+        assert product_residual(dual_on_states(joint).apply(entangled), phi1, phi2) <= 1e-10
 
     def test_tracial_input_passes_marginal_checks(self):
-        rng = np.random.default_rng(349)
         a1, a2 = left_factor(2, 2), right_factor(2, 2)
         phi1 = canonical_trace_state(a1)
         phi2 = canonical_trace_state(a2)
         joint = joint_operation(state_preparation(phi1), state_preparation(phi2))
-        tau = canonical_trace_state(full_matrix_algebra(4))
-        assert verify_product_transition(joint, tau, phi1, phi2, rng=rng)
+        assert verify_product_transition(joint, phi1, phi2)
+        assert product_residual(dual_on_states(joint).apply(np.eye(4) / 4), phi1, phi2) <= 1e-10
+
+    def test_a_map_that_keeps_one_input_is_caught(self):
+        # T(x y) = phi1(x) y depends on the input state through y, which a
+        # random input pushed through the dual confirms
+        rng = np.random.default_rng(353)
+        a1, a2 = left_factor(2, 2), right_factor(2, 2)
+        phi1 = state_from_density(a1, kron(random_density(2, rng), np.eye(2) / 2))
+        phi2 = state_from_density(a2, kron(np.eye(2) / 2, random_density(2, rng)))
+        joint = joint_operation(state_preparation(phi1), identity_on(a2))
+        assert not verify_product_transition(joint, phi1, phi2)
+        assert product_residual(dual_on_states(joint).apply(random_density(4, rng)), phi1, phi2) > 1e-3
 
 
 class TestHierarchy:
