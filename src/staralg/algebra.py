@@ -34,7 +34,6 @@ from .numerics import (
     null_space,
     orthonormalize,
     rvec_to_hermitian,
-    vec,
 )
 
 __all__ = [
@@ -106,25 +105,33 @@ class MatrixStarAlgebra:
 
     @cached_property
     def basis_vecs(self) -> np.ndarray:
-        """(dim, n^2) array whose rows are vec(b_i)."""
+        """(dim, n^2) array whose rows are vec(b_i), for the superoperators' column-stacking convention."""
         return self.basis.transpose(0, 2, 1).reshape(self.dim, -1)
 
+    @cached_property
+    def span_adjoint(self) -> np.ndarray:
+        """(n^2, dim) adjoint of the C-order basis rows ``basis.reshape(dim, n^2)``: with them, the span operator."""
+        return _frozen(self.basis.reshape(self.dim, -1).conj().T)
+
     def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of the HS-orthogonal projection of x onto the span."""
-        return self.basis_vecs.conj() @ vec(x)
+        """HS coefficients <b_a, x> of a matrix (n, n), or (k, dim) of a stack (k, n, n)."""
+        return np.reshape(x, (*np.shape(x)[:-2], -1)) @ self.span_adjoint
+
+    def combine(self, coefficients: np.ndarray) -> np.ndarray:
+        """sum_a c_a b_a for a coefficient vector (dim,), or for each row of a stack (k, dim)."""
+        c = np.asarray(coefficients)
+        return (c @ self.basis.reshape(self.dim, -1)).reshape(*c.shape[:-1], *self.basis.shape[1:])
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """HS-orthogonal projection of x onto the span."""
-        return np.tensordot(self.coefficients(x), self.basis, axes=(0, 0))
+        """HS-orthogonal projection of a matrix, or of each of a stack, onto the span."""
+        return self.combine(self.coefficients(x))
 
     def distance_to_span(self, x: np.ndarray) -> float:
-        return hs_norm(np.asarray(x, dtype=complex) - self.project(x))
+        return float(self.distances_to_span(np.asarray(x, dtype=complex)[None])[0])
 
     def distances_to_span(self, mats: np.ndarray) -> np.ndarray:
         """HS distance of each matrix of a stack (k, n, n) to the span, in two GEMMs."""
-        rows = mats.reshape(len(mats), -1)
-        flat = self.basis.reshape(self.dim, -1)
-        return np.linalg.norm(rows - (rows @ flat.conj().T) @ flat, axis=1)
+        return np.linalg.norm((mats - self.project(mats)).reshape(len(mats), -1), axis=1)
 
     def contains(self, x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
         scale = max(1.0, hs_norm(x))
@@ -174,19 +181,16 @@ class MatrixStarAlgebra:
         once, then of the products b_a b_c one row a at a time, so only d
         products are held at once.
         """
-        n, d = self.ambient_dim, self.dim
-        flat = self.basis.reshape(d, n * n)
-        gram = flat.conj() @ flat.T
-        if np.abs(gram - np.eye(d)).max() > tol.eps_algebra:
+        if np.abs(self.coefficients(self.basis) - np.eye(self.dim)).max() > tol.eps_algebra:
             raise ValidationError("basis is not HS-orthonormal")
-        if not self.contains(np.eye(n), tol):
+        if not self.contains(np.eye(self.ambient_dim), tol):
             raise ValidationError("identity is not in the span")
         if self.distances_to_span(dagger(self.basis)).max() > tol.eps_algebra:
             raise ValidationError("span is not closed under adjoints")
-        for a in range(d):
-            rows = products(self.basis[a : a + 1], self.basis).reshape(d, n * n)
-            scale = np.maximum(1.0, np.linalg.norm(rows, axis=1))
-            if np.any(self.distances_to_span(rows) > tol.eps_algebra * scale):
+        for a in range(self.dim):
+            prods = products(self.basis[a : a + 1], self.basis)[0]
+            scale = np.maximum(1.0, np.linalg.norm(prods, axis=(1, 2)))
+            if np.any(self.distances_to_span(prods) > tol.eps_algebra * scale):
                 raise ValidationError("span is not closed under products")
 
 
@@ -449,8 +453,7 @@ def _seeded_elements(a: MatrixStarAlgebra, attempt: int) -> tuple[np.ndarray, np
     does not depend on the orthonormal basis stored; it commutes with the
     adjoint, as the span is adjoint closed, so E_A(G + G*) = E_A(G) + E_A(G)*.
     """
-    n, flat = a.ambient_dim, a.basis.reshape(a.dim, -1)
-    g, x = ((_seeded_gaussian((2, n, n), attempt).reshape(2, -1) @ flat.conj().T) @ flat).reshape(2, n, n)
+    g, x = a.project(_seeded_gaussian((2, *a.basis.shape[1:]), attempt))
     return g + dagger(g), x
 
 

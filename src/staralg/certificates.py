@@ -8,6 +8,7 @@ or decoded report verdicts; ``staralg verify-report`` logs the same items.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property, reduce
 from typing import Any, Callable, Mapping, NamedTuple
@@ -60,7 +61,7 @@ def _jsonable(x: Any) -> Any:
     if x is None or isinstance(x, (bool, int, str)):
         return x
     if isinstance(x, float):
-        return x if np.isfinite(x) else None
+        return x if math.isfinite(x) else None
     if isinstance(x, complex):
         return _array_out(np.asarray(x))
     if isinstance(x, np.generic):  # numpy scalars: their Python counterparts

@@ -62,6 +62,7 @@ from .numerics import DEFAULT_TOL, Tolerances, dagger, vec
 from .states import (
     SEPARATION_MARGIN,
     AlgebraState,
+    _representer,
     canonical_trace_state,
     marginal_residual,
     product_residual,
@@ -313,7 +314,7 @@ class JointCells:
         blocks = [a.structure(self.tol).blocks for a in (self.a1, self.a2)]
         u, v = (np.concatenate([b.units.reshape(-1, *b.units.shape[2:]) / np.sqrt(b.multiplicity) for b in bs])
                 for bs in blocks)
-        c1, c2 = (x.reshape(len(x), -1).conj() @ a.basis.reshape(a.dim, -1).T for x, a in ((u, self.a1), (v, self.a2)))
+        c1, c2 = (a.coefficients(x).conj() for x, a in ((u, self.a1), (v, self.a2)))
         p, q = (np.array([b.multiplicity for b in bs]) for bs in blocks)
         w = np.repeat(np.repeat(np.sqrt(self.mu / np.outer(p, q)), self.sizes1**2, axis=0), self.sizes2**2, axis=1)
         return products(u, v) * np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)[:, :, None, None], w, c1, c2
@@ -667,10 +668,8 @@ def _coefficient_matrix(t: ChannelMap) -> np.ndarray:
 
 def state_preparation(state: AlgebraState, tol: Tolerances = DEFAULT_TOL) -> ChannelMap:
     """Discard-and-prepare on the state's own algebra: x -> phi(x) 1."""
-    a = state.algebra
-    n = a.ambient_dim
-    rep = np.tensordot(state.expect_basis(), dagger(a.basis), axes=(0, 0))
-    action = np.outer(vec(np.eye(n)), vec(rep).conj())
+    a, n = state.algebra, state.algebra.ambient_dim
+    action = np.outer(vec(np.eye(n)), vec(_representer(a, state.expect_basis())).conj())
     return build_channel(a, n, action, tol)
 
 
@@ -727,7 +726,7 @@ def _joint_extension_gate(joint: ChannelMap, t1: ChannelMap, t2: ChannelMap, tol
         raise NotCP("joint extension failed the complete-positivity check")
     if not joint.unital:
         raise NotNonselective("joint extension failed the unitality check")
-    residuals = joint_extension_residuals(joint, t1, t2, tol)
+    residuals = joint_extension_residuals(joint, t1, t2)
     worst = max(residuals.values())
     if not worst <= tol.eps_verify:
         raise IllConditioned(f"joint extension residual {worst:.3e} exceeds {tol.eps_verify:.1e}")
@@ -740,12 +739,7 @@ def _images(t: ChannelMap, mats: np.ndarray) -> np.ndarray:
     return (mats.transpose(0, 2, 1).reshape(k, -1) @ t.action.T).reshape(k, m, m).transpose(0, 2, 1)
 
 
-def joint_extension_residuals(
-    joint: ChannelMap,
-    t1: ChannelMap,
-    t2: ChannelMap,
-    tol: Tolerances = DEFAULT_TOL,
-) -> dict[str, float]:
+def joint_extension_residuals(joint: ChannelMap, t1: ChannelMap, t2: ChannelMap) -> dict[str, float]:
     """Restriction and cross-multiplicativity residuals of a joint extension, each over one stack."""
     a1, a2, n = t1.domain, t2.domain, joint.in_dim
     images1, images2 = _images(joint, a1.basis), _images(joint, a2.basis)

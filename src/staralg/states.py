@@ -104,8 +104,8 @@ class AlgebraState:
         return complex(np.trace(self.density @ np.asarray(x, dtype=complex)))
 
     def expect_basis(self) -> np.ndarray:
-        """Values on the algebra basis, phi(b_a)."""
-        return np.einsum("ij,aji->a", self.density, self.algebra.basis)
+        """Values on the algebra basis, phi(b_a) = tr(rho b_a), the conjugate of <b_a, rho*>."""
+        return self.algebra.coefficients(dagger(self.density)).conj()
 
     def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
         if not is_hermitian(self.density, tol):
@@ -146,6 +146,11 @@ def canonical_trace_state(algebra: MatrixStarAlgebra) -> AlgebraState:
     return AlgebraState(algebra, np.eye(n, dtype=complex) / n)
 
 
+def _representer(algebra: MatrixStarAlgebra, values: np.ndarray) -> np.ndarray:
+    """The in-span representer sum_a phi(b_a) b_a* of basis values: tr(rep x) = phi(x) on the span."""
+    return dagger(algebra.combine(np.conj(values)))
+
+
 def state_from_values(
     algebra: MatrixStarAlgebra, values: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> AlgebraState:
@@ -158,10 +163,7 @@ def state_from_values(
     values = np.asarray(values, dtype=complex)
     if values.shape != (algebra.dim,):
         raise ShapeMismatch(f"expected {algebra.dim} basis values, got {values.shape}")
-    rep = np.tensordot(values, dagger(algebra.basis), axes=(0, 0))
-    state = AlgebraState(algebra, rep)
-    state.validate(tol)
-    return state
+    return state_from_density(algebra, _representer(algebra, values), tol)
 
 
 def state_from_density(
@@ -302,11 +304,8 @@ def _project_spectahedron(x: np.ndarray, n: int) -> np.ndarray:
 
 def marginal_residual(rho: np.ndarray, states: Sequence[AlgebraState]) -> float:
     """Largest deviation of the density's marginals from the given states."""
-    worst = 0.0
-    for s in states:
-        diff = np.einsum("ij,aji->a", np.asarray(rho, dtype=complex), s.algebra.basis)
-        worst = max(worst, float(np.abs(diff - s.expect_basis()).max()))
-    return worst
+    return max((float(np.abs(AlgebraState(s.algebra, rho).expect_basis() - s.expect_basis()).max())
+                for s in states), default=0.0)
 
 
 def extend_state(
@@ -480,7 +479,6 @@ def product_residual(
     every product x y of the two algebras.
     """
     a1, a2 = state1.algebra, state2.algebra
-    # tr(rho b_a c_b) = sum_ik (rho b_a)_ik (c_b^T)_ik, one GEMM over the flattened stacks
-    left = (np.asarray(rho, dtype=complex) @ a1.basis).reshape(a1.dim, -1)
-    prods = left @ a2.basis.transpose(0, 2, 1).reshape(a2.dim, -1).T
+    # tr(rho b_a c_b) is A2's value on c_b of the density rho b_a (``expect_basis``), one GEMM for the stack
+    prods = a2.coefficients(dagger(np.asarray(rho, dtype=complex) @ a1.basis)).conj()
     return float(np.abs(prods - np.outer(state1.expect_basis(), state2.expect_basis())).max())

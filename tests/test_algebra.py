@@ -30,9 +30,16 @@ from staralg import (
 )
 from staralg import algebra, numerics
 from staralg.algebra import StructureDecomposition, _gauge_order, _verify_structure, products
-from staralg.independence import verify_noncommuting_elements
+from staralg.independence import joint_cells, run_hierarchy_checks, state_preparation, verify_noncommuting_elements
 from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, is_psd, kron, null_space, vec
 from staralg.sampling import canonical_block_algebra, cell_pair, conjugate_algebra, tensor_pair
+from staralg.states import (
+    AlgebraState,
+    is_faithful,
+    marginal_residual,
+    product_residual,
+    state_from_values,
+)
 
 
 def monomial_closure_rank(generators, n, max_length=8):
@@ -601,3 +608,101 @@ class TestSeededUnits:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0
+
+
+class TestSpanOperator:
+    """Every reading of the span operator against the contractions it replaced, written out inline."""
+
+    @staticmethod
+    def algebras():
+        out = [full_matrix_algebra(3), scalar_algebra(4)]
+        for family in FUZZ_FAMILIES:
+            out += [a for inst in fuzz_instances(family, 10, 1) for a in (inst.a1, inst.a2)]
+        return out
+
+    @staticmethod
+    def gaussians(rng, *shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @staticmethod
+    def density(rng, n):
+        g = TestSpanOperator.gaussians(rng, n, n)
+        rho = g @ dagger(g)
+        return rho / np.trace(rho).real
+
+    def test_coefficients_projections_and_distances_match_the_old_formulas(self):
+        rng = np.random.default_rng(29)
+        for a in self.algebras():
+            n = a.ambient_dim
+            mats = self.gaussians(rng, 3, n, n)
+            old_coeffs = np.stack([a.basis_vecs.conj() @ vec(x) for x in mats])
+            old_proj = np.stack([np.tensordot(c, a.basis, axes=(0, 0)) for c in old_coeffs])
+            old_dist = np.array([hs_norm(x - p) for x, p in zip(mats, old_proj)])
+            assert np.abs(a.coefficients(mats) - old_coeffs).max() <= 1e-12
+            assert np.abs(a.coefficients(mats[0]) - old_coeffs[0]).max() <= 1e-12
+            assert np.abs(a.project(mats) - old_proj).max() <= 1e-12
+            assert np.abs(a.project(mats[0]) - old_proj[0]).max() <= 1e-12
+            assert np.abs(a.distances_to_span(mats) - old_dist).max() <= 1e-12
+            for x in (mats[0], np.eye(n), a.basis[-1]):
+                assert a.distance_to_span(x) == a.distances_to_span(x[None])[0]
+
+    def test_state_readings_match_the_old_formulas(self):
+        rng = np.random.default_rng(30)
+        for a in self.algebras():
+            n = a.ambient_dim
+            rho = self.density(rng, n)
+            state = AlgebraState(a, rho)
+            old_values = np.einsum("ij,aji->a", rho, a.basis)
+            assert np.abs(state.expect_basis() - old_values).max() <= 1e-12
+            # a non-Hermitian matrix tells tr(x b_a) from its conjugate and transposes
+            x = self.gaussians(rng, n, n)
+            old_x = np.einsum("ij,aji->a", x, a.basis)
+            assert np.abs(AlgebraState(a, x).expect_basis() - old_x).max() <= 1e-12
+            assert abs(marginal_residual(x, [state]) - np.abs(old_x - old_values).max()) <= 1e-12
+            old_rep = np.tensordot(old_values, dagger(a.basis), axes=(0, 0))
+            assert np.abs(state_from_values(a, old_values).density - old_rep).max() <= 1e-12
+            old_action = np.outer(vec(np.eye(n)), vec(old_rep).conj())
+            assert np.abs(state_preparation(state).action - old_action).max() <= 1e-12
+            sigma = np.tensordot(a.basis_vecs.conj() @ vec(rho), a.basis, axes=(0, 0))
+            evals = np.linalg.eigvalsh(0.5 * (sigma + dagger(sigma)))
+            assert is_faithful(state) == bool(evals[0] > DEFAULT_TOL.eps_psd * max(1.0, evals[-1]))
+
+    def test_pair_readings_match_the_old_formulas(self):
+        rng = np.random.default_rng(31)
+        for family in FUZZ_FAMILIES:
+            for inst in fuzz_instances(family, 10, 1):
+                a1, a2 = inst.a1, inst.a2
+                rho = self.gaussians(rng, a1.ambient_dim, a1.ambient_dim)  # not Hermitian, as the residual allows
+                s1, s2 = AlgebraState(a1, rho), AlgebraState(a2, self.density(rng, a1.ambient_dim))
+                left = (rho @ a1.basis).reshape(a1.dim, -1)
+                prods = left @ a2.basis.transpose(0, 2, 1).reshape(a2.dim, -1).T
+                old = np.abs(prods - np.outer(s1.expect_basis(), s2.expect_basis())).max()
+                assert abs(product_residual(rho, s1, s2) - old) <= 1e-12
+                if not mutually_commute(a1, a2):
+                    continue
+                blocks = [a.structure().blocks for a in (a1, a2)]
+                u, v = (np.concatenate([b.units.reshape(-1, *b.units.shape[2:]) / np.sqrt(b.multiplicity)
+                                        for b in bs]) for bs in blocks)
+                _, _, c1, c2 = joint_cells(a1, a2).cell_basis
+                for c, x, a in ((c1, u, a1), (c2, v, a2)):
+                    old = x.reshape(len(x), -1).conj() @ a.basis.reshape(a.dim, -1).T
+                    assert np.abs(c - old).max() <= 1e-12
+
+    def test_one_hierarchy_run_builds_each_adjoint_at_most_once(self, monkeypatch):
+        built = []
+        cache = MatrixStarAlgebra.__dict__["span_adjoint"]
+        inner = cache.func
+
+        def counted(a):
+            built.append(a)  # holding the algebra keeps its id unique for the whole run
+            return inner(a)
+
+        # count the builds behind the class's own cache, not behind a replacement
+        monkeypatch.setattr(cache, "func", counted)
+        inst = fuzz_instances("shared_block", 1, 1)[0]
+        # fresh copies, so nothing the sampler cached is read
+        a1, a2 = (MatrixStarAlgebra(a.ambient_dim, a.basis) for a in (inst.a1, inst.a2))
+        report = run_hierarchy_checks(a1, a2)
+        assert report.verdicts["cstar_independent"].status == "Fails"
+        assert any(b is a1 for b in built) and any(b is a2 for b in built)
+        assert len({id(b) for b in built}) == len(built)
