@@ -138,6 +138,31 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_recorded(recorded: Any, derived: Mapping[str, Any], tol: Tolerances) -> None:
+    """Each re-derived field equals the one ``recorded`` under its key: floats within eps_verify, the rest exactly.
+
+    Fields are compared as a report encodes them, dicts key by key and
+    lists (vectors of ``[re, im]`` pairs) entry by entry; the first field
+    that differs, is missing or has another type fails, by name.
+    """
+    _check_field("", recorded, _jsonable(dict(derived)), tol.eps_verify)
+
+
+def _check_field(name: str, recorded: Any, derived: Any, eps: float) -> None:
+    if isinstance(derived, (dict, list)):
+        if isinstance(derived, list) and not (isinstance(recorded, list) and len(recorded) == len(derived)):
+            raise ValidationError(f"recorded {name} is not a list of {len(derived)} entries")
+        for key, value in derived.items() if isinstance(derived, dict) else enumerate(derived):
+            _check_field(key if isinstance(key, str) else f"{name}[{key}]", recorded[key], value, eps)
+        return
+    if isinstance(derived, float):
+        same = type(recorded) in (int, float) and abs(recorded - derived) <= eps  # a bool is no number
+    else:  # a flag or a count, of the same type; a non-finite number is encoded as null and matches nothing
+        same = derived is not None and type(recorded) is type(derived) and recorded == derived
+    if not same:
+        raise ValidationError(f"recorded {name} {recorded!r}, recomputed {derived!r}")
+
+
 # ---------------------------------------------------------------------------
 # the re-check of each kind
 # ---------------------------------------------------------------------------
@@ -175,16 +200,6 @@ class _Pair:
         return joint_cells(self.a1, self.a2, self.tol)
 
 
-_DIMS = ("dim_join", "dim_factor1", "dim_factor2")
-
-
-def _check_dims(cert: dict, cells: JointCells, keys: tuple[str, ...]) -> None:
-    recomputed = cells.dims
-    for key in keys:
-        if not (_is_int(cert[key]) and cert[key] == recomputed[key]):
-            raise ValidationError(f"recorded {key} {cert[key]!r}, recomputed {recomputed[key]}")
-
-
 def _check_implied(cert: dict, pair: _Pair) -> str:
     """The pair's re-derived cell table has no zero cell."""
     if pair.cells.zero_cells:
@@ -194,7 +209,7 @@ def _check_implied(cert: dict, pair: _Pair) -> str:
 
 def _check_isomorphism(cert: dict, pair: _Pair) -> str:
     pair.cells.check_table(cert["mu"])
-    _check_dims(cert, pair.cells, _DIMS)
+    _check_recorded(cert, pair.cells.dims, pair.tol)
     return _check_implied(cert, pair)
 
 
@@ -203,32 +218,36 @@ def _check_factor(fdoc: dict, pair: _Pair) -> str:
     factor = verify_interpolating_factor(
         _array_in(fdoc["unitary"], (n, n), "factor.unitary"), fdoc["d1"], fdoc["d2"], pair.a1, pair.a2, pair.tol
     )
+    _check_recorded(fdoc["residuals"], factor.residuals, pair.tol)
     worst = max(factor.residuals.values())
     return f"interpolating factor revalidated (max residual {worst:.3e})"
 
 
 def _check_product_state(cert: dict, pair: _Pair) -> str:
-    _check_dims(cert, pair.cells, ("dim_join",))
     density = _array_in(cert["density"], (pair.a1.ambient_dim,) * 2, "density")
     residual = verify_faithful_product_state(density, pair.a1, pair.a2, pair.tol)
+    recomputed = {"dim_join": pair.cells.dims["dim_join"], "product_residual": residual, "faithful": True}
+    _check_recorded(cert, recomputed, pair.tol)
     return f"full-rank product of the tracial states (product residual {residual:.3e})"
 
 
-def _check_zero_cell(cert: dict, pair: _Pair, dims: tuple[str, ...] = ()) -> str:
+def _check_zero_cell(cert: dict, pair: _Pair, with_dims: bool = False) -> str:
     z1, z2 = (_array_in(cert[key], (pair.a1.ambient_dim,) * 2, key) for key in ("projection1", "projection2"))
     pair.cells.check_zero_cell(cert["cell"], cert["mu"], z1, z2)
-    _check_dims(cert, pair.cells, dims)
+    if with_dims:
+        _check_recorded(cert, pair.cells.dims, pair.tol)
     return f"zero cell {cert['cell']} of the cell table re-derived from the pair"
 
 
 def _check_no_factor(cert: dict, pair: _Pair) -> str:
     pair.cells.check_table(cert["mu"])
-    reason = _check_factor_outcome({"status": "NotFound"}, pair.a1, pair.a2, pair.tol)
+    reason = _check_factor_outcome({"outcome": {"status": "NotFound"}}, pair.a1, pair.a2, pair.tol)
     return f"re-derived cell table {pair.cells.mu.tolist()}: {reason}"
 
 
-def _check_factor_outcome(outcome: dict, a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, tol: Tolerances) -> str:
-    """An ``interpolating_factor`` outcome: a recorded factor, or a NotFound that the search, re-run, gives again."""
+def _check_factor_outcome(entry: dict, a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, tol: Tolerances) -> str:
+    """An ``interpolating_factor`` entry's outcome: a recorded factor, or a NotFound the search, re-run, gives again."""
+    outcome = entry["outcome"]
     if outcome["status"] == "Found":
         return _check_factor(outcome["factor"], _Pair(a1, a2, tol))
     if outcome["status"] != "NotFound":
@@ -246,8 +265,7 @@ def _check_separating_pair(cert: dict, s1: AlgebraState, s2: AlgebraState, tol: 
         raise ValidationError(f"a {kind!r} certificate is no refusal")
     h1, h2 = (_array_in(cert[key], (s1.algebra.ambient_dim,) * 2, key) for key in ("h1", "h2"))
     gap = verify_separating_pair(h1, h2, s1, s2, tol)
-    if not abs(gap - cert["gap"]) <= tol.eps_verify:
-        raise ValidationError(f"recorded gap {cert['gap']!r}, recomputed {gap:.3e}")
+    _check_recorded(cert, {"gap": gap}, tol)
     return f"separating pair with gap {gap:.3e} above the margin"
 
 
@@ -263,8 +281,7 @@ def _check_refusal(cert: dict, pair: _Pair) -> str:
 def _check_noncommuting(cert: dict, pair: _Pair) -> str:
     x, y = (_array_in(cert[key], (pair.a1.ambient_dim,) * 2, key) for key in ("element1", "element2"))
     norm = verify_noncommuting_elements(x, y, pair.a1, pair.a2, pair.tol)
-    if not abs(norm - cert["commutator_norm"]) <= pair.tol.eps_verify:
-        raise ValidationError(f"recorded commutator norm {cert['commutator_norm']!r}, recomputed {norm:.3e}")
+    _check_recorded(cert, {"commutator_norm": norm}, pair.tol)
     return f"elements of the two algebras with commutator entry {norm:.3e}"
 
 
@@ -289,7 +306,7 @@ KINDS: dict[str, Kind] = {
     "implied_by_product_isomorphism": Kind("Holds", "product isomorphism", _check_implied),
     "faithful_product_state": Kind("Holds", "product state", _check_product_state),
     "factorizing_unitary": Kind("Holds", "factor", lambda cert, pair: _check_factor(cert["factor"], pair)),
-    "dimension_deficit": Kind("Fails", "dimensions", lambda cert, pair: _check_zero_cell(cert, pair, _DIMS)),
+    "dimension_deficit": Kind("Fails", "dimensions", lambda cert, pair: _check_zero_cell(cert, pair, True)),
     "separating_pair": Kind("Fails", "refusal", _check_refusal),
     "multiplication_relation": Kind("Fails", "relation", _check_zero_cell),
     "product_position_failure": Kind("Fails", "zero cell", _check_zero_cell),
@@ -377,8 +394,12 @@ def check_verdicts(
     return log.items
 
 
-def _check_extension(outcome: dict, s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> str:
-    """An ``extend_state`` outcome for the marginals (s1, s2): a joint density or a refusal."""
+def _check_extension(entry: dict, s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> str:
+    """An ``extend_state`` entry's outcome for the marginals (s1, s2): a joint density or a refusal.
+
+    A density's marginal residual, re-derived, is the recorded one; both it and the solver's are within eps_verify.
+    """
+    outcome = entry["outcome"]
     status = outcome["status"]
     if status == "InfeasibleCertified":
         return _check_separating_pair(outcome["certificate"], s1, s2, tol)
@@ -391,4 +412,8 @@ def _check_extension(outcome: dict, s1: AlgebraState, s2: AlgebraState, tol: Tol
     res = marginal_residual(joint.density, (s1, s2))
     if not res <= tol.eps_verify:
         raise ValidationError(f"marginal residual {res:.3e} exceeds tolerance")
+    _check_recorded(entry, {"recomputed_marginal_residual": res}, tol)
+    solver = outcome["residual"]
+    if not (type(solver) in (int, float) and abs(solver) <= tol.eps_verify):
+        raise ValidationError(f"recorded solver residual {solver!r} exceeds tolerance")
     return f"joint density PSD with marginal residual {res:.3e}"

@@ -34,15 +34,13 @@ import numpy as np
 
 from . import __version__
 from .certificates import _is_int, _jsonable, _VerifyLog
-from .channels import ChannelMap, dual_on_states
 from .errors import IllConditioned, ParseError, ToolkitError, ValidationError
 from .independence import VERDICT_KEYS, implication_violations, run_hierarchy_checks
 from .instances import CHECKS, SCHEMA_VERSION, Instance, _check_name, _check_schema_version, _instance_section
-from .instances import _joint_extension, _load, _object, _read_json, _require, _tolerances, _transition_residuals
+from .instances import _joint_extension, _load, _object, _product_transition, _read_json, _require, _tolerances
 from .instances import _verify_analyze, _verify_extend, run_check
 from .numerics import Tolerances
-from .sampling import fuzz_instances, random_density, random_pure_density
-from .states import AlgebraState
+from .sampling import fuzz_instances
 
 __all__ = ["main", "cmd_analyze", "cmd_extend", "cmd_fuzz", "cmd_verify_report"]
 
@@ -103,6 +101,15 @@ def _verdict_summary(verdict: dict) -> str:
     return line
 
 
+def _outcome_summary(entry: dict) -> str:
+    """The line of a single verdict, an outcome, or a joint extension (recorded by the name of its outcome)."""
+    outcome = entry.get("verdict") or entry["outcome"]
+    if isinstance(outcome, str):
+        worst = "residuals" in entry and f"max residual {_fmt(max(entry['residuals'].values()))}"
+        outcome = {"status": outcome, "reason": worst or entry["diagnostic"]}
+    return _verdict_summary(outcome)
+
+
 def _human_analyze(data: dict) -> None:
     inst = data["instance"]
     dims = ", ".join(f"{name} (dim {entry['dim']})" for name, entry in sorted(inst["algebras"].items()))
@@ -111,12 +118,8 @@ def _human_analyze(data: dict) -> None:
     for entry in data["checks"]:
         kind = entry["check"]
         head = f"check {kind} [{', '.join(entry[CHECKS[kind].section])}]"
-        if "verdicts" not in entry:  # a single verdict, or an outcome
-            outcome = entry.get("verdict") or entry["outcome"]
-            if isinstance(outcome, str):  # a joint extension, recorded by the name of its status
-                worst = "residuals" in entry and f"max residual {_fmt(max(entry['residuals'].values()))}"
-                outcome = {"status": outcome, "reason": worst or entry["diagnostic"]}
-            print(f"{head}: {_verdict_summary(outcome)}")
+        if "verdicts" not in entry:
+            print(f"{head}: {_outcome_summary(entry)}")
             continue
         print(f"{head}:")
         for key in VERDICT_KEYS:
@@ -149,54 +152,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _product_transition_table(
-    joint: ChannelMap, prescribed1: AlgebraState, prescribed2: AlgebraState, seed: int, tol: Tolerances
-) -> dict:
-    """Sweep input states through the dual of a joint preparation.
-
-    Every input must come out with the two prescribed marginals; the table
-    records the residuals for the maximally mixed input, random full-rank
-    inputs, and random pure (generically entangled) inputs.
-    """
-    dual = dual_on_states(joint, tol)
-    n = joint.in_dim
-    rng = np.random.default_rng(seed)
-    probes: list[tuple[str, np.ndarray]] = [("maximally_mixed", np.eye(n) / n)]
-    probes += [(f"random_full_rank_{k}", random_density(n, rng)) for k in range(3)]
-    probes += [(f"random_pure_{k}", random_pure_density(n, rng)) for k in range(2)]
-    rows = []
-    for label, rho in probes:
-        r1, r2 = _transition_residuals(dual, rho, prescribed1, prescribed2)
-        rows.append({"probe": label, "input_density": rho, "marginal_residual_1": r1, "marginal_residual_2": r2,
-                     "matches_prescription": bool(max(r1, r2) <= tol.eps_verify)})
-    return {
-        "prescribed_values_1": prescribed1.expect_basis(),
-        "prescribed_values_2": prescribed2.expect_basis(),
-        "rows": rows,
-        "all_match": all(row["matches_prescription"] for row in rows),
-    }
-
-
 def _human_extend(data: dict) -> None:
     section = data["joint_extension"]
-    ops = ", ".join(section["operations"])
     print(f"staralg {data['toolkit_version']} extend — {data['instance']['path']}")
-    if section["status"] != "Extended":
-        print(f"joint extension of [{ops}]: {section['status']}")
-        print(f"  {section['diagnostic']}")
-        return
-    print(f"joint extension of [{ops}]: Extended")
-    for key, value in sorted(section["residuals"].items()):
-        print(f"  {key:<28} {_fmt(value)}")
-    print(f"  completely positive: {section['completely_positive']}, unital: {section['unital']}")
+    print(f"joint extension of [{', '.join(section['operations'])}]: {_outcome_summary(section)}")
     table = section.get("product_transition")
     if table:
-        print(f"  product transition table ({len(table['rows'])} probes): all_match={table['all_match']}")
-        for row in table["rows"]:
-            print(
-                f"    {row['probe']:<20} residuals "
-                f"{_fmt(row['marginal_residual_1'])} / {_fmt(row['marginal_residual_2'])}"
-            )
+        print(f"  product transition: residual {_fmt(table['product_residual'])}, "
+              f"matches prescription: {table['matches_prescription']}")
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
@@ -206,11 +169,10 @@ def cmd_extend(args: argparse.Namespace) -> int:
     for name in (args.op1, args.op2):
         _check_name(name, inst.operations, "operation", inst.path)
     t1, t2 = inst.named("operations", [args.op1, args.op2])
-    section, joint = _joint_extension(t1, t2, inst.tol, "status")
+    section, joint = _joint_extension(t1, t2, inst.tol)
     section["operations"] = [args.op1, args.op2]
     if joint is not None and t1.kind == "state_prep" and t2.kind == "state_prep":
-        seed = args.seed if args.seed is not None else 0
-        section["product_transition"] = _product_transition_table(joint, t1.prep_state, t2.prep_state, seed, inst.tol)
+        section["product_transition"] = _product_transition(joint, t1.prep_state, t2.prep_state, inst.tol)
     report = _base_report("extend", args)
     report["instance"] = _instance_section(inst)
     report["joint_extension"] = section

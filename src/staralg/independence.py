@@ -596,7 +596,8 @@ def verify_faithful_product_state(
     both algebras are their normalized traces and which acts as the
     product of those traces on every product x y.
     """
-    state = state_from_density(a1, density, tol)
+    state = AlgebraState(a1, density)
+    evals = state.validate(tol)
     traces = (canonical_trace_state(a1), canonical_trace_state(a2))
     marginal = marginal_residual(state.density, traces)
     residual = product_residual(state.density, *traces)
@@ -605,7 +606,6 @@ def verify_faithful_product_state(
             f"not a product of the tracial states: marginal residual "
             f"{marginal:.3e}, product residual {residual:.3e}"
         )
-    evals = np.linalg.eigvalsh(0.5 * (state.density + dagger(state.density)))
     if not evals[0] > tol.eps_psd * max(1.0, evals[-1]):
         raise IllConditioned(f"product state is not of full rank (eigenvalue {evals[0]:.3e})")
     return residual
@@ -763,12 +763,18 @@ def verify_product_transition(
     The output tr(rho T(.)) of every input state rho acts as phi1 (x) phi2
     on products exactly when T(b_a c_b) = phi1(b_a) phi2(c_b) 1 for every
     basis pair (by linearity; tr(rho X) = c for every rho forces X = c 1):
-    one stack, checked entry by entry within eps_verify.
+    one stack, checked entry by entry within eps_verify
+    (``_product_transition_residual``).
     """
+    return bool(_product_transition_residual(joint, state1, state2) <= tol.eps_verify)
+
+
+def _product_transition_residual(joint: ChannelMap, state1: AlgebraState, state2: AlgebraState) -> float:
+    """Largest entry of T(b_a c_b) - phi1(b_a) phi2(c_b) 1 over every basis pair, one stack."""
     a1, a2, n = state1.algebra, state2.algebra, joint.in_dim
     crossed = _images(joint, products(a1.basis, a2.basis).reshape(-1, n, n))
     prescribed = np.outer(state1.expect_basis(), state2.expect_basis()).reshape(-1, 1, 1) * np.eye(n)
-    return bool(np.abs(crossed - prescribed).max() <= tol.eps_verify)
+    return float(np.abs(crossed - prescribed).max())
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,12 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .algebra import MatrixStarAlgebra, full_matrix_algebra, generate_algebra
-from .certificates import _array_in, _check_extension, _check_factor_outcome, _check_implications, _is_int, _Pair
-from .certificates import _verify_verdicts, _VerifyLog
-from .channels import ChannelMap, ProjectiveMeasurement, build_channel, channel_on_algebra, choi, dual_on_states
-from .channels import map_from_choi
+from .certificates import _array_in, _check_extension, _check_factor_outcome, _check_implications, _check_recorded
+from .certificates import _is_int, _Pair, _verify_verdicts, _VerifyLog
+from .channels import ChannelMap, ProjectiveMeasurement, build_channel, channel_on_algebra, choi, map_from_choi
 from .errors import IllConditioned, ParseError, ToolkitError, ValidationError
-from .independence import _joint_extension_gate, _joint_operation, check_cstar_independence, check_product_sense
+from .independence import _joint_extension_gate, _joint_operation, _product_transition_residual
+from .independence import check_cstar_independence, check_product_sense
 from .independence import check_spatial_product_sense, check_wstar_independence, check_wstar_product_sense
 from .independence import find_interpolating_factor, implication_violations, run_hierarchy_checks, state_preparation
 from .numerics import Tolerances
@@ -376,20 +376,32 @@ def _extension(s1: AlgebraState, s2: AlgebraState, entry: dict, tol: Tolerances)
     return {"outcome": outcome, "recomputed_marginal_residual": marginal_residual(outcome.density, (s1, s2))}
 
 
-def _joint_extension(t1: Operation, t2: Operation, tol: Tolerances, status_key: str) -> tuple[dict, ChannelMap | None]:
+def _joint_extension(t1: Operation, t2: Operation, tol: Tolerances) -> tuple[dict, ChannelMap | None]:
     """The report entry of the joint extension of two operations, and the channel (None for a refusal).
 
-    A refusal, any toolkit error but ``IllConditioned``, is recorded by its
-    error's name under ``status_key`` (``outcome`` or, in ``extend``, ``status``).
+    A refusal, any toolkit error but ``IllConditioned``, is recorded as the
+    ``outcome`` by its error's name.
     """
     try:
         joint, residuals = _joint_operation(t1.channel, t2.channel, tol)
     except IllConditioned:
         raise
     except ToolkitError as exc:
-        return {status_key: type(exc).__name__, "diagnostic": str(exc)}, None
-    return {status_key: "Extended", "choi": choi(joint), "residuals": residuals,
-            "completely_positive": joint.cp_certified, "unital": joint.unital, "faithful": joint.faithful}, joint
+        return {"outcome": type(exc).__name__, "diagnostic": str(exc)}, None
+    return {"outcome": "Extended", "choi": choi(joint), **_map_fields(joint, residuals)}, joint
+
+
+def _map_fields(joint: ChannelMap, residuals: dict[str, float]) -> dict:
+    """What an ``Extended`` entry records of its map besides the Choi matrix."""
+    return {"residuals": residuals, "completely_positive": joint.cp_certified, "unital": joint.unital,
+            "faithful": joint.faithful}
+
+
+def _product_transition(joint: ChannelMap, s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> dict:
+    """``extend``'s section of a joint preparation: it sends every input to s1 (x) s2 iff ``product_residual`` is 0."""
+    residual = _product_transition_residual(joint, s1, s2)
+    return {"prescribed_values_1": s1.expect_basis(), "prescribed_values_2": s2.expect_basis(),
+            "product_residual": residual, "matches_prescription": bool(residual <= tol.eps_verify)}
 
 
 def _pair(objects: Callable[[], tuple], tol: Tolerances) -> _Pair | None:
@@ -415,67 +427,60 @@ def _recheck_verdict(entry: dict, at: str, target: str, objects: Callable, tol: 
 
 
 def _recheck_outcome(label: str, check: Callable[[dict, Any, Any, Tolerances], str]) -> Callable[..., None]:
-    """The re-check of an entry's ``outcome`` object by ``check(outcome, x1, x2, tol)``, item ``<target><label>``."""
+    """Re-check an entry with an ``outcome`` object by ``check(entry, x1, x2, tol)``, as item ``<target><label>``."""
 
     def recheck(entry: dict, at: str, target: str, objects: Callable, tol: Tolerances, log: _VerifyLog) -> None:
-        outcome = _object(_require(entry, "outcome", at), f"{at}.outcome")
-        log.attempt(target + label, lambda: check(outcome, *objects(), tol))
+        _object(_require(entry, "outcome", at), f"{at}.outcome")
+        log.attempt(target + label, lambda: check(entry, *objects(), tol))
 
     return recheck
 
 
-def _transition_residuals(dual: ChannelMap, rho: np.ndarray, s1: AlgebraState, s2: AlgebraState) -> tuple[float, float]:
-    """Marginal residuals of one input pushed through a joint preparation's dual, against s1 and s2."""
-    out = dual.apply(rho)
-    return marginal_residual(out, (s1,)), marginal_residual(out, (s2,))
-
-
-def _recheck_joint(section: dict, at: str, target: str, objects: Callable, tol: Tolerances, log: _VerifyLog,
-                   status_key: str = "outcome") -> None:
+def _recheck_joint(section: dict, at: str, target: str, objects: Callable, tol: Tolerances, log: _VerifyLog) -> None:
     """Re-derive a joint extension entry (or ``extend``'s section) with the builder's code.
 
     ``Extended``: the map, rebuilt once from its Choi matrix, passes the
-    builder's gate, and a product-transition table is reproduced through
-    its dual.  Any other status names a refusal: the builder,
-    ``_joint_extension``, run on the rebuilt operations must record it too.
+    builder's gate with the recorded residuals and flags, and gives the
+    recorded ``product_transition`` with the echoed preparations.  Any other
+    outcome names a refusal, which ``_joint_extension`` must give again.
     """
-    status = _require(section, status_key, at)
+    outcome = _require(section, "outcome", at)
 
     @cache
-    def joint() -> tuple[ChannelMap, str]:
-        """The rebuilt map, through the gate, and the detail of its item."""
+    def joint() -> tuple[ChannelMap, dict[str, float]]:
+        """The rebuilt map and its residuals, through the gate."""
         t1, t2 = (op.channel for op in objects())
         n = t1.in_dim
         action = map_from_choi(_array_in(section["choi"], (n * n, n * n), "choi"), n, n)
         channel = build_channel(full_matrix_algebra(n), n, action, tol)
-        worst = max(_joint_extension_gate(channel, t1, t2, tol).values())
-        return channel, f"joint extension rebuilt from Choi matrix (max residual {worst:.3e})"
+        return channel, _joint_extension_gate(channel, t1, t2, tol)
+
+    def extended() -> str:
+        _check_recorded(section, _map_fields(*joint()), tol)
+        return f"joint extension rebuilt from Choi matrix (max residual {max(joint()[1].values()):.3e})"
 
     def refusal() -> str:
-        again = _joint_extension(*objects(), tol, status_key)[0]
-        if again[status_key] != status:
-            raise ValidationError(f"the operations give {again[status_key]!r}, the report records {status!r}")
-        return f"refusal {status} re-derived: {again['diagnostic']}"
+        again = _joint_extension(*objects(), tol)[0]
+        if again["outcome"] != outcome:
+            raise ValidationError(f"the operations give {again['outcome']!r}, the report records {outcome!r}")
+        return f"refusal {outcome} re-derived: {again['diagnostic']}"
 
-    def transitions() -> str:
+    def transition() -> str:
         prep1, prep2 = (op.prep_state for op in objects())
         if prep1 is None or prep2 is None:
-            raise ValidationError("transition table present but operations are not preparations")
-        dual, rows = dual_on_states(joint()[0], tol), section["product_transition"]["rows"]
-        n = dual.in_dim
-        inputs = [_array_in(row["input_density"], (n, n), f"rows[{k}].input_density") for k, row in enumerate(rows)]
-        # np.max, unlike max, returns a NaN wherever it stands
-        worst = float(np.max([_transition_residuals(dual, rho, prep1, prep2) for rho in inputs], initial=0.0))
-        if not worst <= tol.eps_verify:
-            raise ValidationError(f"transition residual {worst:.3e} exceeds tolerance")
-        return f"product transitions reproduced on {len(rows)} probes (worst {worst:.3e})"
+            raise ValidationError("product transition present but operations are not preparations")
+        again = _product_transition(joint()[0], prep1, prep2, tol)
+        if not again["product_residual"] <= tol.eps_verify:
+            raise ValidationError(f"product residual {again['product_residual']:.3e} exceeds tolerance")
+        _check_recorded(section["product_transition"], again, tol)
+        return f"every input goes to the prescribed product (product residual {again['product_residual']:.3e})"
 
-    if status != "Extended":
+    if outcome != "Extended":
         log.attempt(target, refusal)
         return
-    log.attempt(target, lambda: joint()[1])
-    if section.get("product_transition"):
-        log.attempt("product_transition", transitions)
+    log.attempt(target, extended)
+    if "product_transition" in section:
+        log.attempt("product_transition", transition)
 
 
 class Check(NamedTuple):
@@ -505,8 +510,7 @@ CHECKS: dict[str, Check] = {
         "algebras", lambda a1, a2, entry, tol: {"outcome": find_interpolating_factor(a1, a2, tol)},
         _recheck_outcome(" factor", _check_factor_outcome)),
     "extend_state": Check("states", _extension, _recheck_outcome("", _check_extension)),
-    "joint_operation": Check("operations", lambda t1, t2, entry, tol: _joint_extension(t1, t2, tol, "outcome")[0],
-                             _recheck_joint),
+    "joint_operation": Check("operations", lambda t1, t2, entry, tol: _joint_extension(t1, t2, tol)[0], _recheck_joint),
 }
 
 
@@ -543,4 +547,4 @@ def _verify_extend(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> N
     at = f"{where}: joint_extension"
     section = _object(_require(doc, "joint_extension", where), at)
     names = _two_names(section, "operations", inst.declared["operations"], "operation", at)
-    _recheck_joint(section, at, "joint_extension", partial(inst.named, "operations", names), tol, log, "status")
+    _recheck_joint(section, at, "joint_extension", partial(inst.named, "operations", names), tol, log)

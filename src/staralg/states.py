@@ -107,7 +107,8 @@ class AlgebraState:
         """Values on the algebra basis, phi(b_a) = tr(rho b_a), the conjugate of <b_a, rho*>."""
         return self.algebra.coefficients(dagger(self.density)).conj()
 
-    def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
+    def validate(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """Check the density is Hermitian, positive and of unit trace; return its ascending spectrum."""
         if not is_hermitian(self.density, tol):
             raise InvalidState("density is not Hermitian")
         evals = np.linalg.eigvalsh(0.5 * (self.density + dagger(self.density)))
@@ -115,6 +116,7 @@ class AlgebraState:
             raise InvalidState(f"density is not positive (eigenvalue {evals[0]:.3e})")
         if abs(float(np.real(np.trace(self.density))) - 1.0) > UNIT_TRACE_CUT:
             raise InvalidState("density does not have unit trace")
+        return evals
 
     def is_faithful(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         return is_faithful(self, tol)

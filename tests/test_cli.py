@@ -395,12 +395,35 @@ class TestExtend:
         )
         assert code == 0
         table = rep["joint_extension"]["product_transition"]
-        assert table["all_match"] is True
-        assert len(table["rows"]) >= 6
-        for row in table["rows"]:
-            assert row["marginal_residual_1"] <= 1e-8
-            assert row["marginal_residual_2"] <= 1e-8
-            assert row["matches_prescription"] is True
+        assert set(table) == {"prescribed_values_1", "prescribed_values_2", "product_residual", "matches_prescription"}
+        assert table["product_residual"] <= 1e-12
+        assert table["matches_prescription"] is True
+        inst = instances.load("instances/tensor_pair_m6.json")
+        for key, op in zip(("prescribed_values_1", "prescribed_values_2"),
+                           inst.named("operations", ["prep_left", "prep_right"])):
+            assert np.allclose(array_from_json(table[key]), op.prep_state.expect_basis(), atol=1e-12), key
+
+    def test_the_exact_transition_agrees_with_the_sampled_dual_route(self):
+        # the route extend once took: seeded probes (maximally mixed, three
+        # full-rank, two pure) pushed through the dual of the joint map
+        inst = instances.load("instances/tensor_pair_m6.json")
+        n, tol = inst.ambient_dim, inst.tol
+        prep1, prep2 = (op.prep_state for op in inst.named("operations", ["prep_left", "prep_right"]))
+        doc = json.loads((GOLDEN / "tensor_prep_extend.report.json").read_text())
+        action = staralg.map_from_choi(array_from_json(doc["joint_extension"]["choi"]), n, n)
+        joint = staralg.build_channel(staralg.full_matrix_algebra(n), n, action, tol)
+        dual = staralg.dual_on_states(joint, tol)
+        rng = np.random.default_rng(0)
+        probes = [np.eye(n) / n] + [staralg.random_density(n, rng) for _ in range(3)]
+        probes += [staralg.random_pure_density(n, rng) for _ in range(2)]
+        for rho in probes:
+            out = dual.apply(rho)
+            assert staralg.marginal_residual(out, (prep1,)) <= tol.eps_verify
+            assert staralg.marginal_residual(out, (prep2,)) <= tol.eps_verify
+        assert independence._product_transition_residual(joint, prep1, prep2) <= tol.eps_verify
+        # a joint operation that prepares neither state is told apart
+        _, measured = instances._joint_extension(*inst.named("operations", ["measure_left", "rotate_right"]), tol)
+        assert independence._product_transition_residual(measured, prep1, prep2) > tol.eps_verify
 
     def test_non_product_pair_reports_refusal_and_exits_zero(self, tmp_path):
         doc = {
@@ -419,7 +442,7 @@ class TestExtend:
         inst.write_text(json.dumps(doc))
         code, rep = run_json(["extend", str(inst), "p1", "p2"], tmp_path)
         assert code == 0
-        assert rep["joint_extension"]["status"] == "NoProductIsomorphism"
+        assert rep["joint_extension"]["outcome"] == "NoProductIsomorphism"
 
 
 class TestFuzz:
@@ -634,10 +657,75 @@ class TestVerifyReport:
         return "split factor"
 
     @staticmethod
-    def null_transition_probe(doc):
-        row = doc["joint_extension"]["product_transition"]["rows"][0]
-        row["input_density"] = [[None] * len(r) for r in row["input_density"]]
+    def null_product_residual(doc):
+        doc["joint_extension"]["product_transition"]["product_residual"] = None
         return "product_transition"
+
+    @staticmethod
+    def forge_product_residual(doc):
+        doc["joint_extension"]["product_transition"]["product_residual"] = 0.5
+        return "product_transition"
+
+    @staticmethod
+    def deny_the_prescription(doc):
+        doc["joint_extension"]["product_transition"]["matches_prescription"] = False
+        return "product_transition"
+
+    @staticmethod
+    def edit_prescribed_value(doc):
+        doc["joint_extension"]["product_transition"]["prescribed_values_1"][1][0] += 0.5
+        return "product_transition"
+
+    @staticmethod
+    def forge_extension_complete_positivity(doc):
+        doc["joint_extension"]["completely_positive"] = False
+        return "joint_extension"
+
+    @staticmethod
+    def forge_extension_residual(doc):
+        doc["joint_extension"]["residuals"]["multiplicativity_residual"] = 0.5
+        return "joint_extension"
+
+    @staticmethod
+    def forge_operation_complete_positivity(doc):
+        next(c for c in doc["checks"] if c["check"] == "joint_operation")["completely_positive"] = False
+        return "joint_operation"
+
+    @staticmethod
+    def deny_operation_faithfulness(doc):
+        next(c for c in doc["checks"] if c["check"] == "joint_operation")["faithful"] = False
+        return "joint_operation"
+
+    @staticmethod
+    def forge_split_factor_residual(doc):
+        doc["checks"][0]["verdicts"]["split"]["certificate"]["factor"]["residuals"]["embedding_residual_1"] = 0.5
+        return "split factor"
+
+    @staticmethod
+    def forge_found_factor_residual(doc):
+        entry = next(c for c in doc["checks"] if c["check"] == "interpolating_factor")
+        entry["outcome"]["factor"]["residuals"]["unitarity_residual"] = 0.5
+        return "interpolating_factor factor"
+
+    @staticmethod
+    def forge_product_state_residual(doc):
+        doc["checks"][0]["verdicts"]["wstar_product_sense"]["certificate"]["product_residual"] = 0.5
+        return "product state"
+
+    @staticmethod
+    def deny_product_state_faithfulness(doc):
+        doc["checks"][0]["verdicts"]["wstar_product_sense"]["certificate"]["faithful"] = False
+        return "product state"
+
+    @staticmethod
+    def forge_recomputed_marginal_residual(doc):
+        next(c for c in doc["checks"] if c["check"] == "extend_state")["recomputed_marginal_residual"] = 0.5
+        return "extend_state"
+
+    @staticmethod
+    def forge_solver_residual(doc):
+        next(c for c in doc["checks"] if c["check"] == "extend_state")["outcome"]["residual"] = 0.5
+        return "extend_state"
 
     @staticmethod
     def null_echoed_state(doc):
@@ -681,7 +769,7 @@ class TestVerifyReport:
 
     @staticmethod
     def refuse_an_extended_preparation(doc):
-        doc["joint_extension"]["status"] = "NoProductIsomorphism"
+        doc["joint_extension"]["outcome"] = "NoProductIsomorphism"
         return "joint_extension"
 
     # tamper -> the golden report it edits
@@ -704,7 +792,20 @@ class TestVerifyReport:
         "misstate_split_and_op_cstar": "tensor_pair_m6",
         "claim_op_cstar_holds": "same_algebra_m2",
         "null_split_unitary": "tensor_pair_m6",
-        "null_transition_probe": "tensor_prep_extend",
+        "null_product_residual": "tensor_prep_extend",
+        "forge_product_residual": "tensor_prep_extend",
+        "deny_the_prescription": "tensor_prep_extend",
+        "edit_prescribed_value": "tensor_prep_extend",
+        "forge_extension_complete_positivity": "tensor_prep_extend",
+        "forge_extension_residual": "tensor_prep_extend",
+        "forge_operation_complete_positivity": "tensor_pair_m6",
+        "deny_operation_faithfulness": "tensor_pair_m6",
+        "forge_split_factor_residual": "tensor_pair_m6",
+        "forge_found_factor_residual": "tensor_pair_m6",
+        "forge_product_state_residual": "tensor_pair_m6",
+        "deny_product_state_faithfulness": "tensor_pair_m6",
+        "forge_recomputed_marginal_residual": "tensor_pair_m6",
+        "forge_solver_residual": "tensor_pair_m6",
         "null_echoed_state": "tensor_prep_extend",
         "deny_a_found_factor": "tensor_pair_m6",
         "drop_the_found_factor": "tensor_pair_m6",
@@ -1085,7 +1186,7 @@ class TestCheckTable:
     def outcomes(doc):
         """(index of the entry, check kind, recorded status) for each outcome entry of a report."""
         if doc["command"] == "extend":
-            yield None, "joint_operation", doc["joint_extension"]["status"]
+            yield None, "joint_operation", doc["joint_extension"]["outcome"]
         for idx, entry in enumerate(doc.get("checks", [])):
             outcome = entry.get("outcome")
             if outcome is not None:
@@ -1160,7 +1261,7 @@ class TestCheckTable:
         for ops in (["prep_left", "prep_right"], ["measure_left", "rotate_right"]):
             calls.clear()
             code, doc = run_json(["extend", "instances/tensor_pair_m6.json", *ops], tmp_path)
-            assert code == 0 and doc["joint_extension"]["status"] == "Extended"
+            assert code == 0 and doc["joint_extension"]["outcome"] == "Extended"
             assert len(calls) == 1, ops
 
 

@@ -73,6 +73,7 @@ from staralg import (
     state_preparation,
     structure_decomposition,
     tensor_pair,
+    verify_faithful_product_state,
     verify_interpolating_factor,
     verify_product_transition,
     verify_separating_pair,
@@ -279,6 +280,23 @@ class TestWStarMirrors:
         assert cert["faithful"] is True
         rho = cert["density"]
         assert np.linalg.eigvalsh(rho).min() > 1e-9
+
+    def test_the_product_state_check_takes_one_spectrum(self, monkeypatch):
+        # M_2 (x) 1 and 1 (x) D_2: the join is M_2 (x) D_2, so a product of
+        # the traces may be rank-deficient off the join
+        a1 = left_factor(2, 2)
+        a2 = generate_algebra([kron(np.eye(2), np.diag([1.0, 0.0]))], 4)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
+        verify_faithful_product_state(np.eye(4, dtype=complex) / 4, a1, a2, DEFAULT_TOL)
+        assert len(calls) == 1
+        # the one spectrum still serves both checks: positivity, then full rank
+        with pytest.raises(states.InvalidState, match="density is not positive"):
+            verify_faithful_product_state(-np.eye(4, dtype=complex) / 4, a1, a2, DEFAULT_TOL)
+        with pytest.raises(IllConditioned, match="product state is not of full rank"):
+            verify_faithful_product_state(kron(np.eye(2) / 2, plus), a1, a2, DEFAULT_TOL)
 
     def test_collapsed_join_fails_with_relation_witness(self):
         g = np.zeros((4, 4), dtype=complex)
