@@ -31,7 +31,6 @@ from .numerics import (
     dagger,
     hermitian_to_rvec,
     hs_norm,
-    null_space,
     orthonormalize,
     rvec_to_hermitian,
 )
@@ -251,19 +250,22 @@ def _check_same_ambient(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra) -> None:
 
 
 def commutant(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """Relative commutant of the span inside the ambient matrix algebra.
+    """Relative commutant of the algebra inside the ambient matrix algebra, from its block structure.
 
-    X commutes with every b iff vec(X) lies in the joint kernel of the
-    stacked operators 1 (x) b - b^T (x) 1.  The kernel basis is put in the
+    With the intertwiner W of ``structure_decomposition``, W* A W = sum_k
+    M_{n_k} (x) 1_{m_k}, so A' = W (sum_k 1_{n_k} (x) M_{m_k}) W*.  Over the
+    columns w_(alpha, s) of block k, its units sum_alpha w_(alpha, s)
+    w_(alpha, t)* / sqrt(n_k) are HS-orthonormal; the basis is put in the
     canonical gauge of its span.
     """
     n = a.ambient_dim
-    eye = np.eye(n)
-    blocks = [np.kron(eye, b) - np.kron(b.T, eye) for b in a.basis]
-    kernel = null_space(np.concatenate(blocks, axis=0), scale=1.0)
-    # column k is the column-stacked vec(X_k); a row-major reshape gives X_k^T
-    mats = kernel.T.reshape(-1, n, n).transpose(0, 2, 1)
-    return MatrixStarAlgebra(n, canonical_basis(mats))
+    decomp = structure_decomposition(a, tol)
+    units = []
+    for (nk, mk), off in zip(decomp.blocks, decomp.offsets):
+        # cols[s] is the n x n_k matrix of the columns w_(alpha, s), alpha = 0..n_k-1
+        cols = decomp.intertwiner[:, off : off + nk * mk].reshape(n, nk, mk).transpose(2, 0, 1)
+        units.append((cols[:, None] @ dagger(cols)[None, :]).reshape(mk * mk, n, n) / np.sqrt(nk))
+    return MatrixStarAlgebra(n, canonical_basis(np.concatenate(units)))
 
 
 def products(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -23,8 +23,6 @@ from .errors import (
     DomainNotFull,
     InvalidMeasurement,
     NotCP,
-    NotNonselective,
-    NotPSD,
     ShapeMismatch,
 )
 from .numerics import (
@@ -47,7 +45,6 @@ __all__ = [
     "build_channel",
     "channel_from_kraus",
     "channel_on_algebra",
-    "identity_channel",
     "choi_matrix",
     "choi",
     "map_from_choi",
@@ -56,10 +53,7 @@ __all__ = [
     "is_faithful_map",
     "stinespring_dilation",
     "dual_on_states",
-    "state_prep_operation",
-    "luders_operation",
     "tensor_channel",
-    "extend_to_ambient",
 ]
 
 
@@ -198,7 +192,7 @@ def choi(channel: ChannelMap) -> np.ndarray:
     if channel.domain.dim != n * n:
         raise DomainNotFull(
             "the block-matrix representation needs the full ambient algebra as "
-            "domain; extend the map first"
+            "domain; choi_matrix reads the action of a map on a subalgebra"
         )
     return choi_matrix(channel.action, n, channel.out_dim)
 
@@ -309,11 +303,6 @@ def channel_on_algebra(
     return build_channel(a, a.ambient_dim, action, tol)
 
 
-def identity_channel(n: int) -> ChannelMap:
-    """Certified identity map on M_n, the channel of the single Kraus operator 1_n."""
-    return channel_from_kraus(np.eye(n, dtype=complex)[None], n)
-
-
 def stinespring_dilation(
     channel: ChannelMap, tol: Tolerances = DEFAULT_TOL
 ) -> StinespringDilation:
@@ -351,37 +340,6 @@ def dual_on_states(channel: ChannelMap, tol: Tolerances = DEFAULT_TOL) -> Channe
     )
 
 
-def state_prep_operation(
-    sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> ChannelMap:
-    """Observable-picture discard-and-prepare: x -> tr(sigma x) 1.
-
-    ``sigma`` must be a density matrix; the result is a unital channel,
-    faithful exactly when sigma has full rank.
-    """
-    sigma = np.asarray(sigma, dtype=complex)
-    n = sigma.shape[0]
-    if not is_hermitian(sigma, tol):
-        raise NotPSD("prepared state is not Hermitian")
-    evals = np.linalg.eigvalsh(0.5 * (sigma + dagger(sigma)))
-    if evals[0] < -tol.eps_psd or abs(float(np.real(np.trace(sigma))) - 1.0) > tol.eps_verify * n:
-        raise NotPSD("prepared state is not a density matrix")
-    action = np.outer(vec(np.eye(n)), vec(sigma).conj())
-    return build_channel(full_matrix_algebra(n), n, action, tol)
-
-
-def luders_operation(
-    measurement: ProjectiveMeasurement, tol: Tolerances = DEFAULT_TOL
-) -> ChannelMap:
-    """Nonselective projective measurement: x -> sum_k P_k x P_k."""
-    measurement.validate(tol)
-    n = measurement.ambient_dim
-    channel = channel_from_kraus(measurement.projections, n, n, tol)
-    if not channel.operation:
-        raise NotNonselective("measurement map failed certification")
-    return channel
-
-
 def _tensor_superop(s1, n1, m1, s2, n2, m2) -> np.ndarray:
     """Superoperator of T1 (x) T2 from the factor superoperators.
 
@@ -404,18 +362,3 @@ def tensor_channel(
     domain = MatrixStarAlgebra(n1 * n2, basis.reshape(-1, n1 * n2, n1 * n2))
     action = _tensor_superop(c1.action, n1, c1.out_dim, c2.action, n2, c2.out_dim)
     return build_channel(domain, c1.out_dim * c2.out_dim, action, tol)
-
-
-def extend_to_ambient(channel: ChannelMap, tol: Tolerances = DEFAULT_TOL) -> ChannelMap:
-    """Extension of a subalgebra-domain map to the full ambient algebra.
-
-    Composes with the trace-compatible expectation onto the domain span and
-    re-certifies; this is the canonical extension and preserves complete
-    positivity, unitality, and faithfulness.
-    """
-    return build_channel(
-        full_matrix_algebra(channel.in_dim),
-        channel.out_dim,
-        channel.action @ channel.domain.expectation,
-        tol,
-    )

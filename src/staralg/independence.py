@@ -462,12 +462,6 @@ def annihilating_projections(
     return True
 
 
-def _as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(0 if rng is None else rng)
-
-
 def check_cstar_independence(
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
@@ -500,7 +494,7 @@ def check_cstar_independence(
     """
     if mutually_commute(a1, a2, tol):
         return _plain_verdict(_joint_cells(a1, a2, tol), tol)
-    return _projection_search(a1, a2, _as_rng(rng), tol)
+    return _projection_search(a1, a2, np.random.default_rng(0 if rng is None else rng), tol)  # a Generator passes through
 
 
 def _plain_verdict(cells: JointCells, tol: Tolerances) -> Verdict:

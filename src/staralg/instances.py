@@ -442,7 +442,10 @@ def _recheck_joint(section: dict, at: str, target: str, objects: Callable, tol: 
     ``Extended``: the map, rebuilt once from its Choi matrix, passes the
     builder's gate with the recorded residuals and flags, and gives the
     recorded ``product_transition`` with the echoed preparations.  Any other
-    outcome names a refusal, which ``_joint_extension`` must give again.
+    outcome names a refusal, which ``_joint_extension`` must give again: the
+    error's name is the certificate, and the recorded ``diagnostic`` is only
+    informational (the item prints the re-derived text), so an old report
+    does not depend on today's wording.
     """
     outcome = _require(section, "outcome", at)
 
@@ -542,9 +545,22 @@ def _verify_analyze(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> 
 
 
 def _verify_extend(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:
-    """Log the items of an ``extend`` report: its echo, then its section by the joint-operation row's re-check."""
+    """Log the items of an ``extend`` report: its echo, then its section by the joint-operation row's re-check.
+
+    An ``Extended`` section of two preparations must carry its
+    ``product_transition``; ``analyze``'s joint-operation entries never do,
+    so the requirement is checked here and not in ``_recheck_joint``.
+    """
     inst = _read_echo(doc, where, tol, log)
     at = f"{where}: joint_extension"
     section = _object(_require(doc, "joint_extension", where), at)
     names = _two_names(section, "operations", inst.declared["operations"], "operation", at)
     _recheck_joint(section, at, "joint_extension", partial(inst.named, "operations", names), tol, log)
+    echoed = [_object(inst.declared["operations"][name], f"{where}: instance.operations.{name}") for name in names]
+    preparations = all(entry.get("kind") == "state_prep" for entry in echoed)
+    if section.get("outcome") == "Extended" and preparations and "product_transition" not in section:
+        log.attempt("product_transition", _missing_transition)
+
+
+def _missing_transition() -> str:
+    raise ValidationError("missing: extend records it for every joint extension of two preparations")

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IllConditioned, NonHermitian, ShapeMismatch
+from .errors import IllConditioned, ShapeMismatch
 
 __all__ = [
     "Tolerances",
@@ -20,13 +20,9 @@ __all__ = [
     "dagger",
     "vec",
     "unvec",
-    "hs_inner",
     "hs_norm",
     "is_hermitian",
-    "eig_hermitian",
-    "is_psd",
     "kron",
-    "null_space",
     "orthonormalize",
     "canonical_basis",
     "haar_unitary",
@@ -87,15 +83,6 @@ def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a* b)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.sum(np.conj(a) * b))
-
-
 def hs_norm(a: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))
@@ -107,36 +94,11 @@ def is_hermitian(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     return hs_norm(h - dagger(h)) <= tol.eps_herm * scale
 
 
-def eig_hermitian(h: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns).  Raises
-    :class:`NonHermitian` when the input fails the Hermiticity check.
-    """
-    h = _as_square(h)
-    if not is_hermitian(h, tol):
-        raise NonHermitian("matrix is not Hermitian within eps_herm")
-    w, v = np.linalg.eigh(h)
-    return w, v
-
-
-def is_psd(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when the Hermitian part has all eigenvalues >= -eps_psd."""
-    h = _as_square(h)
-    if not is_hermitian(h, tol):
-        return False
-    w = np.linalg.eigvalsh(0.5 * (h + dagger(h)))
-    return bool(w.min() >= -tol.eps_psd)
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product (delegates to numpy)."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-#: Relative singular-value cut of :func:`null_space`: the kernel directions of
-#: stacked commutators of unit-scale matrices sit at rounding, the rest near 1.
-KERNEL_RANK_CUT = 1e-9
 #: Relative singular-value cut of :func:`orthonormalize`: products of
 #: orthonormal elements are redundant only up to rounding, far below 1e-10.
 SPAN_RANK_CUT = 1e-10
@@ -145,51 +107,13 @@ SPAN_RANK_CUT = 1e-10
 RANK_GAP_FACTOR = 1e3
 
 
-def null_space(mat: np.ndarray, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the kernel of ``mat`` (columns).
-
-    Singular values below KERNEL_RANK_CUT * max(sigma_max, scale) are
-    treated as zero.  Callers whose matrix entries are O(1)-normalized
-    should pass ``scale=1.0`` so an all-noise matrix reads as zero rather
-    than as full rank.  The cut must be clean: the smallest kept singular
-    value has to exceed the largest discarded one by RANK_GAP_FACTOR,
-    otherwise :class:`IllConditioned` is raised rather than guessing a rank.
-
-    Tall input is first reduced to the R of its QR factorization, which has
-    the same singular values and right-singular vectors; square input then
-    gets a thin SVD, while wide input needs the full SVD for its kernel.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2:
-        raise ShapeMismatch("null_space expects a 2d array")
-    n = mat.shape[1]
-    if mat.shape[0] == 0:
-        return np.eye(n, dtype=complex)
-    mat = np.linalg.qr(mat, mode="r") if mat.shape[0] > n else mat
-    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < n)
-    smax = s[0] if s.size else 0.0
-    thresh = KERNEL_RANK_CUT * max(smax, scale)
-    if smax <= thresh:
-        return np.eye(n, dtype=complex)
-    kept = s > thresh
-    rank = int(np.count_nonzero(kept))
-    if 0 < rank < s.size:
-        below = s[rank:]
-        largest_below = below[0]
-        if largest_below > 0 and s[rank - 1] < RANK_GAP_FACTOR * largest_below:
-            raise IllConditioned(
-                "no clear spectral gap at the kernel threshold: "
-                f"sigma_kept={s[rank - 1]:.3e}, sigma_dropped={largest_below:.3e}"
-            )
-    return dagger(vh[rank:, :]) if rank < n else np.zeros((n, 0), dtype=complex)
-
-
 def orthonormalize(mats: np.ndarray) -> np.ndarray:
     """Orthonormal basis (HS inner product) of the span of ``mats``.
 
     ``mats`` is an array of shape (k, n, m); the result has shape (r, n, m)
     with r the numerical rank of the span, read at SPAN_RANK_CUT.  The rank
-    cut must show a clean spectral gap, mirroring :func:`null_space`.
+    cut must show a clean spectral gap (RANK_GAP_FACTOR), or
+    :class:`IllConditioned` is raised rather than guessing a rank.
 
     The basis is the SVD's right-singular vectors, so inside a degenerate
     singular subspace it is an arbitrary unitary rotation (which one may

@@ -32,15 +32,9 @@ __all__ = [
     "sample_state_pairs",
     "random_faithful_nonselective_channel",
     "random_prep_channel",
-    "random_luders_channel",
     "FUZZ_FAMILIES",
     "fuzz_instances",
 ]
-
-#: Relative gap that splits a random observable's spectrum into Lüders
-#: eigenspaces: a repeated eigenvalue spreads by rounding, while distinct ones of
-#: a Gaussian combination are almost surely far more than 1e-8 of the spread apart.
-LUDERS_CLUSTER_GAP = 1e-8
 
 
 @dataclass(eq=False)
@@ -251,21 +245,6 @@ def random_prep_channel(
     rho = random_density(n, rng) if faithful else random_pure_density(n, rng)
     state = state_from_density(a, rho, tol)
     return state_preparation(state, tol), state
-
-
-def random_luders_channel(
-    a: MatrixStarAlgebra,
-    rng: np.random.Generator,
-    tol: Tolerances = DEFAULT_TOL,
-) -> ChannelMap:
-    """Nonselective measurement of a generic observable inside the algebra."""
-    herm = a.hermitian_basis
-    h = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
-    w, v = np.linalg.eigh(h)
-    spread = max(float(w[-1] - w[0]), 1.0)
-    clusters = np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > LUDERS_CLUSTER_GAP * spread) + 1)
-    projections = [v[:, g] @ dagger(v[:, g]) for g in clusters]
-    return channel_on_algebra(a, np.stack(projections), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """States on matrix *-algebras and the joint-extension solver.
 
 A state is represented by an ambient density matrix: ``phi(x) = tr(density
-@ x)`` for x in the algebra.  Restriction keeps the density and merely
-points at the smaller algebra; construction from functional data uses the
+@ x)`` for x in the algebra.  Construction from functional data uses the
 canonical in-span representer, whose ambient positivity is equivalent to
 positivity of the functional on the algebra.  ``product_residual`` is the
 one test that a density acts as the product of two states.
@@ -32,7 +31,6 @@ from .errors import (
     AmbientMismatch,
     IllConditioned,
     InvalidState,
-    NotSubalgebra,
     ShapeMismatch,
 )
 from .numerics import (
@@ -50,7 +48,6 @@ __all__ = [
     "canonical_trace_state",
     "state_from_values",
     "state_from_density",
-    "restrict",
     "is_faithful",
     "extend_state",
     "extend_state_batch",
@@ -175,13 +172,6 @@ def state_from_density(
     state = AlgebraState(algebra, np.asarray(rho, dtype=complex))
     state.validate(tol)
     return state
-
-
-def restrict(state: AlgebraState, sub: MatrixStarAlgebra) -> AlgebraState:
-    """Same density, smaller algebra; values on the subalgebra are unchanged."""
-    if sub.ambient_dim != state.algebra.ambient_dim:
-        raise NotSubalgebra("restriction target lives in a different ambient algebra")
-    return AlgebraState(sub, state.density)
 
 
 # ---------------------------------------------------------------------------

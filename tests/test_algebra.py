@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import diag_algebra, join, left_factor, matrix_unit, right_factor
+from reference import is_psd, null_space, null_space_commutant
 from staralg import (
     FUZZ_FAMILIES,
     IllConditioned,
@@ -31,7 +32,7 @@ from staralg import (
 from staralg import algebra, numerics
 from staralg.algebra import StructureDecomposition, _gauge_order, _verify_structure, products
 from staralg.independence import joint_cells, run_hierarchy_checks, state_preparation, verify_noncommuting_elements
-from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, is_psd, kron, null_space, vec
+from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, kron, vec
 from staralg.sampling import canonical_block_algebra, cell_pair, conjugate_algebra, tensor_pair
 from staralg.states import (
     AlgebraState,
@@ -160,6 +161,18 @@ class TestCommutant:
             assert bicom.dim == a.dim
             for b in bicom.basis:
                 assert a.distance_to_span(b) <= 1e-8
+
+    def test_agrees_with_the_null_space_reference(self):
+        # the 80 fuzz algebras, both extremes, and blocks with multiplicities
+        algebras = [a for family in FUZZ_FAMILIES for inst in fuzz_instances(family, 10, 3) for a in (inst.a1, inst.a2)]
+        algebras += [full_matrix_algebra(4), scalar_algebra(4), canonical_block_algebra([(2, 2), (1, 3)], 7)]
+        algebras.append(conjugate_algebra(canonical_block_algebra([(1, 2), (2, 1), (1, 1)], 5), haar_unitary(5, seed=7)))
+        assert len(algebras) == 84
+        for a in algebras:
+            got, ref = commutant(a), null_space_commutant(a)
+            assert got.dim == ref.dim
+            assert np.abs(got.expectation - ref.expectation).max() <= 1e-12
+            assert np.abs(got.basis - ref.basis).max() <= 1e-10
 
 
 class TestCenterAndFactor:

@@ -1,6 +1,8 @@
 """Completely positive maps on subalgebras: Choi/Kraus/Stinespring
 calculus, duals on densities, measurement and preparation operations,
-tensor products, ambient extension, and the one certification route.
+tensor products, and the one certification route.  The direct
+measurement, preparation, identity and ambient-extension maps are test
+references (``tests/reference.py``).
 
 Oracles: round-trips re-apply the reconstructed map to matrix units;
 Choi positivity is recomputed from eigenvalues; the transpose map is the
@@ -13,33 +15,39 @@ import numpy as np
 import pytest
 
 from conftest import diag_algebra, left_factor, matrix_unit
+from reference import (
+    extend_to_ambient,
+    identity_channel,
+    is_psd,
+    luders_operation,
+    random_luders_channel,
+    state_prep_operation,
+)
 from staralg import (
     ChannelMap,
     ProjectiveMeasurement,
     build_channel,
     channel_from_kraus,
+    channel_on_algebra,
     choi,
     dual_on_states,
-    extend_to_ambient,
     full_matrix_algebra,
     generate_algebra,
-    identity_channel,
     is_completely_positive,
     is_faithful_map,
     kraus_from_choi,
-    luders_operation,
     map_from_choi,
-    state_prep_operation,
+    state_from_density,
+    state_preparation,
     stinespring_dilation,
     superop_from_kraus,
     tensor_channel,
 )
 from staralg.channels import choi_matrix, superop_from_function
-from staralg.numerics import DEFAULT_TOL, dagger, hs_norm, is_psd, kron, unvec
+from staralg.numerics import DEFAULT_TOL, dagger, hs_norm, kron, unvec
 from staralg.sampling import (
     random_density,
     random_faithful_nonselective_channel,
-    random_luders_channel,
     random_prep_channel,
 )
 
@@ -236,22 +244,26 @@ class TestDualOnStates:
 
 
 class TestStatePrepOperation:
+    """The program's preparation, ``state_preparation`` of a state on M_2."""
+
     def test_tracial_prep_sends_unit_to_half_identity(self):
-        t = state_prep_operation(np.eye(2, dtype=complex) / 2)
+        t = state_preparation(state_from_density(full_matrix_algebra(2), np.eye(2, dtype=complex) / 2))
         np.testing.assert_allclose(
             t.apply(matrix_unit(2, 0, 0)), np.eye(2) / 2, atol=1e-12
         )
 
     def test_choi_psd_for_random_state(self):
         rng = np.random.default_rng(157)
-        t = state_prep_operation(random_density(2, rng))
+        t = state_preparation(state_from_density(full_matrix_algebra(2), random_density(2, rng)))
         assert is_psd(choi(t))
         assert t.cp_certified and t.unital
 
 
 class TestLudersOperation:
+    """The instance builder's Lüders map: ``channel_on_algebra`` with the projections as Kraus family."""
+
     def test_trivial_measurement_is_identity(self):
-        t = luders_operation(ProjectiveMeasurement(np.stack([np.eye(2, dtype=complex)])))
+        t = channel_on_algebra(full_matrix_algebra(2), np.stack([np.eye(2, dtype=complex)]))
         rng = np.random.default_rng(163)
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert hs_norm(t.apply(x) - x) <= 1e-12
@@ -260,7 +272,8 @@ class TestLudersOperation:
         m = ProjectiveMeasurement(
             np.stack([np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)])
         )
-        t = luders_operation(m)
+        m.validate()
+        t = channel_on_algebra(full_matrix_algebra(2), m.projections)
         x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
         np.testing.assert_allclose(t.apply(x), np.diag([1.0, 4.0]), atol=1e-12)
 

@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 
 from conftest import array_from_json, array_to_json
+import reference
 import staralg
 from staralg import certificates, cli, independence, instances, states
 from staralg.cli import main
@@ -217,22 +218,22 @@ class TestLoadInstance:
 
     def test_an_operation_without_an_algebra_acts_as_the_library_route(self):
         # an entry without an algebra is built on the full matrix algebra by
-        # the named-algebra route; the library's full-algebra builders are
+        # the named-algebra route; the direct full-algebra constructions are
         # the reference
         path = str(INSTANCES / "every_check_m6.json")
         inst = instances.load(path)
-        reference = {
-            "state_prep": staralg.state_prep_operation,
+        direct = {
+            "state_prep": reference.state_prep_operation,
             "kraus": lambda mats: staralg.channel_from_kraus(mats, 6, 6),
-            "luders": lambda mats: staralg.luders_operation(staralg.ProjectiveMeasurement(mats)),
+            "luders": lambda mats: reference.luders_operation(staralg.ProjectiveMeasurement(mats)),
         }
         kinds = []
         for name, op in inst.operations.items():
             assert op.algebra is None
             kinds.append(op.kind)
-            want = reference[op.kind](instances._operation_matrices(inst.declared["operations"][name], 6, name))
+            want = direct[op.kind](instances._operation_matrices(inst.declared["operations"][name], 6, name))
             assert np.array_equal(op.channel.action, want.action), name
-        assert sorted(kinds) == sorted(reference)
+        assert sorted(kinds) == sorted(direct)
 
     def test_main_runs_the_command_named_by_the_verb(self, monkeypatch):
         # the parser is cached, so a command bound into it would miss the patch
@@ -764,13 +765,19 @@ class TestVerifyReport:
     def swap_in_the_identity_map(doc):
         # completely positive and unital, but it restricts to neither operation
         entry = next(c for c in doc["checks"] if c["check"] == "joint_operation")
-        entry["choi"] = array_to_json(staralg.choi(staralg.identity_channel(doc["instance"]["ambient_dim"])))
+        entry["choi"] = array_to_json(staralg.choi(reference.identity_channel(doc["instance"]["ambient_dim"])))
         return "joint_operation"
 
     @staticmethod
     def refuse_an_extended_preparation(doc):
         doc["joint_extension"]["outcome"] = "NoProductIsomorphism"
         return "joint_extension"
+
+    @staticmethod
+    def drop_the_product_transition(doc):
+        # both operations are preparations, so an Extended section must carry it
+        del doc["joint_extension"]["product_transition"]
+        return "product_transition"
 
     # tamper -> the golden report it edits
     TAMPERS = {
@@ -813,6 +820,7 @@ class TestVerifyReport:
         "refuse_an_extended_operation": "tensor_pair_m6",
         "swap_in_the_identity_map": "tensor_pair_m6",
         "refuse_an_extended_preparation": "tensor_prep_extend",
+        "drop_the_product_transition": "tensor_prep_extend",
     }
 
     @pytest.mark.parametrize("tamper", list(TAMPERS))
@@ -1004,16 +1012,16 @@ class TestPackage:
         check_product_sense check_spatial_product_sense check_verdicts
         check_wstar_independence check_wstar_product_sense choi choi_matrix commutant
         commute_witness conditional_expectation conjugate_algebra dual_on_states
-        extend_state extend_state_batch extend_to_ambient find_interpolating_factor
-        full_matrix_algebra fuzz_instances generate_algebra identity_channel
+        extend_state extend_state_batch find_interpolating_factor
+        full_matrix_algebra fuzz_instances generate_algebra
         implication_violations is_completely_positive is_faithful is_faithful_map
         joint_cells joint_extension_residuals joint_operation
-        kraus_from_choi luders_operation map_from_choi marginal_residual mutually_commute
+        kraus_from_choi map_from_choi marginal_residual mutually_commute
         noncommuting_pair product_isomorphism product_residual products
         random_density random_faithful_nonselective_channel random_hermitian
-        random_luders_channel random_prep_channel random_pure_density random_subalgebra
-        restrict run_hierarchy_checks sample_state_pairs scalar_algebra separating_pair
-        state_from_density state_from_values state_prep_operation
+        random_prep_channel random_pure_density random_subalgebra
+        run_hierarchy_checks sample_state_pairs scalar_algebra separating_pair
+        state_from_density state_from_values
         state_preparation stinespring_dilation structure_decomposition superop_from_function
         superop_from_kraus tensor_channel tensor_pair verify_faithful_product_state
         verify_interpolating_factor verify_noncommuting_elements verify_product_transition
@@ -1021,8 +1029,8 @@ class TestPackage:
     """.split()
 
     def test_the_package_exports_each_module_list_once(self):
-        assert len(self.EXPORTS) == 113
-        assert len(staralg.__all__) == len(set(staralg.__all__)) == 113
+        assert len(self.EXPORTS) == 107
+        assert len(staralg.__all__) == len(set(staralg.__all__)) == 107
         assert set(staralg.__all__) == set(self.EXPORTS)
         for name in staralg.__all__:
             assert hasattr(staralg, name), name
@@ -1242,6 +1250,14 @@ class TestCheckTable:
         target = f"checks[{idx}] joint_operation"
         code, audit = run_json(["verify-report", str(tmp_path / "out.json")], tmp_path, "verify.json")
         assert code == 0 and {item["target"]: item["ok"] for item in audit["items"]}[target]
+        # the diagnostic is informational: a forged one re-verifies, and the item prints the re-derived text
+        entry["diagnostic"] = "forged"
+        forged = tmp_path / "forged.json"
+        forged.write_text(json.dumps(doc))
+        code, audit = run_json(["verify-report", str(forged)], tmp_path, "verify.json")
+        assert code == 0 and audit["all_ok"] is True
+        detail = {item["target"]: item["detail"] for item in audit["items"]}[target]
+        assert detail == "refusal NotCommuting re-derived: a joint operation requires a commuting pair of domains"
         entry["outcome"] = "NoProductIsomorphism"
         bad = tmp_path / "renamed.json"
         bad.write_text(json.dumps(doc))

@@ -25,6 +25,7 @@ from conftest import (
     right_factor,
     twist_isomorphism,
 )
+from reference import random_luders_channel
 from staralg import (
     FUZZ_FAMILIES,
     IllConditioned,
@@ -65,7 +66,6 @@ from staralg import (
     product_residual,
     random_density,
     random_faithful_nonselective_channel,
-    random_luders_channel,
     run_hierarchy_checks,
     sample_state_pairs,
     scalar_algebra,

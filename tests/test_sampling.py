@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from reference import is_psd, random_luders_channel
 from staralg import (
     FUZZ_FAMILIES,
     UnknownFamily,
@@ -26,13 +27,12 @@ from staralg import (
     noncommuting_pair,
     random_density,
     random_faithful_nonselective_channel,
-    random_luders_channel,
     random_prep_channel,
     random_subalgebra,
     sample_state_pairs,
     tensor_pair,
 )
-from staralg.numerics import _haar_from_rng, dagger, haar_unitary, hs_norm, is_psd
+from staralg.numerics import _haar_from_rng, dagger, haar_unitary, hs_norm
 
 
 class TestRandomSubalgebra:

