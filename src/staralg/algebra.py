@@ -8,7 +8,7 @@ constructed matrix units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -37,8 +37,7 @@ from .numerics import (
 
 __all__ = [
     "MatrixStarAlgebra",
-    "StructureDecomposition",
-    "AlgebraBlock",
+    "AlgebraStructure",
     "full_matrix_algebra",
     "scalar_algebra",
     "generate_algebra",
@@ -259,11 +258,11 @@ def commutant(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixStar
     canonical gauge of its span.
     """
     n = a.ambient_dim
-    decomp = structure_decomposition(a, tol)
+    st = structure_decomposition(a, tol)
     units = []
-    for (nk, mk), off in zip(decomp.blocks, decomp.offsets):
+    for (nk, mk), off in zip(st.blocks, st.offsets):
         # cols[s] is the n x n_k matrix of the columns w_(alpha, s), alpha = 0..n_k-1
-        cols = decomp.intertwiner[:, off : off + nk * mk].reshape(n, nk, mk).transpose(2, 0, 1)
+        cols = st.intertwiner[:, off : off + nk * mk].reshape(n, nk, mk).transpose(2, 0, 1)
         units.append((cols[:, None] @ dagger(cols)[None, :]).reshape(mk * mk, n, n) / np.sqrt(nk))
     return MatrixStarAlgebra(n, canonical_basis(np.concatenate(units)))
 
@@ -315,35 +314,6 @@ def mutually_commute(
 
 
 @dataclass(eq=False)
-class AlgebraBlock:
-    """One central block: minimal central projection plus its matrix units.
-
-    ``units[a, b]`` is the (a, b) matrix unit of the block factor, so
-    units[a, b] units[c, d] = delta_{bc} units[a, d] and the diagonal units
-    sum to ``central_projection``.  ``size`` is the factor size n_k and
-    ``multiplicity`` the ambient multiplicity m_k = rank(z_k)/n_k.
-    """
-
-    central_projection: np.ndarray
-    units: np.ndarray
-    size: int
-    multiplicity: int
-
-
-@dataclass(eq=False)
-class StructureDecomposition:
-    """Blocks [(n_k, m_k), ...] and the intertwiner realizing them.
-
-    ``intertwiner`` W is unitary with W* a W block diagonal, block k acting
-    as x (x) 1_{m_k}.  ``offsets[k]`` is the first row of block k.
-    """
-
-    blocks: list[tuple[int, int]]
-    intertwiner: np.ndarray
-    offsets: list[int] = field(default_factory=list)
-
-
-@dataclass(eq=False)
 class AlgebraStructure:
     """Central structure and matrix units of one algebra at one tolerance (``MatrixStarAlgebra.structure``).
 
@@ -373,8 +343,11 @@ class AlgebraStructure:
     1, and splitting a block into p1 + p2 clusters lowers it by 2 p1 p2.
 
     ``projections``: the z_k in :func:`_gauge_order`, exactly 1 for a factor.
-    ``sizes``, ``multiplicities``: n_k and m_k.  ``blocks``: the matrix units
-    e_ab = e_a0 e_b0*, built and verified on first use.
+    ``sizes``, ``multiplicities``: n_k and m_k.  The rest is built on first
+    read: ``blocks`` the pairs (n_k, m_k), ``offsets`` the first column of
+    each block in ``intertwiner``, ``units`` the verified matrix units e_ab =
+    e_a0 e_b0*, and ``intertwiner`` the unitary W of the block form (checked
+    by ``structure_decomposition``).
     """
 
     algebra: MatrixStarAlgebra
@@ -398,24 +371,42 @@ class AlgebraStructure:
         self.sizes = [len(e) for e in self.column_units]
         self.multiplicities = [m for _, _, m in found]
 
-    @property
-    def center(self) -> MatrixStarAlgebra:
-        """The center, with the orthonormal basis z_k / sqrt(rank z_k)."""
-        z = np.stack(self.projections)
-        return MatrixStarAlgebra(z.shape[-1], z / np.sqrt(np.einsum("kii->k", z).real)[:, None, None])
+    @cached_property
+    def blocks(self) -> list[tuple[int, int]]:
+        """(n_k, m_k) of every block, in the order of ``projections``."""
+        return list(zip(self.sizes, self.multiplicities))
 
     @cached_property
-    def blocks(self) -> list[AlgebraBlock]:
-        """Matrix units of every block, in the order of ``projections``."""
-        blocks = []
-        for z, e, mult in zip(self.projections, self.column_units, self.multiplicities):
+    def offsets(self) -> list[int]:
+        """The first column of each block in ``intertwiner``."""
+        return np.cumsum([0] + [k * m for k, m in self.blocks])[:-1].tolist()
+
+    @cached_property
+    def units(self) -> list[np.ndarray]:
+        """Matrix units of every block, a stack (n_k, n_k, n, n) each, in the order of ``projections``."""
+        units = []
+        for z, e in zip(self.projections, self.column_units):
             if len(e) == 1:
-                units = z[None, None].copy()
+                u = z[None, None].copy()
             else:
-                units = e[:, None] @ dagger(e)[None, :]
-                _verify_units(units, z, self.tol)
-            blocks.append(AlgebraBlock(z, units, len(e), mult))
-        return blocks
+                u = e[:, None] @ dagger(e)[None, :]
+                _verify_units(u, z, self.tol)
+            units.append(u)
+        return units
+
+    @cached_property
+    def intertwiner(self) -> np.ndarray:
+        """W with W* a W = sum_k a_k (x) 1_{m_k}; read-only.
+
+        Column (alpha, s) of block k is e_alpha0 xi_s (``_cell_columns`` with
+        the unit 1), and W is the identity for M_n.
+        """
+        n = self.algebra.ambient_dim
+        if self.algebra.dim == n * n:
+            return _frozen(np.eye(n, dtype=complex))
+        one = np.eye(n, dtype=complex)[None, None]
+        cols = [_cell_columns(e, one, m).reshape(n, -1) for e, m in zip(self.units, self.multiplicities)]
+        return _frozen(np.concatenate(cols, axis=1))
 
 
 def _gauge_order(projections: list[np.ndarray]) -> np.ndarray:
@@ -524,41 +515,32 @@ def _cell_columns(e: np.ndarray, f: np.ndarray, rank: int) -> np.ndarray:
 def structure_decomposition(
     a: MatrixStarAlgebra,
     tol: Tolerances = DEFAULT_TOL,
-) -> StructureDecomposition:
-    """Block decomposition of the algebra with an explicit intertwiner.
+) -> AlgebraStructure:
+    """The algebra's cached structure (``MatrixStarAlgebra.structure``), with its intertwiner checked.
 
-    Returns blocks [(n_k, m_k), ...] with sum n_k m_k = ambient_dim and
-    sum n_k^2 = dim, plus the unitary W whose conjugation sends every
-    algebra element to a direct sum of x_k (x) 1_{m_k}.  Column (alpha, s)
-    of block k is e_alpha0 xi_s (``_cell_columns`` with the unit 1).
+    Its blocks [(n_k, m_k), ...] have sum n_k m_k = ambient_dim and sum
+    n_k^2 = dim, and its intertwiner W is unitary and sends every algebra
+    element to a direct sum of x_k (x) 1_{m_k}; both are checked here.
     """
     n = a.ambient_dim
-    # the full algebra needs no work and the identity is the natural witness
-    if a.dim == n * n:
-        return StructureDecomposition([(n, 1)], np.eye(n, dtype=complex), [0])
-    blocks = a.structure(tol).blocks
-    block_dims = [(blk.size, blk.multiplicity) for blk in blocks]
-    offsets = np.cumsum([0] + [k * m for k, m in block_dims])[:-1].tolist()
-    one = np.eye(n, dtype=complex)[None, None]
-    w_mat = np.concatenate([_cell_columns(b.units, one, b.multiplicity).reshape(n, -1) for b in blocks], axis=1)
-    if hs_norm(dagger(w_mat) @ w_mat - np.eye(n)) > tol.eps_verify * n:
+    s = a.structure(tol)
+    w = s.intertwiner
+    if hs_norm(dagger(w) @ w - np.eye(n)) > tol.eps_verify * n:
         raise IllConditioned("assembled intertwiner is not unitary")
-    decomp = StructureDecomposition(block_dims, w_mat, offsets)
-    _verify_structure(a, decomp, tol)
-    return decomp
+    _verify_structure(a, w, s.blocks, s.offsets, tol)
+    return s
 
 
-def _verify_structure(a, decomp, tol):
+def _verify_structure(a, w, blocks, offsets, tol):
     """Check W* b W = sum_k x_k (x) 1_{m_k} for the whole basis stack at once."""
     n, d = a.ambient_dim, a.dim
-    w = decomp.intertwiner
-    if sum(nk * mk for nk, mk in decomp.blocks) != n:
+    if sum(nk * mk for nk, mk in blocks) != n:
         raise IllConditioned("block dimensions do not add up to the ambient dimension")
-    if sum(nk * nk for nk, mk in decomp.blocks) != d:
+    if sum(nk * nk for nk, mk in blocks) != d:
         raise IllConditioned("block dimensions do not add up to the algebra dimension")
     rotated = dagger(w) @ a.basis @ w
     model = np.zeros_like(rotated)
-    for (nk, mk), off in zip(decomp.blocks, decomp.offsets):
+    for (nk, mk), off in zip(blocks, offsets):
         cut = slice(off, off + nk * mk)
         x = np.einsum("kasbs->kab", rotated[:, cut, cut].reshape(d, nk, mk, nk, mk)) / mk
         model[:, cut, cut] = (x[:, :, None, :, None] * np.eye(mk)[:, None, :]).reshape(d, nk * mk, -1)

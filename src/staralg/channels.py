@@ -66,10 +66,6 @@ class KrausSet:
 
     operators: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        return self.operators.shape[0]
-
 
 @dataclass(eq=False)
 class StinespringDilation:

@@ -8,14 +8,11 @@ numerical-degeneracy errors to exit code 3.
 __all__ = [
     "ToolkitError",
     "ShapeMismatch",
-    "NonHermitian",
     "IllConditioned",
     "AmbientMismatch",
-    "NotSubalgebra",
     "InvalidState",
     "NotCommuting",
     "DomainNotFull",
-    "NotPSD",
     "NotCP",
     "NotNonselective",
     "InvalidMeasurement",
@@ -34,20 +31,12 @@ class ShapeMismatch(ToolkitError):
     """Operands have incompatible shapes or ambient dimensions."""
 
 
-class NonHermitian(ToolkitError):
-    """A matrix that must be Hermitian is not, beyond tolerance."""
-
-
 class IllConditioned(ToolkitError):
     """A rank / clustering decision has no clear spectral gap."""
 
 
 class AmbientMismatch(ToolkitError):
     """Two algebras live in different ambient matrix algebras."""
-
-
-class NotSubalgebra(ToolkitError):
-    """Restriction target is not compatible with the state's ambient."""
 
 
 class InvalidState(ToolkitError):
@@ -60,10 +49,6 @@ class NotCommuting(ToolkitError):
 
 class DomainNotFull(ToolkitError):
     """Operation requires a map defined on the full matrix algebra."""
-
-
-class NotPSD(ToolkitError):
-    """Matrix expected to be positive semidefinite is not."""
 
 
 class NotCP(ToolkitError):

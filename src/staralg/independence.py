@@ -311,11 +311,11 @@ class JointCells:
         rest, which span the join as the u and the v span A1 and A2, normalize
         to an orthonormal basis g of the join.
         """
-        blocks = [a.structure(self.tol).blocks for a in (self.a1, self.a2)]
-        u, v = (np.concatenate([b.units.reshape(-1, *b.units.shape[2:]) / np.sqrt(b.multiplicity) for b in bs])
-                for bs in blocks)
+        structures = [a.structure(self.tol) for a in (self.a1, self.a2)]
+        u, v = (np.concatenate([e.reshape(-1, *e.shape[2:]) / np.sqrt(m) for e, m in zip(s.units, s.multiplicities)])
+                for s in structures)
         c1, c2 = (a.coefficients(x).conj() for x, a in ((u, self.a1), (v, self.a2)))
-        p, q = (np.array([b.multiplicity for b in bs]) for bs in blocks)
+        p, q = (np.array(s.multiplicities) for s in structures)
         w = np.repeat(np.repeat(np.sqrt(self.mu / np.outer(p, q)), self.sizes1**2, axis=0), self.sizes2**2, axis=1)
         return products(u, v) * np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)[:, :, None, None], w, c1, c2
 
@@ -891,10 +891,10 @@ def find_interpolating_factor(
     cell is zero and mu[i,j] = a_i b_j for positive integer vectors a, b.
     U* is then assembled cell by cell from the columns e_alpha0 f_beta0 xi_s
     (``algebra._cell_columns``) and verified by ``verify_interpolating_factor``.
-    A factor A1 = M_{n1} (x) 1 is itself M, assembled as the single cell of
-    the pair (A1, C 1) with mu = [[n / n1]] and the one unit 1 of C 1, so U*
-    is A1's structure intertwiner (the identity for A1 = M_n).  A
-    non-commuting pair has none (``_noncommuting_split``).
+    A factor A1 is itself M, split by its structure intertwiner: U* = W
+    with W* A1 W = M_{n1} (x) 1 (``AlgebraStructure.intertwiner``, the
+    identity for A1 = M_n).  A non-commuting pair has none
+    (``_noncommuting_split``).
     """
     if not mutually_commute(a1, a2, tol):
         return FactorSearchOutcome("NotFound", reason=_NONCOMMUTING_REASON)
@@ -905,13 +905,9 @@ def _factor_search(cells: JointCells, tol: Tolerances) -> FactorSearchOutcome:
     a1, a2, n = cells.a1, cells.a2, cells.a1.ambient_dim
     s1 = a1.structure(tol)
     if s1.is_factor:
-        note = "the first algebra is itself a factor"
-        if a1.dim == n * n:
-            return FactorSearchOutcome(
-                "Found", verify_interpolating_factor(np.eye(n, dtype=complex), n, 1, a1, a2, tol), reason=note
-            )
-        mu, sizes2, units2 = np.array([[n // s1.sizes[0]]]), np.array([1]), [np.eye(n, dtype=complex)[None, None]]
-    elif cells.zero_cells:
+        factor = verify_interpolating_factor(dagger(s1.intertwiner), s1.sizes[0], s1.multiplicities[0], a1, a2, tol)
+        return FactorSearchOutcome("Found", factor, reason="the first algebra is itself a factor")
+    if cells.zero_cells:
         i, j = cells.zero_cells[0]
         return FactorSearchOutcome(
             "NotFound",
@@ -921,9 +917,7 @@ def _factor_search(cells: JointCells, tol: Tolerances) -> FactorSearchOutcome:
                 "position and no interpolating factor exists"
             ),
         )
-    else:
-        note = "assembled from the joint cell structure"
-        mu, sizes2, units2 = cells.mu, cells.sizes2, [blk.units for blk in a2.structure(tol).blocks]
+    mu, sizes1, sizes2 = cells.mu, cells.sizes1, cells.sizes2
     factorization = _integer_rank_one_factorization(mu)
     if factorization is None:
         return FactorSearchOutcome(
@@ -934,22 +928,23 @@ def _factor_search(cells: JointCells, tol: Tolerances) -> FactorSearchOutcome:
             ),
         )
     avec, bvec = factorization
-    sizes1 = cells.sizes1
     d1, d2 = int(avec @ sizes1), int(bvec @ sizes2)
 
     off1 = np.concatenate([[0], np.cumsum(sizes1 * avec)])
     off2 = np.concatenate([[0], np.cumsum(sizes2 * bvec)])
     udag = np.zeros((n, d1, d2), dtype=complex)  # column (p, q) of U*, p*d2 + q
-    for i, blk1 in enumerate(s1.blocks):
+    units2 = a2.structure(tol).units
+    for i, e in enumerate(s1.units):
         for j, f in enumerate(units2):
             # p = (alpha, s), q = (beta, t) inside the cell: e_{alpha 0} f_{beta 0} xi_{s b_j + t}
-            cols = _cell_columns(blk1.units, f, mu[i, j])
+            cols = _cell_columns(e, f, mu[i, j])
             cols = cols.reshape(n, sizes1[i], sizes2[j], avec[i], bvec[j]).transpose(0, 1, 3, 2, 4)
             udag[:, off1[i]:off1[i + 1], off2[j]:off2[j + 1]] = cols.reshape(
                 n, sizes1[i] * avec[i], sizes2[j] * bvec[j]
             )
     return FactorSearchOutcome(
-        "Found", verify_interpolating_factor(dagger(udag.reshape(n, n)), d1, d2, a1, a2, tol), reason=note
+        "Found", verify_interpolating_factor(dagger(udag.reshape(n, n)), d1, d2, a1, a2, tol),
+        reason="assembled from the joint cell structure",
     )
 
 

@@ -197,9 +197,9 @@ class Instance:
         return tuple(built[name] for name in names)
 
 
-def _operation(entry: dict, a: MatrixStarAlgebra, n: int, tol: Tolerances, where: str) -> Operation:
-    """The operation of an entry on its algebra ``a`` (M_n for one that names none)."""
-    mats = _operation_matrices(entry, n, where)
+def _operation(entry: dict, mats: np.ndarray, a: MatrixStarAlgebra, tol: Tolerances, where: str) -> Operation:
+    """The operation of an entry, with its decoded ``mats``, on its algebra ``a`` (M_n for one that names none)."""
+    n = a.ambient_dim
     alg_name = entry.get("algebra")
     kind = entry.get("kind", "kraus")
     if kind == "state_prep":
@@ -242,9 +242,10 @@ def _build(
         return "density revalidated"
 
     def operation(name: str, entry: dict, where: str) -> str:
+        mats = _operation_matrices(entry, n, where)  # before M_n, whose n^4 basis an absurd n cannot hold
         alg_name = entry.get("algebra")
         a = full_matrix_algebra(n) if alg_name is None else built(alg_name, where)
-        op = inst.operations[name] = _operation(entry, a, n, tol, where)
+        op = inst.operations[name] = _operation(entry, mats, a, tol, where)
         return f"{op.kind} operation rebuilt"
 
     steps = {"algebras": algebra, "states": state, "operations": operation}

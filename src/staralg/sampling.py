@@ -22,7 +22,6 @@ __all__ = [
     "PairInstance",
     "random_density",
     "random_pure_density",
-    "random_hermitian",
     "canonical_block_algebra",
     "conjugate_algebra",
     "random_subalgebra",
@@ -56,11 +55,6 @@ def random_density(n: int, rng: np.random.Generator, rank: int | None = None) ->
 
 def random_pure_density(n: int, rng: np.random.Generator) -> np.ndarray:
     return random_density(n, rng, rank=1)
-
-
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (g + dagger(g))
 
 
 def canonical_block_algebra(blocks: list[tuple[int, int]], ambient_dim: int) -> MatrixStarAlgebra:

@@ -14,9 +14,9 @@ import numpy as np
 from staralg import (
     ChannelMap,
     IllConditioned,
+    InvalidState,
     MatrixStarAlgebra,
     NotNonselective,
-    NotPSD,
     ProjectiveMeasurement,
     ShapeMismatch,
     build_channel,
@@ -95,10 +95,10 @@ def state_prep_operation(sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Ch
     sigma = np.asarray(sigma, dtype=complex)
     n = sigma.shape[0]
     if not is_hermitian(sigma, tol):
-        raise NotPSD("prepared state is not Hermitian")
+        raise InvalidState("prepared state is not Hermitian")
     evals = np.linalg.eigvalsh(0.5 * (sigma + dagger(sigma)))
     if evals[0] < -tol.eps_psd or abs(float(np.real(np.trace(sigma))) - 1.0) > tol.eps_verify * n:
-        raise NotPSD("prepared state is not a density matrix")
+        raise InvalidState("prepared state is not a density matrix")
     return build_channel(full_matrix_algebra(n), n, np.outer(vec(np.eye(n)), vec(sigma).conj()), tol)
 
 

@@ -30,7 +30,7 @@ from staralg import (
     structure_decomposition,
 )
 from staralg import algebra, numerics
-from staralg.algebra import StructureDecomposition, _gauge_order, _verify_structure, products
+from staralg.algebra import _gauge_order, _verify_structure, products
 from staralg.independence import joint_cells, run_hierarchy_checks, state_preparation, verify_noncommuting_elements
 from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, kron, vec
 from staralg.sampling import canonical_block_algebra, cell_pair, conjugate_algebra, tensor_pair
@@ -179,26 +179,23 @@ class TestCenterAndFactor:
     def test_full_algebra_is_a_factor(self):
         s = full_matrix_algebra(4).structure()
         assert s.is_factor
-        assert s.center.dim == 1
         assert len(s.projections) == 1
         assert hs_norm(s.projections[0] - np.eye(4)) <= 1e-10
 
     def test_diagonal_algebra_is_its_own_center(self):
         s = diag_algebra(2).structure()
         assert not s.is_factor
-        assert s.center.dim == 2
+        assert len(s.projections) == 2
         got = sorted(tuple(np.round(np.diag(p).real).astype(int)) for p in s.projections)
         assert got == [(0, 1), (1, 0)]
 
 
 class TestMatrixUnits:
     def test_full_algebra_single_block(self):
-        blocks = full_matrix_algebra(4).structure().blocks
-        assert [(b.size, b.multiplicity) for b in blocks] == [(4, 1)]
+        assert full_matrix_algebra(4).structure().blocks == [(4, 1)]
 
     def test_scalars_have_multiplicity_n(self):
-        blocks = scalar_algebra(3).structure().blocks
-        assert [(b.size, b.multiplicity) for b in blocks] == [(1, 3)]
+        assert scalar_algebra(3).structure().blocks == [(1, 3)]
 
     def test_diagonal_twin_block(self):
         # {x (+) x : x in M_2} inside M_4: one 2x2 block, multiplicity 2
@@ -207,8 +204,7 @@ class TestMatrixUnits:
                 for i in range(2) for j in range(2)]
         a = generate_algebra(gens, 4)
         assert a.dim == 4
-        blocks = a.structure().blocks
-        assert [(b.size, b.multiplicity) for b in blocks] == [(2, 2)]
+        assert a.structure().blocks == [(2, 2)]
 
     def test_two_block_sum_in_m5(self):
         # M_2 (+) M_3 block algebra: central projections of ranks 2 and 3
@@ -224,16 +220,15 @@ class TestMatrixUnits:
                 m[2 + i, 2 + j] = 1.0
                 gens.append(m)
         a = generate_algebra(gens, 5)
-        blocks = a.structure().blocks
-        ranks = sorted(int(round(np.trace(b.central_projection).real)) for b in blocks)
+        s = a.structure()
+        ranks = sorted(int(round(np.trace(z).real)) for z in s.projections)
         assert ranks == [2, 3]
-        assert sorted((b.size, b.multiplicity) for b in blocks) == [(2, 1), (3, 1)]
+        assert sorted(s.blocks) == [(2, 1), (3, 1)]
 
     def test_units_satisfy_multiplication_rules(self):
         a = diag_algebra(3)
-        for block in a.structure().blocks:
-            units = block.units
-            k = block.size
+        for units in a.structure().units:
+            k = len(units)
             for i in range(k):
                 for j in range(k):
                     for p in range(k):
@@ -244,6 +239,31 @@ class TestMatrixUnits:
 
 
 class TestStructureDecomposition:
+    def test_the_decomposition_is_the_cached_structure(self):
+        # blocks and offsets against the commutator-stack centre: n_k^2 = dim z_k A, m_k = rank z_k / n_k
+        algebras = [a for family in FUZZ_FAMILIES for inst in fuzz_instances(family, 10, 3) for a in (inst.a1, inst.a2)]
+        algebras += [full_matrix_algebra(4), scalar_algebra(4), canonical_block_algebra([(2, 2), (1, 3)], 7)]
+        assert len(algebras) == 83
+        for a in algebras:
+            sd = structure_decomposition(a)
+            assert sd is a.structure()
+            want = []
+            for z in commutator_stack_centre(a):
+                nk = round(np.sqrt(np.linalg.matrix_rank((z @ a.basis).reshape(a.dim, -1), tol=1e-6)))
+                want.append((nk, round(np.trace(z).real) // nk))
+            assert sd.blocks == want
+            assert sd.offsets == [sum(k * m for k, m in want[:i]) for i in range(len(want))]
+
+    def test_two_commutants_build_the_intertwiner_once(self, monkeypatch):
+        cell_columns, calls = algebra._cell_columns, []
+        monkeypatch.setattr(algebra, "_cell_columns", lambda *args: calls.append(1) or cell_columns(*args))
+        a = canonical_block_algebra([(2, 2), (1, 3)], 7)
+        first = commutant(a)
+        assert len(calls) == 2  # one per block
+        second = commutant(a)
+        assert len(calls) == 2
+        assert np.array_equal(first.basis, second.basis)
+
     def test_full_algebra_trivial_decomposition(self):
         sd = structure_decomposition(full_matrix_algebra(4))
         assert sd.blocks == [(4, 1)]
@@ -285,9 +305,8 @@ class TestStructureDecomposition:
         sd = structure_decomposition(a)
         assert sd.blocks == [(2, 1), (1, 3)]
         swapped = sd.intertwiner[:, [2, 1, 0, 3, 4]]
-        bad = StructureDecomposition(sd.blocks, swapped, sd.offsets)
         with pytest.raises(IllConditioned, match="not in block form"):
-            _verify_structure(a, bad, DEFAULT_TOL)
+            _verify_structure(a, swapped, sd.blocks, sd.offsets, DEFAULT_TOL)
 
 
 class TestConditionalExpectation:
@@ -365,8 +384,8 @@ class TestCommuteWitness:
         # for j > 0, [e_a0, e_jj] = -delta_aj e_j0: only the unit e_j0 sees that C*(e_jj) does not commute
         for a in (full_matrix_algebra(3), conjugate_algebra(canonical_block_algebra([(3, 1), (2, 2)], 7),
                                                             haar_unitary(7, seed=103))):
-            for blk in a.structure().blocks:
-                pairs += [(a, generate_algebra([blk.units[j, j]], a.ambient_dim)) for j in range(1, blk.size)]
+            for units in a.structure().units:
+                pairs += [(a, generate_algebra([units[j, j]], a.ambient_dim)) for j in range(1, len(units))]
         eps = DEFAULT_TOL.eps_algebra
         commuting = 0
         for a1, a2 in pairs:
@@ -534,7 +553,7 @@ class TestSeededUnits:
     @staticmethod
     def units(a):
         # a fresh copy, so the structure cache of ``a`` is not read
-        return [blk.units for blk in MatrixStarAlgebra(a.ambient_dim, a.basis).structure().blocks]
+        return MatrixStarAlgebra(a.ambient_dim, a.basis).structure().units
 
     def test_units_do_not_depend_on_the_orthonormal_basis(self):
         seeds = iter(range(1000, 2000))
@@ -554,7 +573,7 @@ class TestSeededUnits:
         # 0, 0, 1 there and 0 on the second block: merged diagonal units
         a = conjugate_algebra(canonical_block_algebra([(3, 1), (2, 2)], 7), haar_unitary(7, seed=95))
         seeded = algebra._seeded_elements
-        degenerate = a.structure().blocks[0].units[2, 2]
+        degenerate = a.structure().units[0][2, 2]
         drawn = []
 
         def degenerate_first(alg, attempt):
@@ -585,7 +604,7 @@ class TestSeededUnits:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         for a in algebras:
             calls.clear()
-            MatrixStarAlgebra(a.ambient_dim, a.basis).structure().blocks
+            MatrixStarAlgebra(a.ambient_dim, a.basis).structure().units
             assert calls == [(a.ambient_dim, a.ambient_dim)]
 
     def test_vanishing_corners_fail_the_count_and_are_retried(self, monkeypatch):
@@ -693,9 +712,9 @@ class TestSpanOperator:
                 assert abs(product_residual(rho, s1, s2) - old) <= 1e-12
                 if not mutually_commute(a1, a2):
                     continue
-                blocks = [a.structure().blocks for a in (a1, a2)]
-                u, v = (np.concatenate([b.units.reshape(-1, *b.units.shape[2:]) / np.sqrt(b.multiplicity)
-                                        for b in bs]) for bs in blocks)
+                structures = [a.structure() for a in (a1, a2)]
+                u, v = (np.concatenate([e.reshape(-1, *e.shape[2:]) / np.sqrt(m)
+                                        for e, m in zip(s.units, s.multiplicities)]) for s in structures)
                 _, _, c1, c2 = joint_cells(a1, a2).cell_basis
                 for c, x, a in ((c1, u, a1), (c2, v, a2)):
                     old = x.reshape(len(x), -1).conj() @ a.basis.reshape(a.dim, -1).T

@@ -367,7 +367,7 @@ class TestOneCertificationRoute:
         t = identity_channel(n)
         assert np.array_equal(t.action, np.eye(n * n))
         assert t.cp_certified and t.unital and t.faithful
-        assert t.kraus.rank == 1
+        assert len(t.kraus.operators) == 1
 
 
 class TestIsFaithfulMap:

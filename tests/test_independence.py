@@ -208,7 +208,7 @@ class TestProductSenseWork:
         pairs = [tensor_pair(3, 4, np.random.default_rng(29)), fuzz_instances("shared_block", 1, 1)[0]]
         for inst in pairs:
             for a in (inst.a1, inst.a2):
-                a.structure(DEFAULT_TOL).blocks
+                a.structure(DEFAULT_TOL).units
         monkeypatch.setattr(np.linalg, "svd", refuse)
         monkeypatch.setattr(np.linalg, "inv", refuse)
         product_isomorphism(pairs[0].a1, pairs[0].a2)
@@ -815,7 +815,7 @@ class TestFactorizingUnitary:
         outcome = find_interpolating_factor(inst.a1, inst.a2)
         assert outcome.reason == "the first algebra is itself a factor"
         want = dagger(structure_decomposition(inst.a1).intertwiner)
-        assert np.abs(outcome.factor.unitary - want).max() <= 1e-12
+        assert np.array_equal(outcome.factor.unitary, want)
 
     def test_the_full_algebra_is_split_by_the_identity(self):
         factor = find_interpolating_factor(full_matrix_algebra(3), scalar_algebra(3)).factor
@@ -1055,11 +1055,11 @@ class TestProjectionSearch:
             p = independence._minimal_projections(a, np.random.default_rng(k), DEFAULT_TOL)
             # the reference: sum_ab x_a conj(x_b) e_ab from the full matrix units, same draws
             rng, ref = np.random.default_rng(k), []
-            for blk in a.structure().blocks:
-                shape = (independence.SEARCH_DRAWS if blk.size > 1 else 1, blk.size)
+            for units in a.structure().units:
+                shape = (independence.SEARCH_DRAWS if len(units) > 1 else 1, len(units))
                 x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 x /= np.linalg.norm(x, axis=1, keepdims=True)
-                ref.extend(np.einsum("a,b,abij->ij", xs, xs.conj(), blk.units) for xs in x)
+                ref.extend(np.einsum("a,b,abij->ij", xs, xs.conj(), units) for xs in x)
             assert p.shape == (len(ref), a.ambient_dim, a.ambient_dim)
             assert np.abs(p - np.stack(ref)).max() <= 1e-12
             assert np.abs(p @ p - p).max() <= 1e-12
@@ -1076,4 +1076,4 @@ class TestProjectionSearch:
             report = run_hierarchy_checks(inst.a1, inst.a2, seed=idx)
             assert report.verdicts["cstar_independent"].status == "Fails"
             for a in (inst.a1, inst.a2):
-                assert "blocks" not in a.structure().__dict__
+                assert "units" not in a.structure().__dict__
