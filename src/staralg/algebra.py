@@ -9,7 +9,7 @@ constructed matrix units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +22,8 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOL,
     GAUGE_ATTEMPTS,
-    GAUGE_MIN_GAP,
     Tolerances,
     _frozen,
-    _gauge_probe,
     _seeded_gaussian,
     canonical_basis,
     dagger,
@@ -342,12 +340,14 @@ class AlgebraStructure:
     the equal-rank check, merging two one-cluster blocks lowers the count by
     1, and splitting a block into p1 + p2 clusters lowers it by 2 p1 p2.
 
-    ``projections``: the z_k in :func:`_gauge_order`, exactly 1 for a factor.
-    ``sizes``, ``multiplicities``: n_k and m_k.  The rest is built on first
-    read: ``blocks`` the pairs (n_k, m_k), ``offsets`` the first column of
-    each block in ``intertwiner``, ``units`` the verified matrix units e_ab =
-    e_a0 e_b0*, and ``intertwiner`` the unitary W of the block form (checked
-    by ``structure_decomposition``).
+    ``projections``: the z_k, exactly 1 for a factor, by rank n_k m_k and then
+    by the lowest eigenvalue of h in each, which no gauge moves: h depends on
+    the span alone and its clusters lie CLUSTER_GAP apart.  ``sizes``,
+    ``multiplicities``: n_k and m_k.  The rest is built on first read:
+    ``blocks`` the pairs (n_k, m_k), ``offsets`` the first column of each
+    block in ``intertwiner``, ``units`` the verified matrix units e_ab = e_a0
+    e_b0*, and ``intertwiner`` the unitary W of the block form (checked by
+    ``structure_decomposition``).
     """
 
     algebra: MatrixStarAlgebra
@@ -365,7 +365,7 @@ class AlgebraStructure:
         if self.is_factor:
             found = [(np.eye(a.ambient_dim, dtype=complex), *found[0][1:])]
         else:
-            found = [found[k] for k in _gauge_order([z for z, _, _ in found])]
+            found.sort(key=lambda block: len(block[1]) * block[2])  # rank n_k m_k; equal ranks keep h's order
         self.projections = [z for z, _, _ in found]
         self.column_units = [e for _, e, _ in found]
         self.sizes = [len(e) for e in self.column_units]
@@ -409,36 +409,6 @@ class AlgebraStructure:
         return _frozen(np.concatenate(cols, axis=1))
 
 
-def _gauge_order(projections: list[np.ndarray]) -> np.ndarray:
-    """The order of the projections by (rank, tr(H z)), which no basis gauge moves.
-
-    H = W + W^T + i (W - W^T) is Hermitian, from the seeded weights W of
-    :func:`numerics._gauge_probe`; a diagonal H could not tell apart equal
-    diagonals such as (1 +- sigma_x)/2.  The keys tr(H z) are one product
-    with the cached vec(H^T) (``_gauge_key``).  Equal ranks with keys closer
-    than GAUGE_MIN_GAP move on to the next probe, up to GAUGE_ATTEMPTS.
-    """
-    stack = np.stack(projections)
-    n = stack.shape[-1]
-    flat = stack.reshape(len(stack), -1)
-    ranks = np.rint(np.einsum("kii->k", stack).real).astype(int)
-    for attempt in range(GAUGE_ATTEMPTS):
-        keys = (flat @ _gauge_key(n, attempt)).real
-        order = np.lexsort((keys, ranks))
-        r, k = ranks[order], keys[order]
-        tied = (r[1:] == r[:-1]) & (k[1:] - k[:-1] < GAUGE_MIN_GAP)
-        if not tied.any():
-            return order
-    raise IllConditioned(f"no probe of {GAUGE_ATTEMPTS} orders the {len(projections)} central projections")
-
-
-@lru_cache(maxsize=64)
-def _gauge_key(n: int, attempt: int) -> np.ndarray:
-    """vec(H^T) (row-major) for the H of ``_gauge_order``, so that tr(H z) = vec(z) . key; read-only."""
-    w, _ = _gauge_probe((n, n), attempt)
-    return _frozen((w + w.T + 1j * (w - w.T)).T.reshape(-1))
-
-
 def _seeded_elements(a: MatrixStarAlgebra, attempt: int) -> tuple[np.ndarray, np.ndarray]:
     """(E_A(G + G*), E_A(G')) for the seeded Gaussians G, G' of one attempt, in one projection.
 
@@ -451,7 +421,7 @@ def _seeded_elements(a: MatrixStarAlgebra, attempt: int) -> tuple[np.ndarray, np
 
 
 def _cluster_blocks(a, h, x, tol):
-    """[(z_k, e_k0 stack, m_k)] of each block from one eigh of h (``AlgebraStructure``), or None.
+    """[(z_k, e_k0 stack, m_k)] of each block, by lowest cluster, from one eigh of h (``AlgebraStructure``), or None.
 
     The cluster projections P_a are one masked product of the eigenvectors
     V, and the corner norms |P_a x P_b| = |V_a* x V_b| are the norms of the

@@ -235,7 +235,7 @@ def _check_zero_cell(cert: dict, pair: _Pair, with_dims: bool = False) -> str:
     z1, z2 = (_array_in(cert[key], (pair.a1.ambient_dim,) * 2, key) for key in ("projection1", "projection2"))
     pair.cells.check_zero_cell(cert["cell"], cert["mu"], z1, z2)
     if with_dims:
-        _check_recorded(cert, pair.cells.dims, pair.tol)
+        _check_recorded(cert, {**pair.cells.dims, "deficit": pair.cells.deficit}, pair.tol)
     return f"zero cell {cert['cell']} of the cell table re-derived from the pair"
 
 

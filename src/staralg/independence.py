@@ -329,6 +329,11 @@ class JointCells:
         join_dim = int(np.outer(self.sizes1**2, self.sizes2**2)[self.mu > 0].sum())
         return {"dim_join": join_dim, "dim_factor1": self.a1.dim, "dim_factor2": self.a2.dim}
 
+    @property
+    def deficit(self) -> int:
+        """dim A1 dim A2 - dim_join: what the multiplication map loses, 0 iff no cell is zero."""
+        return self.a1.dim * self.a2.dim - self.dims["dim_join"]
+
     def zero_cell_witness(self) -> dict:
         i, j = self.zero_cells[0]
         return {"cell": [i, j], "mu": self.mu,
@@ -418,8 +423,7 @@ def _product_sense(cells: JointCells) -> Verdict:
     dims = {**cells.dims, "mu": cells.mu}
     if not cells.zero_cells:
         return Verdict.holds({"kind": "product_isomorphism", **dims})
-    deficit = dims["dim_factor1"] * dims["dim_factor2"] - dims["dim_join"]
-    return Verdict.fails({"kind": "dimension_deficit", **dims, "deficit": deficit, **cells.zero_cell_witness()})
+    return Verdict.fails({"kind": "dimension_deficit", **dims, "deficit": cells.deficit, **cells.zero_cell_witness()})
 
 
 #: Holds certificate of every notion that product position implies.  It

@@ -338,6 +338,8 @@ def _read_echo(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> Insta
     def revalidated(entry: dict, at: str) -> MatrixStarAlgebra:
         a = MatrixStarAlgebra(n, _array_in(entry["basis"], (None, n, n), f"{at}.basis"))
         a.validate(tol)
+        if "dim" in entry:
+            _check_recorded(entry, {"dim": a.dim}, tol)
         return a
 
     def attempt(section: str, name: str, build: Callable[[str], str]) -> None:

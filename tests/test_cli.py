@@ -42,6 +42,7 @@ import reference
 import staralg
 from staralg import certificates, cli, independence, instances, states
 from staralg.cli import main
+from staralg.numerics import haar_unitary
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCES = REPO / "instances"
@@ -72,10 +73,9 @@ def run_json(argv, tmp_path, name="out.json"):
     return code, json.loads(out.read_text())
 
 
-def overlap_report(tmp_path):
-    """Analyze report of a haar_overlap pair: the path, the parsed report and the pair."""
-    inst = staralg.fuzz_instances("haar_overlap", 1, 1)[0]
-    instance = tmp_path / "overlap.json"
+def pair_report(inst, tmp_path, name):
+    """Analyze report of a fuzz pair, its algebras given by their bases: the path and the parsed report."""
+    instance = tmp_path / f"{name}.json"
     instance.write_text(json.dumps({
         "schema_version": 1,
         "ambient_dim": inst.a1.ambient_dim,
@@ -84,9 +84,15 @@ def overlap_report(tmp_path):
             "right": {"generators": array_to_json(inst.a2.basis)},
         },
     }))
-    code, doc = run_json(["analyze", str(instance)], tmp_path, "overlap.report.json")
+    code, doc = run_json(["analyze", str(instance)], tmp_path, f"{name}.report.json")
     assert code == 0
-    return tmp_path / "overlap.report.json", doc, inst
+    return tmp_path / f"{name}.report.json", doc
+
+
+def overlap_report(tmp_path):
+    """Analyze report of a haar_overlap pair: the path, the parsed report and the pair."""
+    inst = staralg.fuzz_instances("haar_overlap", 1, 1)[0]
+    return (*pair_report(inst, tmp_path, "overlap"), inst)
 
 
 def assert_structurally_equal(got, want, path="$"):
@@ -636,6 +642,12 @@ class TestVerifyReport:
         return "dimensions"
 
     @staticmethod
+    def forge_dimension_deficit(doc):
+        witness = doc["checks"][0]["verdicts"]["cstar_product_sense"]["witness"]
+        witness["deficit"] += 1
+        return "dimensions"
+
+    @staticmethod
     def perturb_factor_unitary(doc):
         entry = next(c for c in doc["checks"] if c["check"] == "interpolating_factor")
         factor = entry["outcome"]["factor"]
@@ -810,6 +822,7 @@ class TestVerifyReport:
         "integer_extension_status": "same_algebra_m2",
         "point_op_cstar_at_a_holds": "tensor_pair_m6",
         "shift_join_dimension": "same_algebra_m2",
+        "forge_dimension_deficit": "same_algebra_m2",
         "perturb_factor_unitary": "tensor_pair_m6",
         "collapse_factor_legs": "tensor_pair_m6",
         "misstate_split_and_op_cstar": "tensor_pair_m6",
@@ -925,13 +938,34 @@ class TestVerifyReport:
             assert code == 0 and rep["all_ok"], report
         assert calls == []
 
+    def test_echoes_in_another_orthonormal_basis_revalidate(self, tmp_path):
+        # a seeded unitary mixing of each echoed basis is another orthonormal
+        # basis of its span, so the rebuilt structure orders the blocks, and
+        # with them mu and the zero cell, as the report recorded them
+        seeds = iter(range(3000, 4000))
+        reports = 0
+        for family in ("shared_block", "haar_overlap"):
+            for inst in staralg.fuzz_instances(family, 16, 2):
+                _, doc = pair_report(inst, tmp_path, "pair")
+                for entry in doc["instance"]["algebras"].values():
+                    basis = array_from_json(entry["basis"])
+                    entry["basis"] = array_to_json(np.tensordot(
+                        haar_unitary(len(basis), seed=next(seeds)), basis, axes=(1, 0)))
+                rotated = tmp_path / "rotated.json"
+                rotated.write_text(json.dumps(doc))
+                code, rep = run_json(["verify-report", str(rotated)], tmp_path, "verify.json")
+                assert code == 0, (inst.meta, [item for item in rep["items"] if not item["ok"]])
+                reports += 1
+        assert reports == 32
+
     def test_noncommuting_echo_fails_exactly_what_reads_the_pair(self, tmp_path):
-        # left's basis is still an algebra, but it does not commute with
-        # left, so every certificate rebuilt from the pair fails; so do the
-        # operation on right and the checks that read it
+        # right's echo is left's whole entry, basis and dim: still an algebra,
+        # but it does not commute with left, so every certificate rebuilt
+        # from the pair fails; so do the operation on right and the checks
+        # that read it
         doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
         algebras = doc["instance"]["algebras"]
-        algebras["right"]["basis"] = algebras["left"]["basis"]
+        algebras["right"] = algebras["left"]
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(doc))
         code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
@@ -953,7 +987,7 @@ class TestVerifyReport:
     def test_an_operation_that_did_not_rebuild_is_named_not_malformed(self, tmp_path):
         doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
         algebras = doc["instance"]["algebras"]
-        algebras["right"]["basis"] = algebras["left"]["basis"]
+        algebras["right"] = algebras["left"]
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(doc))
         code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
@@ -962,6 +996,16 @@ class TestVerifyReport:
         assert not item["ok"]
         assert "operation rotate_right did not rebuild; see its own item" in item["detail"]
         assert "KeyError" not in item["detail"]
+
+    def test_a_forged_echoed_dimension_fails_its_algebra(self, tmp_path):
+        doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
+        doc["instance"]["algebras"]["left"]["dim"] = 5
+        bad = tmp_path / "forged.json"
+        bad.write_text(json.dumps(doc))
+        code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
+        assert code == 2
+        (item,) = [it for it in rep["items"] if it["target"] == "algebra left"]
+        assert not item["ok"] and item["detail"] == "ValidationError: recorded dim 5, recomputed 4"
 
     def test_what_reads_an_algebra_that_did_not_rebuild_names_it(self, tmp_path):
         doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())

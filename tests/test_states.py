@@ -242,6 +242,19 @@ class TestExtendState:
             single = extend_state(s1, s2, max_iter=2000)
             assert single.status == o.status
 
+    def test_a_gap_between_the_verify_and_refusal_cuts_stalls(self):
+        # the marginals on one projection of D = C + C differ by 5e-8: no
+        # density meets both within eps_verify, and no separating pair clears
+        # the refusal margin, so the iterates stop moving; the stall exit ends
+        # the run long before max_iter
+        d = generate_algebra([np.diag([1.0, 0.0])], 2)
+        s1 = state_from_density(d, np.diag([0.3, 0.7]))
+        s2 = state_from_density(d, np.diag([0.3 + 5e-8, 0.7 - 5e-8]))
+        out = extend_state(s1, s2)
+        assert out.status == "Undecided"
+        assert out.iterations < 1000
+        assert DEFAULT_TOL.eps_verify < out.residual < SEPARATION_MARGIN * DEFAULT_TOL.eps_verify
+
 
 class TestSeparatingPair:
     """The one refusal certificate, checked without the solver."""
