@@ -281,20 +281,25 @@ def commute_witness(
     a2: MatrixStarAlgebra,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(x, y, entry): the largest entry of [e_a0, c_b] over A1's first-column units and A2's basis.
+    """(x, y, entry): the largest entry of [e, f] over A1's column units e and A2's column units f and their adjoints.
 
-    The commutators are taken against the sum_k n_k <= n units e_a0 of A1's
-    structure, not its whole basis, and decide commutation exactly: the e_a0
-    and their adjoints generate A1 (e_ab = e_a0 e_b0*), and the span of A2 is
-    adjoint closed, with [e*, y] = -[e, y*]*.  So the pair commutes iff every
-    entry vanishes, and otherwise (x, y) is a pair of non-commuting elements.
+    The sum_k n_k <= n column units e_a0 of each structure, not the whole
+    bases, decide commutation exactly: the e_a0 and their adjoints generate
+    A1 (e_ab = e_a0 e_b0*, and sum_a e_aa is the central projection), the f
+    and f* generate A2 likewise, and [e, .] is a derivation with [e*, f] =
+    -[e, f*]*.  So the pair commutes iff every entry vanishes, and otherwise
+    x is a column unit of A1 and y a column unit of A2 or its adjoint, a pair
+    of non-commuting elements.
     """
     _check_same_ambient(a1, a2)
     e = np.concatenate(a1.structure(tol).column_units)
-    comm = products(e, a2.basis) - products(a2.basis, e).transpose(1, 0, 2, 3)
-    skew = np.abs(comm).reshape(len(e), a2.dim, -1).max(axis=2)
+    f = np.concatenate(a2.structure(tol).column_units)
+    f = np.concatenate([f, dagger(f)])
+    comm = products(e, f)
+    comm -= products(f, e).transpose(1, 0, 2, 3)
+    skew = np.abs(comm).max(axis=(2, 3))
     i, j = np.unravel_index(skew.argmax(), skew.shape)
-    return e[i], a2.basis[j], float(skew[i, j])
+    return e[i], f[j], float(skew[i, j])
 
 
 def mutually_commute(
@@ -328,7 +333,8 @@ class AlgebraStructure:
     every cluster of a class must have the rank of the class's first
     (lowest) cluster P_0.  Then z_k = sum_a P_a over the class, n_k is its
     number of clusters, m_k their rank, and e_a0 = P_a x P_0 sqrt(m_k) /
-    |P_a x P_0| (``column_units``), as P_a A P_0 is spanned by e_a0.
+    |P_a x P_0| (``column_units``), as P_a A P_0 is spanned by e_a0; e_00 is
+    P_0 up to a phase.
 
     The count sum_k n_k^2 = dim A certifies the grouping.  Say class K has
     p_K clusters holding N_Kk minimal projections of block k.  Every two of
@@ -343,11 +349,15 @@ class AlgebraStructure:
     ``projections``: the z_k, exactly 1 for a factor, by rank n_k m_k and then
     by the lowest eigenvalue of h in each, which no gauge moves: h depends on
     the span alone and its clusters lie CLUSTER_GAP apart.  ``sizes``,
-    ``multiplicities``: n_k and m_k.  The rest is built on first read:
-    ``blocks`` the pairs (n_k, m_k), ``offsets`` the first column of each
-    block in ``intertwiner``, ``units`` the verified matrix units e_ab = e_a0
-    e_b0*, and ``intertwiner`` the unitary W of the block form (checked by
-    ``structure_decomposition``).
+    ``multiplicities``: n_k and m_k.  ``leaders``: the eigenvectors of h
+    that span P_0 of each block, an (n, m_k) array each.  The rest is built
+    on first read: ``blocks`` the pairs (n_k, m_k), ``offsets`` the first
+    column of each block in ``intertwiner``, ``first_units`` the matrix units
+    e_a0 e_00* (so the first is the projection P_0), ``intertwiner`` the
+    unitary W of the block form from the first units and the leaders
+    (checked by ``structure_decomposition``), and ``units`` the verified
+    matrix units e_ab = e_a0 e_b0*, whose only reader is the cell basis of a
+    joint table (``independence.JointCells.cell_basis``).
     """
 
     algebra: MatrixStarAlgebra
@@ -366,10 +376,11 @@ class AlgebraStructure:
             found = [(np.eye(a.ambient_dim, dtype=complex), *found[0][1:])]
         else:
             found.sort(key=lambda block: len(block[1]) * block[2])  # rank n_k m_k; equal ranks keep h's order
-        self.projections = [z for z, _, _ in found]
-        self.column_units = [e for _, e, _ in found]
+        self.projections = [z for z, _, _, _ in found]
+        self.column_units = [e for _, e, _, _ in found]
         self.sizes = [len(e) for e in self.column_units]
-        self.multiplicities = [m for _, _, m in found]
+        self.multiplicities = [m for _, _, m, _ in found]
+        self.leaders = [v for _, _, _, v in found]
 
     @cached_property
     def blocks(self) -> list[tuple[int, int]]:
@@ -380,6 +391,11 @@ class AlgebraStructure:
     def offsets(self) -> list[int]:
         """The first column of each block in ``intertwiner``."""
         return np.cumsum([0] + [k * m for k, m in self.blocks])[:-1].tolist()
+
+    @cached_property
+    def first_units(self) -> list[np.ndarray]:
+        """The matrix units e_a0 e_00* of every block's first column, a stack (n_k, n, n) each."""
+        return [e @ dagger(e[0]) for e in self.column_units]
 
     @cached_property
     def units(self) -> list[np.ndarray]:
@@ -398,15 +414,15 @@ class AlgebraStructure:
     def intertwiner(self) -> np.ndarray:
         """W with W* a W = sum_k a_k (x) 1_{m_k}; read-only.
 
-        Column (alpha, s) of block k is e_alpha0 xi_s (``_cell_columns`` with
-        the unit 1), and W is the identity for M_n.
+        Column (alpha, s) of block k is (e_alpha0 e_00*) xi_s, with xi the
+        canonical basis of the range of P_0, which the leader eigenvectors
+        span; so W depends on the span of A alone.  W is the identity for M_n.
         """
         n = self.algebra.ambient_dim
         if self.algebra.dim == n * n:
             return _frozen(np.eye(n, dtype=complex))
-        one = np.eye(n, dtype=complex)[None, None]
-        cols = [_cell_columns(e, one, m).reshape(n, -1) for e, m in zip(self.units, self.multiplicities)]
-        return _frozen(np.concatenate(cols, axis=1))
+        cols = [e @ _column_basis(v) for e, v in zip(self.first_units, self.leaders)]
+        return _frozen(np.concatenate([c.transpose(1, 0, 2).reshape(n, -1) for c in cols], axis=1))
 
 
 def _seeded_elements(a: MatrixStarAlgebra, attempt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -421,12 +437,13 @@ def _seeded_elements(a: MatrixStarAlgebra, attempt: int) -> tuple[np.ndarray, np
 
 
 def _cluster_blocks(a, h, x, tol):
-    """[(z_k, e_k0 stack, m_k)] of each block, by lowest cluster, from one eigh of h (``AlgebraStructure``), or None.
+    """[(z_k, e_k0 stack, m_k, P_0's eigenvectors)] of each block, by lowest cluster, from one eigh of h, or None.
 
-    The cluster projections P_a are one masked product of the eigenvectors
-    V, and the corner norms |P_a x P_b| = |V_a* x V_b| are the norms of the
-    cluster blocks of V* x V.  One stable argsort of the class labels puts
-    the clusters class by class, so each z_k is one ``add.reduceat`` segment.
+    See ``AlgebraStructure``.  The cluster projections P_a are one masked
+    product of the eigenvectors V, and the corner norms |P_a x P_b| =
+    |V_a* x V_b| are the norms of the cluster blocks of V* x V.  One stable
+    argsort of the class labels puts the clusters class by class, so each
+    z_k is one ``add.reduceat`` segment.
     """
     w, v = np.linalg.eigh(h)
     label = np.zeros(len(w), dtype=np.intp)
@@ -451,7 +468,8 @@ def _cluster_blocks(a, h, x, tol):
     begins = ends - counts[leaders]
     order = np.argsort(first, kind="stable")  # class by class, each in cluster order
     z, units = np.add.reduceat(diag[order], begins, axis=0), units[order]
-    return [(z[k], units[b:e], int(ranks[lead])) for k, (lead, b, e) in enumerate(zip(leaders, begins, ends))]
+    return [(z[k], units[b:e], int(ranks[lead]), v[:, starts[lead]:starts[lead] + ranks[lead]])
+            for k, (lead, b, e) in enumerate(zip(leaders, begins, ends))]
 
 
 def _verify_units(units, z, tol):
@@ -465,21 +483,26 @@ def _verify_units(units, z, tol):
         raise IllConditioned("matrix-unit relations fail numerically")
 
 
+def _column_basis(v: np.ndarray) -> np.ndarray:
+    """The canonical orthonormal basis (``canonical_basis``) of the span of the columns of ``v``, as columns."""
+    return canonical_basis(v.T[:, :, None])[:, :, 0].T
+
+
 def _cell_columns(e: np.ndarray, f: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal columns e_a0 f_b0 xi_s spanning one joint cell, shape (n, k, l, rank).
 
-    ``e`` (k, k, n, n) and ``f`` (l, l, n, n) are matrix units of commuting
-    blocks, so e_00 f_00 is a projection; xi is a basis of its range (the
-    symmetrized corner's eigenvectors above CORNER_EIGENVALUE_CUT) in the
-    canonical gauge, so the columns depend on the units alone.  With f the
-    unit 1 they are one block's columns of the structure decomposition.
+    ``e`` (k, n, n) and ``f`` (l, n, n) are the first units of commuting
+    blocks (``AlgebraStructure.first_units``), so e[0] f[0] = P_0 Q_0 is a
+    projection; xi is a basis of its range (the symmetrized corner's
+    eigenvectors above CORNER_EIGENVALUE_CUT) in the canonical gauge, so the
+    columns depend on the units alone.
     """
-    corner = e[0, 0] @ f[0, 0]
+    corner = e[0] @ f[0]
     w, v = np.linalg.eigh(0.5 * (corner + dagger(corner)))
-    xi = canonical_basis(v[:, w > CORNER_EIGENVALUE_CUT].T[:, :, None])[:, :, 0].T
+    xi = _column_basis(v[:, w > CORNER_EIGENVALUE_CUT])
     if xi.shape[1] != rank:
         raise IllConditioned(f"corner projection has rank {xi.shape[1]}, expected {rank}")
-    return (e[:, None, 0] @ f[None, :, 0] @ xi).transpose(2, 0, 1, 3)
+    return (e[:, None] @ f[None, :] @ xi).transpose(2, 0, 1, 3)
 
 
 def structure_decomposition(

@@ -894,7 +894,8 @@ def find_interpolating_factor(
     The joint cell table decides (module docstring): a factor exists iff no
     cell is zero and mu[i,j] = a_i b_j for positive integer vectors a, b.
     U* is then assembled cell by cell from the columns e_alpha0 f_beta0 xi_s
-    (``algebra._cell_columns``) and verified by ``verify_interpolating_factor``.
+    of the first units (``algebra._cell_columns``) and verified by
+    ``verify_interpolating_factor``.
     A factor A1 is itself M, split by its structure intertwiner: U* = W
     with W* A1 W = M_{n1} (x) 1 (``AlgebraStructure.intertwiner``, the
     identity for A1 = M_n).  A non-commuting pair has none
@@ -937,8 +938,8 @@ def _factor_search(cells: JointCells, tol: Tolerances) -> FactorSearchOutcome:
     off1 = np.concatenate([[0], np.cumsum(sizes1 * avec)])
     off2 = np.concatenate([[0], np.cumsum(sizes2 * bvec)])
     udag = np.zeros((n, d1, d2), dtype=complex)  # column (p, q) of U*, p*d2 + q
-    units2 = a2.structure(tol).units
-    for i, e in enumerate(s1.units):
+    units2 = a2.structure(tol).first_units
+    for i, e in enumerate(s1.first_units):
         for j, f in enumerate(units2):
             # p = (alpha, s), q = (beta, t) inside the cell: e_{alpha 0} f_{beta 0} xi_{s b_j + t}
             cols = _cell_columns(e, f, mu[i, j])
@@ -1092,10 +1093,11 @@ def run_hierarchy_checks(
     table.  Nothing is drawn for a commuting pair, so ``seed`` does not
     matter there.  For non-commuting pairs the product-sense family is
     marked not applicable, the split property fails on the largest
-    commutator ``commute_witness`` finds (a matrix unit of the first algebra
-    and a basis element of the second), and the plain notion is refused by the
-    minimal-projection search (``check_cstar_independence``), whose draws
-    come from ``seed``.  No extension solver runs.  A plain refusal is serialized once:
+    commutator ``commute_witness`` finds (a column unit of the first algebra,
+    and a column unit of the second algebra or its adjoint), and the plain
+    notion is refused by the minimal-projection search
+    (``check_cstar_independence``), whose draws come from ``seed``.  No
+    extension solver runs.  A plain refusal is serialized once:
     ``wstar_independent``, ``op_cstar`` and ``op_wstar`` refer to it by key
     (``_readings_of_plain``).  The verdicts are audited against the
     implication table; a violation raises.

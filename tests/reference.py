@@ -1,10 +1,13 @@
 """Test-only reference routes: second constructions of facts the program builds one way.
 
-Each function here was once program code that no verb reached.  The tests
-compare the program's one route against these (the structure-built
-commutant against the kernel of the commutator stack, the instance
-builder's Lüders and preparation maps against their direct constructions),
-or use them as independent oracles (``is_psd`` on a Choi matrix).
+Each function here was once program code that no verb reached, or the
+route the program took before a faster one replaced it.  The tests compare
+the program's one route against these (the structure-built commutant against
+the kernel of the commutator stack, the intertwiner from the leader
+eigenvectors against the corner eigensolve, commutation unit against unit
+against the basis witness, the instance builder's Lüders and preparation maps
+against their direct constructions), or use them as independent oracles
+(``is_psd`` on a Choi matrix).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from staralg import (
+    AlgebraStructure,
     ChannelMap,
     IllConditioned,
     InvalidState,
@@ -24,6 +28,7 @@ from staralg import (
     channel_on_algebra,
     full_matrix_algebra,
 )
+from staralg.algebra import CORNER_EIGENVALUE_CUT, products
 from staralg.numerics import DEFAULT_TOL, RANK_GAP_FACTOR, Tolerances, canonical_basis, dagger, is_hermitian, vec
 
 #: Relative singular-value cut of :func:`null_space`: the kernel directions of
@@ -83,6 +88,37 @@ def null_space_commutant(a: MatrixStarAlgebra) -> MatrixStarAlgebra:
     kernel = null_space(np.concatenate([np.kron(eye, b) - np.kron(b.T, eye) for b in a.basis]), scale=1.0)
     # column k is the column-stacked vec(X_k); a row-major reshape gives X_k^T
     return MatrixStarAlgebra(n, canonical_basis(kernel.T.reshape(-1, n, n).transpose(0, 2, 1)))
+
+
+def corner_intertwiner(s: AlgebraStructure) -> np.ndarray:
+    """W from the full matrix-unit stacks: column (alpha, s) of block k is e_alpha0 xi_s.
+
+    xi is the canonical basis of the range of the corner e_00, read off a
+    second eigh of that corner (eigenvalues above CORNER_EIGENVALUE_CUT);
+    W is the identity for M_n.
+    """
+    n = s.algebra.ambient_dim
+    if s.algebra.dim == n * n:
+        return np.eye(n, dtype=complex)
+    cols = []
+    for e, m in zip(s.units, s.multiplicities):
+        w, v = np.linalg.eigh(0.5 * (e[0, 0] + dagger(e[0, 0])))
+        xi = canonical_basis(v[:, w > CORNER_EIGENVALUE_CUT].T[:, :, None])[:, :, 0].T
+        if xi.shape[1] != m:
+            raise IllConditioned(f"corner projection has rank {xi.shape[1]}, expected {m}")
+        cols.append((e[:, 0] @ xi).transpose(1, 0, 2).reshape(n, -1))
+    return np.concatenate(cols, axis=1)
+
+
+def basis_commute_witness(
+    a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(x, y, entry): the largest entry of [e_a0, c_b] over A1's column units and A2's whole basis."""
+    e = np.concatenate(a1.structure(tol).column_units)
+    comm = products(e, a2.basis) - products(a2.basis, e).transpose(1, 0, 2, 3)
+    skew = np.abs(comm).reshape(len(e), a2.dim, -1).max(axis=2)
+    i, j = np.unravel_index(skew.argmax(), skew.shape)
+    return e[i], a2.basis[j], float(skew[i, j])
 
 
 def identity_channel(n: int) -> ChannelMap:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import diag_algebra, join, left_factor, matrix_unit, right_factor
-from reference import is_psd, null_space, null_space_commutant
+from reference import basis_commute_witness, corner_intertwiner, is_psd, null_space, null_space_commutant
 from staralg import (
     FUZZ_FAMILIES,
     IllConditioned,
@@ -256,14 +256,24 @@ class TestStructureDecomposition:
             assert sd.offsets == [sum(k * m for k, m in want[:i]) for i in range(len(want))]
 
     def test_two_commutants_build_the_intertwiner_once(self, monkeypatch):
-        cell_columns, calls = algebra._cell_columns, []
-        monkeypatch.setattr(algebra, "_cell_columns", lambda *args: calls.append(1) or cell_columns(*args))
+        column_basis, calls = algebra._column_basis, []
+        monkeypatch.setattr(algebra, "_column_basis", lambda *args: calls.append(1) or column_basis(*args))
         a = canonical_block_algebra([(2, 2), (1, 3)], 7)
         first = commutant(a)
         assert len(calls) == 2  # one per block
         second = commutant(a)
         assert len(calls) == 2
         assert np.array_equal(first.basis, second.basis)
+
+    def test_the_intertwiner_agrees_with_the_corner_reference(self):
+        # the leader eigenvectors of h span the range of e_00, as the corner's second eigh does
+        algebras = [a for family in FUZZ_FAMILIES for s in (1, 2, 3)
+                    for inst in fuzz_instances(family, 10, s) for a in (inst.a1, inst.a2)]
+        algebras.append(canonical_block_algebra([(2, 2), (1, 3)], 7))
+        assert len(algebras) == 241
+        for a in algebras:
+            s = a.structure()
+            assert np.abs(s.intertwiner - corner_intertwiner(s)).max() <= 1e-12
 
     def test_full_algebra_trivial_decomposition(self):
         sd = structure_decomposition(full_matrix_algebra(4))
@@ -368,7 +378,7 @@ def commutator_stack_entry(a1, a2):
 
 
 class TestCommuteWitness:
-    """Commutation from A1's first-column matrix units against A2's basis."""
+    """Commutation from A1's column units against A2's column units and their adjoints."""
 
     def test_agrees_with_the_full_commutator_stack(self):
         from staralg.sampling import random_subalgebra
@@ -392,6 +402,7 @@ class TestCommuteWitness:
         for a1, a2 in pairs:
             x, y, entry = commute_witness(a1, a2)
             assert (entry <= eps) == (commutator_stack_entry(a1, a2) <= eps)
+            assert (entry <= eps) == (basis_commute_witness(a1, a2)[2] <= eps)
             if entry <= eps:
                 commuting += 1
             else:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -532,6 +535,35 @@ class TestHierarchy:
         report = run_hierarchy_checks(inst.a1, inst.a2, seed=1, samples=8, op_samples=2)
         assert all(v.status == "Holds" for v in report.verdicts.values())
         assert implication_violations(report.verdicts) == []
+
+    def test_a_commuting_hierarchy_builds_no_matrix_units(self, monkeypatch):
+        # the factor split and the cell columns read the first units alone
+        def refuse(*args):
+            raise AssertionError("a matrix-unit stack was built")
+
+        monkeypatch.setattr(algebra, "_verify_units", refuse)
+        rng = np.random.default_rng(367)
+        for inst in (tensor_pair(3, 4, rng), cell_pair(np.array([[1, 1], [1, 1]]), [1, 2], [1, 2], rng)):
+            report = run_hierarchy_checks(inst.a1, inst.a2)
+            assert all(v.status == "Holds" for v in report.verdicts.values())
+            for a in (inst.a1, inst.a2):
+                assert "units" not in a.structure().__dict__
+
+    def test_the_haar_10x10_hierarchy_stays_small(self):
+        # commutation unit against unit holds 10 x 20 commutators of 100 x 100, not 10 x 100
+        script = (
+            "import json, resource, numpy as np; from staralg import independence, sampling; "
+            "p = sampling.tensor_pair(10, 10, np.random.default_rng(7)); "
+            "r = independence.run_hierarchy_checks(p.a1, p.a2); "
+            "print(json.dumps([[v.status for v in r.verdicts.values()], "
+            "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(independence.__file__).resolve().parent.parent)}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+        statuses, peak_kb = json.loads(out.stdout)
+        assert statuses == ["Holds"] * 9
+        assert peak_kb / 1024 <= 350
 
     def test_same_algebra_all_fail(self):
         d = diag_algebra(2)
