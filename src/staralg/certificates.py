@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -20,12 +20,11 @@ from .errors import ParseError, ToolkitError, ValidationError
 from .independence import (
     FactorSearchOutcome,
     InterpolatingFactor,
-    JointCells,
+    PairPosition,
     Verdict,
     VerdictStatus,
-    find_interpolating_factor,
+    _factor_search,
     implication_violations,
-    joint_cells,
     verify_faithful_product_state,
     verify_interpolating_factor,
     verify_noncommuting_elements,
@@ -186,30 +185,25 @@ class _VerifyLog:
 
 
 @dataclass(eq=False)
-class _Pair:
-    """The algebra pair of one check entry, and the verdicts re-checked on it as refusals."""
+class _Pair(PairPosition):
+    """The position of one check entry's algebra pair, and the verdicts re-checked on it as refusals.
 
-    a1: MatrixStarAlgebra
-    a2: MatrixStarAlgebra
-    tol: Tolerances
+    The position is re-derived once per entry, by the code that decided the verdicts.
+    """
+
     refusals: dict[str, bool] = field(default_factory=dict)
-
-    @cached_property
-    def cells(self) -> JointCells:
-        """The pair's joint cell table, re-derived once per entry by the code that built it."""
-        return joint_cells(self.a1, self.a2, self.tol)
 
 
 def _check_implied(cert: dict, pair: _Pair) -> str:
     """The pair's re-derived cell table has no zero cell."""
-    if pair.cells.zero_cells:
-        raise ValidationError(f"the re-derived cell table has zero cells {pair.cells.zero_cells}")
-    return f"cell table {pair.cells.mu.tolist()} re-derived from the pair has no zero cell"
+    if pair.zero_cells:
+        raise ValidationError(f"the re-derived cell table has zero cells {pair.zero_cells}")
+    return f"cell table {pair.mu.tolist()} re-derived from the pair has no zero cell"
 
 
 def _check_isomorphism(cert: dict, pair: _Pair) -> str:
-    pair.cells.check_table(cert["mu"])
-    _check_recorded(cert, pair.cells.dims, pair.tol)
+    pair.check_table(cert["mu"])
+    _check_recorded(cert, pair.dims, pair.tol)
     return _check_implied(cert, pair)
 
 
@@ -226,36 +220,40 @@ def _check_factor(fdoc: dict, pair: _Pair) -> str:
 def _check_product_state(cert: dict, pair: _Pair) -> str:
     density = _array_in(cert["density"], (pair.a1.ambient_dim,) * 2, "density")
     residual = verify_faithful_product_state(density, pair.a1, pair.a2, pair.tol)
-    recomputed = {"dim_join": pair.cells.dims["dim_join"], "product_residual": residual, "faithful": True}
+    recomputed = {"dim_join": pair.dims["dim_join"], "product_residual": residual, "faithful": True}
     _check_recorded(cert, recomputed, pair.tol)
     return f"full-rank product of the tracial states (product residual {residual:.3e})"
 
 
 def _check_zero_cell(cert: dict, pair: _Pair, with_dims: bool = False) -> str:
     z1, z2 = (_array_in(cert[key], (pair.a1.ambient_dim,) * 2, key) for key in ("projection1", "projection2"))
-    pair.cells.check_zero_cell(cert["cell"], cert["mu"], z1, z2)
+    pair.check_zero_cell(cert["cell"], cert["mu"], z1, z2)
     if with_dims:
-        _check_recorded(cert, {**pair.cells.dims, "deficit": pair.cells.deficit}, pair.tol)
+        _check_recorded(cert, {**pair.dims, "deficit": pair.deficit}, pair.tol)
     return f"zero cell {cert['cell']} of the cell table re-derived from the pair"
 
 
 def _check_no_factor(cert: dict, pair: _Pair) -> str:
-    pair.cells.check_table(cert["mu"])
-    reason = _check_factor_outcome({"outcome": {"status": "NotFound"}}, pair.a1, pair.a2, pair.tol)
-    return f"re-derived cell table {pair.cells.mu.tolist()}: {reason}"
+    pair.check_table(cert["mu"])
+    return f"re-derived cell table {pair.mu.tolist()}: {_check_not_found(pair)}"
+
+
+def _check_not_found(pair: _Pair) -> str:
+    """The factor search, re-run on the pair's position, finds no factor; its reason."""
+    again = _factor_search(pair)
+    if again.status != "NotFound":
+        raise ValidationError("the factor search finds a factor for the pair")
+    return again.reason
 
 
 def _check_factor_outcome(entry: dict, a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, tol: Tolerances) -> str:
     """An ``interpolating_factor`` entry's outcome: a recorded factor, or a NotFound the search, re-run, gives again."""
-    outcome = entry["outcome"]
+    outcome, pair = entry["outcome"], _Pair(a1, a2, tol)
     if outcome["status"] == "Found":
-        return _check_factor(outcome["factor"], _Pair(a1, a2, tol))
+        return _check_factor(outcome["factor"], pair)
     if outcome["status"] != "NotFound":
         raise ValidationError(f"unknown status {outcome['status']!r}")
-    again = find_interpolating_factor(a1, a2, tol)
-    if again.status != "NotFound":
-        raise ValidationError("the factor search finds a factor for the pair")
-    return again.reason
+    return _check_not_found(pair)
 
 
 def _check_separating_pair(cert: dict, s1: AlgebraState, s2: AlgebraState, tol: Tolerances) -> str:

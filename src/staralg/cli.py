@@ -38,7 +38,7 @@ from .errors import IllConditioned, ParseError, ToolkitError, ValidationError
 from .independence import VERDICT_KEYS, implication_violations, run_hierarchy_checks
 from .instances import CHECKS, SCHEMA_VERSION, Instance, _check_name, _check_schema_version, _instance_section
 from .instances import _joint_extension, _load, _object, _product_transition, _read_json, _require, _tolerances
-from .instances import _verify_analyze, _verify_extend, run_check
+from .instances import _TOL_FIELDS, _verify_analyze, _verify_extend, run_check
 from .numerics import Tolerances
 from .sampling import fuzz_instances
 
@@ -269,11 +269,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 # ``analyze`` or ``extend`` report by the rows of its ``CHECKS``.
 
 
-def _verify_fuzz(doc: dict, where: str, _: Tolerances, log: _VerifyLog) -> None:
-    # the replay uses the tolerance of the original run, never an override
-    recorded = _object(doc.get("flags", {}), f"{where}: flags").get("tol")
-    fields = {} if recorded is None else {"eps_verify": recorded}
-    tol = _tolerances(fields, f"{where}: flags.tol", None)
+def _verify_fuzz(doc: dict, where: str, tol: Tolerances, log: _VerifyLog) -> None:
     if not isinstance(_require(doc, "family", where), str):
         raise ParseError(f"{where}: family: must be a string")
     for key in ("count", "seed", "samples"):
@@ -295,6 +291,24 @@ def _verify_fuzz(doc: dict, where: str, _: Tolerances, log: _VerifyLog) -> None:
     log.attempt("fuzz summary", regenerate)
 
 
+def _echoed_tolerances(doc: dict, path: str) -> Tolerances:
+    """The tolerances a report says it was made with: a fuzz report's ``flags.tol``, else its instance echo."""
+    if doc["command"] == "fuzz":
+        recorded = _object(doc.get("flags", {}), f"{path}: flags").get("tol")
+        return _tolerances({} if recorded is None else {"eps_verify": recorded}, f"{path}: flags.tol", None)
+    return _tolerances(_object(doc.get("instance", {}), f"{path}: instance").get("tolerances", {}),
+                       f"{path}: instance.tolerances", None)
+
+
+def _check_tolerances(echoed: Tolerances, tol: Tolerances) -> str:
+    """No echoed tolerance may be looser than the one in force: a report cannot lower the bar it is checked at."""
+    looser = [f"{key} {getattr(echoed, key):.1e} > {getattr(tol, key):.1e}"
+              for key in _TOL_FIELDS if getattr(echoed, key) > getattr(tol, key)]
+    if looser:
+        raise ValidationError(f"the report records looser tolerances than those in force: {', '.join(looser)}")
+    return "the report's tolerances are no looser than those in force"
+
+
 def cmd_verify_report(args: argparse.Namespace) -> int:
     """Re-validate the certificates in a machine-readable report."""
     started = time.perf_counter()
@@ -303,13 +317,14 @@ def cmd_verify_report(args: argparse.Namespace) -> int:
     if not isinstance(doc, dict) or "command" not in doc:
         raise ParseError(f"{path}: not a toolkit report (missing 'command')")
     _check_schema_version(doc, path)
-    inst = _object(doc.get("instance", {}), f"{path}: instance")
-    tol = _tolerances(inst.get("tolerances", {}), f"{path}: instance.tolerances", args.tol)
-    log = _VerifyLog()
     command = doc["command"]
     verify = {"analyze": _verify_analyze, "extend": _verify_extend, "fuzz": _verify_fuzz}
     if not isinstance(command, str) or command not in verify:
         raise ParseError(f"{path}: unknown report command {command!r}")
+    # the tolerances in force are the defaults with --tol applied; the report's own are only compared with them
+    tol, echoed = _tolerances({}, "--tol", args.tol), _echoed_tolerances(doc, path)
+    log = _VerifyLog()
+    log.attempt("tolerances", lambda: _check_tolerances(echoed, tol))
     try:
         verify[command](doc, path, tol, log)
     except (KeyError, TypeError) as exc:

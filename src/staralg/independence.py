@@ -19,7 +19,7 @@ multiplication map b_a (x) c_b -> b_a c_b onto the join is an isomorphism
 states no joint state extends, witnesses every product-sense failure; and
 the split property holds iff mu is an outer product of positive integer
 vectors.  The join is written down once, from the matrix units of the cells
-(``JointCells.cell_basis``), and ``joint_operation`` extends operations on
+(``PairPosition.cell_basis``), and ``joint_operation`` extends operations on
 it.  ``product_isomorphism`` builds the same identification as a validated
 ``ProductIsomorphism``; no program path calls it, and it serves as an
 independent reference.  For non-commuting pairs the product-sense family is
@@ -28,6 +28,9 @@ minimal projections p, q with p ^ q = 0 (``check_cstar_independence``); no
 extension solver runs.  Every plain refusal, on a zero cell or from the
 search, is one kind of witness: a separating pair checked by
 ``states.verify_separating_pair``.
+
+One ``PairPosition`` per decision holds the commutation witness and the
+cell table, and one private decider per notion reads it.
 """
 from __future__ import annotations
 
@@ -44,7 +47,6 @@ from .algebra import (
     _cell_columns,
     commute_witness,
     full_matrix_algebra,
-    mutually_commute,
     products,
 )
 from .channels import ChannelMap, build_channel
@@ -73,14 +75,13 @@ from .states import (
 __all__ = [
     "Verdict",
     "ProductIsomorphism",
-    "JointCells",
+    "PairPosition",
     "IndependenceReport",
     "InterpolatingFactor",
     "FactorSearchOutcome",
     "VERDICT_KEYS",
     "IMPLICATIONS",
     "implication_violations",
-    "joint_cells",
     "product_isomorphism",
     "check_product_sense",
     "check_cstar_independence",
@@ -134,7 +135,7 @@ NOT_APPLICABLE = "not applicable: the spans do not mutually commute"
 #: recomputed projection) that still counts as zero for minimal central
 #: projections, which hold to eps_algebra times the ambient dimension.  A
 #: pair that passes it is not trusted alone: a product-sense witness must
-#: also be a zero of the integer cell table (``JointCells.check_zero_cell``).
+#: also be a zero of the integer cell table (``PairPosition.check_zero_cell``).
 ANNIHILATION_CUT = 1e-7
 
 #: Trace below which a projection counts as zero: its trace is its rank, an
@@ -249,49 +250,82 @@ def product_isomorphism(
     """The validated product isomorphism of a commuting pair in product position.
 
     No program path calls it: it is the independent reference for the cell
-    basis and ``joint_operation``.  A zero joint cell raises
-    NoProductIsomorphism naming it, the rule every verdict uses.  Otherwise
+    basis and ``joint_operation``.  A pair out of product position raises as
+    every verdict decides (``PairPosition.in_product_position``).  Otherwise
     the join is the cell basis g, on which b_a c_b = sum_kl C1[k, a] C2[l, b]
-    w_kl g_kl (``JointCells.cell_basis``): the map is diag(w) (C1 (x) C2),
+    w_kl g_kl (``PairPosition.cell_basis``): the map is diag(w) (C1 (x) C2),
     and its inverse (C1 (x) C2)* diag(1/w) as C1 and C2 are unitary.  The exact check of ``validate`` rebuilds the map from the
-    three bases, independently of this; one ``commute_witness`` serves it
-    and the commutation test.
+    three bases, independently of this; the position's ``commute_witness``
+    serves it and the commutation test.
     """
-    skew = commute_witness(a1, a2, tol)[2]
-    if skew > tol.eps_algebra:
-        raise NotCommuting("a product isomorphism requires a commuting pair")
-    cells = _joint_cells(a1, a2, tol)
-    if cells.zero_cells:
-        i, j = cells.zero_cells[0]
-        raise NoProductIsomorphism(f"the pair is not in product position: joint cell ({i},{j}) is zero")
-    g, w, c1, c2 = cells.cell_basis
+    pos = PairPosition(a1, a2, tol)
+    pos.in_product_position("a product isomorphism requires a commuting pair")
+    g, w, c1, c2 = pos.cell_basis
     jn = MatrixStarAlgebra(a1.ambient_dim, g.reshape(-1, a1.ambient_dim, a1.ambient_dim))
     w, coeffs = w.reshape(-1), np.kron(c1, c2)
     iso = ProductIsomorphism(a1, a2, jn, dagger(coeffs) / w, w[:, None] * coeffs)
-    iso._residuals(*_multiplication_map(a1, a2, jn), skew, tol)
+    iso._residuals(*_multiplication_map(a1, a2, jn), pos.witness[2], tol)
     return iso
 
 
 @dataclass(eq=False)
-class JointCells:
-    """The joint cell table of a commuting pair (module docstring).
+class PairPosition:
+    """How two algebras sit together: whether they commute, and the joint cell table of a commuting pair.
 
-    z_i = ``projections1[i]`` has block M_{sizes1[i]} in A1 and w_j =
-    ``projections2[j]`` block M_{sizes2[j]} in A2, in the gauge-free order
-    of the structure cache; ``ranks[i, j]`` = tr(z_i w_j) and ``mu`` the
-    integer ranks / (n_i m_j).  Zero cells are listed row by row.  The cell
-    basis of the join is built on first use (``cell_basis``).
+    Each part is built on first read and kept for the life of the position,
+    which serves one decision and is never cached on an algebra.
+    ``witness`` is ``commute_witness``'s (x, y, entry) and ``commutes``
+    whether that entry is within eps_algebra.  The table of a commuting pair
+    (module docstring): z_i = ``projections1[i]`` has block M_{sizes1[i]} in
+    A1 and w_j = ``projections2[j]`` block M_{sizes2[j]} in A2, in the
+    gauge-free order of the structure cache, and ``mu`` is the integer
+    table rank(z_i w_j) / (n_i m_j), as z_i w_j is a projection.  Zero cells
+    are listed row by row.  Reading any part of the table of a pair that does
+    not commute raises NotCommuting.
     """
 
     a1: MatrixStarAlgebra
     a2: MatrixStarAlgebra
-    projections1: list[np.ndarray]
-    projections2: list[np.ndarray]
-    sizes1: np.ndarray
-    sizes2: np.ndarray
-    ranks: np.ndarray
-    mu: np.ndarray
-    tol: Tolerances
+    tol: Tolerances = DEFAULT_TOL
+
+    @cached_property
+    def witness(self) -> tuple[np.ndarray, np.ndarray, float]:
+        return commute_witness(self.a1, self.a2, self.tol)
+
+    @property
+    def commutes(self) -> bool:
+        return self.witness[2] <= self.tol.eps_algebra
+
+    @cached_property
+    def _table(self) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+        """(projections1, projections2, sizes1, sizes2, mu) of a commuting pair."""
+        if not self.commutes:
+            raise NotCommuting("the joint cell table requires a commuting pair")
+        s1, s2 = self.a1.structure(self.tol), self.a2.structure(self.tol)
+        sizes1, sizes2 = np.array(s1.sizes), np.array(s2.sizes)
+        ranks = np.einsum("ikl,jlk->ij", np.stack(s1.projections), np.stack(s2.projections)).real
+        counts = ranks / np.outer(sizes1, sizes2)
+        mu = np.rint(counts).astype(int)
+        bad = np.argwhere(np.abs(counts - mu) > COUNT_CUT)
+        if bad.size:
+            i, j = bad[0]
+            raise IllConditioned(f"joint cell ({i},{j}) has rank {ranks[i, j]:.6f}, not a multiple "
+                                 f"of {sizes1[i] * sizes2[j]}")
+        return s1.projections, s2.projections, sizes1, sizes2, mu
+
+    projections1 = property(lambda self: self._table[0])
+    projections2 = property(lambda self: self._table[1])
+    sizes1 = property(lambda self: self._table[2])
+    sizes2 = property(lambda self: self._table[3])
+    mu = property(lambda self: self._table[4])
+
+    def in_product_position(self, refusal: str) -> None:
+        """Raise NotCommuting(``refusal``) for a pair that does not commute, NoProductIsomorphism for a zero cell."""
+        if not self.commutes:
+            raise NotCommuting(refusal)
+        if self.zero_cells:
+            i, j = self.zero_cells[0]
+            raise NoProductIsomorphism(f"the pair is not in product position: joint cell ({i},{j}) is zero")
 
     @cached_property
     def cell_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -376,32 +410,6 @@ class JointCells:
             raise ValidationError("not nonzero projections of the two algebras with z1 z2 = 0")
 
 
-def joint_cells(
-    a1: MatrixStarAlgebra,
-    a2: MatrixStarAlgebra,
-    tol: Tolerances = DEFAULT_TOL,
-) -> JointCells:
-    """The joint cell table of a commuting pair, from each algebra's cached structure."""
-    if not mutually_commute(a1, a2, tol):
-        raise NotCommuting("the joint cell table requires a commuting pair")
-    return _joint_cells(a1, a2, tol)
-
-
-def _joint_cells(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, tol: Tolerances) -> JointCells:
-    """``joint_cells`` of a commuting pair, where z_i w_j is a projection of rank tr(z_i w_j)."""
-    s1, s2 = a1.structure(tol), a2.structure(tol)
-    sizes1, sizes2 = np.array(s1.sizes), np.array(s2.sizes)
-    ranks = np.einsum("ikl,jlk->ij", np.stack(s1.projections), np.stack(s2.projections)).real
-    counts = ranks / np.outer(sizes1, sizes2)
-    mu = np.rint(counts).astype(int)
-    bad = np.argwhere(np.abs(counts - mu) > COUNT_CUT)
-    if bad.size:
-        i, j = bad[0]
-        raise IllConditioned(f"joint cell ({i},{j}) has rank {ranks[i, j]:.6f}, not a multiple "
-                             f"of {sizes1[i] * sizes2[j]}")
-    return JointCells(a1, a2, s1.projections, s2.projections, sizes1, sizes2, ranks, mu, tol)
-
-
 def check_product_sense(
     a1: MatrixStarAlgebra,
     a2: MatrixStarAlgebra,
@@ -414,16 +422,16 @@ def check_product_sense(
     Holds records the cell table and the dimensions, Fails the deficit and
     the first zero cell.  No join is built.  A non-commuting pair is Undecided.
     """
-    if not mutually_commute(a1, a2, tol):
+    return _product_sense(PairPosition(a1, a2, tol))
+
+
+def _product_sense(pos: PairPosition) -> Verdict:
+    if not pos.commutes:
         return Verdict.undecided(NOT_APPLICABLE)
-    return _product_sense(_joint_cells(a1, a2, tol))
-
-
-def _product_sense(cells: JointCells) -> Verdict:
-    dims = {**cells.dims, "mu": cells.mu}
-    if not cells.zero_cells:
+    dims = {**pos.dims, "mu": pos.mu}
+    if not pos.zero_cells:
         return Verdict.holds({"kind": "product_isomorphism", **dims})
-    return Verdict.fails({"kind": "dimension_deficit", **dims, "deficit": cells.deficit, **cells.zero_cell_witness()})
+    return Verdict.fails({"kind": "dimension_deficit", **dims, "deficit": pos.deficit, **pos.zero_cell_witness()})
 
 
 #: Holds certificate of every notion that product position implies.  It
@@ -496,17 +504,18 @@ def check_cstar_independence(
     that ||pq||.
     Every Fails witness is a ``separating_pair`` with its ``witness_states``.
     """
-    if mutually_commute(a1, a2, tol):
-        return _plain_verdict(_joint_cells(a1, a2, tol), tol)
-    return _projection_search(a1, a2, np.random.default_rng(0 if rng is None else rng), tol)  # a Generator passes through
+    rng = np.random.default_rng(0 if rng is None else rng)  # a Generator passes through
+    return _plain_verdict(PairPosition(a1, a2, tol), rng)
 
 
-def _plain_verdict(cells: JointCells, tol: Tolerances) -> Verdict:
-    """Routes (i) and (ii) of ``check_cstar_independence``, from the cell table."""
-    if not cells.zero_cells:
+def _plain_verdict(pos: PairPosition, rng: np.random.Generator) -> Verdict:
+    """The three routes of ``check_cstar_independence``: (i) and (ii) from the cell table, (iii) from ``rng``."""
+    if not pos.commutes:
+        return _projection_search(pos.a1, pos.a2, rng, pos.tol)
+    if not pos.zero_cells:
         return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM))
-    i, j = cells.zero_cells[0]
-    return _refusal(cells.a1, cells.a2, cells.projections1[i], cells.projections2[j], tol)
+    i, j = pos.zero_cells[0]
+    return _refusal(pos.a1, pos.a2, pos.projections1[i], pos.projections2[j], pos.tol)
 
 
 def _refusal(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, p: np.ndarray, q: np.ndarray, tol: Tolerances) -> Verdict:
@@ -617,23 +626,23 @@ def check_wstar_product_sense(
     """Existence of normal product extensions for all normal marginal pairs.
 
     Holds exactly in product position, certified by the closed-form product
-    of the two tracial states (``JointCells.product_density``), a full-rank
+    of the two tracial states (``PairPosition.product_density``), a full-rank
     state of M_n; no join is built.  Otherwise the first zero cell is the
     witness: z_i (x) w_j is a multiplication relation (z_i w_j = 0) to which
     the states concentrated on z_i and w_j give the product value 1.
     A non-commuting pair is Undecided.
     """
-    if not mutually_commute(a1, a2, tol):
+    return _wstar_product_sense(PairPosition(a1, a2, tol))
+
+
+def _wstar_product_sense(pos: PairPosition) -> Verdict:
+    if not pos.commutes:
         return Verdict.undecided(NOT_APPLICABLE)
-    return _wstar_product_sense(_joint_cells(a1, a2, tol), tol)
-
-
-def _wstar_product_sense(cells: JointCells, tol: Tolerances) -> Verdict:
-    if cells.zero_cells:
+    if pos.zero_cells:
         return Verdict.fails(
             {
                 "kind": "multiplication_relation",
-                **cells.zero_cell_witness(),
+                **pos.zero_cell_witness(),
                 "reasoning": (
                     "z_i (x) w_j maps to z_i w_j = 0, yet the states "
                     "concentrated on z_i and w_j give it the product value 1, "
@@ -641,14 +650,14 @@ def _wstar_product_sense(cells: JointCells, tol: Tolerances) -> Verdict:
                 ),
             }
         )
-    density = cells.product_density()
+    density = pos.product_density()
     return Verdict.holds(
         {
             "kind": "faithful_product_state",
             "density": density,
             "faithful": True,
-            "product_residual": verify_faithful_product_state(density, cells.a1, cells.a2, tol),
-            "dim_join": cells.dims["dim_join"],
+            "product_residual": verify_faithful_product_state(density, pos.a1, pos.a2, pos.tol),
+            "dim_join": pos.dims["dim_join"],
         }
     )
 
@@ -680,7 +689,7 @@ def joint_operation(
 
     The pair of domains must be in product position.  On the cell basis g of
     the join, b_a c_b = sum_kl C1[k, a] C2[l, b] w_kl g_kl
-    (``JointCells.cell_basis``), so x y -> T1(x) T2(y) has the join
+    (``PairPosition.cell_basis``), so x y -> T1(x) T2(y) has the join
     coefficients diag(w) (C1 (x) C2) (R1 (x) R2) (C1 (x) C2)* diag(1/w), R
     the operations' coefficient matrices; the expectation onto the join
     completes it to the ambient algebra (Roos 1970).  The result must pass
@@ -699,13 +708,9 @@ def _joint_operation(t1: ChannelMap, t2: ChannelMap, tol: Tolerances) -> tuple[C
     n = a1.ambient_dim
     if a2.ambient_dim != n:
         raise AmbientMismatch("operation domains live in different ambient spaces")
-    if not mutually_commute(a1, a2, tol):
-        raise NotCommuting("a joint operation requires a commuting pair of domains")
-    cells = _joint_cells(a1, a2, tol)
-    if cells.zero_cells:
-        i, j = cells.zero_cells[0]
-        raise NoProductIsomorphism(f"the pair is not in product position: joint cell ({i},{j}) is zero")
-    g, w, c1, c2 = cells.cell_basis
+    pos = PairPosition(a1, a2, tol)
+    pos.in_product_position("a joint operation requires a commuting pair of domains")
+    g, w, c1, c2 = pos.cell_basis
     w, c = w.reshape(-1), np.kron(c1, c2)
     coeff = (w[:, None] * c) @ np.kron(_coefficient_matrix(t1), _coefficient_matrix(t2)) @ (dagger(c) / w)
     jb = MatrixStarAlgebra(n, g.reshape(-1, n, n)).basis_vecs
@@ -898,22 +903,22 @@ def find_interpolating_factor(
     ``verify_interpolating_factor``.
     A factor A1 is itself M, split by its structure intertwiner: U* = W
     with W* A1 W = M_{n1} (x) 1 (``AlgebraStructure.intertwiner``, the
-    identity for A1 = M_n).  A non-commuting pair has none
-    (``_noncommuting_split``).
+    identity for A1 = M_n).  A non-commuting pair has none: M would make
+    A1 commute with A2 elementwise.
     """
-    if not mutually_commute(a1, a2, tol):
+    return _factor_search(PairPosition(a1, a2, tol))
+
+
+def _factor_search(pos: PairPosition) -> FactorSearchOutcome:
+    if not pos.commutes:
         return FactorSearchOutcome("NotFound", reason=_NONCOMMUTING_REASON)
-    return _factor_search(_joint_cells(a1, a2, tol), tol)
-
-
-def _factor_search(cells: JointCells, tol: Tolerances) -> FactorSearchOutcome:
-    a1, a2, n = cells.a1, cells.a2, cells.a1.ambient_dim
+    a1, a2, tol, n = pos.a1, pos.a2, pos.tol, pos.a1.ambient_dim
     s1 = a1.structure(tol)
     if s1.is_factor:
         factor = verify_interpolating_factor(dagger(s1.intertwiner), s1.sizes[0], s1.multiplicities[0], a1, a2, tol)
         return FactorSearchOutcome("Found", factor, reason="the first algebra is itself a factor")
-    if cells.zero_cells:
-        i, j = cells.zero_cells[0]
+    if pos.zero_cells:
+        i, j = pos.zero_cells[0]
         return FactorSearchOutcome(
             "NotFound",
             reason=(
@@ -922,7 +927,7 @@ def _factor_search(cells: JointCells, tol: Tolerances) -> FactorSearchOutcome:
                 "position and no interpolating factor exists"
             ),
         )
-    mu, sizes1, sizes2 = cells.mu, cells.sizes1, cells.sizes2
+    mu, sizes1, sizes2 = pos.mu, pos.sizes1, pos.sizes2
     factorization = _integer_rank_one_factorization(mu)
     if factorization is None:
         return FactorSearchOutcome(
@@ -965,19 +970,22 @@ def check_spatial_product_sense(
     residuals (unitarity and the two tensor legs) imply A1 in M, M in A2'
     and the factorization U x y U* = (x-leg) (x) (y-leg) of every product
     (``verify_interpolating_factor``); no product is formed here.  Fails
-    records the cell table, or the hierarchy's ``_noncommuting_split``.
+    records the cell table, or for a non-commuting pair the largest
+    commutator of the position's ``commute_witness``.
     """
-    x, y, skew = commute_witness(a1, a2, tol)
-    if not skew <= tol.eps_algebra:
-        return _noncommuting_split(x, y, a1, a2, tol)
-    cells = _joint_cells(a1, a2, tol)
-    return _split_verdict(_factor_search(cells, tol), cells)
+    return _split_verdict(PairPosition(a1, a2, tol))
 
 
-def _split_verdict(outcome: FactorSearchOutcome, cells: JointCells) -> Verdict:
+def _split_verdict(pos: PairPosition) -> Verdict:
+    if not pos.commutes:  # refused by the position's witness: x in A1 and y in A2 that do not commute
+        x, y, _ = pos.witness
+        return Verdict.fails({"kind": "noncommuting_elements", "element1": x, "element2": y,
+                              "commutator_norm": verify_noncommuting_elements(x, y, pos.a1, pos.a2, pos.tol),
+                              "reasoning": _NONCOMMUTING_REASON})
+    outcome = _factor_search(pos)
     if outcome.status == "NotFound":
         return Verdict.fails(
-            {"kind": "no_interpolating_factor", "reason": outcome.reason, "mu": cells.mu}
+            {"kind": "no_interpolating_factor", "reason": outcome.reason, "mu": pos.mu}
         )
     return Verdict.holds(
         {"kind": "factorizing_unitary", "factor": outcome.factor, "search_note": outcome.reason}
@@ -1066,12 +1074,24 @@ def verify_noncommuting_elements(
 _NONCOMMUTING_REASON = "an interpolating factor would force the first algebra to commute with the second elementwise"
 
 
-def _noncommuting_split(x: np.ndarray, y: np.ndarray, a1: MatrixStarAlgebra, a2: MatrixStarAlgebra,
-                        tol: Tolerances) -> Verdict:
-    """The split property's refusal by ``commute_witness``'s elements x of A1 and y of A2."""
-    return Verdict.fails({"kind": "noncommuting_elements", "element1": x, "element2": y,
-                          "commutator_norm": verify_noncommuting_elements(x, y, a1, a2, tol),
-                          "reasoning": _NONCOMMUTING_REASON})
+def _op_product(pos: PairPosition) -> Verdict:
+    """op_cstar_product and op_wstar_product: Hold exactly in product position, else Fail on the zero cell."""
+    if not pos.commutes:
+        return Verdict.undecided(NOT_APPLICABLE)
+    if not pos.zero_cells:
+        return Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM))
+    return Verdict.fails(
+        {
+            "kind": "product_position_failure",
+            **pos.zero_cell_witness(),
+            "reasoning": (
+                "for a commuting pair, multiplicative joint "
+                "extensions of faithful nonselective operations "
+                "exist exactly in product position, which the "
+                "zero cell z_i w_j = 0 rules out"
+            ),
+        }
+    )
 
 
 def run_hierarchy_checks(
@@ -1084,8 +1104,9 @@ def run_hierarchy_checks(
 ) -> IndependenceReport:
     """Decide all nine independence notions for one pair and cross-check.
 
-    One straight pass: commutation is tested once, and each verdict is set
-    once, by the check that decides it.  A commuting pair is decided by its
+    One straight pass over one ``PairPosition``: commutation is tested once
+    and the cell table built once, and each verdict is set once, by the
+    decider of the check that decides it.  A commuting pair is decided by its
     joint cell table (module docstring): without a zero cell every notion
     but the split property Holds; with one, the product-sense family fails
     on that cell and the plain notion on the separating pair of its two
@@ -1113,40 +1134,16 @@ def run_hierarchy_checks(
         "strictness of the hierarchy",
     ]
 
-    x, y, skew = commute_witness(a1, a2, tol)
-    if skew <= tol.eps_algebra:
-        cells = _joint_cells(a1, a2, tol)
-        ps = _product_sense(cells)
-        verdicts = {
-            "cstar_product_sense": ps,
-            "wstar_product_sense": _wstar_product_sense(cells, tol),
-            "cstar_independent": _plain_verdict(cells, tol),
-            "split": _split_verdict(_factor_search(cells, tol), cells),
-        }
-        for key in ("op_cstar_product", "op_wstar_product"):
-            if ps.status == "Holds":
-                verdicts[key] = Verdict.holds(dict(IMPLIED_BY_PRODUCT_ISOMORPHISM))
-            else:
-                verdicts[key] = Verdict.fails(
-                    {
-                        "kind": "product_position_failure",
-                        **cells.zero_cell_witness(),
-                        "reasoning": (
-                            "for a commuting pair, multiplicative joint "
-                            "extensions of faithful nonselective operations "
-                            "exist exactly in product position, which the "
-                            "zero cell z_i w_j = 0 rules out"
-                        ),
-                    }
-                )
-    else:
-        verdicts = {
-            key: Verdict.undecided(NOT_APPLICABLE)
-            for key in ("cstar_product_sense", "wstar_product_sense",
-                        "op_cstar_product", "op_wstar_product")
-        }
-        verdicts["split"] = _noncommuting_split(x, y, a1, a2, tol)
-        verdicts["cstar_independent"] = _projection_search(a1, a2, rng, tol)
+    pos = PairPosition(a1, a2, tol)
+    verdicts = {
+        "cstar_product_sense": _product_sense(pos),
+        "wstar_product_sense": _wstar_product_sense(pos),
+        "cstar_independent": _plain_verdict(pos, rng),
+        "split": _split_verdict(pos),
+        "op_cstar_product": _op_product(pos),
+        "op_wstar_product": _op_product(pos),
+    }
+    if not pos.commutes:
         notes.append(
             "the product-sense family requires a commuting pair and is "
             "marked not applicable here"

@@ -6,9 +6,9 @@ import numpy as np
 
 from staralg import (
     MatrixStarAlgebra,
+    PairPosition,
     full_matrix_algebra,
     generate_algebra,
-    joint_cells,
     mutually_commute,
 )
 from staralg.numerics import DEFAULT_TOL, canonical_basis, dagger, kron
@@ -39,12 +39,12 @@ def join(a1: MatrixStarAlgebra, a2: MatrixStarAlgebra, tol=DEFAULT_TOL) -> Matri
 
     For a commuting pair it is the span of the products b_a c_b, which the
     normalized products of the matrix units over the nonzero joint cells
-    give orthonormally (``JointCells.cell_basis``); other pairs are closed
+    give orthonormally (``PairPosition.cell_basis``); other pairs are closed
     by ``generate_algebra``.
     """
     if not mutually_commute(a1, a2, tol):
         return generate_algebra(np.concatenate([a1.basis, a2.basis]), a1.ambient_dim, tol)
-    g, w, _, _ = joint_cells(a1, a2, tol).cell_basis
+    g, w, _, _ = PairPosition(a1, a2, tol).cell_basis
     return MatrixStarAlgebra(a1.ambient_dim, canonical_basis(g[w > 0]))
 
 

@@ -31,7 +31,7 @@ from staralg import (
 )
 from staralg import algebra, numerics
 from staralg.algebra import _verify_structure, products
-from staralg.independence import joint_cells, run_hierarchy_checks, state_preparation, verify_noncommuting_elements
+from staralg.independence import PairPosition, run_hierarchy_checks, state_preparation, verify_noncommuting_elements
 from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, kron, vec
 from staralg.sampling import canonical_block_algebra, cell_pair, conjugate_algebra, tensor_pair
 from staralg.states import (
@@ -753,7 +753,7 @@ class TestSpanOperator:
                 structures = [a.structure() for a in (a1, a2)]
                 u, v = (np.concatenate([e.reshape(-1, *e.shape[2:]) / np.sqrt(m)
                                         for e, m in zip(s.units, s.multiplicities)]) for s in structures)
-                _, _, c1, c2 = joint_cells(a1, a2).cell_basis
+                _, _, c1, c2 = PairPosition(a1, a2).cell_basis
                 for c, x, a in ((c1, u, a1), (c2, v, a2)):
                     old = x.reshape(len(x), -1).conj() @ a.basis.reshape(a.dim, -1).T
                     assert np.abs(c - old).max() <= 1e-12

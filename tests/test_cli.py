@@ -150,6 +150,7 @@ MALFORMED_REPORT_FIELDS = [
     ("instance.tolerances.eps_verify", "tensor_pair_m6", ("instance", "tolerances"), {"eps_verify": "a"}),
     ("schema_version", "tensor_pair_m6", ("schema_version",), 99),
     ("samples", "fuzz_tensor_split_5_seed7", ("samples",), "x"),
+    ("flags.tol.eps_verify", "fuzz_tensor_split_5_seed7", ("flags", "tol"), -1.0),
 ]
 
 
@@ -376,6 +377,12 @@ class TestAnalyze:
         assert set(tol) == {"eps_herm", "eps_psd", "eps_algebra", "eps_verify"}
         assert all(v > 0 for v in tol.values())
 
+    def test_timing_records_the_wall_clock_only_when_asked(self, tmp_path):
+        code, timed = run_json(["analyze", "instances/same_algebra_m2.json", "--timing"], tmp_path, "timed.json")
+        assert code == 0 and type(timed["wall_clock_seconds"]) is float and timed["wall_clock_seconds"] >= 0
+        code, plain = run_json(["analyze", "instances/same_algebra_m2.json"], tmp_path)
+        assert code == 0 and plain["wall_clock_seconds"] is None
+
 
 class TestExtend:
     def test_identity_pair_has_negligible_residuals(self, tmp_path):
@@ -513,8 +520,9 @@ class TestFuzz:
         for count in (1_000_000, 4):
             bad = write_edited(golden, ["count"], count, tmp_path)
             code, audit = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
-            (item,) = audit["items"]
+            tolerances, item = audit["items"]
             assert code == 2 and not audit["all_ok"]
+            assert tolerances["target"] == "tolerances" and tolerances["ok"]
             assert item["target"] == "fuzz summary" and f"count {count} differs" in item["detail"]
 
     def test_repeated_seed_is_byte_identical(self, tmp_path):
@@ -807,6 +815,25 @@ class TestVerifyReport:
         del doc["joint_extension"]["product_transition"]
         return "product_transition"
 
+    @staticmethod
+    def loosen_echoed_tolerance(doc):
+        # forged factors with residuals near 0.2, in a report that claims to
+        # have been made at eps_verify 0.5: the verifier keeps its own 1e-8
+        rng = np.random.default_rng(0)
+        entry = next(c for c in doc["checks"] if c["check"] == "interpolating_factor")
+        for factor in (doc["checks"][0]["verdicts"]["split"]["certificate"]["factor"], entry["outcome"]["factor"]):
+            unitary = array_from_json(factor["unitary"])
+            factor["unitary"] = array_to_json(unitary + 0.05 * rng.standard_normal(unitary.shape))
+        doc["instance"]["tolerances"]["eps_verify"] = 0.5
+        return ("tolerances", "split factor", "interpolating_factor factor")
+
+    @staticmethod
+    def forge_echoed_dimension(doc):
+        # the algebra fails its own item, and so does everything built on it
+        doc["instance"]["algebras"]["left"]["dim"] = 5
+        return ("algebra left", "state phi_left", "operation measure_left", "operation prep_left",
+                "extend_state", "joint_operation", "interpolating_factor factor")
+
     # tamper -> the golden report it edits
     TAMPERS = {
         "corrupt_extension_density": "tensor_pair_m6",
@@ -850,6 +877,8 @@ class TestVerifyReport:
         "swap_in_the_identity_map": "tensor_pair_m6",
         "refuse_an_extended_preparation": "tensor_prep_extend",
         "drop_the_product_transition": "tensor_prep_extend",
+        "loosen_echoed_tolerance": "tensor_pair_m6",
+        "forge_echoed_dimension": "tensor_pair_m6",
     }
 
     @pytest.mark.parametrize("tamper", list(TAMPERS))
@@ -866,6 +895,28 @@ class TestVerifyReport:
         failed = [item["target"] for item in rep["items"] if not item["ok"]]
         assert failed and all(t.endswith(targets) for t in failed), failed
         assert all(any(t.endswith(want) for t in failed) for want in targets), failed
+
+    def test_each_echoed_tolerance_may_be_tighter_but_not_looser(self, tmp_path):
+        golden = GOLDEN / "tensor_pair_m6.report.json"
+        for key in ("eps_herm", "eps_psd", "eps_algebra", "eps_verify"):
+            for scale in (0.5, 1.0, 2.0):
+                doc = json.loads(golden.read_text())
+                doc["instance"]["tolerances"][key] *= scale
+                bad = tmp_path / "echo.json"
+                bad.write_text(json.dumps(doc))
+                code, rep = run_json(["verify-report", str(bad)], tmp_path, "verify.json")
+                failed = {item["target"]: item["detail"] for item in rep["items"] if not item["ok"]}
+                assert rep["items"][0]["target"] == "tolerances"
+                assert (code, list(failed)) == ((0, []) if scale <= 1 else (2, ["tolerances"])), (key, scale)
+                assert scale <= 1 or key in failed["tolerances"]
+
+    def test_a_fuzz_replay_runs_at_the_tolerance_in_force(self, tmp_path):
+        golden = GOLDEN / "fuzz_tensor_split_5_seed7.report.json"
+        for recorded, expected in ((1e-9, 0), (1e-6, 2)):
+            code, rep = run_json(["verify-report", str(write_edited(golden, ["flags", "tol"], recorded, tmp_path))],
+                                 tmp_path, "verify.json")
+            failed = [item["target"] for item in rep["items"] if not item["ok"]]
+            assert (code, failed) == (expected, [] if expected == 0 else ["tolerances"]), recorded
 
     def test_a_null_entry_fails_the_item_that_names_it(self, tmp_path):
         doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
@@ -1062,9 +1113,9 @@ class TestPackage:
         AlgebraState AlgebraStructure AmbientMismatch ChannelMap DEFAULT_TOL DomainNotFull
         EVIDENCE_STATUS ExtensionOutcome FUZZ_FAMILIES FactorSearchOutcome IMPLICATIONS
         IllConditioned IndependenceReport InterpolatingFactor InvalidMeasurement
-        InvalidState JointCells KINDS Kind KrausSet MatrixStarAlgebra
+        InvalidState KINDS Kind KrausSet MatrixStarAlgebra
         NoProductIsomorphism NotCP NotCommuting NotNonselective
-        PairInstance ParseError ProductIsomorphism ProjectiveMeasurement
+        PairInstance PairPosition ParseError ProductIsomorphism ProjectiveMeasurement
         ShapeMismatch StinespringDilation Tolerances ToolkitError
         UnknownFamily VERDICT_KEYS ValidationError Verdict __version__
         annihilating_projections build_channel canonical_block_algebra canonical_trace_state
@@ -1075,7 +1126,7 @@ class TestPackage:
         extend_state extend_state_batch find_interpolating_factor
         full_matrix_algebra fuzz_instances generate_algebra
         implication_violations is_completely_positive is_faithful is_faithful_map
-        joint_cells joint_extension_residuals joint_operation
+        joint_extension_residuals joint_operation
         kraus_from_choi map_from_choi marginal_residual mutually_commute
         noncommuting_pair product_isomorphism product_residual products
         random_density random_faithful_nonselective_channel
@@ -1089,8 +1140,8 @@ class TestPackage:
     """.split()
 
     def test_the_package_exports_each_module_list_once(self):
-        assert len(self.EXPORTS) == 102
-        assert len(staralg.__all__) == len(set(staralg.__all__)) == 102
+        assert len(self.EXPORTS) == 101
+        assert len(staralg.__all__) == len(set(staralg.__all__)) == 101
         assert set(staralg.__all__) == set(self.EXPORTS)
         for name in staralg.__all__:
             assert hasattr(staralg, name), name

@@ -35,6 +35,7 @@ from staralg import (
     MatrixStarAlgebra,
     NoProductIsomorphism,
     NotCommuting,
+    PairPosition,
     ProductIsomorphism,
     ShapeMismatch,
     VERDICT_KEYS,
@@ -60,7 +61,6 @@ from staralg import (
     generate_algebra,
     implication_violations,
     is_faithful,
-    joint_cells,
     joint_extension_residuals,
     joint_operation,
     mutually_commute,
@@ -81,7 +81,7 @@ from staralg import (
     verify_product_transition,
     verify_separating_pair,
 )
-from staralg import ValidationError, algebra, independence, sampling, states
+from staralg import ValidationError, algebra, certificates, cli, independence, sampling, states
 from staralg.algebra import products
 from staralg.channels import superop_from_function
 from staralg.independence import (
@@ -220,7 +220,7 @@ class TestProductSenseWork:
 
     def test_refusal_names_the_zero_cell(self):
         inst = cell_pair(np.array([[1, 0], [1, 1]]), [1, 1], [1, 1])
-        cells = joint_cells(inst.a1, inst.a2)
+        cells = PairPosition(inst.a1, inst.a2)
         assert len(cells.zero_cells) == 1
         i, j = cells.zero_cells[0]
         with pytest.raises(NoProductIsomorphism, match=rf"joint cell \({i},{j}\) is zero"):
@@ -243,7 +243,7 @@ class TestCStarIndependence:
         # order of the central projections: e2-supported against e1-supported
         np.testing.assert_allclose(s1.density, np.diag([0.0, 1.0]), atol=1e-9)
         np.testing.assert_allclose(s2.density, np.diag([1.0, 0.0]), atol=1e-9)
-        cells = joint_cells(d, d)
+        cells = PairPosition(d, d)
         i, j = cells.zero_cells[0]
         np.testing.assert_allclose(s1.density, cells.projections1[i], atol=1e-9)
         np.testing.assert_allclose(s2.density, cells.projections2[j], atol=1e-9)
@@ -340,7 +340,7 @@ class TestCertificateChecks:
         # concentrated on z_0 give it the value 1, which does not exceed
         # that norm: a nonzero cell is no relation witness
         d = diag_algebra(2)
-        cells = joint_cells(d, d)
+        cells = PairPosition(d, d)
         z = cells.projections1[0]
         assert cells.mu[0, 0] == 1
         with pytest.raises(ValidationError, match="not a zero cell"):
@@ -348,7 +348,7 @@ class TestCertificateChecks:
 
     def test_zero_cell_witness_is_tied_to_its_cell(self):
         d = diag_algebra(2)
-        cells = joint_cells(d, d)
+        cells = PairPosition(d, d)
         (i, j), _ = cells.zero_cells
         z1, z2 = cells.projections1[i], cells.projections2[j]
         cells.check_zero_cell([i, j], cells.mu.tolist(), z1, z2)
@@ -465,13 +465,13 @@ class TestJointOperation:
     def test_a_twisted_cell_basis_fails_the_residual_gate(self, monkeypatch):
         # C1 precomposed with an inner automorphism of A1: the map on the join
         # is still a unital CP map, but it no longer restricts to T1
-        cell_basis = independence.JointCells.cell_basis.func
+        cell_basis = independence.PairPosition.cell_basis.func
 
         def twisted(cells):
             g, w, c1, c2 = cell_basis(cells)
             return g, w, twist_isomorphism(cells.a1.basis, 1, np.eye(len(c1)), c1)[1], c2
 
-        monkeypatch.setattr(independence.JointCells, "cell_basis", property(twisted))
+        monkeypatch.setattr(independence.PairPosition, "cell_basis", property(twisted))
         rng = np.random.default_rng(367)
         inst = tensor_pair(2, 3, rng)
         t1, t2 = (random_faithful_nonselective_channel(a, rng) for a in (inst.a1, inst.a2))
@@ -987,6 +987,54 @@ class TestCommutingPairsDecidedOnce:
             assert undecided == [], (inst.family, inst.meta)
 
 
+@pytest.fixture
+def witness_calls(monkeypatch):
+    """One entry per ``commute_witness`` call, made through either module that binds it."""
+    calls = []
+    form = algebra.commute_witness
+    for module in (algebra, independence):
+        monkeypatch.setattr(module, "commute_witness", lambda *args: calls.append(1) or form(*args))
+    return calls
+
+
+class TestOnePositionPerDecision:
+    """Commutation is tested once per decision, and the re-check of a verdict does not test it again."""
+
+    DECISIONS = (check_product_sense, check_wstar_product_sense, check_cstar_independence, check_wstar_independence,
+                 check_spatial_product_sense, find_interpolating_factor, run_hierarchy_checks)
+
+    def test_each_decision_tests_commutation_once(self, witness_calls):
+        for inst in (fuzz_instances(family, 1, 1)[0] for family in FUZZ_FAMILIES):
+            for decide in self.DECISIONS:
+                witness_calls.clear()
+                decide(inst.a1, inst.a2)
+                assert len(witness_calls) == 1, (decide.__name__, inst.family)
+
+    def test_rechecking_a_hierarchy_tests_commutation_once(self, witness_calls):
+        inst = fuzz_instances("shared_block", 1, 1)[0]
+        verdicts = run_hierarchy_checks(inst.a1, inst.a2).verdicts
+        assert verdicts["split"].witness["kind"] == "no_interpolating_factor"
+        witness_calls.clear()
+        items = certificates.check_verdicts(verdicts, inst.a1, inst.a2)
+        assert items and all(item["ok"] for item in items), items
+        assert len(witness_calls) == 1
+
+    def test_verify_report_tests_commutation_once_per_entry(self, witness_calls, tmp_path):
+        golden = Path(__file__).resolve().parent.parent / "instances" / "golden" / "same_algebra_m2.report.json"
+        assert cli.main(["verify-report", str(golden), "--out", str(tmp_path / "audit.json")]) == 0
+        assert len(witness_calls) == 1
+
+    def test_the_table_of_a_pair_that_does_not_commute_is_refused(self):
+        inst = fuzz_instances("haar_overlap", 1, 1)[0]
+        pos = PairPosition(inst.a1, inst.a2)
+        assert not pos.commutes
+        for part in ("mu", "zero_cells", "dims", "cell_basis", "projections1"):
+            with pytest.raises(NotCommuting, match="requires a commuting pair"):
+                getattr(pos, part)
+        with pytest.raises(NotCommuting, match="^the refusal$"):
+            pos.in_product_position("the refusal")
+
+
 def product_stack_rank(a1, a2):
     """Reference dim(join): the rank of the stack of all products b_a c_b."""
     n = a1.ambient_dim
@@ -1050,7 +1098,7 @@ class TestProjectionSearch:
         zero = []
         for k, inst in enumerate(pairs):
             verdict = _projection_search(inst.a1, inst.a2, np.random.default_rng(k), DEFAULT_TOL)
-            zero.append(bool(joint_cells(inst.a1, inst.a2).zero_cells))
+            zero.append(bool(PairPosition(inst.a1, inst.a2).zero_cells))
             assert verdict.status == ("Fails" if zero[-1] else "Undecided"), inst.meta
             if zero[-1]:
                 assert verdict.witness["gap"] == pytest.approx(1)
