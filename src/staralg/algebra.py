@@ -8,6 +8,7 @@ constructed matrix units.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -191,12 +192,8 @@ class MatrixStarAlgebra:
 
 
 def full_matrix_algebra(n: int) -> MatrixStarAlgebra:
-    """The full algebra M_n with the matrix-unit basis."""
-    basis = np.zeros((n * n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            basis[i * n + j, i, j] = 1.0
-    return MatrixStarAlgebra(n, basis)
+    """The full algebra M_n with the matrix-unit basis: E_ij is element i n + j."""
+    return MatrixStarAlgebra(n, np.eye(n * n).reshape(n * n, n, n))
 
 
 def scalar_algebra(n: int) -> MatrixStarAlgebra:
@@ -250,19 +247,14 @@ def commutant(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixStar
     """Relative commutant of the algebra inside the ambient matrix algebra, from its block structure.
 
     With the intertwiner W of ``structure_decomposition``, W* A W = sum_k
-    M_{n_k} (x) 1_{m_k}, so A' = W (sum_k 1_{n_k} (x) M_{m_k}) W*.  Over the
-    columns w_(alpha, s) of block k, its units sum_alpha w_(alpha, s)
-    w_(alpha, t)* / sqrt(n_k) are HS-orthonormal; the basis is put in the
-    canonical gauge of its span.
+    M_{n_k} (x) 1_{m_k}, the first algebra of the diagonal cell table with
+    sizes n_k and m_k (``_cell_form``), so A' = W B W* for its second
+    algebra B = sum_k 1_{n_k} (x) M_{m_k}; the basis is put in the canonical
+    gauge of its span.
     """
-    n = a.ambient_dim
     st = structure_decomposition(a, tol)
-    units = []
-    for (nk, mk), off in zip(st.blocks, st.offsets):
-        # cols[s] is the n x n_k matrix of the columns w_(alpha, s), alpha = 0..n_k-1
-        cols = st.intertwiner[:, off : off + nk * mk].reshape(n, nk, mk).transpose(2, 0, 1)
-        units.append((cols[:, None] @ dagger(cols)[None, :]).reshape(mk * mk, n, n) / np.sqrt(nk))
-    return MatrixStarAlgebra(n, canonical_basis(np.concatenate(units)))
+    _, b = _cell_form(np.eye(len(st.sizes), dtype=int), st.sizes, st.multiplicities)
+    return MatrixStarAlgebra(a.ambient_dim, canonical_basis(st.intertwiner @ b.basis @ dagger(st.intertwiner)))
 
 
 def products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -351,9 +343,8 @@ class AlgebraStructure:
     the span alone and its clusters lie CLUSTER_GAP apart.  ``sizes``,
     ``multiplicities``: n_k and m_k.  ``leaders``: the eigenvectors of h
     that span P_0 of each block, an (n, m_k) array each.  The rest is built
-    on first read: ``blocks`` the pairs (n_k, m_k), ``offsets`` the first
-    column of each block in ``intertwiner``, ``first_units`` the matrix units
-    e_a0 e_00* (so the first is the projection P_0), ``intertwiner`` the
+    on first read: ``blocks`` the pairs (n_k, m_k), ``first_units`` the matrix
+    units e_a0 e_00* (so the first is the projection P_0), ``intertwiner`` the
     unitary W of the block form from the first units and the leaders
     (checked by ``structure_decomposition``), and ``units`` the verified
     matrix units e_ab = e_a0 e_b0*, whose only reader is the cell basis of a
@@ -386,11 +377,6 @@ class AlgebraStructure:
     def blocks(self) -> list[tuple[int, int]]:
         """(n_k, m_k) of every block, in the order of ``projections``."""
         return list(zip(self.sizes, self.multiplicities))
-
-    @cached_property
-    def offsets(self) -> list[int]:
-        """The first column of each block in ``intertwiner``."""
-        return np.cumsum([0] + [k * m for k, m in self.blocks])[:-1].tolist()
 
     @cached_property
     def first_units(self) -> list[np.ndarray]:
@@ -520,30 +506,53 @@ def structure_decomposition(
     w = s.intertwiner
     if hs_norm(dagger(w) @ w - np.eye(n)) > tol.eps_verify * n:
         raise IllConditioned("assembled intertwiner is not unitary")
-    _verify_structure(a, w, s.blocks, s.offsets, tol)
+    _verify_structure(a, w, s.blocks, tol)
     return s
 
 
-def _verify_structure(a, w, blocks, offsets, tol):
-    """Check W* b W = sum_k x_k (x) 1_{m_k} for the whole basis stack at once."""
+def _verify_structure(a, w, blocks, tol):
+    """Check that every W* b W lies in sum_k M_{n_k} (x) 1_{m_k}, the diagonal cell table's first algebra."""
     n, d = a.ambient_dim, a.dim
     if sum(nk * mk for nk, mk in blocks) != n:
         raise IllConditioned("block dimensions do not add up to the ambient dimension")
     if sum(nk * nk for nk, mk in blocks) != d:
         raise IllConditioned("block dimensions do not add up to the algebra dimension")
-    rotated = dagger(w) @ a.basis @ w
-    model = np.zeros_like(rotated)
-    for (nk, mk), off in zip(blocks, offsets):
-        cut = slice(off, off + nk * mk)
-        x = np.einsum("kasbs->kab", rotated[:, cut, cut].reshape(d, nk, mk, nk, mk)) / mk
-        model[:, cut, cut] = (x[:, :, None, :, None] * np.eye(mk)[:, None, :]).reshape(d, nk * mk, -1)
-    resid = np.linalg.norm((rotated - model).reshape(d, n * n), axis=1)
+    form, _ = _cell_form(np.eye(len(blocks), dtype=int), *zip(*blocks))  # sizes n_k, m_k
+    resid = form.distances_to_span(dagger(w) @ a.basis @ w)
     bound = tol.eps_verify * np.maximum(1.0, np.linalg.norm(a.basis.reshape(d, n * n), axis=1))
     bad = resid > bound
     if np.any(bad):
         raise IllConditioned(
             f"conjugated basis element is not in block form (residual {resid[bad][0]:.2e})"
         )
+
+
+def _cell_form(mu, sizes1, sizes2) -> tuple[MatrixStarAlgebra, MatrixStarAlgebra]:
+    """The cell theorem's standard pair: A1, A2 on legs 1, 2 of sum_ij C^{n_i} (x) C^{m_j} (x) C^{mu_ij}.
+
+    Cell (i, j), mu_ij > 0, holds the next n_i m_j mu_ij indices (row-major
+    cells), leg values (a, b, s) at (a m_j + b) mu_ij + s.  Block k of a side
+    lays its cells' indices out as rows[p, r] (leg value p, rest r < R), and
+    its E_pq, element p size + q, is 1 / sqrt(R) at every (rows[p, r], rows[q, r]).
+    """
+    mu = np.asarray(mu)
+    cells = np.argwhere(mu)
+    legs = [(sizes1[i], sizes2[j], mu[i, j]) for i, j in cells]
+    ends = np.cumsum([math.prod(leg) for leg in legs])
+    n = int(ends[-1])
+    index = [np.arange(end - math.prod(leg), end).reshape(leg) for leg, end in zip(legs, ends)]
+    pair = []
+    for side, sizes in enumerate((sizes1, sizes2)):
+        basis = np.zeros((sum(size * size for size in sizes), n, n), dtype=complex)
+        start = 0
+        for k, size in enumerate(sizes):
+            rows = np.concatenate([x.swapaxes(0, side).reshape(size, -1)
+                                   for x, cell in zip(index, cells) if cell[side] == k], axis=1)
+            p = np.arange(size)
+            basis[(start + p[:, None] * size + p)[:, :, None], rows[:, None], rows[None]] = 1 / np.sqrt(rows.shape[1])
+            start += size * size
+        pair.append(MatrixStarAlgebra(n, basis))
+    return pair[0], pair[1]
 
 
 def conditional_expectation(a: MatrixStarAlgebra, tol: Tolerances = DEFAULT_TOL):

@@ -234,7 +234,7 @@ def _human_fuzz(data: dict) -> None:
             digest = "all Holds"
         else:
             digest = ", ".join(
-                f"{key}={status}" for key, status in statuses.items() if status != "Holds"
+                f"{key}={statuses[key]}" for key in VERDICT_KEYS if statuses[key] != "Holds"
             )
         print(f"  instance {row['index']:>3} (ambient {row['ambient_dim']}): {digest}")
     agg = data["aggregate"]

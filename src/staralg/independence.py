@@ -45,6 +45,7 @@ from .algebra import (
     COUNT_CUT,
     MatrixStarAlgebra,
     _cell_columns,
+    _cell_form,
     commute_witness,
     full_matrix_algebra,
     products,
@@ -144,6 +145,9 @@ NONZERO_TRACE_CUT = 0.5
 
 #: c in the bound c n eps on what ``verify_interpolating_factor`` implies
 SPLIT_IMPLIED_BOUND = 20
+
+#: Largest n eps for which ``verify_interpolating_factor``'s proof of the split holds
+SPLIT_PROOF_RANGE = 0.5
 
 #: Seeded unit vectors, hence minimal projections, drawn per block of size > 1
 #: by the search of ``check_cstar_independence``; a block of size 1 has one.
@@ -802,9 +806,9 @@ class InterpolatingFactor:
 
     @cached_property
     def algebra(self) -> MatrixStarAlgebra:
-        """M = U* (M_d1 (x) 1) U, with the orthonormal basis U* (E_ab (x) 1 / sqrt(d2)) U."""
-        lifted = np.kron(full_matrix_algebra(self.d1).basis, np.eye(self.d2) / np.sqrt(self.d2))
-        return MatrixStarAlgebra(self.d1 * self.d2, dagger(self.unitary) @ lifted @ self.unitary)
+        """M = U* (M_d1 (x) 1) U, with the orthonormal basis U* (E_ab (x) 1 / sqrt(d2)) U (``_cell_form`` of [[1]])."""
+        lifted, _ = _cell_form(np.ones((1, 1), dtype=int), [self.d1], [self.d2])
+        return MatrixStarAlgebra(self.d1 * self.d2, dagger(self.unitary) @ lifted.basis @ self.unitary)
 
 
 @dataclass(eq=False)
@@ -824,16 +828,16 @@ def verify_interpolating_factor(
 ) -> InterpolatingFactor:
     """Check that U splits C^n = C^d1 (x) C^d2 with A1 on the first leg, A2 on the second.
 
-    Three residuals are certified (each at most eps_verify), each the
+    Three residuals are certified (their largest, eps, at most eps_verify and
+    n eps at most SPLIT_PROOF_RANGE, the range of the proof below), each the
     largest entry of one stack: ``unitarity_residual`` of U U* - 1,
     ``embedding_residual_1`` of D1 = U x U* - L(x) (x) 1 over the basis x of
     A1, and ``embedding_residual_2`` of D2 = U y U* - 1 (x) R(y) over the
     basis y of A2, with L and R the normalized partial traces.  Legs that
     are not positive integers with d1 d2 = n raise ShapeMismatch.
 
-    They imply the split for M = U* (M_d1 (x) 1) U.  Let eps be the largest
-    residual, n eps <= 1/2, and ||.||_2 the HS norm, so ||A|| <= ||A||_2 <=
-    n max|A_ij|.  Then ||Dk||_2 <= n eps, and d = ||U U* - 1||_2 <= n eps
+    They imply the split for M = U* (M_d1 (x) 1) U.  Let n eps <= 1/2, and
+    ||.||_2 the HS norm, so ||A|| <= ||A||_2 <= n max|A_ij|.  Then ||Dk||_2 <= n eps, and d = ||U U* - 1||_2 <= n eps
     equals ||U*U - 1||_2 (the same spectrum), so ||U||^2 <= 1 + d; basis
     elements have ||x|| <= ||x||_2 = 1, so ||L(x)||, ||R(y)|| <= 1 + d.
     - A1 in M: x - U* (L (x) 1) U = (x - U*U x U*U) + U* D1 U has
@@ -868,9 +872,10 @@ def verify_interpolating_factor(
     }
     worst = max(residuals.values())
     if not worst <= tol.eps_verify:
-        raise IllConditioned(
-            f"interpolating-factor verification residual {worst:.3e}"
-        )
+        raise IllConditioned(f"interpolating-factor verification residual {worst:.3e}")
+    if not n * worst <= SPLIT_PROOF_RANGE:
+        raise IllConditioned(f"interpolating-factor residual {worst:.3e} is outside the range n eps <= "
+                             f"{SPLIT_PROOF_RANGE} that proves the split (n eps = {n * worst:.3e} at n = {n})")
     return InterpolatingFactor(u, d1, d2, residuals)
 
 

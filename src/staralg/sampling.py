@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MatrixStarAlgebra, mutually_commute
+from .algebra import MatrixStarAlgebra, _cell_form, mutually_commute
 from .channels import ChannelMap, channel_on_algebra
 from .errors import UnknownFamily
 from .independence import state_preparation
@@ -119,7 +119,8 @@ def cell_pair(
     the second algebra in the second; mu[i, j] = 0 deletes the cell, which
     breaks product position.  This one constructor therefore produces tensor
     pairs, block algebras, annihilating pairs, and product-but-not-split
-    pairs.  The bases are orthonormal by construction; only the input is checked.
+    pairs.  The bases are ``algebra._cell_form``'s, orthonormal by
+    construction; only the input is checked here.
     """
     mu = np.asarray(mu)
     n_i, m_j = list(sizes1), list(sizes2)
@@ -131,27 +132,10 @@ def cell_pair(
     bad += [f"column {j} of mu is zero" for j in np.flatnonzero(~mu.any(axis=0))]
     if bad:
         raise ValueError("no cell pair: " + "; ".join(bad))
-    cells = [(i, j) for i in range(len(n_i)) for j in range(len(m_j)) if mu[i, j]]
-    offsets = np.cumsum([0] + [n_i[i] * m_j[j] * mu[i, j] for i, j in cells])
-    n = int(offsets[-1])
-
-    def algebra(sizes: list[int], side: int) -> MatrixStarAlgebra:
-        """E_pq of block k in slot ``side`` of C^{n_i} (x) C^{m_j} (x) C^{mu_ij} on every cell of block k."""
-        basis = []
-        for k, size in enumerate(sizes):
-            g = np.zeros((size * size, n, n), dtype=complex)
-            for c, (i, j) in enumerate(cells):
-                if (i, j)[side] == k:
-                    legs = [np.eye(n_i[i])[None], np.eye(m_j[j])[None], np.eye(mu[i, j])[None]]
-                    legs[side] = np.eye(size * size).reshape(-1, size, size)
-                    g[:, offsets[c] : offsets[c + 1], offsets[c] : offsets[c + 1]] = np.kron(np.kron(*legs[:2]), legs[2])
-            basis.append(g / np.linalg.norm(g, axis=(1, 2))[:, None, None])
-        return MatrixStarAlgebra(n, np.concatenate(basis))
-
-    a1, a2 = algebra(n_i, 0), algebra(m_j, 1)
+    a1, a2 = _cell_form(mu, n_i, m_j)
     meta = {"mu": mu, "sizes1": n_i, "sizes2": m_j}
     if rng is not None:
-        u = _haar_from_rng(n, rng)
+        u = _haar_from_rng(a1.ambient_dim, rng)
         a1, a2 = conjugate_algebra(a1, u), conjugate_algebra(a2, u)
         meta["conjugated"] = True
     return PairInstance(a1, a2, "cell", meta)

@@ -3,7 +3,8 @@
 Each function here was once program code that no verb reached, or the
 route the program took before a faster one replaced it.  The tests compare
 the program's one route against these (the structure-built commutant against
-the kernel of the commutator stack, the intertwiner from the leader
+the kernel of the commutator stack and against its per-block unit products,
+the cell form's index arithmetic against the Kronecker loop, the intertwiner from the leader
 eigenvectors against the corner eigensolve, commutation unit against unit
 against the basis witness, the instance builder's Lüders and preparation maps
 against their direct constructions), or use them as independent oracles
@@ -27,6 +28,7 @@ from staralg import (
     channel_from_kraus,
     channel_on_algebra,
     full_matrix_algebra,
+    structure_decomposition,
 )
 from staralg.algebra import CORNER_EIGENVALUE_CUT, products
 from staralg.numerics import DEFAULT_TOL, RANK_GAP_FACTOR, Tolerances, canonical_basis, dagger, is_hermitian, vec
@@ -88,6 +90,52 @@ def null_space_commutant(a: MatrixStarAlgebra) -> MatrixStarAlgebra:
     kernel = null_space(np.concatenate([np.kron(eye, b) - np.kron(b.T, eye) for b in a.basis]), scale=1.0)
     # column k is the column-stacked vec(X_k); a row-major reshape gives X_k^T
     return MatrixStarAlgebra(n, canonical_basis(kernel.T.reshape(-1, n, n).transpose(0, 2, 1)))
+
+
+def block_units_commutant(a: MatrixStarAlgebra) -> MatrixStarAlgebra:
+    """The commutant from the intertwiner's columns, one block at a time, in the canonical gauge.
+
+    Over the columns w_(alpha, s) of block k of W, the units sum_alpha
+    w_(alpha, s) w_(alpha, t)* / sqrt(n_k) are HS-orthonormal and span the
+    commutant's block W (1_{n_k} (x) M_{m_k}) W*.
+    """
+    n = a.ambient_dim
+    st = structure_decomposition(a)
+    units, off = [], 0
+    for nk, mk in st.blocks:
+        # cols[s] is the n x n_k matrix of the columns w_(alpha, s), alpha = 0..n_k-1
+        cols = st.intertwiner[:, off : off + nk * mk].reshape(n, nk, mk).transpose(2, 0, 1)
+        units.append((cols[:, None] @ dagger(cols)[None, :]).reshape(mk * mk, n, n) / np.sqrt(nk))
+        off += nk * mk
+    return MatrixStarAlgebra(n, canonical_basis(np.concatenate(units)))
+
+
+def kronecker_cell_form(mu, sizes1, sizes2) -> tuple[MatrixStarAlgebra, MatrixStarAlgebra]:
+    """The cell theorem's standard pair by Kronecker products: E_pq of block k on its leg of every cell of block k.
+
+    Cell (i, j) with mu_ij > 0 holds C^{n_i} (x) C^{m_j} (x) C^{mu_ij} on the
+    next diagonal block of the ambient space, cells in row-major order; each
+    element is normalized by its HS norm.
+    """
+    mu = np.asarray(mu)
+    n_i, m_j = list(sizes1), list(sizes2)
+    cells = [(i, j) for i in range(len(n_i)) for j in range(len(m_j)) if mu[i, j]]
+    offsets = np.cumsum([0] + [n_i[i] * m_j[j] * mu[i, j] for i, j in cells])
+    n = int(offsets[-1])
+
+    def algebra(sizes: list[int], side: int) -> MatrixStarAlgebra:
+        basis = []
+        for k, size in enumerate(sizes):
+            g = np.zeros((size * size, n, n), dtype=complex)
+            for c, (i, j) in enumerate(cells):
+                if (i, j)[side] == k:
+                    legs = [np.eye(n_i[i])[None], np.eye(m_j[j])[None], np.eye(mu[i, j])[None]]
+                    legs[side] = np.eye(size * size).reshape(-1, size, size)
+                    g[:, offsets[c] : offsets[c + 1], offsets[c] : offsets[c + 1]] = np.kron(np.kron(*legs[:2]), legs[2])
+            basis.append(g / np.linalg.norm(g, axis=(1, 2))[:, None, None])
+        return MatrixStarAlgebra(n, np.concatenate(basis))
+
+    return algebra(n_i, 0), algebra(m_j, 1)
 
 
 def corner_intertwiner(s: AlgebraStructure) -> np.ndarray:

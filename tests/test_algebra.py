@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from conftest import diag_algebra, join, left_factor, matrix_unit, right_factor
-from reference import basis_commute_witness, corner_intertwiner, is_psd, null_space, null_space_commutant
+from reference import (
+    basis_commute_witness,
+    block_units_commutant,
+    corner_intertwiner,
+    is_psd,
+    null_space,
+    null_space_commutant,
+)
 from staralg import (
     FUZZ_FAMILIES,
     IllConditioned,
@@ -33,7 +40,7 @@ from staralg import algebra, numerics
 from staralg.algebra import _verify_structure, products
 from staralg.independence import PairPosition, run_hierarchy_checks, state_preparation, verify_noncommuting_elements
 from staralg.numerics import DEFAULT_TOL, dagger, haar_unitary, hs_norm, kron, vec
-from staralg.sampling import canonical_block_algebra, cell_pair, conjugate_algebra, tensor_pair
+from staralg.sampling import canonical_block_algebra, cell_pair, conjugate_algebra, random_subalgebra, tensor_pair
 from staralg.states import (
     AlgebraState,
     is_faithful,
@@ -174,6 +181,18 @@ class TestCommutant:
             assert np.abs(got.expectation - ref.expectation).max() <= 1e-12
             assert np.abs(got.basis - ref.basis).max() <= 1e-10
 
+    def test_agrees_with_the_block_unit_reference(self):
+        # W B W* from the diagonal cell form against the per-block products of the intertwiner's columns
+        algebras = [a for family in FUZZ_FAMILIES for inst in fuzz_instances(family, 10, 3) for a in (inst.a1, inst.a2)]
+        algebras += [full_matrix_algebra(4), scalar_algebra(4), canonical_block_algebra([(2, 2), (1, 3)], 7)]
+        rng = np.random.default_rng(5)
+        algebras += [random_subalgebra(n, rng)[0] for n in (5, 6, 6, 7, 8, 9)]
+        assert len(algebras) == 89
+        for a in algebras:
+            got, ref = commutant(a), block_units_commutant(a)
+            assert got.dim == ref.dim
+            assert np.abs(got.basis - ref.basis).max() <= 1e-12
+
 
 class TestCenterAndFactor:
     def test_full_algebra_is_a_factor(self):
@@ -240,7 +259,7 @@ class TestMatrixUnits:
 
 class TestStructureDecomposition:
     def test_the_decomposition_is_the_cached_structure(self):
-        # blocks and offsets against the commutator-stack centre: n_k^2 = dim z_k A, m_k = rank z_k / n_k
+        # blocks against the commutator-stack centre: n_k^2 = dim z_k A, m_k = rank z_k / n_k
         algebras = [a for family in FUZZ_FAMILIES for inst in fuzz_instances(family, 10, 3) for a in (inst.a1, inst.a2)]
         algebras += [full_matrix_algebra(4), scalar_algebra(4), canonical_block_algebra([(2, 2), (1, 3)], 7)]
         assert len(algebras) == 83
@@ -253,7 +272,6 @@ class TestStructureDecomposition:
                 nk = round(np.sqrt(np.linalg.matrix_rank((centre[j] @ a.basis).reshape(a.dim, -1), tol=1e-6)))
                 want.append((nk, round(np.trace(centre[j]).real) // nk))
             assert sd.blocks == want
-            assert sd.offsets == [sum(k * m for k, m in want[:i]) for i in range(len(want))]
 
     def test_two_commutants_build_the_intertwiner_once(self, monkeypatch):
         column_basis, calls = algebra._column_basis, []
@@ -317,7 +335,7 @@ class TestStructureDecomposition:
         assert sd.blocks == [(2, 1), (1, 3)]
         swapped = sd.intertwiner[:, [2, 1, 0, 3, 4]]
         with pytest.raises(IllConditioned, match="not in block form"):
-            _verify_structure(a, swapped, sd.blocks, sd.offsets, DEFAULT_TOL)
+            _verify_structure(a, swapped, sd.blocks, DEFAULT_TOL)
 
 
 class TestConditionalExpectation:

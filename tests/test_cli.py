@@ -525,6 +525,12 @@ class TestFuzz:
             assert tolerances["target"] == "tolerances" and tolerances["ok"]
             assert item["target"] == "fuzz summary" and f"count {count} differs" in item["detail"]
 
+    def test_the_human_digest_follows_the_verdict_key_order(self, capsys):
+        # no verdict of this non-commuting pair holds, so its digest names all nine, in analyze's order
+        assert main(["fuzz", "haar_overlap", "1", "--seed", "7"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert [item.split("=")[0] for item in row.split(": ", 1)[1].split(", ")] == list(staralg.VERDICT_KEYS)
+
     def test_repeated_seed_is_byte_identical(self, tmp_path):
         argv = ["fuzz", "haar_overlap", "5", "--seed", "13"]
         out1, out2 = tmp_path / "f1.json", tmp_path / "f2.json"
@@ -909,6 +915,34 @@ class TestVerifyReport:
                 assert rep["items"][0]["target"] == "tolerances"
                 assert (code, list(failed)) == ((0, []) if scale <= 1 else (2, ["tolerances"])), (key, scale)
                 assert scale <= 1 or key in failed["tolerances"]
+
+    FACTOR_ITEMS = ["checks[0] hierarchy split factor", "checks[3] interpolating_factor factor"]
+
+    def test_a_forged_factor_outside_the_proof_range_fails_at_a_loose_tolerance(self, tmp_path):
+        # the loosen_echoed_tolerance forgery at --tol 0.5: its residuals (0.09 and 0.26 at n = 6)
+        # pass eps_verify, but n eps > 1/2 lies outside the range that proves the split
+        doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
+        self.loosen_echoed_tolerance(doc)
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        code, rep = run_json(["verify-report", str(bad), "--tol", "0.5"], tmp_path, "verify.json")
+        failed = {item["target"]: item["detail"] for item in rep["items"] if not item["ok"]}
+        assert code == 2 and list(failed) == self.FACTOR_ITEMS
+        assert all("outside the range n eps <= 0.5" in detail for detail in failed.values())
+
+    def test_a_factor_residual_inside_eps_verify_fails_on_the_range(self, tmp_path):
+        # sqrt(1.09) U has unitarity residual 0.09, in (1/12, 0.1] at n = 6, and keeps each image on its leg
+        doc = json.loads((GOLDEN / "tensor_pair_m6.report.json").read_text())
+        entry = next(c for c in doc["checks"] if c["check"] == "interpolating_factor")
+        for factor in (doc["checks"][0]["verdicts"]["split"]["certificate"]["factor"], entry["outcome"]["factor"]):
+            factor["unitary"] = array_to_json(np.sqrt(1.09) * array_from_json(factor["unitary"]))
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        code, rep = run_json(["verify-report", str(bad), "--tol", "0.1"], tmp_path, "verify.json")
+        failed = {item["target"]: item["detail"] for item in rep["items"] if not item["ok"]}
+        assert code == 2 and list(failed) == self.FACTOR_ITEMS
+        for detail in failed.values():
+            assert "residual 9.000e-02 is outside the range n eps <= 0.5" in detail and "at n = 6" in detail
 
     def test_a_fuzz_replay_runs_at_the_tolerance_in_force(self, tmp_path):
         golden = GOLDEN / "fuzz_tensor_split_5_seed7.report.json"

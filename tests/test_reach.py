@@ -40,7 +40,6 @@ def through(caller: str) -> str:
 
 UNREACHED = {
     "algebra.AlgebraStructure.blocks": through("algebra.structure_decomposition"),
-    "algebra.AlgebraStructure.offsets": through("algebra.structure_decomposition"),
     "algebra._verify_structure": through("algebra.structure_decomposition"),
     "algebra.commutant": ACCEPTANCE,
     "algebra.conditional_expectation": ACCEPTANCE,

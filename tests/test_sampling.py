@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference
 from reference import is_psd, random_luders_channel
 from staralg import (
     FUZZ_FAMILIES,
@@ -32,6 +33,8 @@ from staralg import (
     sample_state_pairs,
     tensor_pair,
 )
+from staralg import sampling
+from staralg.algebra import _cell_form
 from staralg.numerics import _haar_from_rng, dagger, haar_unitary, hs_norm
 
 
@@ -146,6 +149,38 @@ class TestCellPairIsTheOneConstructor:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 cell_pair(np.array(mu), sizes1, sizes2)
+
+
+#: (mu, sizes1, sizes2): one cell, legs of one and two sizes, zero cells, mu up to 3, three blocks a side
+CELL_TABLES = [
+    ([[1]], [1], [1]),
+    ([[1]], [2], [3]),
+    ([[2]], [2], [2]),
+    ([[1, 1], [1, 1]], [1, 2], [1, 2]),
+    ([[1, 1], [0, 1]], [1, 2], [2, 1]),
+    ([[1, 0], [0, 1]], [1, 2], [2, 1]),
+    ([[1, 2], [3, 1]], [1, 2], [2, 1]),
+    ([[3], [1], [2]], [2, 1, 1], [1]),
+    ([[1, 0, 2], [0, 3, 1], [1, 1, 0]], [2, 1, 1], [1, 2, 1]),
+]
+
+
+class TestCellFormIsTheKroneckerConstruction:
+    @pytest.mark.parametrize("mu, sizes1, sizes2", CELL_TABLES)
+    def test_both_bases_are_byte_identical(self, mu, sizes1, sizes2):
+        got, want = _cell_form(np.array(mu), sizes1, sizes2), reference.kronecker_cell_form(np.array(mu), sizes1, sizes2)
+        inst = cell_pair(np.array(mu), sizes1, sizes2)
+        for a, b, c in zip(got, want, (inst.a1, inst.a2)):
+            assert a.ambient_dim == b.ambient_dim
+            assert np.array_equal(a.basis, b.basis) and np.array_equal(c.basis, b.basis)
+
+    @pytest.mark.parametrize("family", FUZZ_FAMILIES)
+    def test_every_fuzz_pair_is_byte_identical(self, family, monkeypatch):
+        got = fuzz_instances(family, 10, 1)
+        monkeypatch.setattr(sampling, "_cell_form", reference.kronecker_cell_form)
+        want = fuzz_instances(family, 10, 1)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g.a1.basis, w.a1.basis) and np.array_equal(g.a2.basis, w.a2.basis)
 
 
 class TestRandomDensities:
